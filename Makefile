@@ -69,9 +69,11 @@ smoke:
 	sh scripts/smoke.sh
 
 fuzz-smoke:
-	@for t in $$($(GO) test ./internal/solver -list '^Fuzz' | grep '^Fuzz'); do \
-		echo "==> $$t"; \
-		$(GO) test ./internal/solver -run='^$$' -fuzz="^$$t$$" -fuzztime=30s || exit 1; \
+	@for pkg in ./internal/solver ./internal/stats; do \
+		for t in $$($(GO) test $$pkg -list '^Fuzz' | grep '^Fuzz'); do \
+			echo "==> $$pkg $$t"; \
+			$(GO) test $$pkg -run='^$$' -fuzz="^$$t$$" -fuzztime=30s || exit 1; \
+		done; \
 	done
 
 # chaos runs the built-in fault-injection suite on the simulator and fails if

@@ -303,12 +303,25 @@ func BenchmarkCatalogGeneration(b *testing.B) {
 }
 
 // BenchmarkCovarianceMatrix measures the risk-matrix estimation the planner
-// performs each interval (36 markets, two-week window).
+// performs each interval over a two-week hourly window: Fig. 7b's largest
+// catalog (144 types with on-demand twins, n = 288) and one federation-shard
+// sized catalog of transient markets only (n = 50).
 func BenchmarkCovarianceMatrix(b *testing.B) {
-	cat := market.CatalogConfig{Seed: 1, NumTypes: 36, Hours: 24 * 30}.Generate()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cat.CovarianceMatrix(24*20, 24*14)
+	for _, c := range []struct {
+		name string
+		cfg  market.CatalogConfig
+	}{
+		{"n288-half-ondemand", market.CatalogConfig{Seed: 1, NumTypes: 144, IncludeOnDemand: true, Hours: 24 * 30}},
+		{"n50", market.CatalogConfig{Seed: 1, NumTypes: 50, Hours: 24 * 30}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cat := c.cfg.Generate()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cat.CovarianceMatrix(24*20, cat.TwoWeekWindow())
+			}
+		})
 	}
 }
 

@@ -137,7 +137,7 @@ func FreezeWeights(cat *market.Catalog, t int, lambda, alpha float64) (linalg.Ve
 		Lambda:     []float64{lambda},
 		PerReqCost: [][]float64{cat.PerRequestCosts(t)},
 		FailProb:   [][]float64{cat.FailProbs(t)},
-		Risk:       cat.CovarianceMatrix(t, 14*24),
+		Risk:       cat.CovarianceMatrix(t, cat.TwoWeekWindow()),
 	}
 	plan, err := portfolio.Optimize(cfg, in)
 	if err != nil {

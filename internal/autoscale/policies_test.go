@@ -197,3 +197,42 @@ func TestSpotWebCheaperThanOnDemand(t *testing.T) {
 		t.Fatalf("SpotWeb violations %v%% exceed the 5%% SLO budget", sw.ViolationPct)
 	}
 }
+
+// Regression: FreezeWeights hard-coded a 336-interval covariance window, which
+// is 14 days only at hourly sampling. On a 15-minute catalog it must look
+// back 1,344 intervals, like the planners do.
+func TestFreezeWeightsWindowCountsIntervals(t *testing.T) {
+	cat := market.CatalogConfig{Seed: 9, NumTypes: 6, IncludeOnDemand: true, Hours: 24 * 20, SamplesPerHour: 4}.Generate()
+	if cat.StepHrs != 0.25 {
+		t.Fatalf("StepHrs = %v", cat.StepHrs)
+	}
+	const tick, lambda, alpha = 4 * 24 * 18, 800.0, 50.0
+	frozen := func(window int) linalg.Vector {
+		plan, err := portfolio.Optimize(portfolio.Config{Horizon: 1, Alpha: alpha}, &portfolio.Inputs{
+			Lambda:     []float64{lambda},
+			PerReqCost: [][]float64{cat.PerRequestCosts(tick)},
+			FailProb:   [][]float64{cat.FailProbs(tick)},
+			Risk:       cat.CovarianceMatrix(tick, window),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := plan.First().Clone()
+		return w.Scale(1 / w.Sum())
+	}
+	got, err := FreezeWeights(cat, tick, lambda, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, hourly := frozen(14*24*4), frozen(14*24)
+	differs := false
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("market %d: weight %v, want %v (14-day window)", i, got[i], want[i])
+		}
+		differs = differs || want[i] != hourly[i]
+	}
+	if !differs {
+		t.Fatal("the 336- and 1,344-interval windows freeze the same weights; the test cannot see the bug")
+	}
+}

@@ -77,6 +77,12 @@ type Stats struct {
 	Shares []float64
 	// ShardSeconds is the per-shard wall time of the final round's solves.
 	ShardSeconds []float64
+	// InputBuildSeconds is the wall time of the shared input build (forecast,
+	// overlay, per-shard slicing) and CovarianceSeconds that of the shard
+	// covariances — the serial input side of WallSeconds, spent before the
+	// first coordination round.
+	InputBuildSeconds float64
+	CovarianceSeconds float64
 	// WallSeconds is the full Step wall time.
 	WallSeconds float64
 }
@@ -124,7 +130,7 @@ type Planner struct {
 func NewPlanner(fed *Federation, cfg PlannerConfig, workload predict.Predictor, src portfolio.ForecastSource) *Planner {
 	c := cfg.withDefaults(len(fed.Shards))
 	if c.CovWindow <= 0 {
-		c.CovWindow = int(14 * 24 / fed.Merged.StepHrs)
+		c.CovWindow = fed.Merged.TwoWeekWindow()
 	}
 	p := &Planner{
 		Fed: fed, Cfg: c, Workload: workload, Source: src,
@@ -171,15 +177,13 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 	in, epoch := p.builder.Build(t, h, actualLambda)
 
 	// Per-shard inputs: rows are subslices of the merged rows (overlay
-	// already applied globally), covariance is shard-local and cached for
-	// the whole coordination loop.
+	// already applied globally).
 	shardIns := make([]*portfolio.Inputs, len(shards))
 	for s, sh := range shards {
 		si := &portfolio.Inputs{
 			Lambda:       in.Lambda,
 			PerReqCost:   make([][]float64, h),
 			FailProb:     make([][]float64, h),
-			Risk:         sh.Cat.CovarianceMatrix(t, p.Cfg.CovWindow),
 			ShortfallMAE: in.ShortfallMAE,
 		}
 		for τ := 0; τ < h; τ++ {
@@ -191,6 +195,14 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 		}
 		shardIns[s] = si
 	}
+	inputSecs := time.Since(start).Seconds()
+
+	// Covariance is shard-local and cached for the whole coordination loop.
+	covStart := time.Now()
+	for s, sh := range shards {
+		shardIns[s].Risk = sh.Cat.CovarianceMatrix(t, p.Cfg.CovWindow)
+	}
+	covSecs := time.Since(covStart).Seconds()
 
 	if p.shares == nil {
 		p.shares = p.proportionalShares()
@@ -279,8 +291,10 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 
 	p.stats = Stats{
 		Shards: len(shards), Markets: nGlobal, Rounds: rounds, Fallbacks: fallbacks,
-		Shares:      append([]float64(nil), shares...),
-		WallSeconds: time.Since(start).Seconds(),
+		Shares:            append([]float64(nil), shares...),
+		InputBuildSeconds: inputSecs,
+		CovarianceSeconds: covSecs,
+		WallSeconds:       time.Since(start).Seconds(),
 	}
 	p.stats.ShardSeconds = make([]float64, len(shards))
 	for s := range results {
@@ -515,6 +529,8 @@ func (p *Planner) recordMetrics(t int) {
 		m.Histogram("spotweb_fed_shard_solve_seconds", "Per-shard optimizer wall time in the final coordination round.").
 			Observe(secs)
 	}
+	m.Histogram("spotweb_planner_covariance_seconds", "Risk covariance estimation wall time per planning step.").
+		Observe(p.stats.CovarianceSeconds)
 	m.Gauge("spotweb_plan_interval", "Planning interval index of the last solve.").Set(float64(t))
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/portfolio"
 	"repro/internal/predict"
 )
@@ -187,6 +188,8 @@ func TestFederatedStepInvariants(t *testing.T) {
 	}, cfg.Horizon)
 	p := NewPlanner(fed, PlannerConfig{Portfolio: cfg},
 		wp, portfolio.MeanRevertSource{Cat: fed.Merged})
+	reg := metrics.NewRegistry()
+	p.Metrics = reg
 
 	for step := 1; step <= 5; step++ {
 		dec, err := p.Step(step, 60)
@@ -206,6 +209,15 @@ func TestFederatedStepInvariants(t *testing.T) {
 		assertValidSplit(t, st.Shares, 1.0)
 		if len(st.ShardSeconds) != 4 {
 			t.Fatalf("step %d: shard timings %v", step, st.ShardSeconds)
+		}
+		// The input side is timed and is part of the round's wall time.
+		if st.InputBuildSeconds <= 0 || st.CovarianceSeconds <= 0 ||
+			st.InputBuildSeconds+st.CovarianceSeconds > st.WallSeconds {
+			t.Fatalf("step %d: input build %g s + covariance %g s vs wall %g s",
+				step, st.InputBuildSeconds, st.CovarianceSeconds, st.WallSeconds)
+		}
+		if n := reg.Histogram("spotweb_planner_covariance_seconds", "").Count(); n != int64(step) {
+			t.Fatalf("step %d: covariance histogram holds %d observations", step, n)
 		}
 		// The merged first-interval allocation must respect the global budget.
 		total := sumOf(dec.Plan.First())

@@ -128,37 +128,78 @@ func (c *Catalog) FailProbs(t int) linalg.Vector {
 	return out
 }
 
+// TwoWeekWindow returns 14 days expressed in catalog intervals — the paper's
+// training window and the default trailing window for CovarianceMatrix.
+func (c *Catalog) TwoWeekWindow() int { return int(14 * 24 / c.StepHrs) }
+
+// failWindows gathers, one row per market in idx, the failure-probability
+// series over the trailing window [t-window, t). An on-demand market's row is
+// exactly zero. It returns nil when the window holds fewer than two samples.
+func (c *Catalog) failWindows(idx []int, t, window int) *linalg.Matrix {
+	lo := max(t-window, 0)
+	if t-lo < 2 {
+		return nil
+	}
+	x := linalg.NewMatrix(len(idx), t-lo)
+	for r, i := range idx {
+		if mk := c.Markets[i]; mk.Transient {
+			vals := mk.FailProb.Values
+			for k, row := 0, x.Row(r); k < len(row); k++ {
+				row[k] = vals[clampIndex(lo+k, len(vals))]
+			}
+		}
+	}
+	return x
+}
+
+// diagonalPrior is the covariance estimators' not-enough-history fallback:
+// the squared current failure probability plus the ridge.
+func (c *Catalog) diagonalPrior(t int) linalg.Vector {
+	d := linalg.NewVector(c.Len())
+	for i, mk := range c.Markets {
+		f := mk.FailProbAt(t)
+		d[i] = f*f + 1e-6
+	}
+	return d
+}
+
 // CovarianceMatrix estimates M, the pairwise covariance of revocation
 // dynamics, from the failure-probability series over the trailing window
 // [t-window, t). A small ridge is added to the diagonal so M is strictly
 // positive definite (required by the quadratic risk term). On-demand markets
-// contribute zero rows/columns apart from the ridge.
+// contribute zero rows/columns apart from the ridge: their series is
+// identically 0, so only the transient markets' windows are gathered and
+// their covariance block is scattered into the dense result.
 func (c *Catalog) CovarianceMatrix(t, window int) *linalg.Matrix {
 	n := c.Len()
-	lo := t - window
-	if lo < 0 {
-		lo = 0
+	idx := make([]int, 0, n)
+	for i, mk := range c.Markets {
+		if mk.Transient {
+			idx = append(idx, i)
+		}
 	}
-	if t <= lo+1 {
-		// Not enough history: fall back to a diagonal prior scaled by the
-		// current failure probabilities.
+	x := c.failWindows(idx, t, window)
+	if x == nil {
 		m := linalg.NewMatrix(n, n)
-		for i, mk := range c.Markets {
-			f := mk.FailProbAt(t)
-			m.Set(i, i, f*f+1e-6)
+		for i, d := range c.diagonalPrior(t) {
+			m.Set(i, i, d)
 		}
 		return m
 	}
-	series := make([][]float64, n)
-	for i, mk := range c.Markets {
-		s := make([]float64, t-lo)
-		for k := lo; k < t; k++ {
-			s[k-lo] = mk.FailProbAt(k)
-		}
-		series[i] = s
+	series := make([][]float64, len(idx))
+	for r := range series {
+		series[r] = x.Row(r)
 	}
-	flat, _ := stats.CovarianceMatrix(series)
-	m := &linalg.Matrix{Rows: n, Cols: n, Data: flat}
+	block, k := stats.CovarianceMatrix(series)
+	m := &linalg.Matrix{Rows: k, Cols: k, Data: block}
+	if k < n {
+		m = linalg.NewMatrix(n, n)
+		for a, i := range idx {
+			for b, j := range idx {
+				m.Set(i, j, block[a*k+b])
+			}
+		}
+	}
 	m.AddDiag(1e-6)
 	return m
 }

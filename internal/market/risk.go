@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/linalg"
+	"repro/internal/stats"
 )
 
 // SparseCovariance estimates M like CovarianceMatrix and then drops entries
@@ -35,41 +36,29 @@ func (c *Catalog) SparseCovariance(t, window int, tol float64) *linalg.CSR {
 // revocations (one factor per correlated demand pool).
 func (c *Catalog) FactorCovariance(t, window, k int) *linalg.FactorModel {
 	n := c.Len()
-	lo := t - window
-	if lo < 0 {
-		lo = 0
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
 	}
-	rows := t - lo
-	if rows < 2 || k < 1 {
+	x := c.failWindows(all, t, window)
+	if x == nil || k < 1 {
 		// Not enough history: diagonal prior, no factors.
-		d := linalg.NewVector(n)
-		for i, mk := range c.Markets {
-			f := mk.FailProbAt(t)
-			d[i] = f*f + 1e-6
-		}
-		return &linalg.FactorModel{D: d, F: linalg.NewMatrix(n, 0)}
+		return &linalg.FactorModel{D: c.diagonalPrior(t), F: linalg.NewMatrix(n, 0)}
 	}
 	if k > n {
 		k = n
 	}
-	// Demeaned data matrix X (rows × n).
-	x := linalg.NewMatrix(rows, n)
-	for j, mk := range c.Markets {
-		var mean float64
-		for i := 0; i < rows; i++ {
-			mean += mk.FailProbAt(lo + i)
-		}
-		mean /= float64(rows)
-		for i := 0; i < rows; i++ {
-			x.Set(i, j, mk.FailProbAt(lo+i)-mean)
-		}
+	// x becomes the centred data, one market per row (n × rows).
+	rows := x.Cols
+	for j := 0; j < n; j++ {
+		stats.Center(x.Row(j))
 	}
 	inv := 1 / float64(rows-1)
-	// Covariance applied matrix-free: C·v = Xᵀ(X·v)/(rows−1).
+	// Covariance applied matrix-free: C·v = X(Xᵀ·v)/(rows−1).
 	tmp := linalg.NewVector(rows)
 	apply := func(v, dst linalg.Vector) {
-		x.MulVec(v, tmp)
-		x.MulVecT(tmp, dst)
+		x.MulVecT(v, tmp)
+		x.MulVec(tmp, dst)
 		dst.Scale(inv)
 	}
 	vals, vecs := linalg.TopEigenpairs(apply, n, k, 100)
@@ -89,8 +78,7 @@ func (c *Catalog) FactorCovariance(t, window, k int) *linalg.FactorModel {
 	d := linalg.NewVector(n)
 	for j := 0; j < n; j++ {
 		var total float64
-		for i := 0; i < rows; i++ {
-			v := x.At(i, j)
+		for _, v := range x.Row(j) {
 			total += v * v
 		}
 		total *= inv

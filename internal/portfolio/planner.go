@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"math"
+	"time"
 
 	"repro/internal/linalg"
 	"repro/internal/market"
@@ -166,10 +167,9 @@ type Planner struct {
 // NewPlanner wires a planner with defaults.
 func NewPlanner(cfg Config, cat *market.Catalog, workload predict.Predictor, src ForecastSource) *Planner {
 	c := cfg.WithDefaults()
-	cov := int(14 * 24 / cat.StepHrs)
 	return &Planner{
 		Cfg: c, Cat: cat, Workload: workload, Source: src,
-		CovWindow: cov, MinServerFraction: 0.05,
+		CovWindow: cat.TwoWeekWindow(), MinServerFraction: 0.05,
 	}
 }
 
@@ -192,7 +192,10 @@ func (p *Planner) Step(t int, actualLambda float64) (*Decision, error) {
 	p.ws.Metrics = p.Metrics
 
 	in, epoch := p.builder.Build(t, p.Cfg.Horizon, actualLambda)
+	covStart := time.Now()
 	in.Risk = p.Cat.CovarianceMatrix(t, p.CovWindow)
+	p.Metrics.Histogram("spotweb_planner_covariance_seconds", "Risk covariance estimation wall time per planning step.").
+		Observe(time.Since(covStart).Seconds())
 	in.PrevAlloc = p.prevAlloc
 	if p.Cfg.AMinOnDemand > 0 {
 		od := make([]bool, p.Cat.Len())

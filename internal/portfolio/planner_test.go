@@ -133,6 +133,9 @@ func TestPlannerWarmFallbackCounter(t *testing.T) {
 	if v := fallback.Value(); v != 0 {
 		t.Fatalf("fallback counter = %d after converged rounds, want 0", v)
 	}
+	if n := reg.Histogram("spotweb_planner_covariance_seconds", "").Count(); n != 3 {
+		t.Fatalf("covariance histogram holds %d observations after 3 rounds", n)
+	}
 
 	// Starve the budget: the warm-started round fails, falls back cold once.
 	pl.Cfg.MaxIter = 1

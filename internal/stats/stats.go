@@ -300,15 +300,51 @@ func Correlation(x, y []float64) float64 {
 	return Covariance(x, y) / (sx * sy)
 }
 
+// Center subtracts the mean of xs from every element, in place.
+func Center(xs []float64) {
+	m := Mean(xs)
+	for i := range xs {
+		xs[i] -= m
+	}
+}
+
 // CovarianceMatrix computes the sample covariance matrix of the given series
-// (each series is one variable; all must share a length ≥ 2). The result is
-// returned row-major as a flat slice of n×n entries plus the dimension.
+// (each series is one variable; all must share a length). The series are
+// centred IN PLACE — callers that still need the raw values pass copies. The
+// result is returned row-major as a flat slice of n×n entries plus the
+// dimension; series shorter than 2 samples give the zero matrix.
+//
+// Every entry equals Covariance(series[i], series[j]) bit for bit: each is
+// one accumulator summed over the samples in ascending order. The speed comes
+// from centring once instead of once per pair and from computing only the
+// upper triangle.
 func CovarianceMatrix(series [][]float64) ([]float64, int) {
 	n := len(series)
 	out := make([]float64, n*n)
-	for i := 0; i < n; i++ {
+	if n == 0 {
+		return out, n
+	}
+	w := len(series[0])
+	for _, s := range series {
+		if len(s) != w {
+			panic("stats: CovarianceMatrix length mismatch")
+		}
+		Center(s)
+	}
+	if w < 2 {
+		return out, n
+	}
+	d := float64(w - 1)
+	for i, a := range series {
 		for j := i; j < n; j++ {
-			c := Covariance(series[i], series[j])
+			// Reslicing to len(a) lets the compiler drop the bounds check
+			// from the inner loop.
+			b := series[j][:len(a)]
+			var s float64
+			for k, x := range a {
+				s += x * b[k]
+			}
+			c := s / d
 			out[i*n+j] = c
 			out[j*n+i] = c
 		}
