@@ -69,7 +69,7 @@ smoke:
 	sh scripts/smoke.sh
 
 fuzz-smoke:
-	@for pkg in ./internal/solver ./internal/stats; do \
+	@for pkg in ./internal/solver ./internal/stats ./internal/linalg; do \
 		for t in $$($(GO) test $$pkg -list '^Fuzz' | grep '^Fuzz'); do \
 			echo "==> $$pkg $$t"; \
 			$(GO) test $$pkg -run='^$$' -fuzz="^$$t$$" -fuzztime=30s || exit 1; \

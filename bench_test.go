@@ -302,18 +302,21 @@ func BenchmarkCatalogGeneration(b *testing.B) {
 	}
 }
 
+// riskBenchCatalogs are the two shapes the risk-kernel benchmarks run on: Fig.
+// 7b's largest catalog (144 types with on-demand twins, n = 288) and one
+// federation-shard sized catalog of transient markets only (n = 50).
+var riskBenchCatalogs = []struct {
+	name string
+	cfg  market.CatalogConfig
+}{
+	{"n288-half-ondemand", market.CatalogConfig{Seed: 1, NumTypes: 144, IncludeOnDemand: true, Hours: 24 * 30}},
+	{"n50", market.CatalogConfig{Seed: 1, NumTypes: 50, Hours: 24 * 30}},
+}
+
 // BenchmarkCovarianceMatrix measures the risk-matrix estimation the planner
-// performs each interval over a two-week hourly window: Fig. 7b's largest
-// catalog (144 types with on-demand twins, n = 288) and one federation-shard
-// sized catalog of transient markets only (n = 50).
+// performs each interval over a two-week hourly window.
 func BenchmarkCovarianceMatrix(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		cfg  market.CatalogConfig
-	}{
-		{"n288-half-ondemand", market.CatalogConfig{Seed: 1, NumTypes: 144, IncludeOnDemand: true, Hours: 24 * 30}},
-		{"n50", market.CatalogConfig{Seed: 1, NumTypes: 50, Hours: 24 * 30}},
-	} {
+	for _, c := range riskBenchCatalogs {
 		b.Run(c.name, func(b *testing.B) {
 			cat := c.cfg.Generate()
 			b.ReportAllocs()
@@ -322,6 +325,33 @@ func BenchmarkCovarianceMatrix(b *testing.B) {
 				cat.CovarianceMatrix(24*20, cat.TwoWeekWindow())
 			}
 		})
+	}
+}
+
+// BenchmarkRiskMatVec measures one application of the risk matrix M — the
+// solver's per-iteration, per-period kernel — densely and through the compact
+// operator solveFISTA derives (linalg.CompactRisk). At n = 50 nothing is isolated, so "compact" is
+// the matrix itself and the two must read the same.
+func BenchmarkRiskMatVec(b *testing.B) {
+	for _, c := range riskBenchCatalogs {
+		cat := c.cfg.Generate()
+		m := cat.CovarianceMatrix(24*20, cat.TwoWeekWindow())
+		compact, _ := linalg.CompactRisk(m)
+		x, dst := linalg.NewVector(cat.Len()), linalg.NewVector(cat.Len())
+		for i := range x {
+			x[i] = 1 / float64(i+1)
+		}
+		for _, op := range []struct {
+			name string
+			m    linalg.MatVec
+		}{{"dense", m}, {"compact", compact}} {
+			b.Run(c.name+"/"+op.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					op.m.MulVec(x, dst)
+				}
+			})
+		}
 	}
 }
 

@@ -79,8 +79,8 @@ type Stats struct {
 	ShardSeconds []float64
 	// InputBuildSeconds is the wall time of the shared input build (forecast,
 	// overlay, per-shard slicing) and CovarianceSeconds that of the shard
-	// covariances — the serial input side of WallSeconds, spent before the
-	// first coordination round.
+	// covariances (computed on the shard pool) — the input side of
+	// WallSeconds, spent before the first coordination round.
 	InputBuildSeconds float64
 	CovarianceSeconds float64
 	// WallSeconds is the full Step wall time.
@@ -199,9 +199,7 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 
 	// Covariance is shard-local and cached for the whole coordination loop.
 	covStart := time.Now()
-	for s, sh := range shards {
-		shardIns[s].Risk = sh.Cat.CovarianceMatrix(t, p.Cfg.CovWindow)
-	}
+	p.shardCovariances(t, shardIns)
 	covSecs := time.Since(covStart).Seconds()
 
 	if p.shares == nil {
@@ -308,6 +306,19 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 		PredictedLambda: in.Lambda[0],
 		Capacity:        portfolio.CapacityOf(counts, caps),
 	}, nil
+}
+
+// shardCovariances fills ins[s].Risk with shard s's covariance matrix on the
+// shard pool. Shards read disjoint catalogs and write their own slot, so the
+// matrices are the serial loop's bit for bit at any pool width.
+func (p *Planner) shardCovariances(t int, ins []*portfolio.Inputs) {
+	fns := make([]func(), len(ins))
+	for s := range ins {
+		fns[s] = func() {
+			ins[s].Risk = p.Fed.Shards[s].Cat.CovarianceMatrix(t, p.Cfg.CovWindow)
+		}
+	}
+	p.pool.Do(fns...)
 }
 
 // shardConfig scales the global allocation budget [AMin, AMax] by a shard's
@@ -482,8 +493,9 @@ func (p *Planner) reweight(shares []float64, results []shardResult) {
 
 // mergePlans concatenates the shard plans into one global plan over the
 // merged catalog: per-period allocations are stitched shard by shard,
-// iterations and objectives sum, wall time takes the slowest shard (they run
-// concurrently) and the status is the worst across shards.
+// iterations, objectives and coupled-market counts sum, wall time takes the
+// slowest shard (they run concurrently) and the status is the worst across
+// shards.
 func mergePlans(results []shardResult, shards []Shard, n, h int) *portfolio.Plan {
 	out := &portfolio.Plan{Alloc: make([]linalg.Vector, h)}
 	for τ := 0; τ < h; τ++ {
@@ -509,6 +521,7 @@ func mergePlans(results []shardResult, shards []Shard, n, h int) *portfolio.Plan
 			out.PriRes = pl.PriRes
 		}
 		out.WarmStarted = out.WarmStarted || pl.WarmStarted
+		out.RiskCoupled += pl.RiskCoupled
 	}
 	return out
 }

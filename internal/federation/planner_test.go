@@ -3,6 +3,7 @@ package federation
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/metrics"
@@ -223,6 +224,75 @@ func TestFederatedStepInvariants(t *testing.T) {
 		total := sumOf(dec.Plan.First())
 		if total < cfg.AMin-1e-6 || total > cfg.AMax+1e-6 {
 			t.Fatalf("step %d: merged allocation %g outside [%g, %g]", step, total, cfg.AMin, cfg.AMax)
+		}
+	}
+}
+
+// TestShardCovarianceParallelBitIdentical: shard covariances run on the shard
+// pool, and shards are independent, so every shard matrix and the merged plan
+// must carry the same bits at any pool width.
+func TestShardCovarianceParallelBitIdentical(t *testing.T) {
+	if old := runtime.GOMAXPROCS(0); old < 4 {
+		runtime.GOMAXPROCS(4) // before the shared pool is first sized
+		defer runtime.GOMAXPROCS(old)
+	}
+	fed, err := Build(Config{Regions: 3, AZsPerRegion: 2, TypesPerAZ: 4,
+		Hours: 72, IncludeOnDemand: true, Seed: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fedTestConfig()
+	widths := []int{1, 2, 4}
+	planners := make([]*Planner, len(widths))
+	for k, w := range widths {
+		wp := predict.NewSplinePredictor(predict.SplineConfig{
+			StepHrs: fed.Merged.StepHrs, ARLag1: true, CIProb: 0.99,
+		}, cfg.Horizon)
+		planners[k] = NewPlanner(fed, PlannerConfig{Portfolio: cfg, CovWindow: 24, Parallelism: w},
+			wp, portfolio.MeanRevertSource{Cat: fed.Merged})
+	}
+	sameBits := func(tag string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: lengths %d vs %d", tag, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s: element %d: %v vs %v", tag, i, a[i], b[i])
+			}
+		}
+	}
+	for step := 30; step < 35; step++ {
+		var first *portfolio.Plan
+		for k, p := range planners {
+			ins := make([]*portfolio.Inputs, len(fed.Shards))
+			for s := range ins {
+				ins[s] = &portfolio.Inputs{}
+			}
+			p.shardCovariances(step, ins)
+			for s, sh := range fed.Shards {
+				sameBits("shard matrix", ins[s].Risk.Data, sh.Cat.CovarianceMatrix(step, 24).Data)
+			}
+			dec, err := p.Step(step, 60+float64(step%7))
+			if err != nil {
+				t.Fatalf("width %d step %d: %v", widths[k], step, err)
+			}
+			if first == nil {
+				first = dec.Plan
+				continue
+			}
+			if dec.Plan.Iterations != first.Iterations || dec.Plan.RiskCoupled != first.RiskCoupled {
+				t.Fatalf("width %d step %d: iterations/coupled %d/%d vs %d/%d", widths[k], step,
+					dec.Plan.Iterations, dec.Plan.RiskCoupled, first.Iterations, first.RiskCoupled)
+			}
+			for τ := range first.Alloc {
+				sameBits("merged plan", dec.Plan.Alloc[τ], first.Alloc[τ])
+			}
+		}
+		// On-demand twins are never coupled; a transient market whose window
+		// happens to be constant is not either.
+		if first.RiskCoupled <= 0 || first.RiskCoupled > fed.Len()/2 {
+			t.Fatalf("step %d: merged RiskCoupled = %d, want 1..%d (the transient markets)", step, first.RiskCoupled, fed.Len()/2)
 		}
 	}
 }

@@ -178,6 +178,10 @@ type FactorModel struct {
 	F *Matrix // factor loadings, n×k
 }
 
+// factorStackMax is the factor count up to which FactorModel.MulVec keeps its
+// k-vector on the stack.
+const factorStackMax = 16
+
 // Dim returns n.
 func (f *FactorModel) Dim() int { return len(f.D) }
 
@@ -187,19 +191,36 @@ func (f *FactorModel) MulVec(x, dst Vector) Vector {
 	if len(x) != n || len(dst) != n {
 		panic("linalg: FactorModel MulVec shape mismatch")
 	}
-	k := 0
+	var k int
+	var load []float64 // F row-major, n×k
 	if f.F != nil {
-		k = f.F.Cols
+		k, load = f.F.Cols, f.F.Data
 	}
-	if k > 0 {
-		tmp := NewVector(k)
-		f.F.MulVecT(x, tmp)  // Fᵀx
-		f.F.MulVec(tmp, dst) // F(Fᵀx)
-	} else {
-		dst.Zero()
+	// Fᵀx lives on the stack for the usual handful of factors: MulVec runs
+	// every solver iteration, from several horizon periods at once, so it may
+	// neither allocate nor share scratch. The loops below are the serial
+	// bodies of Matrix.MulVecT and Matrix.MulVec written out, because a buffer
+	// handed to those methods escapes through their pool dispatch.
+	var buf [factorStackMax]float64
+	tmp := buf[:]
+	if k > factorStackMax {
+		tmp = make([]float64, k)
 	}
-	for i := 0; i < n; i++ {
-		dst[i] += f.D[i] * x[i]
+	tmp = tmp[:k]
+	for i, xi := range x {
+		if xi == 0 {
+			continue
+		}
+		for c, a := range load[i*k : (i+1)*k] {
+			tmp[c] += a * xi
+		}
+	}
+	for i := range dst {
+		var s float64
+		for c, t := range tmp {
+			s += load[i*k+c] * t
+		}
+		dst[i] = s + f.D[i]*x[i]
 	}
 	return dst
 }

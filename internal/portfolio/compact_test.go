@@ -1,0 +1,142 @@
+package portfolio
+
+import (
+	"testing"
+
+	"repro/internal/linalg"
+	"repro/internal/market"
+	"repro/internal/metrics"
+	"repro/internal/solver"
+)
+
+// twinCatalog has one on-demand twin per transient market, so every second
+// index of its covariance matrix is isolated.
+func twinCatalog(types int) *market.Catalog {
+	return market.CatalogConfig{Seed: 21, NumTypes: types, IncludeOnDemand: true, Hours: 24 * 20}.Generate()
+}
+
+// TestBitIdenticalCompactSolve drives the same receding-horizon trace twice:
+// once with the dense covariance in Inputs.Risk, where solveFISTA derives the
+// compact operator, and once through the dense door Inputs.RiskOp, where the
+// very same matrix is applied by Matrix.MulVec. Every round — the cold first
+// one and the warm ones after it — must agree in every bit.
+func TestBitIdenticalCompactSolve(t *testing.T) {
+	cat := twinCatalog(9)
+	n := cat.Len()
+	for _, par := range []int{0, 2} {
+		cfg := Config{Horizon: 4, ChurnKappa: 1, Parallelism: par}
+		type track struct {
+			b    InputBuilder
+			ws   WarmSolver
+			prev linalg.Vector
+		}
+		step := func(tr *track, tick int, door bool) *Plan {
+			in, epoch := tr.b.Build(tick, cfg.Horizon, sineLoad(tick))
+			m := cat.CovarianceMatrix(tick, cat.TwoWeekWindow())
+			if door {
+				in.RiskOp, in.RiskDim = m, n
+			} else {
+				in.Risk = m
+			}
+			in.PrevAlloc = tr.prev
+			plan, err := tr.ws.Solve(cfg, cat, in, epoch)
+			if err != nil {
+				t.Fatalf("tick %d: %v", tick, err)
+			}
+			tr.ws.Shift(n)
+			tr.prev = plan.First().Clone()
+			return plan
+		}
+		var compact, dense track
+		for _, tr := range []*track{&compact, &dense} {
+			tr.b = InputBuilder{Workload: testPredictor(cat), Source: ReactiveSource{Cat: cat}}
+		}
+		warm := 0
+		for round := 0; round < 10; round++ {
+			tick := 24*15 + round
+			pc, pd := step(&compact, tick, false), step(&dense, tick, true)
+			plansIdentical(t, "round", pc, pd)
+			if pc.RiskCoupled != n/2 || pd.RiskCoupled != n {
+				t.Fatalf("round %d: RiskCoupled = %d (compact) / %d (dense door), want %d / %d",
+					round, pc.RiskCoupled, pd.RiskCoupled, n/2, n)
+			}
+			if round == 0 && pc.WarmStarted {
+				t.Fatal("first round must be cold")
+			}
+			if pc.WarmStarted {
+				warm++
+			}
+		}
+		if warm == 0 {
+			t.Fatalf("parallelism %d: no warm round in the trace", par)
+		}
+	}
+}
+
+// TestCompactSolveNothingIsolated: an all-transient catalog reports every
+// market coupled (the solve then runs on the matrix itself).
+func TestCompactSolveNothingIsolated(t *testing.T) {
+	cat := market.CatalogConfig{Seed: 21, NumTypes: 7, Hours: 24 * 20}.Generate()
+	b := InputBuilder{Workload: testPredictor(cat), Source: ReactiveSource{Cat: cat}}
+	in, _ := b.Build(24*15, 3, sineLoad(0))
+	in.Risk = cat.CovarianceMatrix(24*15, cat.TwoWeekWindow())
+	for _, kind := range []SolverKind{SolverFISTA, SolverADMM} {
+		plan, err := Optimize(Config{Horizon: 3, Solver: kind}, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.RiskCoupled != cat.Len() {
+			t.Fatalf("solver %v: RiskCoupled = %d, want %d", kind, plan.RiskCoupled, cat.Len())
+		}
+	}
+}
+
+// TestPlannerRiskCoupledGauge: whether compaction engaged on the last round
+// is readable from /metrics, and a nil registry stays free.
+func TestPlannerRiskCoupledGauge(t *testing.T) {
+	cat := twinCatalog(5)
+	pl := NewPlanner(Config{Horizon: 3}, cat, testPredictor(cat), ReactiveSource{Cat: cat})
+	if _, err := pl.Step(24*15, sineLoad(0)); err != nil { // nil registry
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	pl.Metrics = reg
+	dec, err := pl.Step(24*15+1, sineLoad(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Gauge("spotweb_planner_risk_coupled_markets", "").Value(); got != 5 || dec.Plan.RiskCoupled != 5 {
+		t.Fatalf("risk_coupled_markets gauge = %v, Plan.RiskCoupled = %d, want 5 of %d markets", got, dec.Plan.RiskCoupled, cat.Len())
+	}
+}
+
+// TestCompactSolveSteadyStateZeroAlloc: with the compact operator in place a
+// FISTA iteration still allocates nothing — 500 extra iterations cost no
+// object (solver.TestKKTFISTASteadyStateZeroAlloc is the solver-level twin).
+func TestCompactSolveSteadyStateZeroAlloc(t *testing.T) {
+	prev := linalg.ActivePool()
+	linalg.SetPool(nil)
+	defer linalg.SetPool(prev)
+	cat := twinCatalog(30)
+	b := InputBuilder{Workload: testPredictor(cat), Source: ReactiveSource{Cat: cat}}
+	in, _ := b.Build(24*15, 4, sineLoad(0))
+	in.Risk = cat.CovarianceMatrix(24*15, cat.TwoWeekWindow())
+	// With risk weighted this heavily the solve needs ≈ 1,800 iterations, so
+	// both budgets below run their full iteration count.
+	cfg := Config{Horizon: 4, Alpha: 1e6}
+	measure := func(iters int) float64 {
+		cfg.MaxIter = iters
+		plan, err := Optimize(cfg, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Iterations != iters || plan.Status != solver.StatusMaxIterations || plan.RiskCoupled != cat.Len()/2 {
+			t.Fatalf("MaxIter %d: ran %d iterations (%v) over %d coupled markets; the test needs a full-length compact solve",
+				iters, plan.Iterations, plan.Status, plan.RiskCoupled)
+		}
+		return testing.AllocsPerRun(3, func() { Optimize(cfg, in) })
+	}
+	if d := measure(600) - measure(100); d != 0 {
+		t.Errorf("Optimize allocates %.1f objects over 500 extra iterations, want 0", d)
+	}
+}

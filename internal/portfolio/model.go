@@ -163,9 +163,7 @@ func (c Config) WithDefaults() Config {
 // sparse (linalg.CSR) or low-rank-plus-diagonal (linalg.FactorModel) — can
 // back the quadratic risk term without materializing a dense N×N matrix.
 // *linalg.Matrix satisfies it too.
-type RiskApplier interface {
-	MulVec(x, dst linalg.Vector) linalg.Vector
-}
+type RiskApplier = linalg.MatVec
 
 // Inputs carries the per-solve data: predictions over the horizon plus the
 // current risk estimate.

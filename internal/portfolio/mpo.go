@@ -32,6 +32,11 @@ type Plan struct {
 	// KKTPath reports which ADMM factorization served the solve: "dense" or
 	// "sparse". Empty for the FISTA backend (no KKT system).
 	KKTPath string
+	// RiskCoupled is the number of markets the risk matvec multiplied: the
+	// FISTA backend skips markets whose row and column of M are zero off the
+	// diagonal (every on-demand market). Equals the market count when nothing
+	// was skipped (and always for ADMM or a caller-supplied RiskOp).
+	RiskCoupled int
 	// warm is the solver state that can seed the next receding-horizon
 	// round (Planner shifts it one period before reuse).
 	warm *solver.WarmState
@@ -216,11 +221,12 @@ func OptimizeWarm(cfg Config, in *Inputs, warm *solver.WarmState) (*Plan, error)
 	start := time.Now()
 	var res solver.Result
 	var kktPath string
+	coupled := n
 	switch c.Solver {
 	case SolverADMM:
 		res, kktPath = c.solveADMM(in, n, warm)
 	default:
-		res = c.solveFISTA(in, n, warm)
+		res, coupled = c.solveFISTA(in, n, warm)
 	}
 	if res.Status == solver.StatusError {
 		return nil, fmt.Errorf("portfolio: solver failed")
@@ -233,6 +239,7 @@ func OptimizeWarm(cfg Config, in *Inputs, warm *solver.WarmState) (*Plan, error)
 		PriRes:      res.PriRes,
 		WarmStarted: res.WarmStarted,
 		KKTPath:     kktPath,
+		RiskCoupled: coupled,
 		warm:        res.Warm,
 	}
 	for τ := 0; τ < c.Horizon; τ++ {
@@ -256,11 +263,17 @@ func (c Config) maxIter(def int) int {
 	return def
 }
 
-func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState) solver.Result {
+// solveFISTA runs the FISTA backend and reports how many markets its risk
+// matvec multiplies. A dense in.Risk is scanned once for isolated markets —
+// every on-demand market's row and column of M are zero off the diagonal —
+// and applied through linalg.CompactRisk, which is bit-identical to the dense
+// matvec and is the matrix itself when nothing is isolated. A caller-supplied
+// RiskOp is used as given.
+func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState) (solver.Result, int) {
 	kappa := c.churnWeight(in, n)
-	risk := RiskApplier(in.Risk)
-	if in.RiskOp != nil {
-		risk = in.RiskOp
+	risk, coupled := in.RiskOp, n
+	if risk == nil {
+		risk, coupled = linalg.CompactRisk(in.Risk)
 	}
 	ws := parallel.PoolFor(c.Parallelism)
 	var anchorIdx []int
@@ -274,7 +287,7 @@ func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState) solver.Res
 	}
 	return solver.SolveFISTA(pp, solver.FISTASettings{
 		MaxIter: c.maxIter(4000), Tol: 1e-7, Workers: ws, Warm: warm,
-	})
+	}), coupled
 }
 
 // kktDenseMaxDim is the stacked dimension n·h at which KKTAuto switches the

@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -51,21 +52,24 @@ func randMPOInstance(rng *rand.Rand) (Config, *Inputs) {
 	return cfg, in
 }
 
+// plansIdentical fails unless the two plans agree in every bit of every float
+// and in every solver counter.
 func plansIdentical(t *testing.T, tag string, a, b *Plan) {
 	t.Helper()
-	if a.Status != b.Status || a.Iterations != b.Iterations {
-		t.Fatalf("%s: status/iterations diverge: %v/%d vs %v/%d",
-			tag, a.Status, a.Iterations, b.Status, b.Iterations)
+	if a.Status != b.Status || a.Iterations != b.Iterations || a.WarmStarted != b.WarmStarted {
+		t.Fatalf("%s: status/iterations/warm diverge: %v/%d/%v vs %v/%d/%v",
+			tag, a.Status, a.Iterations, a.WarmStarted, b.Status, b.Iterations, b.WarmStarted)
 	}
-	if a.Objective != b.Objective {
-		t.Fatalf("%s: objective diverges: %v vs %v", tag, a.Objective, b.Objective)
+	if math.Float64bits(a.Objective) != math.Float64bits(b.Objective) ||
+		math.Float64bits(a.PriRes) != math.Float64bits(b.PriRes) {
+		t.Fatalf("%s: objective/residual diverge: %v/%v vs %v/%v", tag, a.Objective, a.PriRes, b.Objective, b.PriRes)
 	}
 	if len(a.Alloc) != len(b.Alloc) {
 		t.Fatalf("%s: horizon mismatch", tag)
 	}
 	for τ := range a.Alloc {
 		for i := range a.Alloc[τ] {
-			if a.Alloc[τ][i] != b.Alloc[τ][i] {
+			if math.Float64bits(a.Alloc[τ][i]) != math.Float64bits(b.Alloc[τ][i]) {
 				t.Fatalf("%s: alloc[%d][%d] diverges: %v vs %v",
 					tag, τ, i, a.Alloc[τ][i], b.Alloc[τ][i])
 			}

@@ -260,6 +260,9 @@ func (p *Planner) recordMetrics(t int, plan *Plan, in *Inputs) {
 	}
 	m.Gauge("spotweb_solver_residual", "Final primal residual (inf-norm) of the last solve.").
 		Set(plan.PriRes)
+	m.Gauge("spotweb_planner_risk_coupled_markets",
+		"Markets the last solve's risk matvec multiplied (fewer than the catalog when isolated on-demand markets were skipped).").
+		Set(float64(plan.RiskCoupled))
 	m.Gauge("spotweb_plan_interval", "Planning interval index of the last solve.").Set(float64(t))
 
 	// Plan churn: L1 distance between consecutive executed allocations —
