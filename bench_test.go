@@ -9,6 +9,7 @@ package spotweb_test
 import (
 	"io"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/experiments"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/portfolio"
 	"repro/internal/predict"
+	"repro/internal/solver"
 	"repro/internal/trace"
 )
 
@@ -328,16 +330,20 @@ func BenchmarkCovarianceMatrix(b *testing.B) {
 	}
 }
 
-// BenchmarkRiskMatVec measures one application of the risk matrix M — the
-// solver's per-iteration, per-period kernel — densely and through the compact
-// operator solveFISTA derives (linalg.CompactRisk). At n = 50 nothing is isolated, so "compact" is
-// the matrix itself and the two must read the same.
+// BenchmarkRiskMatVec measures applying the risk matrix M to the six periods
+// of a plan_single iterate — the solver's per-iteration risk kernel — densely
+// and through the compact operator solveFISTA derives (linalg.CompactRisk),
+// each as six per-period MulVec calls and as one stacked call that reads M
+// once. At n = 50 nothing is isolated, so "compact" is the matrix itself and
+// the two must read the same.
 func BenchmarkRiskMatVec(b *testing.B) {
+	const h = 6
 	for _, c := range riskBenchCatalogs {
 		cat := c.cfg.Generate()
+		n := cat.Len()
 		m := cat.CovarianceMatrix(24*20, cat.TwoWeekWindow())
 		compact, _ := linalg.CompactRisk(m)
-		x, dst := linalg.NewVector(cat.Len()), linalg.NewVector(cat.Len())
+		x, dst := linalg.NewVector(h*n), linalg.NewVector(h*n)
 		for i := range x {
 			x[i] = 1 / float64(i+1)
 		}
@@ -345,10 +351,53 @@ func BenchmarkRiskMatVec(b *testing.B) {
 			name string
 			m    linalg.MatVec
 		}{{"dense", m}, {"compact", compact}} {
-			b.Run(c.name+"/"+op.name, func(b *testing.B) {
+			b.Run(c.name+"/"+op.name+"/h=6 per-period", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					op.m.MulVec(x, dst)
+					for p := 0; p < h; p++ {
+						op.m.MulVec(x[p*n:(p+1)*n], dst[p*n:(p+1)*n])
+					}
+				}
+			})
+			b.Run(c.name+"/"+op.name+"/h=6 stacked", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					linalg.MulVecStacked(op.m, n, x, dst)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkBoxBandProject measures one per-period projection of a FISTA
+// iterate: every fourth market carries allocation, the rest sit just below
+// zero. "lowering" starts above the budget band (μ > 0, most coordinates dead
+// from the first pass that raises muLo), "raising" below it (μ < 0, the
+// negative coordinates come back to life, so less can be dropped). n = 6 is a
+// what-if sweep block, 50 a federation shard, 288 Fig. 7b's largest catalog.
+func BenchmarkBoxBandProject(b *testing.B) {
+	for _, n := range []int{6, 50, 288} {
+		lo, hi := linalg.NewVector(n), linalg.NewVector(n)
+		hi.Fill(1)
+		set := solver.NewBoxBand(lo, hi, 1, 1.5)
+		for _, c := range []struct {
+			name string
+			mass float64 // Σ of the carrying coordinates
+		}{{"lowering", 2.5}, {"raising", 0.5}} {
+			src := linalg.NewVector(n)
+			carriers := (n + 3) / 4
+			for i := range src {
+				src[i] = -0.002 * float64(1+i%7)
+				if i%4 == 0 {
+					src[i] = c.mass / float64(carriers) * (0.5 + float64(i%3)/2)
+				}
+			}
+			y := linalg.NewVector(n)
+			b.Run(c.name+"/n="+strconv.Itoa(n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					copy(y, src)
+					set.Project(y)
 				}
 			})
 		}

@@ -493,7 +493,7 @@ func (p *Planner) reweight(shares []float64, results []shardResult) {
 
 // mergePlans concatenates the shard plans into one global plan over the
 // merged catalog: per-period allocations are stitched shard by shard,
-// iterations, objectives and coupled-market counts sum, wall time takes the
+// iterations, objectives, coupled-market and projection counts sum, wall time takes the
 // slowest shard (they run concurrently) and the status is the worst across
 // shards.
 func mergePlans(results []shardResult, shards []Shard, n, h int) *portfolio.Plan {
@@ -522,6 +522,7 @@ func mergePlans(results []shardResult, shards []Shard, n, h int) *portfolio.Plan
 		}
 		out.WarmStarted = out.WarmStarted || pl.WarmStarted
 		out.RiskCoupled += pl.RiskCoupled
+		out.Projection.Add(pl.Projection)
 	}
 	return out
 }

@@ -73,11 +73,7 @@ func (c *Compact) MulVec(x, dst Vector) Vector {
 	if len(x) != n || len(dst) != n {
 		panic(fmt.Sprintf("linalg: Compact MulVec shape mismatch %d/%d vs %dx%d", len(x), len(dst), n, n))
 	}
-	for _, i := range c.iso {
-		var s float64 // the dense sum starts at +0: a −0 product must read +0
-		s += c.m.Data[i*n+i] * x[i]
-		dst[i] = s
-	}
+	c.mulIsolated(x, dst)
 	if ActivePool() == nil {
 		// Serial fast path before the closure literal, as in Matrix.MulVec.
 		c.mulCoupled(x, dst, 0, len(c.coupled))
@@ -85,6 +81,16 @@ func (c *Compact) MulVec(x, dst Vector) Vector {
 	}
 	pfor(len(c.coupled), len(c.coupled), func(lo, hi int) { c.mulCoupled(x, dst, lo, hi) })
 	return dst
+}
+
+// mulIsolated writes the isolated outputs of one length-n block.
+func (c *Compact) mulIsolated(x, dst Vector) {
+	n := c.m.Rows
+	for _, i := range c.iso {
+		var s float64 // the dense sum starts at +0: a −0 product must read +0
+		s += c.m.Data[i*n+i] * x[i]
+		dst[i] = s
+	}
 }
 
 // mulCoupled writes the coupled outputs c.coupled[lo:hi]. x is read through

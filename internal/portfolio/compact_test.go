@@ -15,11 +15,19 @@ func twinCatalog(types int) *market.Catalog {
 	return market.CatalogConfig{Seed: 21, NumTypes: types, IncludeOnDemand: true, Hours: 24 * 20}.Generate()
 }
 
-// TestBitIdenticalCompactSolve drives the same receding-horizon trace twice:
-// once with the dense covariance in Inputs.Risk, where solveFISTA derives the
-// compact operator, and once through the dense door Inputs.RiskOp, where the
-// very same matrix is applied by Matrix.MulVec. Every round — the cold first
-// one and the warm ones after it — must agree in every bit.
+// perPeriodRisk hides the stacked apply of the operator it wraps, so the
+// horizon operator multiplies by M one period at a time as it always did.
+type perPeriodRisk struct{ m linalg.MatVec }
+
+func (p perPeriodRisk) MulVec(x, dst linalg.Vector) linalg.Vector { return p.m.MulVec(x, dst) }
+
+// TestBitIdenticalCompactSolve drives the same receding-horizon trace three
+// times: with the dense covariance in Inputs.Risk, where solveFISTA derives
+// the compact operator and applies it to all periods in one stacked call;
+// through the dense door Inputs.RiskOp, where the very same matrix is applied
+// by Matrix.MulVecStacked; and through a wrapper that leaves only MulVec, one
+// call per period. Every round — the cold first one and the warm ones after
+// it — must agree in every bit.
 func TestBitIdenticalCompactSolve(t *testing.T) {
 	cat := twinCatalog(9)
 	n := cat.Len()
@@ -30,13 +38,21 @@ func TestBitIdenticalCompactSolve(t *testing.T) {
 			ws   WarmSolver
 			prev linalg.Vector
 		}
-		step := func(tr *track, tick int, door bool) *Plan {
+		const (
+			compactLeg = iota
+			denseDoorLeg
+			perPeriodLeg
+		)
+		step := func(tr *track, tick, leg int) *Plan {
 			in, epoch := tr.b.Build(tick, cfg.Horizon, sineLoad(tick))
 			m := cat.CovarianceMatrix(tick, cat.TwoWeekWindow())
-			if door {
-				in.RiskOp, in.RiskDim = m, n
-			} else {
+			switch leg {
+			case compactLeg:
 				in.Risk = m
+			case denseDoorLeg:
+				in.RiskOp, in.RiskDim = m, n
+			case perPeriodLeg:
+				in.RiskOp, in.RiskDim = perPeriodRisk{m}, n
 			}
 			in.PrevAlloc = tr.prev
 			plan, err := tr.ws.Solve(cfg, cat, in, epoch)
@@ -47,15 +63,16 @@ func TestBitIdenticalCompactSolve(t *testing.T) {
 			tr.prev = plan.First().Clone()
 			return plan
 		}
-		var compact, dense track
-		for _, tr := range []*track{&compact, &dense} {
+		var compact, dense, perPeriod track
+		for _, tr := range []*track{&compact, &dense, &perPeriod} {
 			tr.b = InputBuilder{Workload: testPredictor(cat), Source: ReactiveSource{Cat: cat}}
 		}
 		warm := 0
 		for round := 0; round < 10; round++ {
 			tick := 24*15 + round
-			pc, pd := step(&compact, tick, false), step(&dense, tick, true)
+			pc, pd := step(&compact, tick, compactLeg), step(&dense, tick, denseDoorLeg)
 			plansIdentical(t, "round", pc, pd)
+			plansIdentical(t, "round (one period at a time)", pc, step(&perPeriod, tick, perPeriodLeg))
 			if pc.RiskCoupled != n/2 || pd.RiskCoupled != n {
 				t.Fatalf("round %d: RiskCoupled = %d (compact) / %d (dense door), want %d / %d",
 					round, pc.RiskCoupled, pd.RiskCoupled, n/2, n)
@@ -91,8 +108,9 @@ func TestCompactSolveNothingIsolated(t *testing.T) {
 	}
 }
 
-// TestPlannerRiskCoupledGauge: whether compaction engaged on the last round
-// is readable from /metrics, and a nil registry stays free.
+// TestPlannerRiskCoupledGauge: whether the compact matvec and the live-list
+// projection engaged on the last round is readable from /metrics, and a nil
+// registry stays free.
 func TestPlannerRiskCoupledGauge(t *testing.T) {
 	cat := twinCatalog(5)
 	pl := NewPlanner(Config{Horizon: 3}, cat, testPredictor(cat), ReactiveSource{Cat: cat})
@@ -108,11 +126,17 @@ func TestPlannerRiskCoupledGauge(t *testing.T) {
 	if got := reg.Gauge("spotweb_planner_risk_coupled_markets", "").Value(); got != 5 || dec.Plan.RiskCoupled != 5 {
 		t.Fatalf("risk_coupled_markets gauge = %v, Plan.RiskCoupled = %d, want 5 of %d markets", got, dec.Plan.RiskCoupled, cat.Len())
 	}
+	// Likewise for the projection: a sparse portfolio's bisections compact.
+	st := dec.Plan.Projection
+	if got := reg.Gauge("spotweb_planner_projection_live_share", "").Value(); got != st.LiveShare() || st.Compactions == 0 || got > 0.5 {
+		t.Fatalf("projection_live_share gauge = %v, Plan.Projection = %+v (live share %v); want the same share, at most ½",
+			got, st, st.LiveShare())
+	}
 }
 
-// TestCompactSolveSteadyStateZeroAlloc: with the compact operator in place a
-// FISTA iteration still allocates nothing — 500 extra iterations cost no
-// object (solver.TestKKTFISTASteadyStateZeroAlloc is the solver-level twin).
+// TestCompactSolveSteadyStateZeroAlloc: with the compact stacked operator and
+// the compacting live-list projections in place a FISTA iteration still
+// allocates nothing — 500 extra iterations cost no object (solver.TestKKTFISTASteadyStateZeroAlloc is the solver-level twin).
 func TestCompactSolveSteadyStateZeroAlloc(t *testing.T) {
 	prev := linalg.ActivePool()
 	linalg.SetPool(nil)
@@ -121,18 +145,20 @@ func TestCompactSolveSteadyStateZeroAlloc(t *testing.T) {
 	b := InputBuilder{Workload: testPredictor(cat), Source: ReactiveSource{Cat: cat}}
 	in, _ := b.Build(24*15, 4, sineLoad(0))
 	in.Risk = cat.CovarianceMatrix(24*15, cat.TwoWeekWindow())
-	// With risk weighted this heavily the solve needs ≈ 1,800 iterations, so
-	// both budgets below run their full iteration count.
-	cfg := Config{Horizon: 4, Alpha: 1e6}
+	// With risk weighted this heavily the solve needs ≈ 1,700 iterations, so
+	// both budgets below run their full iteration count, and its iterates are
+	// sparse enough that the projections compact from the first iterations on.
+	cfg := Config{Horizon: 4, Alpha: 1e5}
 	measure := func(iters int) float64 {
 		cfg.MaxIter = iters
 		plan, err := Optimize(cfg, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan.Iterations != iters || plan.Status != solver.StatusMaxIterations || plan.RiskCoupled != cat.Len()/2 {
-			t.Fatalf("MaxIter %d: ran %d iterations (%v) over %d coupled markets; the test needs a full-length compact solve",
-				iters, plan.Iterations, plan.Status, plan.RiskCoupled)
+		if plan.Iterations != iters || plan.Status != solver.StatusMaxIterations || plan.RiskCoupled != cat.Len()/2 ||
+			plan.Projection.Compactions < iters {
+			t.Fatalf("MaxIter %d: ran %d iterations (%v) over %d coupled markets with %d live-list compactions; the test needs a full-length compact solve whose projections compact",
+				iters, plan.Iterations, plan.Status, plan.RiskCoupled, plan.Projection.Compactions)
 		}
 		return testing.AllocsPerRun(3, func() { Optimize(cfg, in) })
 	}

@@ -223,8 +223,16 @@ func (in *Inputs) Validate(h int) (int, error) {
 		if len(in.PerReqCost[τ]) != n || len(in.FailProb[τ]) != n {
 			return 0, fmt.Errorf("portfolio: step %d has wrong market count", τ)
 		}
-		if in.Lambda[τ] < 0 || math.IsNaN(in.Lambda[τ]) {
+		if in.Lambda[τ] < 0 || !finite(in.Lambda[τ]) {
 			return 0, fmt.Errorf("portfolio: bad lambda at step %d: %v", τ, in.Lambda[τ])
+		}
+		// A NaN or Inf coefficient would run the solver to a NaN plan; Risk is
+		// n² entries and is left to the solver's residual check instead.
+		for i := 0; i < n; i++ {
+			if !finite(in.PerReqCost[τ][i]) || !finite(in.FailProb[τ][i]) {
+				return 0, fmt.Errorf("portfolio: non-finite cost %v or failure probability %v for market %d at step %d",
+					in.PerReqCost[τ][i], in.FailProb[τ][i], i, τ)
+			}
 		}
 	}
 	if in.PrevAlloc != nil && len(in.PrevAlloc) != n {
@@ -235,6 +243,9 @@ func (in *Inputs) Validate(h int) (int, error) {
 	}
 	return n, nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // anchorIdx returns the indices of the on-demand (anchor) markets, or nil
 // when none are marked.

@@ -37,6 +37,10 @@ type Plan struct {
 	// diagonal (every on-demand market). Equals the market count when nothing
 	// was skipped (and always for ADMM or a caller-supplied RiskOp).
 	RiskCoupled int
+	// Projection counts what the FISTA projections' live-list bisections
+	// dropped (zero for ADMM): Projection.LiveShare() well below 1 means the
+	// iterates were sparse and the bisections summed only the live markets.
+	Projection solver.ProjectionStats
 	// warm is the solver state that can seed the next receding-horizon
 	// round (Planner shifts it one period before reuse).
 	warm *solver.WarmState
@@ -68,12 +72,11 @@ type horizonOperator struct {
 func newHorizonOperator(m RiskApplier, alpha, kappa float64, n, h int, pool *parallel.Pool) *horizonOperator {
 	o := &horizonOperator{m: m, alpha: alpha, kappa: kappa, n: n, h: h, pool: pool}
 	o.riskBody = func(plo, phi int) {
-		for τ := plo; τ < phi; τ++ {
-			xb := o.x[τ*n : (τ+1)*n]
-			db := o.dst[τ*n : (τ+1)*n]
-			o.m.MulVec(xb, db)
-			linalg.Vector(db).Scale(2 * o.alpha)
-		}
+		// The whole period range goes to M in one call, so a stacked operator
+		// reads M once for all of it.
+		db := o.dst[plo*n : phi*n]
+		linalg.MulVecStacked(o.m, n, o.x[plo*n:phi*n], db)
+		db.Scale(2 * o.alpha)
 	}
 	o.churnBody = func(plo, phi int) {
 		k2 := 2 * o.kappa
@@ -116,7 +119,9 @@ func (o *horizonOperator) Apply(x, dst linalg.Vector) {
 	if ws == nil {
 		ws = parallel.Serial
 	}
-	ws.For(o.h, 1, o.riskBody)
+	// One contiguous period range per worker: the risk body stacks its range.
+	w := ws.Workers()
+	ws.For(o.h, (o.h+w-1)/w, o.riskBody)
 	if o.kappa != 0 {
 		ws.For(o.h, 1, o.churnBody)
 	}
@@ -171,10 +176,12 @@ func (c Config) buildLinear(in *Inputs, n int, kappa float64) linalg.Vector {
 // plus the per-period anchor floor Σ_OD A ≥ AMinOnDemand when configured.
 func (c Config) feasibleSet(n int, anchorIdx []int) *solver.ProductSet {
 	blocks := make([]*solver.BoxBand, c.Horizon)
+	// Every period has the same box and nothing writes it after construction,
+	// so the blocks share one pair of bound vectors.
+	lo := linalg.NewVector(n)
+	hi := linalg.NewVector(n)
+	hi.Fill(c.AMaxPerMarket)
 	for τ := 0; τ < c.Horizon; τ++ {
-		lo := linalg.NewVector(n)
-		hi := linalg.NewVector(n)
-		hi.Fill(c.AMaxPerMarket)
 		blocks[τ] = solver.NewBoxBand(lo, hi, c.AMin, c.AMax)
 		if c.AMinOnDemand > 0 {
 			blocks[τ].WithAnchor(anchorIdx, c.AMinOnDemand)
@@ -240,6 +247,7 @@ func OptimizeWarm(cfg Config, in *Inputs, warm *solver.WarmState) (*Plan, error)
 		WarmStarted: res.WarmStarted,
 		KKTPath:     kktPath,
 		RiskCoupled: coupled,
+		Projection:  res.Projection,
 		warm:        res.Warm,
 	}
 	for τ := 0; τ < c.Horizon; τ++ {

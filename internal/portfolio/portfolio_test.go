@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/linalg"
 	"repro/internal/market"
+	"repro/internal/metrics"
 	"repro/internal/predict"
 	"repro/internal/solver"
 )
@@ -45,6 +46,74 @@ func TestOptimizeConcentratesOnCheapMarket(t *testing.T) {
 	}
 	if s := a.Sum(); s < 1-1e-4 || s > 1.2+1e-4 {
 		t.Fatalf("allocation sum %v outside [AMin, AMax]", s)
+	}
+}
+
+// Non-finite forecasts used to pass Validate (only Lambda was checked for
+// NaN) and come back as a plan full of NaN with Status solved.
+func TestValidateRejectsNonFiniteForecasts(t *testing.T) {
+	cfg := Config{Horizon: 2}
+	fresh := func() *Inputs {
+		return &Inputs{
+			Lambda:     []float64{100, 100},
+			PerReqCost: [][]float64{{0.001, 0.01}, {0.001, 0.01}},
+			FailProb:   [][]float64{{0.05, 0.05}, {0.05, 0.05}},
+			Risk:       diagRisk(1e-4, 1e-4),
+		}
+	}
+	if _, err := Optimize(cfg, fresh()); err != nil {
+		t.Fatalf("finite inputs rejected: %v", err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, poison := range map[string]func(in *Inputs){
+			"lambda":   func(in *Inputs) { in.Lambda[1] = bad },
+			"cost":     func(in *Inputs) { in.PerReqCost[1][0] = bad },
+			"failprob": func(in *Inputs) { in.FailProb[0][1] = bad },
+		} {
+			in := fresh()
+			poison(in)
+			if plan, err := Optimize(cfg, in); err == nil {
+				t.Fatalf("%s = %v accepted: status %v, first allocation %v", name, bad, plan.Status, plan.First())
+			}
+		}
+	}
+}
+
+// A non-finite Risk entry is not scanned for by Validate (n² entries); the
+// solver's NaN residual must turn it into a non-converged plan, and through
+// the WarmSolver into a counted cold fallback, never a plan marked solved.
+func TestNonFiniteRiskIsNotConverged(t *testing.T) {
+	cat := market.CatalogConfig{Seed: 11, NumTypes: 6, Hours: 48}.Generate()
+	reg := metrics.NewRegistry()
+	ws := WarmSolver{Metrics: reg}
+	b := InputBuilder{Workload: testPredictor(cat), Source: ReactiveSource{Cat: cat}}
+	cfg := Config{Horizon: 3}
+	solve := func(tick int, poison bool) *Plan {
+		in, epoch := b.Build(tick, cfg.Horizon, sineLoad(tick))
+		in.Risk = cat.CovarianceMatrix(tick, cat.TwoWeekWindow())
+		if poison {
+			in.Risk.Set(1, 2, math.NaN())
+		}
+		plan, err := ws.Solve(cfg, cat, in, epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws.Shift(cat.Len())
+		return plan
+	}
+	if plan := solve(0, false); plan.Status != solver.StatusSolved {
+		t.Fatalf("clean round: %v", plan.Status)
+	}
+	plan := solve(1, true) // warm-started, poisoned
+	if plan.Status != solver.StatusMaxIterations || !math.IsNaN(plan.PriRes) || plan.WarmStarted {
+		t.Fatalf("poisoned round: status %v, residual %v, warm %v; want the cold re-solve's max_iterations with a NaN residual",
+			plan.Status, plan.PriRes, plan.WarmStarted)
+	}
+	if v := reg.Counter("spotweb_planner_fallback_total", "").Value(); v != 1 {
+		t.Fatalf("fallback counter = %d after the poisoned warm round, want 1", v)
+	}
+	if plan := solve(2, false); plan.Status != solver.StatusSolved || plan.WarmStarted {
+		t.Fatalf("round after the poisoned one: status %v, warm %v; want a cold solved round", plan.Status, plan.WarmStarted)
 	}
 }
 

@@ -171,7 +171,8 @@ func (p *ProjectedProblem) Objective(x linalg.Vector) float64 {
 // SolveFISTA minimizes the projected problem with FISTA (accelerated
 // proximal gradient) plus adaptive restart. The returned Result has Y == nil
 // (no explicit duals). Termination is on the fixed-point residual
-// ‖x − Π_C(x − ∇f(x)/L)‖∞ ≤ tol.
+// ‖x − Π_C(x − ∇f(x)/L)‖∞ ≤ tol; a NaN residual (non-finite problem data)
+// ends the solve at that check with StatusMaxIterations.
 func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 	s := settings.withDefaults()
 	ws := s.Workers
@@ -206,6 +207,13 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 		} else {
 			p.C.Project(v)
 		}
+	}
+	// BoxBand and ProductSet count their live-list compactions over their
+	// lifetime; the solve reports its own share.
+	counter, counted := p.C.(interface{ Stats() ProjectionStats })
+	var statsBefore ProjectionStats
+	if counted {
+		statsBefore = counter.Stats()
 	}
 
 	x := linalg.NewVector(n) // current iterate
@@ -287,8 +295,8 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 			project(tmp)
 			var fp float64
 			for i := range tmp {
-				if d := math.Abs(tmp[i] - x[i]); d > fp {
-					fp = d
+				if d := math.Abs(tmp[i] - x[i]); d > fp || math.IsNaN(d) {
+					fp = d // a NaN sticks: no later d compares above it
 				}
 			}
 			res.PriRes, res.Iterations = fp, iter
@@ -296,11 +304,17 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 				res.Status = StatusSolved
 				break
 			}
+			if math.IsNaN(fp) {
+				break // non-finite problem data: not converged, and never will be
+			}
 		}
 	}
 	res.X = x
 	res.Objective = p.Objective(x)
 	res.WarmStarted = warmStarted
+	if counted {
+		res.Projection = counter.Stats().since(statsBefore)
+	}
 	if lipVec == nil && s.Warm != nil {
 		lipVec = s.Warm.lipVec // LipschitzBound override: keep any cached vector
 	}

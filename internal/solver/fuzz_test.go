@@ -77,7 +77,8 @@ func FuzzRuizEquilibrate(f *testing.F) {
 }
 
 // FuzzBoxBandProject checks the projection invariants (feasibility and
-// idempotence) on arbitrary inputs.
+// idempotence) on arbitrary inputs, and that every output equals the plain
+// all-coordinates bisection (oracleProject) bit for bit.
 func FuzzBoxBandProject(f *testing.F) {
 	f.Add(0.5, 1.5, 0.8, -2.0, 3.0, 0.2)
 	f.Add(0.0, 1.0, 1.0, 0.0, 0.0, 0.0)
@@ -101,6 +102,7 @@ func FuzzBoxBandProject(f *testing.F) {
 			t.Skip()
 		}
 		x := linalg.Vector{x0, x1, x2}
+		checkProjectBits(t, "fuzz", set, x)
 		set.Project(x)
 		var sum float64
 		for i, v := range x {

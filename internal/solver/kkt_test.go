@@ -284,6 +284,9 @@ func TestKKTFISTASteadyStateZeroAlloc(t *testing.T) {
 	}
 	measure := func(iters int) float64 {
 		st := FISTASettings{MaxIter: iters, Tol: 1e-300}
+		if c := SolveFISTA(p, st).Projection.Compactions; c < iters {
+			t.Fatalf("MaxIter %d: %d live-list compactions; the test needs projections that compact every iteration", iters, c)
+		}
 		return testing.AllocsPerRun(3, func() { SolveFISTA(p, st) })
 	}
 	if d := measure(600) - measure(100); d != 0 {

@@ -32,6 +32,40 @@ type BoxBand struct {
 	trial     linalg.Vector
 	bufA      linalg.Vector
 	bufO      linalg.Vector
+
+	// live is the bisection's index scratch (see projectPlain), allocated with
+	// the set so Project stays allocation-free; stats counts its compactions.
+	live  []int
+	stats ProjectionStats
+}
+
+// ProjectionStats counts the work the projection bisections left out: every
+// time a bisection compacts its live list, Scanned grows by the coordinates
+// that were on the list and Kept by those that stayed. Kept/Scanned near 1
+// (or no compaction at all) means dense iterates; a sparse portfolio reads
+// well below ½.
+type ProjectionStats struct {
+	Compactions, Scanned, Kept int
+}
+
+// Add folds the counts of o into s.
+func (s *ProjectionStats) Add(o ProjectionStats) {
+	s.Compactions += o.Compactions
+	s.Scanned += o.Scanned
+	s.Kept += o.Kept
+}
+
+// since returns the counts accumulated after the earlier snapshot o.
+func (s ProjectionStats) since(o ProjectionStats) ProjectionStats {
+	return ProjectionStats{s.Compactions - o.Compactions, s.Scanned - o.Scanned, s.Kept - o.Kept}
+}
+
+// LiveShare is Kept/Scanned, and 1 when nothing was ever compacted.
+func (s ProjectionStats) LiveShare() float64 {
+	if s.Scanned == 0 {
+		return 1
+	}
+	return float64(s.Kept) / float64(s.Scanned)
 }
 
 // NewBoxBand constructs the set; it panics on dimension mismatch and returns
@@ -40,7 +74,18 @@ func NewBoxBand(lo, hi linalg.Vector, sumLo, sumHi float64) *BoxBand {
 	if len(lo) != len(hi) {
 		panic("solver: BoxBand lo/hi length mismatch")
 	}
-	return &BoxBand{Lo: lo, Hi: hi, SumLo: sumLo, SumHi: sumHi, maxBisectIters: 100}
+	return &BoxBand{Lo: lo, Hi: hi, SumLo: sumLo, SumHi: sumHi, maxBisectIters: 100, live: make([]int, len(lo))}
+}
+
+// Stats returns the live-list counts of every projection run on this set so
+// far, including the anchored sub-blocks.
+func (b *BoxBand) Stats() ProjectionStats {
+	st := b.stats
+	if b.subA != nil {
+		st.Add(b.subA.stats)
+		st.Add(b.subO.stats)
+	}
+	return st
 }
 
 // WithAnchor adds the constraint Σ_{i∈idx} x_i ≥ min to the set — the
@@ -129,6 +174,61 @@ func (b *BoxBand) clipSum(y linalg.Vector, mu float64) float64 {
 	return s
 }
 
+// clipSumCount is clipSum that also counts the coordinates clipped to a zero
+// lower bound — the ones a bisection whose muLo becomes mu can drop.
+func (b *BoxBand) clipSumCount(y linalg.Vector, mu float64) (s float64, dead int) {
+	for i, v := range y {
+		z := v - mu
+		if lo := b.Lo[i]; z < lo {
+			z = lo
+			if lo == 0 {
+				dead++
+			}
+		} else if z > b.Hi[i] {
+			z = b.Hi[i]
+		}
+		s += z
+	}
+	return s, dead
+}
+
+// clipSumLive is clipSumCount over the ascending index list live.
+func (b *BoxBand) clipSumLive(y linalg.Vector, mu float64, live []int) (s float64, dead int) {
+	for _, i := range live {
+		z := y[i] - mu
+		if lo := b.Lo[i]; z < lo {
+			z = lo
+			if lo == 0 {
+				dead++
+			}
+		} else if z > b.Hi[i] {
+			z = b.Hi[i]
+		}
+		s += z
+	}
+	return s, dead
+}
+
+// compact drops from live (nil: all coordinates) every index that clips to a
+// zero Lo at muLo, in place in b.live, keeping ascending order.
+func (b *BoxBand) compact(y linalg.Vector, muLo float64, live []int) []int {
+	kept := b.live[:0]
+	if live == nil {
+		for i, v := range y {
+			if !(b.Lo[i] == 0 && v-muLo < 0) {
+				kept = append(kept, i)
+			}
+		}
+	} else {
+		for _, i := range live {
+			if !(b.Lo[i] == 0 && y[i]-muLo < 0) {
+				kept = append(kept, i)
+			}
+		}
+	}
+	return kept
+}
+
 // Project projects y onto the set in place. The projection is the Euclidean
 // one: first clip to the box; if the sum lands outside [SumLo, SumHi], solve
 // for the Lagrange multiplier μ of the active sum constraint by bisection on
@@ -211,10 +311,35 @@ func (b *BoxBand) projectPlain(y linalg.Vector) {
 			}
 		}
 	}
+	// The bisection sums only the coordinates that can still add a non-zero
+	// term. A coordinate with Lo == 0 and y − muLo < 0 clips to ±0 at every
+	// μ ≥ muLo — fl(y − μ) is nonincreasing in μ, and muLo only rises — and
+	// ±0 cannot change a sum that started at +0, so leaving it out of the
+	// ascending sum changes no bit (DESIGN.md §5). Each pass counts the
+	// coordinates it clipped to a zero Lo; when the pass raises muLo and at
+	// least half the list died, the list is compacted. Every compaction at
+	// least halves the list, so all of them together cost under two plain
+	// passes, and iterates with no such coordinates never leave the plain loop.
+	var live []int // nil: every coordinate is still summed
+	nLive := len(y)
 	for iter := 0; iter < b.maxBisectIters; iter++ {
 		mid := 0.5 * (muLo + muHi)
-		if b.clipSum(y, mid) > target {
+		var sum float64
+		var dead int
+		if live == nil {
+			sum, dead = b.clipSumCount(y, mid)
+		} else {
+			sum, dead = b.clipSumLive(y, mid, live)
+		}
+		if sum > target {
 			muLo = mid
+			if dead > 0 && 2*dead >= nLive {
+				live = b.compact(y, muLo, live)
+				b.stats.Compactions++
+				b.stats.Scanned += nLive
+				b.stats.Kept += len(live)
+				nLive = len(live)
+			}
 		} else {
 			muHi = mid
 		}
@@ -266,6 +391,15 @@ func (p *ProductSet) Feasible() bool {
 		}
 	}
 	return true
+}
+
+// Stats sums the blocks' live-list counts (see BoxBand.Stats).
+func (p *ProductSet) Stats() ProjectionStats {
+	var st ProjectionStats
+	for _, b := range p.Blocks {
+		st.Add(b.Stats())
+	}
+	return st
 }
 
 // Project projects x block-by-block in place.

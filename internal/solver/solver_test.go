@@ -142,6 +142,30 @@ func TestFISTALinearObjectiveOnSimplex(t *testing.T) {
 	}
 }
 
+// A NaN anywhere in the problem data makes every residual NaN, which the
+// "larger than the running maximum" test used to skip: the solve returned a
+// NaN iterate with StatusSolved at the first residual check.
+func TestFISTANaNResidualIsNotConverged(t *testing.T) {
+	for name, poison := range map[string]func(pp *ProjectedProblem){
+		"nan-in-q": func(pp *ProjectedProblem) { pp.Q[1] = math.NaN() },
+		"nan-in-p": func(pp *ProjectedProblem) { pp.P.(DenseOperator).M.Set(0, 2, math.NaN()) },
+	} {
+		pp := &ProjectedProblem{
+			P: DenseOperator{M: linalg.Identity(3)},
+			Q: linalg.Vector{3, 1, 2},
+			C: NewBoxBand(linalg.NewVector(3), linalg.Vector{1, 1, 1}, 1, 1),
+		}
+		poison(pp)
+		res := SolveFISTA(pp, FISTASettings{MaxIter: 400})
+		if res.Status != StatusMaxIterations || !math.IsNaN(res.PriRes) {
+			t.Fatalf("%s: status %v, residual %v; want max_iterations with a NaN residual", name, res.Status, res.PriRes)
+		}
+		if res.Iterations != 5 {
+			t.Fatalf("%s: ran %d iterations; a NaN residual should end the solve at the first check", name, res.Iterations)
+		}
+	}
+}
+
 // portfolioLikeQP builds a random SpotWeb-shaped program: n markets, cost
 // vector q > 0, SPD risk P, allocation set {0 ≤ x ≤ cap, 1 ≤ Σx ≤ 1.4}.
 func portfolioLikeQP(rng *rand.Rand, n int) (*Problem, *ProjectedProblem) {
