@@ -45,11 +45,7 @@ func main() {
 		return
 	}
 
-	rc, err := rcFlags.Config()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	rc := rcFlags.Config()
 
 	scenarios, err := selectScenarios(*scenarioPath, *suite)
 	if err != nil {
@@ -72,7 +68,7 @@ func main() {
 			continue
 		}
 
-		rep, err := runner.RunSim(runner.OptionsFrom(sc, rc))
+		rep, err := runner.RunSim(sc, rc)
 		if err != nil {
 			fatalf("run %s: %v", sc.Name, err)
 		}

@@ -28,11 +28,7 @@ func main() {
 	fedOut := flag.String("fed-out", "", "write the federation scaling benchmark as JSON to this file (with -federation)")
 	flag.Parse()
 
-	opt, err := rcFlags.Config()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	opt := rcFlags.Config()
 
 	// Route the dense linear algebra through the same pool as the solvers;
 	// results are bit-identical at any width.

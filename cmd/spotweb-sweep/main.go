@@ -35,8 +35,8 @@ func main() {
 	baseSeed := flag.Int64("base-seed", 0, "offset for the FNV seed derivation")
 	name := flag.String("name", "sweep", "grid name recorded in the artifact")
 	quick := flag.Bool("quick", false, "CI-sized cells (36 intervals instead of 96)")
-	hours := flag.Int("hours", 0, "override run length in intervals (standard scenarios only)")
-	subSteps := flag.Int("substeps", 0, "override within-interval sub-steps (standard scenarios only)")
+	hours := flag.Int("hours", 0, "override run length in intervals")
+	subSteps := flag.Int("substeps", 0, "override within-interval sub-steps")
 	keep := flag.Bool("keep-reports", false, "embed each cell's full chaos report in the artifact (large)")
 	workers := flag.Int("workers", 4, "concurrent cell workers")
 	out := flag.String("out", "", "artifact output path (default stdout)")

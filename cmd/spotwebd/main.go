@@ -67,19 +67,15 @@ func main() {
 	chaosScenario := flag.String("chaos-scenario", "", "chaos scenario to replay: a JSON file or a built-in name (empty = none)")
 	chaosDur := flag.Duration("chaos-duration", 10*time.Minute, "wall-clock window the chaos scenario timeline is mapped onto")
 	// The shared RunConfig set: -seed, -parallelism, -high-util, -warm-start,
-	// -kkt, -anchor-min, -sentinel and the -risk trio. The daemon keeps its
+	// -anchor-min, -sentinel and the -risk trio. The daemon keeps its
 	// own wall-clock -warning duration, so the simulator's -warning seconds
 	// override is deliberately absent here.
 	rcFlags := runcfg.BindDaemonFlags(flag.CommandLine)
 	fedFlags := federation.BindFlags(flag.CommandLine)
 	flag.Parse()
 
-	rc, err := rcFlags.Config()
-	if err != nil {
-		log.Fatal(err)
-	}
+	rc := rcFlags.Config()
 	seed := rc.RunSeed()
-	anchorMin := rc.AnchorMin
 
 	// Route the optimizer's dense linear algebra through the shared pool;
 	// plans are bit-identical at any width, only solve latency changes.
@@ -99,6 +95,7 @@ func main() {
 	var cat *spotweb.Catalog
 	var fed *federation.Federation
 	if fedFlags.Enabled() {
+		var err error
 		fed, err = fedFlags.Build(seed, 24*30, false)
 		if err != nil {
 			log.Fatal(err)
@@ -109,21 +106,20 @@ func main() {
 		cat = spotweb.SyntheticCatalog(spotweb.CatalogConfig{
 			Seed: seed, NumTypes: *markets, Hours: 24 * 30,
 			// The anchor floor needs non-revocable markets to anchor to.
-			IncludeOnDemand: anchorMin > 0,
+			IncludeOnDemand: rc.AnchorMin > 0,
 		})
 	}
 	if rc.Sentinel {
 		log.Printf("sentinel: warm-restart standbys are a simulator-path feature; the wall-clock testbed ignores -sentinel")
 	}
-	if fed != nil && anchorMin > 0 {
+	if fed != nil && rc.AnchorMin > 0 {
 		// The sharded federation planner does not carry the anchor bound.
 		log.Printf("anchor: -anchor-min is not supported with -federation; ignoring")
-		anchorMin = 0
+		rc.AnchorMin = 0
 	}
 	ctrlOpts := spotweb.ControllerOptions{
-		Catalog: cat,
-		Optimizer: spotweb.OptimizerConfig{Horizon: 4, ChurnKappa: 1.0, Parallelism: rc.Parallelism,
-			DisableWarmStart: rc.ColdStart, KKT: rc.KKT, AMinOnDemand: anchorMin},
+		Catalog:           cat,
+		Optimizer:         rc.Planner(spotweb.OptimizerConfig{Horizon: 4, ChurnKappa: 1.0}, cat),
 		Metrics:           reg,
 		Federation:        fed,
 		FederationPlanner: fedFlags.PlannerConfig(rc.Parallelism),

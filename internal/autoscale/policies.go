@@ -16,64 +16,54 @@ import (
 	"repro/internal/predict"
 )
 
-// SpotWeb adapts the receding-horizon MPO planner to the simulator's Policy
-// interface.
-type SpotWeb struct {
-	Planner *portfolio.Planner
-	// Label distinguishes variants (e.g. horizon) in output.
+// Stepper is one round of a receding-horizon planner: observe interval t's
+// arrival rate, plan interval t+1. *portfolio.Planner and the sharded
+// *federation.Planner implement it.
+type Stepper interface {
+	Step(t int, actualLambda float64) (*portfolio.Decision, error)
+}
+
+// Planner binds a Stepper to the simulator's Policy interface — the one
+// place the control loop meets sim.Policy, whichever planner is behind it.
+type Planner struct {
+	Stepper
+	// Label names the policy in output (e.g. the horizon variant).
 	Label string
 }
 
+// Name implements sim.Policy.
+func (p Planner) Name() string { return p.Label }
+
+// Decide implements sim.Policy.
+func (p Planner) Decide(t int, observed float64) ([]int, error) {
+	dec, err := p.Step(t, observed)
+	if err != nil {
+		return nil, err
+	}
+	return dec.Counts, nil
+}
+
 // NewSpotWeb builds the full SpotWeb policy.
-func NewSpotWeb(cfg portfolio.Config, cat *market.Catalog, wl predict.Predictor, src portfolio.ForecastSource) *SpotWeb {
-	return &SpotWeb{
-		Planner: portfolio.NewPlanner(cfg, cat, wl, src),
+func NewSpotWeb(cfg portfolio.Config, cat *market.Catalog, wl predict.Predictor, src portfolio.ForecastSource) Planner {
+	return Planner{
+		Stepper: portfolio.NewPlanner(cfg, cat, wl, src),
 		Label:   fmt.Sprintf("spotweb-h%d", cfg.WithDefaults().Horizon),
 	}
 }
 
-// Name implements sim.Policy.
-func (p *SpotWeb) Name() string { return p.Label }
-
-// Decide implements sim.Policy.
-func (p *SpotWeb) Decide(t int, observed float64) ([]int, error) {
-	dec, err := p.Planner.Step(t, observed)
-	if err != nil {
-		return nil, err
-	}
-	return dec.Counts, nil
-}
-
-// ExoSphereLoop re-runs single-period portfolio optimization every interval
-// with purely backward-looking information (current prices, current failure
-// probabilities, current workload) — §6.4's "ExoSphere in a loop" baseline.
-type ExoSphereLoop struct {
-	planner *portfolio.Planner
-}
-
-// NewExoSphereLoop builds the baseline. It shares the MPO machinery with
-// SpotWeb but is pinned to H = 1, a reactive workload predictor and a
-// reactive market source, exactly the information set ExoSphere uses. Like
-// any production reactive autoscaler it carries a fixed 15% capacity
-// headroom (AMin = 1.15); it just cannot anticipate workload, price or
-// failure dynamics.
-func NewExoSphereLoop(cat *market.Catalog, alpha float64) *ExoSphereLoop {
+// NewExoSphereLoop builds §6.4's "ExoSphere in a loop" baseline: single-period
+// portfolio optimization re-run every interval with purely backward-looking
+// information. It shares the MPO machinery with SpotWeb but is pinned to
+// H = 1, a reactive workload predictor and a reactive market source, exactly
+// the information set ExoSphere uses. Like any production reactive autoscaler
+// it carries a fixed 15% capacity headroom (AMin = 1.15); it just cannot
+// anticipate workload, price or failure dynamics.
+func NewExoSphereLoop(cat *market.Catalog, alpha float64) Planner {
 	cfg := portfolio.Config{Horizon: 1, Alpha: alpha, AMin: 1.15, AMax: 1.6}
-	return &ExoSphereLoop{
-		planner: portfolio.NewPlanner(cfg, cat, &predict.Reactive{}, portfolio.ReactiveSource{Cat: cat}),
+	return Planner{
+		Stepper: portfolio.NewPlanner(cfg, cat, &predict.Reactive{}, portfolio.ReactiveSource{Cat: cat}),
+		Label:   "exosphere-loop",
 	}
-}
-
-// Name implements sim.Policy.
-func (p *ExoSphereLoop) Name() string { return "exosphere-loop" }
-
-// Decide implements sim.Policy.
-func (p *ExoSphereLoop) Decide(t int, observed float64) ([]int, error) {
-	dec, err := p.planner.Step(t, observed)
-	if err != nil {
-		return nil, err
-	}
-	return dec.Counts, nil
 }
 
 // ConstantPortfolio freezes a portfolio mix and only autoscales the total

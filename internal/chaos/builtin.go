@@ -70,7 +70,7 @@ var builtins = map[string]*Scenario{
 		},
 	},
 	// The federation-level scenario: a full-region outage. The runner builds
-	// a 4-region federation (see runner.runFedSim), overrides RegionMap with
+	// a 4-region federation (see runner.NewEnv), overrides RegionMap with
 	// the federation's real index map, installs the federation's block
 	// correlation matrix and appends a copula-sampled cross-region storm at
 	// peak load. The default RegionMap below matches the runner's federation

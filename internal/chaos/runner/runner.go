@@ -10,7 +10,9 @@ package runner
 import (
 	"fmt"
 
+	"repro/internal/autoscale"
 	"repro/internal/chaos"
+	"repro/internal/federation"
 	"repro/internal/market"
 	"repro/internal/metrics"
 	"repro/internal/portfolio"
@@ -21,87 +23,10 @@ import (
 	"repro/internal/trace"
 )
 
-// SimOptions configures one simulated scenario run.
-type SimOptions struct {
-	// Scenario is the fault plan (required).
-	Scenario *chaos.Scenario
-	// Seed drives scenario compilation, the market catalog and the
-	// simulator's natural revocation sampling.
-	Seed int64
-	// Quick shrinks the run (36 intervals instead of 96) for CI smoke use.
-	Quick bool
-	// Risk overrides the estimator configuration used for the adaptive run
-	// of lying-catalog scenarios (nil = defaultRiskConfig).
-	Risk *risk.Config
-	// AnchorMin, when positive, is the per-period minimum non-revocable
-	// (on-demand) allocation share the planner must hold — the HA anchor
-	// tier. Applied to BOTH the chaos leg and the fault-free baseline so the
-	// cost comparison stays fair. Ignored by the federated (region_outage)
-	// path, whose sharded planner does not carry the anchor bound.
-	AnchorMin float64
-	// Sentinel enables the simulator's sentinel loop: a pool of stopped
-	// on-demand standbys that warm-restart (skipping the cache warm-up
-	// window) instead of cold-launching replacements after a revocation
-	// storm.
-	Sentinel bool
-	// HighUtil overrides the utilization threshold of the §6.1 revocation
-	// decision (0 keeps the paper's 0.85).
-	HighUtil float64
-	// WarningSec overrides the revocation warning period (0 keeps the
-	// paper's 120 s).
-	WarningSec float64
-	// KKT selects the planner's ADMM x-update backend (zero = auto).
-	KKT portfolio.KKTPath
-	// ColdStart disables warm-started receding-horizon solves. Results are
-	// identical; only solve times change.
-	ColdStart bool
-	// Parallelism bounds the planner's worker pool (portfolio.Config
-	// semantics). Results are bit-identical at any setting.
-	Parallelism int
-	// UseRisk attaches a fresh online risk estimator to every leg of a
-	// STANDARD scenario run (chaos and baseline alike, so the comparison
-	// stays fair): the simulator feeds it ground truth and the planner
-	// consults its overlay. CatalogLie scenarios ignore it — their adaptive
-	// leg always runs an estimator (configured by Risk above).
-	UseRisk bool
-	// RiskQuantile / RiskHalfLife override the UseRisk estimator's
-	// upper-credible-bound quantile and evidence half-life (0 = defaults).
-	RiskQuantile float64
-	RiskHalfLife float64
-}
-
-// OptionsFrom maps the shared RunConfig onto a scenario's SimOptions — the
-// glue that lets cmd/spotweb-chaos and the sweep engine drive runs from the
-// one unified option struct. Zero-value RunConfig fields keep the published
-// behaviour, so OptionsFrom of an empty config reproduces the golden
-// reports byte-for-byte.
-func OptionsFrom(sc *chaos.Scenario, rc runcfg.RunConfig) SimOptions {
-	return SimOptions{
-		Scenario: sc, Seed: rc.RunSeed(), Quick: rc.Quick,
-		AnchorMin: rc.AnchorMin, Sentinel: rc.Sentinel,
-		HighUtil: rc.HighUtil, WarningSec: rc.WarningSec,
-		KKT: rc.KKT, ColdStart: rc.ColdStart, Parallelism: rc.Parallelism,
-		UseRisk: rc.Risk, RiskQuantile: rc.RiskQuantile, RiskHalfLife: rc.RiskHalfLife,
-	}
-}
-
 // recoveryTargetPct is the SLO-attainment level (percent) a run must regain
 // for a below-target episode to close; see chaos.RecoveryFromSeries. 99 is
 // the paper's availability target for latency-sensitive services.
 const recoveryTargetPct = 99
-
-// scoreRecovery fills the report's recovery-time fields from a chaos leg's
-// sub-step attainment series: the worst first-fault → back-above-target
-// episode in seconds, the episode count, and the compact per-interval
-// attainment series the goldens publish.
-func scoreRecovery(rep *chaos.Report, res *sim.Result, opt SimOptions, intervals int) {
-	rep.RecoveryTargetPct = recoveryTargetPct
-	rep.RecoverySecs, rep.RecoveryEpisodes = chaos.RecoveryFromSeries(res.Attainment, recoveryTargetPct)
-	rep.AttainmentSeries = chaos.DownsampleAttainment(res.Attainment, intervals)
-	rep.Restarts = res.Restarts
-	rep.AnchorMin = opt.AnchorMin
-	rep.Sentinel = opt.Sentinel
-}
 
 // defaultRiskConfig is the estimator configuration for adaptive comparison
 // runs: a moderate upper credible bound, a half-life spanning the whole
@@ -240,116 +165,12 @@ func applyLie(truth *market.Catalog, lie *chaos.CatalogLie) *market.Catalog {
 	return declared
 }
 
-// plannerPolicy adapts the portfolio planner to sim.Policy.
-type plannerPolicy struct {
-	planner *portfolio.Planner
-	name    string
-}
-
-func (p plannerPolicy) Name() string {
-	if p.name != "" {
-		return p.name
-	}
-	return "spotweb"
-}
-
-func (p plannerPolicy) Decide(t int, observed float64) ([]int, error) {
-	dec, err := p.planner.Step(t, observed)
-	if err != nil {
-		return nil, err
-	}
-	return dec.Counts, nil
-}
-
-// runSpec is one simulation leg. simCat drives revocation sampling and
-// billing (the truth); planCat feeds the planner's forecasts, covariance and
-// the estimator's prior (the declaration). They are the same catalog except
-// under a CatalogLie.
-type runSpec struct {
-	simCat, planCat *market.Catalog
-	cfg             portfolio.Config
-	wl              *trace.Series
-	seed            int64
-	in              *chaos.Injector
-	j               *metrics.Journal
-	est             *risk.Estimator
-	name            string
-	sentinel        bool
-	highUtil        float64
-	warningSec      float64
-	subSteps        int
-	scratch         *sim.Scratch
-}
-
-// runOnce executes one simulation leg.
-func runOnce(rs runSpec) (*sim.Result, error) {
-	wp := predict.NewSplinePredictor(predict.SplineConfig{
-		StepHrs: rs.planCat.StepHrs, ARLag1: true, CIProb: 0.99,
-	}, rs.cfg.Horizon)
-	planner := portfolio.NewPlanner(rs.cfg, rs.planCat, wp, portfolio.MeanRevertSource{Cat: rs.planCat})
-	scfg := sim.Config{
-		Seed:            rs.seed,
-		TransiencyAware: true,
-		Chaos:           rs.in,
-		Journal:         rs.j,
-		Sentinel:        rs.sentinel,
-		HighUtil:        rs.highUtil,
-		WarningSec:      rs.warningSec,
-		SubSteps:        rs.subSteps,
-	}
-	if rs.est != nil {
-		// Adaptive leg: the simulator feeds the estimator ground truth
-		// synchronously and the planner pulls its overlay every round.
-		planner.RiskOverlay = rs.est
-		scfg.Risk = rs.est
-	}
-	s := &sim.Simulator{
-		Cfg:      scfg,
-		Cat:      rs.simCat,
-		Workload: rs.wl,
-		Policy:   plannerPolicy{planner: planner, name: rs.name},
-		Scratch:  rs.scratch,
-	}
-	return s.Run()
-}
-
-// applyPlannerOpts threads the solver-shaping SimOptions fields into a leg's
-// portfolio configuration. All of them leave the solution bit-identical
-// (backend selection, warm starting and worker count change only solve
-// times), so the zero values reproduce the golden reports.
-func applyPlannerOpts(cfg *portfolio.Config, opt SimOptions) {
-	cfg.KKT = opt.KKT
-	cfg.DisableWarmStart = opt.ColdStart
-	cfg.Parallelism = opt.Parallelism
-}
-
-// newLegEstimator builds the per-leg online risk estimator when UseRisk is
-// set; declared is the catalog whose failure declarations seed its prior.
-// Returns nil (estimator-free leg, the published default) otherwise.
-func newLegEstimator(opt SimOptions, declared *market.Catalog) *risk.Estimator {
-	if !opt.UseRisk {
-		return nil
-	}
-	return risk.New(risk.Config{Quantile: opt.RiskQuantile, HalfLifeHrs: opt.RiskHalfLife}, declared)
-}
-
-// basePortfolioConfig caps any single market at 40% of the allocation so the
-// portfolio spreads over several markets — a Count=1 storm then removes a
+// BasePortfolioConfig is the planner configuration scenario runs start from:
+// library defaults with any single market capped at 40% of the allocation, so
+// the portfolio spreads over several markets — a Count=1 storm then removes a
 // slice of capacity, not the whole fleet.
-func basePortfolioConfig() portfolio.Config {
+func BasePortfolioConfig() portfolio.Config {
 	return portfolio.Config{AMaxPerMarket: 0.4}.WithDefaults()
-}
-
-// BasePortfolioConfig exposes the standard-scenario planner configuration
-// (40% per-market cap over library defaults) for callers that need to build
-// planner legs outside RunSim — notably benchmark setup.
-func BasePortfolioConfig() portfolio.Config { return basePortfolioConfig() }
-
-// IsStandard reports whether a scenario runs on the standard single-region
-// simulation path — no catalog lie, no region outage. Standard scenarios are
-// the ones whose inputs a StandardEnv can precompile and share.
-func IsStandard(sc *chaos.Scenario) bool {
-	return sc.CatalogLie == nil && !hasRegionOutage(sc)
 }
 
 // ScenarioHours is the run length RunSim uses for the quick flag: 96
@@ -361,10 +182,10 @@ func ScenarioHours(quick bool) int {
 	return 96
 }
 
-// StandardCatalog generates the catalog every standard (non-lie,
-// non-federated) scenario run simulates against: 3 instance types plus
-// on-demand across 2 demand pools. Exported so the sweep engine can build it
-// once per (seed, hours) and share the immutable result across scenarios.
+// StandardCatalog generates the catalog every scenario without a catalog lie
+// or a region outage simulates against: 3 instance types plus on-demand
+// across 2 demand pools. Exported so the sweep engine can build it once per
+// (seed, hours) and share the immutable result across scenarios.
 func StandardCatalog(seed int64, hours int) *market.Catalog {
 	return market.CatalogConfig{
 		Seed:            seed,
@@ -377,13 +198,25 @@ func StandardCatalog(seed int64, hours int) *market.Catalog {
 	}.Generate()
 }
 
-// StandardEnv is the precompiled input set of a standard scenario run: the
-// truth catalog, the compiled fault injector, the spike-transformed catalog
-// the planner and biller see, and the workload. Everything here is read-only
-// during simulation, so one env can serve any number of concurrent
-// RunStandard calls, and the Cat field can be shared between the envs of
-// different scenarios at the same (seed, hours).
-type StandardEnv struct {
+// hasRegionOutage reports whether the scenario carries a region_outage fault,
+// which NewEnv answers with a federation.
+func hasRegionOutage(sc *chaos.Scenario) bool {
+	for _, f := range sc.Faults {
+		if f.Kind == chaos.KindRegionOutage {
+			return true
+		}
+	}
+	return false
+}
+
+// Env is the precompiled input set of a scenario run. What distinguishes a
+// plain fault scenario from a catalog-lie or a region-outage one is data
+// here — which catalogs the planner is shown, whether a federation plans,
+// whether an adaptive leg is scored — so Run and newLeg have one path.
+// Everything is read-only during simulation: one env can serve any number of
+// concurrent Run calls, and Cat can be shared between the envs of different
+// scenarios at the same (seed, hours).
+type Env struct {
 	Scenario *chaos.Scenario
 	Seed     int64
 	Hours    int
@@ -391,81 +224,245 @@ type StandardEnv struct {
 	// leg run from this env (0 = the simulator default, 60). Reports are only
 	// comparable across runs with equal SubSteps.
 	SubSteps int
-	Cat      *market.Catalog // fault-free truth catalog
-	Spiked   *market.Catalog // price-spike view the chaos leg plans and bills on
+
+	// Cat is the fault-free truth catalog (the baseline leg samples
+	// revocations from it and bills on it) and Spiked its price-spike view,
+	// which the fault legs use: a pre-transform, so the planner sees the
+	// spike and billing charges it.
+	Cat, Spiked *market.Catalog
+	// Declared and DeclaredSpiked are what the planner's forecasts and
+	// covariance and an estimator's prior read in place of Cat and Spiked.
+	// They are the same catalogs unless the scenario carries a CatalogLie.
+	Declared, DeclaredSpiked *market.Catalog
+	// Fed, when set, is the federation whose merged view Cat is.
+	Fed      *federation.Federation
 	Injector *chaos.Injector
 	Workload *trace.Series
+
+	// Portfolio is the planner configuration before the run's options.
+	Portfolio portfolio.Config
+	// NewPlanner builds one leg's planner over the declared catalog; est,
+	// when non-nil, becomes its risk overlay.
+	NewPlanner func(cfg portfolio.Config, declared *market.Catalog, est *risk.Estimator) autoscale.Stepper
+	// Policy names the scored planner. AdaptivePolicy, when non-empty, adds
+	// the comparison leg: the same faults, workload and seed with the risk
+	// estimator (defaultRiskConfig) watching, scored in Report.Adaptive. The
+	// primary and baseline legs are then by definition the planner that
+	// trusts the declared catalog, and stay estimator-free under -risk.
+	Policy, AdaptivePolicy string
+	// NoAnchor clears the run's AnchorMin: the sharded federation planner's
+	// per-shard inputs never mark on-demand markets, so the floor is dropped
+	// rather than half-applied. (The sentinel loop is purely a simulator
+	// feature and works unchanged.)
+	NoAnchor bool
+	// SharedBaseline marks the fault-free leg as independent of the scenario
+	// — a function of (seed, hours, options) only — so Run may be handed the
+	// one a previous scenario of the same group computed.
+	SharedBaseline bool
 }
 
-// NewStandardEnv compiles a standard scenario into a reusable env, generating
-// a fresh catalog. Equivalent to NewStandardEnvWithCatalog(sc, seed, hours,
-// StandardCatalog(seed, hours)).
-func NewStandardEnv(sc *chaos.Scenario, seed int64, hours int) (*StandardEnv, error) {
-	return NewStandardEnvWithCatalog(sc, seed, hours, StandardCatalog(seed, hours))
-}
+// StandardEnv and NewStandardEnvWithCatalog are the names bench/ compiles
+// against; only a [benchmark] PR may edit it.
+type StandardEnv = Env
 
-// NewStandardEnvWithCatalog compiles a standard scenario against a prebuilt
-// catalog, which must be StandardCatalog(seed, hours) (or bit-identical) for
-// reports to match RunSim. The catalog is not mutated — the price-spike
-// transform copies the affected series.
-func NewStandardEnvWithCatalog(sc *chaos.Scenario, seed int64, hours int, cat *market.Catalog) (*StandardEnv, error) {
-	if !IsStandard(sc) {
-		return nil, fmt.Errorf("runner: scenario %q is not a standard scenario (catalog lie or region outage)", sc.Name)
+var NewStandardEnvWithCatalog = NewEnv
+
+// splinePlanner is Env.NewPlanner for a single catalog: the portfolio planner
+// with SpotWeb's default predictors.
+func splinePlanner(cfg portfolio.Config, declared *market.Catalog, est *risk.Estimator) autoscale.Stepper {
+	p := portfolio.NewPlanner(cfg, declared, splinePredictor(declared, cfg.Horizon), portfolio.MeanRevertSource{Cat: declared})
+	if est != nil {
+		p.RiskOverlay = est
 	}
-	in, err := chaos.Compile(sc, seed, cat.Len())
+	return p
+}
+
+func splinePredictor(cat *market.Catalog, horizon int) predict.Predictor {
+	return predict.NewSplinePredictor(predict.SplineConfig{StepHrs: cat.StepHrs, ARLag1: true, CIProb: 0.99}, horizon)
+}
+
+// NewEnv compiles a scenario into a reusable env. standard, when non-nil,
+// must be StandardCatalog(seed, hours) (or bit-identical) and is used — not
+// mutated — by scenarios that run on the standard catalog; nil generates it.
+//
+// A CatalogLie scenario runs on a wider catalog of its own — 6 instance
+// types over 3 demand pools — so an adaptive planner that learns one pool is
+// deadly has enough clean transient capacity (4 markets × 40% cap) to route
+// around it without falling back to on-demand prices.
+//
+// A region_outage scenario runs against a real federation: 4 regions
+// round-robined over the synthetic aws/azure providers, one AZ each, 3
+// transient types plus on-demand twins per AZ — 24 markets, 4 planner
+// shards. The scenario's RegionMap is replaced with the federation's actual
+// index map and its copula correlation with the federation's block matrix
+// (0.8 intra-AZ, 0.6 intra-region, 0.25 cross-region), and a cross-region
+// copula storm is appended at peak load so the outage bleeds into the
+// surviving regions. Price-spike faults are not pre-transformed there
+// (spikedCatalog would break the pointer sharing between the merged view and
+// the shard catalogs); region-outage scenarios should not carry them.
+func NewEnv(sc *chaos.Scenario, seed int64, hours int, standard *market.Catalog) (*Env, error) {
+	env := &Env{
+		Scenario: sc, Seed: seed, Hours: hours,
+		Portfolio: BasePortfolioConfig(), NewPlanner: splinePlanner, Policy: "spotweb",
+	}
+	compiled := sc
+	switch {
+	case hasRegionOutage(sc):
+		fed, err := federation.Build(federation.Config{
+			Providers:       []string{"aws", "azure"},
+			Regions:         4,
+			AZsPerRegion:    1,
+			TypesPerAZ:      3,
+			Hours:           hours,
+			SamplesPerHour:  1,
+			IncludeOnDemand: true,
+			Seed:            seed,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("runner: federation: %w", err)
+		}
+		// Re-anchor the scenario on the federation's real topology. The copy
+		// is deep enough: Faults is reallocated before the append, RegionMap
+		// and Correlation are replaced wholesale.
+		anchored, full := *sc, 1.0
+		anchored.RegionMap = fed.RegionMap()
+		anchored.Correlation = fed.CorrelationMatrix(0.8, 0.6, 0.25)
+		anchored.Faults = append(append([]chaos.FaultSpec(nil), sc.Faults...), chaos.FaultSpec{
+			Kind: chaos.KindStorm, Start: 0.7, Prob: 0.25, WarnScale: &full,
+		})
+		compiled = &anchored
+		env.Fed, env.Cat, env.Declared = fed, fed.Merged, fed.Merged
+		env.NewPlanner = func(cfg portfolio.Config, declared *market.Catalog, est *risk.Estimator) autoscale.Stepper {
+			p := federation.NewPlanner(fed, federation.PlannerConfig{Portfolio: cfg},
+				splinePredictor(declared, cfg.Horizon), portfolio.MeanRevertSource{Cat: declared})
+			if est != nil {
+				p.RiskOverlay = est
+			}
+			return p
+		}
+		env.Policy, env.AdaptivePolicy, env.NoAnchor = "spotweb-fed", "spotweb-fed-adaptive", true
+	case sc.CatalogLie != nil:
+		env.Cat = market.CatalogConfig{
+			Seed:            seed,
+			NumTypes:        6,
+			IncludeOnDemand: true,
+			Hours:           hours,
+			SamplesPerHour:  1,
+			Groups:          3,
+			BaseFailProb:    0.02,
+		}.Generate()
+		env.Declared = applyLie(env.Cat, sc.CatalogLie)
+		env.AdaptivePolicy = "spotweb-adaptive"
+	default:
+		if standard == nil {
+			standard = StandardCatalog(seed, hours)
+		}
+		env.Cat, env.Declared, env.SharedBaseline = standard, standard, true
+	}
+	if env.AdaptivePolicy != "" {
+		// The failure probability only steers the MPO through the Eq. 4 term
+		// P·f·λ·L, so the comparison runs with a nonzero long-request
+		// fraction; every leg shares the configuration, keeping it fair. The
+		// per-market cap is loosened to 0.5 so that after the estimator
+		// condemns the deceitful pool (or a region goes dark), the remaining
+		// clean capacity can still cover the allocation floor on spot
+		// instead of spilling to on-demand.
+		env.Portfolio.LongRequestFrac = 0.3
+		env.Portfolio.AMaxPerMarket = 0.5
+	}
+	in, err := chaos.Compile(compiled, seed, env.Cat.Len())
 	if err != nil {
 		return nil, err
 	}
-	return &StandardEnv{
-		Scenario: sc,
-		Seed:     seed,
-		Hours:    hours,
-		Cat:      cat,
-		Spiked:   spikedCatalog(cat, in),
-		Injector: in,
-		Workload: simWorkload(hours, cat),
-	}, nil
+	env.Injector = in
+	env.Workload = simWorkload(hours, env.Cat)
+	env.Spiked, env.DeclaredSpiked = env.Cat, env.Declared
+	if env.Fed == nil {
+		env.Spiked = spikedCatalog(env.Cat, in)
+		env.DeclaredSpiked = env.Spiked
+		if env.Declared != env.Cat {
+			env.DeclaredSpiked = spikedCatalog(env.Declared, in)
+		}
+	}
+	return env, nil
 }
 
-// RunStandard executes a standard scenario from a prebuilt env and assembles
-// its report. This is the single code path behind both RunSim and the sweep
-// engine, so a sweep cell and a standalone run of the same (env, options)
-// produce byte-identical encoded reports.
+// newLeg wires one simulation leg. The fault leg runs the injector over the
+// spiked catalogs; the fault-free leg runs the plain ones. Either way the
+// simulator samples and bills on the truth while the planner (and est's
+// prior) read the declaration. The run's options reach every leg of every
+// env through the same three runcfg calls.
+func (e *Env) newLeg(rc runcfg.RunConfig, faults bool, j *metrics.Journal, est *risk.Estimator, name string, scratch *sim.Scratch) *sim.Simulator {
+	truth, declared, in := e.Cat, e.Declared, (*chaos.Injector)(nil)
+	if faults {
+		truth, declared, in = e.Spiked, e.DeclaredSpiked, e.Injector
+	}
+	return &sim.Simulator{
+		Cfg: rc.Sim(sim.Config{
+			Seed: e.Seed, TransiencyAware: true, Chaos: in, Journal: j, SubSteps: e.SubSteps,
+		}, est),
+		Cat:      truth,
+		Workload: e.Workload,
+		Policy:   autoscale.Planner{Stepper: e.NewPlanner(rc.Planner(e.Portfolio, declared), declared, est), Label: name},
+		Scratch:  scratch,
+	}
+}
+
+// Run executes a scenario from a prebuilt env and assembles its report
+// (finalized, ready to encode). It is the single code path behind RunSim and
+// every sweep cell, so a cell and a standalone run of the same (env, options)
+// produce byte-identical encoded reports. rc's Seed and Quick are ignored
+// here — the env carries the seed and run length.
 //
 // scratch, when non-nil, supplies reusable simulator working memory (one
 // Scratch per worker — a Scratch must never be shared by concurrent runs).
-// baseline, when non-nil, is a previously returned fault-free leg result for
-// this exact (seed, hours, options) and is trusted instead of re-running the
-// leg; the second return value is the baseline actually used, so callers can
-// cache it across the scenarios of a sweep (the fault-free leg does not
-// depend on the scenario). Options fields Scenario/Seed/Quick/Risk are
-// ignored here — the env carries the scenario, seed and run length.
-func RunStandard(env *StandardEnv, opt SimOptions, scratch *sim.Scratch, baseline *sim.Result) (*chaos.Report, *sim.Result, error) {
-	cfg := basePortfolioConfig()
-	cfg.AMinOnDemand = opt.AnchorMin
-	applyPlannerOpts(&cfg, opt)
+// baseline, when non-nil and the env's SharedBaseline is set, is a fault-free
+// leg result a previous Run returned for this exact (seed, hours, options)
+// and is trusted instead of re-running the leg. The second return value is
+// the baseline to hand to the next such Run: this run's when it is
+// shareable, the caller's own otherwise.
+func Run(env *Env, rc runcfg.RunConfig, scratch *sim.Scratch, baseline *sim.Result) (*chaos.Report, *sim.Result, error) {
+	if env.NoAnchor {
+		rc.AnchorMin = 0
+	}
+	legRisk := rc
+	if env.AdaptivePolicy != "" {
+		legRisk.Risk = false
+	}
 
 	j := metrics.NewJournal(8192)
-	res, err := runOnce(runSpec{
-		simCat: env.Spiked, planCat: env.Spiked,
-		cfg: cfg, wl: env.Workload, seed: env.Seed, in: env.Injector, j: j,
-		sentinel: opt.Sentinel, highUtil: opt.HighUtil, warningSec: opt.WarningSec,
-		subSteps: env.SubSteps, est: newLegEstimator(opt, env.Spiked), scratch: scratch,
-	})
+	res, err := env.newLeg(rc, true, j, legRisk.Estimator(env.DeclaredSpiked), env.Policy, scratch).Run()
 	if err != nil {
 		return nil, nil, fmt.Errorf("runner: chaos run: %w", err)
 	}
+	var adaptive *chaos.AdaptiveComparison
+	if env.AdaptivePolicy != "" {
+		est := risk.New(defaultRiskConfig(), env.DeclaredSpiked)
+		ad, err := env.newLeg(rc, true, nil, est, env.AdaptivePolicy, scratch).Run()
+		if err != nil {
+			return nil, nil, fmt.Errorf("runner: adaptive run: %w", err)
+		}
+		adaptive = &chaos.AdaptiveComparison{
+			SLOAttainmentPct:    100 - ad.ViolationPct,
+			ViolationPct:        ad.ViolationPct,
+			DropFraction:        ad.DropFraction(),
+			CostUSD:             ad.TotalCost,
+			Revocations:         ad.Revocations,
+			InjectedRevocations: ad.InjectedRevocations,
+			Changepoints:        est.Changepoints(),
+			MeanAbsDivergence:   est.MeanAbsDivergence(),
+		}
+		adaptive.RecoverySecs, _ = chaos.RecoveryFromSeries(ad.Attainment, recoveryTargetPct)
+	}
 	base := baseline
-	if base == nil {
-		base, err = runOnce(runSpec{
-			simCat: env.Cat, planCat: env.Cat,
-			cfg: cfg, wl: env.Workload, seed: env.Seed,
-			sentinel: opt.Sentinel, highUtil: opt.HighUtil, warningSec: opt.WarningSec,
-			subSteps: env.SubSteps, est: newLegEstimator(opt, env.Cat), scratch: scratch,
-		})
+	if base == nil || !env.SharedBaseline {
+		base, err = env.newLeg(rc, false, nil, legRisk.Estimator(env.Declared), env.Policy, scratch).Run()
 		if err != nil {
 			return nil, nil, fmt.Errorf("runner: baseline run: %w", err)
 		}
+	}
+	if env.SharedBaseline {
+		baseline = base
 	}
 
 	rep := &chaos.Report{
@@ -488,6 +485,15 @@ func RunStandard(env *StandardEnv, opt SimOptions, scratch *sim.Scratch, baselin
 		CostUSD:              res.TotalCost,
 		BaselineCostUSD:      base.TotalCost,
 		BaselineViolationPct: base.ViolationPct,
+		Adaptive:             adaptive,
+		RecoveryTargetPct:    recoveryTargetPct,
+		AttainmentSeries:     chaos.DownsampleAttainment(res.Attainment, env.Hours),
+		Restarts:             res.Restarts,
+		AnchorMin:            rc.AnchorMin,
+		Sentinel:             rc.Sentinel,
+	}
+	if f := env.Fed; f != nil {
+		rep.Regions, rep.FedShards = len(f.Regions), len(f.Shards)
 	}
 	for k, v := range res.Actions {
 		rep.Actions[k] = int64(v)
@@ -495,146 +501,27 @@ func RunStandard(env *StandardEnv, opt SimOptions, scratch *sim.Scratch, baselin
 	if base.TotalCost > 0 {
 		rep.CostDeltaPct = 100 * (res.TotalCost - base.TotalCost) / base.TotalCost
 	}
-	scoreRecovery(rep, res, opt, env.Hours)
+	// The worst first-fault → back-above-target episode in seconds, and the
+	// episode count, from the chaos leg's sub-step attainment series.
+	rep.RecoverySecs, rep.RecoveryEpisodes = chaos.RecoveryFromSeries(res.Attainment, recoveryTargetPct)
 	rep.Finalize()
-	return rep, base, nil
+	return rep, baseline, nil
 }
 
-// RunSim executes a scenario on the simulator and returns its resilience
-// report (finalized, ready to encode). Scenarios with a CatalogLie run in
-// comparison mode: the primary report fields score the oracle-prior planner
-// (it trusts the declared catalog, like every other scenario) and the
-// Adaptive section scores the risk-estimator planner under identical
+// RunSim compiles and runs one scenario on the simulator at the options'
+// seed and run length. Scenarios whose env scores an adaptive leg (catalog
+// lies, region outages) report in comparison mode: the primary fields score
+// the planner that trusts the declared catalog, like every other scenario,
+// and the Adaptive section scores the risk-estimator planner under identical
 // faults, workload and seed.
-func RunSim(opt SimOptions) (*chaos.Report, error) {
-	if opt.Scenario == nil {
-		return nil, fmt.Errorf("runner: Scenario is required")
+func RunSim(sc *chaos.Scenario, rc runcfg.RunConfig) (*chaos.Report, error) {
+	if sc == nil {
+		return nil, fmt.Errorf("runner: scenario is required")
 	}
-	if opt.Scenario.CatalogLie != nil {
-		return runLieSim(opt)
-	}
-	if hasRegionOutage(opt.Scenario) {
-		return runFedSim(opt)
-	}
-	env, err := NewStandardEnv(opt.Scenario, opt.Seed, ScenarioHours(opt.Quick))
+	env, err := NewEnv(sc, rc.RunSeed(), ScenarioHours(rc.Quick), nil)
 	if err != nil {
 		return nil, err
 	}
-	rep, _, err := RunStandard(env, opt, nil, nil)
+	rep, _, err := Run(env, rc, nil, nil)
 	return rep, err
-}
-
-// runLieSim executes a CatalogLie scenario in adaptive-vs-oracle-prior
-// comparison mode. The lie catalog is wider than the standard one — 6
-// instance types over 3 demand pools — so an adaptive planner that learns
-// one pool is deadly has enough clean transient capacity (4 markets × 40%
-// cap) to route around it without falling back to on-demand prices.
-func runLieSim(opt SimOptions) (*chaos.Report, error) {
-	lie := opt.Scenario.CatalogLie
-	hours := ScenarioHours(opt.Quick)
-	truth := market.CatalogConfig{
-		Seed:            opt.Seed,
-		NumTypes:        6,
-		IncludeOnDemand: true,
-		Hours:           hours,
-		SamplesPerHour:  1,
-		Groups:          3,
-		BaseFailProb:    0.02,
-	}.Generate()
-	declared := applyLie(truth, lie)
-	in, err := chaos.Compile(opt.Scenario, opt.Seed, truth.Len())
-	if err != nil {
-		return nil, err
-	}
-	wl := simWorkload(hours, truth)
-	spTruth := spikedCatalog(truth, in)
-	spDecl := spikedCatalog(declared, in)
-
-	// The failure probability only steers the MPO through the Eq. 4 term
-	// P·f·λ·L, so the comparison runs with a nonzero long-request fraction;
-	// both legs share the configuration, keeping the comparison fair. The
-	// per-market cap is loosened to 0.5 so that after the estimator condemns
-	// the deceitful pool, the remaining clean pool can still cover the
-	// allocation floor on spot capacity instead of spilling to on-demand.
-	cfg := basePortfolioConfig()
-	cfg.LongRequestFrac = 0.3
-	cfg.AMaxPerMarket = 0.5
-	cfg.AMinOnDemand = opt.AnchorMin
-	applyPlannerOpts(&cfg, opt)
-
-	jOracle := metrics.NewJournal(8192)
-	oracle, err := runOnce(runSpec{
-		simCat: spTruth, planCat: spDecl,
-		cfg: cfg, wl: wl, seed: opt.Seed, in: in, j: jOracle,
-		sentinel: opt.Sentinel, highUtil: opt.HighUtil, warningSec: opt.WarningSec,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("runner: oracle-prior run: %w", err)
-	}
-
-	riskCfg := defaultRiskConfig()
-	if opt.Risk != nil {
-		riskCfg = *opt.Risk
-	}
-	est := risk.New(riskCfg, spDecl)
-	adaptive, err := runOnce(runSpec{
-		simCat: spTruth, planCat: spDecl,
-		cfg: cfg, wl: wl, seed: opt.Seed, in: in,
-		j: metrics.NewJournal(8192), est: est, name: "spotweb-adaptive",
-		sentinel: opt.Sentinel, highUtil: opt.HighUtil, warningSec: opt.WarningSec,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("runner: adaptive run: %w", err)
-	}
-
-	base, err := runOnce(runSpec{
-		simCat: truth, planCat: declared,
-		cfg: cfg, wl: wl, seed: opt.Seed,
-		sentinel: opt.Sentinel, highUtil: opt.HighUtil, warningSec: opt.WarningSec,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("runner: baseline run: %w", err)
-	}
-
-	rep := &chaos.Report{
-		Scenario:             opt.Scenario.Name,
-		Seed:                 opt.Seed,
-		Policy:               oracle.Policy,
-		Intervals:            hours,
-		Markets:              truth.Len(),
-		InjectedRevocations:  oracle.InjectedRevocations,
-		NaturalRevocations:   oracle.Revocations - oracle.InjectedRevocations,
-		Actions:              make(map[string]int64, len(oracle.Actions)),
-		EventCounts:          jOracle.Counts(),
-		SLOAttainmentPct:     100 - oracle.ViolationPct,
-		ViolationPct:         oracle.ViolationPct,
-		DropFraction:         oracle.DropFraction(),
-		DroppedReqs:          oracle.Dropped,
-		MeanLatencySec:       oracle.MeanLatency,
-		OverloadSecs:         oracle.OverloadSecs,
-		AdmissionEvents:      int64(oracle.AdmissionEvents),
-		CostUSD:              oracle.TotalCost,
-		BaselineCostUSD:      base.TotalCost,
-		BaselineViolationPct: base.ViolationPct,
-		Adaptive: &chaos.AdaptiveComparison{
-			SLOAttainmentPct:    100 - adaptive.ViolationPct,
-			ViolationPct:        adaptive.ViolationPct,
-			DropFraction:        adaptive.DropFraction(),
-			CostUSD:             adaptive.TotalCost,
-			Revocations:         adaptive.Revocations,
-			InjectedRevocations: adaptive.InjectedRevocations,
-			Changepoints:        est.Changepoints(),
-			MeanAbsDivergence:   est.MeanAbsDivergence(),
-		},
-	}
-	for k, v := range oracle.Actions {
-		rep.Actions[k] = int64(v)
-	}
-	if base.TotalCost > 0 {
-		rep.CostDeltaPct = 100 * (oracle.TotalCost - base.TotalCost) / base.TotalCost
-	}
-	scoreRecovery(rep, oracle, opt, hours)
-	rep.Adaptive.RecoverySecs, _ = chaos.RecoveryFromSeries(adaptive.Attainment, recoveryTargetPct)
-	rep.Finalize()
-	return rep, nil
 }

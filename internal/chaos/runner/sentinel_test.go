@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/runcfg"
 )
 
 // TestSentinelAnchorImprovesRecovery is the acceptance check for the HA
@@ -16,11 +17,11 @@ func TestSentinelAnchorImprovesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := RunSim(SimOptions{Scenario: sc, Seed: 42, Quick: true})
+	cold, err := RunSim(sc, runcfg.RunConfig{Seed: 42, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ha, err := RunSim(SimOptions{Scenario: sc, Seed: 42, Quick: true,
+	ha, err := RunSim(sc, runcfg.RunConfig{Seed: 42, Quick: true,
 		Sentinel: true, AnchorMin: 0.3})
 	if err != nil {
 		t.Fatal(err)

@@ -47,9 +47,8 @@ func AblationChurn(w io.Writer, opt Options) ChurnAblationResult {
 		wlPred := predict.NewSplinePredictor(predict.SplineConfig{
 			StepHrs: 1.0 / float64(perHour), ARLag1: true, CIProb: 0.99}, 4)
 		predict.Pretrain(wlPred, full, trainN)
-		pol := autoscale.NewSpotWeb(portfolio.Config{Horizon: 4, ChurnKappa: kappa, DisableWarmStart: opt.ColdStart},
-			cat, wlPred, portfolio.MeanRevertSource{Cat: cat})
-		r := mustRun(cat, wl, pol, opt, true)
+		r := runSpotWeb(opt, sim.Config{}, portfolio.Config{Horizon: 4, ChurnKappa: kappa}, cat, wl,
+			wlPred, portfolio.MeanRevertSource{Cat: cat})
 		res.Costs = append(res.Costs, CostWithPenalty(r, 0.02))
 		res.Launches = append(res.Launches, r.Launches)
 	}
@@ -89,9 +88,8 @@ func AblationPadding(w io.Writer, opt Options) PaddingAblationResult {
 		wlPred := predict.NewSplinePredictor(predict.SplineConfig{
 			ARLag1: true, CIProb: ci}, 4)
 		predict.Pretrain(wlPred, full, trainN)
-		pol := autoscale.NewSpotWeb(portfolio.Config{Horizon: 4, ChurnKappa: 1.0, DisableWarmStart: opt.ColdStart},
-			cat, wlPred, portfolio.MeanRevertSource{Cat: cat})
-		r := mustRun(cat, wl, pol, opt, true)
+		r := runSpotWeb(opt, sim.Config{}, portfolio.Config{Horizon: 4, ChurnKappa: 1.0}, cat, wl,
+			wlPred, portfolio.MeanRevertSource{Cat: cat})
 		res.Costs = append(res.Costs, CostWithPenalty(r, 0.02))
 		res.ViolationPct = append(res.ViolationPct, r.ViolationPct)
 	}
@@ -278,21 +276,11 @@ func DiscussionStartupDelay(w io.Writer, opt Options) StartupDelayResult {
 		wlPred := predict.NewSplinePredictor(predict.SplineConfig{
 			StepHrs: 1.0 / float64(perHour), ARLag1: true, CIProb: 0.99}, h)
 		predict.Pretrain(wlPred, full, trainN)
-		pol := autoscale.NewSpotWeb(portfolio.Config{Horizon: h, ChurnKappa: 1.0, DisableWarmStart: opt.ColdStart},
-			cat, wlPred, portfolio.MeanRevertSource{Cat: cat})
-		s := &sim.Simulator{
-			// 25-minute VM start-up > 15-minute decisions (§7's "start-up
-			// time longer than the period between two predictions").
-			Cfg: sim.Config{Seed: opt.RunSeed(), TransiencyAware: true,
-				StartDelaySec: 1500, WarmupSec: 120,
-				HighUtil: opt.HighUtil, WarningSec: opt.WarningSec},
-			Cat: cat, Workload: wl, Policy: pol,
-		}
-		attachRisk(opt, s, pol)
-		r, err := s.Run()
-		if err != nil {
-			panic(err)
-		}
+		// 25-minute VM start-up > 15-minute decisions (§7's "start-up time
+		// longer than the period between two predictions").
+		r := runSpotWeb(opt, sim.Config{StartDelaySec: 1500, WarmupSec: 120},
+			portfolio.Config{Horizon: h, ChurnKappa: 1.0}, cat, wl,
+			wlPred, portfolio.MeanRevertSource{Cat: cat})
 		res.Costs = append(res.Costs, CostWithPenalty(r, 0.02))
 		res.ViolationPct = append(res.ViolationPct, r.ViolationPct)
 	}
@@ -326,29 +314,16 @@ func DiscussionGoogleCloud(w io.Writer, opt Options) GoogleCloudResult {
 	wl := full.Slice(trainN, full.Len())
 	cat := market.GoogleLikeCatalog(opt.RunSeed(), 10, days*24, 1)
 
-	run := func(pol sim.Policy) *sim.Result {
-		s := &sim.Simulator{
-			Cfg: sim.Config{Seed: opt.RunSeed(), TransiencyAware: true,
-				MaxLifetimeHrs: 24,
-				HighUtil:       opt.HighUtil, WarningSec: opt.WarningSec},
-			Cat: cat, Workload: wl, Policy: pol,
-		}
-		attachRisk(opt, s, pol)
-		r, err := s.Run()
-		if err != nil {
-			panic(err)
-		}
-		return r
-	}
+	preemptible := sim.Config{MaxLifetimeHrs: 24}
 	wlPred := predict.NewSplinePredictor(predict.SplineConfig{ARLag1: true, CIProb: 0.99}, 4)
 	predict.Pretrain(wlPred, full, trainN)
-	sw := run(autoscale.NewSpotWeb(portfolio.Config{Horizon: 4, ChurnKappa: 1.0, DisableWarmStart: opt.ColdStart},
-		cat, wlPred, portfolio.ReactiveSource{Cat: cat})) // prices are constant
+	sw := runSpotWeb(opt, preemptible, portfolio.Config{Horizon: 4, ChurnKappa: 1.0}, cat, wl,
+		wlPred, portfolio.ReactiveSource{Cat: cat}) // prices are constant
 	odPol, err := autoscale.NewOnDemand(cat, 1.15, &predict.Reactive{})
 	if err != nil {
 		panic(err)
 	}
-	od := run(odPol)
+	od := mustRun(opt, preemptible, cat, wl, odPol, nil)
 
 	res := GoogleCloudResult{
 		SpotWebCost:  CostWithPenalty(sw, 0.02),

@@ -11,9 +11,13 @@ import (
 	"io"
 
 	"repro/internal/autoscale"
+	"repro/internal/market"
+	"repro/internal/portfolio"
+	"repro/internal/predict"
 	"repro/internal/risk"
 	"repro/internal/runcfg"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Options controls experiment size and output. It is the shared
@@ -22,22 +26,33 @@ import (
 // run; see that package for the field documentation.
 type Options = runcfg.RunConfig
 
-// attachRisk wires the online risk estimator between a simulator and the
-// policy's planner when Options.Risk is set: the simulator streams ground
-// truth (revocations, exposure, prices) into the estimator, and the planner
-// pulls the resulting overlay before every solve. A no-op for non-SpotWeb
-// policies and when risk scoring is disabled, so baselines stay untouched.
-func attachRisk(opt Options, s *sim.Simulator, pol sim.Policy) {
-	if !opt.Risk {
-		return
+// mustRun simulates pol over (cat, wl). base carries the experiment's own
+// simulator settings (start-up model, lifetime cap); the seed and the run's
+// simulator overrides are laid over it, and est, when non-nil, is fed the
+// leg's ground truth.
+func mustRun(opt Options, base sim.Config, cat *market.Catalog, wl *trace.Series, pol sim.Policy, est *risk.Estimator) *sim.Result {
+	base.Seed, base.TransiencyAware = opt.RunSeed(), true
+	s := &sim.Simulator{Cfg: opt.Sim(base, est), Cat: cat, Workload: wl, Policy: pol}
+	res, err := s.Run()
+	if err != nil {
+		panic(err)
 	}
-	sw, ok := pol.(*autoscale.SpotWeb)
-	if !ok {
-		return
+	return res
+}
+
+// runSpotWeb simulates the SpotWeb planner — the one place an experiment's
+// run options reach a planner leg: the anchor floor, warm starting and the
+// worker bound go into cfg, and under -risk a fresh estimator sits between
+// the simulator (ground truth in) and the planner (overlay out). Baseline
+// policies go through mustRun untouched.
+func runSpotWeb(opt Options, base sim.Config, cfg portfolio.Config, cat *market.Catalog, wl *trace.Series,
+	wlPred predict.Predictor, src portfolio.ForecastSource) *sim.Result {
+	est := opt.Estimator(cat)
+	p := portfolio.NewPlanner(opt.Planner(cfg, cat), cat, wlPred, src)
+	if est != nil {
+		p.RiskOverlay = est
 	}
-	est := risk.New(risk.Config{Quantile: opt.RiskQuantile, HalfLifeHrs: opt.RiskHalfLife}, s.Cat)
-	s.Cfg.Risk = est
-	sw.Planner.RiskOverlay = est
+	return mustRun(opt, base, cat, wl, autoscale.Planner{Stepper: p, Label: "spotweb"}, est)
 }
 
 // CostWithPenalty is the evaluation's cost metric: rental cost plus the SLO

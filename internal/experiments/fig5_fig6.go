@@ -75,13 +75,12 @@ func Fig5(w io.Writer, opt Options) Fig5Result {
 	if err != nil {
 		panic(err)
 	}
-	constRes := mustRun(cat, wl, constPol, opt, true)
+	constRes := mustRun(opt, sim.Config{}, cat, wl, constPol, nil)
 
 	// Fig 5(d): SpotWeb MPO with oracle workload and oracle prices (the
 	// paper's oracle-predictor setting for this experiment).
-	swPol := autoscale.NewSpotWeb(opt.Anchor(portfolio.Config{Horizon: 4, ChurnKappa: 0.05, DisableWarmStart: opt.ColdStart}, cat),
-		cat, &predict.Oracle{Values: wl.Values}, portfolio.OracleSource{Cat: cat})
-	swRes := mustRun(cat, wl, swPol, opt, true)
+	swRes := runSpotWeb(opt, sim.Config{}, portfolio.Config{Horizon: 4, ChurnKappa: 0.05}, cat, wl,
+		&predict.Oracle{Values: wl.Values}, portfolio.OracleSource{Cat: cat})
 
 	for _, im := range constRes.Intervals {
 		res.ConstCounts = append(res.ConstCounts, im.Counts)
@@ -149,23 +148,6 @@ func printAllocSeries(w io.Writer, title string, names []string, counts [][]int)
 	}
 }
 
-func mustRun(cat *market.Catalog, wl *trace.Series, pol sim.Policy, opt Options, aware bool) *sim.Result {
-	s := &sim.Simulator{
-		Cfg: sim.Config{Seed: opt.RunSeed(), TransiencyAware: aware,
-			HighUtil: opt.HighUtil, WarningSec: opt.WarningSec,
-			Sentinel: opt.Sentinel},
-		Cat:      cat,
-		Workload: wl,
-		Policy:   pol,
-	}
-	attachRisk(opt, s, pol)
-	res, err := s.Run()
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // Fig6aResult: savings of SpotWeb vs the constant portfolio + autoscaler,
 // for look-ahead horizons 2 and 4 (paper: ≈37%, oracle predictors, no SLO
 // costs counted since the oracle removes shortfalls).
@@ -187,7 +169,7 @@ func Fig6a(w io.Writer, opt Options) Fig6aResult {
 	if err != nil {
 		panic(err)
 	}
-	constRes := mustRun(cat, wl, constPol, opt, true)
+	constRes := mustRun(opt, sim.Config{}, cat, wl, constPol, nil)
 
 	res := Fig6aResult{
 		// §6.3: oracle predictor ⇒ rental cost only, no SLO costs.
@@ -196,9 +178,8 @@ func Fig6a(w io.Writer, opt Options) Fig6aResult {
 		SavingsPct: map[int]float64{},
 	}
 	for _, h := range []int{2, 4} {
-		pol := autoscale.NewSpotWeb(opt.Anchor(portfolio.Config{Horizon: h, ChurnKappa: 0.05, DisableWarmStart: opt.ColdStart}, cat),
-			cat, &predict.Oracle{Values: wl.Values}, portfolio.OracleSource{Cat: cat})
-		r := mustRun(cat, wl, pol, opt, true)
+		r := runSpotWeb(opt, sim.Config{}, portfolio.Config{Horizon: h, ChurnKappa: 0.05}, cat, wl,
+			&predict.Oracle{Values: wl.Values}, portfolio.OracleSource{Cat: cat})
 		res.SpotWeb[h] = r.TotalCost
 		res.SavingsPct[h] = 100 * Savings(res.SpotWeb[h], res.ConstCost)
 	}
@@ -263,7 +244,7 @@ func Fig6b(w io.Writer, opt Options, workload string) Fig6bResult {
 			Seed: opt.RunSeed() + int64(nm), NumTypes: nm,
 			Hours: days * 24, SamplesPerHour: perHour,
 		}.Generate()
-		exo := mustRun(cat, wl, autoscale.NewExoSphereLoop(cat, 5), opt, true)
+		exo := mustRun(opt, sim.Config{}, cat, wl, autoscale.NewExoSphereLoop(cat, 5), nil)
 		exoCost := CostWithPenalty(exo, 0.02)
 		res.ExoCost = append(res.ExoCost, exoCost)
 		var row []float64
@@ -271,10 +252,8 @@ func Fig6b(w io.Writer, opt Options, workload string) Fig6bResult {
 			wlPred := predict.NewSplinePredictor(predict.SplineConfig{
 				StepHrs: 1.0 / perHour, ARLag1: true, CIProb: 0.99}, h)
 			predict.Pretrain(wlPred, full, trainN)
-			pol := autoscale.NewSpotWeb(
-				opt.Anchor(portfolio.Config{Horizon: h, ChurnKappa: 1.0, DisableWarmStart: opt.ColdStart}, cat),
-				cat, wlPred, portfolio.MeanRevertSource{Cat: cat})
-			r := mustRun(cat, wl, pol, opt, true)
+			r := runSpotWeb(opt, sim.Config{}, portfolio.Config{Horizon: h, ChurnKappa: 1.0}, cat, wl,
+				wlPred, portfolio.MeanRevertSource{Cat: cat})
 			row = append(row, 100*Savings(CostWithPenalty(r, 0.02), exoCost))
 		}
 		res.SavingsPct = append(res.SavingsPct, row)

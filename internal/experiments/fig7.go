@@ -6,11 +6,11 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/autoscale"
 	"repro/internal/linalg"
 	"repro/internal/market"
 	"repro/internal/portfolio"
 	"repro/internal/predict"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -51,18 +51,15 @@ func Fig7a(w io.Writer, opt Options) Fig7aResult {
 
 	// Every variant keeps SpotWeb's CI padding (§4.3's over-provisioning is
 	// part of the system); only the underlying forecast quality varies.
-	reactive := autoscale.NewSpotWeb(portfolio.Config{Horizon: 4, ChurnKappa: 0.05, DisableWarmStart: opt.ColdStart, KKT: opt.KKT},
-		cat, predict.NewPadded(&predict.Reactive{}, 0.99, 4), portfolio.ReactiveSource{Cat: cat})
-	rres := mustRun(cat, wl, reactive, opt, true)
+	rres := runSpotWeb(opt, sim.Config{}, portfolio.Config{Horizon: 4, ChurnKappa: 0.05}, cat, wl,
+		predict.NewPadded(&predict.Reactive{}, 0.99, 4), portfolio.ReactiveSource{Cat: cat})
 	res := Fig7aResult{ReactiveCost: CostWithPenalty(rres, 0.02)}
 
 	for _, e := range errs {
-		pol := autoscale.NewSpotWeb(portfolio.Config{Horizon: 4, ChurnKappa: 0.05, DisableWarmStart: opt.ColdStart, KKT: opt.KKT},
-			cat,
+		r := runSpotWeb(opt, sim.Config{}, portfolio.Config{Horizon: 4, ChurnKappa: 0.05}, cat, wl,
 			predict.NewPadded(&predict.NoisyOracle{
 				Oracle: predict.Oracle{Values: wl.Values}, RelError: e}, 0.99, 4),
 			portfolio.NoisySource{Base: portfolio.OracleSource{Cat: cat}, RelError: e, Seed: uint64(opt.RunSeed())})
-		r := mustRun(cat, wl, pol, opt, true)
 		res.RelErrors = append(res.RelErrors, e)
 		res.SavingsPct = append(res.SavingsPct, 100*Savings(CostWithPenalty(r, 0.02), res.ReactiveCost))
 	}
@@ -126,7 +123,7 @@ func Fig7b(w io.Writer, opt Options) Fig7bResult {
 				in.FailProb = append(in.FailProb, fails)
 			}
 			cfg := portfolio.Config{Horizon: h, ChurnKappa: 0.05, Parallelism: opt.Parallelism,
-				DisableWarmStart: opt.ColdStart, KKT: opt.KKT}
+				DisableWarmStart: opt.ColdStart}
 			var ms []float64
 			for r := 0; r < reps; r++ {
 				start := time.Now()

@@ -188,21 +188,6 @@ func TestKKTAutoSelection(t *testing.T) {
 	}
 }
 
-func TestParseKKTPath(t *testing.T) {
-	for in, want := range map[string]KKTPath{"": KKTAuto, "auto": KKTAuto, "dense": KKTDense, "sparse": KKTSparse} {
-		got, err := ParseKKTPath(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseKKTPath(%q) = %v, %v", in, got, err)
-		}
-		if in != "" && got.String() != in {
-			t.Fatalf("KKTPath(%v).String() = %q, want %q", got, got.String(), in)
-		}
-	}
-	if _, err := ParseKKTPath("bogus"); err == nil {
-		t.Fatal("bogus path accepted")
-	}
-}
-
 // Each ADMM solve must export its executed backend as the path label on
 // spotweb_solver_kkt_path; FISTA rounds (no KKT system) must not tick it.
 func TestKKTPathMetric(t *testing.T) {

@@ -48,7 +48,7 @@ const (
 	KKTSparse
 )
 
-// String implements fmt.Stringer (the value used for flags and metrics).
+// String implements fmt.Stringer (the value used for metrics).
 func (k KKTPath) String() string {
 	switch k {
 	case KKTDense:
@@ -58,20 +58,6 @@ func (k KKTPath) String() string {
 	default:
 		return "auto"
 	}
-}
-
-// ParseKKTPath maps the flag spelling ("auto", "dense", "sparse") to a
-// KKTPath.
-func ParseKKTPath(s string) (KKTPath, error) {
-	switch s {
-	case "", "auto":
-		return KKTAuto, nil
-	case "dense":
-		return KKTDense, nil
-	case "sparse":
-		return KKTSparse, nil
-	}
-	return KKTAuto, fmt.Errorf("portfolio: unknown KKT path %q (want auto, dense or sparse)", s)
 }
 
 // Config holds the optimizer parameters. Zero values take the paper's §6

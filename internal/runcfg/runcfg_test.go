@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/market"
 	"repro/internal/portfolio"
+	"repro/internal/sim"
 )
 
 func TestBindFlagsDefaultsArePaperConfig(t *testing.T) {
@@ -15,10 +16,7 @@ func TestBindFlagsDefaultsArePaperConfig(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	rc, err := f.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc := f.Config()
 	want := RunConfig{Seed: 42, HighUtil: 0.85, WarningSec: 120}
 	if rc != want {
 		t.Fatalf("defaults = %+v, want %+v", rc, want)
@@ -30,20 +28,17 @@ func TestBindFlagsParsesOverrides(t *testing.T) {
 	f := BindFlags(fs)
 	args := []string{
 		"-quick", "-seed", "7", "-parallelism", "4", "-high-util", "0.7",
-		"-warning", "30", "-warm-start=false", "-kkt", "sparse",
+		"-warning", "30", "-warm-start=false",
 		"-risk", "-risk-quantile", "0.95", "-risk-halflife", "12",
 		"-anchor-min", "0.3", "-sentinel",
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	rc, err := f.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc := f.Config()
 	want := RunConfig{
 		Quick: true, Seed: 7, Parallelism: 4, HighUtil: 0.7, WarningSec: 30,
-		ColdStart: true, KKT: portfolio.KKTSparse, Risk: true,
+		ColdStart: true, Risk: true,
 		RiskQuantile: 0.95, RiskHalfLife: 12, AnchorMin: 0.3, Sentinel: true,
 	}
 	if rc != want {
@@ -51,26 +46,16 @@ func TestBindFlagsParsesOverrides(t *testing.T) {
 	}
 }
 
-func TestConfigRejectsBadKKT(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	f := BindFlags(fs)
-	if err := fs.Parse([]string{"-kkt", "frobnicate"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Config(); err == nil {
-		t.Fatal("want error for unknown -kkt value")
-	}
-}
-
 func TestDaemonFlagsOmitRunShapeKnobs(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	BindDaemonFlags(fs)
-	for _, name := range []string{"quick", "warning"} {
+	// -kkt selected an ADMM backend no binary can reach; it is gone for good.
+	for _, name := range []string{"quick", "warning", "kkt"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("daemon flag set must not define -%s", name)
 		}
 	}
-	for _, name := range []string{"seed", "high-util", "kkt", "sentinel", "risk"} {
+	for _, name := range []string{"seed", "high-util", "sentinel", "risk"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("daemon flag set missing -%s", name)
 		}
@@ -86,15 +71,50 @@ func TestRunSeedDefault(t *testing.T) {
 	}
 }
 
-func TestAnchorNeedsOnDemandMarket(t *testing.T) {
+func TestPlannerAnchorNeedsOnDemandMarket(t *testing.T) {
 	allSpot := &market.Catalog{Markets: []*market.Market{{Transient: true}}}
 	mixed := &market.Catalog{Markets: []*market.Market{{Transient: true}, {Transient: false}}}
 	o := RunConfig{AnchorMin: 0.25}
-	if cfg := o.Anchor(portfolio.Config{}, allSpot); cfg.AMinOnDemand != 0 {
+	if cfg := o.Planner(portfolio.Config{}, allSpot); cfg.AMinOnDemand != 0 {
 		t.Fatalf("anchor applied on all-spot catalog: %v", cfg.AMinOnDemand)
 	}
-	if cfg := o.Anchor(portfolio.Config{}, mixed); cfg.AMinOnDemand != 0.25 {
+	if cfg := o.Planner(portfolio.Config{}, mixed); cfg.AMinOnDemand != 0.25 {
 		t.Fatalf("anchor not applied on mixed catalog: %v", cfg.AMinOnDemand)
+	}
+}
+
+// TestLegWiring pins the one RunConfig → (portfolio.Config, risk.Estimator,
+// sim.Config) mapping every simulated leg goes through: the zero value
+// changes nothing, and each knob lands on the field it names.
+func TestLegWiring(t *testing.T) {
+	cat := market.CatalogConfig{Seed: 1, NumTypes: 2, IncludeOnDemand: true, Hours: 8}.Generate()
+	base := portfolio.Config{Horizon: 3, AMaxPerMarket: 0.4}
+	leg := sim.Config{Seed: 9, TransiencyAware: true, SubSteps: 20}
+
+	var zero RunConfig
+	if got := zero.Planner(base, cat); got != base {
+		t.Fatalf("zero RunConfig changed the planner config: %+v", got)
+	}
+	if zero.Estimator(cat) != nil {
+		t.Fatal("zero RunConfig built an estimator")
+	}
+	if got := zero.Sim(leg, nil); got.Seed != 9 || got.SubSteps != 20 || !got.TransiencyAware ||
+		got.HighUtil != 0 || got.WarningSec != 0 || got.Sentinel || got.Risk != nil {
+		t.Fatalf("zero RunConfig changed the sim config: %+v", got)
+	}
+
+	o := RunConfig{Parallelism: 4, ColdStart: true, AnchorMin: 0.3, HighUtil: 0.7, WarningSec: 30, Sentinel: true, Risk: true}
+	pc := o.Planner(base, cat)
+	if !pc.DisableWarmStart || pc.Parallelism != 4 || pc.AMinOnDemand != 0.3 || pc.Horizon != 3 {
+		t.Fatalf("planner config = %+v", pc)
+	}
+	est := o.Estimator(cat)
+	if est == nil {
+		t.Fatal("Risk set but no estimator")
+	}
+	sc := o.Sim(leg, est)
+	if sc.HighUtil != 0.7 || sc.WarningSec != 30 || !sc.Sentinel || sc.Risk != sim.RiskObserver(est) || sc.Seed != 9 {
+		t.Fatalf("sim config = %+v", sc)
 	}
 }
 

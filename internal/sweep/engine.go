@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/chaos/runner"
-	"repro/internal/market"
 	"repro/internal/parallel"
 	"repro/internal/sim"
 )
@@ -73,9 +72,9 @@ const StatsSchema = "spotweb-sweep-stats/v1"
 //
 // Execution is grouped by (seed index, variant): each group runs its
 // scenarios in order on one worker, so the group's single fault-free
-// baseline leg is computed once and reused across all of its standard
-// scenarios, and each worker drives every cell through one reusable
-// sim.Scratch. Cell results depend only on the grid (never on scheduling),
+// baseline leg is computed once and reused across all of its scenarios whose
+// env marks that leg scenario-independent, and each worker drives every cell
+// through one reusable sim.Scratch. Cell results depend only on the grid (never on scheduling),
 // so artifacts are byte-identical at any worker count.
 func Run(grid Grid, opts Options) (*Artifact, Stats, error) {
 	start := time.Now()
@@ -93,19 +92,12 @@ func Run(grid Grid, opts Options) (*Artifact, Stats, error) {
 
 	// Resolve every scenario once, up front.
 	scs := make([]*chaos.Scenario, len(grid.Scenarios))
-	allStandard := true
 	for i, name := range grid.Scenarios {
 		sc, err := chaos.Resolve(name)
 		if err != nil {
 			return nil, stats, err
 		}
 		scs[i] = sc
-		if !runner.IsStandard(sc) {
-			allStandard = false
-		}
-	}
-	if (grid.Hours > 0 || grid.SubSteps > 0) && !allStandard {
-		return nil, stats, fmt.Errorf("sweep: Hours/SubSteps overrides require standard scenarios")
 	}
 
 	variants := len(grid.Variants)
@@ -113,27 +105,21 @@ func Run(grid Grid, opts Options) (*Artifact, Stats, error) {
 	stats.TotalCells = total
 
 	// Derive the seed axis and precompile the shared immutable inputs: one
-	// catalog per seed index, one StandardEnv per (scenario, seed). Synthetic
-	// (cellHook) runs skip the compile.
+	// standard catalog per seed index, one Env per (scenario, seed).
+	// Synthetic (cellHook) runs skip the compile.
 	seeds := make([]int64, grid.Seeds)
 	for i := range seeds {
 		seeds[i] = SeedFor(grid.BaseSeed, i)
 	}
-	var envs [][]*runner.StandardEnv // [seedIdx][scenIdx]; nil for non-standard
+	var envs [][]*runner.Env // [seedIdx][scenIdx]
 	if opts.cellHook == nil {
 		hours := grid.hours()
-		envs = make([][]*runner.StandardEnv, grid.Seeds)
+		envs = make([][]*runner.Env, grid.Seeds)
 		for si := range seeds {
-			envs[si] = make([]*runner.StandardEnv, len(scs))
-			var cat *market.Catalog // one shared catalog per seed index
+			envs[si] = make([]*runner.Env, len(scs))
+			cat := runner.StandardCatalog(seeds[si], hours)
 			for ci, sc := range scs {
-				if !runner.IsStandard(sc) {
-					continue
-				}
-				if cat == nil {
-					cat = runner.StandardCatalog(seeds[si], hours)
-				}
-				env, err := runner.NewStandardEnvWithCatalog(sc, seeds[si], hours, cat)
+				env, err := runner.NewEnv(sc, seeds[si], hours, cat)
 				if err != nil {
 					return nil, stats, err
 				}
@@ -231,21 +217,11 @@ func Run(grid Grid, opts Options) (*Artifact, Stats, error) {
 				ref := CellRef{Scenario: grid.Scenarios[ci], SeedIdx: seedIdx, Variant: variant.Name}
 				var cr CellResult
 				var err error
-				switch {
-				case opts.cellHook != nil:
+				if opts.cellHook != nil {
 					cr, err = opts.cellHook(ref, seed)
-				case envs[seedIdx][ci] != nil:
-					opt := runner.OptionsFrom(scs[ci], variant.Config)
+				} else {
 					var rep *chaos.Report
-					rep, baseline, err = runner.RunStandard(envs[seedIdx][ci], opt, scratch, baseline)
-					if err == nil {
-						cr, err = toCellResult(ref, seed, rep, grid.KeepReports)
-					}
-				default:
-					opt := runner.OptionsFrom(scs[ci], variant.Config)
-					opt.Seed, opt.Quick = seed, grid.Quick
-					var rep *chaos.Report
-					rep, err = runner.RunSim(opt)
+					rep, baseline, err = runner.Run(envs[seedIdx][ci], variant.Config, scratch, baseline)
 					if err == nil {
 						cr, err = toCellResult(ref, seed, rep, grid.KeepReports)
 					}

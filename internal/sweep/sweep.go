@@ -7,13 +7,12 @@
 //
 //  1. Per-cell reproducibility. Each cell's seed is FNV-derived from its
 //     grid coordinates (SeedFor), and every cell executes on exactly the
-//     code path a standalone run uses (runner.RunStandard / runner.RunSim),
-//     so RunCell reproduces any cell of any sweep byte-for-byte without
-//     re-running the grid.
+//     code path a standalone run uses (runner.Run), so RunCell reproduces
+//     any cell of any sweep byte-for-byte without re-running the grid.
 //
 //  2. Shared immutable inputs. All cells at one seed index share one
-//     market.Catalog, and each (scenario, seed) pair compiles its chaos
-//     timeline into a runner.StandardEnv exactly once; workers reuse one
+//     standard market.Catalog, and each (scenario, seed) pair compiles its
+//     chaos timeline into a runner.Env exactly once; workers reuse one
 //     sim.Scratch each, so the steady-state hot path allocates nothing.
 //
 //  3. Deterministic artifacts. The artifact contains no wall-clock data and
@@ -66,8 +65,7 @@ type Grid struct {
 	Quick bool `json:"quick,omitempty"`
 	// Hours, when positive, overrides the run length outright, and SubSteps
 	// the within-interval resolution (default 60) — the knobs benchmark
-	// grids use to trade fidelity for cell throughput. Only standard
-	// scenarios accept these overrides.
+	// grids use to trade fidelity for cell throughput.
 	Hours    int `json:"hours,omitempty"`
 	SubSteps int `json:"sub_steps,omitempty"`
 	// KeepReports embeds each cell's full encoded chaos report in the
@@ -75,7 +73,7 @@ type Grid struct {
 	KeepReports bool `json:"keep_reports,omitempty"`
 }
 
-// hours is the effective run length of the grid's standard cells.
+// hours is the effective run length of the grid's cells.
 func (g Grid) hours() int {
 	if g.Hours > 0 {
 		return g.Hours
@@ -161,8 +159,9 @@ func BuiltinVariant(name string) (Variant, error) {
 	return Variant{}, fmt.Errorf("sweep: unknown built-in variant %q (have %v)", name, names)
 }
 
-// StandardSuiteScenarios are the built-in chaos scenarios on the standard
-// (cacheable) simulation path — the scenario axis of the benchmark grid.
+// StandardSuiteScenarios are the built-in chaos scenarios that run on the
+// standard catalog and so share one fault-free baseline per (seed, variant)
+// — the scenario axis of the benchmark grid.
 func StandardSuiteScenarios() []string {
 	return []string{"combined", "flap", "late-warning", "price-spike", "storm"}
 }
@@ -359,21 +358,12 @@ func RunCell(g Grid, ref CellRef) (*chaos.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := SeedFor(g.BaseSeed, ref.SeedIdx)
-	opt := runner.OptionsFrom(sc, variant.Config)
-	opt.Seed, opt.Quick = seed, g.Quick
-	if !runner.IsStandard(sc) {
-		if g.Hours > 0 || g.SubSteps > 0 {
-			return nil, fmt.Errorf("sweep: Hours/SubSteps overrides require standard scenarios (%q is not)", sc.Name)
-		}
-		return runner.RunSim(opt)
-	}
-	env, err := runner.NewStandardEnv(sc, seed, g.hours())
+	env, err := runner.NewEnv(sc, SeedFor(g.BaseSeed, ref.SeedIdx), g.hours(), nil)
 	if err != nil {
 		return nil, err
 	}
 	env.SubSteps = g.SubSteps
-	rep, _, err := runner.RunStandard(env, opt, nil, nil)
+	rep, _, err := runner.Run(env, variant.Config, nil, nil)
 	return rep, err
 }
 

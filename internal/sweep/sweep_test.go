@@ -10,7 +10,7 @@ import (
 	"repro/internal/runcfg"
 )
 
-// testGrid is the 256-cell determinism grid: 4 standard scenarios × 16 seeds
+// testGrid is the 256-cell determinism grid: 4 scenarios × 16 seeds
 // × 4 variants, shrunk to 12 intervals at 12 sub-steps so the whole sweep
 // runs in about a second.
 func testGrid() Grid {
@@ -125,50 +125,78 @@ func TestSweepMatchesStandaloneCell(t *testing.T) {
 	}
 }
 
-// TestSweepSpecialScenarioMatchesRunSim covers the non-cacheable path:
-// catalog-lie scenarios bypass the env cache and run wholesale, and still
-// match their standalone reports.
-func TestSweepSpecialScenarioMatchesRunSim(t *testing.T) {
+// TestSweepEveryScenarioKind: catalog-lie and region-outage scenarios are
+// cells like any other — precompiled envs, per-worker scratch, Hours/SubSteps
+// overrides. A grid mixing them with a standard scenario (whose baseline is
+// cached across the group while theirs is not) encodes to the same bytes at
+// 1 and 4 workers and across a kill/resume, and every cell equals its
+// standalone RunCell reproduction at the same derived seed.
+func TestSweepEveryScenarioKind(t *testing.T) {
 	grid := Grid{
-		Name:        "lie-smoke",
-		Scenarios:   []string{"stale-catalog"},
-		Seeds:       1,
-		Variants:    []Variant{{Name: "default"}},
-		Quick:       true,
+		Name:      "kinds-12",
+		Scenarios: []string{"storm", "stale-catalog", "region-outage"},
+		Seeds:     2,
+		Variants: []Variant{
+			{Name: "default"},
+			{Name: "sentinel", Config: runcfg.RunConfig{Sentinel: true}},
+		},
+		Hours:       12,
+		SubSteps:    20,
 		KeepReports: true,
 	}
-	art, _, err := Run(grid, Options{Workers: 2})
+	encode := func(opts Options) []byte {
+		t.Helper()
+		art, _, err := Run(grid, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := art.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	art, _, err := Run(grid, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunCell(grid, art.Cells[0].CellRef)
+	want, err := art.EncodeJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rep.EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(encode(Options{Workers: 1}), want) {
+		t.Fatal("artifact differs between 1 and 4 workers")
 	}
-	if !bytes.Equal(b, art.Cells[0].Report) {
-		t.Fatal("lie-scenario sweep report differs from standalone")
-	}
-}
 
-// TestSweepHoursOverrideRejectedForSpecial: run-length overrides only apply
-// to standard scenarios; a grid mixing them with a catalog-lie scenario must
-// refuse rather than silently ignore the override.
-func TestSweepHoursOverrideRejectedForSpecial(t *testing.T) {
-	grid := Grid{
-		Scenarios: []string{"stale-catalog"},
-		Seeds:     1,
-		Variants:  []Variant{{Name: "default"}},
-		Hours:     12,
+	ck := filepath.Join(t.TempDir(), "sweep.ckpt")
+	if _, _, err := Run(grid, Options{Workers: 2, CheckpointPath: ck, StopAfter: 5}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("interrupted run: err=%v, want ErrStopped", err)
 	}
-	if _, _, err := Run(grid, Options{}); err == nil {
-		t.Fatal("Hours override on a lie scenario accepted")
+	if !bytes.Equal(encode(Options{Workers: 2, CheckpointPath: ck, Resume: true}), want) {
+		t.Fatal("resumed artifact differs from uninterrupted artifact")
 	}
-	if _, err := RunCell(grid, CellRef{Scenario: "stale-catalog", SeedIdx: 0, Variant: "default"}); err == nil {
-		t.Fatal("RunCell accepted Hours override on a lie scenario")
+
+	if len(art.Cells) != 12 {
+		t.Fatalf("got %d cells, want 12", len(art.Cells))
+	}
+	for _, cell := range art.Cells {
+		if cell.Seed != SeedFor(grid.BaseSeed, cell.SeedIdx) {
+			t.Fatalf("cell %v carries seed %d, want %d", cell.CellRef, cell.Seed, SeedFor(grid.BaseSeed, cell.SeedIdx))
+		}
+		rep, err := RunCell(grid, cell.CellRef)
+		if err != nil {
+			t.Fatalf("RunCell(%v): %v", cell.CellRef, err)
+		}
+		if rep.Intervals != 12 || rep.Seed != cell.Seed {
+			t.Fatalf("cell %v: report ran %d intervals at seed %d", cell.CellRef, rep.Intervals, rep.Seed)
+		}
+		b, err := rep.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, cell.Report) {
+			t.Fatalf("cell %v: standalone report differs from sweep report", cell.CellRef)
+		}
 	}
 }
 

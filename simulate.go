@@ -3,8 +3,7 @@ package spotweb
 import (
 	"fmt"
 
-	"repro/internal/portfolio"
-	"repro/internal/predict"
+	"repro/internal/autoscale"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -47,25 +46,12 @@ func Simulate(opt SimOptions) (*SimResult, error) {
 	if len(opt.Workload) < 2 {
 		return nil, fmt.Errorf("spotweb: SimOptions.Workload needs at least 2 intervals")
 	}
-	cfg := opt.Controller.Optimizer.WithDefaults()
-	wl := opt.Controller.Workload
-	if wl == nil {
-		wl = predict.NewSplinePredictor(predict.SplineConfig{
-			StepHrs: opt.Catalog.StepHrs,
-			ARLag1:  true,
-			CIProb:  0.99,
-		}, cfg.Horizon)
+	copt := opt.Controller
+	copt.Catalog = opt.Catalog
+	ctrl, err := NewController(copt)
+	if err != nil {
+		return nil, err
 	}
-	src := opt.Controller.Source
-	if src == nil {
-		switch opt.Controller.Prices {
-		case PriceReactive:
-			src = portfolio.ReactiveSource{Cat: opt.Catalog}
-		default:
-			src = portfolio.MeanRevertSource{Cat: opt.Catalog}
-		}
-	}
-	planner := portfolio.NewPlanner(cfg, opt.Catalog, wl, src)
 	s := &sim.Simulator{
 		Cfg: sim.Config{
 			Seed:             opt.Seed,
@@ -78,22 +64,7 @@ func Simulate(opt SimOptions) (*SimResult, error) {
 		Workload: &trace.Series{
 			Name: "workload", StepHrs: opt.Catalog.StepHrs, Values: opt.Workload,
 		},
-		Policy: plannerPolicy{planner: planner},
+		Policy: autoscale.Planner{Stepper: ctrl.planner, Label: "spotweb"},
 	}
 	return s.Run()
-}
-
-// plannerPolicy adapts the planner to sim.Policy.
-type plannerPolicy struct{ planner *portfolio.Planner }
-
-// Name implements sim.Policy.
-func (plannerPolicy) Name() string { return "spotweb" }
-
-// Decide implements sim.Policy.
-func (p plannerPolicy) Decide(t int, observed float64) ([]int, error) {
-	dec, err := p.planner.Step(t, observed)
-	if err != nil {
-		return nil, err
-	}
-	return dec.Counts, nil
 }

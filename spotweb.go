@@ -39,6 +39,7 @@ package spotweb
 import (
 	"fmt"
 
+	"repro/internal/autoscale"
 	"repro/internal/federation"
 	"repro/internal/lb"
 	"repro/internal/market"
@@ -151,16 +152,12 @@ type Decision struct {
 	Plan *Plan
 }
 
-// stepper is the planning interface shared by the single-catalog
-// portfolio.Planner and the sharded federation.Planner.
-type stepper interface {
-	Step(t int, actualLambda float64) (*portfolio.Decision, error)
-}
-
 // Controller is the SpotWeb control loop: predictors → MPO optimizer →
 // portfolio execution, one Step per monitoring interval.
 type Controller struct {
-	planner stepper
+	// planner is the single-catalog portfolio.Planner or, with a Federation,
+	// the sharded federation.Planner.
+	planner autoscale.Stepper
 	cat     *Catalog
 }
 
