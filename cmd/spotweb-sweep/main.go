@@ -27,17 +27,8 @@ import (
 )
 
 func main() {
-	gridPath := flag.String("grid", "", "path to a grid JSON file (overrides the axis flags)")
-	scenarios := flag.String("scenarios", strings.Join(sweep.StandardSuiteScenarios(), ","),
-		"comma-separated chaos scenario names or JSON file paths")
-	seeds := flag.Int("seeds", 8, "size of the seed axis")
-	variants := flag.String("variants", "", "comma-separated built-in variant names (default: all built-ins)")
-	baseSeed := flag.Int64("base-seed", 0, "offset for the FNV seed derivation")
-	name := flag.String("name", "sweep", "grid name recorded in the artifact")
-	quick := flag.Bool("quick", false, "CI-sized cells (36 intervals instead of 96)")
-	hours := flag.Int("hours", 0, "override run length in intervals")
-	subSteps := flag.Int("substeps", 0, "override within-interval sub-steps")
-	keep := flag.Bool("keep-reports", false, "embed each cell's full chaos report in the artifact (large)")
+	var gf gridFlags
+	gf.register(flag.CommandLine)
 	workers := flag.Int("workers", 4, "concurrent cell workers")
 	out := flag.String("out", "", "artifact output path (default stdout)")
 	ckPath := flag.String("checkpoint", "", "JSONL checkpoint file; completed cells are appended as they finish")
@@ -55,7 +46,7 @@ func main() {
 		return
 	}
 
-	grid, err := buildGrid(*gridPath, *scenarios, *variants, *name, *seeds, *baseSeed, *quick, *hours, *subSteps, *keep)
+	grid, err := gf.build()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -123,32 +114,56 @@ func main() {
 	}
 }
 
-// buildGrid assembles the grid from a JSON file or the axis flags. A file
-// grid still honors explicit run-shape overrides passed alongside it.
-func buildGrid(path, scenarios, variants, name string, seeds int, baseSeed int64, quick bool, hours, subSteps int, keep bool) (sweep.Grid, error) {
+// gridFlags are the flags that shape the grid.
+type gridFlags struct {
+	path, scenarios, variants, name string
+	seeds                           int
+	baseSeed                        int64
+	quick, keep                     bool
+	hours, subSteps                 int
+}
+
+func (f *gridFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.path, "grid", "", "path to a grid JSON file (overrides the axis flags)")
+	fs.StringVar(&f.scenarios, "scenarios", strings.Join(sweep.StandardSuiteScenarios(), ","),
+		"comma-separated chaos scenario names or JSON file paths")
+	fs.IntVar(&f.seeds, "seeds", 8, "size of the seed axis")
+	fs.StringVar(&f.variants, "variants", "", "comma-separated built-in variant names (default: all built-ins)")
+	fs.Int64Var(&f.baseSeed, "base-seed", 0, "offset for the FNV seed derivation")
+	fs.StringVar(&f.name, "name", "sweep", "grid name recorded in the artifact")
+	fs.BoolVar(&f.quick, "quick", false, "CI-sized cells (36 intervals instead of 96)")
+	fs.IntVar(&f.hours, "hours", 0, "override run length in intervals (0 = the grid's own)")
+	fs.IntVar(&f.subSteps, "substeps", 0, "override within-interval sub-steps (0 = the grid's own)")
+	fs.BoolVar(&f.keep, "keep-reports", false, "embed each cell's full chaos report in the artifact (large)")
+}
+
+// build assembles the grid from a JSON file or the axis flags. A file grid
+// still honors explicit run-shape overrides passed alongside it; a negative
+// override reaches Validate, which rejects it as it does in a grid file.
+func (f *gridFlags) build() (sweep.Grid, error) {
 	var g sweep.Grid
-	if path != "" {
-		data, err := os.ReadFile(path)
+	if f.path != "" {
+		data, err := os.ReadFile(f.path)
 		if err != nil {
 			return g, err
 		}
 		dec := json.NewDecoder(strings.NewReader(string(data)))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&g); err != nil {
-			return g, fmt.Errorf("parse grid %s: %v", path, err)
+			return g, fmt.Errorf("parse grid %s: %v", f.path, err)
 		}
 	} else {
 		g = sweep.Grid{
-			Name:      name,
-			Scenarios: splitList(scenarios),
-			Seeds:     seeds,
-			BaseSeed:  baseSeed,
-			Quick:     quick,
+			Name:      f.name,
+			Scenarios: splitList(f.scenarios),
+			Seeds:     f.seeds,
+			BaseSeed:  f.baseSeed,
+			Quick:     f.quick,
 		}
-		if variants == "" {
+		if f.variants == "" {
 			g.Variants = sweep.BuiltinVariants()
 		} else {
-			for _, vn := range splitList(variants) {
+			for _, vn := range splitList(f.variants) {
 				v, err := sweep.BuiltinVariant(vn)
 				if err != nil {
 					return g, err
@@ -157,13 +172,13 @@ func buildGrid(path, scenarios, variants, name string, seeds int, baseSeed int64
 			}
 		}
 	}
-	if hours > 0 {
-		g.Hours = hours
+	if f.hours != 0 {
+		g.Hours = f.hours
 	}
-	if subSteps > 0 {
-		g.SubSteps = subSteps
+	if f.subSteps != 0 {
+		g.SubSteps = f.subSteps
 	}
-	if keep {
+	if f.keep {
 		g.KeepReports = true
 	}
 	return g, g.Validate()

@@ -37,17 +37,19 @@ type Event struct {
 // Journal is a bounded, ordered, concurrent-safe event log: the newest
 // `capacity` events are retained in a ring; per-type lifetime counts
 // survive eviction (so /metrics totals stay monotone even after the ring
-// wraps). All methods are nil-receiver no-ops, making an unset journal
+// wraps). The ring grows by append until it holds `capacity` events and only
+// then wraps, so a journal costs what it has recorded, not what it may
+// retain. All methods are nil-receiver no-ops, making an unset journal
 // free on the paths that record into it.
 type Journal struct {
-	mu     sync.Mutex
-	buf    []Event
-	head   int // index of the oldest event when full
-	n      int
-	seq    int64
-	counts map[string]int64
-	now    func() time.Time
-	subs   []*Subscription
+	mu       sync.Mutex
+	buf      []Event // the retained events; len(buf) ≤ capacity
+	capacity int
+	head     int // index of the oldest event once the ring is full; 0 before
+	seq      int64
+	counts   map[string]int64
+	now      func() time.Time
+	subs     []*Subscription
 }
 
 // NewJournal returns a journal retaining the newest `capacity` events
@@ -57,9 +59,9 @@ func NewJournal(capacity int) *Journal {
 		capacity = 1024
 	}
 	return &Journal{
-		buf:    make([]Event, capacity),
-		counts: make(map[string]int64),
-		now:    time.Now,
+		capacity: capacity,
+		counts:   make(map[string]int64),
+		now:      time.Now,
 	}
 }
 
@@ -88,9 +90,8 @@ func (j *Journal) Record(typ string, backend, market int, detail string) {
 		Market:  market,
 		Detail:  detail,
 	}
-	if j.n < len(j.buf) {
-		j.buf[(j.head+j.n)%len(j.buf)] = ev
-		j.n++
+	if len(j.buf) < j.capacity {
+		j.buf = append(j.buf, ev)
 	} else {
 		j.buf[j.head] = ev
 		j.head = (j.head + 1) % len(j.buf)
@@ -215,11 +216,9 @@ func (j *Journal) Events() []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]Event, j.n)
-	for i := 0; i < j.n; i++ {
-		out[i] = j.buf[(j.head+i)%len(j.buf)]
-	}
-	return out
+	out := make([]Event, 0, len(j.buf))
+	out = append(out, j.buf[j.head:]...)
+	return append(out, j.buf[:j.head]...)
 }
 
 // Counts returns a copy of the lifetime per-type event counts.
@@ -243,5 +242,5 @@ func (j *Journal) Len() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.n
+	return len(j.buf)
 }

@@ -108,8 +108,8 @@ func TestCompactSolveNothingIsolated(t *testing.T) {
 	}
 }
 
-// TestPlannerRiskCoupledGauge: whether the compact matvec and the live-list
-// projection engaged on the last round is readable from /metrics, and a nil
+// TestPlannerRiskCoupledGauge: whether the compact matvec and the projection's
+// certificate engaged on the last round is readable from /metrics, and a nil
 // registry stays free.
 func TestPlannerRiskCoupledGauge(t *testing.T) {
 	cat := twinCatalog(5)
@@ -126,16 +126,17 @@ func TestPlannerRiskCoupledGauge(t *testing.T) {
 	if got := reg.Gauge("spotweb_planner_risk_coupled_markets", "").Value(); got != 5 || dec.Plan.RiskCoupled != 5 {
 		t.Fatalf("risk_coupled_markets gauge = %v, Plan.RiskCoupled = %d, want 5 of %d markets", got, dec.Plan.RiskCoupled, cat.Len())
 	}
-	// Likewise for the projection: a sparse portfolio's bisections compact.
+	// Likewise for the projection: its bisections read most answers off the
+	// certificate.
 	st := dec.Plan.Projection
-	if got := reg.Gauge("spotweb_planner_projection_live_share", "").Value(); got != st.LiveShare() || st.Compactions == 0 || got > 0.5 {
-		t.Fatalf("projection_live_share gauge = %v, Plan.Projection = %+v (live share %v); want the same share, at most ½",
-			got, st, st.LiveShare())
+	if got := reg.Gauge("spotweb_planner_projection_passes", "").Value(); got != st.PassesPerProjection() || st.Projections == 0 || got >= 15 {
+		t.Fatalf("projection_passes gauge = %v, Plan.Projection = %+v (%v passes per projection); want the same, under 15",
+			got, st, st.PassesPerProjection())
 	}
 }
 
 // TestCompactSolveSteadyStateZeroAlloc: with the compact stacked operator and
-// the compacting live-list projections in place a FISTA iteration still
+// the certified-bracket projections in place a FISTA iteration still
 // allocates nothing — 500 extra iterations cost no object (solver.TestKKTFISTASteadyStateZeroAlloc is the solver-level twin).
 func TestCompactSolveSteadyStateZeroAlloc(t *testing.T) {
 	prev := linalg.ActivePool()
@@ -146,8 +147,8 @@ func TestCompactSolveSteadyStateZeroAlloc(t *testing.T) {
 	in, _ := b.Build(24*15, 4, sineLoad(0))
 	in.Risk = cat.CovarianceMatrix(24*15, cat.TwoWeekWindow())
 	// With risk weighted this heavily the solve needs ≈ 1,700 iterations, so
-	// both budgets below run their full iteration count, and its iterates are
-	// sparse enough that the projections compact from the first iterations on.
+	// both budgets below run their full iteration count, and its projections
+	// bisect from the first iterations on.
 	cfg := Config{Horizon: 4, Alpha: 1e5}
 	measure := func(iters int) float64 {
 		cfg.MaxIter = iters
@@ -156,9 +157,9 @@ func TestCompactSolveSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		if plan.Iterations != iters || plan.Status != solver.StatusMaxIterations || plan.RiskCoupled != cat.Len()/2 ||
-			plan.Projection.Compactions < iters {
-			t.Fatalf("MaxIter %d: ran %d iterations (%v) over %d coupled markets with %d live-list compactions; the test needs a full-length compact solve whose projections compact",
-				iters, plan.Iterations, plan.Status, plan.RiskCoupled, plan.Projection.Compactions)
+			plan.Projection.Projections < iters || plan.Projection.PassesPerProjection() >= 15 {
+			t.Fatalf("MaxIter %d: ran %d iterations (%v) over %d coupled markets with %+v (%.1f real passes per bisected projection); the test needs a full-length compact solve whose projections bisect at under 15",
+				iters, plan.Iterations, plan.Status, plan.RiskCoupled, plan.Projection, plan.Projection.PassesPerProjection())
 		}
 		return testing.AllocsPerRun(3, func() { Optimize(cfg, in) })
 	}

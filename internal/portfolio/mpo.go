@@ -37,9 +37,10 @@ type Plan struct {
 	// diagonal (every on-demand market). Equals the market count when nothing
 	// was skipped (and always for ADMM or a caller-supplied RiskOp).
 	RiskCoupled int
-	// Projection counts what the FISTA projections' live-list bisections
-	// dropped (zero for ADMM): Projection.LiveShare() well below 1 means the
-	// iterates were sparse and the bisections summed only the live markets.
+	// Projection counts the FISTA projections that bisected, their real passes
+	// and grid jumps (zero for ADMM): Projection.PassesPerProjection() ≈ 6
+	// means the bisection's certificate answered its queries, ≈ 50 that every
+	// query was evaluated.
 	Projection solver.ProjectionStats
 	// warm is the solver state that can seed the next receding-horizon
 	// round (Planner shifts it one period before reuse).

@@ -263,9 +263,9 @@ func (p *Planner) recordMetrics(t int, plan *Plan, in *Inputs) {
 	m.Gauge("spotweb_planner_risk_coupled_markets",
 		"Markets the last solve's risk matvec multiplied (fewer than the catalog when isolated on-demand markets were skipped).").
 		Set(float64(plan.RiskCoupled))
-	m.Gauge("spotweb_planner_projection_live_share",
-		"Share of coordinates the last solve's projection bisections kept when they compacted their live lists (1 = never compacted: dense iterates or ADMM).").
-		Set(plan.Projection.LiveShare())
+	m.Gauge("spotweb_planner_projection_passes",
+		"Real O(n) passes per bisected projection in the last solve (≈ 6: the bisection's certificate answered its queries; ≈ 50: every query was evaluated; 0: nothing bisected, or ADMM).").
+		Set(plan.Projection.PassesPerProjection())
 	m.Gauge("spotweb_plan_interval", "Planning interval index of the last solve.").Set(float64(t))
 
 	// Plan churn: L1 distance between consecutive executed allocations —

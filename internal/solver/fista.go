@@ -208,7 +208,7 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 			p.C.Project(v)
 		}
 	}
-	// BoxBand and ProductSet count their live-list compactions over their
+	// BoxBand and ProductSet count their projections' passes over their
 	// lifetime; the solve reports its own share.
 	counter, counted := p.C.(interface{ Stats() ProjectionStats })
 	var statsBefore ProjectionStats

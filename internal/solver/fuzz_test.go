@@ -78,7 +78,9 @@ func FuzzRuizEquilibrate(f *testing.F) {
 
 // FuzzBoxBandProject checks the projection invariants (feasibility and
 // idempotence) on arbitrary inputs, and that every output equals the plain
-// all-coordinates bisection (oracleProject) bit for bit.
+// pass-per-query bisection (oracleProject) bit for bit — for the input and
+// for a nearby one projected next on the same set, which starts from the
+// guess the first left behind.
 func FuzzBoxBandProject(f *testing.F) {
 	f.Add(0.5, 1.5, 0.8, -2.0, 3.0, 0.2)
 	f.Add(0.0, 1.0, 1.0, 0.0, 0.0, 0.0)
@@ -103,6 +105,7 @@ func FuzzBoxBandProject(f *testing.F) {
 		}
 		x := linalg.Vector{x0, x1, x2}
 		checkProjectBits(t, "fuzz", set, x)
+		checkProjectBits(t, "fuzz, drifted", set, linalg.Vector{x0 + 1e-3*x1, x1 - 1e-3*x2, x2 + 1e-6*cap})
 		set.Project(x)
 		var sum float64
 		for i, v := range x {

@@ -284,8 +284,9 @@ func TestKKTFISTASteadyStateZeroAlloc(t *testing.T) {
 	}
 	measure := func(iters int) float64 {
 		st := FISTASettings{MaxIter: iters, Tol: 1e-300}
-		if c := SolveFISTA(p, st).Projection.Compactions; c < iters {
-			t.Fatalf("MaxIter %d: %d live-list compactions; the test needs projections that compact every iteration", iters, c)
+		if ps := SolveFISTA(p, st).Projection; ps.Projections < iters || ps.PassesPerProjection() >= 15 {
+			t.Fatalf("MaxIter %d: %+v (%.1f real passes per bisected projection); the test needs projections that bisect every iteration at under 15",
+				iters, ps, ps.PassesPerProjection())
 		}
 		return testing.AllocsPerRun(3, func() { SolveFISTA(p, st) })
 	}

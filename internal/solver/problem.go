@@ -252,7 +252,7 @@ type Result struct {
 	// WarmStarted reports whether this solve was seeded from a prior
 	// WarmState (iterates, factorization or Lipschitz cache).
 	WarmStarted bool
-	// Projection counts the live-list compactions of the solve's projections
-	// (FISTA over a BoxBand or ProductSet; zero otherwise).
+	// Projection counts the solve's bisected projections, their real passes
+	// and grid jumps (FISTA over a BoxBand or ProductSet; zero otherwise).
 	Projection ProjectionStats
 }

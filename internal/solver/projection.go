@@ -33,39 +33,42 @@ type BoxBand struct {
 	bufA      linalg.Vector
 	bufO      linalg.Vector
 
-	// live is the bisection's index scratch (see projectPlain), allocated with
-	// the set so Project stays allocation-free; stats counts its compactions.
-	live  []int
-	stats ProjectionStats
+	// ordered records, once, that every Lo[i] ≤ Hi[i] — the precondition of
+	// the monotonicity projectPlain's certificate rests on. mu is the
+	// multiplier this set's last bisected projection returned: where the next
+	// one starts looking. stats counts the real passes.
+	ordered bool
+	mu      float64
+	stats   ProjectionStats
 }
 
-// ProjectionStats counts the work the projection bisections left out: every
-// time a bisection compacts its live list, Scanned grows by the coordinates
-// that were on the list and Kept by those that stayed. Kept/Scanned near 1
-// (or no compaction at all) means dense iterates; a sparse portfolio reads
-// well below ½.
+// ProjectionStats counts the projections that had to bisect for the budget
+// multiplier, the real O(n) passes they evaluated (the pass at μ = 0
+// included, the write-back not) and how many of them took the grid jump.
+// Passes/Projections ≈ 6 means the certificate answered the bisection's
+// queries; ≈ 50 means every query was evaluated.
 type ProjectionStats struct {
-	Compactions, Scanned, Kept int
+	Projections, Passes, Jumps int
 }
 
 // Add folds the counts of o into s.
 func (s *ProjectionStats) Add(o ProjectionStats) {
-	s.Compactions += o.Compactions
-	s.Scanned += o.Scanned
-	s.Kept += o.Kept
+	s.Projections += o.Projections
+	s.Passes += o.Passes
+	s.Jumps += o.Jumps
 }
 
 // since returns the counts accumulated after the earlier snapshot o.
 func (s ProjectionStats) since(o ProjectionStats) ProjectionStats {
-	return ProjectionStats{s.Compactions - o.Compactions, s.Scanned - o.Scanned, s.Kept - o.Kept}
+	return ProjectionStats{s.Projections - o.Projections, s.Passes - o.Passes, s.Jumps - o.Jumps}
 }
 
-// LiveShare is Kept/Scanned, and 1 when nothing was ever compacted.
-func (s ProjectionStats) LiveShare() float64 {
-	if s.Scanned == 0 {
-		return 1
+// PassesPerProjection is Passes/Projections, and 0 when nothing bisected.
+func (s ProjectionStats) PassesPerProjection() float64 {
+	if s.Projections == 0 {
+		return 0
 	}
-	return float64(s.Kept) / float64(s.Scanned)
+	return float64(s.Passes) / float64(s.Projections)
 }
 
 // NewBoxBand constructs the set; it panics on dimension mismatch and returns
@@ -74,11 +77,18 @@ func NewBoxBand(lo, hi linalg.Vector, sumLo, sumHi float64) *BoxBand {
 	if len(lo) != len(hi) {
 		panic("solver: BoxBand lo/hi length mismatch")
 	}
-	return &BoxBand{Lo: lo, Hi: hi, SumLo: sumLo, SumHi: sumHi, maxBisectIters: 100, live: make([]int, len(lo))}
+	ordered := true
+	for i := range lo {
+		if !(lo[i] <= hi[i]) { // also false for a NaN bound
+			ordered = false
+			break
+		}
+	}
+	return &BoxBand{Lo: lo, Hi: hi, SumLo: sumLo, SumHi: sumHi, maxBisectIters: 100, ordered: ordered}
 }
 
-// Stats returns the live-list counts of every projection run on this set so
-// far, including the anchored sub-blocks.
+// Stats returns the pass counts of every projection run on this set so far,
+// including the anchored sub-blocks.
 func (b *BoxBand) Stats() ProjectionStats {
 	st := b.stats
 	if b.subA != nil {
@@ -159,74 +169,178 @@ func (b *BoxBand) Feasible() bool {
 	return true
 }
 
-// clipSum returns Σ_i clip(y_i − mu, lo_i, hi_i).
-func (b *BoxBand) clipSum(y linalg.Vector, mu float64) float64 {
-	var s float64
+// clipSum returns g(μ) = Σ_i clip(y_i − μ, lo_i, hi_i), summed in index order,
+// and the number of coordinates strictly between their bounds (−g's slope at
+// μ).
+func (b *BoxBand) clipSum(y linalg.Vector, mu float64) (s float64, free int) {
 	for i, v := range y {
 		z := v - mu
 		if z < b.Lo[i] {
 			z = b.Lo[i]
 		} else if z > b.Hi[i] {
 			z = b.Hi[i]
+		} else if z != b.Lo[i] && z != b.Hi[i] {
+			free++
 		}
 		s += z
 	}
-	return s
+	return s, free
 }
 
-// clipSumCount is clipSum that also counts the coordinates clipped to a zero
-// lower bound — the ones a bisection whose muLo becomes mu can drop.
-func (b *BoxBand) clipSumCount(y linalg.Vector, mu float64) (s float64, dead int) {
-	for i, v := range y {
-		z := v - mu
-		if lo := b.Lo[i]; z < lo {
-			z = lo
-			if lo == 0 {
-				dead++
-			}
-		} else if z > b.Hi[i] {
-			z = b.Hi[i]
-		}
-		s += z
+// certificate is what the real passes of one projection have proved about g
+// against target. On an ordered box g is nonincreasing in μ as computed, not
+// only in exact arithmetic: fl(y_i − μ) is, clipping to lo_i ≤ hi_i keeps it
+// so, and the rounded sum of two nonincreasing terms is nonincreasing again
+// (DESIGN.md §5). One evaluated pass therefore settles every μ on its far
+// side:
+//
+//	μ ≤ gt          ⇒ g(μ) > target
+//	eqLo ≤ μ ≤ eqHi ⇒ g(μ) == target
+//	μ ≥ lt          ⇒ g(μ) < target
+//
+// off is set for a box that is not ordered and by a pass whose sum is NaN
+// (infinite terms of both signs): the certificate is emptied and stays empty,
+// so it answers nothing and every query is evaluated.
+type certificate struct {
+	target             float64
+	gt, eqLo, eqHi, lt float64
+	off                bool
+}
+
+// newCertificate knows nothing yet.
+func newCertificate(target float64, off bool) certificate {
+	return certificate{target: target, gt: math.Inf(-1), eqLo: math.Inf(1), eqHi: math.Inf(-1), lt: math.Inf(1), off: off}
+}
+
+// record adds what g(mu) == sum proves.
+func (c *certificate) record(mu, sum float64) {
+	switch {
+	case c.off:
+	case sum > c.target:
+		c.gt = max(c.gt, mu)
+	case sum < c.target:
+		c.lt = min(c.lt, mu)
+	case sum == c.target:
+		c.eqLo, c.eqHi = min(c.eqLo, mu), max(c.eqHi, mu)
+	default:
+		*c = newCertificate(c.target, true)
 	}
-	return s, dead
 }
 
-// clipSumLive is clipSumCount over the ascending index list live.
-func (b *BoxBand) clipSumLive(y linalg.Vector, mu float64, live []int) (s float64, dead int) {
-	for _, i := range live {
-		z := y[i] - mu
-		if lo := b.Lo[i]; z < lo {
-			z = lo
-			if lo == 0 {
-				dead++
-			}
-		} else if z > b.Hi[i] {
-			z = b.Hi[i]
-		}
-		s += z
+// ub is the smallest μ known to have g(μ) ≤ target.
+func (c *certificate) ub() float64 { return min(c.eqLo, c.lt) }
+
+// open reports whether a pass at mu could still tell the bisection something:
+// mu lies strictly between gt and ub (never for a NaN or infinite mu).
+func (c *certificate) open(mu float64) bool {
+	return !c.off && mu > c.gt && mu < c.ub()
+}
+
+// pass evaluates g(mu) for real and records what it proves.
+func (b *BoxBand) pass(y linalg.Vector, mu float64, c *certificate) (sum float64, free int) {
+	b.stats.Passes++
+	sum, free = b.clipSum(y, mu)
+	c.record(mu, sum)
+	return sum, free
+}
+
+// above answers g(mu) > target, from the certificate when it can.
+func (b *BoxBand) above(y linalg.Vector, mu float64, c *certificate) bool {
+	if mu <= c.gt {
+		return true
 	}
-	return s, dead
+	if mu >= c.ub() {
+		return false
+	}
+	sum, _ := b.pass(y, mu, c)
+	return sum > c.target
 }
 
-// compact drops from live (nil: all coordinates) every index that clips to a
-// zero Lo at muLo, in place in b.live, keeping ascending order.
-func (b *BoxBand) compact(y linalg.Vector, muLo float64, live []int) []int {
-	kept := b.live[:0]
-	if live == nil {
+// below answers g(mu) < target, from the certificate when it can.
+func (b *BoxBand) below(y linalg.Vector, mu float64, c *certificate) bool {
+	if mu >= c.lt {
+		return true
+	}
+	if mu <= max(c.gt, c.eqHi) {
+		return false
+	}
+	sum, _ := b.pass(y, mu, c)
+	return sum < c.target
+}
+
+// tighten spends a few real passes where the root is likely to be, so that
+// the bracket and bisection queries of projectPlain find their answers
+// certified. It decides nothing: a pass only adds to c what g proves at that
+// μ, so the projection does not depend on how well tighten guesses. sum and
+// free are those of the pass at μ = 0.
+//
+// Newton steps start from the multiplier of the set's previous projection
+// (from μ = 0 when that one is already settled) and stop when the step leaves
+// the open gap — g is piecewise linear, so a step taken on the root's piece
+// lands within rounding of it. That leaves one side of the root pinned at the
+// last pass; a probe walks outward from it, two rounding quanta first and 8×
+// further each time, until the other side is pinned too.
+func (b *BoxBand) tighten(y linalg.Vector, c *certificate, sum float64, free int) {
+	const newtonPasses, probePasses = 6, 4
+	at, next := 0.0, b.mu
+	if !c.open(next) {
+		next = b.newton(y, c, at, sum, free)
+	}
+	n := 0
+	for ; n < newtonPasses && c.open(next); n++ {
+		at = next
+		sum, free = b.pass(y, at, c)
+		next = b.newton(y, c, at, sum, free)
+	}
+	if n == 0 || c.open(next) {
+		return // nowhere to look, or not converged: ulp-sized probes cannot help
+	}
+	dir := -1.0
+	if sum > c.target {
+		dir = 1
+	}
+	// One quantum: an ulp of μ, or the change of μ that moves the sum an ulp.
+	d := 2 * (math.Abs(at) + math.Abs(c.target)/float64(max(free, 1))) * 0x1p-52
+	for k := 0; k < probePasses; k++ {
+		at += dir * d
+		if !c.open(at) {
+			return // the far side is already this close
+		}
+		if sum, _ = b.pass(y, at, c); (sum > c.target) != (dir > 0) {
+			return
+		}
+		d *= 8
+	}
+}
+
+// newton returns the root of the linear piece of g that the pass (at, sum,
+// free) saw: at + (sum − target)/free. On a flat piece (free == 0) it first
+// moves to the end of the piece on the root's side — the nearest μ at which a
+// coordinate at a bound leaves it, the left end when sum == target
+// because that is where the bisection converges — and assumes slope −1 from
+// there; ±Inf when no coordinate can move. The scan is counted as a pass.
+func (b *BoxBand) newton(y linalg.Vector, c *certificate, at, sum float64, free int) float64 {
+	if free > 0 {
+		return at + (sum-c.target)/float64(free)
+	}
+	b.stats.Passes++
+	var end float64
+	if sum > c.target {
+		end = math.Inf(1)
 		for i, v := range y {
-			if !(b.Lo[i] == 0 && v-muLo < 0) {
-				kept = append(kept, i)
+			if hi := b.Hi[i]; v-at >= hi && b.Lo[i] < hi {
+				end = min(end, v-hi)
 			}
 		}
 	} else {
-		for _, i := range live {
-			if !(b.Lo[i] == 0 && y[i]-muLo < 0) {
-				kept = append(kept, i)
+		end = math.Inf(-1)
+		for i, v := range y {
+			if lo := b.Lo[i]; v-at <= lo && lo < b.Hi[i] {
+				end = max(end, v-lo)
 			}
 		}
 	}
-	return kept
+	return end + (sum - c.target)
 }
 
 // Project projects y onto the set in place. The projection is the Euclidean
@@ -277,9 +391,12 @@ func (b *BoxBand) Project(y linalg.Vector) {
 	}
 }
 
-// projectPlain is the anchor-free box∩band projection.
+// projectPlain is the anchor-free box∩band projection: a bisection on μ whose
+// bracket-doubling loop, mid sequence, stop rule and write-back are the plain
+// ones, with each decision read from the certificate and a real pass only
+// when the queried μ falls in the gap the earlier passes left open.
 func (b *BoxBand) projectPlain(y linalg.Vector) {
-	s := b.clipSum(y, 0)
+	s, free := b.clipSum(y, 0)
 	var target float64
 	switch {
 	case s > b.SumHi:
@@ -290,13 +407,20 @@ func (b *BoxBand) projectPlain(y linalg.Vector) {
 		ProjectBox(y, b.Lo, b.Hi)
 		return
 	}
-	// Bracket μ. clipSum is nonincreasing in μ; find [muLo, muHi] such that
-	// clipSum(muLo) ≥ target ≥ clipSum(muHi).
+	b.stats.Projections++
+	b.stats.Passes++
+	c := newCertificate(target, !b.ordered)
+	c.record(0, s)
+	if !c.off {
+		b.tighten(y, &c, s, free)
+	}
+	// Bracket μ. g is nonincreasing in μ; find [muLo, muHi] such that
+	// g(muLo) ≥ target ≥ g(muHi).
 	muLo, muHi := 0.0, 0.0
-	if s > target {
+	if s > c.target {
 		// Need μ > 0. The largest useful μ drives everything to Lo.
 		muHi = 1.0
-		for b.clipSum(y, muHi) > target {
+		for b.above(y, muHi, &c) {
 			muHi *= 2
 			if muHi > 1e18 {
 				break
@@ -304,42 +428,32 @@ func (b *BoxBand) projectPlain(y linalg.Vector) {
 		}
 	} else {
 		muLo = -1.0
-		for b.clipSum(y, muLo) < target {
+		for b.below(y, muLo, &c) {
 			muLo *= 2
 			if muLo < -1e18 {
 				break
 			}
 		}
 	}
-	// The bisection sums only the coordinates that can still add a non-zero
-	// term. A coordinate with Lo == 0 and y − muLo < 0 clips to ±0 at every
-	// μ ≥ muLo — fl(y − μ) is nonincreasing in μ, and muLo only rises — and
-	// ±0 cannot change a sum that started at +0, so leaving it out of the
-	// ascending sum changes no bit (DESIGN.md §5). Each pass counts the
-	// coordinates it clipped to a zero Lo; when the pass raises muLo and at
-	// least half the list died, the list is compacted. Every compaction at
-	// least halves the list, so all of them together cost under two plain
-	// passes, and iterates with no such coordinates never leave the plain loop.
-	var live []int // nil: every coordinate is still summed
-	nLive := len(y)
-	for iter := 0; iter < b.maxBisectIters; iter++ {
+	// Grid jump. The bracket is [0, 2^k] or [−2^k, 0] with k ≥ 0, so every mid
+	// of the first 40 levels is a multiple of h = 2^(k−40) of magnitude at most
+	// 2^k — computed exactly — and the stop rule cannot fire on a width ≥ h ≈
+	// 9e-13·2^k against 1e-14·(1+|muLo|) ≤ 2e-14·2^k. The decisions are
+	// monotone on that grid, so those 40 steps end on the one cell whose left
+	// end is the bracket's or decides "above" and whose right end is the
+	// bracket's or decides "not above". lo and lo+h below are grid points
+	// whatever the rounding of the quotient; the comparisons verify the rest
+	// (and fail for an empty certificate: gt = −Inf).
+	iter := 0
+	h := (muHi - muLo) * 0x1p-40
+	if lo := muLo + h*math.Floor((c.gt-muLo)/h); muLo <= lo && lo <= c.gt && c.ub() <= lo+h && lo+h <= muHi {
+		muLo, muHi, iter = lo, lo+h, 40
+		b.stats.Jumps++
+	}
+	for ; iter < b.maxBisectIters; iter++ {
 		mid := 0.5 * (muLo + muHi)
-		var sum float64
-		var dead int
-		if live == nil {
-			sum, dead = b.clipSumCount(y, mid)
-		} else {
-			sum, dead = b.clipSumLive(y, mid, live)
-		}
-		if sum > target {
+		if b.above(y, mid, &c) {
 			muLo = mid
-			if dead > 0 && 2*dead >= nLive {
-				live = b.compact(y, muLo, live)
-				b.stats.Compactions++
-				b.stats.Scanned += nLive
-				b.stats.Kept += len(live)
-				nLive = len(live)
-			}
 		} else {
 			muHi = mid
 		}
@@ -348,6 +462,7 @@ func (b *BoxBand) projectPlain(y linalg.Vector) {
 		}
 	}
 	mu := 0.5 * (muLo + muHi)
+	b.mu = mu
 	for i, v := range y {
 		z := v - mu
 		if z < b.Lo[i] {
@@ -393,7 +508,7 @@ func (p *ProductSet) Feasible() bool {
 	return true
 }
 
-// Stats sums the blocks' live-list counts (see BoxBand.Stats).
+// Stats sums the blocks' pass counts (see BoxBand.Stats).
 func (p *ProductSet) Stats() ProjectionStats {
 	var st ProjectionStats
 	for _, b := range p.Blocks {

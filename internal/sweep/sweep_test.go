@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/runcfg"
@@ -325,5 +326,27 @@ func TestCheckpointRejectsForeignGrid(t *testing.T) {
 	other.BaseSeed = 777
 	if _, _, err := Run(other, Options{Workers: 1, CheckpointPath: ck, Resume: true}); err == nil {
 		t.Fatal("resume with a different grid accepted")
+	}
+}
+
+// TestCellAllocationBudget: bytes allocated per cell over one quick
+// chaos-suite batch, set-up included. A what-if leg used to allocate (and
+// zero) its whole 8,192-event journal ring up front — 655 KB of a cell's
+// 1,095 KB, for a few hundred events — so the budget sits about a quarter
+// above what a cell costs now and far below what it cost then.
+func TestCellAllocationBudget(t *testing.T) {
+	const budgetKB = 600 // measured 473
+	grid := ChaosSuiteGrid(4, true)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	art, _, err := Run(grid, Options{Workers: 2})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perCell := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / float64(len(art.Cells))
+	t.Logf("%.0f KB allocated per cell over %d cells", perCell, len(art.Cells))
+	if perCell > budgetKB {
+		t.Fatalf("%.0f KB allocated per cell, budget %d KB", perCell, budgetKB)
 	}
 }
