@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-warm bench-kkt bench-lb bench-fed bench-sweep bench-gate loadgen fmt vet fuzz-smoke smoke chaos chaos-golden risk-sim sweep ci
+.PHONY: build test race bench bench-warm bench-lb bench-fed bench-sweep bench-gate loadgen fmt vet fuzz-smoke smoke chaos chaos-golden risk-sim sweep ci
 
 build:
 	$(GO) build ./...
@@ -18,12 +18,6 @@ bench:
 # cold vs warm) at 50/200/500 markets — the DESIGN.md §9 numbers.
 bench-warm:
 	$(GO) test -run='^$$' -bench=RecedingHorizonColdVsWarm -benchtime=1x ./internal/portfolio/
-
-# bench-kkt compares the dense and structure-exploiting KKT backends of the
-# MPO ADMM solver (cold solve latency + allocated bytes) and writes the
-# go-test JSON stream to BENCH_kkt.json — the DESIGN.md §10 numbers.
-bench-kkt:
-	sh scripts/bench_kkt.sh
 
 # bench-lb regenerates the LB data-plane baseline (gate benchmarks + loadgen
 # max-RPS) into BENCH_lb.json — run after an intentional data-plane change.

@@ -48,6 +48,9 @@ func main() {
 	rc := rcFlags.Config()
 
 	scenarios, err := selectScenarios(*scenarioPath, *suite)
+	if err == nil {
+		err = checkTestbedFlags(*testbedRun, *out, *check, *testbedDur)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
@@ -140,6 +143,22 @@ func selectScenarios(path, suite string) ([]*chaos.Scenario, error) {
 	default:
 		return nil, fmt.Errorf("one of -scenario, -suite or -list is required")
 	}
+}
+
+// checkTestbedFlags rejects the flag combinations a testbed replay would
+// otherwise ignore: its summary is wall-clock and goes to stdout only, so
+// -check would compare nothing (and exit 0) and -out would write nothing; and a
+// negative -testbed-duration would silently run the default.
+func checkTestbedFlags(testbed bool, out, check string, dur time.Duration) error {
+	switch {
+	case dur < 0:
+		return fmt.Errorf("-testbed-duration %v is negative", dur)
+	case testbed && check != "":
+		return fmt.Errorf("-testbed replays are not deterministic: -check %s would compare nothing", check)
+	case testbed && out != "":
+		return fmt.Errorf("-testbed prints its summary to stdout: -out %s would write nothing", out)
+	}
+	return nil
 }
 
 func fatalf(format string, args ...any) {

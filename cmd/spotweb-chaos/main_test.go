@@ -1,0 +1,90 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/chaos"
+)
+
+// TestSelectScenarios: the -scenario / -suite pair resolves to a scenario list
+// or to an error that names what was wrong.
+func TestSelectScenarios(t *testing.T) {
+	dir := t.TempDir()
+	builtin, err := chaos.Builtin("storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := builtin.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(dir, "storm.json")
+	if err := os.WriteFile(file, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, path, suite string
+		want              []string // scenario names
+		wantErr           string
+	}{
+		{name: "neither", wantErr: "one of -scenario, -suite or -list"},
+		{name: "both", path: file, suite: "storm", wantErr: "not both"},
+		{name: "all", suite: "all", want: chaos.BuiltinNames()},
+		{name: "one built-in", suite: "storm", want: []string{"storm"}},
+		{name: "unknown name", suite: "no-such-scenario", wantErr: "no-such-scenario"},
+		{name: "scenario file", path: file, want: []string{"storm"}},
+		{name: "missing file", path: file + ".absent", wantErr: "no such file"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := selectScenarios(tc.path, tc.suite)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("selectScenarios = %v, %v; want an error containing %q", got, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, sc := range got {
+				names = append(names, sc.Name)
+			}
+			if strings.Join(names, ",") != strings.Join(tc.want, ",") {
+				t.Fatalf("selectScenarios = %v, want %v", names, tc.want)
+			}
+		})
+	}
+}
+
+// TestCheckTestbedFlags: a testbed replay used to skip -check and -out and
+// exit 0, and a negative -testbed-duration ran the default.
+func TestCheckTestbedFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		testbed    bool
+		out, check string
+		dur        time.Duration
+		wantErr    string
+	}{
+		{name: "simulator with -out and -check", out: "d", check: "g", dur: 3 * time.Second},
+		{name: "testbed alone", testbed: true, dur: time.Second},
+		{name: "testbed zero duration keeps the default", testbed: true},
+		{name: "testbed -check", testbed: true, check: "g", dur: time.Second, wantErr: "-check g"},
+		{name: "testbed -out", testbed: true, out: "d", dur: time.Second, wantErr: "-out d"},
+		{name: "negative duration", testbed: true, dur: -time.Second, wantErr: "-testbed-duration -1s"},
+		{name: "negative duration without -testbed", dur: -time.Second, wantErr: "-testbed-duration -1s"},
+	} {
+		err := checkTestbedFlags(tc.testbed, tc.out, tc.check, tc.dur)
+		if tc.wantErr == "" && err != nil {
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		}
+		if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}

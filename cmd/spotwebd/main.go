@@ -262,7 +262,7 @@ func main() {
 				log.Printf("plan t=%d: %v", t, err)
 				continue
 			}
-			started, stopped := cluster.ScaleTo(scaleCounts(dec.Counts, *capScale), caps)
+			started, stopped := cluster.ScaleTo(dec.Counts, caps)
 			mu.Lock()
 			currentWeights = dec.Weights
 			mu.Unlock()
@@ -346,10 +346,6 @@ func flushFinalSnapshot(reg *metrics.Registry, journal *metrics.Journal, collect
 		}
 	}
 }
-
-// scaleCounts keeps server counts unchanged: capacities are already scaled,
-// so counts translate directly. The indirection documents the intent.
-func scaleCounts(counts []int, _ float64) []int { return counts }
 
 // victimsInMarket lists the live backend ids bought in a market.
 func victimsInMarket(c *testbed.Cluster, mkt int) []int {

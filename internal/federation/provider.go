@@ -4,8 +4,8 @@
 // them into one global view that preserves per-market identity (so the PR 7
 // risk overlay still addresses markets by global index), and a hierarchically
 // sharded planner decomposes the MPO by region/AZ shard, solving each shard
-// with the full warm-started sparse-KKT machinery from internal/portfolio
-// under a budget-split coordination loop.
+// with internal/portfolio's warm-started solver under a budget-split
+// coordination loop.
 package federation
 
 import (

@@ -158,18 +158,6 @@ func BenchmarkLBAdmission(b *testing.B) {
 	})
 }
 
-func BenchmarkLBLeastLoaded(b *testing.B) {
-	ll := NewLeastLoaded()
-	for i := 0; i < 16; i++ {
-		ll.SetCapacity(i, float64(100+i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id, _ := ll.Acquire()
-		ll.Release(id)
-	}
-}
-
 func BenchmarkLBMigrate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -3,9 +3,7 @@ package lb
 // Equivalence suite: the lock-free data plane must route like the
 // mutex-serialized reference in serialref_test.go. The sharded WRR's
 // precomputed cycles must yield the same pick proportions (exactly, for
-// integer weight ratios), the lock-free least-loaded picker must emit the
-// identical sequential pick sequence, and the §6.1 revocation handling must
-// produce the same decision outcomes and terminal session placement on
+// integer weight ratios), and the §6.1 revocation handling must produce the same decision outcomes and terminal session placement on
 // identical request traces.
 
 import (
@@ -13,7 +11,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 )
 
@@ -104,109 +101,6 @@ func TestWRRSmoothnessMatchesSerial(t *testing.T) {
 		want, _ := serial.Next()
 		if got != want {
 			t.Fatalf("pick %d: sharded chose %d, serial chose %d", i, got, want)
-		}
-	}
-}
-
-// serialLeastLoaded is the original mutex-guarded least-loaded picker, kept
-// as the sequential oracle for the lock-free version.
-type serialLeastLoaded struct {
-	mu   sync.Mutex
-	cap  map[int]float64
-	load map[int]int
-}
-
-func newSerialLeastLoaded() *serialLeastLoaded {
-	return &serialLeastLoaded{cap: map[int]float64{}, load: map[int]int{}}
-}
-
-func (l *serialLeastLoaded) SetCapacity(id int, c float64) {
-	l.mu.Lock()
-	l.cap[id] = c
-	l.mu.Unlock()
-}
-
-func (l *serialLeastLoaded) Remove(id int) {
-	l.mu.Lock()
-	delete(l.cap, id)
-	delete(l.load, id)
-	l.mu.Unlock()
-}
-
-func (l *serialLeastLoaded) Acquire() (int, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	best, bestScore, found := 0, math.Inf(1), false
-	ids := make([]int, 0, len(l.cap))
-	for id := range l.cap {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		c := l.cap[id]
-		if c <= 0 {
-			continue
-		}
-		score := float64(l.load[id]+1) / c
-		if score < bestScore {
-			best, bestScore, found = id, score, true
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	l.load[best]++
-	return best, true
-}
-
-func (l *serialLeastLoaded) Release(id int) {
-	l.mu.Lock()
-	if l.load[id] > 0 {
-		l.load[id]--
-	}
-	l.mu.Unlock()
-}
-
-// TestLeastLoadedMatchesSerialSequence drives both pickers through the same
-// seeded acquire/release/reconfigure trace and demands the identical pick at
-// every step. Sequentially the lock-free version is exact, including the
-// lowest-id tie-break.
-func TestLeastLoadedMatchesSerialSequence(t *testing.T) {
-	sharded := NewLeastLoaded()
-	serial := newSerialLeastLoaded()
-	caps := map[int]float64{1: 10, 2: 20, 3: 15, 4: 10}
-	for id, c := range caps {
-		sharded.SetCapacity(id, c)
-		serial.SetCapacity(id, c)
-	}
-
-	rng := rand.New(rand.NewSource(7))
-	var held []int // ids with outstanding work, one entry per acquire
-	for step := 0; step < 5000; step++ {
-		switch op := rng.Intn(10); {
-		case op < 6: // acquire
-			got, gotOK := sharded.Acquire()
-			want, wantOK := serial.Acquire()
-			if gotOK != wantOK || got != want {
-				t.Fatalf("step %d: sharded Acquire = (%d,%v), serial = (%d,%v)", step, got, gotOK, want, wantOK)
-			}
-			if gotOK {
-				held = append(held, got)
-			}
-		case op < 9: // release a random held request
-			if len(held) == 0 {
-				continue
-			}
-			i := rng.Intn(len(held))
-			id := held[i]
-			held = append(held[:i], held[i+1:]...)
-			sharded.Release(id)
-			serial.Release(id)
-		default: // reconfigure a capacity (keeps load state for retained ids)
-			id := 1 + rng.Intn(4)
-			c := float64(5 + rng.Intn(30))
-			sharded.SetCapacity(id, c)
-			serial.SetCapacity(id, c)
 		}
 	}
 }

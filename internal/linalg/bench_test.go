@@ -43,21 +43,6 @@ func BenchmarkCholesky(b *testing.B) {
 	}
 }
 
-func BenchmarkLDLSolve(b *testing.B) {
-	m := benchSPD(128)
-	f, err := LDL(m, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := NewVector(128)
-	rhs := NewVector(128)
-	rhs.Fill(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Solve(rhs, x)
-	}
-}
-
 func BenchmarkMulVecDense(b *testing.B) {
 	for _, n := range []int{64, 512} {
 		b.Run(itoa(n), func(b *testing.B) {

@@ -13,7 +13,7 @@ import "errors"
 // with h dense n×n diagonal blocks and constant scalar-identity off-diagonal
 // blocks s·I — exactly the shape of the reduced MPO KKT system, where the
 // diagonal carries the per-period risk blocks and the off-diagonal the churn
-// coupling. The factorization is the block LDLᵀ Schur recursion
+// coupling. The factorization is the block Schur recursion
 //
 //	S_0 = D_0,   S_τ = D_τ − s²·S_{τ−1}⁻¹,
 //

@@ -34,6 +34,9 @@ func blockTriDiagFixture(rng *rand.Rand, n, h int, off float64) ([]*Matrix, *Mat
 	return diag, dense
 }
 
+// The block recursion against a dense factorization of the assembled matrix
+// (Cholesky — the matrix is SPD; the name predates the dense LDLᵀ's removal)
+// and against the system itself.
 func TestBlockTriDiagMatchesDenseLDL(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := []struct {
@@ -55,9 +58,9 @@ func TestBlockTriDiagMatchesDenseLDL(t *testing.T) {
 		if f.Dim() != c.n*c.h {
 			t.Fatalf("Dim = %d, want %d", f.Dim(), c.n*c.h)
 		}
-		ref, err := LDL(dense, 0)
+		ref, err := Cholesky(dense)
 		if err != nil {
-			t.Fatalf("reference LDL failed: %v", err)
+			t.Fatalf("reference Cholesky failed: %v", err)
 		}
 		b := NewVector(c.n * c.h)
 		for i := range b {
@@ -67,6 +70,13 @@ func TestBlockTriDiagMatchesDenseLDL(t *testing.T) {
 		ref.Solve(b, want)
 		got := NewVector(len(b))
 		f.Solve(b, got)
+		// The answer on its own terms, K·x = b, besides agreeing with the
+		// dense factorization of the assembled matrix.
+		kx := NewVector(len(b))
+		dense.MulVec(got, kx)
+		if r := kx.Sub(b).NormInf(); r > 1e-10*(b.NormInf()+1) {
+			t.Fatalf("n=%d h=%d off=%v: residual ‖Kx − b‖∞ = %v", c.n, c.h, c.off, r)
+		}
 		scale := want.NormInf() + 1
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-9*scale {

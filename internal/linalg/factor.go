@@ -9,9 +9,6 @@ import (
 // (numerically) symmetric positive definite.
 var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
 
-// ErrSingular is returned by LDL when a pivot is too close to zero.
-var ErrSingular = errors.New("linalg: matrix is singular or near-singular")
-
 // CholeskyFactor holds the lower-triangular factor L with A = L·Lᵀ.
 type CholeskyFactor struct {
 	n int
@@ -104,134 +101,4 @@ func (c *CholeskyFactor) Solve(b, dst Vector) Vector {
 		dst[i] = s / l.Data[i*n+i]
 	}
 	return dst
-}
-
-// SolveBatch solves A·xᵢ = bᵢ for a batch of right-hand sides, writing each
-// solution into the corresponding dst vector (which may alias its b). Each
-// triangular substitution is inherently sequential, so batching across
-// right-hand sides is where the factor-backed solves parallelize: the solves
-// are independent and run concurrently on the registered pool.
-func (c *CholeskyFactor) SolveBatch(b, dst []Vector) {
-	if len(b) != len(dst) {
-		panic("linalg: Cholesky SolveBatch batch size mismatch")
-	}
-	pfor(len(b), c.n*c.n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c.Solve(b[i], dst[i])
-		}
-	})
-}
-
-// LDLFactor holds the factorization A = L·D·Lᵀ of a symmetric (possibly
-// indefinite, but with nonzero pivots) matrix, as produced by LDL. L is unit
-// lower triangular and D is diagonal. This is the factorization used for the
-// quasi-definite KKT systems arising in the ADMM QP solver.
-type LDLFactor struct {
-	n int
-	l *Matrix
-	d Vector
-}
-
-// LDL computes the LDLᵀ factorization without pivoting. This is numerically
-// safe for quasi-definite matrices (positive definite upper-left block,
-// negative definite lower-right block), which is exactly the KKT structure
-// the QP solver produces. pivotTol guards against breakdown; pass 0 for the
-// default.
-func LDL(a *Matrix, pivotTol float64) (*LDLFactor, error) {
-	if a.Rows != a.Cols {
-		return nil, errors.New("linalg: LDL of non-square matrix")
-	}
-	if pivotTol <= 0 {
-		pivotTol = 1e-13
-	}
-	n := a.Rows
-	l := Identity(n)
-	d := NewVector(n)
-	// v[k] scratch = L(j,k)*d[k]
-	v := NewVector(n)
-	for j := 0; j < n; j++ {
-		lrowj := l.Data[j*n : j*n+j]
-		for k := 0; k < j; k++ {
-			v[k] = lrowj[k] * d[k]
-		}
-		dj := a.At(j, j)
-		for k := 0; k < j; k++ {
-			dj -= lrowj[k] * v[k]
-		}
-		if math.Abs(dj) < pivotTol || math.IsNaN(dj) {
-			return nil, ErrSingular
-		}
-		d[j] = dj
-		inv := 1 / dj
-		// Same independence structure as the Cholesky column update.
-		pfor(n-(j+1), j+1, func(lo, hi int) {
-			for i := j + 1 + lo; i < j+1+hi; i++ {
-				s := a.At(i, j)
-				lrowi := l.Data[i*n : i*n+j]
-				for k, x := range lrowi {
-					s -= x * v[k]
-				}
-				l.Set(i, j, s*inv)
-			}
-		})
-	}
-	return &LDLFactor{n: n, l: l, d: d}, nil
-}
-
-// Solve solves A·x = b into dst (may alias b) and returns dst.
-func (f *LDLFactor) Solve(b, dst Vector) Vector {
-	if len(b) != f.n || len(dst) != f.n {
-		panic("linalg: LDL Solve dimension mismatch")
-	}
-	if &b[0] != &dst[0] {
-		copy(dst, b)
-	}
-	n, l := f.n, f.l
-	// L·y = b (unit diagonal).
-	for i := 0; i < n; i++ {
-		s := dst[i]
-		row := l.Data[i*n : i*n+i]
-		for k, x := range row {
-			s -= x * dst[k]
-		}
-		dst[i] = s
-	}
-	// D·z = y.
-	for i := 0; i < n; i++ {
-		dst[i] /= f.d[i]
-	}
-	// Lᵀ·x = z.
-	for i := n - 1; i >= 0; i-- {
-		s := dst[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.Data[k*n+i] * dst[k]
-		}
-		dst[i] = s
-	}
-	return dst
-}
-
-// SolveBatch solves A·xᵢ = bᵢ for a batch of right-hand sides concurrently;
-// see CholeskyFactor.SolveBatch.
-func (f *LDLFactor) SolveBatch(b, dst []Vector) {
-	if len(b) != len(dst) {
-		panic("linalg: LDL SolveBatch batch size mismatch")
-	}
-	pfor(len(b), f.n*f.n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f.Solve(b[i], dst[i])
-		}
-	})
-}
-
-// SolveSPD is a convenience helper that factors a (symmetric positive
-// definite) and solves a·x = b, returning a freshly allocated solution.
-func SolveSPD(a *Matrix, b Vector) (Vector, error) {
-	f, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	x := NewVector(len(b))
-	f.Solve(b, x)
-	return x, nil
 }

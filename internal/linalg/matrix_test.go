@@ -187,89 +187,6 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	}
 }
 
-func TestLDLSolveSPD(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, n := range []int{1, 3, 10, 40} {
-		a := randomSPD(rng, n)
-		f, err := LDL(a, 0)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		xTrue := NewVector(n)
-		for i := range xTrue {
-			xTrue[i] = rng.NormFloat64()
-		}
-		b := NewVector(n)
-		a.MulVec(xTrue, b)
-		x := NewVector(n)
-		f.Solve(b, x)
-		if d := x.Sub(xTrue).NormInf(); d > 1e-7 {
-			t.Fatalf("n=%d: LDL solve error %v", n, d)
-		}
-	}
-}
-
-// LDL must handle the quasi-definite KKT structure [[P+σI, Aᵀ],[A, −ρ⁻¹I]].
-func TestLDLQuasiDefiniteKKT(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n, m := 8, 5
-	p := randomSPD(rng, n)
-	a := randomMatrix(rng, m, n)
-	k := NewMatrix(n+m, n+m)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			k.Set(i, j, p.At(i, j))
-		}
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			k.Set(n+i, j, a.At(i, j))
-			k.Set(j, n+i, a.At(i, j))
-		}
-		k.Set(n+i, n+i, -1.0)
-	}
-	f, err := LDL(k, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xTrue := NewVector(n + m)
-	for i := range xTrue {
-		xTrue[i] = rng.NormFloat64()
-	}
-	b := NewVector(n + m)
-	k.MulVec(xTrue, b)
-	x := NewVector(n + m)
-	f.Solve(b, x)
-	if d := x.Sub(xTrue).NormInf(); d > 1e-6 {
-		t.Fatalf("KKT LDL solve error %v", d)
-	}
-}
-
-func TestLDLSingular(t *testing.T) {
-	a := NewMatrix(2, 2) // zero matrix
-	if _, err := LDL(a, 0); err == nil {
-		t.Fatal("expected ErrSingular")
-	}
-}
-
-func TestSolveSPDHelper(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randomSPD(rng, 6)
-	b := NewVector(6)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x, err := SolveSPD(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ax := NewVector(6)
-	a.MulVec(x, ax)
-	if d := ax.Sub(b).NormInf(); d > 1e-7 {
-		t.Fatalf("residual %v", d)
-	}
-}
-
 // Property: Cholesky reconstruction L·Lᵀ == A for random SPD matrices.
 func TestCholeskyReconstructionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

@@ -35,9 +35,7 @@ func TestParallelKernelsBitIdentical(t *testing.T) {
 		mulVec, mulVecT Vector
 		mul, ata        *Matrix
 		chol            *CholeskyFactor
-		ldl             *LDLFactor
 		cholSolve       Vector
-		ldlSolve        Vector
 	}
 	const rows, cols = 210, 190
 	a := randomMatrix(rng, rows, cols)
@@ -57,11 +55,7 @@ func TestParallelKernelsBitIdentical(t *testing.T) {
 		if r.chol, err = Cholesky(spd); err != nil {
 			t.Fatal(err)
 		}
-		if r.ldl, err = LDL(spd, 0); err != nil {
-			t.Fatal(err)
-		}
 		r.cholSolve = r.chol.Solve(rhs, NewVector(160))
-		r.ldlSolve = r.ldl.Solve(rhs, NewVector(160))
 		return r
 	}
 
@@ -91,58 +85,7 @@ func TestParallelKernelsBitIdentical(t *testing.T) {
 	eqMat("Mul", serial.mul, par.mul)
 	eqMat("AtA", serial.ata, par.ata)
 	eqMat("Cholesky L", serial.chol.l, par.chol.l)
-	eqMat("LDL L", serial.ldl.l, par.ldl.l)
-	eqVec("LDL D", serial.ldl.d, par.ldl.d)
 	eqVec("Cholesky Solve", serial.cholSolve, par.cholSolve)
-	eqVec("LDL Solve", serial.ldlSolve, par.ldlSolve)
-}
-
-func TestSolveBatchMatchesSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	spd := randomSPD(rng, 96)
-	chol, err := Cholesky(spd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ldl, err := LDL(spd, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batch = 17
-	var rhs, want, got []Vector
-	for k := 0; k < batch; k++ {
-		r := randomMatrix(rng, 1, 96).Row(0)
-		rhs = append(rhs, r)
-		want = append(want, chol.Solve(r, NewVector(96)))
-		got = append(got, NewVector(96))
-	}
-	usePool(t, 4)
-	chol.SolveBatch(rhs, got)
-	for k := range rhs {
-		for i := range want[k] {
-			if want[k][i] != got[k][i] {
-				t.Fatalf("Cholesky SolveBatch rhs %d diverges at %d", k, i)
-			}
-		}
-	}
-	ldlWant := make([]Vector, batch)
-	for k := range rhs {
-		ldlWant[k] = NewVector(96)
-		got[k] = NewVector(96)
-	}
-	SetPool(nil)
-	for k := range rhs {
-		ldl.Solve(rhs[k], ldlWant[k])
-	}
-	usePool(t, 3)
-	ldl.SolveBatch(rhs, got)
-	for k := range rhs {
-		for i := range ldlWant[k] {
-			if ldlWant[k][i] != got[k][i] {
-				t.Fatalf("LDL SolveBatch rhs %d diverges at %d", k, i)
-			}
-		}
-	}
 }
 
 func TestSetPoolIgnoresSerialPool(t *testing.T) {

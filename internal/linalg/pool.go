@@ -7,9 +7,10 @@ import (
 )
 
 // The package-level pool gates block-parallel execution of the dense kernels
-// (MulVec, MulVecT, Mul, AtA, Cholesky, LDL). It is nil by default — every
-// routine then runs serially, exactly as before — and is registered once at
-// process start by callers that opt in (spotwebd/spotweb-sim -parallelism).
+// (MulVec, MulVecT, MulVecStacked and their Compact twins, Mul, AtA, Cholesky,
+// FactorBlockTriDiag). It is nil by default — every routine then runs
+// serially, exactly as before — and is registered once at process start by
+// callers that opt in (spotwebd/spotweb-sim -parallelism).
 //
 // Parallel execution is bit-identical to serial execution: kernels split only
 // across disjoint output ranges and every element keeps its serial-order

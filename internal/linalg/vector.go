@@ -1,6 +1,6 @@
 // Package linalg provides the dense linear-algebra substrate used by the
-// SpotWeb optimizer and predictors: vectors, row-major matrices, Cholesky and
-// LDLᵀ factorizations, and triangular solves.
+// SpotWeb optimizer and predictors: vectors, row-major matrices, Cholesky
+// factorizations, and triangular solves.
 //
 // The package is deliberately small and allocation-conscious rather than a
 // general BLAS replacement: every routine the QP solvers and spline fits need

@@ -25,17 +25,15 @@ func TestAnchorZeroBitIdentical(t *testing.T) {
 		name   string
 		n, h   int
 		solver SolverKind
-		kkt    KKTPath
 	}{
-		{"fista", 10, 4, SolverFISTA, KKTAuto},
-		{"admm-dense", 10, 4, SolverADMM, KKTDense},
-		{"admm-sparse", 10, 4, SolverADMM, KKTSparse},
-		{"admm-sparse-large", 24, 8, SolverADMM, KKTSparse},
+		{"fista", 10, 4, SolverFISTA},
+		{"admm-sparse", 10, 4, SolverADMM},
+		{"admm-sparse-large", 24, 8, SolverADMM},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(31 + tc.n)))
 			in := kktInputs(rng, tc.n, tc.h)
-			cfg := kktCfg(tc.h, tc.kkt)
+			cfg := kktCfg(tc.h)
 			cfg.Solver = tc.solver
 
 			plain, err := Optimize(cfg, in)
@@ -59,8 +57,9 @@ func TestAnchorZeroBitIdentical(t *testing.T) {
 	}
 }
 
-// A positive anchor bound must hold on every period of the plan, on both
-// solver families, and the backends must agree on the anchored solution.
+// A positive anchor bound must hold on every period of the plan on both
+// backends, the FISTA plan must be optimal for the anchored program, and the
+// ADMM plan must agree with it.
 func TestAnchorBoundHolds(t *testing.T) {
 	const n, h, bound = 10, 4, 0.4
 	rng := rand.New(rand.NewSource(77))
@@ -77,48 +76,24 @@ func TestAnchorBoundHolds(t *testing.T) {
 		return s
 	}
 
-	plans := map[string]*Plan{}
-	for name, mk := range map[string]func() Config{
-		"fista": func() Config {
-			c := kktCfg(h, KKTAuto)
-			c.Solver = SolverFISTA
-			return c
-		},
-		"admm-dense": func() Config {
-			c := kktCfg(h, KKTDense)
-			c.Solver = SolverADMM
-			return c
-		},
-		"admm-sparse": func() Config {
-			c := kktCfg(h, KKTSparse)
-			c.Solver = SolverADMM
-			return c
-		},
-	} {
-		cfg := mk()
-		cfg.AMinOnDemand = bound
+	plans := map[SolverKind]*Plan{}
+	cfg := kktCfg(h)
+	cfg.AMinOnDemand = bound
+	for _, kind := range []SolverKind{SolverFISTA, SolverADMM} {
+		cfg.Solver = kind
 		p, err := Optimize(cfg, in)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("solver %v: %v", kind, err)
 		}
 		for τ := 0; τ < h; τ++ {
 			if s := odShare(p.Alloc[τ]); s < bound-1e-3 {
-				t.Fatalf("%s: period %d on-demand share %v below anchor floor %v", name, τ, s, bound)
+				t.Fatalf("solver %v: period %d on-demand share %v below anchor floor %v", kind, τ, s, bound)
 			}
 		}
-		plans[name] = p
+		plans[kind] = p
 	}
-	// Cross-backend agreement on the anchored program.
-	ref := plans["fista"]
-	for name, p := range plans {
-		for τ := 0; τ < h; τ++ {
-			for i := range p.Alloc[τ] {
-				if d := p.Alloc[τ][i] - ref.Alloc[τ][i]; d > 2e-3 || d < -2e-3 {
-					t.Fatalf("%s vs fista: τ=%d market %d differ by %v", name, τ, i, d)
-				}
-			}
-		}
-	}
+	assertPlanOptimal(t, cfg, in, plans[SolverFISTA], 1e-6)
+	plansAgree(t, "anchored", plans[SolverFISTA], plans[SolverADMM])
 }
 
 // The anchor floor must actually bind somewhere: with cheap spot and pricey
@@ -148,7 +123,7 @@ func TestAnchorBoundBinds(t *testing.T) {
 		}
 		return s
 	}
-	cfg := kktCfg(h, KKTAuto)
+	cfg := kktCfg(h)
 	cfg.Solver = SolverFISTA
 	free, err := Optimize(cfg, in)
 	if err != nil {
@@ -173,7 +148,7 @@ func TestAnchorBoundBinds(t *testing.T) {
 func TestAnchorValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in := kktInputs(rng, 6, 3)
-	cfg := kktCfg(3, KKTAuto)
+	cfg := kktCfg(3)
 	cfg.AMinOnDemand = 0.3
 
 	// No on-demand markets marked.
@@ -188,14 +163,14 @@ func TestAnchorValidation(t *testing.T) {
 		t.Fatal("anchor floor above nOD·AMaxPerMarket must fail")
 	}
 	// Floor above the total allocation ceiling.
-	cfg = kktCfg(3, KKTAuto)
+	cfg = kktCfg(3)
 	cfg.AMinOnDemand = cfg.AMax + 1
 	in.OnDemand = markOnDemand(6, 6)
 	if _, err := Optimize(cfg, in); err == nil {
 		t.Fatal("anchor floor above AMax must fail")
 	}
 	// Mismatched OnDemand length.
-	cfg = kktCfg(3, KKTAuto)
+	cfg = kktCfg(3)
 	cfg.AMinOnDemand = 0.3
 	in.OnDemand = []bool{true}
 	if _, err := Optimize(cfg, in); err == nil {

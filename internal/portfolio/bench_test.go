@@ -2,7 +2,6 @@ package portfolio
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/market"
@@ -57,52 +56,5 @@ func BenchmarkRecedingHorizonColdVsWarm(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name+"/cold", func(b *testing.B) { benchColdVsWarm(b, c.kind, c.n, rounds, tail, true) })
 		b.Run(c.name+"/warm", func(b *testing.B) { benchColdVsWarm(b, c.kind, c.n, rounds, tail, false) })
-	}
-}
-
-// benchKKTSolve times one full cold MPO solve (problem build + KKT
-// factorization + ADMM to convergence) through the requested x-update
-// backend. The dense and sparse rows at the same size solve the identical
-// problem, so their ratio is the structured path's end-to-end speedup; with
-// -benchmem the allocated-bytes column shows the dense (nh)²/(nh+h)·nh
-// materialization the sparse path avoids.
-func benchKKTSolve(b *testing.B, n, h int, path KKTPath) {
-	rng := rand.New(rand.NewSource(5))
-	in := kktInputs(rng, n, h)
-	cfg := kktCfg(h, path)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := Optimize(cfg, in)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if p.KKTPath != path.String() {
-			b.Fatalf("took path %q, want %q", p.KKTPath, path)
-		}
-	}
-}
-
-func BenchmarkKKTDenseVsSparse(b *testing.B) {
-	cases := []struct {
-		name  string
-		n, h  int
-		path  KKTPath
-		quick bool // runs even under -short
-	}{
-		{"n50-h12/dense", 50, 12, KKTDense, true},
-		{"n50-h12/sparse", 50, 12, KKTSparse, true},
-		{"n200-h12/dense", 200, 12, KKTDense, false},
-		{"n200-h12/sparse", 200, 12, KKTSparse, false},
-		// No dense twin at n=1000: the assembled KKT alone would be ~4.6 GB.
-		{"n1000-h24/sparse", 1000, 24, KKTSparse, false},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			if !c.quick && testing.Short() {
-				b.Skip("large KKT benchmark skipped in -short")
-			}
-			benchKKTSolve(b, c.n, c.h, c.path)
-		})
 	}
 }

@@ -30,35 +30,17 @@ const (
 	// SolverFISTA uses the structure-exploiting projected-gradient solver
 	// (default; scales to hundreds of markets).
 	SolverFISTA SolverKind = iota
-	// SolverADMM uses the general OSQP-style solver (dense KKT factor).
+	// SolverADMM uses the OSQP-style solver over the structured MPO program
+	// (block-tridiagonal KKT factor). No binary selects it: it is the
+	// benchmark's cold-solve probe and FISTA's cross-check in tests.
 	SolverADMM
 )
 
-// KKTPath selects how the ADMM backend factors its KKT system.
+// KKTPath, KKTSparse and Config.KKT are named by bench/plan.go; removed with
+// ROADMAP 1(a). The ADMM backend has one KKT engine and the field is ignored.
 type KKTPath int
 
-const (
-	// KKTAuto picks dense for small problems and the structured sparse path
-	// once n·h crosses kktDenseMaxDim (the default).
-	KKTAuto KKTPath = iota
-	// KKTDense always assembles and factors the full dense KKT matrix.
-	KKTDense
-	// KKTSparse always uses the block-tridiagonal reduced factorization with
-	// a CSR constraint matrix; dense P and A are never materialized.
-	KKTSparse
-)
-
-// String implements fmt.Stringer (the value used for metrics).
-func (k KKTPath) String() string {
-	switch k {
-	case KKTDense:
-		return "dense"
-	case KKTSparse:
-		return "sparse"
-	default:
-		return "auto"
-	}
-}
+const KKTSparse KKTPath = 0
 
 // Config holds the optimizer parameters. Zero values take the paper's §6
 // defaults where one exists.
@@ -114,12 +96,7 @@ type Config struct {
 	// Any setting returns bit-identical plans — parallel kernels preserve the
 	// serial accumulation order — so this is purely a latency knob.
 	Parallelism int
-	// KKT selects the ADMM backend's KKT factorization path. The default
-	// (KKTAuto) keeps the dense factorization for small programs and switches
-	// to the structured block-tridiagonal path once the stacked dimension n·h
-	// reaches kktDenseMaxDim — both paths solve the identical x-update system,
-	// so plans agree within solver tolerance. Ignored by the FISTA backend.
-	KKT KKTPath
+	KKT         KKTPath // ignored; see KKTPath
 }
 
 // WithDefaults fills unset fields with the paper's defaults.

@@ -29,9 +29,6 @@ type Plan struct {
 	// WarmStarted reports whether the solve was seeded from a previous
 	// round's warm state (iterates, KKT factorization or Lipschitz cache).
 	WarmStarted bool
-	// KKTPath reports which ADMM factorization served the solve: "dense" or
-	// "sparse". Empty for the FISTA backend (no KKT system).
-	KKTPath string
 	// RiskCoupled is the number of markets the risk matvec multiplied: the
 	// FISTA backend skips markets whose row and column of M are zero off the
 	// diagonal (every on-demand market). Equals the market count when nothing
@@ -226,13 +223,15 @@ func OptimizeWarm(cfg Config, in *Inputs, warm *solver.WarmState) (*Plan, error)
 			return nil, fmt.Errorf("portfolio: AMinOnDemand %v exceeds AMax %v", c.AMinOnDemand, c.AMax)
 		}
 	}
+	if c.Solver == SolverADMM && in.Risk == nil {
+		return nil, fmt.Errorf("portfolio: SolverADMM needs the dense Inputs.Risk (its KKT blocks are assembled from it); a RiskOp alone serves FISTA only")
+	}
 	start := time.Now()
 	var res solver.Result
-	var kktPath string
 	coupled := n
 	switch c.Solver {
 	case SolverADMM:
-		res, kktPath = c.solveADMM(in, n, warm)
+		res = c.solveADMM(in, n, warm)
 	default:
 		res, coupled = c.solveFISTA(in, n, warm)
 	}
@@ -246,7 +245,6 @@ func OptimizeWarm(cfg Config, in *Inputs, warm *solver.WarmState) (*Plan, error)
 		Status:      res.Status,
 		PriRes:      res.PriRes,
 		WarmStarted: res.WarmStarted,
-		KKTPath:     kktPath,
 		RiskCoupled: coupled,
 		Projection:  res.Projection,
 		warm:        res.Warm,
@@ -299,31 +297,10 @@ func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState) (solver.Re
 	}), coupled
 }
 
-// kktDenseMaxDim is the stacked dimension n·h at which KKTAuto switches the
-// ADMM backend from the dense KKT factorization to the structured sparse
-// path. Below it the dense factor is cheap and its round-off behaviour is the
-// long-standing reference; above it the block path's O(h·n³) factor and
-// O((n·h)·n) memory win decisively (the dense KKT grows O((nh+h)²) just to
-// materialize).
-const kktDenseMaxDim = 128
-
-// useSparseKKT resolves the Config.KKT selection for a problem of n markets.
-func (c Config) useSparseKKT(n int) bool {
-	switch c.KKT {
-	case KKTDense:
-		return false
-	case KKTSparse:
-		return true
-	default:
-		return n*c.Horizon >= kktDenseMaxDim
-	}
-}
-
-// buildADMMSparse assembles the MPO program in structured form: a matrix-free
-// Hessian, a CSR constraint matrix and the MPOStructure declaration that
-// routes solver.SolveADMM through the block-tridiagonal KKT factorization.
-// Nothing O((nh)²) is ever allocated — the point of the sparse path is that
-// n=1000, h=24 fits in memory where the dense KKT (~19 GB) cannot.
+// buildADMMSparse assembles the MPO program in the structured form
+// solver.SolveADMM takes: a matrix-free Hessian, a CSR constraint matrix and
+// the MPOStructure declaration its block-tridiagonal KKT factorization is
+// assembled from. Nothing O((nh)²) is ever allocated.
 func (c Config) buildADMMSparse(in *Inputs, n int, kappa float64, ws *parallel.Pool) *solver.Problem {
 	h := c.Horizon
 	dim := n * h
@@ -382,93 +359,12 @@ func (c Config) buildADMMSparse(in *Inputs, n int, kappa float64, ws *parallel.P
 	}
 }
 
-func (c Config) solveADMM(in *Inputs, n int, warm *solver.WarmState) (solver.Result, string) {
-	if in.Risk == nil {
-		return solver.Result{Status: solver.StatusError}, "" // dense M required
-	}
+func (c Config) solveADMM(in *Inputs, n int, warm *solver.WarmState) solver.Result {
 	kappa := c.churnWeight(in, n)
 	ws := parallel.PoolFor(c.Parallelism)
-	settings := solver.ADMMSettings{
+	return solver.SolveADMM(c.buildADMMSparse(in, n, kappa, ws), solver.ADMMSettings{
 		MaxIter: c.maxIter(8000), EpsAbs: 1e-6, EpsRel: 1e-6, Workers: ws, Warm: warm,
-	}
-	if c.useSparseKKT(n) {
-		return solver.SolveADMM(c.buildADMMSparse(in, n, kappa, ws), settings), "sparse"
-	}
-	return solver.SolveADMM(c.buildADMMDense(in, n, kappa, ws), settings), "dense"
-}
-
-// buildADMMDense assembles the MPO program with dense P and A — the reference
-// path for small problems.
-func (c Config) buildADMMDense(in *Inputs, n int, kappa float64, ws *parallel.Pool) *solver.Problem {
-	h := c.Horizon
-	dim := n * h
-	// Dense Hessian: block-diagonal 2αM plus churn tridiagonal coupling.
-	// Periods write disjoint row blocks, so assembly splits across the pool.
-	p := linalg.NewMatrix(dim, dim)
-	ws.For(h, 1, func(plo, phi int) {
-		for τ := plo; τ < phi; τ++ {
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					p.Set(τ*n+i, τ*n+j, 2*c.Alpha*in.Risk.At(i, j))
-				}
-			}
-		}
 	})
-	if kappa > 0 {
-		k2 := 2 * kappa
-		for τ := 0; τ < h; τ++ {
-			diagCount := 1.0
-			if τ+1 < h {
-				diagCount = 2.0
-			}
-			for i := 0; i < n; i++ {
-				p.Add(τ*n+i, τ*n+i, k2*diagCount)
-				if τ > 0 {
-					p.Add(τ*n+i, (τ-1)*n+i, -k2)
-					p.Add((τ-1)*n+i, τ*n+i, 0) // symmetry set below
-				}
-			}
-		}
-		// Symmetrize the off-diagonal coupling.
-		for τ := 1; τ < h; τ++ {
-			for i := 0; i < n; i++ {
-				p.Set((τ-1)*n+i, τ*n+i, p.At(τ*n+i, (τ-1)*n+i))
-			}
-		}
-	}
-	// Constraints: box rows (identity) + one sum row per period, plus one
-	// anchor-floor row per period when the on-demand floor is active.
-	m := dim + h
-	var anchorIdx []int
-	if c.AMinOnDemand > 0 {
-		anchorIdx = in.anchorIdx()
-		m += h
-	}
-	a := linalg.NewMatrix(m, dim)
-	l := linalg.NewVector(m)
-	u := linalg.NewVector(m)
-	for k := 0; k < dim; k++ {
-		a.Set(k, k, 1)
-		l[k] = 0
-		u[k] = c.AMaxPerMarket
-	}
-	for τ := 0; τ < h; τ++ {
-		row := dim + τ
-		for i := 0; i < n; i++ {
-			a.Set(row, τ*n+i, 1)
-		}
-		l[row] = c.AMin
-		u[row] = c.AMax
-	}
-	for τ := 0; τ < h && anchorIdx != nil; τ++ {
-		row := dim + h + τ
-		for _, i := range anchorIdx {
-			a.Set(row, τ*n+i, 1)
-		}
-		l[row] = c.AMinOnDemand
-		u[row] = math.Inf(1)
-	}
-	return &solver.Problem{P: p, Q: c.buildLinear(in, n, kappa), A: a, L: l, U: u}
 }
 
 // ServerCounts converts a fractional allocation into integer server counts

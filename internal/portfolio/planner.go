@@ -254,10 +254,6 @@ func (p *Planner) recordMetrics(t int, plan *Plan, in *Inputs) {
 		metrics.L("mode", mode)).Observe(float64(plan.Iterations))
 	m.Histogram("spotweb_solver_mode_solve_seconds", "Optimizer wall time per solve, by start mode.",
 		metrics.L("mode", mode)).Observe(plan.SolveTime.Seconds())
-	if plan.KKTPath != "" {
-		m.Counter("spotweb_solver_kkt_path", "ADMM solves by KKT factorization path (dense vs structured sparse).",
-			metrics.L("path", plan.KKTPath)).Inc()
-	}
 	m.Gauge("spotweb_solver_residual", "Final primal residual (inf-norm) of the last solve.").
 		Set(plan.PriRes)
 	m.Gauge("spotweb_planner_risk_coupled_markets",

@@ -2,7 +2,8 @@
 
 package portfolio
 
-// raceEnabled lets the heavier KKT equivalence cases (dense factorizations at
-// n=200, h=12) run only in non-race builds; under -race they shrink to sizes
-// that keep the instrumented run fast.
+// raceEnabled lets the two largest ADMM test problems (the 50×12 cell of
+// TestADMMAndFISTAAgreeOnMPO, the n=1000 build of
+// TestKKTSparseBuildAvoidsDenseAllocation) run only in non-race builds, where
+// they are fast.
 const raceEnabled = false

@@ -53,6 +53,8 @@ func TestOptimizeWithSparseRiskMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertPlanOptimal(t, cfg, inDense, pd, 1e-6)
+	assertPlanOptimal(t, cfg, inSparse, ps, 1e-6)
 	for i := range pd.First() {
 		if math.Abs(pd.First()[i]-ps.First()[i]) > 1e-5 {
 			t.Fatalf("sparse vs dense allocation mismatch: %v vs %v", ps.First(), pd.First())
@@ -86,6 +88,7 @@ func TestOptimizeWithFactorRisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertPlanOptimal(t, Config{Horizon: h, Alpha: 50, AMin: 1, AMax: 1.0001}, in, plan, 1e-6)
 	a := plan.First()
 	// The factor-loaded markets are mutually correlated: the optimizer
 	// should put more weight on the independent ones.
@@ -126,7 +129,7 @@ func TestRiskOpValidation(t *testing.T) {
 	if _, err := Optimize(Config{Horizon: 1}, in); err != nil {
 		t.Fatalf("RiskOp-only solve failed: %v", err)
 	}
-	// ADMM requires the dense matrix.
+	// ADMM requires the dense matrix (TestValidationErrors checks the message).
 	cfg := Config{Horizon: 1, Solver: SolverADMM}
 	if _, err := Optimize(cfg, in); err == nil {
 		t.Fatal("ADMM without dense Risk should fail")

@@ -155,7 +155,6 @@ func (c Config) WithDefaults() Config {
 	if c.Latency.SLOTarget <= 0 {
 		c.Latency.SLOTarget = c.SLOLatencySec
 	}
-	c.TransiencyAware = c.TransiencyAware || false
 	return c
 }
 

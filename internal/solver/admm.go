@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"errors"
 	"math"
 
 	"repro/internal/linalg"
@@ -16,9 +15,9 @@ type ADMMSettings struct {
 	MaxIter int     // iteration budget (default 4000)
 	EpsAbs  float64 // absolute tolerance (default 1e-6)
 	EpsRel  float64 // relative tolerance (default 1e-6)
-	// Workers, when non-nil, runs the KKT assembly and the per-block x/z/y
-	// updates concurrently; results are bit-identical to the serial path.
-	// The KKT factorization itself parallelizes through linalg.SetPool.
+	// Workers, when non-nil, runs the element-wise x/z/y updates concurrently;
+	// results are bit-identical to the serial path. The KKT factorization
+	// itself parallelizes through linalg.SetPool.
 	Workers *parallel.Pool
 	// Warm, when non-nil, seeds the solve from a previous Result.Warm: the
 	// x/z/y iterates start from the stored (optionally horizon-shifted)
@@ -54,60 +53,6 @@ func (s ADMMSettings) withDefaults() ADMMSettings {
 	return s
 }
 
-// kktFactor is a cached factorization-backed engine for the ADMM x-update,
-// valid for a fixed (P, A, σ, ρ). bind prepares it for one solve (capturing
-// the problem's linear term and the live iterate vectors) and returns the
-// per-iteration step together with the stable x̃/ν slices the step refreshes
-// on every call. Binding may allocate; the returned step must not — it runs
-// once per ADMM iteration. A factor is stored in WarmState and reused across
-// sequential solves whose fingerprint matches, but must never serve two
-// solves concurrently (it owns scratch).
-type kktFactor interface {
-	bind(p *Problem, sigma, rho float64, ws *parallel.Pool, x, z, y linalg.Vector) (step func(), xt, nu linalg.Vector)
-}
-
-// fullKKT solves the unreduced quasi-definite system
-//
-//	[P+σI  Aᵀ ] [x̃]   [σx − q ]
-//	[A    −I/ρ] [ν] = [z − y/ρ]
-//
-// with a dense LDLᵀ — the path for dense problems, bit-identical to the
-// pre-structured solver.
-type fullKKT struct {
-	fact     *linalg.LDLFactor
-	rhs, sol linalg.Vector // n+m scratch
-}
-
-func (k *fullKKT) bind(p *Problem, sigma, rho float64, ws *parallel.Pool, x, z, y linalg.Vector) (func(), linalg.Vector, linalg.Vector) {
-	n, m := p.N(), p.M()
-	q := p.Q
-	// The chunk bodies are hoisted here so the steady-state iteration loop
-	// passes pre-built closures to the pool instead of minting (and heap-
-	// allocating) new ones every iteration.
-	top := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			k.rhs[i] = sigma*x[i] - q[i]
-		}
-	}
-	bot := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			k.rhs[n+i] = z[i] - y[i]/rho
-		}
-	}
-	step := func() {
-		ws.For(n, admmGrain, top)
-		ws.For(m, admmGrain, bot)
-		k.fact.Solve(k.rhs, k.sol)
-	}
-	return step, k.sol[:n], k.sol[n:]
-}
-
-// kktSolve is the factorization interface shared by the reduced-system
-// backends (block-tridiagonal or dense Cholesky of K = P + σI + ρAᵀA).
-type kktSolve interface {
-	Solve(b, dst linalg.Vector) linalg.Vector
-}
-
 // reducedKKT eliminates the constraint block from the quasi-definite system:
 // from the second KKT row, ν = ρ(Ax̃ − z) + y; substituting into the first
 // gives the positive definite reduced system
@@ -115,58 +60,33 @@ type kktSolve interface {
 //	(P + σI + ρAᵀA)·x̃ = σx − q + Aᵀ(ρz − y).
 //
 // All matvecs go through the problem's sparse A, so one iteration costs a
-// reduced solve plus O(nnz) — never a dense m×n product.
+// reduced solve plus O(nnz) — never a dense m×n product. The factorization is
+// valid for a fixed (P, A, σ, ρ); it is stored in WarmState and reused across
+// sequential solves whose fingerprint matches, but must never serve two solves
+// concurrently (it owns scratch).
 type reducedKKT struct {
-	fact kktSolve
+	fact *linalg.BlockTriDiagFactor
 	rhs  linalg.Vector // n
 	xt   linalg.Vector // n
 	nu   linalg.Vector // m
 	t    linalg.Vector // m scratch for ρz − y
 }
 
-func newReducedKKT(f kktSolve, n, m int) *reducedKKT {
-	return &reducedKKT{
-		fact: f,
-		rhs:  linalg.NewVector(n),
-		xt:   linalg.NewVector(n),
-		nu:   linalg.NewVector(m),
-		t:    linalg.NewVector(m),
+// step runs one x-update from the iterates (x, z, y), leaving x̃ in k.xt and ν
+// in k.nu. It runs once per ADMM iteration and must not allocate.
+func (k *reducedKKT) step(p *Problem, sigma, rho float64, x, z, y linalg.Vector) {
+	for i := range k.t {
+		k.t[i] = rho*z[i] - y[i]
 	}
-}
-
-func (k *reducedKKT) bind(p *Problem, sigma, rho float64, _ *parallel.Pool, x, z, y linalg.Vector) (func(), linalg.Vector, linalg.Vector) {
-	q := p.Q
-	step := func() {
-		for i := range k.t {
-			k.t[i] = rho*z[i] - y[i]
-		}
-		p.mulAT(k.t, k.rhs)
-		for i := range k.rhs {
-			k.rhs[i] += sigma*x[i] - q[i]
-		}
-		k.fact.Solve(k.rhs, k.xt)
-		p.mulA(k.xt, k.nu)
-		for i := range k.nu {
-			k.nu[i] = rho*(k.nu[i]-z[i]) + y[i]
-		}
+	p.ASparse.MulVecT(k.t, k.rhs)
+	for i := range k.rhs {
+		k.rhs[i] += sigma*x[i] - p.Q[i]
 	}
-	return step, k.xt, k.nu
-}
-
-// factorKKT builds the KKT engine matching the problem's representation:
-// block-tridiagonal for declared MPO structure, reduced dense Cholesky for a
-// sparse A without structure, dense LDLᵀ of the full system otherwise.
-func factorKKT(p *Problem, sigma, rho float64, ws *parallel.Pool) (kktFactor, error) {
-	if p.Block != nil {
-		return factorBlockKKT(p, sigma, rho)
+	k.fact.Solve(k.rhs, k.xt)
+	p.ASparse.MulVec(k.xt, k.nu)
+	for i := range k.nu {
+		k.nu[i] = rho*(k.nu[i]-z[i]) + y[i]
 	}
-	if p.P == nil {
-		return nil, errors.New("solver: matrix-free Hessian requires Block structure")
-	}
-	if p.ASparse != nil {
-		return factorReducedKKT(p, sigma, rho)
-	}
-	return factorFullKKT(p, sigma, rho, ws)
 }
 
 // factorBlockKKT assembles and factors the reduced MPO system block-
@@ -180,7 +100,7 @@ func factorKKT(p *Problem, sigma, rho float64, ws *parallel.Pool) (kktFactor, er
 // AᵀA contribution is a second rank-one term ρ·s·sᵀ with s the anchor
 // indicator. Factoring costs O(H·N³) and peak memory O(H·N²) — the full dense
 // KKT is never materialized.
-func factorBlockKKT(p *Problem, sigma, rho float64) (kktFactor, error) {
+func factorBlockKKT(p *Problem, sigma, rho float64) (*reducedKKT, error) {
 	b := p.Block
 	n, h := b.N, b.H
 	diag := make([]*linalg.Matrix, h)
@@ -211,64 +131,13 @@ func factorBlockKKT(p *Problem, sigma, rho float64) (kktFactor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newReducedKKT(f, p.N(), p.M()), nil
-}
-
-// factorReducedKKT is the general sparse-aware fallback: a dense P with a
-// sparse A but no declared block structure. It assembles K = P + σI + ρAᵀA
-// densely (n×n, not (n+m)²) with the AᵀA term accumulated row-by-row from
-// the CSR, and factors it with a Cholesky — K ⪰ σI is positive definite.
-func factorReducedKKT(p *Problem, sigma, rho float64) (kktFactor, error) {
-	n := p.N()
-	km := p.P.Clone()
-	km.AddDiag(sigma)
-	a := p.ASparse
-	for i := 0; i < a.Rows; i++ {
-		for ki := a.RowPtr[i]; ki < a.RowPtr[i+1]; ki++ {
-			vi := rho * a.Val[ki]
-			row := km.Data[a.ColIdx[ki]*n : (a.ColIdx[ki]+1)*n]
-			for kj := a.RowPtr[i]; kj < a.RowPtr[i+1]; kj++ {
-				row[a.ColIdx[kj]] += vi * a.Val[kj]
-			}
-		}
-	}
-	f, err := linalg.Cholesky(km)
-	if err != nil {
-		return nil, err
-	}
-	return newReducedKKT(f, n, p.M()), nil
-}
-
-// factorFullKKT assembles and factors the dense quasi-definite KKT matrix.
-func factorFullKKT(p *Problem, sigma, rho float64, ws *parallel.Pool) (kktFactor, error) {
-	n, m := p.N(), p.M()
-	// Each chunk fills its own rows of the upper-left block and its own
-	// (row, mirrored-column) pairs of the constraint blocks, so writes never
-	// overlap.
-	kkt := linalg.NewMatrix(n+m, n+m)
-	ws.For(n, admmGrain/8+1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := 0; j < n; j++ {
-				kkt.Set(i, j, p.P.At(i, j))
-			}
-			kkt.Add(i, i, sigma)
-		}
-	})
-	ws.For(m, admmGrain/8+1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := 0; j < n; j++ {
-				aij := p.A.At(i, j)
-				kkt.Set(n+i, j, aij)
-				kkt.Set(j, n+i, aij)
-			}
-			kkt.Set(n+i, n+i, -1/rho)
-		}
-	})
-	fact, err := linalg.LDL(kkt, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &fullKKT{fact: fact, rhs: linalg.NewVector(n + m), sol: linalg.NewVector(n + m)}, nil
+	return &reducedKKT{
+		fact: f,
+		rhs:  linalg.NewVector(p.N()),
+		xt:   linalg.NewVector(p.N()),
+		nu:   linalg.NewVector(p.M()),
+		t:    linalg.NewVector(p.M()),
+	}, nil
 }
 
 // SolveADMM solves the QP with the OSQP splitting
@@ -279,12 +148,10 @@ func factorFullKKT(p *Problem, sigma, rho float64, ws *parallel.Pool) (kktFactor
 //	z-update: clip onto [l, u]
 //	y-update: scaled dual ascent,
 //
-// with over-relaxation α. The KKT system is factored once and reused every
-// iteration, which is what the paper's "subsecond to 5 s" optimizer latency
-// relies on. Problems declaring MPO block structure route the x-update
-// through a block-tridiagonal factorization of the reduced system instead of
-// a dense LDLᵀ of the full one — same iterates within floating-point
-// reassociation, a factor ~h² less work.
+// with over-relaxation α. The problem must declare its MPO block structure
+// (Problem.Block): the x-update eliminates ν and solves the reduced positive
+// definite system through one block-tridiagonal factorization, computed once
+// and reused every iteration.
 func SolveADMM(p *Problem, settings ADMMSettings) Result {
 	if err := p.Validate(); err != nil {
 		return Result{Status: StatusError}
@@ -302,13 +169,13 @@ func SolveADMM(p *Problem, settings ADMMSettings) Result {
 	// matrices.
 	sig := problemSig(p, s.Sigma, s.Rho)
 	warmStarted := false
-	var fact kktFactor
+	var fact *reducedKKT
 	if s.Warm != nil && s.Warm.fact != nil && s.Warm.factSig == sig {
 		fact = s.Warm.fact
 		warmStarted = true
 	} else {
 		var err error
-		fact, err = factorKKT(p, s.Sigma, s.Rho, ws)
+		fact, err = factorBlockKKT(p, s.Sigma, s.Rho)
 		if err != nil {
 			return Result{Status: StatusError}
 		}
@@ -325,7 +192,7 @@ func SolveADMM(p *Problem, settings ADMMSettings) Result {
 			copy(y, s.Warm.y)
 		} else {
 			// Seed the slack consistently with the warm primal.
-			p.mulA(x, z)
+			p.ASparse.MulVec(x, z)
 			for i := range z {
 				if z[i] < p.L[i] {
 					z[i] = p.L[i]
@@ -339,12 +206,12 @@ func SolveADMM(p *Problem, settings ADMMSettings) Result {
 	aty := linalg.NewVector(n)
 	px := linalg.NewVector(n)
 
-	step, xTilde, nu := fact.bind(p, s.Sigma, s.Rho, ws, x, z, y)
+	xTilde, nu := fact.xt, fact.nu
 
-	// Relaxation/projection bodies, hoisted out of the loop for the same
-	// 0-alloc reason as the factor's: x ← αx̃ + (1−α)x, then the per-row
-	// z̃/z/y update. Chunks are element-wise over disjoint ranges, so the
-	// pooled path reproduces the serial iterates bit-for-bit.
+	// Relaxation/projection bodies, hoisted out of the loop so it stays
+	// allocation-free: x ← αx̃ + (1−α)x, then the per-row z̃/z/y update.
+	// Chunks are element-wise over disjoint ranges, so the pooled path
+	// reproduces the serial iterates bit-for-bit.
 	relaxX := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			x[i] = s.Alpha*xTilde[i] + (1-s.Alpha)*x[i]
@@ -369,7 +236,7 @@ func SolveADMM(p *Problem, settings ADMMSettings) Result {
 
 	res := Result{Status: StatusMaxIterations}
 	for iter := 1; iter <= s.MaxIter; iter++ {
-		step()
+		fact.step(p, s.Sigma, s.Rho, x, z, y)
 		ws.For(n, admmGrain, relaxX)
 		ws.For(m, admmGrain, updateZY)
 
@@ -377,9 +244,9 @@ func SolveADMM(p *Problem, settings ADMMSettings) Result {
 		if iter%10 != 0 && iter != s.MaxIter {
 			continue
 		}
-		p.mulA(x, ax)
-		p.mulAT(y, aty)
-		p.applyP(x, px)
+		p.ASparse.MulVec(x, ax)
+		p.ASparse.MulVecT(y, aty)
+		p.POp.Apply(x, px)
 		var priRes, duaRes float64
 		for i := 0; i < m; i++ {
 			if d := math.Abs(ax[i] - z[i]); d > priRes {

@@ -9,24 +9,24 @@ import (
 	"repro/internal/parallel"
 )
 
-// mpoKKTProblems builds the same MPO-shaped QP twice: once dense (full P and
-// A) and once structured (matrix-free P, CSR A, Block declaration). The
-// structured pair is exactly the representation the portfolio layer emits, so
-// agreement between the two is the correctness contract of the sparse KKT
-// path.
-func mpoKKTProblems(rng *rand.Rand, n, h int) (dense, structured *Problem) {
-	const (
-		riskScale = 1.3
-		churnK    = 0.8
-	)
-	g := linalg.NewMatrix(n, n)
-	for i := range g.Data {
-		g.Data[i] = rng.NormFloat64()
-	}
-	risk := g.AtA()
-	risk.ScaleInPlace(1 / float64(n))
-	risk.AddDiag(0.5)
+// mpoShape is the constraint side of a structured test problem: one per-market
+// box and one budget band, the same every period, and optionally an anchor
+// floor over the marked markets.
+type mpoShape struct {
+	lo, hi       linalg.Vector
+	sumLo, sumHi float64
+	anchor       []bool
+	anchorMin    float64
+}
 
+// structuredQP states one H-period MPO-shaped QP both ways from the same
+// data: the structured Problem SolveADMM takes (CSR A, Block declaration) and
+// the ProjectedProblem FISTA and the optimality oracle take (product of
+// BoxBands). Both share one Hessian operator, assembled densely here from its
+// definition — block-diagonal riskScale·risk plus the churn tridiagonal — and
+// so independent of the reduced system factorBlockKKT assembles from Block.
+func structuredQP(risk *linalg.Matrix, riskScale, churnK float64, h int, q linalg.Vector, s mpoShape) (*Problem, *ProjectedProblem) {
+	n := risk.Rows
 	dim := n * h
 	p := linalg.NewMatrix(dim, dim)
 	for tau := 0; tau < h; tau++ {
@@ -46,108 +46,105 @@ func mpoKKTProblems(rng *rand.Rand, n, h int) (dense, structured *Problem) {
 		}
 	}
 
-	m := dim + h
-	a := linalg.NewMatrix(m, dim)
+	// Rows: dim box rows (identity), h sum rows, then h anchor rows.
 	var is, js []int
-	var vs []float64
-	for i := 0; i < dim; i++ {
-		a.Set(i, i, 1)
-		is, js, vs = append(is, i), append(js, i), append(vs, 1)
+	var l, u linalg.Vector
+	for k := 0; k < dim; k++ {
+		is, js = append(is, k), append(js, k)
+		l, u = append(l, s.lo[k%n]), append(u, s.hi[k%n])
 	}
 	for tau := 0; tau < h; tau++ {
-		for j := tau * n; j < (tau+1)*n; j++ {
-			a.Set(dim+tau, j, 1)
-			is, js, vs = append(is, dim+tau), append(js, j), append(vs, 1)
+		for i := 0; i < n; i++ {
+			is, js = append(is, dim+tau), append(js, tau*n+i)
+		}
+		l, u = append(l, s.sumLo), append(u, s.sumHi)
+	}
+	var anchorIdx []int
+	for i, on := range s.anchor {
+		if on {
+			anchorIdx = append(anchorIdx, i)
 		}
 	}
+	for tau := 0; tau < h && s.anchor != nil; tau++ {
+		for _, i := range anchorIdx {
+			is, js = append(is, dim+h+tau), append(js, tau*n+i)
+		}
+		l, u = append(l, s.anchorMin), append(u, math.Inf(1))
+	}
+	vs := make([]float64, len(is))
+	for k := range vs {
+		vs[k] = 1
+	}
 
-	q := linalg.NewVector(dim)
+	bands := make([]*BoxBand, h)
+	for tau := range bands {
+		bands[tau] = NewBoxBand(s.lo, s.hi, s.sumLo, s.sumHi)
+		if s.anchor != nil {
+			bands[tau].WithAnchor(anchorIdx, s.anchorMin)
+		}
+	}
+	op := DenseOperator{M: p}
+	return &Problem{
+			POp:     op,
+			Q:       q,
+			ASparse: linalg.NewCSRFromTriplets(len(l), dim, is, js, vs),
+			L:       l,
+			U:       u,
+			Block:   &MPOStructure{N: n, H: h, Risk: risk, RiskScale: riskScale, ChurnK: churnK, Anchor: s.anchor},
+		}, &ProjectedProblem{
+			P: op,
+			Q: q,
+			C: NewProductSet(bands),
+		}
+}
+
+// mpoKKTProblem draws a random H-period problem in exactly the representation
+// the portfolio layer emits, with the last third of the markets under an
+// anchor floor when anchored is set.
+func mpoKKTProblem(rng *rand.Rand, n, h int, anchored bool) (*Problem, *ProjectedProblem) {
+	g := linalg.NewMatrix(n, n)
+	for i := range g.Data {
+		g.Data[i] = rng.NormFloat64()
+	}
+	risk := g.AtA()
+	risk.ScaleInPlace(1 / float64(n))
+	risk.AddDiag(0.5)
+	q := linalg.NewVector(n * h)
 	for i := range q {
 		q[i] = rng.NormFloat64()
 	}
-	l := linalg.NewVector(m)
-	u := linalg.NewVector(m)
-	for i := 0; i < dim; i++ {
-		u[i] = 0.8
+	hi := linalg.NewVector(n)
+	hi.Fill(0.8)
+	s := mpoShape{lo: linalg.NewVector(n), hi: hi, sumLo: 1, sumHi: 1.5}
+	if anchored {
+		s.anchor = make([]bool, n)
+		for i := n - (n+2)/3; i < n; i++ {
+			s.anchor[i] = true
+		}
+		s.anchorMin = 0.45
 	}
-	for tau := 0; tau < h; tau++ {
-		l[dim+tau] = 1
-		u[dim+tau] = 1.5
-	}
-
-	dense = &Problem{P: p, Q: q, A: a, L: l, U: u}
-	structured = &Problem{
-		POp:     DenseOperator{M: p},
-		Q:       q.Clone(),
-		ASparse: linalg.NewCSRFromTriplets(m, dim, is, js, vs),
-		L:       l.Clone(),
-		U:       u.Clone(),
-		Block:   &MPOStructure{N: n, H: h, Risk: risk, RiskScale: riskScale, ChurnK: churnK},
-	}
-	return dense, structured
+	return structuredQP(risk, 1.3, 0.8, h, q, s)
 }
 
-// The block-tridiagonal path must walk the same ADMM trajectory as the dense
-// full-KKT path: both solve the identical x-update system, so iterates agree
-// to floating-point reassociation noise at every iteration count, not just at
-// convergence.
-func TestKKTBlockMatchesDenseTrajectory(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, sz := range []struct{ n, h int }{{4, 3}, {8, 5}, {6, 1}} {
-		dense, structured := mpoKKTProblems(rng, sz.n, sz.h)
-		for _, iters := range []int{1, 3, 10, 60} {
-			st := ADMMSettings{MaxIter: iters, EpsAbs: 1e-300, EpsRel: 1e-300}
-			rd := SolveADMM(dense, st)
-			rs := SolveADMM(structured, st)
-			if rd.Status == StatusError || rs.Status == StatusError {
-				t.Fatalf("n=%d h=%d iters=%d: solve errored (%v / %v)", sz.n, sz.h, iters, rd.Status, rs.Status)
+// The one KKT engine, held to the oracle where its behaviour lives: a reduced
+// system assembled wrongly from Block (churn coupling, the sum rows' rank-one
+// term, the anchor rows' second one) would converge to a point the oracle
+// rejects, or not at all. Over the same grid FISTA's answer passes the oracle
+// at its tighter tolerance and the two agree on the objective.
+func TestKKTStructuredOptimalByOracle(t *testing.T) {
+	for _, sz := range []struct{ n, h int }{{3, 1}, {4, 3}, {9, 4}, {6, 1}, {8, 5}} {
+		for _, anchored := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(41 + sz.n)))
+			gen, proj := mpoKKTProblem(rng, sz.n, sz.h, anchored)
+			ra := SolveADMM(gen, ADMMSettings{EpsAbs: 1e-8, EpsRel: 1e-8, MaxIter: 20000})
+			rf := SolveFISTA(proj, FISTASettings{MaxIter: 50000, Tol: 1e-10})
+			if ra.Status != StatusSolved || rf.Status != StatusSolved {
+				t.Fatalf("n=%d h=%d anchored=%v: ADMM %v, FISTA %v", sz.n, sz.h, anchored, ra.Status, rf.Status)
 			}
-			scale := rd.X.NormInf() + 1
-			for i := range rd.X {
-				if math.Abs(rd.X[i]-rs.X[i]) > 1e-7*scale {
-					t.Fatalf("n=%d h=%d iters=%d: x[%d] = %v dense vs %v block",
-						sz.n, sz.h, iters, i, rd.X[i], rs.X[i])
-				}
-			}
-			for i := range rd.Y {
-				if math.Abs(rd.Y[i]-rs.Y[i]) > 1e-6*(rd.Y.NormInf()+1) {
-					t.Fatalf("n=%d h=%d iters=%d: y[%d] = %v dense vs %v block",
-						sz.n, sz.h, iters, i, rd.Y[i], rs.Y[i])
-				}
-			}
-		}
-		// Full convergence: both must report solved and agree on the optimum.
-		rd := SolveADMM(dense, ADMMSettings{MaxIter: 8000})
-		rs := SolveADMM(structured, ADMMSettings{MaxIter: 8000})
-		if rd.Status != StatusSolved || rs.Status != StatusSolved {
-			t.Fatalf("n=%d h=%d: not solved (%v / %v)", sz.n, sz.h, rd.Status, rs.Status)
-		}
-		if math.Abs(rd.Objective-rs.Objective) > 1e-6*(math.Abs(rd.Objective)+1) {
-			t.Fatalf("n=%d h=%d: objective %v dense vs %v block", sz.n, sz.h, rd.Objective, rs.Objective)
-		}
-	}
-}
-
-// A sparse A without a Block declaration takes the general reduced fallback
-// (dense Cholesky of P + σI + ρAᵀA); it too must match the full dense KKT.
-func TestKKTReducedFallbackMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	dense, structured := mpoKKTProblems(rng, 5, 4)
-	reduced := &Problem{
-		P:       dense.P.Clone(),
-		Q:       dense.Q.Clone(),
-		ASparse: structured.ASparse,
-		L:       dense.L.Clone(),
-		U:       dense.U.Clone(),
-	}
-	for _, iters := range []int{1, 10, 50} {
-		st := ADMMSettings{MaxIter: iters, EpsAbs: 1e-300, EpsRel: 1e-300}
-		rd := SolveADMM(dense, st)
-		rr := SolveADMM(reduced, st)
-		scale := rd.X.NormInf() + 1
-		for i := range rd.X {
-			if math.Abs(rd.X[i]-rr.X[i]) > 1e-7*scale {
-				t.Fatalf("iters=%d: x[%d] = %v dense vs %v reduced", iters, i, rd.X[i], rr.X[i])
+			assertOptimal(t, proj.P, proj.Q, proj.C, rf.X, 1e-7)
+			assertOptimal(t, proj.P, proj.Q, proj.C, ra.X, 1e-5)
+			if d := math.Abs(ra.Objective - rf.Objective); d > 1e-6*(1+math.Abs(rf.Objective)) {
+				t.Fatalf("n=%d h=%d anchored=%v: objective ADMM %v vs FISTA %v", sz.n, sz.h, anchored, ra.Objective, rf.Objective)
 			}
 		}
 	}
@@ -158,7 +155,7 @@ func TestKKTReducedFallbackMatchesDense(t *testing.T) {
 // datum changes.
 func TestKKTStructuredWarmFactorReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	_, structured := mpoKKTProblems(rng, 5, 3)
+	structured, _ := mpoKKTProblem(rng, 5, 3, false)
 	r1 := SolveADMM(structured, ADMMSettings{MaxIter: 200})
 	if r1.Warm == nil || !r1.Warm.HasFactorization() {
 		t.Fatal("first solve produced no cached factorization")
@@ -177,58 +174,39 @@ func TestKKTStructuredWarmFactorReuse(t *testing.T) {
 	if r3.Warm.fact == r2.Warm.fact {
 		t.Fatal("perturbed risk matrix still reused the stale factorization")
 	}
-	// Same data through a different path (dense vs block) must not collide:
-	// the path tag keeps the fingerprints distinct even if values matched.
-	dense, structured2 := mpoKKTProblems(rand.New(rand.NewSource(44)), 5, 3)
-	sd := problemSig(dense, 1e-6, 0.1)
-	ss := problemSig(structured2, 1e-6, 0.1)
-	if sd == ss {
-		t.Fatal("dense and structured fingerprints collide")
-	}
 }
 
 func TestKKTValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	_, structured := mpoKKTProblems(rng, 4, 3)
+	structured, _ := mpoKKTProblem(rng, 4, 3, true)
 	if err := structured.Validate(); err != nil {
 		t.Fatalf("valid structured problem rejected: %v", err)
 	}
-	bad := *structured
-	bad.Block = &MPOStructure{N: 4, H: 2, Risk: structured.Block.Risk, RiskScale: 1, ChurnK: 1}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("mismatched Block dims accepted")
-	}
-	bad = *structured
-	bad.Block = &MPOStructure{N: 4, H: 3, RiskScale: 1, ChurnK: 1}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("missing risk matrix accepted")
-	}
-	bad = *structured
-	bad.ASparse = nil
-	bad.A = linalg.NewMatrix(structured.M(), structured.N())
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Block without sparse A accepted")
-	}
-	none := &Problem{Q: linalg.NewVector(3)}
-	if err := none.Validate(); err == nil {
-		t.Fatal("problem with no Hessian accepted")
-	}
-	// A matrix-free Hessian without Block structure validates (FISTA can use
-	// it) but the ADMM factorization must refuse it.
-	mf := *structured
-	mf.Block = nil
-	if err := mf.Validate(); err != nil {
-		t.Fatalf("matrix-free problem rejected: %v", err)
-	}
-	if res := SolveADMM(&mf, ADMMSettings{MaxIter: 10}); res.Status != StatusError {
-		t.Fatalf("ADMM accepted matrix-free Hessian without structure: %v", res.Status)
+	blk := *structured.Block
+	for name, mutate := range map[string]func(p *Problem){
+		"no Hessian":             func(p *Problem) { p.POp = nil },
+		"no Block":               func(p *Problem) { p.Block = nil },
+		"Block without ASparse":  func(p *Problem) { p.ASparse = nil },
+		"mismatched Block dims":  func(p *Problem) { b := blk; b.H = 2; p.Block = &b },
+		"missing risk matrix":    func(p *Problem) { b := blk; b.Risk = nil; p.Block = &b },
+		"mis-sized anchor":       func(p *Problem) { b := blk; b.Anchor = make([]bool, 3); p.Block = &b },
+		"anchor rows undeclared": func(p *Problem) { b := blk; b.Anchor = nil; p.Block = &b },
+	} {
+		bad := *structured
+		mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if res := SolveADMM(&bad, ADMMSettings{MaxIter: 10}); res.Status != StatusError {
+			t.Errorf("%s: SolveADMM returned %v, want error", name, res.Status)
+		}
 	}
 }
 
 // admmIterAllocs measures the allocation cost of extra ADMM iterations: the
 // difference between a long and a short capped solve. Steady-state iterations
-// must be allocation-free on both KKT paths (serial configuration; the
-// parallel pool allocates dispatch closures by design).
+// must be allocation-free (serial configuration; the parallel pool allocates
+// dispatch closures by design).
 func admmIterAllocs(t *testing.T, p *Problem, short, long int) float64 {
 	t.Helper()
 	measure := func(iters int) float64 {
@@ -243,10 +221,7 @@ func TestKKTADMMSteadyStateZeroAlloc(t *testing.T) {
 	linalg.SetPool(nil)
 	defer linalg.SetPool(prev)
 	rng := rand.New(rand.NewSource(46))
-	dense, structured := mpoKKTProblems(rng, 6, 4)
-	if d := admmIterAllocs(t, dense, 100, 600); d != 0 {
-		t.Errorf("dense ADMM allocates %.1f objects over 500 extra iterations, want 0", d)
-	}
+	structured, _ := mpoKKTProblem(rng, 6, 4, false)
 	if d := admmIterAllocs(t, structured, 100, 600); d != 0 {
 		t.Errorf("structured ADMM allocates %.1f objects over 500 extra iterations, want 0", d)
 	}
@@ -295,26 +270,11 @@ func TestKKTFISTASteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// The structured path must also work through SolveADMMScaled, which delegates
-// straight to SolveADMM (Ruiz is dense-only).
-func TestKKTScaledDelegatesStructured(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	dense, structured := mpoKKTProblems(rng, 5, 3)
-	rd := SolveADMMScaled(dense, ADMMSettings{MaxIter: 8000})
-	rs := SolveADMMScaled(structured, ADMMSettings{MaxIter: 8000})
-	if rs.Status != StatusSolved {
-		t.Fatalf("structured scaled solve: %v", rs.Status)
-	}
-	if math.Abs(rd.Objective-rs.Objective) > 1e-5*(math.Abs(rd.Objective)+1) {
-		t.Fatalf("objective %v dense-scaled vs %v structured", rd.Objective, rs.Objective)
-	}
-}
-
 // Pooled structured solves must reproduce the serial iterates bit-for-bit
 // (the reduced step is serial; only the element-wise updates split).
 func TestKKTStructuredPooledMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
-	_, structured := mpoKKTProblems(rng, 8, 4)
+	structured, _ := mpoKKTProblem(rng, 8, 4, false)
 	serial := SolveADMM(structured, ADMMSettings{MaxIter: 300})
 	pool := parallel.New(4)
 	defer pool.Close()

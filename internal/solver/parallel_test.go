@@ -87,7 +87,7 @@ func TestSolveFISTAParallelMatchesSerial(t *testing.T) {
 
 func TestSolveADMMParallelMatchesSerial(t *testing.T) {
 	pool := newTestPool(t, 4)
-	// Also route the dense KKT factorization through the pool.
+	// Also route the KKT factorization's Cholesky through the pool.
 	linalg.SetPool(pool)
 	t.Cleanup(func() { linalg.SetPool(nil) })
 	for seed := int64(0); seed < 5; seed++ {

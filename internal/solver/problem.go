@@ -1,16 +1,16 @@
 // Package solver implements the convex quadratic-programming substrate that
 // replaces the paper's CVXPY + SCS stack. Two solvers are provided:
 //
-//   - ADMM: an OSQP-style operator-splitting solver for general QPs of the
-//     form  minimize ½xᵀPx + qᵀx  subject to  l ≤ Ax ≤ u,  built on a dense
-//     LDLᵀ factorization of the quasi-definite KKT system.
 //   - FISTA: an accelerated projected-gradient solver for QPs whose feasible
 //     set admits a fast exact projection. The SpotWeb portfolio program is a
 //     product of per-period "box ∩ budget-band" sets, whose projection is
 //     computed by bisection in O(n log 1/ε) per period, which is what makes
-//     the optimizer scale to hundreds of markets (paper Fig. 7(b)).
-//
-// Both solvers accept the same Problem and are cross-checked in tests.
+//     the optimizer scale to hundreds of markets (paper Fig. 7(b)). Every
+//     binary plans with it.
+//   - ADMM: an OSQP-style operator-splitting solver for the horizon-stacked
+//     MPO program  minimize ½xᵀPx + qᵀx  subject to  l ≤ Ax ≤ u,  built on a
+//     block-tridiagonal factorization of the reduced KKT system. It is the
+//     benchmark's cold-solve probe and FISTA's cross-check in tests.
 package solver
 
 import (
@@ -50,25 +50,22 @@ func (s Status) String() string {
 // P must be symmetric positive semidefinite. Equality constraints are
 // expressed with l[i] == u[i]; one-sided constraints with ±Inf bounds.
 //
-// Both the Hessian and the constraint matrix can be carried dense or
-// structured: exactly one of P/POp and exactly one of A/ASparse must be set.
-// The structured forms keep the horizon-stacked MPO program — block-diagonal
-// risk, tridiagonal churn coupling, identity-plus-sum-rows constraints —
-// from ever materializing O((nh)²) dense matrices.
+// The problem is carried in structured form only — a matrix-free Hessian, a
+// CSR constraint matrix and the Block declaration of their layout — so the
+// horizon-stacked MPO program (block-diagonal risk, tridiagonal churn
+// coupling, identity-plus-sum-rows constraints) never materializes an
+// O((nh)²) dense matrix.
 type Problem struct {
-	P *linalg.Matrix // n×n, symmetric PSD; nil when POp carries the Hessian
-	// POp optionally carries the Hessian as a matrix-free operator. It must
-	// represent the same symmetric PSD P.
+	// POp is the Hessian as a matrix-free operator (n×n, symmetric PSD).
 	POp QuadOperator
-	Q   linalg.Vector  // n
-	A   *linalg.Matrix // m×n; nil when ASparse carries the constraints
-	// ASparse optionally carries A in compressed-sparse-row form; the
-	// solver's Ax / Aᵀy matvecs then cost O(nnz) instead of O(mn).
+	Q   linalg.Vector // n
+	// ASparse is A (m×n) in compressed-sparse-row form: the solver's Ax / Aᵀy
+	// matvecs cost O(nnz).
 	ASparse *linalg.CSR
 	L       linalg.Vector // m, may contain -Inf
 	U       linalg.Vector // m, may contain +Inf
-	// Block, when non-nil, declares that (P, A) have the MPO horizon-block
-	// structure and unlocks SolveADMM's block-tridiagonal KKT path.
+	// Block declares the MPO horizon-block structure of (P, A) that
+	// SolveADMM's block-tridiagonal KKT factorization is assembled from.
 	Block *MPOStructure
 }
 
@@ -104,21 +101,22 @@ type MPOStructure struct {
 
 // Validate checks dimensional consistency and bound sanity.
 func (p *Problem) Validate() error {
-	if p.P == nil && p.POp == nil {
+	if p.POp == nil {
 		return errors.New("solver: nil P")
 	}
-	if p.A == nil && p.ASparse == nil {
+	if p.ASparse == nil {
 		return errors.New("solver: nil A")
 	}
-	n := len(p.Q)
-	if p.P != nil && (p.P.Rows != n || p.P.Cols != n) {
-		return fmt.Errorf("solver: P is %dx%d, want %dx%d", p.P.Rows, p.P.Cols, n, n)
+	b := p.Block
+	if b == nil {
+		return errors.New("solver: no Block structure declared")
 	}
-	if p.P == nil && p.POp.Dim() != n {
+	n := len(p.Q)
+	if p.POp.Dim() != n {
 		return fmt.Errorf("solver: P operator has dim %d, want %d", p.POp.Dim(), n)
 	}
-	if cols := p.aCols(); cols != n {
-		return fmt.Errorf("solver: A has %d cols, want %d", cols, n)
+	if p.ASparse.Cols != n {
+		return fmt.Errorf("solver: A has %d cols, want %d", p.ASparse.Cols, n)
 	}
 	m := p.M()
 	if len(p.L) != m || len(p.U) != m {
@@ -132,26 +130,21 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("solver: NaN bound at row %d", i)
 		}
 	}
-	if b := p.Block; b != nil {
-		if p.ASparse == nil {
-			return errors.New("solver: Block structure requires a sparse A")
+	if b.N <= 0 || b.H <= 0 || b.N*b.H != n {
+		return fmt.Errorf("solver: Block is %d×%d periods, want %d stacked variables", b.N, b.H, n)
+	}
+	wantRows := n + b.H
+	if b.Anchor != nil {
+		if len(b.Anchor) != b.N {
+			return fmt.Errorf("solver: Block anchor has %d entries, want %d", len(b.Anchor), b.N)
 		}
-		if b.N <= 0 || b.H <= 0 || b.N*b.H != n {
-			return fmt.Errorf("solver: Block is %d×%d periods, want %d stacked variables", b.N, b.H, n)
-		}
-		wantRows := n + b.H
-		if b.Anchor != nil {
-			if len(b.Anchor) != b.N {
-				return fmt.Errorf("solver: Block anchor has %d entries, want %d", len(b.Anchor), b.N)
-			}
-			wantRows += b.H
-		}
-		if m != wantRows {
-			return fmt.Errorf("solver: Block layout wants %d constraint rows, A has %d", wantRows, m)
-		}
-		if b.Risk == nil || b.Risk.Rows != b.N || b.Risk.Cols != b.N {
-			return errors.New("solver: Block risk matrix missing or mis-shaped")
-		}
+		wantRows += b.H
+	}
+	if m != wantRows {
+		return fmt.Errorf("solver: Block layout wants %d constraint rows, A has %d", wantRows, m)
+	}
+	if b.Risk == nil || b.Risk.Rows != b.N || b.Risk.Cols != b.N {
+		return errors.New("solver: Block risk matrix missing or mis-shaped")
 	}
 	return nil
 }
@@ -160,52 +153,10 @@ func (p *Problem) Validate() error {
 func (p *Problem) N() int { return len(p.Q) }
 
 // M returns the number of constraint rows.
-func (p *Problem) M() int {
-	if p.A != nil {
-		return p.A.Rows
-	}
-	return p.ASparse.Rows
-}
-
-func (p *Problem) aCols() int {
-	if p.A != nil {
-		return p.A.Cols
-	}
-	return p.ASparse.Cols
-}
-
-// mulA computes Ax into dst through whichever representation is present.
-func (p *Problem) mulA(x, dst linalg.Vector) {
-	if p.ASparse != nil {
-		p.ASparse.MulVec(x, dst)
-		return
-	}
-	p.A.MulVec(x, dst)
-}
-
-// mulAT computes Aᵀy into dst.
-func (p *Problem) mulAT(y, dst linalg.Vector) {
-	if p.ASparse != nil {
-		p.ASparse.MulVecT(y, dst)
-		return
-	}
-	p.A.MulVecT(y, dst)
-}
-
-// applyP computes Px into dst.
-func (p *Problem) applyP(x, dst linalg.Vector) {
-	if p.POp != nil {
-		p.POp.Apply(x, dst)
-		return
-	}
-	p.P.MulVec(x, dst)
-}
+func (p *Problem) M() int { return p.ASparse.Rows }
 
 // Objective evaluates ½xᵀPx + qᵀx.
 func (p *Problem) Objective(x linalg.Vector) float64 {
-	if p.P != nil {
-		return 0.5*p.P.QuadForm(x) + p.Q.Dot(x)
-	}
 	px := linalg.NewVector(len(x))
 	p.POp.Apply(x, px)
 	return 0.5*x.Dot(px) + p.Q.Dot(x)
@@ -213,7 +164,7 @@ func (p *Problem) Objective(x linalg.Vector) float64 {
 
 // Gradient writes Px + q into dst and returns it.
 func (p *Problem) Gradient(x, dst linalg.Vector) linalg.Vector {
-	p.applyP(x, dst)
+	p.POp.Apply(x, dst)
 	for i := range dst {
 		dst[i] += p.Q[i]
 	}
@@ -224,7 +175,7 @@ func (p *Problem) Gradient(x, dst linalg.Vector) linalg.Vector {
 // constraint band.
 func (p *Problem) PrimalInfeasibility(x linalg.Vector) float64 {
 	ax := linalg.NewVector(p.M())
-	p.mulA(x, ax)
+	p.ASparse.MulVec(x, ax)
 	var worst float64
 	for i, v := range ax {
 		if d := p.L[i] - v; d > worst {

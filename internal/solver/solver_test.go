@@ -8,14 +8,20 @@ import (
 	"repro/internal/linalg"
 )
 
-// boxQP builds min ½‖x − c‖² s.t. 0 ≤ x ≤ 1 whose solution is clip(c, 0, 1).
+// singlePeriodQP is the H = 1 structured problem min ½xᵀMx + qᵀx over the box
+// [lo, hi] and the band sumLo ≤ Σx ≤ sumHi.
+func singlePeriodQP(m *linalg.Matrix, q, lo, hi linalg.Vector, sumLo, sumHi float64) (*Problem, *ProjectedProblem) {
+	return structuredQP(m, 1, 0, 1, q, mpoShape{lo: lo, hi: hi, sumLo: sumLo, sumHi: sumHi})
+}
+
+// boxQP builds min ½‖x − c‖² s.t. 0 ≤ x ≤ 1 (the band row left wide open),
+// whose solution is clip(c, 0, 1).
 func boxQP(c linalg.Vector) *Problem {
 	n := len(c)
-	q := c.Clone().Scale(-1)
-	lo := linalg.NewVector(n)
 	hi := linalg.NewVector(n)
 	hi.Fill(1)
-	return &Problem{P: linalg.Identity(n), Q: q, A: linalg.Identity(n), L: lo, U: hi}
+	p, _ := singlePeriodQP(linalg.Identity(n), c.Clone().Scale(-1), linalg.NewVector(n), hi, math.Inf(-1), math.Inf(1))
+	return p
 }
 
 func TestADMMBoxQP(t *testing.T) {
@@ -31,17 +37,9 @@ func TestADMMBoxQP(t *testing.T) {
 }
 
 func TestADMMEqualityConstraint(t *testing.T) {
-	// min ½(x₀²+x₁²) s.t. x₀+x₁ = 1  →  x = (0.5, 0.5), duals y = −0.5.
-	a := linalg.NewMatrix(1, 2)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 1)
-	p := &Problem{
-		P: linalg.Identity(2),
-		Q: linalg.NewVector(2),
-		A: a,
-		L: linalg.Vector{1},
-		U: linalg.Vector{1},
-	}
+	// min ½(x₀²+x₁²) s.t. x₀+x₁ = 1 (box rows free)  →  x = (0.5, 0.5).
+	free := linalg.Vector{math.Inf(1), math.Inf(1)}
+	p, _ := singlePeriodQP(linalg.Identity(2), linalg.NewVector(2), free.Clone().Scale(-1), free, 1, 1)
 	res := SolveADMM(p, ADMMSettings{})
 	if res.Status != StatusSolved {
 		t.Fatalf("status %v", res.Status)
@@ -55,15 +53,9 @@ func TestADMMEqualityConstraint(t *testing.T) {
 }
 
 func TestADMMOneSidedBounds(t *testing.T) {
-	// min ½x² − 3x s.t. x ≤ 1 (lower bound −Inf) → x = 1.
-	a := linalg.Identity(1)
-	p := &Problem{
-		P: linalg.Identity(1),
-		Q: linalg.Vector{-3},
-		A: a,
-		L: linalg.Vector{math.Inf(-1)},
-		U: linalg.Vector{1},
-	}
+	// min ½x² − 3x s.t. x ≤ 1 (lower bound −Inf, band row free) → x = 1.
+	p, _ := singlePeriodQP(linalg.Identity(1), linalg.Vector{-3},
+		linalg.Vector{math.Inf(-1)}, linalg.Vector{1}, math.Inf(-1), math.Inf(1))
 	res := SolveADMM(p, ADMMSettings{})
 	if res.Status != StatusSolved || math.Abs(res.X[0]-1) > 1e-4 {
 		t.Fatalf("res = %+v", res)
@@ -71,8 +63,8 @@ func TestADMMOneSidedBounds(t *testing.T) {
 }
 
 func TestADMMValidationErrors(t *testing.T) {
-	p := &Problem{P: linalg.Identity(2), Q: linalg.NewVector(3), A: linalg.Identity(2),
-		L: linalg.NewVector(2), U: linalg.NewVector(2)}
+	p := boxQP(linalg.Vector{0, 0})
+	p.Q = linalg.NewVector(3)
 	if p.Validate() == nil {
 		t.Fatal("expected dimension error")
 	}
@@ -97,7 +89,7 @@ func TestADMMValidationErrors(t *testing.T) {
 
 func TestProblemHelpers(t *testing.T) {
 	p := boxQP(linalg.Vector{0.5, 0.5})
-	if p.N() != 2 || p.M() != 2 {
+	if p.N() != 2 || p.M() != 3 { // two box rows and the band row
 		t.Fatalf("N/M = %d/%d", p.N(), p.M())
 	}
 	x := linalg.Vector{2, 0}
@@ -166,8 +158,9 @@ func TestFISTANaNResidualIsNotConverged(t *testing.T) {
 	}
 }
 
-// portfolioLikeQP builds a random SpotWeb-shaped program: n markets, cost
-// vector q > 0, SPD risk P, allocation set {0 ≤ x ≤ cap, 1 ≤ Σx ≤ 1.4}.
+// portfolioLikeQP builds a random single-period SpotWeb-shaped program: n
+// markets, cost vector q > 0, SPD risk P, allocation set {0 ≤ x ≤ cap,
+// 1 ≤ Σx ≤ 1.4} — as the structured Problem and as the ProjectedProblem.
 func portfolioLikeQP(rng *rand.Rand, n int) (*Problem, *ProjectedProblem) {
 	m := linalg.NewMatrix(n+2, n)
 	for i := range m.Data {
@@ -179,36 +172,13 @@ func portfolioLikeQP(rng *rand.Rand, n int) (*Problem, *ProjectedProblem) {
 	for i := range q {
 		q[i] = 0.1 + rng.Float64()
 	}
-	lo := linalg.NewVector(n)
 	cap := linalg.NewVector(n)
 	cap.Fill(0.8)
-
-	// General form: rows = identity (box) + one sum row.
-	a := linalg.NewMatrix(n+1, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, 1)
-	}
-	for j := 0; j < n; j++ {
-		a.Set(n, j, 1)
-	}
-	l := linalg.NewVector(n + 1)
-	u := linalg.NewVector(n + 1)
-	for i := 0; i < n; i++ {
-		l[i], u[i] = 0, 0.8
-	}
-	l[n], u[n] = 1, 1.4
-
-	gen := &Problem{P: p, Q: q, A: a, L: l, U: u}
-	proj := &ProjectedProblem{
-		P: DenseOperator{M: p},
-		Q: q,
-		C: NewBoxBand(lo, cap, 1, 1.4),
-	}
-	return gen, proj
+	return singlePeriodQP(p, q, linalg.NewVector(n), cap, 1, 1.4)
 }
 
-// The two solvers must agree on random portfolio-shaped QPs: same optimal
-// value, feasible solutions.
+// FISTA's answer on random portfolio-shaped QPs is optimal by the oracle, and
+// ADMM lands on the same optimal value with a feasible point.
 func TestADMMAndFISTAAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for iter := 0; iter < 20; iter++ {
@@ -219,6 +189,7 @@ func TestADMMAndFISTAAgree(t *testing.T) {
 		if ra.Status == StatusError {
 			t.Fatalf("iter %d: ADMM error", iter)
 		}
+		assertOptimal(t, proj.P, proj.Q, proj.C, rf.X, 1e-7)
 		objA := gen.Objective(ra.X)
 		objF := gen.Objective(rf.X)
 		if math.Abs(objA-objF) > 1e-4*(1+math.Abs(objA)) {
@@ -240,15 +211,7 @@ func TestFISTAKKTFixedPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	_, proj := portfolioLikeQP(rng, 8)
 	res := SolveFISTA(proj, FISTASettings{MaxIter: 20000, Tol: 1e-11})
-	x := res.X
-	g := linalg.NewVector(len(x))
-	proj.P.Apply(x, g)
-	for i := range g {
-		g[i] += proj.Q[i]
-	}
-	step := x.Clone().AddScaled(-0.01, g)
-	proj.C.Project(step)
-	if d := step.Sub(x).NormInf(); d > 1e-6 {
+	if d := fixedPointResidual(proj.P, proj.Q, proj.C, res.X); d > 1e-8 {
 		t.Fatalf("fixed-point residual %v", d)
 	}
 }
@@ -296,17 +259,11 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
-// Property: ADMM solution objective ≤ objective of any random feasible point.
+// Property: no sampled feasible point scores better than the ADMM solution,
+// which is also a projected-gradient fixed point to ADMM's tolerance.
 func TestADMMOptimalityAgainstFeasiblePoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	gen, proj := portfolioLikeQP(rng, 6)
 	res := SolveADMM(gen, ADMMSettings{EpsAbs: 1e-8, EpsRel: 1e-8, MaxIter: 20000})
-	set := proj.C.(*BoxBand)
-	for k := 0; k < 100; k++ {
-		w := set.randomFeasiblePoint(rng)
-		if gen.Objective(res.X) > gen.Objective(w)+1e-5 {
-			t.Fatalf("found feasible point better than ADMM solution: %v < %v",
-				gen.Objective(w), gen.Objective(res.X))
-		}
-	}
+	assertOptimal(t, proj.P, proj.Q, proj.C, res.X, 1e-5)
 }

@@ -12,36 +12,25 @@ import (
 // period and small data deltas. Callers treat it as opaque: take it from
 // Result.Warm, optionally ShiftHorizon it, and pass it back through the
 // settings of the next solve. A WarmState only ever *seeds* a solve; every
-// component that affects correctness (the cached KKT factorization, the
-// cached Ruiz scaling) is either revalidated against the new problem's data
-// or exact under reuse, so a warm solve terminates on the same residual
-// criteria as a cold one and its solution is interchangeable within solver
-// tolerance.
+// component that affects correctness (the cached KKT factorization) is
+// revalidated against the new problem's data, so a warm solve terminates on
+// the same residual criteria as a cold one and its solution is interchangeable
+// within solver tolerance.
 //
 // A WarmState must not be shared across concurrent solves: each solve that
 // consumes one should own it.
 type WarmState struct {
-	// Primal/dual iterates in the original (unscaled) problem coordinates.
-	// x seeds both solvers; z and y are ADMM-only (nil for FISTA).
+	// Primal/dual iterates. x seeds both solvers; z and y are ADMM-only (nil
+	// for FISTA).
 	x, z, y linalg.Vector
 
-	// Cached KKT engine of the ADMM x-update — a dense LDLᵀ of the full
-	// quasi-definite system, a block-tridiagonal factorization of the reduced
-	// MPO system, or a dense Cholesky of the reduced sparse-A system — valid
-	// only for the exact (P, A, σ, ρ) combination fingerprinted by factSig.
-	// Reused when the next problem hashes identically, which skips the
-	// refactorization — the dominant ADMM setup cost.
-	fact    kktFactor
+	// Cached KKT engine of the ADMM x-update — the block-tridiagonal
+	// factorization of the reduced MPO system — valid only for the exact
+	// (P, A, σ, ρ) combination fingerprinted by factSig. Reused when the next
+	// problem hashes identically, which skips the refactorization — the
+	// dominant ADMM setup cost.
+	fact    *reducedKKT
 	factSig uint64
-
-	// Cached Ruiz equilibration (SolveADMMScaled). Reapplying a previous
-	// scaling to a nearby problem is exact — any positive diagonal scaling
-	// is a valid reformulation — it merely equilibrates slightly less well,
-	// so reuse trades a few extra iterations for skipping the O(iters·n²)
-	// equilibration sweep.
-	scaling *Scaling
-	scaleN  int
-	scaleM  int
 
 	// Cached Lipschitz data (FISTA): the previous λmax(P) estimate and the
 	// dominant eigenvector it converged to. A warm estimate restarts power
@@ -76,8 +65,8 @@ func (w *WarmState) Primal() linalg.Vector {
 // constraint layout (h·n box rows followed by h per-period aggregate rows, or
 // h·n + 2h when the anchor tier adds a second aggregate row per period);
 // any other layout drops them, which degrades the seed but never correctness.
-// Cached factorizations, scalings and Lipschitz data are layout-independent
-// and survive the shift untouched.
+// Cached factorizations and Lipschitz data are layout-independent and survive
+// the shift untouched.
 func (w *WarmState) ShiftHorizon(n int) {
 	if w == nil || n <= 0 {
 		return
@@ -116,14 +105,12 @@ func (w *WarmState) ShiftHorizon(n int) {
 	}
 }
 
-// problemSig fingerprints the data the ADMM KKT factorization depends on:
-// whatever representation of (P, A) the problem carries, plus (σ, ρ) and the
+// problemSig fingerprints the data the ADMM KKT factorization depends on: the
+// Block declaration and the CSR constraint matrix, plus (σ, ρ) and the
 // dimensions. FNV-1a over the raw float bits — a value hash, not just a
 // sparsity hash, so a cached factorization is only ever reused when it is
-// numerically exact for the new problem. Each KKT path mixes a distinct tag
-// so a dense factorization can never be mistaken for a structured one of the
-// same data (and vice versa). The hashing pass is linear in the problem data
-// and negligible next to the factorization it guards.
+// numerically exact for the new problem. The hashing pass is linear in the
+// problem data and negligible next to the factorization it guards.
 func problemSig(p *Problem, sigma, rho float64) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -141,38 +128,21 @@ func problemSig(p *Problem, sigma, rho float64) uint64 {
 			mix(math.Float64bits(v))
 		}
 	}
-	mixCSR := func(c *linalg.CSR) {
-		for _, v := range c.RowPtr {
-			mix(uint64(v))
-		}
-		for _, v := range c.ColIdx {
-			mix(uint64(v))
-		}
-		mixFloats(c.Val)
-	}
 	mix(uint64(p.N()))
 	mix(uint64(p.M()))
 	mix(math.Float64bits(sigma))
 	mix(math.Float64bits(rho))
-	switch {
-	case p.Block != nil:
-		mix('B')
-		mix(uint64(p.Block.N))
-		mix(uint64(p.Block.H))
-		mix(math.Float64bits(p.Block.RiskScale))
-		mix(math.Float64bits(p.Block.ChurnK))
-		mixFloats(p.Block.Risk.Data)
-		mixCSR(p.ASparse)
-	case p.ASparse != nil:
-		mix('R')
-		if p.P != nil {
-			mixFloats(p.P.Data)
-		}
-		mixCSR(p.ASparse)
-	default:
-		mix('D')
-		mixFloats(p.P.Data)
-		mixFloats(p.A.Data)
+	mix(uint64(p.Block.N))
+	mix(uint64(p.Block.H))
+	mix(math.Float64bits(p.Block.RiskScale))
+	mix(math.Float64bits(p.Block.ChurnK))
+	mixFloats(p.Block.Risk.Data)
+	for _, v := range p.ASparse.RowPtr {
+		mix(uint64(v))
 	}
+	for _, v := range p.ASparse.ColIdx {
+		mix(uint64(v))
+	}
+	mixFloats(p.ASparse.Val)
 	return h
 }

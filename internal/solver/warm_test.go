@@ -69,12 +69,13 @@ func TestADMMWarmLinearPerturbationReusesFactor(t *testing.T) {
 	if cold.Status != StatusSolved {
 		t.Fatalf("cold solve: status %v", cold.Status)
 	}
-	pert := &Problem{P: gen.P, Q: gen.Q.Clone(), A: gen.A, L: gen.L, U: gen.U}
+	pert := *gen
+	pert.Q = gen.Q.Clone()
 	for i := range pert.Q {
 		pert.Q[i] *= 1 + 0.05*rng.Float64()
 	}
-	warm := SolveADMM(pert, ADMMSettings{Warm: cold.Warm})
-	ref := SolveADMM(pert, ADMMSettings{})
+	warm := SolveADMM(&pert, ADMMSettings{Warm: cold.Warm})
+	ref := SolveADMM(&pert, ADMMSettings{})
 	if warm.Status != StatusSolved || ref.Status != StatusSolved {
 		t.Fatalf("statuses: warm %v, ref %v", warm.Status, ref.Status)
 	}
@@ -95,14 +96,15 @@ func TestADMMWarmLinearPerturbationReusesFactor(t *testing.T) {
 // warm iterates still seed the solve.
 func TestADMMWarmQuadraticPerturbationRefactors(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	gen, _ := portfolioLikeQP(rng, 8)
+	const n = 8
+	gen, _ := portfolioLikeQP(rng, n)
 	cold := SolveADMM(gen, ADMMSettings{})
 	if cold.Status != StatusSolved {
 		t.Fatalf("cold solve: status %v", cold.Status)
 	}
-	pp := gen.P.Clone()
+	pp := gen.Block.Risk.Clone()
 	pp.AddDiag(0.01)
-	pert := &Problem{P: pp, Q: gen.Q, A: gen.A, L: gen.L, U: gen.U}
+	pert, _ := singlePeriodQP(pp, gen.Q, gen.L[:n], gen.U[:n], gen.L[n], gen.U[n])
 	warm := SolveADMM(pert, ADMMSettings{Warm: cold.Warm})
 	ref := SolveADMM(pert, ADMMSettings{})
 	if warm.Status != StatusSolved {
@@ -120,7 +122,7 @@ func TestADMMWarmQuadraticPerturbationRefactors(t *testing.T) {
 }
 
 // problemSig is a value hash: identical data hashes identically, and any
-// change to P, A, σ or ρ changes the fingerprint.
+// change to the risk block, A, σ or ρ changes the fingerprint.
 func TestProblemSigSensitivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	gen, _ := portfolioLikeQP(rng, 6)
@@ -134,14 +136,16 @@ func TestProblemSigSensitivity(t *testing.T) {
 	if problemSig(gen, 1e-5, 0.1) == base {
 		t.Fatal("sigma change should change the fingerprint")
 	}
-	p2 := &Problem{P: gen.P.Clone(), Q: gen.Q, A: gen.A, L: gen.L, U: gen.U}
-	p2.P.Add(0, 0, 1e-12)
-	if problemSig(p2, 1e-6, 0.1) == base {
+	p2 := *gen
+	blk := *gen.Block
+	blk.Risk = gen.Block.Risk.Clone()
+	blk.Risk.Add(0, 0, 1e-12)
+	p2.Block = &blk
+	if problemSig(&p2, 1e-6, 0.1) == base {
 		t.Fatal("P value change should change the fingerprint")
 	}
-	a2 := &Problem{P: gen.P, Q: gen.Q, A: gen.A.Clone(), L: gen.L, U: gen.U}
-	a2.A.Add(0, 0, 1e-12)
-	if problemSig(a2, 1e-6, 0.1) == base {
+	gen.ASparse.Val[0] += 1e-12
+	if problemSig(gen, 1e-6, 0.1) == base {
 		t.Fatal("A value change should change the fingerprint")
 	}
 }
@@ -240,38 +244,6 @@ func TestShiftHorizonUnknownLayouts(t *testing.T) {
 	}
 	if nilW.Primal() != nil {
 		t.Fatal("nil WarmState has no primal")
-	}
-}
-
-// SolveADMMScaled warm path: the Ruiz scaling from the previous round is
-// reapplied (same diagonal → same scaled problem → factorization cache hits
-// too) and the solution still matches the cold solve.
-func TestSolveADMMScaledWarmReusesScaling(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	gen, _ := portfolioLikeQP(rng, 10)
-	cold := SolveADMMScaled(gen, ADMMSettings{})
-	if cold.Status != StatusSolved {
-		t.Fatalf("cold solve: status %v", cold.Status)
-	}
-	if cold.Warm.scaling == nil {
-		t.Fatal("scaled solve should cache its Ruiz scaling")
-	}
-	coldX := cold.X.Clone()
-	warm := SolveADMMScaled(gen, ADMMSettings{Warm: cold.Warm})
-	if warm.Status != StatusSolved {
-		t.Fatalf("warm solve: status %v", warm.Status)
-	}
-	if !warm.WarmStarted {
-		t.Fatal("warm solve should report WarmStarted")
-	}
-	if warm.Warm.scaling != cold.Warm.scaling {
-		t.Fatal("matching dimensions: cached scaling should be reused by pointer")
-	}
-	if !warm.Warm.HasFactorization() {
-		t.Fatal("warm scaled result should carry a factorization")
-	}
-	if d := maxAbsDiff(t, coldX, warm.X); d > 1e-4 {
-		t.Fatalf("warm and cold scaled solutions differ by %v", d)
 	}
 }
 
