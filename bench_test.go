@@ -17,7 +17,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/market"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/portfolio"
 	"repro/internal/predict"
 	"repro/internal/solver"
@@ -162,56 +161,6 @@ func BenchmarkMPOSolveADMM(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// denseMPOInputs is mpoInputs with a dense group-structured risk matrix, the
-// shape the real catalog produces and the one the parallel kernels target.
-func denseMPOInputs(rng *rand.Rand, n, h int) (*portfolio.Inputs, portfolio.Config) {
-	in, cfg := mpoInputs(rng, n, h)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if i%6 == j%6 {
-				v := 0.002 * rng.Float64()
-				in.Risk.Set(i, j, v)
-				in.Risk.Set(j, i, v)
-			}
-		}
-	}
-	return in, cfg
-}
-
-// BenchmarkMPOSolveParallel measures the tentpole speedup: serial vs pooled
-// solves at the paper's scalability frontier (hundreds of markets, long
-// horizons). Plans are bit-identical between the two variants; only latency
-// differs. Single-core runners show parity — the speedup needs ≥4 cores.
-func BenchmarkMPOSolveParallel(b *testing.B) {
-	for _, n := range []int{50, 200, 500} {
-		for _, h := range []int{4, 12, 24} {
-			b.Run(benchName(n, h)+"/serial", func(b *testing.B) {
-				rng := rand.New(rand.NewSource(1))
-				in, cfg := denseMPOInputs(rng, n, h)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := portfolio.Optimize(cfg, in); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(benchName(n, h)+"/parallel", func(b *testing.B) {
-				rng := rand.New(rand.NewSource(1))
-				in, cfg := denseMPOInputs(rng, n, h)
-				cfg.Parallelism = -1
-				linalg.SetPool(parallel.Default())
-				defer linalg.SetPool(nil)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := portfolio.Optimize(cfg, in); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/runcfg"
 )
 
 // TestSelectScenarios: the -scenario / -suite pair resolves to a scenario list
@@ -86,5 +89,18 @@ func TestCheckTestbedFlags(t *testing.T) {
 		if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
 		}
+	}
+}
+
+// TestParallelismFlagGone: scenarios are independent runs of one serial
+// planner, so the shared flag set main binds no longer takes -parallelism (it
+// could never change a report).
+func TestParallelismFlagGone(t *testing.T) {
+	fs := flag.NewFlagSet("spotweb-chaos", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	runcfg.BindFlags(fs)
+	err := fs.Parse([]string{"-quick", "-parallelism", "4"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -parallelism") {
+		t.Fatalf("Parse = %v, want -parallelism rejected as an unknown flag", err)
 	}
 }

@@ -21,6 +21,12 @@ func TestGridFromFlags(t *testing.T) {
 	if err := os.WriteFile(gridFile, []byte(fileGrid), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// One solve is serial and cells parallelise through -workers: the knob a
+	// variant could once carry is an unknown field now.
+	staleGrid := filepath.Join(t.TempDir(), "stale.json")
+	if err := os.WriteFile(staleGrid, []byte(strings.Replace(fileGrid, `"config":{}`, `"config":{"parallelism":4}`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	def, _ := sweep.BuiltinVariant("default")
 	sentinel, _ := sweep.BuiltinVariant("sentinel")
 	flagGrid := func(edit func(*sweep.Grid)) sweep.Grid {
@@ -38,6 +44,8 @@ func TestGridFromFlags(t *testing.T) {
 		args    []string
 		want    sweep.Grid
 		wantErr string
+		// wantParseErr: the flag set itself rejects the arguments.
+		wantParseErr string
 	}{
 		{name: "defaults", want: flagGrid(func(*sweep.Grid) {})},
 		{name: "quick", args: []string{"-quick"}, want: flagGrid(func(g *sweep.Grid) { g.Quick = true })},
@@ -57,14 +65,19 @@ func TestGridFromFlags(t *testing.T) {
 		{name: "grid file with zero overrides keeps its own", args: []string{"-grid", gridFile, "-hours", "0", "-substeps", "0"}, want: fromFile(func(*sweep.Grid) {})},
 		{name: "grid file with negative override", args: []string{"-grid", gridFile, "-substeps", "-1"}, wantErr: "negative Hours/SubSteps"},
 		{name: "missing grid file", args: []string{"-grid", gridFile + ".absent"}, wantErr: "no such file"},
+		{name: "grid file with a parallelism override", args: []string{"-grid", staleGrid}, wantErr: `unknown field "parallelism"`},
+		{name: "parallelism flag", args: []string{"-parallelism", "4"}, wantParseErr: "flag provided but not defined: -parallelism"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("spotweb-sweep", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
 			var gf gridFlags
 			gf.register(fs)
-			if err := fs.Parse(tc.args); err != nil {
-				t.Fatal(err)
+			if err := fs.Parse(tc.args); err != nil || tc.wantParseErr != "" {
+				if tc.wantParseErr == "" || err == nil || !strings.Contains(err.Error(), tc.wantParseErr) {
+					t.Fatalf("Parse(%v) = %v; want an error containing %q", tc.args, err, tc.wantParseErr)
+				}
+				return
 			}
 			got, err := gf.build()
 			if tc.wantErr != "" {

@@ -45,10 +45,8 @@ import (
 	"repro/internal/chaos/runner"
 	"repro/internal/federation"
 	"repro/internal/lb"
-	"repro/internal/linalg"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
-	"repro/internal/parallel"
 	"repro/internal/risk"
 	"repro/internal/runcfg"
 	"repro/internal/testbed"
@@ -66,20 +64,16 @@ func main() {
 	slo := flag.Duration("slo", 500*time.Millisecond, "latency SLO threshold for the attainment tracker")
 	chaosScenario := flag.String("chaos-scenario", "", "chaos scenario to replay: a JSON file or a built-in name (empty = none)")
 	chaosDur := flag.Duration("chaos-duration", 10*time.Minute, "wall-clock window the chaos scenario timeline is mapped onto")
-	// The shared RunConfig set: -seed, -parallelism, -high-util, -warm-start,
-	// -anchor-min, -sentinel and the -risk trio. The daemon keeps its
-	// own wall-clock -warning duration, so the simulator's -warning seconds
-	// override is deliberately absent here.
+	// The shared RunConfig set: -seed, -high-util, -warm-start, -anchor-min,
+	// -sentinel and the -risk trio. The daemon keeps its own wall-clock
+	// -warning duration, so the simulator's -warning seconds override is
+	// deliberately absent here.
 	rcFlags := runcfg.BindDaemonFlags(flag.CommandLine)
 	fedFlags := federation.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	rc := rcFlags.Config()
 	seed := rc.RunSeed()
-
-	// Route the optimizer's dense linear algebra through the shared pool;
-	// plans are bit-identical at any width, only solve latency changes.
-	linalg.SetPool(parallel.PoolFor(rc.Parallelism))
 
 	var reg *metrics.Registry
 	var journal *metrics.Journal
@@ -122,7 +116,7 @@ func main() {
 		Optimizer:         rc.Planner(spotweb.OptimizerConfig{Horizon: 4, ChurnKappa: 1.0}, cat),
 		Metrics:           reg,
 		Federation:        fed,
-		FederationPlanner: fedFlags.PlannerConfig(rc.Parallelism),
+		FederationPlanner: fedFlags.PlannerConfig(),
 	}
 	var est *risk.Estimator
 	if rc.Risk {

@@ -82,13 +82,12 @@ func TestBuiltinScenarioGoldens(t *testing.T) {
 
 // TestLegCarriesRunConfig: every leg of every kind of env is wired from the
 // RunConfig the same way. The region-outage path used to build its legs by
-// hand and silently dropped -high-util, -warning, -warm-start and
-// -parallelism; its one deliberate difference, the cleared anchor floor, is
-// data on the env.
+// hand and silently dropped -high-util, -warning and -warm-start; its one
+// deliberate difference, the cleared anchor floor, is data on the env.
 func TestLegCarriesRunConfig(t *testing.T) {
 	rc := runcfg.RunConfig{
 		HighUtil: 0.7, WarningSec: 30, Sentinel: true,
-		ColdStart: true, Parallelism: 4, AnchorMin: 0.3,
+		ColdStart: true, AnchorMin: 0.3,
 	}
 	for _, name := range []string{"storm", "stale-catalog", "region-outage"} {
 		t.Run(name, func(t *testing.T) {
@@ -131,7 +130,7 @@ func TestLegCarriesRunConfig(t *testing.T) {
 				t.Fatalf("Run built %d legs, want %d", len(legs), wantLegs)
 			}
 			for i, pc := range legs {
-				if !pc.DisableWarmStart || pc.Parallelism != 4 || pc.AMinOnDemand != wantAnchor ||
+				if !pc.DisableWarmStart || pc.AMinOnDemand != wantAnchor ||
 					pc.AMaxPerMarket != env.Portfolio.AMaxPerMarket {
 					t.Fatalf("leg %d: portfolio.Config = %+v", i, pc)
 				}

@@ -281,18 +281,6 @@ func (c *Cluster) Advance(now float64) {
 // Servers returns the live servers (all states except terminated).
 func (c *Cluster) Servers() []*Server { return c.servers }
 
-// ActiveServers returns servers currently able to serve (warming, running
-// or draining).
-func (c *Cluster) ActiveServers(now float64) []*Server {
-	var out []*Server
-	for _, s := range c.servers {
-		if s.EffectiveCapacity(now) > 0 {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // TotalCapacity returns the summed effective capacity at time now.
 func (c *Cluster) TotalCapacity(now float64) float64 {
 	var sum float64

@@ -97,14 +97,11 @@ func TestTotalCapacityAndActive(t *testing.T) {
 	if got := c.TotalCapacity(10); got != 150 {
 		t.Fatalf("TotalCapacity = %v", got)
 	}
-	if n := len(c.ActiveServers(10)); n != 2 {
-		t.Fatalf("active = %d", n)
-	}
-	// Before boot completes nothing is active.
+	// Before boot completes nothing serves.
 	c2 := New(10, 0, 0.4)
 	c2.Launch(0, 100, 0)
-	if n := len(c2.ActiveServers(5)); n != 0 {
-		t.Fatalf("active before boot = %d", n)
+	if got := c2.TotalCapacity(5); got != 0 {
+		t.Fatalf("TotalCapacity before boot = %v", got)
 	}
 }
 

@@ -21,6 +21,9 @@ type FedScaleOptions struct {
 	Types   int
 	// Rounds bounds the budget-split coordination loop (0 = default).
 	Rounds int
+	// Parallelism bounds the shard-solve worker pool
+	// (federation.PlannerConfig.Parallelism).
+	Parallelism int
 	// Steps is the number of receding-horizon planning rounds timed
 	// (default 6; the first is a cold solve, the rest are warm).
 	Steps int
@@ -178,11 +181,10 @@ func fedRun(opt Options, fopt FedScaleOptions, regions int) ([]FedRound, int, in
 	}
 	pcfg := federation.PlannerConfig{
 		Portfolio: portfolio.Config{
-			Horizon: 4, ChurnKappa: 1.0, Parallelism: opt.Parallelism,
-			DisableWarmStart: opt.ColdStart,
+			Horizon: 4, ChurnKappa: 1.0, DisableWarmStart: opt.ColdStart,
 		},
 		CoordRounds: fopt.Rounds,
-		Parallelism: opt.Parallelism,
+		Parallelism: fopt.Parallelism,
 	}
 	wl := predict.NewSplinePredictor(predict.SplineConfig{
 		StepHrs: fed.Merged.StepHrs, ARLag1: true, CIProb: 0.99,

@@ -122,8 +122,7 @@ func Fig7b(w io.Writer, opt Options) Fig7bResult {
 				in.PerReqCost = append(in.PerReqCost, costs)
 				in.FailProb = append(in.FailProb, fails)
 			}
-			cfg := portfolio.Config{Horizon: h, ChurnKappa: 0.05, Parallelism: opt.Parallelism,
-				DisableWarmStart: opt.ColdStart}
+			cfg := portfolio.Config{Horizon: h, ChurnKappa: 0.05, DisableWarmStart: opt.ColdStart}
 			var ms []float64
 			for r := 0; r < reps; r++ {
 				start := time.Now()

@@ -15,6 +15,9 @@ type Flags struct {
 	Types     int
 	Providers string
 	Rounds    int
+	// Parallelism bounds the shard-solve worker pool
+	// (PlannerConfig.Parallelism).
+	Parallelism int
 }
 
 // BindFlags registers the federation flag group on fs. Call before
@@ -28,6 +31,7 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Types, "fed-types", 6, "transient market types per AZ")
 	fs.StringVar(&f.Providers, "fed-providers", "aws,azure", "comma-separated provider kinds")
 	fs.IntVar(&f.Rounds, "fed-rounds", 0, "budget-split coordination rounds (0 = default 3)")
+	fs.IntVar(&f.Parallelism, "parallelism", 0, "shard-solve worker bound: 0/1 serial, n>1 up to n workers, <0 all cores")
 	return f
 }
 
@@ -55,6 +59,6 @@ func (f *Flags) Build(seed int64, hours int, includeOnDemand bool) (*Federation,
 
 // PlannerConfig translates the flags into a sharded-planner config (the
 // portfolio config is filled by the caller).
-func (f *Flags) PlannerConfig(parallelism int) PlannerConfig {
-	return PlannerConfig{CoordRounds: f.Rounds, Parallelism: parallelism}
+func (f *Flags) PlannerConfig() PlannerConfig {
+	return PlannerConfig{CoordRounds: f.Rounds, Parallelism: f.Parallelism}
 }

@@ -3,23 +3,7 @@ package linalg
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/parallel"
 )
-
-// benchSerialParallel runs fn once with the kernels on the inline path and
-// once with the full-width shared pool registered.
-func benchSerialParallel(b *testing.B, fn func(b *testing.B)) {
-	b.Run("serial", func(b *testing.B) {
-		SetPool(nil)
-		fn(b)
-	})
-	b.Run("parallel", func(b *testing.B) {
-		SetPool(parallel.Default())
-		defer SetPool(nil)
-		fn(b)
-	})
-}
 
 func benchSPD(n int) *Matrix {
 	rng := rand.New(rand.NewSource(1))
@@ -106,64 +90,27 @@ func BenchmarkFactorModelMulVec(b *testing.B) {
 	}
 }
 
-func BenchmarkMulVecSerialVsParallel(b *testing.B) {
-	for _, n := range []int{200, 500, 1000} {
-		b.Run(itoa(n), func(b *testing.B) {
-			m := benchSPD(n)
-			x := NewVector(n)
-			x.Fill(1)
-			dst := NewVector(n)
-			benchSerialParallel(b, func(b *testing.B) {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.MulVec(x, dst)
-				}
-			})
-		})
-	}
-}
-
-func BenchmarkMulSerialVsParallel(b *testing.B) {
+func BenchmarkMul(b *testing.B) {
 	for _, n := range []int{128, 384} {
 		b.Run(itoa(n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(4))
 			x := randomMatrix(rng, n, n)
 			y := randomMatrix(rng, n, n)
-			benchSerialParallel(b, func(b *testing.B) {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					x.Mul(y)
-				}
-			})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x.Mul(y)
+			}
 		})
 	}
 }
 
-func BenchmarkCholeskySerialVsParallel(b *testing.B) {
-	for _, n := range []int{128, 512} {
-		b.Run(itoa(n), func(b *testing.B) {
-			m := benchSPD(n)
-			benchSerialParallel(b, func(b *testing.B) {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := Cholesky(m); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
-}
-
-func BenchmarkAtASerialVsParallel(b *testing.B) {
+func BenchmarkAtA(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	m := randomMatrix(rng, 400, 300)
-	benchSerialParallel(b, func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.AtA()
-		}
-	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.AtA()
+	}
 }
 
 func itoa(n int) string {

@@ -65,18 +65,16 @@ func FactorBlockTriDiag(diag []*Matrix, off float64) (*BlockTriDiagFactor, error
 			if inv == nil {
 				inv = NewMatrix(n, n)
 			}
-			// Invert S_τ by n unit-vector solves. Each solve owns one row of
-			// inv (== one column, by symmetry), so the rows parallelize.
-			pfor(n, n*n, func(lo, hi int) {
-				for j := lo; j < hi; j++ {
-					row := inv.Data[j*n : (j+1)*n]
-					for i := range row {
-						row[i] = 0
-					}
-					row[j] = 1
-					c.Solve(row, row)
+			// Invert S_τ by n unit-vector solves, one row of inv (== one
+			// column, by symmetry) each.
+			for j := 0; j < n; j++ {
+				row := inv.Data[j*n : (j+1)*n]
+				for i := range row {
+					row[i] = 0
 				}
-			})
+				row[j] = 1
+				c.Solve(row, row)
+			}
 		}
 	}
 	return f, nil

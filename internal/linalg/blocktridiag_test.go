@@ -127,9 +127,6 @@ func TestBlockTriDiagConsumesDiag(t *testing.T) {
 
 // Solve must be allocation-free: it runs once per ADMM iteration.
 func TestBlockTriDiagSolveZeroAlloc(t *testing.T) {
-	prev := ActivePool()
-	SetPool(nil)
-	defer SetPool(prev)
 	rng := rand.New(rand.NewSource(9))
 	diag, _ := blockTriDiagFixture(rng, 8, 4, -0.6)
 	f, err := FactorBlockTriDiag(diag, -0.6)

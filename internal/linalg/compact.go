@@ -67,19 +67,23 @@ func CompactRisk(m *Matrix) (MatVec, int) {
 	return c, k
 }
 
-// MulVec computes dst = M·x and returns dst; shapes as (*Matrix).MulVec.
+// MulVec computes dst = M·x and returns dst; shapes as (*Matrix).MulVec. x is
+// read through the index list inside the loop: gathering it into scratch first
+// would cost an allocation or shared state per call.
 func (c *Compact) MulVec(x, dst Vector) Vector {
 	n := c.m.Rows
 	if len(x) != n || len(dst) != n {
 		panic(fmt.Sprintf("linalg: Compact MulVec shape mismatch %d/%d vs %dx%d", len(x), len(dst), n, n))
 	}
 	c.mulIsolated(x, dst)
-	if ActivePool() == nil {
-		// Serial fast path before the closure literal, as in Matrix.MulVec.
-		c.mulCoupled(x, dst, 0, len(c.coupled))
-		return dst
+	for _, i := range c.coupled {
+		row := c.m.Data[i*n : (i+1)*n]
+		var s float64
+		for _, j := range c.coupled {
+			s += row[j] * x[j]
+		}
+		dst[i] = s
 	}
-	pfor(len(c.coupled), len(c.coupled), func(lo, hi int) { c.mulCoupled(x, dst, lo, hi) })
 	return dst
 }
 
@@ -89,21 +93,6 @@ func (c *Compact) mulIsolated(x, dst Vector) {
 	for _, i := range c.iso {
 		var s float64 // the dense sum starts at +0: a −0 product must read +0
 		s += c.m.Data[i*n+i] * x[i]
-		dst[i] = s
-	}
-}
-
-// mulCoupled writes the coupled outputs c.coupled[lo:hi]. x is read through
-// the index list inside the loop: gathering it into scratch first would cost
-// an allocation or shared state per call.
-func (c *Compact) mulCoupled(x, dst Vector, lo, hi int) {
-	n := c.m.Rows
-	for _, i := range c.coupled[lo:hi] {
-		row := c.m.Data[i*n : (i+1)*n]
-		var s float64
-		for _, j := range c.coupled {
-			s += row[j] * x[j]
-		}
 		dst[i] = s
 	}
 }

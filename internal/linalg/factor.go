@@ -35,18 +35,14 @@ func Cholesky(a *Matrix) (*CholeskyFactor, error) {
 		ljj := math.Sqrt(d)
 		l.Set(j, j, ljj)
 		inv := 1 / ljj
-		// Trailing rows of column j are mutually independent: each reads only
-		// its own prior row and the fixed pivot row, and writes l[i, j].
-		pfor(n-(j+1), j+1, func(lo, hi int) {
-			for i := j + 1 + lo; i < j+1+hi; i++ {
-				s := a.At(i, j)
-				lrowi := l.Data[i*n : i*n+j]
-				for k, x := range lrowi {
-					s -= x * lrowj[k]
-				}
-				l.Set(i, j, s*inv)
+		for i := j + 1; i < n; i++ {
+			s := a.At(i, j)
+			lrowi := l.Data[i*n : i*n+j]
+			for k, x := range lrowi {
+				s -= x * lrowj[k]
 			}
-		})
+			l.Set(i, j, s*inv)
+		}
 	}
 	return &CholeskyFactor{n: n, l: l}, nil
 }

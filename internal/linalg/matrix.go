@@ -67,31 +67,14 @@ func (m *Matrix) MulVec(x, dst Vector) Vector {
 	if len(dst) != m.Rows {
 		panic(fmt.Sprintf("linalg: MulVec dst length %d != rows %d", len(dst), m.Rows))
 	}
-	if ActivePool() == nil {
-		// Serial fast path: branching before the closure literal below keeps
-		// the per-call matvec allocation-free (the closure would otherwise
-		// escape through the pool dispatch), which the solvers' steady-state
-		// 0-alloc guarantee relies on.
-		for i := 0; i < m.Rows; i++ {
-			row := m.Data[i*m.Cols : (i+1)*m.Cols]
-			var s float64
-			for j, a := range row {
-				s += a * x[j]
-			}
-			dst[i] = s
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		var s float64
+		for j, a := range row {
+			s += a * x[j]
 		}
-		return dst
+		dst[i] = s
 	}
-	pfor(m.Rows, m.Cols, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.Data[i*m.Cols : (i+1)*m.Cols]
-			var s float64
-			for j, a := range row {
-				s += a * x[j]
-			}
-			dst[i] = s
-		}
-	})
 	return dst
 }
 
@@ -103,41 +86,19 @@ func (m *Matrix) MulVecT(x, dst Vector) Vector {
 	if len(dst) != m.Cols {
 		panic(fmt.Sprintf("linalg: MulVecT dst length %d != cols %d", len(dst), m.Cols))
 	}
-	if ActivePool() == nil {
-		// Serial fast path; see MulVec for why this precedes the closure.
-		for j := range dst {
-			dst[j] = 0
-		}
-		for i := 0; i < m.Rows; i++ {
-			xi := x[i]
-			if xi == 0 {
-				continue
-			}
-			row := m.Data[i*m.Cols : (i+1)*m.Cols]
-			for j, a := range row {
-				dst[j] += a * xi
-			}
-		}
-		return dst
+	for j := range dst {
+		dst[j] = 0
 	}
-	// Split over output columns so concurrent chunks write disjoint ranges;
-	// each dst[j] accumulates over rows in ascending order regardless of the
-	// split, keeping the result bit-identical to the serial path.
-	pfor(m.Cols, 2*m.Rows, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			dst[j] = 0
+	for i := 0; i < m.Rows; i++ {
+		xi := x[i]
+		if xi == 0 {
+			continue
 		}
-		for i := 0; i < m.Rows; i++ {
-			xi := x[i]
-			if xi == 0 {
-				continue
-			}
-			row := m.Data[i*m.Cols : (i+1)*m.Cols]
-			for j := lo; j < hi; j++ {
-				dst[j] += row[j] * xi
-			}
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for j, a := range row {
+			dst[j] += a * xi
 		}
-	})
+	}
 	return dst
 }
 
@@ -147,52 +108,44 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 		panic(fmt.Sprintf("linalg: Mul shape mismatch (%dx%d)·(%dx%d)", m.Rows, m.Cols, b.Rows, b.Cols))
 	}
 	out := NewMatrix(m.Rows, b.Cols)
-	pfor(m.Rows, m.Cols*b.Cols, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := m.Data[i*m.Cols : (i+1)*m.Cols]
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for k, a := range arow {
-				if a == 0 {
-					continue
-				}
-				brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-				for j, bv := range brow {
-					orow[j] += a * bv
-				}
+	for i := 0; i < m.Rows; i++ {
+		arow := m.Data[i*m.Cols : (i+1)*m.Cols]
+		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
+		for k, a := range arow {
+			if a == 0 {
+				continue
+			}
+			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			for j, bv := range brow {
+				orow[j] += a * bv
 			}
 		}
-	})
+	}
 	return out
 }
 
 // AtA returns mᵀ·m (a Cols×Cols symmetric matrix).
 func (m *Matrix) AtA() *Matrix {
 	out := NewMatrix(m.Cols, m.Cols)
-	// Split over output rows; each element (a, b) still accumulates over the
-	// input rows in ascending order, as in the serial nesting.
-	pfor(m.Cols, m.Rows*m.Cols/2+1, func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			orow := out.Data[a*out.Cols : (a+1)*out.Cols]
-			for i := 0; i < m.Rows; i++ {
-				row := m.Data[i*m.Cols : (i+1)*m.Cols]
-				ra := row[a]
-				if ra == 0 {
-					continue
-				}
-				for b := a; b < m.Cols; b++ {
-					orow[b] += ra * row[b]
-				}
+	for a := 0; a < m.Cols; a++ {
+		orow := out.Data[a*out.Cols : (a+1)*out.Cols]
+		for i := 0; i < m.Rows; i++ {
+			row := m.Data[i*m.Cols : (i+1)*m.Cols]
+			ra := row[a]
+			if ra == 0 {
+				continue
+			}
+			for b := a; b < m.Cols; b++ {
+				orow[b] += ra * row[b]
 			}
 		}
-	})
-	// Mirror the upper triangle (chunks write disjoint column ranges).
-	pfor(m.Cols, m.Cols, func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			for b := a + 1; b < m.Cols; b++ {
-				out.Data[b*out.Cols+a] = out.Data[a*out.Cols+b]
-			}
+	}
+	// Mirror the upper triangle.
+	for a := 0; a < m.Cols; a++ {
+		for b := a + 1; b < m.Cols; b++ {
+			out.Data[b*out.Cols+a] = out.Data[a*out.Cols+b]
 		}
-	})
+	}
 	return out
 }
 

@@ -198,9 +198,9 @@ func (f *FactorModel) MulVec(x, dst Vector) Vector {
 	}
 	// Fᵀx lives on the stack for the usual handful of factors: MulVec runs
 	// every solver iteration, from several horizon periods at once, so it may
-	// neither allocate nor share scratch. The loops below are the serial
-	// bodies of Matrix.MulVecT and Matrix.MulVec written out, because a buffer
-	// handed to those methods escapes through their pool dispatch.
+	// neither allocate nor share scratch. The loops below are the bodies of
+	// Matrix.MulVecT and Matrix.MulVec written out, so that a nil F (no
+	// factors) needs no branch and D's term joins the same pass.
 	var buf [factorStackMax]float64
 	tmp := buf[:]
 	if k > factorStackMax {

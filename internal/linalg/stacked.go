@@ -38,28 +38,17 @@ func stackedBlocks(x, dst Vector, rows, cols int) int {
 	panic(fmt.Sprintf("linalg: MulVecStacked shape mismatch %d/%d vs %dx%d", len(x), len(dst), rows, cols))
 }
 
-// MulVecStacked implements StackedMatVec.
+// MulVecStacked implements StackedMatVec. Four blocks share a pass over the
+// row — blocking across outputs only (DESIGN.md §5): each output keeps its own
+// accumulator over the columns in ascending order, and the four independent
+// chains fill the add pipeline one chain leaves idle.
 func (m *Matrix) MulVecStacked(x, dst Vector) Vector {
 	h := stackedBlocks(x, dst, m.Rows, m.Cols)
 	if h == 1 {
 		return m.MulVec(x, dst)
 	}
-	if ActivePool() == nil {
-		// Serial fast path before the closure literal, as in MulVec.
-		m.mulStacked(x, dst, h, 0, m.Rows)
-		return dst
-	}
-	pfor(m.Rows, h*m.Cols, func(lo, hi int) { m.mulStacked(x, dst, h, lo, hi) })
-	return dst
-}
-
-// mulStacked writes output rows [lo, hi) of all h blocks. Four blocks share a
-// pass over the row — blocking across outputs only (DESIGN.md §5): each output
-// keeps its own accumulator over the columns in ascending order, and the four
-// independent chains fill the add pipeline one chain leaves idle.
-func (m *Matrix) mulStacked(x, dst Vector, h, lo, hi int) {
 	r, c := m.Rows, m.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < r; i++ {
 		row := m.Data[i*c : (i+1)*c]
 		p := 0
 		for ; p+4 <= h; p += 4 {
@@ -93,9 +82,11 @@ func (m *Matrix) mulStacked(x, dst Vector, h, lo, hi int) {
 			dst[p*r+i] = s0
 		}
 	}
+	return dst
 }
 
-// MulVecStacked implements StackedMatVec.
+// MulVecStacked implements StackedMatVec; see (*Matrix).MulVecStacked for the
+// blocking and (*Compact).MulVec for why x is read through the index list.
 func (c *Compact) MulVecStacked(x, dst Vector) Vector {
 	n := c.m.Rows
 	h := stackedBlocks(x, dst, n, n)
@@ -105,20 +96,7 @@ func (c *Compact) MulVecStacked(x, dst Vector) Vector {
 	for p := 0; p < h; p++ {
 		c.mulIsolated(x[p*n:(p+1)*n], dst[p*n:(p+1)*n])
 	}
-	if ActivePool() == nil {
-		c.mulCoupledStacked(x, dst, h, 0, len(c.coupled))
-		return dst
-	}
-	pfor(len(c.coupled), h*len(c.coupled), func(lo, hi int) { c.mulCoupledStacked(x, dst, h, lo, hi) })
-	return dst
-}
-
-// mulCoupledStacked writes the coupled outputs c.coupled[lo:hi] of all h
-// blocks; see (*Matrix).mulStacked for the blocking and mulCoupled for why x
-// is read through the index list.
-func (c *Compact) mulCoupledStacked(x, dst Vector, h, lo, hi int) {
-	n := c.m.Rows
-	for _, i := range c.coupled[lo:hi] {
+	for _, i := range c.coupled {
 		row := c.m.Data[i*n : (i+1)*n]
 		p := 0
 		for ; p+4 <= h; p += 4 {
@@ -154,4 +132,5 @@ func (c *Compact) mulCoupledStacked(x, dst Vector, h, lo, hi int) {
 			dst[p*n+i] = s0
 		}
 	}
+	return dst
 }

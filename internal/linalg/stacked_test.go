@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,48 +52,41 @@ func TestBitIdenticalStackedMulVec(t *testing.T) {
 		{"none", 10, nil},
 		{"all-isolated", 5, []int{0, 1, 2, 3, 4}},
 		{"n=1", 1, nil},
-		{"n=288-half", 288, odd(288)}, // above the pfor grain once stacked
+		{"n=288-half", 288, odd(288)},
 	}
-	for _, width := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("pool=%d", width), func(t *testing.T) {
-			if width > 1 {
-				usePool(t, width)
-			}
-			rng := rand.New(rand.NewSource(18))
-			for _, tc := range cases {
-				m := randomSPD(rng, tc.n)
-				isolate(m, tc.iso...)
-				// −0 and negative entries: a −0 product must still read +0.
-				m.Set(0, tc.n-1, math.Copysign(0, -1))
-				if len(tc.iso) > 0 {
-					i := tc.iso[0]
-					m.Set(i, i, -m.At(i, i))
-				}
-				compact, _ := CompactRisk(m)
-				if _, isMatrix := compact.(*Matrix); isMatrix != (len(tc.iso) == 0 && tc.n > 1) {
-					t.Fatalf("%s: CompactRisk returned %T", tc.name, compact)
-				}
-				for h := 1; h <= 7; h++ {
-					checkStackedBits(t, tc.name+"/matrix", m, tc.n, h, rng)
-					checkStackedBits(t, tc.name+"/compact", compact, tc.n, h, rng)
-					checkStackedBits(t, tc.name+"/fallback", onlyMulVec{compact}, tc.n, h, rng)
-				}
-			}
-			// Non-square: blocks of Cols in, blocks of Rows out.
-			r := randomMatrix(rng, 5, 3)
-			for h := 1; h <= 7; h++ {
-				x := signedVector(rng, 3*h)
-				got := r.MulVecStacked(x, NewVector(5*h))
-				for p := 0; p < h; p++ {
-					want := r.MulVec(x[3*p:3*p+3], NewVector(5))
-					for i := range want {
-						if math.Float64bits(got[5*p+i]) != math.Float64bits(want[i]) {
-							t.Fatalf("5x3 h=%d block %d output %d: %v != %v", h, p, i, got[5*p+i], want[i])
-						}
-					}
+	rng := rand.New(rand.NewSource(18))
+	for _, tc := range cases {
+		m := randomSPD(rng, tc.n)
+		isolate(m, tc.iso...)
+		// −0 and negative entries: a −0 product must still read +0.
+		m.Set(0, tc.n-1, math.Copysign(0, -1))
+		if len(tc.iso) > 0 {
+			i := tc.iso[0]
+			m.Set(i, i, -m.At(i, i))
+		}
+		compact, _ := CompactRisk(m)
+		if _, isMatrix := compact.(*Matrix); isMatrix != (len(tc.iso) == 0 && tc.n > 1) {
+			t.Fatalf("%s: CompactRisk returned %T", tc.name, compact)
+		}
+		for h := 1; h <= 7; h++ {
+			checkStackedBits(t, tc.name+"/matrix", m, tc.n, h, rng)
+			checkStackedBits(t, tc.name+"/compact", compact, tc.n, h, rng)
+			checkStackedBits(t, tc.name+"/fallback", onlyMulVec{compact}, tc.n, h, rng)
+		}
+	}
+	// Non-square: blocks of Cols in, blocks of Rows out.
+	r := randomMatrix(rng, 5, 3)
+	for h := 1; h <= 7; h++ {
+		x := signedVector(rng, 3*h)
+		got := r.MulVecStacked(x, NewVector(5*h))
+		for p := 0; p < h; p++ {
+			want := r.MulVec(x[3*p:3*p+3], NewVector(5))
+			for i := range want {
+				if math.Float64bits(got[5*p+i]) != math.Float64bits(want[i]) {
+					t.Fatalf("5x3 h=%d block %d output %d: %v != %v", h, p, i, got[5*p+i], want[i])
 				}
 			}
-		})
+		}
 	}
 }
 

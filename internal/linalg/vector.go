@@ -76,15 +76,6 @@ func (v Vector) NormInf() float64 {
 	return m
 }
 
-// Norm1 returns the 1-norm ‖v‖₁.
-func (v Vector) Norm1() float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
 // AddScaled sets v ← v + a·w and returns v. It panics if lengths differ.
 func (v Vector) AddScaled(a float64, w Vector) Vector {
 	if len(v) != len(w) {

@@ -16,7 +16,6 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -81,13 +80,6 @@ type Result struct {
 func (r Result) String() string {
 	return fmt.Sprintf("ops=%d served=%d dropped=%d wall=%.2fs rps=%.0f p50=%.1fµs p99=%.1fµs p99.9=%.1fµs",
 		r.Ops, r.Served, r.Dropped, r.WallSec, r.RPS, r.P50us, r.P99us, r.P999us)
-}
-
-// MarshalJSON is the default encoding (struct tags carry the schema); the
-// method exists so callers can rely on the shape staying stable.
-func (r Result) MarshalJSON() ([]byte, error) {
-	type alias Result
-	return json.Marshal(alias(r))
 }
 
 // Run drives cfg.Workers closed-loop goroutines against target for

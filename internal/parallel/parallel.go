@@ -1,24 +1,20 @@
-// Package parallel provides the shared worker pool behind the MPO hot path:
-// block-parallel dense linear algebra (internal/linalg), concurrent per-period
-// projections and per-block updates in the QP solvers (internal/solver), and
-// concurrent candidate-plan solves in the planner (internal/portfolio).
+// Package parallel provides the worker pool that runs independent tasks side
+// by side: federation shard solves (PoolFor) and what-if sweep cells (NewIO).
+// One solve is serial; nothing inside a solver or a linalg kernel uses a pool.
 //
 // Design constraints, in order of importance:
 //
-//  1. Determinism. Results must be bit-identical to the serial path no matter
-//     how many workers run. For guarantees this by splitting an index range
-//     into fixed-size chunks whose boundaries depend only on (n, grain) —
-//     never on the worker count — so a reduction implemented as fixed-order
-//     per-chunk partials is reproducible, and a body with disjoint writes is
-//     trivially so.
+//  1. Determinism. Tasks write only their own outputs, so results do not
+//     depend on how many workers run.
 //  2. Deadlock freedom under nesting. A task that cannot be handed to a
-//     worker (all busy, e.g. a parallel solve inside a parallel sweep) runs
-//     inline on the submitting goroutine instead of queueing.
-//  3. Serial fallback. Small ranges run inline with zero goroutine traffic,
-//     so callers can unconditionally route work through a Pool.
+//     worker (all busy) runs inline on the submitting goroutine instead of
+//     queueing.
+//  3. Serial fallback. A serial pool runs everything inline with zero
+//     goroutine traffic, so callers can unconditionally route work through a
+//     Pool.
 //
-// The pool is bounded by GOMAXPROCS: asking for more workers than cores buys
-// nothing on a CPU-bound numeric path and only adds scheduler pressure.
+// New's pools are bounded by GOMAXPROCS: asking for more workers than cores
+// buys nothing on a CPU-bound numeric path and only adds scheduler pressure.
 package parallel
 
 import (
@@ -26,18 +22,18 @@ import (
 	"sync"
 )
 
-// Pool executes chunked loop bodies on a fixed set of worker goroutines.
-// The zero value is not usable; use New, Default or Serial.
+// Pool runs tasks on a fixed set of worker goroutines. The zero value is not
+// usable; use New, NewIO, Default or Serial.
 //
-// A Pool is safe for concurrent use: any number of goroutines may issue
-// For/Do calls against the same pool simultaneously (they share the workers).
+// A Pool is safe for concurrent use: any number of goroutines may issue Do
+// calls against the same pool simultaneously (they share the workers).
 type Pool struct {
 	width int
 	tasks chan func() // nil ⇒ serial pool: everything runs inline
 	owner bool        // true when this Pool spawned the workers (Close allowed)
 }
 
-// Serial is the degenerate pool: every For/Do call runs inline on the caller.
+// Serial is the degenerate pool: every Do call runs inline on the caller.
 // It is the correct default wherever parallelism is opt-in.
 var Serial = &Pool{width: 1}
 
@@ -101,8 +97,7 @@ func Default() *Pool {
 // PoolFor maps a user-facing parallelism knob to a pool: 0 and 1 select
 // Serial (the opt-in default), negative values select the shared full-width
 // pool, and n > 1 selects a width-n view of the shared pool. This is the
-// single translation point for the Parallelism options on portfolio.Config,
-// spotwebd and spotweb-sim.
+// translation point for the federation planner's shard-pool bound.
 func PoolFor(n int) *Pool {
 	switch {
 	case n == 0 || n == 1:
@@ -123,8 +118,7 @@ func (p *Pool) Workers() int {
 }
 
 // Limit returns a view of p whose parallel width is at most width. The view
-// shares p's workers; it only bounds how many chunks a single For/Do call
-// keeps in flight. width <= 0 or width >= p.Workers() returns p itself; a
+// shares p's workers. width <= 0 or width >= p.Workers() returns p itself; a
 // width of 1 returns Serial.
 func (p *Pool) Limit(width int) *Pool {
 	if p == nil || p.tasks == nil || width >= p.width || width <= 0 {
@@ -138,7 +132,7 @@ func (p *Pool) Limit(width int) *Pool {
 
 // Close shuts down the workers of a pool created by New. It is a no-op on
 // Serial and on Limit views. Close must not be called concurrently with
-// For/Do, and must not be called on Default's pool.
+// Do, and must not be called on Default's pool.
 func (p *Pool) Close() {
 	if p.owner && p.tasks != nil {
 		close(p.tasks)
@@ -151,8 +145,8 @@ func (p *Pool) work() {
 	}
 }
 
-// firstPanic records the first panic raised by any chunk so the caller can
-// re-raise it after every chunk has finished.
+// firstPanic records the first panic raised by any task so the caller can
+// re-raise it after every task has finished.
 type firstPanic struct {
 	mu  sync.Mutex
 	val any
@@ -175,58 +169,9 @@ func (f *firstPanic) repanic() {
 	}
 }
 
-// For runs body over the half-open chunks of [0, n): body(lo, hi) with
-// hi-lo <= grain. Chunk boundaries depend only on n and grain — not on the
-// worker count — so a caller accumulating fixed-order per-chunk partials gets
-// bit-identical results at any parallelism, and a body writing only its own
-// [lo, hi) slice is deterministic outright. Bodies must not write shared
-// state outside their range.
-//
-// For blocks until every chunk has finished. If any chunk panics, For panics
-// with the first recovered value after all chunks complete. Ranges of at
-// most one grain (and all calls on a serial pool) run inline on the caller.
-func (p *Pool) For(n, grain int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if grain <= 0 {
-		grain = 1
-	}
-	if p == nil || p.tasks == nil || p.width <= 1 || n <= grain {
-		body(0, n)
-		return
-	}
-	var (
-		wg  sync.WaitGroup
-		pan firstPanic
-	)
-	// Keep roughly `width` chunks in flight: the submit loop itself executes
-	// any chunk a worker cannot take, so at saturation the caller becomes the
-	// (width+1)-th lane rather than blocking.
-	for lo := 0; lo < n; lo += grain {
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		fn := func() {
-			defer wg.Done()
-			defer pan.capture()
-			body(lo, hi)
-		}
-		select {
-		case p.tasks <- fn:
-		default:
-			fn()
-		}
-	}
-	wg.Wait()
-	pan.repanic()
-}
-
 // Do runs the given functions concurrently on the pool and waits for all of
 // them, re-raising the first panic. It is the fan-out primitive for
-// heterogeneous tasks such as independent candidate-plan solves.
+// independent tasks such as shard solves and sweep cells.
 func (p *Pool) Do(fns ...func()) {
 	if len(fns) == 0 {
 		return

@@ -59,83 +59,11 @@ func TestLimit(t *testing.T) {
 	v := p.Limit(2)
 	v.Close()
 	var ran atomic.Int32
-	p.For(8, 1, func(lo, hi int) { ran.Add(int32(hi - lo)) })
-	if ran.Load() != 8 {
-		t.Errorf("pool broken after closing a view: ran %d of 8", ran.Load())
+	inc := func() { ran.Add(1) }
+	p.Do(inc, inc, inc, inc)
+	if ran.Load() != 4 {
+		t.Errorf("pool broken after closing a view: ran %d of 4", ran.Load())
 	}
-}
-
-func TestPoolForMatchesSerial(t *testing.T) {
-	withProcs(t, 4)
-	p := New(4)
-	defer p.Close()
-	const n = 10_000
-	in := make([]float64, n)
-	for i := range in {
-		in[i] = float64(i%97) * 1.25e-3
-	}
-	want := make([]float64, n)
-	Serial.For(n, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			want[i] = in[i]*in[i] + 1
-		}
-	})
-	got := make([]float64, n)
-	p.For(n, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			got[i] = in[i]*in[i] + 1
-		}
-	})
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("parallel For diverged from serial at %d: %v != %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestForCoversRangeExactlyOnce(t *testing.T) {
-	withProcs(t, 4)
-	p := New(4)
-	defer p.Close()
-	for _, n := range []int{0, 1, 5, 64, 65, 1000} {
-		for _, grain := range []int{1, 7, 64, 2000} {
-			seen := make([]int32, n)
-			p.For(n, grain, func(lo, hi int) {
-				if lo < 0 || hi > n || lo >= hi {
-					t.Errorf("bad chunk [%d,%d) for n=%d", lo, hi, n)
-				}
-				if hi-lo > grain {
-					t.Errorf("chunk [%d,%d) exceeds grain %d", lo, hi, grain)
-				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&seen[i], 1)
-				}
-			})
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("n=%d grain=%d: index %d visited %d times", n, grain, i, c)
-				}
-			}
-		}
-	}
-}
-
-func TestForPanicPropagation(t *testing.T) {
-	withProcs(t, 4)
-	p := New(4)
-	defer p.Close()
-	defer func() {
-		r := recover()
-		if r != "boom-42" {
-			t.Errorf("recovered %v, want boom-42", r)
-		}
-	}()
-	p.For(1000, 10, func(lo, hi int) {
-		if lo <= 420 && 420 < hi {
-			panic("boom-42")
-		}
-	})
-	t.Error("For should have panicked")
 }
 
 func TestDoPanicPropagation(t *testing.T) {
@@ -163,11 +91,7 @@ func TestSerialPanicPropagation(t *testing.T) {
 			t.Errorf("recovered %v, want serial-boom", r)
 		}
 	}()
-	Serial.For(10, 2, func(lo, hi int) {
-		if lo == 0 {
-			panic("serial-boom")
-		}
-	})
+	Serial.Do(func() {}, func() { panic("serial-boom") })
 }
 
 func TestDo(t *testing.T) {
@@ -187,25 +111,30 @@ func TestDo(t *testing.T) {
 	}
 }
 
-// TestNestedFor exercises For issued from inside worker-executed chunks: the
-// inline-fallback submit must keep nesting deadlock-free.
-func TestNestedFor(t *testing.T) {
+// TestNestedDo exercises Do issued from inside worker-executed tasks (a sweep
+// cell that runs a federated planner): the inline-fallback submit must keep
+// nesting deadlock-free.
+func TestNestedDo(t *testing.T) {
 	withProcs(t, 4)
 	p := New(4)
 	defer p.Close()
 	var total atomic.Int64
-	p.For(64, 1, func(lo, hi int) {
-		p.For(64, 8, func(l2, h2 int) {
-			total.Add(int64(h2 - l2))
-		})
-	})
-	if total.Load() != 64*64 {
-		t.Fatalf("nested For ran %d units, want %d", total.Load(), 64*64)
+	inner := make([]func(), 8)
+	for i := range inner {
+		inner[i] = func() { total.Add(1) }
+	}
+	outer := make([]func(), 64)
+	for i := range outer {
+		outer[i] = func() { p.Do(inner...) }
+	}
+	p.Do(outer...)
+	if total.Load() != 64*8 {
+		t.Fatalf("nested Do ran %d tasks, want %d", total.Load(), 64*8)
 	}
 }
 
-// TestSharedPoolStress drives many concurrent For/Do callers through one
-// pool. Run under -race this is the pool's data-race gate.
+// TestSharedPoolStress drives many concurrent Do callers through one pool.
+// Run under -race this is the pool's data-race gate.
 func TestSharedPoolStress(t *testing.T) {
 	withProcs(t, 4)
 	p := New(4)
@@ -217,13 +146,13 @@ func TestSharedPoolStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]float64, 512)
+			buf := make([]float64, 16)
+			fns := make([]func(), len(buf))
 			for r := 0; r < rounds; r++ {
-				p.For(len(buf), 32, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						buf[i] += float64(r + i)
-					}
-				})
+				for i := range fns {
+					fns[i] = func() { buf[i] += float64(r + i) }
+				}
+				p.Do(fns...)
 			}
 			var want, got float64
 			for i := range buf {

@@ -11,8 +11,7 @@ import (
 // fresh planner per b.N iteration and reports mean solver iterations per
 // round over the steady-state tail (after the predictor and the warm-start
 // chain have settled), so the nightly artifact records the warm-start
-// speedup (the ISSUE's ≥2× acceptance gate at admm-n200) next to PR 1's
-// serial-vs-parallel split.
+// speedup (the ISSUE's ≥2× acceptance gate at admm-n200).
 func benchColdVsWarm(b *testing.B, kind SolverKind, n, rounds, tail int, disableWarm bool) {
 	// 10-minute re-planning against a diurnal workload — the paper's §6
 	// regime: 144 ticks per day, so consecutive rounds differ by the small

@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/linalg"
@@ -21,6 +22,31 @@ type perPeriodRisk struct{ m linalg.MatVec }
 
 func (p perPeriodRisk) MulVec(x, dst linalg.Vector) linalg.Vector { return p.m.MulVec(x, dst) }
 
+// plansIdentical fails unless the two plans agree in every bit of every float
+// and in every solver counter.
+func plansIdentical(t *testing.T, tag string, a, b *Plan) {
+	t.Helper()
+	if a.Status != b.Status || a.Iterations != b.Iterations || a.WarmStarted != b.WarmStarted {
+		t.Fatalf("%s: status/iterations/warm diverge: %v/%d/%v vs %v/%d/%v",
+			tag, a.Status, a.Iterations, a.WarmStarted, b.Status, b.Iterations, b.WarmStarted)
+	}
+	if math.Float64bits(a.Objective) != math.Float64bits(b.Objective) ||
+		math.Float64bits(a.PriRes) != math.Float64bits(b.PriRes) {
+		t.Fatalf("%s: objective/residual diverge: %v/%v vs %v/%v", tag, a.Objective, a.PriRes, b.Objective, b.PriRes)
+	}
+	if len(a.Alloc) != len(b.Alloc) {
+		t.Fatalf("%s: horizon mismatch", tag)
+	}
+	for τ := range a.Alloc {
+		for i := range a.Alloc[τ] {
+			if math.Float64bits(a.Alloc[τ][i]) != math.Float64bits(b.Alloc[τ][i]) {
+				t.Fatalf("%s: alloc[%d][%d] diverges: %v vs %v",
+					tag, τ, i, a.Alloc[τ][i], b.Alloc[τ][i])
+			}
+		}
+	}
+}
+
 // TestBitIdenticalCompactSolve drives the same receding-horizon trace three
 // times: with the dense covariance in Inputs.Risk, where solveFISTA derives
 // the compact operator and applies it to all periods in one stacked call;
@@ -31,62 +57,60 @@ func (p perPeriodRisk) MulVec(x, dst linalg.Vector) linalg.Vector { return p.m.M
 func TestBitIdenticalCompactSolve(t *testing.T) {
 	cat := twinCatalog(9)
 	n := cat.Len()
-	for _, par := range []int{0, 2} {
-		cfg := Config{Horizon: 4, ChurnKappa: 1, Parallelism: par}
-		type track struct {
-			b    InputBuilder
-			ws   WarmSolver
-			prev linalg.Vector
+	cfg := Config{Horizon: 4, ChurnKappa: 1}
+	type track struct {
+		b    InputBuilder
+		ws   WarmSolver
+		prev linalg.Vector
+	}
+	const (
+		compactLeg = iota
+		denseDoorLeg
+		perPeriodLeg
+	)
+	step := func(tr *track, tick, leg int) *Plan {
+		in, epoch := tr.b.Build(tick, cfg.Horizon, sineLoad(tick))
+		m := cat.CovarianceMatrix(tick, cat.TwoWeekWindow())
+		switch leg {
+		case compactLeg:
+			in.Risk = m
+		case denseDoorLeg:
+			in.RiskOp, in.RiskDim = m, n
+		case perPeriodLeg:
+			in.RiskOp, in.RiskDim = perPeriodRisk{m}, n
 		}
-		const (
-			compactLeg = iota
-			denseDoorLeg
-			perPeriodLeg
-		)
-		step := func(tr *track, tick, leg int) *Plan {
-			in, epoch := tr.b.Build(tick, cfg.Horizon, sineLoad(tick))
-			m := cat.CovarianceMatrix(tick, cat.TwoWeekWindow())
-			switch leg {
-			case compactLeg:
-				in.Risk = m
-			case denseDoorLeg:
-				in.RiskOp, in.RiskDim = m, n
-			case perPeriodLeg:
-				in.RiskOp, in.RiskDim = perPeriodRisk{m}, n
-			}
-			in.PrevAlloc = tr.prev
-			plan, err := tr.ws.Solve(cfg, cat, in, epoch)
-			if err != nil {
-				t.Fatalf("tick %d: %v", tick, err)
-			}
-			tr.ws.Shift(n)
-			tr.prev = plan.First().Clone()
-			return plan
+		in.PrevAlloc = tr.prev
+		plan, err := tr.ws.Solve(cfg, cat, in, epoch)
+		if err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
 		}
-		var compact, dense, perPeriod track
-		for _, tr := range []*track{&compact, &dense, &perPeriod} {
-			tr.b = InputBuilder{Workload: testPredictor(cat), Source: ReactiveSource{Cat: cat}}
+		tr.ws.Shift(n)
+		tr.prev = plan.First().Clone()
+		return plan
+	}
+	var compact, dense, perPeriod track
+	for _, tr := range []*track{&compact, &dense, &perPeriod} {
+		tr.b = InputBuilder{Workload: testPredictor(cat), Source: ReactiveSource{Cat: cat}}
+	}
+	warm := 0
+	for round := 0; round < 10; round++ {
+		tick := 24*15 + round
+		pc, pd := step(&compact, tick, compactLeg), step(&dense, tick, denseDoorLeg)
+		plansIdentical(t, "round", pc, pd)
+		plansIdentical(t, "round (one period at a time)", pc, step(&perPeriod, tick, perPeriodLeg))
+		if pc.RiskCoupled != n/2 || pd.RiskCoupled != n {
+			t.Fatalf("round %d: RiskCoupled = %d (compact) / %d (dense door), want %d / %d",
+				round, pc.RiskCoupled, pd.RiskCoupled, n/2, n)
 		}
-		warm := 0
-		for round := 0; round < 10; round++ {
-			tick := 24*15 + round
-			pc, pd := step(&compact, tick, compactLeg), step(&dense, tick, denseDoorLeg)
-			plansIdentical(t, "round", pc, pd)
-			plansIdentical(t, "round (one period at a time)", pc, step(&perPeriod, tick, perPeriodLeg))
-			if pc.RiskCoupled != n/2 || pd.RiskCoupled != n {
-				t.Fatalf("round %d: RiskCoupled = %d (compact) / %d (dense door), want %d / %d",
-					round, pc.RiskCoupled, pd.RiskCoupled, n/2, n)
-			}
-			if round == 0 && pc.WarmStarted {
-				t.Fatal("first round must be cold")
-			}
-			if pc.WarmStarted {
-				warm++
-			}
+		if round == 0 && pc.WarmStarted {
+			t.Fatal("first round must be cold")
 		}
-		if warm == 0 {
-			t.Fatalf("parallelism %d: no warm round in the trace", par)
+		if pc.WarmStarted {
+			warm++
 		}
+	}
+	if warm == 0 {
+		t.Fatal("no warm round in the trace")
 	}
 }
 
@@ -139,9 +163,6 @@ func TestPlannerRiskCoupledGauge(t *testing.T) {
 // the certified-bracket projections in place a FISTA iteration still
 // allocates nothing — 500 extra iterations cost no object (solver.TestKKTFISTASteadyStateZeroAlloc is the solver-level twin).
 func TestCompactSolveSteadyStateZeroAlloc(t *testing.T) {
-	prev := linalg.ActivePool()
-	linalg.SetPool(nil)
-	defer linalg.SetPool(prev)
 	cat := twinCatalog(30)
 	b := InputBuilder{Workload: testPredictor(cat), Source: ReactiveSource{Cat: cat}}
 	in, _ := b.Build(24*15, 4, sineLoad(0))

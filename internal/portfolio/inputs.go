@@ -87,6 +87,3 @@ func (b *InputBuilder) Build(t, h int, actualLambda float64) (*Inputs, uint64) {
 	}
 	return in, b.ovEpoch
 }
-
-// OverlayEpoch returns the overlay epoch observed by the latest Build.
-func (b *InputBuilder) OverlayEpoch() uint64 { return b.ovEpoch }

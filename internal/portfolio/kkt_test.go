@@ -70,7 +70,7 @@ func TestKKTSparseBuildAvoidsDenseAllocation(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	prob := cfg.buildADMMSparse(in, n, kappa, nil)
+	prob := cfg.buildADMMSparse(in, n, kappa)
 	runtime.ReadMemStats(&after)
 
 	if err := prob.Validate(); err != nil {

@@ -36,8 +36,8 @@ const (
 	SolverADMM
 )
 
-// KKTPath, KKTSparse and Config.KKT are named by bench/plan.go; removed with
-// ROADMAP 1(a). The ADMM backend has one KKT engine and the field is ignored.
+// KKTPath and KKTSparse are named by bench/plan.go; removed with ROADMAP
+// 1(a). See Config.KKT.
 type KKTPath int
 
 const KKTSparse KKTPath = 0
@@ -91,12 +91,10 @@ type Config struct {
 	// (first-interval allocations agree within solver tolerance). Disable it
 	// to reproduce strictly independent per-round solves.
 	DisableWarmStart bool
-	// Parallelism bounds the worker pool used for the solve: 0 or 1 runs
-	// serial, n > 1 uses up to n workers, negative uses all available cores.
-	// Any setting returns bit-identical plans — parallel kernels preserve the
-	// serial accumulation order — so this is purely a latency knob.
+	// Parallelism and KKT are ignored — one solve is serial and ADMM has one
+	// KKT engine. Named by bench/plan.go; removed with ROADMAP 1(a).
 	Parallelism int
-	KKT         KKTPath // ignored; see KKTPath
+	KKT         KKTPath
 }
 
 // WithDefaults fills unset fields with the paper's defaults.

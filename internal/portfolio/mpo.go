@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 	"repro/internal/solver"
 )
 
@@ -49,79 +48,48 @@ func (p *Plan) First() linalg.Vector { return p.Alloc[0] }
 
 // horizonOperator is the Hessian of the MPO objective as a matrix-free
 // operator: block-diagonal risk (2αM per period) plus the tridiagonal churn
-// coupling 2κ(‖A_τ − A_{τ−1}‖² terms). Construct with newHorizonOperator.
+// coupling 2κ(‖A_τ − A_{τ−1}‖² terms).
 type horizonOperator struct {
 	m     RiskApplier // risk matrix M (dense, sparse or factor model)
 	alpha float64
 	kappa float64
 	n, h  int
-	pool  *parallel.Pool // per-period blocks run concurrently; nil = serial
-
-	// Operands of the in-flight Apply. The chunk bodies below read them
-	// through the receiver so the closures can be built once at construction
-	// instead of once per Apply — Apply runs every solver iteration and must
-	// not allocate in steady state.
-	x, dst    linalg.Vector
-	riskBody  func(plo, phi int)
-	churnBody func(plo, phi int)
 }
 
-// newHorizonOperator builds the operator with its chunk bodies pre-bound.
-func newHorizonOperator(m RiskApplier, alpha, kappa float64, n, h int, pool *parallel.Pool) *horizonOperator {
-	o := &horizonOperator{m: m, alpha: alpha, kappa: kappa, n: n, h: h, pool: pool}
-	o.riskBody = func(plo, phi int) {
-		// The whole period range goes to M in one call, so a stacked operator
-		// reads M once for all of it.
-		db := o.dst[plo*n : phi*n]
-		linalg.MulVecStacked(o.m, n, o.x[plo*n:phi*n], db)
-		db.Scale(2 * o.alpha)
+// Apply implements solver.QuadOperator.
+func (o *horizonOperator) Apply(x, dst linalg.Vector) {
+	n, h := o.n, o.h
+	// All periods go to M in one call, so a stacked operator reads M once.
+	linalg.MulVecStacked(o.m, n, x, dst)
+	dst.Scale(2 * o.alpha)
+	if o.kappa == 0 {
+		return
 	}
-	o.churnBody = func(plo, phi int) {
-		k2 := 2 * o.kappa
-		for τ := plo; τ < phi; τ++ {
-			xb := o.x[τ*n : (τ+1)*n]
-			db := o.dst[τ*n : (τ+1)*n]
-			// Each A_τ appears in the (τ) difference and, if τ+1 < h, in the
-			// (τ+1) difference.
-			diagCount := 1.0
-			if τ+1 < h {
-				diagCount = 2.0
-			}
+	k2 := 2 * o.kappa
+	for τ := 0; τ < h; τ++ {
+		xb := x[τ*n : (τ+1)*n]
+		db := dst[τ*n : (τ+1)*n]
+		// Each A_τ appears in the (τ) difference and, if τ+1 < h, in the
+		// (τ+1) difference.
+		diagCount := 1.0
+		if τ+1 < h {
+			diagCount = 2.0
+		}
+		for i := 0; i < n; i++ {
+			db[i] += k2 * diagCount * xb[i]
+		}
+		if τ > 0 {
+			prev := x[(τ-1)*n : τ*n]
 			for i := 0; i < n; i++ {
-				db[i] += k2 * diagCount * xb[i]
-			}
-			if τ > 0 {
-				prev := o.x[(τ-1)*n : τ*n]
-				for i := 0; i < n; i++ {
-					db[i] -= k2 * prev[i]
-				}
-			}
-			if τ+1 < h {
-				next := o.x[(τ+1)*n : (τ+2)*n]
-				for i := 0; i < n; i++ {
-					db[i] -= k2 * next[i]
-				}
+				db[i] -= k2 * prev[i]
 			}
 		}
-	}
-	return o
-}
-
-// Apply implements solver.QuadOperator. Each period writes only its own
-// dst block (the churn coupling reads neighbouring x blocks but never
-// neighbouring dst), so periods parallelize without changing any element's
-// accumulation order.
-func (o *horizonOperator) Apply(x, dst linalg.Vector) {
-	o.x, o.dst = x, dst
-	ws := o.pool
-	if ws == nil {
-		ws = parallel.Serial
-	}
-	// One contiguous period range per worker: the risk body stacks its range.
-	w := ws.Workers()
-	ws.For(o.h, (o.h+w-1)/w, o.riskBody)
-	if o.kappa != 0 {
-		ws.For(o.h, 1, o.churnBody)
+		if τ+1 < h {
+			next := x[(τ+1)*n : (τ+2)*n]
+			for i := 0; i < n; i++ {
+				db[i] -= k2 * next[i]
+			}
+		}
 	}
 }
 
@@ -282,18 +250,17 @@ func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState) (solver.Re
 	if risk == nil {
 		risk, coupled = linalg.CompactRisk(in.Risk)
 	}
-	ws := parallel.PoolFor(c.Parallelism)
 	var anchorIdx []int
 	if c.AMinOnDemand > 0 {
 		anchorIdx = in.anchorIdx()
 	}
 	pp := &solver.ProjectedProblem{
-		P: newHorizonOperator(risk, c.Alpha, kappa, n, c.Horizon, ws),
+		P: &horizonOperator{m: risk, alpha: c.Alpha, kappa: kappa, n: n, h: c.Horizon},
 		Q: c.buildLinear(in, n, kappa),
 		C: c.feasibleSet(n, anchorIdx),
 	}
 	return solver.SolveFISTA(pp, solver.FISTASettings{
-		MaxIter: c.maxIter(4000), Tol: 1e-7, Workers: ws, Warm: warm,
+		MaxIter: c.maxIter(4000), Tol: 1e-7, Warm: warm,
 	}), coupled
 }
 
@@ -301,7 +268,7 @@ func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState) (solver.Re
 // solver.SolveADMM takes: a matrix-free Hessian, a CSR constraint matrix and
 // the MPOStructure declaration its block-tridiagonal KKT factorization is
 // assembled from. Nothing O((nh)²) is ever allocated.
-func (c Config) buildADMMSparse(in *Inputs, n int, kappa float64, ws *parallel.Pool) *solver.Problem {
+func (c Config) buildADMMSparse(in *Inputs, n int, kappa float64) *solver.Problem {
 	h := c.Horizon
 	dim := n * h
 	m := dim + h
@@ -344,7 +311,7 @@ func (c Config) buildADMMSparse(in *Inputs, n int, kappa float64, ws *parallel.P
 		u[row] = math.Inf(1)
 	}
 	return &solver.Problem{
-		POp:     newHorizonOperator(in.Risk, c.Alpha, kappa, n, h, ws),
+		POp:     &horizonOperator{m: in.Risk, alpha: c.Alpha, kappa: kappa, n: n, h: h},
 		Q:       c.buildLinear(in, n, kappa),
 		ASparse: linalg.NewCSRFromTriplets(m, dim, is, js, vs),
 		L:       l,
@@ -361,9 +328,8 @@ func (c Config) buildADMMSparse(in *Inputs, n int, kappa float64, ws *parallel.P
 
 func (c Config) solveADMM(in *Inputs, n int, warm *solver.WarmState) solver.Result {
 	kappa := c.churnWeight(in, n)
-	ws := parallel.PoolFor(c.Parallelism)
-	return solver.SolveADMM(c.buildADMMSparse(in, n, kappa, ws), solver.ADMMSettings{
-		MaxIter: c.maxIter(8000), EpsAbs: 1e-6, EpsRel: 1e-6, Workers: ws, Warm: warm,
+	return solver.SolveADMM(c.buildADMMSparse(in, n, kappa), solver.ADMMSettings{
+		MaxIter: c.maxIter(8000), EpsAbs: 1e-6, EpsRel: 1e-6, Warm: warm,
 	})
 }
 

@@ -28,7 +28,7 @@ func planDefect(cfg Config, in *Inputs, plan *Plan, tol float64) string {
 	if in.RiskOp != nil {
 		risk = in.RiskOp
 	}
-	op := newHorizonOperator(risk, c.Alpha, kappa, n, c.Horizon, nil)
+	op := &horizonOperator{m: risk, alpha: c.Alpha, kappa: kappa, n: n, h: c.Horizon}
 	q := c.buildLinear(in, n, kappa)
 	var anchorIdx []int
 	if c.AMinOnDemand > 0 {

@@ -280,7 +280,7 @@ func TestHorizonOperatorMatchesDense(t *testing.T) {
 		}
 		risk.Add(i, i, 0.05)
 	}
-	op := newHorizonOperator(risk, 5, 0.7, n, h, nil)
+	op := &horizonOperator{m: risk, alpha: 5, kappa: 0.7, n: n, h: h}
 	// Dense counterpart: block-diagonal 2αM plus the churn tridiagonal.
 	x := linalg.NewVector(n * h)
 	dst := linalg.NewVector(n * h)
@@ -322,6 +322,13 @@ func TestHorizonOperatorMatchesDense(t *testing.T) {
 			if math.Abs(dst[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
 				t.Fatalf("operator mismatch at %d: %v vs %v", i, dst[i], want[i])
 			}
+		}
+	}
+	// Apply runs every solver iteration: no allocation, churn term or not.
+	for _, kappa := range []float64{0, 0.7} {
+		op.kappa = kappa
+		if a := testing.AllocsPerRun(50, func() { op.Apply(x, dst) }); a != 0 {
+			t.Fatalf("κ = %v: Apply allocates %v objects per call", kappa, a)
 		}
 	}
 }

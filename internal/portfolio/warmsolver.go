@@ -104,6 +104,3 @@ func (w *WarmSolver) Shift(n int) {
 	w.warm.ShiftHorizon(n)
 	w.shifted = true
 }
-
-// Invalidate drops any captured warm state.
-func (w *WarmSolver) Invalidate() { w.warm = nil }

@@ -27,10 +27,6 @@ type RunConfig struct {
 	Quick bool `json:"quick,omitempty"`
 	// Seed makes runs reproducible (0 selects the default seed 42).
 	Seed int64 `json:"seed,omitempty"`
-	// Parallelism bounds the optimizer worker pool (portfolio.Config
-	// semantics: 0/1 serial, n > 1 bounded, negative all cores). Results are
-	// bit-identical at any setting; only the solve times change.
-	Parallelism int `json:"parallelism,omitempty"`
 	// HighUtil overrides the utilization threshold of the §6.1 revocation
 	// decision (0 keeps the paper's 0.85).
 	HighUtil float64 `json:"high_util,omitempty"`
@@ -64,15 +60,13 @@ type RunConfig struct {
 }
 
 // Planner lays the run's planner options over a policy's portfolio
-// configuration: the HA anchor floor, warm starting and the worker bound.
-// The on-demand floor needs non-revocable capacity to anchor to, so it is
-// applied only when the catalog carries at least one non-transient market —
-// the paper's all-spot figure catalogs run unchanged. Warm starting and the
-// worker count change solve times only, so the zero RunConfig leaves every
-// plan as published.
+// configuration: the HA anchor floor and warm starting. The on-demand floor
+// needs non-revocable capacity to anchor to, so it is applied only when the
+// catalog carries at least one non-transient market — the paper's all-spot
+// figure catalogs run unchanged. Warm starting changes solve times only, so
+// the zero RunConfig leaves every plan as published.
 func (o RunConfig) Planner(cfg portfolio.Config, cat *market.Catalog) portfolio.Config {
 	cfg.DisableWarmStart = o.ColdStart
-	cfg.Parallelism = o.Parallelism
 	if o.AnchorMin <= 0 {
 		return cfg
 	}
@@ -144,7 +138,6 @@ func BindDaemonFlags(fs *flag.FlagSet) *Flags {
 func bindCommon(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.Int64Var(&f.rc.Seed, "seed", 42, "random seed")
-	fs.IntVar(&f.rc.Parallelism, "parallelism", 0, "optimizer worker bound: 0/1 serial, n>1 up to n workers, <0 all cores")
 	fs.Float64Var(&f.rc.HighUtil, "high-util", 0.85, "utilization threshold of the §6.1 revocation decision")
 	fs.BoolVar(&f.warmStart, "warm-start", true, "warm-start receding-horizon solves from the previous round's shifted solver state")
 	fs.Float64Var(&f.rc.AnchorMin, "anchor-min", 0, "minimum per-period on-demand (non-revocable) allocation share (0 = off; inert on all-spot catalogs)")

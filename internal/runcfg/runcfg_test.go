@@ -27,7 +27,7 @@ func TestBindFlagsParsesOverrides(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	f := BindFlags(fs)
 	args := []string{
-		"-quick", "-seed", "7", "-parallelism", "4", "-high-util", "0.7",
+		"-quick", "-seed", "7", "-high-util", "0.7",
 		"-warning", "30", "-warm-start=false",
 		"-risk", "-risk-quantile", "0.95", "-risk-halflife", "12",
 		"-anchor-min", "0.3", "-sentinel",
@@ -37,7 +37,7 @@ func TestBindFlagsParsesOverrides(t *testing.T) {
 	}
 	rc := f.Config()
 	want := RunConfig{
-		Quick: true, Seed: 7, Parallelism: 4, HighUtil: 0.7, WarningSec: 30,
+		Quick: true, Seed: 7, HighUtil: 0.7, WarningSec: 30,
 		ColdStart: true, Risk: true,
 		RiskQuantile: 0.95, RiskHalfLife: 12, AnchorMin: 0.3, Sentinel: true,
 	}
@@ -50,7 +50,10 @@ func TestDaemonFlagsOmitRunShapeKnobs(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	BindDaemonFlags(fs)
 	// -kkt selected an ADMM backend no binary can reach; it is gone for good.
-	for _, name := range []string{"quick", "warning", "kkt"} {
+	// -parallelism sizes the federation shard pool and is bound there, beside
+	// the other federation flags; spotwebd binds both sets on one FlagSet, so
+	// a second registration here would panic.
+	for _, name := range []string{"quick", "warning", "kkt", "parallelism"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("daemon flag set must not define -%s", name)
 		}
@@ -103,9 +106,9 @@ func TestLegWiring(t *testing.T) {
 		t.Fatalf("zero RunConfig changed the sim config: %+v", got)
 	}
 
-	o := RunConfig{Parallelism: 4, ColdStart: true, AnchorMin: 0.3, HighUtil: 0.7, WarningSec: 30, Sentinel: true, Risk: true}
+	o := RunConfig{ColdStart: true, AnchorMin: 0.3, HighUtil: 0.7, WarningSec: 30, Sentinel: true, Risk: true}
 	pc := o.Planner(base, cat)
-	if !pc.DisableWarmStart || pc.Parallelism != 4 || pc.AMinOnDemand != 0.3 || pc.Horizon != 3 {
+	if !pc.DisableWarmStart || pc.AMinOnDemand != 0.3 || pc.Horizon != 3 {
 		t.Fatalf("planner config = %+v", pc)
 	}
 	est := o.Estimator(cat)

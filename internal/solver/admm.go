@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 )
 
 // ADMMSettings tunes the OSQP-style solver. Zero values select defaults.
@@ -15,10 +14,6 @@ type ADMMSettings struct {
 	MaxIter int     // iteration budget (default 4000)
 	EpsAbs  float64 // absolute tolerance (default 1e-6)
 	EpsRel  float64 // relative tolerance (default 1e-6)
-	// Workers, when non-nil, runs the element-wise x/z/y updates concurrently;
-	// results are bit-identical to the serial path. The KKT factorization
-	// itself parallelizes through linalg.SetPool.
-	Workers *parallel.Pool
 	// Warm, when non-nil, seeds the solve from a previous Result.Warm: the
 	// x/z/y iterates start from the stored (optionally horizon-shifted)
 	// values, and the cached KKT factorization is reused when its
@@ -27,9 +22,6 @@ type ADMMSettings struct {
 	// consumed: do not share one WarmState across concurrent solves.
 	Warm *WarmState
 }
-
-// admmGrain is the chunk size for the element-wise update kernels.
-const admmGrain = 2048
 
 func (s ADMMSettings) withDefaults() ADMMSettings {
 	if s.Rho <= 0 {
@@ -157,10 +149,6 @@ func SolveADMM(p *Problem, settings ADMMSettings) Result {
 		return Result{Status: StatusError}
 	}
 	s := settings.withDefaults()
-	ws := s.Workers
-	if ws == nil {
-		ws = parallel.Serial
-	}
 	n, m := p.N(), p.M()
 
 	// Fingerprint the KKT data. A warm state carrying a factorization of the
@@ -208,17 +196,14 @@ func SolveADMM(p *Problem, settings ADMMSettings) Result {
 
 	xTilde, nu := fact.xt, fact.nu
 
-	// Relaxation/projection bodies, hoisted out of the loop so it stays
-	// allocation-free: x ← αx̃ + (1−α)x, then the per-row z̃/z/y update.
-	// Chunks are element-wise over disjoint ranges, so the pooled path
-	// reproduces the serial iterates bit-for-bit.
-	relaxX := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	res := Result{Status: StatusMaxIterations}
+	for iter := 1; iter <= s.MaxIter; iter++ {
+		fact.step(p, s.Sigma, s.Rho, x, z, y)
+		// x ← αx̃ + (1−α)x, then the per-row z̃/z/y update.
+		for i := range x {
 			x[i] = s.Alpha*xTilde[i] + (1-s.Alpha)*x[i]
 		}
-	}
-	updateZY := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+		for i := range z {
 			zTilde := z[i] + (nu[i]-y[i])/s.Rho
 			zRelax := s.Alpha*zTilde + (1-s.Alpha)*z[i]
 			// z-update: project zRelax + y/ρ onto [l, u].
@@ -232,13 +217,6 @@ func SolveADMM(p *Problem, settings ADMMSettings) Result {
 			// y-update.
 			y[i] += s.Rho * (zRelax - z[i])
 		}
-	}
-
-	res := Result{Status: StatusMaxIterations}
-	for iter := 1; iter <= s.MaxIter; iter++ {
-		fact.step(p, s.Sigma, s.Rho, x, z, y)
-		ws.For(n, admmGrain, relaxX)
-		ws.For(m, admmGrain, updateZY)
 
 		// Check residuals every few iterations to amortize the matvecs.
 		if iter%10 != 0 && iter != s.MaxIter {

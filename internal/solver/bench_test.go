@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 )
 
 func BenchmarkBoxBandProject(b *testing.B) {
@@ -44,45 +43,5 @@ func BenchmarkSolveADMM(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SolveADMM(gen, ADMMSettings{MaxIter: 4000})
-	}
-}
-
-// benchPools reports the serial baseline and a shared-pool variant so the
-// nightly benchmark artifact records the parallel speedup directly.
-func benchPools(b *testing.B, run func(b *testing.B, pool *parallel.Pool)) {
-	b.Run("serial", func(b *testing.B) { run(b, nil) })
-	b.Run("parallel", func(b *testing.B) {
-		pool := parallel.Default()
-		linalg.SetPool(pool)
-		defer linalg.SetPool(nil)
-		run(b, pool)
-	})
-}
-
-func BenchmarkSolveFISTASerialVsParallel(b *testing.B) {
-	for _, sz := range []struct{ n, h int }{{50, 4}, {200, 12}, {500, 24}} {
-		b.Run("n"+strconv.Itoa(sz.n)+"xh"+strconv.Itoa(sz.h), func(b *testing.B) {
-			benchPools(b, func(b *testing.B, pool *parallel.Pool) {
-				proj := multiPeriodQP(rand.New(rand.NewSource(7)), sz.n, sz.h)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					SolveFISTA(proj, FISTASettings{MaxIter: 500, Tol: 1e-8, Workers: pool})
-				}
-			})
-		})
-	}
-}
-
-func BenchmarkSolveADMMSerialVsParallel(b *testing.B) {
-	for _, n := range []int{50, 200, 500} {
-		b.Run("n"+strconv.Itoa(n), func(b *testing.B) {
-			benchPools(b, func(b *testing.B, pool *parallel.Pool) {
-				gen, _ := portfolioLikeQP(rand.New(rand.NewSource(8)), n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					SolveADMM(gen, ADMMSettings{MaxIter: 2000, Workers: pool})
-				}
-			})
-		})
 	}
 }

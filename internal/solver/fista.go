@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 )
 
 // Projector is any set with an in-place Euclidean projection. BoxBand and
@@ -64,11 +63,6 @@ type FISTASettings struct {
 	// LipschitzBound overrides the power-iteration estimate of λmax(P) when
 	// positive.
 	LipschitzBound float64
-	// Workers, when non-nil, runs the per-period projections and the
-	// element-wise iterate updates concurrently. Results are bit-identical to
-	// the serial path: chunks write disjoint ranges and reductions stay in
-	// serial order. nil means serial.
-	Workers *parallel.Pool
 	// Warm, when non-nil, seeds the solve from a previous Result.Warm: the
 	// iterate/momentum pair starts from the stored (optionally
 	// horizon-shifted) values and the Lipschitz estimate restarts power
@@ -140,14 +134,6 @@ func estimateLipschitz(p QuadOperator, v0 linalg.Vector, iters int) (float64, li
 	return lambda * 1.02, v
 }
 
-// PoolProjector is an optional extension of Projector for sets whose
-// projection decomposes into independent blocks (e.g. ProductSet's
-// per-period box∩band blocks). SolveFISTA uses it when Workers is set.
-type PoolProjector interface {
-	Projector
-	ProjectWith(pool *parallel.Pool, x linalg.Vector)
-}
-
 // ProjectedProblem is a QP over an arbitrary projectable convex set:
 // minimize ½xᵀPx + qᵀx subject to x ∈ C.
 type ProjectedProblem struct {
@@ -155,11 +141,6 @@ type ProjectedProblem struct {
 	Q linalg.Vector
 	C Projector
 }
-
-// fistaGrain is the chunk size for the element-wise vector kernels: large
-// enough that dispatch cost is negligible, small enough to split the
-// hundreds-of-markets × long-horizon iterates the paper's Fig. 7(b) sweeps.
-const fistaGrain = 2048
 
 // Objective evaluates the quadratic objective at x.
 func (p *ProjectedProblem) Objective(x linalg.Vector) float64 {
@@ -175,10 +156,6 @@ func (p *ProjectedProblem) Objective(x linalg.Vector) float64 {
 // ends the solve at that check with StatusMaxIterations.
 func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 	s := settings.withDefaults()
-	ws := s.Workers
-	if ws == nil {
-		ws = parallel.Serial
-	}
 	n := p.P.Dim()
 	warmStarted := false
 	l := s.LipschitzBound
@@ -199,15 +176,6 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 	}
 	step := 1 / l
 
-	// Per-period projections run concurrently when the set decomposes.
-	pp, blockSet := p.C.(PoolProjector)
-	project := func(v linalg.Vector) {
-		if blockSet {
-			pp.ProjectWith(ws, v)
-		} else {
-			p.C.Project(v)
-		}
-	}
 	// BoxBand and ProductSet count their projections' passes over their
 	// lifetime; the solve reports its own share.
 	counter, counted := p.C.(interface{ Stats() ProjectionStats })
@@ -227,7 +195,7 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 			tk = s.Warm.tk
 		}
 	}
-	project(x)
+	p.C.Project(x)
 	yv := x.Clone() // extrapolated point
 	if xPrev == nil {
 		xPrev = x.Clone()
@@ -244,38 +212,17 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 	grad := linalg.NewVector(n)
 	tmp := linalg.NewVector(n)
 
-	// Element-wise kernels, hoisted so the iteration loop passes pre-built
-	// closures to the pool instead of heap-allocating new ones every
-	// iteration (the loop must stay allocation-free in steady state). They
-	// write disjoint chunks, so any pool width gives the serial result.
-	// momentum is re-read each call; the loop updates it before extrapolate.
-	var momentum float64
-	gradStep := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xPrev[i] = x[i]
-			x[i] = yv[i] - step*(grad[i]+p.Q[i])
-		}
-	}
-	extrapolate := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			yv[i] = x[i] + momentum*(x[i]-xPrev[i])
-		}
-	}
-	fixedPoint := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			tmp[i] = x[i] - step*(grad[i]+p.Q[i])
-		}
-	}
-
 	res := Result{Status: StatusMaxIterations}
 	for iter := 1; iter <= s.MaxIter; iter++ {
 		// Gradient step at the extrapolated point.
 		p.P.Apply(yv, grad)
-		ws.For(n, fistaGrain, gradStep)
-		project(x)
+		for i := range x {
+			xPrev[i] = x[i]
+			x[i] = yv[i] - step*(grad[i]+p.Q[i])
+		}
+		p.C.Project(x)
 
-		// Adaptive restart: if momentum points uphill, reset it. The dot
-		// reduction stays serial to keep accumulation order fixed.
+		// Adaptive restart: if momentum points uphill, reset it.
 		var dot float64
 		for i := range x {
 			dot += (yv[i] - x[i]) * (x[i] - xPrev[i])
@@ -284,15 +231,19 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 			tk = 1
 		}
 		tNext := 0.5 * (1 + math.Sqrt(1+4*tk*tk))
-		momentum = (tk - 1) / tNext
-		ws.For(n, fistaGrain, extrapolate)
+		momentum := (tk - 1) / tNext
+		for i := range yv {
+			yv[i] = x[i] + momentum*(x[i]-xPrev[i])
+		}
 		tk = tNext
 
 		// Fixed-point residual at x (checked periodically).
 		if iter%5 == 0 || iter == s.MaxIter {
 			p.P.Apply(x, grad)
-			ws.For(n, fistaGrain, fixedPoint)
-			project(tmp)
+			for i := range tmp {
+				tmp[i] = x[i] - step*(grad[i]+p.Q[i])
+			}
+			p.C.Project(tmp)
 			var fp float64
 			for i := range tmp {
 				if d := math.Abs(tmp[i] - x[i]); d > fp || math.IsNaN(d) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 )
 
 // mpoShape is the constraint side of a structured test problem: one per-market
@@ -205,8 +204,7 @@ func TestKKTValidate(t *testing.T) {
 
 // admmIterAllocs measures the allocation cost of extra ADMM iterations: the
 // difference between a long and a short capped solve. Steady-state iterations
-// must be allocation-free (serial configuration; the parallel pool allocates
-// dispatch closures by design).
+// must be allocation-free.
 func admmIterAllocs(t *testing.T, p *Problem, short, long int) float64 {
 	t.Helper()
 	measure := func(iters int) float64 {
@@ -217,9 +215,6 @@ func admmIterAllocs(t *testing.T, p *Problem, short, long int) float64 {
 }
 
 func TestKKTADMMSteadyStateZeroAlloc(t *testing.T) {
-	prev := linalg.ActivePool()
-	linalg.SetPool(nil)
-	defer linalg.SetPool(prev)
 	rng := rand.New(rand.NewSource(46))
 	structured, _ := mpoKKTProblem(rng, 6, 4, false)
 	if d := admmIterAllocs(t, structured, 100, 600); d != 0 {
@@ -228,9 +223,6 @@ func TestKKTADMMSteadyStateZeroAlloc(t *testing.T) {
 }
 
 func TestKKTFISTASteadyStateZeroAlloc(t *testing.T) {
-	prev := linalg.ActivePool()
-	linalg.SetPool(nil)
-	defer linalg.SetPool(prev)
 	rng := rand.New(rand.NewSource(47))
 	n, h := 6, 4
 	g := linalg.NewMatrix(n, n)
@@ -267,21 +259,5 @@ func TestKKTFISTASteadyStateZeroAlloc(t *testing.T) {
 	}
 	if d := measure(600) - measure(100); d != 0 {
 		t.Errorf("FISTA allocates %.1f objects over 500 extra iterations, want 0", d)
-	}
-}
-
-// Pooled structured solves must reproduce the serial iterates bit-for-bit
-// (the reduced step is serial; only the element-wise updates split).
-func TestKKTStructuredPooledMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(49))
-	structured, _ := mpoKKTProblem(rng, 8, 4, false)
-	serial := SolveADMM(structured, ADMMSettings{MaxIter: 300})
-	pool := parallel.New(4)
-	defer pool.Close()
-	pooled := SolveADMM(structured, ADMMSettings{MaxIter: 300, Workers: pool})
-	for i := range serial.X {
-		if serial.X[i] != pooled.X[i] {
-			t.Fatalf("pooled x[%d] = %v, serial %v", i, pooled.X[i], serial.X[i])
-		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 )
 
 // ProjectBox projects x onto the box [lo, hi] element-wise, in place.
@@ -519,29 +518,10 @@ func (p *ProductSet) Stats() ProjectionStats {
 
 // Project projects x block-by-block in place.
 func (p *ProductSet) Project(x linalg.Vector) {
-	p.ProjectWith(parallel.Serial, x)
-}
-
-// ProjectWith projects x in place, running the per-period block projections
-// concurrently on the given pool. Blocks touch disjoint slices of x and each
-// block's bisection is deterministic, so the result is identical to the
-// serial Project for any pool width.
-func (p *ProductSet) ProjectWith(pool *parallel.Pool, x linalg.Vector) {
 	if len(x) != p.total {
 		panic("solver: ProductSet Project dimension mismatch")
 	}
-	if pool.Workers() <= 1 {
-		// Serial fast path before the closure literal: projections run every
-		// solver iteration, and the escaping closure below would otherwise
-		// cost a heap allocation per call.
-		for k := range p.Blocks {
-			p.Blocks[k].Project(x[p.offs[k]:p.offs[k+1]])
-		}
-		return
+	for k := range p.Blocks {
+		p.Blocks[k].Project(x[p.offs[k]:p.offs[k+1]])
 	}
-	pool.For(len(p.Blocks), 1, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			p.Blocks[k].Project(x[p.offs[k]:p.offs[k+1]])
-		}
-	})
 }

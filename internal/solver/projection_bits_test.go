@@ -552,4 +552,13 @@ func TestBoxBandProjectAllocFree(t *testing.T) {
 		t.Fatalf("Project allocates %v objects per call at %.1f real passes per bisected projection (%+v), want 0 and < 15",
 			allocs, st.PassesPerProjection(), st)
 	}
+	// The horizon-stacked set runs every FISTA iteration too.
+	ps := NewProductSet([]*BoxBand{b, NewBoxBand(lo, hi, 1, 1.5), NewBoxBand(lo, hi, 1, 1.5)})
+	src3, y3 := append(append(src.Clone(), src...), src...), linalg.NewVector(3*n)
+	if a := testing.AllocsPerRun(50, func() {
+		copy(y3, src3)
+		ps.Project(y3)
+	}); a != 0 {
+		t.Fatalf("ProductSet.Project allocates %v objects per call", a)
+	}
 }
