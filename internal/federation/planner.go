@@ -77,12 +77,15 @@ type Stats struct {
 	Shares []float64
 	// ShardSeconds is the per-shard wall time of the final round's solves.
 	ShardSeconds []float64
-	// InputBuildSeconds is the wall time of the shared input build (forecast,
-	// overlay, per-shard slicing) and CovarianceSeconds that of the shard
-	// covariances (computed on the shard pool) — the input side of
-	// WallSeconds, spent before the first coordination round.
+	// The three phases of WallSeconds. CovarianceSeconds is the wall time of
+	// the input fan-out on the shard pool: the shard covariances plus, as one
+	// more task, the shared input build (forecast, overlay), whose own
+	// duration is InputBuildSeconds (inside CovarianceSeconds, not beside it).
+	// SolveSeconds is the wall time of the coordination loop; slicing, merging
+	// and integerization are the remainder.
 	InputBuildSeconds float64
 	CovarianceSeconds float64
+	SolveSeconds      float64
 	// WallSeconds is the full Step wall time.
 	WallSeconds float64
 }
@@ -120,6 +123,8 @@ type Planner struct {
 	builder   portfolio.InputBuilder
 	solvers   []*portfolio.WarmSolver
 	pool      *parallel.Pool
+	caps      []float64       // per-market capacity over the merged catalog
+	riskAlloc []linalg.Vector // per-shard M·a₀ scratch of marginalCost
 	prevAlloc linalg.Vector
 	shares    []float64
 	stats     Stats
@@ -137,8 +142,14 @@ func NewPlanner(fed *Federation, cfg PlannerConfig, workload predict.Predictor, 
 		pool: parallel.PoolFor(c.Parallelism),
 	}
 	p.solvers = make([]*portfolio.WarmSolver, len(fed.Shards))
-	for i := range p.solvers {
+	p.riskAlloc = make([]linalg.Vector, len(fed.Shards))
+	for i, sh := range fed.Shards {
 		p.solvers[i] = &portfolio.WarmSolver{}
+		p.riskAlloc[i] = linalg.NewVector(sh.Cat.Len())
+	}
+	p.caps = make([]float64, fed.Len())
+	for i, m := range fed.Merged.Markets {
+		p.caps[i] = m.Type.Capacity
 	}
 	return p
 }
@@ -174,7 +185,20 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 		ws.Metrics = p.Metrics
 	}
 
-	in, epoch := p.builder.Build(t, h, actualLambda)
+	// The input side is one fan-out: covariances are shard-local, depend only
+	// on (t, CovWindow) and are cached for the whole coordination loop, so the
+	// shared input build runs beside them instead of ahead of them.
+	var (
+		in        *portfolio.Inputs
+		epoch     uint64
+		inputSecs float64
+	)
+	risks := p.shardCovariances(t, func() {
+		t0 := time.Now()
+		in, epoch = p.builder.Build(t, h, actualLambda)
+		inputSecs = time.Since(t0).Seconds()
+	})
+	covSecs := time.Since(start).Seconds()
 
 	// Per-shard inputs: rows are subslices of the merged rows (overlay
 	// already applied globally).
@@ -185,6 +209,7 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 			PerReqCost:   make([][]float64, h),
 			FailProb:     make([][]float64, h),
 			ShortfallMAE: in.ShortfallMAE,
+			Risk:         risks[s],
 		}
 		for τ := 0; τ < h; τ++ {
 			si.PerReqCost[τ] = in.PerReqCost[τ][sh.Lo:sh.Hi]
@@ -195,36 +220,30 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 		}
 		shardIns[s] = si
 	}
-	inputSecs := time.Since(start).Seconds()
-
-	// Covariance is shard-local and cached for the whole coordination loop.
-	covStart := time.Now()
-	p.shardCovariances(t, shardIns)
-	covSecs := time.Since(covStart).Seconds()
 
 	if p.shares == nil {
 		p.shares = p.proportionalShares()
 	}
 	shares := append([]float64(nil), p.shares...)
 
+	// One solve closure per shard, reused by every coordination round: each
+	// reads the share current when it runs.
 	results := make([]shardResult, len(shards))
-	solveRound := func() {
-		fns := make([]func(), len(shards))
-		for s := range shards {
-			s := s
-			fns[s] = func() {
-				t0 := time.Now()
-				cfg := p.shardConfig(shares[s])
-				plan, err := p.solvers[s].Solve(cfg, shards[s].Cat, shardIns[s], epoch)
-				mc := math.Inf(1)
-				if err == nil {
-					mc = p.marginalCost(cfg, shardIns[s], plan)
-				}
-				results[s] = shardResult{plan: plan, err: err, mc: mc, secs: time.Since(t0).Seconds()}
+	solves := make([]func(), len(shards))
+	for s := range shards {
+		solves[s] = func() {
+			t0 := time.Now()
+			cfg := p.shardConfig(shares[s])
+			plan, err := p.solvers[s].Solve(cfg, shards[s].Cat, shardIns[s], epoch)
+			mc := math.Inf(1)
+			if err == nil {
+				mc = p.marginalCost(s, cfg, shardIns[s], plan)
 			}
+			results[s] = shardResult{plan: plan, err: err, mc: mc, secs: time.Since(t0).Seconds()}
 		}
-		p.pool.Do(fns...)
 	}
+	solveRound := func() { p.pool.Do(solves...) }
+	solveStart := time.Now()
 
 	rounds, fallbacks := 0, 0
 	if len(shards) == 1 {
@@ -270,6 +289,8 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 		}
 	}
 
+	solveSecs := time.Since(solveStart).Seconds()
+
 	// Accept the final round: shift each shard's warm state once, merge the
 	// horizon plans into one global plan.
 	for s := range shards {
@@ -281,17 +302,14 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 	merged := plan.First()
 	p.prevAlloc = merged.Clone()
 
-	caps := make([]float64, nGlobal)
-	for i, m := range p.Fed.Merged.Markets {
-		caps[i] = m.Type.Capacity
-	}
-	counts := portfolio.ServerCounts(merged, in.Lambda[0], caps, p.Cfg.MinServerFraction)
+	counts := portfolio.ServerCounts(merged, in.Lambda[0], p.caps, p.Cfg.MinServerFraction)
 
 	p.stats = Stats{
 		Shards: len(shards), Markets: nGlobal, Rounds: rounds, Fallbacks: fallbacks,
 		Shares:            append([]float64(nil), shares...),
 		InputBuildSeconds: inputSecs,
 		CovarianceSeconds: covSecs,
+		SolveSeconds:      solveSecs,
 		WallSeconds:       time.Since(start).Seconds(),
 	}
 	p.stats.ShardSeconds = make([]float64, len(shards))
@@ -304,21 +322,23 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 		Plan:            plan,
 		Counts:          counts,
 		PredictedLambda: in.Lambda[0],
-		Capacity:        portfolio.CapacityOf(counts, caps),
+		Capacity:        portfolio.CapacityOf(counts, p.caps),
 	}, nil
 }
 
-// shardCovariances fills ins[s].Risk with shard s's covariance matrix on the
-// shard pool. Shards read disjoint catalogs and write their own slot, so the
-// matrices are the serial loop's bit for bit at any pool width.
-func (p *Planner) shardCovariances(t int, ins []*portfolio.Inputs) {
-	fns := make([]func(), len(ins))
-	for s := range ins {
-		fns[s] = func() {
-			ins[s].Risk = p.Fed.Shards[s].Cat.CovarianceMatrix(t, p.Cfg.CovWindow)
-		}
+// shardCovariances returns every shard's covariance matrix, computed on the
+// shard pool with build as one more task of the same fan-out (first: it is
+// the longest). Shards read disjoint catalogs and each task writes its own
+// slot, so the matrices are the serial loop's bit for bit at any pool width.
+func (p *Planner) shardCovariances(t int, build func()) []*linalg.Matrix {
+	risks := make([]*linalg.Matrix, len(p.Fed.Shards))
+	fns := make([]func(), 1, 1+len(risks))
+	fns[0] = build
+	for s, sh := range p.Fed.Shards {
+		fns = append(fns, func() { risks[s] = sh.Cat.CovarianceMatrix(t, p.Cfg.CovWindow) })
 	}
 	p.pool.Do(fns...)
+	return risks
 }
 
 // shardConfig scales the global allocation budget [AMin, AMax] by a shard's
@@ -359,9 +379,9 @@ func (p *Planner) proportionalShares() []float64 {
 // the solved first-interval allocation. Markets pinned at the per-market cap
 // cannot absorb more budget and are skipped; if every market is capped the
 // marginal is +Inf (the shard is saturated).
-func (p *Planner) marginalCost(cfg portfolio.Config, in *portfolio.Inputs, plan *portfolio.Plan) float64 {
+func (p *Planner) marginalCost(s int, cfg portfolio.Config, in *portfolio.Inputs, plan *portfolio.Plan) float64 {
 	a0 := plan.First()
-	ma := in.Risk.MulVec(a0, make(linalg.Vector, len(a0)))
+	ma := in.Risk.MulVec(a0, p.riskAlloc[s])
 	lam := in.Lambda[0]
 	mc := math.Inf(1)
 	for i := range a0 {

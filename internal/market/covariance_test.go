@@ -91,9 +91,10 @@ func TestBitIdenticalCatalogCovariance(t *testing.T) {
 	for name, transient := range patterns {
 		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 50, 288} {
 			c := patternCatalog(rng, n, intervals, transient)
-			// Windows 2, 3 and 336, the diagonal-prior fallback (t = 1) and a
-			// window reaching past the final interval (clamped reads).
-			for _, tw := range [][2]int{{338, 2}, {338, 3}, {338, 336}, {1, 336}, {intervals + 2, 5}} {
+			// Windows 2, 3 and 336, the diagonal-prior fallback (t = 1) and two
+			// windows reaching past the final interval — wholly and in their
+			// tail — which take the clamped gather instead of the copy.
+			for _, tw := range [][2]int{{338, 2}, {338, 3}, {338, 336}, {1, 336}, {intervals + 2, 5}, {intervals + 2, 336}} {
 				got := c.CovarianceMatrix(tw[0], tw[1])
 				assertSameBits(t, name, got, pairwiseCovariance(c, tw[0], tw[1]))
 			}

@@ -142,11 +142,17 @@ func (c *Catalog) failWindows(idx []int, t, window int) *linalg.Matrix {
 	}
 	x := linalg.NewMatrix(len(idx), t-lo)
 	for r, i := range idx {
-		if mk := c.Markets[i]; mk.Transient {
-			vals := mk.FailProb.Values
-			for k, row := 0, x.Row(r); k < len(row); k++ {
-				row[k] = vals[clampIndex(lo+k, len(vals))]
-			}
+		mk := c.Markets[i]
+		if !mk.Transient {
+			continue
+		}
+		row, vals := x.Row(r), mk.FailProb.Values
+		if t <= len(vals) {
+			copy(row, vals[lo:t])
+			continue
+		}
+		for k := range row { // the window runs past the series: clamped reads
+			row[k] = vals[clampIndex(lo+k, len(vals))]
 		}
 	}
 	return x

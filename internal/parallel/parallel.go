@@ -6,9 +6,9 @@
 //
 //  1. Determinism. Tasks write only their own outputs, so results do not
 //     depend on how many workers run.
-//  2. Deadlock freedom under nesting. A task that cannot be handed to a
-//     worker (all busy) runs inline on the submitting goroutine instead of
-//     queueing.
+//  2. Deadlock freedom under nesting. Do hands at most one helper to each
+//     worker it may use and then runs tasks itself; it waits for tasks, never
+//     for helpers, so a helper no worker takes (all busy) costs nothing.
 //  3. Serial fallback. A serial pool runs everything inline with zero
 //     goroutine traffic, so callers can unconditionally route work through a
 //     Pool.
@@ -20,6 +20,7 @@ package parallel
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool runs tasks on a fixed set of worker goroutines. The zero value is not
@@ -59,14 +60,14 @@ func New(workers int) *Pool {
 }
 
 // NewIO returns a pool with exactly the given number of workers, NOT clamped
-// to GOMAXPROCS, with a task queue deep enough to hold one task per worker.
+// to GOMAXPROCS, with a queue deep enough to hold one Do helper per worker.
 // It is meant for workloads that block — sleeping sweep cells, network waits,
 // subprocess fan-out — where more workers than cores is the point: on a
 // one-core box an 8-worker NewIO pool overlaps 8 blocking tasks. The queue
-// depth matters for the same reason: with unbuffered hand-off a submitter can
-// find every worker momentarily unscheduled and run the task inline, which
-// serializes the very blocking this pool exists to overlap. Tasks that
-// overflow the queue still run inline (deadlock freedom, constraint 2), but
+// depth matters for the same reason: with unbuffered hand-off a Do caller can
+// find every worker momentarily unscheduled and start no helper, which
+// serializes the very blocking this pool exists to overlap. Helpers that
+// overflow the queue are not started (deadlock freedom, constraint 2), but
 // under steady draining that is rare. Determinism guarantees are unchanged.
 //
 // workers <= 1 returns Serial. Pools returned by NewIO own their workers;
@@ -169,9 +170,10 @@ func (f *firstPanic) repanic() {
 	}
 }
 
-// Do runs the given functions concurrently on the pool and waits for all of
-// them, re-raising the first panic. It is the fan-out primitive for
-// independent tasks such as shard solves and sweep cells.
+// Do runs the given functions on the pool, at most Workers() at a time (the
+// caller counts as one), and waits for all of them, re-raising the first
+// panic. It is the fan-out primitive for independent tasks such as shard
+// solves and sweep cells.
 func (p *Pool) Do(fns ...func()) {
 	if len(fns) == 0 {
 		return
@@ -187,23 +189,33 @@ func (p *Pool) Do(fns ...func()) {
 		pan.repanic()
 		return
 	}
+	// One hand-off per worker, not per task: at most width-1 helpers go to
+	// the pool and, with the caller, claim task indices from one counter. A
+	// helper no worker takes is simply not started, and completion is counted
+	// per task, so one that a busy or buffered pool starts late finds nothing
+	// left to claim and is never waited for.
 	var (
-		wg  sync.WaitGroup
-		pan firstPanic
+		next atomic.Int64
+		left sync.WaitGroup
+		pan  firstPanic
 	)
-	for _, fn := range fns {
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			defer pan.capture()
-			fn()
-		}
-		select {
-		case p.tasks <- task:
-		default:
-			task()
+	left.Add(len(fns))
+	claim := func() {
+		for i := next.Add(1) - 1; i < int64(len(fns)); i = next.Add(1) - 1 {
+			func() {
+				defer left.Done()
+				defer pan.capture()
+				fns[i]()
+			}()
 		}
 	}
-	wg.Wait()
+	for h := min(p.width, len(fns)) - 1; h > 0; h-- {
+		select {
+		case p.tasks <- claim:
+		default:
+		}
+	}
+	claim()
+	left.Wait()
 	pan.repanic()
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -207,5 +208,161 @@ func TestNewIOOverlapsBlockingTasks(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("NewIO(8) failed to run 8 blocking tasks concurrently")
+	}
+}
+
+// TestDoHonoursLimitWidth pins what Limit documents: a width-2 view of a
+// four-worker pool runs at most two tasks at once (the caller and one
+// helper), and does run two. Tasks block until released, so the count of
+// tasks inside is exact; only "no third task starts" needs a grace period.
+func TestDoHonoursLimitWidth(t *testing.T) {
+	withProcs(t, 4)
+	p := New(4)
+	defer p.Close()
+	view := p.Limit(2)
+	// A hand-off needs a worker already parked on the queue: get all four
+	// running first (a blocking send each, held at a barrier), and retry the
+	// rare attempt that still finds none back at the queue.
+	var up sync.WaitGroup
+	up.Add(4)
+	for i := 0; i < 4; i++ {
+		p.tasks <- func() { up.Done(); up.Wait() }
+	}
+	up.Wait()
+	for attempt := 0; ; attempt++ {
+		var inside, peak atomic.Int32
+		entered := make(chan struct{}, 8)
+		release := make(chan struct{})
+		fns := make([]func(), 8)
+		for i := range fns {
+			fns[i] = func() {
+				c := inside.Add(1)
+				for old := peak.Load(); c > old && !peak.CompareAndSwap(old, c); old = peak.Load() {
+				}
+				entered <- struct{}{}
+				<-release
+				inside.Add(-1)
+			}
+		}
+		done := make(chan struct{})
+		go func() { view.Do(fns...); close(done) }()
+		<-entered
+		paired := true
+		select {
+		case <-entered:
+		case <-time.After(200 * time.Millisecond):
+			paired = false // no worker was parked to take the helper
+		}
+		third := false
+		if paired {
+			select {
+			case <-entered:
+				third = true
+			case <-time.After(50 * time.Millisecond):
+			}
+		}
+		close(release)
+		<-done
+		if third || peak.Load() > 2 {
+			t.Fatalf("Limit(2) view ran more than two tasks at once (peak %d)", peak.Load())
+		}
+		if paired {
+			return
+		}
+		if attempt == 20 {
+			t.Fatal("Limit(2) view never ran two tasks at once")
+		}
+	}
+}
+
+// TestDoRunsEachTaskOnce: the claim counter hands every index to exactly one
+// goroutine at any width, clamped or not.
+func TestDoRunsEachTaskOnce(t *testing.T) {
+	withProcs(t, 4)
+	pools := map[string]*Pool{"serial": New(1), "new2": New(2), "new4": New(4), "io8": NewIO(8)}
+	for name, p := range pools {
+		ran := make([]atomic.Int32, 1000)
+		fns := make([]func(), len(ran))
+		for i := range fns {
+			fns[i] = func() { ran[i].Add(1) }
+		}
+		p.Do(fns...)
+		for i := range ran {
+			if n := ran[i].Load(); n != 1 {
+				t.Fatalf("%s: task %d ran %d times", name, i, n)
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestDoLateHelperNotAwaited: completion is counted per task, so when every
+// worker is busy and the helper only sits in the queue, Do returns as soon as
+// the caller has run everything — and the helper, once a worker gets to it,
+// finds nothing to claim.
+func TestDoLateHelperNotAwaited(t *testing.T) {
+	p := NewIO(2)
+	defer p.Close()
+	var parked sync.WaitGroup
+	parked.Add(2)
+	gate := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		p.tasks <- func() { parked.Done(); <-gate }
+	}
+	parked.Wait()
+
+	ran := make([]atomic.Int32, 10)
+	fns := make([]func(), len(ran))
+	for i := range fns {
+		fns[i] = func() { ran[i].Add(1) }
+	}
+	done := make(chan struct{})
+	go func() { p.Do(fns...); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Do waited for a helper no worker had started")
+	}
+
+	// Unpark the workers and hold both at a barrier: the queue is FIFO, so by
+	// then the queued helper has been taken and has returned.
+	close(gate)
+	var barrier sync.WaitGroup
+	barrier.Add(2)
+	for i := 0; i < 2; i++ {
+		p.tasks <- func() { barrier.Done(); barrier.Wait() }
+	}
+	barrier.Wait()
+	for i := range ran {
+		if n := ran[i].Load(); n != 1 {
+			t.Fatalf("task %d ran %d times", i, n)
+		}
+	}
+}
+
+// BenchmarkPoolDo puts a number on Do's hand-off: 40 tasks of ≈ 100 µs — one
+// federated round's covariance or solve fan-out — at widths 1 and 2. Serial is
+// the floor (40 × 100 µs); width 2 should read half of it plus the hand-off.
+func BenchmarkPoolDo(b *testing.B) {
+	spin := func() {
+		for t0 := time.Now(); time.Since(t0) < 100*time.Microsecond; {
+		}
+	}
+	fns := make([]func(), 40)
+	for i := range fns {
+		fns[i] = spin
+	}
+	for _, width := range []int{1, 2} {
+		b.Run(fmt.Sprintf("width%d", width), func(b *testing.B) {
+			if runtime.GOMAXPROCS(0) < width {
+				b.Skipf("GOMAXPROCS %d < %d", runtime.GOMAXPROCS(0), width)
+			}
+			p := New(width)
+			defer p.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Do(fns...)
+			}
+		})
 	}
 }

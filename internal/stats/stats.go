@@ -316,8 +316,10 @@ func Center(xs []float64) {
 //
 // Every entry equals Covariance(series[i], series[j]) bit for bit: each is
 // one accumulator summed over the samples in ascending order. The speed comes
-// from centring once instead of once per pair and from computing only the
-// upper triangle.
+// from centring once instead of once per pair, from computing only the upper
+// triangle, and from 2 × 2 register blocks: four entries — four independent
+// accumulator chains — share every load of two row series and two column
+// series (DESIGN §5, "blocking only across outputs").
 func CovarianceMatrix(series [][]float64) ([]float64, int) {
 	n := len(series)
 	out := make([]float64, n*n)
@@ -335,19 +337,52 @@ func CovarianceMatrix(series [][]float64) ([]float64, int) {
 		return out, n
 	}
 	d := float64(w - 1)
-	for i, a := range series {
-		for j := i; j < n; j++ {
-			// Reslicing to len(a) lets the compiler drop the bounds check
-			// from the inner loop.
-			b := series[j][:len(a)]
-			var s float64
-			for k, x := range a {
-				s += x * b[k]
+	set := func(i, j int, s float64) {
+		c := s / d
+		out[i*n+j] = c
+		out[j*n+i] = c
+	}
+	i := 0
+	for ; i+1 < n; i += 2 {
+		// Reslicing to len(a0) lets the compiler drop the bounds checks from
+		// the inner loops.
+		a0 := series[i]
+		a1 := series[i+1][:len(a0)]
+		j := i
+		for ; j+1 < n; j += 2 {
+			b0, b1 := series[j][:len(a0)], series[j+1][:len(a0)]
+			var s00, s01, s10, s11 float64
+			for k, x0 := range a0 {
+				x1, y0, y1 := a1[k], b0[k], b1[k]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s10 += x1 * y0
+				s11 += x1 * y1
 			}
-			c := s / d
-			out[i*n+j] = c
-			out[j*n+i] = c
+			// On the diagonal block (j == i) s10 is entry (i+1, i), the
+			// mirror of s01: the same products commuted, so the same bits.
+			set(i, j, s00)
+			set(i+1, j, s10)
+			set(i, j+1, s01)
+			set(i+1, j+1, s11)
 		}
+		if j < n { // odd n: a 2 × 1 strip down the last column
+			b := series[j][:len(a0)]
+			var s0, s1 float64
+			for k, x0 := range a0 {
+				s0 += x0 * b[k]
+				s1 += a1[k] * b[k]
+			}
+			set(i, j, s0)
+			set(i+1, j, s1)
+		}
+	}
+	if i < n { // odd n: the last row holds only its diagonal entry
+		var s float64
+		for _, x := range series[i] {
+			s += x * x
+		}
+		set(i, i, s)
 	}
 	return out, n
 }
