@@ -120,6 +120,9 @@ func selectScenarios(path, suite string) ([]*chaos.Scenario, error) {
 		return nil, fmt.Errorf("pass either -scenario or -suite, not both")
 	case path != "":
 		sc, err := chaos.LoadScenario(path)
+		if err == nil {
+			err = runner.CheckScenario(sc)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -29,6 +29,21 @@ func TestSelectScenarios(t *testing.T) {
 	if err := os.WriteFile(file, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A region outage runs on the federation's unspiked catalogs, so a price
+	// spike beside it is a usage error rather than a fault silently not run.
+	outage, err := chaos.Builtin("region-outage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	outage.Faults = append(append([]chaos.FaultSpec(nil), outage.Faults...),
+		chaos.FaultSpec{Kind: chaos.KindPriceSpike, Start: 0.3, Duration: 0.3, Severity: 3})
+	if data, err = outage.EncodeJSON(); err != nil {
+		t.Fatal(err)
+	}
+	spiked := filepath.Join(dir, "outage-spike.json")
+	if err := os.WriteFile(spiked, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name, path, suite string
 		want              []string // scenario names
@@ -41,6 +56,7 @@ func TestSelectScenarios(t *testing.T) {
 		{name: "unknown name", suite: "no-such-scenario", wantErr: "no-such-scenario"},
 		{name: "scenario file", path: file, want: []string{"storm"}},
 		{name: "missing file", path: file + ".absent", wantErr: "no such file"},
+		{name: "region outage with a price spike", path: spiked, wantErr: "combines region_outage with price_spike"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := selectScenarios(tc.path, tc.suite)

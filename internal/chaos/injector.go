@@ -151,6 +151,10 @@ func (in *Injector) PriceFactor(x float64, market int) float64 {
 	return f
 }
 
+// SpikesPrices reports whether any price-spike window was compiled; without
+// one PriceFactor is 1 for every market at every x.
+func (in *Injector) SpikesPrices() bool { return in != nil && len(in.price) > 0 }
+
 // StartDelayFactor returns the launch/replacement start-delay multiplier at
 // progress x (≥ 1; the maximum of active jitter windows).
 func (in *Injector) StartDelayFactor(x float64) float64 {

@@ -84,12 +84,23 @@ func TestBuiltinScenarioGoldens(t *testing.T) {
 // RunConfig the same way. The region-outage path used to build its legs by
 // hand and silently dropped -high-util, -warning and -warm-start; its one
 // deliberate difference, the cleared anchor floor, is data on the env.
+//
+// It also pins how many planners Run builds — one per distinct planner input
+// of the estimator-free legs, plus one per adaptive leg:
+//   - storm: the fault and fault-free legs declare the same catalog, 1;
+//   - stale-catalog: its price spike on the deceitful pool gives the fault
+//     leg a spiked declaration of its own, 2 traces + the adaptive leg, 3;
+//   - region-outage: 1 trace + the adaptive leg, 2.
 func TestLegCarriesRunConfig(t *testing.T) {
 	rc := runcfg.RunConfig{
 		HighUtil: 0.7, WarningSec: 30, Sentinel: true,
 		ColdStart: true, AnchorMin: 0.3,
 	}
-	for _, name := range []string{"storm", "stale-catalog", "region-outage"} {
+	for _, tc := range []struct {
+		name       string
+		wantBuilds int
+	}{{"storm", 1}, {"stale-catalog", 3}, {"region-outage", 2}} {
+		name, wantBuilds := tc.name, tc.wantBuilds
 		t.Run(name, func(t *testing.T) {
 			sc, err := chaos.Builtin(name)
 			if err != nil {
@@ -108,31 +119,28 @@ func TestLegCarriesRunConfig(t *testing.T) {
 				}
 			}
 
-			// The planner configuration of every leg, as Run builds them.
-			var legs []portfolio.Config
+			// The planner configuration of every planner Run builds.
+			var built []portfolio.Config
 			build := env.NewPlanner
 			env.NewPlanner = func(cfg portfolio.Config, declared *market.Catalog, est *risk.Estimator) autoscale.Stepper {
-				legs = append(legs, cfg)
+				built = append(built, cfg)
 				return build(cfg, declared, est)
 			}
 			rep, _, err := Run(env, rc, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantAnchor, wantLegs := 0.3, 2
+			wantAnchor := 0.3
 			if env.NoAnchor {
 				wantAnchor = 0
 			}
-			if env.AdaptivePolicy != "" {
-				wantLegs = 3
+			if len(built) != wantBuilds {
+				t.Fatalf("Run built %d planners, want %d", len(built), wantBuilds)
 			}
-			if len(legs) != wantLegs {
-				t.Fatalf("Run built %d legs, want %d", len(legs), wantLegs)
-			}
-			for i, pc := range legs {
+			for i, pc := range built {
 				if !pc.DisableWarmStart || pc.AMinOnDemand != wantAnchor ||
 					pc.AMaxPerMarket != env.Portfolio.AMaxPerMarket {
-					t.Fatalf("leg %d: portfolio.Config = %+v", i, pc)
+					t.Fatalf("planner %d: portfolio.Config = %+v", i, pc)
 				}
 			}
 			if rep.AnchorMin != wantAnchor || !rep.Sentinel {

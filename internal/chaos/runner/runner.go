@@ -8,7 +8,10 @@
 package runner
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"sync"
 
 	"repro/internal/autoscale"
 	"repro/internal/chaos"
@@ -90,8 +93,10 @@ func simWorkload(n int, cat *market.Catalog) *trace.Series {
 // spikedCatalog returns a copy of the catalog with price-spike faults applied
 // to the price series — a pre-transform, so the planner sees the spike (and
 // re-plans around it) and billing charges it, rather than a hidden surcharge.
+// Without a spike it returns cat itself, so the fault and fault-free legs
+// declare the same catalog and can share one decision trace (newLeg).
 func spikedCatalog(cat *market.Catalog, in *chaos.Injector) *market.Catalog {
-	if in == nil {
+	if !in.SpikesPrices() {
 		return cat
 	}
 	out := &market.Catalog{StepHrs: cat.StepHrs, Intervals: cat.Intervals}
@@ -198,24 +203,36 @@ func StandardCatalog(seed int64, hours int) *market.Catalog {
 	}.Generate()
 }
 
-// hasRegionOutage reports whether the scenario carries a region_outage fault,
-// which NewEnv answers with a federation.
-func hasRegionOutage(sc *chaos.Scenario) bool {
+// hasFault reports whether the scenario carries a fault of the given kind; a
+// region_outage is what NewEnv answers with a federation.
+func hasFault(sc *chaos.Scenario, kind chaos.FaultKind) bool {
 	for _, f := range sc.Faults {
-		if f.Kind == chaos.KindRegionOutage {
+		if f.Kind == kind {
 			return true
 		}
 	}
 	return false
 }
 
+// CheckScenario rejects a region_outage with a price_spike: the federation's
+// catalogs are never price-transformed (see NewEnv), so the spike would be
+// dropped while the report names the scenario as run.
+func CheckScenario(sc *chaos.Scenario) error {
+	if hasFault(sc, chaos.KindRegionOutage) && hasFault(sc, chaos.KindPriceSpike) {
+		return fmt.Errorf("runner: scenario %q combines %s with %s: a federated run cannot apply the price spike",
+			sc.Name, chaos.KindRegionOutage, chaos.KindPriceSpike)
+	}
+	return nil
+}
+
 // Env is the precompiled input set of a scenario run. What distinguishes a
 // plain fault scenario from a catalog-lie or a region-outage one is data
 // here — which catalogs the planner is shown, whether a federation plans,
 // whether an adaptive leg is scored — so Run and newLeg have one path.
-// Everything is read-only during simulation: one env can serve any number of
-// concurrent Run calls, and Cat can be shared between the envs of different
-// scenarios at the same (seed, hours).
+// Everything but Plans is read-only during simulation, and Plans is
+// synchronised: one env can serve any number of concurrent Run calls, and
+// Cat and Plans can be shared between the envs of different scenarios at the
+// same (seed, hours).
 type Env struct {
 	Scenario *chaos.Scenario
 	Seed     int64
@@ -259,6 +276,75 @@ type Env struct {
 	// — a function of (seed, hours, options) only — so Run may be handed the
 	// one a previous scenario of the same group computed.
 	SharedBaseline bool
+	// Plans holds the traces estimator-free legs replay (newLeg): NewEnv
+	// gives each env its own, the sweep engine one per seed index.
+	Plans *PlanCache
+}
+
+// PlanCache shares decision traces between legs whose planner inputs agree.
+// An estimator-free planner sees nothing of a leg but Step(t, workload at t),
+// so its decisions are fixed by the declared catalog (which also fixes the
+// factory: envs sharing a catalog build the same planner over it), its
+// configuration and the workload — never by the leg's faults. Safe for
+// concurrent use; the zero value is ready.
+type PlanCache struct{ traces sync.Map } // planKey → *planTrace
+
+type planKey struct {
+	declared *market.Catalog
+	cfg      portfolio.Config
+	workload string // the workload's values, bit for bit
+}
+
+// planTrace is one planner input's decisions: Counts for rounds 0 … n−2, or
+// up to the round that failed, whose error err then holds.
+type planTrace struct {
+	once   sync.Once
+	counts [][]int
+	err    error
+}
+
+func (c *PlanCache) trace(k planKey) *planTrace {
+	tr, _ := c.traces.LoadOrStore(k, &planTrace{})
+	return tr.(*planTrace)
+}
+
+// bitsKey encodes float64 values as a comparable string of their bits.
+func bitsKey(vals []float64) string {
+	b := make([]byte, 0, 8*len(vals))
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return string(b)
+}
+
+// replay is an estimator-free leg's policy: it hands out the shared trace
+// (read-only: sim.Run only reads counts), which the first leg to decide
+// records by driving a live planner through exactly sim.Run's calls.
+type replay struct {
+	tr       *planTrace
+	label    string
+	workload *trace.Series
+	build    func() autoscale.Stepper
+}
+
+func (r replay) Name() string { return r.label }
+
+func (r replay) Decide(t int, _ float64) ([]int, error) {
+	r.tr.once.Do(func() {
+		p := r.build()
+		for s := 0; s < r.workload.Len()-1; s++ {
+			dec, err := p.Step(s, r.workload.At(s))
+			if err != nil {
+				r.tr.err = err
+				return
+			}
+			r.tr.counts = append(r.tr.counts, dec.Counts)
+		}
+	})
+	if t < len(r.tr.counts) {
+		return r.tr.counts[t], nil
+	}
+	return nil, r.tr.err
 }
 
 // StandardEnv and NewStandardEnvWithCatalog are the names bench/ compiles
@@ -299,15 +385,19 @@ func splinePredictor(cat *market.Catalog, horizon int) predict.Predictor {
 // copula storm is appended at peak load so the outage bleeds into the
 // surviving regions. Price-spike faults are not pre-transformed there
 // (spikedCatalog would break the pointer sharing between the merged view and
-// the shard catalogs); region-outage scenarios should not carry them.
+// the shard catalogs), so CheckScenario refuses a region outage that carries
+// one.
 func NewEnv(sc *chaos.Scenario, seed int64, hours int, standard *market.Catalog) (*Env, error) {
+	if err := CheckScenario(sc); err != nil {
+		return nil, err
+	}
 	env := &Env{
-		Scenario: sc, Seed: seed, Hours: hours,
+		Scenario: sc, Seed: seed, Hours: hours, Plans: &PlanCache{},
 		Portfolio: BasePortfolioConfig(), NewPlanner: splinePlanner, Policy: "spotweb",
 	}
 	compiled := sc
 	switch {
-	case hasRegionOutage(sc):
+	case hasFault(sc, chaos.KindRegionOutage):
 		fed, err := federation.Build(federation.Config{
 			Providers:       []string{"aws", "azure"},
 			Regions:         4,
@@ -391,11 +481,24 @@ func NewEnv(sc *chaos.Scenario, seed int64, hours int, standard *market.Catalog)
 // spiked catalogs; the fault-free leg runs the plain ones. Either way the
 // simulator samples and bills on the truth while the planner (and est's
 // prior) read the declaration. The run's options reach every leg of every
-// env through the same three runcfg calls.
+// env through the same three runcfg calls. A leg with an estimator plans
+// live, as the estimator is fed by the leg's own revocations; every other
+// leg replays its planner input's trace from Plans.
 func (e *Env) newLeg(rc runcfg.RunConfig, faults bool, j *metrics.Journal, est *risk.Estimator, name string, scratch *sim.Scratch) *sim.Simulator {
 	truth, declared, in := e.Cat, e.Declared, (*chaos.Injector)(nil)
 	if faults {
 		truth, declared, in = e.Spiked, e.DeclaredSpiked, e.Injector
+	}
+	cfg := rc.Planner(e.Portfolio, declared)
+	var policy sim.Policy
+	if est != nil {
+		policy = autoscale.Planner{Stepper: e.NewPlanner(cfg, declared, est), Label: name}
+	} else {
+		policy = replay{
+			tr:    e.Plans.trace(planKey{declared, cfg, bitsKey(e.Workload.Values)}),
+			label: name, workload: e.Workload,
+			build: func() autoscale.Stepper { return e.NewPlanner(cfg, declared, nil) },
+		}
 	}
 	return &sim.Simulator{
 		Cfg: rc.Sim(sim.Config{
@@ -403,7 +506,7 @@ func (e *Env) newLeg(rc runcfg.RunConfig, faults bool, j *metrics.Journal, est *
 		}, est),
 		Cat:      truth,
 		Workload: e.Workload,
-		Policy:   autoscale.Planner{Stepper: e.NewPlanner(rc.Planner(e.Portfolio, declared), declared, est), Label: name},
+		Policy:   policy,
 		Scratch:  scratch,
 	}
 }

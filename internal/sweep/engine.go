@@ -48,6 +48,9 @@ type Options struct {
 	// cellHook replaces real cell execution — benchmarks substitute a
 	// calibrated synthetic cell to measure pure engine scaling.
 	cellHook func(ref CellRef, seed int64) (CellResult, error)
+	// envHook sees every compiled env before the first cell — tests wrap its
+	// planner factory to count planner builds.
+	envHook func(*runner.Env)
 }
 
 // Stats describes one engine run's throughput. It is reported separately
@@ -74,8 +77,10 @@ const StatsSchema = "spotweb-sweep-stats/v1"
 // scenarios in order on one worker, so the group's single fault-free
 // baseline leg is computed once and reused across all of its scenarios whose
 // env marks that leg scenario-independent, and each worker drives every cell
-// through one reusable sim.Scratch. Cell results depend only on the grid (never on scheduling),
-// so artifacts are byte-identical at any worker count.
+// through one reusable sim.Scratch. The envs of one seed index share one
+// runner.PlanCache, so estimator-free legs of every scenario and variant plan
+// each distinct planner input once. Cell results depend only on the grid
+// (never on scheduling), so artifacts are byte-identical at any worker count.
 func Run(grid Grid, opts Options) (*Artifact, Stats, error) {
 	start := time.Now()
 	workers := opts.Workers
@@ -117,13 +122,16 @@ func Run(grid Grid, opts Options) (*Artifact, Stats, error) {
 		envs = make([][]*runner.Env, grid.Seeds)
 		for si := range seeds {
 			envs[si] = make([]*runner.Env, len(scs))
-			cat := runner.StandardCatalog(seeds[si], hours)
+			cat, plans := runner.StandardCatalog(seeds[si], hours), &runner.PlanCache{}
 			for ci, sc := range scs {
 				env, err := runner.NewEnv(sc, seeds[si], hours, cat)
 				if err != nil {
 					return nil, stats, err
 				}
-				env.SubSteps = grid.SubSteps
+				env.SubSteps, env.Plans = grid.SubSteps, plans
+				if opts.envHook != nil {
+					opts.envHook(env)
+				}
 				envs[si][ci] = env
 			}
 		}

@@ -6,8 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/autoscale"
+	"repro/internal/chaos/runner"
+	"repro/internal/market"
+	"repro/internal/portfolio"
+	"repro/internal/risk"
 	"repro/internal/runcfg"
 )
 
@@ -201,6 +207,44 @@ func TestSweepEveryScenarioKind(t *testing.T) {
 	}
 }
 
+// TestPlanSharingAcrossSweep pins what plan sharing buys a seed of the
+// benchmark grid: 30 planner legs (5 variants × (5 fault legs + 1 shared
+// baseline)) but 12 planner builds — one trace per (catalog view: standard,
+// price-spike, combined) × (anchor off, 0.3), each replayed by default and
+// sentinel or by anchor and sentinel-anchor, plus the 6 live legs of the risk
+// variant, whose estimator each leg feeds. At 4 workers the default and
+// sentinel groups race for the same traces; the artifact must not notice.
+func TestPlanSharingAcrossSweep(t *testing.T) {
+	grid := ChaosSuiteGrid(1, true)
+	grid.KeepReports = true
+	var want []byte
+	for _, workers := range []int{1, 4} {
+		var builds atomic.Int64
+		art, _, err := Run(grid, Options{Workers: workers, envHook: func(env *runner.Env) {
+			build := env.NewPlanner
+			env.NewPlanner = func(cfg portfolio.Config, declared *market.Catalog, est *risk.Estimator) autoscale.Stepper {
+				builds.Add(1)
+				return build(cfg, declared, est)
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := builds.Load(); n != 12 {
+			t.Fatalf("%d workers: %d planner builds, want 12", workers, n)
+		}
+		b, err := art.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = b
+		} else if !bytes.Equal(b, want) {
+			t.Fatalf("artifact differs between 1 and %d workers", workers)
+		}
+	}
+}
+
 // smallGrid is the 16-cell grid the resume tests interrupt.
 func smallGrid() Grid {
 	g := testGrid()
@@ -332,10 +376,11 @@ func TestCheckpointRejectsForeignGrid(t *testing.T) {
 // TestCellAllocationBudget: bytes allocated per cell over one quick
 // chaos-suite batch, set-up included. A what-if leg used to allocate (and
 // zero) its whole 8,192-event journal ring up front — 655 KB of a cell's
-// 1,095 KB, for a few hundred events — so the budget sits about a quarter
-// above what a cell costs now and far below what it cost then.
+// 1,095 KB, for a few hundred events — and every estimator-free leg used to
+// plan from scratch instead of replaying its input's shared trace (473 KB).
+// The budget sits about a quarter above what a cell costs now.
 func TestCellAllocationBudget(t *testing.T) {
-	const budgetKB = 600 // measured 473
+	const budgetKB = 310 // measured 245
 	grid := ChaosSuiteGrid(4, true)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
