@@ -276,8 +276,9 @@ type Env struct {
 	// — a function of (seed, hours, options) only — so Run may be handed the
 	// one a previous scenario of the same group computed.
 	SharedBaseline bool
-	// Plans holds the traces estimator-free legs replay (newLeg): NewEnv
-	// gives each env its own, the sweep engine one per seed index.
+	// Plans holds the traces estimator-free legs replay and the quantiles
+	// estimators share (newLeg): NewEnv gives each env its own, the sweep
+	// engine one per seed index.
 	Plans *PlanCache
 }
 
@@ -285,9 +286,14 @@ type Env struct {
 // An estimator-free planner sees nothing of a leg but Step(t, workload at t),
 // so its decisions are fixed by the declared catalog (which also fixes the
 // factory: envs sharing a catalog build the same planner over it), its
-// configuration and the workload — never by the leg's faults. Safe for
-// concurrent use; the zero value is ready.
-type PlanCache struct{ traces sync.Map } // planKey → *planTrace
+// configuration and the workload — never by the leg's faults. Legs with an
+// estimator plan live but share Quantiles: their estimators see identical
+// evidence until a leg's first fault. Safe for concurrent use; the zero value
+// is ready.
+type PlanCache struct {
+	traces    sync.Map // planKey → *planTrace
+	Quantiles risk.Quantiles
+}
 
 type planKey struct {
 	declared *market.Catalog
@@ -482,8 +488,9 @@ func NewEnv(sc *chaos.Scenario, seed int64, hours int, standard *market.Catalog)
 // simulator samples and bills on the truth while the planner (and est's
 // prior) read the declaration. The run's options reach every leg of every
 // env through the same three runcfg calls. A leg with an estimator plans
-// live, as the estimator is fed by the leg's own revocations; every other
-// leg replays its planner input's trace from Plans.
+// live, as the estimator is fed by the leg's own revocations, and takes its
+// quantiles from Plans; every other leg replays its planner input's trace
+// from Plans.
 func (e *Env) newLeg(rc runcfg.RunConfig, faults bool, j *metrics.Journal, est *risk.Estimator, name string, scratch *sim.Scratch) *sim.Simulator {
 	truth, declared, in := e.Cat, e.Declared, (*chaos.Injector)(nil)
 	if faults {
@@ -492,6 +499,7 @@ func (e *Env) newLeg(rc runcfg.RunConfig, faults bool, j *metrics.Journal, est *
 	cfg := rc.Planner(e.Portfolio, declared)
 	var policy sim.Policy
 	if est != nil {
+		est.ShareQuantiles(&e.Plans.Quantiles)
 		policy = autoscale.Planner{Stepper: e.NewPlanner(cfg, declared, est), Label: name}
 	} else {
 		policy = replay{

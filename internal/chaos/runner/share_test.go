@@ -198,3 +198,64 @@ func TestRegionOutageRefusesPriceSpike(t *testing.T) {
 		t.Fatal("RunSim ran a region outage with a price spike")
 	}
 }
+
+// suiteScenarios mirrors sweep.StandardSuiteScenarios (the sweep package
+// imports this one): the scenarios of the benchmark grid, which share one
+// standard catalog per seed.
+var suiteScenarios = []string{"combined", "flap", "late-warning", "price-spike", "storm"}
+
+// TestQuantileSharingBitIdentical is the oracle for shared quantiles: the
+// risk legs of every benchmark-grid scenario plus their fault-free baseline,
+// at two seeds, with every estimator of a seed taking its quantiles from one
+// memo, equal the same legs with estimators that compute their own — results
+// and final overlays alike. Two credible levels share the memo, so a key
+// that dropped p would hand one level the other's bound.
+func TestQuantileSharingBitIdentical(t *testing.T) {
+	hours := ScenarioHours(true)
+	for _, seed := range []int64{42, 9} {
+		cat, plans := StandardCatalog(seed, hours), &PlanCache{}
+		for i, name := range suiteScenarios {
+			sc, err := chaos.Builtin(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env, err := NewEnv(sc, seed, hours, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env.Plans = plans
+			legs := []bool{true}
+			if i == 0 {
+				legs = append(legs, false) // the baseline all five share
+			}
+			for _, rc := range []runcfg.RunConfig{{Risk: true}, {Risk: true, RiskQuantile: 0.8}} {
+				for _, faults := range legs {
+					declared := env.Declared
+					if faults {
+						declared = env.DeclaredSpiked
+					}
+					shared, alone := rc.Estimator(declared), rc.Estimator(declared)
+					got, err := env.newLeg(rc, faults, nil, shared, env.Policy, nil).Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := env.liveLeg(rc, faults, nil, alone, env.Policy).Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s seed %d %+v faults=%v: shared-quantile leg differs (cost %v vs %v, violation %v vs %v)",
+							name, seed, rc, faults, got.TotalCost, want.TotalCost, got.ViolationPct, want.ViolationPct)
+					}
+					if !reflect.DeepEqual(shared.Overlay(), alone.Overlay()) {
+						t.Fatalf("%s seed %d %+v faults=%v: final overlays differ: %v vs %v",
+							name, seed, rc, faults, shared.Overlay().FailProb, alone.Overlay().FailProb)
+					}
+				}
+			}
+		}
+		if _, hits := plans.Quantiles.Stats(); hits == 0 {
+			t.Fatalf("seed %d: the memo served no quantile", seed)
+		}
+	}
+}

@@ -111,6 +111,12 @@ type Estimator struct {
 	x       []float64 // decayed exposed-interval counts
 	pending []bool    // revocation seen since the last ObserveInterval
 	cp      []cusum
+	// pool[i] is transient market i's demand pool as an index into gk and
+	// gx, the per-pool totals buildOverlayLocked accumulates.
+	pool   []int
+	gk, gx []float64
+	// quantiles, when set, shares posterior quantiles with other estimators.
+	quantiles *Quantiles
 
 	t            int // latest observed interval
 	version      uint64
@@ -144,7 +150,23 @@ func New(cfg Config, declared *market.Catalog) *Estimator {
 		x:       make([]float64, n),
 		pending: make([]bool, n),
 		cp:      make([]cusum, n),
+		pool:    make([]int, n),
 	}
+	// Pools are numbered in order of first appearance, so any group labels
+	// (sparse, negative) map onto dense slices sized once here.
+	slot := map[int]int{}
+	for i, m := range declared.Markets {
+		if !m.Transient {
+			continue
+		}
+		s, ok := slot[m.Group]
+		if !ok {
+			s = len(slot)
+			slot[m.Group] = s
+		}
+		e.pool[i] = s
+	}
+	e.gk, e.gx = make([]float64, len(slot)), make([]float64, len(slot))
 	// Handle slices stay allocated even without a registry: nil handles
 	// no-op on use, keeping buildOverlayLocked branch-free.
 	e.mFail = make([]*metrics.Gauge, n)
@@ -240,13 +262,14 @@ func (e *Estimator) ObserveInterval(t int, exposed []bool, prices []float64) {
 func (e *Estimator) buildOverlayLocked() *market.Overlay {
 	fail := make([]float64, e.n)
 	// Group-pooled totals: surges hit whole demand pools, so pool evidence
-	// partially (PoolWeight) informs every member.
-	groupK := map[int]float64{}
-	groupX := map[int]float64{}
+	// partially (PoolWeight) informs every member. Each total is summed in
+	// ascending market order.
+	clear(e.gk)
+	clear(e.gx)
 	for i, m := range e.cat.Markets {
 		if m.Transient {
-			groupK[m.Group] += e.k[i]
-			groupX[m.Group] += e.x[i]
+			e.gk[e.pool[i]] += e.k[i]
+			e.gx[e.pool[i]] += e.x[i]
 		}
 	}
 	for i, m := range e.cat.Markets {
@@ -254,7 +277,7 @@ func (e *Estimator) buildOverlayLocked() *market.Overlay {
 			fail[i] = -1
 			continue
 		}
-		_, ucb := e.posteriorLocked(i, groupK[m.Group], groupX[m.Group])
+		_, ucb := e.posteriorLocked(i, e.gk[e.pool[i]], e.gx[e.pool[i]])
 		fail[i] = ucb
 		declared := m.FailProbAt(e.t)
 		e.mFail[i].Set(ucb)
@@ -286,11 +309,74 @@ func (e *Estimator) posteriorLocked(i int, gk, gx float64) (mean, ucb float64) {
 		b = 1e-3
 	}
 	mean = a / (a + b)
-	ucb = stats.BetaQuantile(e.cfg.Quantile, a, b)
+	ucb = e.quantiles.BetaQuantile(e.cfg.Quantile, a, b)
 	if ucb > e.cfg.MaxFailProb {
 		ucb = e.cfg.MaxFailProb
 	}
 	return mean, ucb
+}
+
+// ShareQuantiles makes the estimator take its posterior quantiles from q,
+// which other estimators may share. Quantiles are a pure function of their
+// arguments, so sharing changes no published value; nil computes them
+// directly.
+func (e *Estimator) ShareQuantiles(q *Quantiles) {
+	if e == nil {
+		return
+	}
+	e.mu.Lock()
+	e.quantiles = q
+	e.mu.Unlock()
+}
+
+// Quantiles is a memo of stats.BetaQuantile keyed by the bits of (p, a, b).
+// Estimators fed identical evidence ask for identical quantiles — a sweep
+// seed's risk legs run the same prefix until their first fault — and sharing
+// one memo computes each once. Safe for concurrent use; the zero value is
+// ready, and a nil *Quantiles computes every quantile directly.
+type Quantiles struct {
+	mu          sync.Mutex
+	memo        map[quantileKey]float64
+	calls, hits int64
+}
+
+type quantileKey struct{ p, a, b uint64 }
+
+// BetaQuantile returns stats.BetaQuantile(p, a, b), from the memo when any
+// estimator sharing it asked before.
+func (q *Quantiles) BetaQuantile(p, a, b float64) float64 {
+	if q == nil {
+		return stats.BetaQuantile(p, a, b)
+	}
+	k := quantileKey{math.Float64bits(p), math.Float64bits(a), math.Float64bits(b)}
+	q.mu.Lock()
+	v, ok := q.memo[k]
+	q.calls++
+	if ok {
+		q.hits++
+	}
+	q.mu.Unlock()
+	if ok {
+		return v
+	}
+	// Computed outside the lock: a concurrent miss on the same key computes
+	// the same bits and stores them again.
+	v = stats.BetaQuantile(p, a, b)
+	q.mu.Lock()
+	if q.memo == nil {
+		q.memo = make(map[quantileKey]float64)
+	}
+	q.memo[k] = v
+	q.mu.Unlock()
+	return v
+}
+
+// Stats returns how many quantiles were asked of q and how many of those the
+// memo served.
+func (q *Quantiles) Stats() (calls, hits int64) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.calls, q.hits
 }
 
 // Overlay returns the latest published overlay (nil on a nil estimator).
@@ -311,16 +397,14 @@ func (e *Estimator) Estimate(i int) (mean, ucb float64, ok bool) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	gk := map[int]float64{}
-	gx := map[int]float64{}
+	var gk, gx float64
 	for j, m := range e.cat.Markets {
-		if m.Transient && m.Group == e.cat.Markets[i].Group {
-			gk[m.Group] += e.k[j]
-			gx[m.Group] += e.x[j]
+		if m.Transient && e.pool[j] == e.pool[i] {
+			gk += e.k[j]
+			gx += e.x[j]
 		}
 	}
-	g := e.cat.Markets[i].Group
-	mean, ucb = e.posteriorLocked(i, gk[g], gx[g])
+	mean, ucb = e.posteriorLocked(i, gk, gx)
 	return mean, ucb, true
 }
 

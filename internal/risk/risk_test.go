@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/market"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -213,5 +214,93 @@ func TestOverlayVersionAdvances(t *testing.T) {
 	// On-demand marker: no override.
 	if ov.FailProb[1] >= 0 {
 		t.Fatalf("on-demand market published override %v", ov.FailProb[1])
+	}
+}
+
+// mapOverlay is the oracle for the published overlay: the pooled totals kept
+// in maps keyed by group label, each summed in ascending market order.
+func mapOverlay(e *Estimator) []float64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	groupK, groupX := map[int]float64{}, map[int]float64{}
+	for i, m := range e.cat.Markets {
+		if m.Transient {
+			groupK[m.Group] += e.k[i]
+			groupX[m.Group] += e.x[i]
+		}
+	}
+	fail := make([]float64, e.n)
+	for i, m := range e.cat.Markets {
+		fail[i] = -1
+		if m.Transient {
+			_, fail[i] = e.posteriorLocked(i, groupK[m.Group], groupX[m.Group])
+		}
+	}
+	return fail
+}
+
+// TestBitIdenticalPooledOverlay: pool totals kept in slices indexed by a
+// dense pool number publish the overlay the group-keyed maps did, bit for
+// bit, for sparse and negative group labels too.
+func TestBitIdenticalPooledOverlay(t *testing.T) {
+	cat := testCatalog(6, 0.02, []int{3, -2, 3, 7, -2, 3})
+	e := New(Config{PoolWeight: 0.4}, cat)
+	exposed := make([]bool, cat.Len())
+	for i := 0; i < 60; i++ {
+		for m := range exposed {
+			exposed[m] = (i+m)%3 != 0
+		}
+		if i%4 == 0 {
+			e.ObserveRevocation(i%5, false)
+		}
+		e.ObserveInterval(i, exposed, nil)
+		got, want := e.Overlay().FailProb, mapOverlay(e)
+		for m := range want {
+			if math.Float64bits(got[m]) != math.Float64bits(want[m]) {
+				t.Fatalf("interval %d market %d: overlay %x, map-pooled %x", i, m, math.Float64bits(got[m]), math.Float64bits(want[m]))
+			}
+		}
+	}
+}
+
+// TestObserveIntervalAllocatesOnlyTheOverlay: closing an interval allocates
+// the published overlay and its probability slice, nothing else — the pool
+// totals live in slices sized once by New.
+func TestObserveIntervalAllocatesOnlyTheOverlay(t *testing.T) {
+	cat := testCatalog(4, 0.02, []int{0, 1, 0, 1})
+	e := New(Config{}, cat)
+	exposed := []bool{true, true, false, true, false}
+	prices := []float64{0.03, 0.03, 0.03, 0.03, 0.1}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		e.ObserveRevocation(i%4, false)
+		e.ObserveInterval(i, exposed, prices)
+		i++
+	})
+	if allocs != 2 {
+		t.Fatalf("ObserveInterval allocates %v times per call, want 2 (the overlay)", allocs)
+	}
+	if _, _, ok := e.Estimate(1); !ok || testing.AllocsPerRun(100, func() { e.Estimate(1) }) != 0 {
+		t.Fatal("Estimate allocates")
+	}
+}
+
+// TestQuantilesKeyEveryArgument: the memo hands out stats.BetaQuantile's
+// bits, and only for a repeat of all three arguments — a key that dropped p,
+// a or b would serve the first call's value to the next three.
+func TestQuantilesKeyEveryArgument(t *testing.T) {
+	var q Quantiles
+	for _, c := range [][3]float64{{0.9, 2, 3}, {0.8, 2, 3}, {0.9, 2.5, 3}, {0.9, 2, 4}, {0.9, 2, 3}} {
+		got, want := q.BetaQuantile(c[0], c[1], c[2]), stats.BetaQuantile(c[0], c[1], c[2])
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("memo BetaQuantile%v = %v, want %v", c, got, want)
+		}
+	}
+	if calls, hits := q.Stats(); calls != 5 || hits != 1 {
+		t.Fatalf("calls, hits = %d, %d; want 5, 1", calls, hits)
+	}
+	var none *Quantiles
+	if got, want := none.BetaQuantile(0.9, 2, 3), stats.BetaQuantile(0.9, 2, 3); got != want {
+		t.Fatalf("nil memo = %v, want %v", got, want)
 	}
 }

@@ -252,7 +252,12 @@ type Scratch struct {
 	mktBuf     []*cluster.Server
 	stoppedBuf []*cluster.Server
 	dead       []deadRouting
-	billed     map[int]float64
+	// billed is the hourly-billing ledger: billed[id] is the time server id
+	// is paid through, -Inf before its first charge. Server IDs are dense
+	// from 0 in every run, so the slice grows with the run's launches.
+	billed []float64
+	// rng is the revocation sampler, re-seeded by every run.
+	rng *rand.Rand
 }
 
 // NewScratch returns an empty Scratch; the buffers grow to the catalog's
@@ -284,11 +289,7 @@ func (sc *Scratch) reset(markets, groups int) {
 	sc.mktBuf = sc.mktBuf[:0]
 	sc.stoppedBuf = sc.stoppedBuf[:0]
 	sc.dead = sc.dead[:0]
-	if sc.billed == nil {
-		sc.billed = make(map[int]float64)
-	} else {
-		clear(sc.billed)
-	}
+	sc.billed = sc.billed[:0]
 }
 
 // popCount is a (market, live-server-count) pair used by storm targeting.
@@ -323,13 +324,19 @@ func (s *Simulator) Run() (*Result, error) {
 	}
 	stepHrs := s.Cat.StepHrs
 	secPerHr := 3600.0
-	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	catLen := s.Cat.Len()
 	scr := s.Scratch
 	if scr == nil {
 		scr = NewScratch()
 	}
+	// Re-seeding resets a source completely: the stream is NewSource(Seed)'s.
+	if scr.rng == nil {
+		scr.rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		scr.rng.Seed(cfg.Seed)
+	}
+	rng := scr.rng
 	groups := 0
 	for _, m := range s.Cat.Markets {
 		if m.Group+1 > groups {
@@ -356,8 +363,8 @@ func (s *Simulator) Run() (*Result, error) {
 	res := &Result{Policy: s.Policy.Name(), Actions: make(map[string]int)}
 	var latWeighted, servedTotal, offeredTotal, violTotal float64
 	dead := scr.dead
-	var backlog float64       // queued (delayed) requests
-	billedUntil := scr.billed // server ID → hours paid through
+	var backlog float64 // queued (delayed) requests
+	billed := scr.billed
 	inAdmission := false
 
 	n := s.Workload.Len()
@@ -717,14 +724,19 @@ func (s *Simulator) Run() (*Result, error) {
 			// a server alive now owes the full hour even if it terminates
 			// minutes later (the churn cost of abandoned hours). Stopped
 			// servers are deallocated compute — they accrue nothing until
-			// restarted (Restart re-bases LaunchedAt).
+			// restarted. Restart re-bases LaunchedAt, and a restart after the
+			// paid hour lapsed lands past the ledger's time, so billing
+			// resumes from the restart; one inside the paid hour is covered.
 			if !cfg.PerSecondBilling {
 				for _, srv := range cl.Servers() {
 					if srv.State() == cluster.StateTerminated || srv.State() == cluster.StateStopped {
 						continue
 					}
-					until, ok := billedUntil[srv.ID]
-					if !ok || until < srv.LaunchedAt() {
+					for len(billed) <= srv.ID {
+						billed = append(billed, math.Inf(-1))
+					}
+					until := billed[srv.ID]
+					if until < srv.LaunchedAt() {
 						until = srv.LaunchedAt()
 					}
 					for until <= now {
@@ -735,7 +747,7 @@ func (s *Simulator) Run() (*Result, error) {
 						im.Cost += s.Cat.Markets[srv.Market].PriceAt(int(until / stepHrs))
 						until += 1.0
 					}
-					billedUntil[srv.ID] = until
+					billed[srv.ID] = until
 				}
 			}
 			advance(now)
@@ -831,14 +843,6 @@ func (s *Simulator) Run() (*Result, error) {
 				price := s.Cat.Markets[srv.Market].PriceAt(t)
 				im.Cost += price * stepHrs
 			}
-		} else {
-			// Drop billing state for servers whose paid-through time has
-			// lapsed (they are gone and fully accounted).
-			for id, until := range billedUntil {
-				if until < tStart {
-					delete(billedUntil, id)
-				}
-			}
 		}
 		res.TotalCost += im.Cost
 		im.Capacity = capSum / float64(cfg.SubSteps)
@@ -873,7 +877,8 @@ func (s *Simulator) Run() (*Result, error) {
 		// Advance to the interval boundary.
 		advance(tEnd)
 	}
-	scr.dead = dead[:0] // retain the grown buffer across runs
+	scr.dead = dead[:0] // retain the grown buffers across runs
+	scr.billed = billed
 	if servedTotal > 0 {
 		res.MeanLatency = latWeighted / servedTotal
 	}

@@ -18,10 +18,24 @@ func BetaCDF(x, a, b float64) float64 {
 	if x >= 1 {
 		return 1
 	}
+	return betaCDF(x, a, b, logBeta(a, b))
+}
+
+// logBeta returns lgΓ(a+b) − lgΓ(a) − lgΓ(b), subtracted left to right: the
+// negated log of the Beta function, which is constant over a quantile's
+// bisection.
+func logBeta(a, b float64) float64 {
 	lg1, _ := math.Lgamma(a + b)
 	lg2, _ := math.Lgamma(a)
 	lg3, _ := math.Lgamma(b)
-	front := math.Exp(lg1 - lg2 - lg3 + a*math.Log(x) + b*math.Log1p(-x))
+	return lg1 - lg2 - lg3
+}
+
+// betaCDF is BetaCDF for x in (0, 1) with lb = logBeta(a, b). The exponent
+// adds lb, a·ln x and b·ln(1−x) in BetaCDF's original left-to-right order,
+// so hoisting lb changes no bit.
+func betaCDF(x, a, b, lb float64) float64 {
+	front := math.Exp(lb + a*math.Log(x) + b*math.Log1p(-x))
 	if x < (a+1)/(a+b+2) {
 		return front * betaCF(x, a, b) / a
 	}
@@ -80,7 +94,9 @@ func betaCF(x, a, b float64) float64 {
 // with I_x(a,b) = p. Bisection on the monotone CDF: slower than a Newton
 // refinement but unconditionally robust for the extreme shapes cold-market
 // priors produce (a ≪ 1), and the estimator only evaluates it once per
-// market per interval.
+// market per interval. The log-Beta term is computed once, not per step;
+// every midpoint lies strictly inside (0, 1), where BetaCDF is betaCDF, so the
+// result is bit-identical to bisecting on BetaCDF.
 func BetaQuantile(p, a, b float64) float64 {
 	if math.IsNaN(p) || a <= 0 || b <= 0 {
 		return math.NaN()
@@ -91,10 +107,11 @@ func BetaQuantile(p, a, b float64) float64 {
 	if p >= 1 {
 		return 1
 	}
+	lb := logBeta(a, b)
 	lo, hi := 0.0, 1.0
 	for i := 0; i < 200; i++ {
 		mid := 0.5 * (lo + hi)
-		if BetaCDF(mid, a, b) < p {
+		if betaCDF(mid, a, b, lb) < p {
 			lo = mid
 		} else {
 			hi = mid

@@ -212,15 +212,19 @@ func TestSweepEveryScenarioKind(t *testing.T) {
 // baseline)) but 12 planner builds — one trace per (catalog view: standard,
 // price-spike, combined) × (anchor off, 0.3), each replayed by default and
 // sentinel or by anchor and sentinel-anchor, plus the 6 live legs of the risk
-// variant, whose estimator each leg feeds. At 4 workers the default and
-// sentinel groups race for the same traces; the artifact must not notice.
+// variant, whose estimator each leg feeds. Those 6 estimators share one
+// quantile memo, which serves a repeat for almost half their quantiles (the
+// legs agree until their first fault). At 4 workers the default and sentinel
+// groups race for the same traces; the artifact must not notice.
 func TestPlanSharingAcrossSweep(t *testing.T) {
 	grid := ChaosSuiteGrid(1, true)
 	grid.KeepReports = true
 	var want []byte
 	for _, workers := range []int{1, 4} {
 		var builds atomic.Int64
+		var plans *runner.PlanCache
 		art, _, err := Run(grid, Options{Workers: workers, envHook: func(env *runner.Env) {
+			plans = env.Plans
 			build := env.NewPlanner
 			env.NewPlanner = func(cfg portfolio.Config, declared *market.Catalog, est *risk.Estimator) autoscale.Stepper {
 				builds.Add(1)
@@ -232,6 +236,11 @@ func TestPlanSharingAcrossSweep(t *testing.T) {
 		}
 		if n := builds.Load(); n != 12 {
 			t.Fatalf("%d workers: %d planner builds, want 12", workers, n)
+		}
+		calls, hits := plans.Quantiles.Stats()
+		t.Logf("%d workers: the memo served %d of %d quantiles", workers, hits, calls)
+		if calls == 0 || float64(hits) < 0.4*float64(calls) {
+			t.Fatalf("%d workers: the memo served %d of %d quantiles, want ≥ 40 %%", workers, hits, calls)
 		}
 		b, err := art.EncodeJSON()
 		if err != nil {
