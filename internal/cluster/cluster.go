@@ -53,7 +53,8 @@ func (s State) String() string {
 	}
 }
 
-// Server is one VM in the front-end tier.
+// Server is one VM in the front-end tier. Its exported fields are fixed at
+// launch: the owning Cluster caches sums over them between mutations.
 type Server struct {
 	ID     int
 	Market int // catalog index of the market this server was bought in
@@ -81,8 +82,8 @@ func (s *Server) State() State { return s.state }
 // LaunchedAt returns the time the VM was requested (billing starts here).
 func (s *Server) LaunchedAt() float64 { return s.launchedAt }
 
-// Advance moves the server state machine to time now.
-func (s *Server) Advance(now float64) {
+// advance moves the server state machine to time now.
+func (s *Server) advance(now float64) {
 	switch s.state {
 	case StateStarting:
 		if now >= s.readyAt {
@@ -144,9 +145,26 @@ type Cluster struct {
 
 	servers []*Server
 	nextID  int
-	// countScratch backs ScaleTo's per-market census so the per-interval
-	// reconcile path does not allocate.
-	countScratch []int
+	// countScratch, stoppedScratch and victimScratch back ScaleTo's
+	// per-market census, restart candidates and surplus victims, so the
+	// per-interval reconcile path does not allocate.
+	countScratch   []int
+	stoppedScratch []*Server
+	victimScratch  []*Server
+
+	// Quiet-stretch bookkeeping. A full Advance pass at time from records
+	// until, the earliest pending readyAt/warmAt/terminateAt, and ramping,
+	// whether a server is inside its warm-up ramp. Every mutator clears clean
+	// and bumps mutations. While the fleet is clean and from ≤ now < until no
+	// server can change state and, unless one is ramping, none can change its
+	// effective capacity: Advance returns at once and TotalCapacity returns
+	// capSum (valid when capOK), the sum it added up at the first call.
+	clean       bool
+	ramping     bool
+	capOK       bool
+	from, until float64
+	capSum      float64
+	mutations   uint64
 }
 
 // New creates a cluster with the given launch parameters.
@@ -166,8 +184,21 @@ func (c *Cluster) Launch(mkt int, capacity, now float64) *Server {
 	}
 	c.nextID++
 	c.servers = append(c.servers, s)
+	c.touch()
 	return s
 }
+
+// touch records a mutation: the next Advance and TotalCapacity rescan.
+func (c *Cluster) touch() {
+	c.clean, c.capOK = false, false
+	c.mutations++
+}
+
+// Mutations counts the calls that changed the fleet other than by the passage
+// of time (launches, restarts, stops, warnings). Between two equal readings
+// no server was added or restarted, and servers left their states only
+// through Advance.
+func (c *Cluster) Mutations() uint64 { return c.mutations }
 
 // LaunchStopped creates a pre-provisioned standby server directly in
 // StateStopped: hydrated (caches warm from a prior image) but shut down —
@@ -179,6 +210,7 @@ func (c *Cluster) LaunchStopped(mkt int, capacity, now float64) *Server {
 	}
 	c.nextID++
 	c.servers = append(c.servers, s)
+	c.touch()
 	return s
 }
 
@@ -190,6 +222,7 @@ func (c *Cluster) StopPreserve(id int, now, grace float64) bool {
 		if s.ID != id || s.state == StateTerminated || s.state == StateStopped {
 			continue
 		}
+		c.touch()
 		if grace <= 0 {
 			s.state = StateStopped
 			s.terminateAt = now
@@ -216,33 +249,11 @@ func (c *Cluster) Restart(id int, now float64) *Server {
 			s.readyAt = now + c.StartDelay
 			s.warmAt = s.readyAt // warm caches: no warm-up ramp
 			s.preserveOnStop = false
+			c.touch()
 			return s
 		}
 	}
 	return nil
-}
-
-// StoppedServers returns the stopped (restartable) servers in ID order.
-func (c *Cluster) StoppedServers() []*Server {
-	var out []*Server
-	for _, s := range c.servers {
-		if s.state == StateStopped {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Stop terminates a server immediately (voluntary scale-down).
-func (c *Cluster) Stop(id int, now float64) bool {
-	for _, s := range c.servers {
-		if s.ID == id && s.state != StateTerminated {
-			s.state = StateTerminated
-			s.terminateAt = now
-			return true
-		}
-	}
-	return false
 }
 
 // StopGraceful drains a server: it keeps serving until now + grace and then
@@ -260,53 +271,76 @@ func (c *Cluster) RevokeWarning(id int, now, warning float64) *Server {
 		if s.ID == id && s.state != StateTerminated && s.state != StateStopped {
 			s.state = StateDraining
 			s.terminateAt = now + warning
+			c.touch()
 			return s
 		}
 	}
 	return nil
 }
 
-// Advance ticks every server's state machine and reaps terminated ones.
-func (c *Cluster) Advance(now float64) {
+// Advance ticks every server's state machine to time now, reaps terminated
+// servers and appends their IDs, in ID order, to reaped (usually a reused
+// scratch slice), which it returns. When no mutation happened since the last
+// full pass and now is before the earliest pending readyAt, warmAt or
+// terminateAt, no transition can fire and nothing is left to reap, so it
+// returns at once.
+func (c *Cluster) Advance(now float64, reaped []int) []int {
+	if c.clean && now < c.until {
+		return reaped
+	}
+	until, ramping := math.Inf(1), false
 	alive := c.servers[:0]
 	for _, s := range c.servers {
-		s.Advance(now)
-		if s.state != StateTerminated {
-			alive = append(alive, s)
+		s.advance(now)
+		next := math.Inf(1) // running and stopped servers wait on no deadline
+		switch s.state {
+		case StateTerminated:
+			reaped = append(reaped, s.ID)
+			continue
+		case StateStarting:
+			next = s.readyAt
+		case StateWarming:
+			next, ramping = s.warmAt, true
+		case StateDraining:
+			next = s.terminateAt
 		}
+		if next < until {
+			until = next
+		}
+		alive = append(alive, s)
 	}
 	c.servers = alive
+	c.clean, c.capOK = true, false
+	c.from, c.until, c.ramping = now, until, ramping
+	return reaped
 }
 
-// Servers returns the live servers (all states except terminated).
+// Servers returns the live servers (all states except terminated). The slice
+// is the cluster's own: callers read it and must not modify it.
 func (c *Cluster) Servers() []*Server { return c.servers }
 
-// TotalCapacity returns the summed effective capacity at time now.
+// TotalCapacity returns the summed effective capacity at time now. Inside a
+// quiet stretch with no server ramping up, every server's effective capacity
+// is constant, so the sum added up at the stretch's first call is returned
+// as is — the same additions in the same order, hence the same bits.
 func (c *Cluster) TotalCapacity(now float64) float64 {
+	quiet := now < c.until && now >= c.from
+	if c.capOK && quiet {
+		return c.capSum
+	}
 	var sum float64
 	for _, s := range c.servers {
 		sum += s.EffectiveCapacity(now)
 	}
+	if c.clean && !c.ramping && quiet {
+		c.capSum, c.capOK = sum, true
+	}
 	return sum
 }
 
-// CountByMarket returns live (non-draining, non-stopped) server counts per
-// market index.
-func (c *Cluster) CountByMarket(numMarkets int) []int {
-	out := make([]int, numMarkets)
-	for _, s := range c.servers {
-		if s.state == StateDraining || s.state == StateTerminated || s.state == StateStopped {
-			continue
-		}
-		if s.Market >= 0 && s.Market < numMarkets {
-			out[s.Market]++
-		}
-	}
-	return out
-}
-
-// CountByMarketInto is CountByMarket writing into a caller-provided slice
-// (len(out) markets), for hot paths that must not allocate per interval.
+// CountByMarketInto writes live (non-draining, non-stopped) server counts per
+// market index into out (len(out) markets), for hot paths that must not
+// allocate per interval.
 func (c *Cluster) CountByMarketInto(out []int) {
 	for i := range out {
 		out[i] = 0
@@ -322,9 +356,8 @@ func (c *Cluster) CountByMarketInto(out []int) {
 }
 
 // CountInMarket returns the number of non-draining, non-stopped servers in a
-// market — len(ServersInMarket(mkt)) without materializing the slice. The
-// simulator queries this for every transient market every interval, so it
-// must not allocate.
+// market without materializing them. The simulator queries this for every
+// transient market every interval, so it must not allocate.
 func (c *Cluster) CountInMarket(mkt int) int {
 	n := 0
 	for _, s := range c.servers {
@@ -359,19 +392,6 @@ func (c *Cluster) AppendStopped(dst []*Server) []*Server {
 	return dst
 }
 
-// ServersInMarket returns the non-draining, non-stopped servers bought in a
-// market.
-func (c *Cluster) ServersInMarket(mkt int) []*Server {
-	var out []*Server
-	for _, s := range c.servers {
-		if s.Market == mkt && s.state != StateDraining && s.state != StateTerminated &&
-			s.state != StateStopped {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // ScaleTo reconciles the cluster toward the target per-market counts:
 // launching where short, draining the youngest surplus servers where long
 // (youngest first keeps warmed-up caches alive). Surplus servers are stopped
@@ -395,7 +415,8 @@ func (c *Cluster) ScaleTo(targets []int, capacities []float64, now float64) (sta
 		preserve := c.Preserve != nil && mkt < len(c.Preserve) && c.Preserve[mkt]
 		have := current[mkt]
 		if preserve && have < want {
-			for _, s := range c.StoppedServers() {
+			c.stoppedScratch = c.AppendStopped(c.stoppedScratch[:0])
+			for _, s := range c.stoppedScratch {
 				if have >= want {
 					break
 				}
@@ -410,8 +431,10 @@ func (c *Cluster) ScaleTo(targets []int, capacities []float64, now float64) (sta
 			started++
 		}
 		if have > want {
-			victims := c.ServersInMarket(mkt)
-			// Stop youngest first.
+			victims := c.AppendServersInMarket(c.victimScratch[:0], mkt)
+			c.victimScratch = victims
+			// Stop youngest first. Servers launched at one scaleAt tie on
+			// launchedAt, so the victims depend on sort.Slice's order.
 			sort.Slice(victims, func(i, j int) bool {
 				return victims[i].launchedAt > victims[j].launchedAt
 			})

@@ -14,7 +14,7 @@ func TestServerLifecycle(t *testing.T) {
 	if cap := s.EffectiveCapacity(30); cap != 0 {
 		t.Fatalf("starting server capacity = %v, want 0", cap)
 	}
-	s.Advance(60)
+	s.advance(60)
 	if s.State() != StateWarming {
 		t.Fatalf("state at 60 = %v", s.State())
 	}
@@ -26,7 +26,7 @@ func TestServerLifecycle(t *testing.T) {
 	if cap := s.EffectiveCapacity(75); math.Abs(cap-70) > 1e-9 {
 		t.Fatalf("ramp capacity = %v, want 70", cap)
 	}
-	s.Advance(90)
+	s.advance(90)
 	if s.State() != StateRunning {
 		t.Fatalf("state at 90 = %v", s.State())
 	}
@@ -38,7 +38,7 @@ func TestServerLifecycle(t *testing.T) {
 func TestStartingSkipsToRunningWhenLate(t *testing.T) {
 	c := New(10, 5, 0.5)
 	s := c.Launch(0, 100, 0)
-	s.Advance(100) // long past warmAt
+	s.advance(100) // long past warmAt
 	if s.State() != StateRunning {
 		t.Fatalf("state = %v, want running", s.State())
 	}
@@ -47,7 +47,7 @@ func TestStartingSkipsToRunningWhenLate(t *testing.T) {
 func TestRevocationDraining(t *testing.T) {
 	c := New(0, 0, 0.4)
 	s := c.Launch(1, 200, 0)
-	c.Advance(1)
+	c.Advance(1, nil)
 	if s.State() != StateRunning {
 		t.Fatalf("state = %v", s.State())
 	}
@@ -62,7 +62,7 @@ func TestRevocationDraining(t *testing.T) {
 	if cap := s.EffectiveCapacity(131); cap != 0 {
 		t.Fatalf("post-termination capacity = %v, want 0", cap)
 	}
-	c.Advance(131)
+	c.Advance(131, nil)
 	if len(c.Servers()) != 0 {
 		t.Fatal("terminated server not reaped")
 	}
@@ -71,29 +71,11 @@ func TestRevocationDraining(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	c := New(0, 0, 0.4)
-	s := c.Launch(0, 100, 0)
-	if !c.Stop(s.ID, 5) {
-		t.Fatal("Stop failed")
-	}
-	if c.Stop(s.ID, 6) {
-		t.Fatal("double Stop should fail")
-	}
-	if c.Stop(999, 6) {
-		t.Fatal("Stop of unknown id should fail")
-	}
-	c.Advance(6)
-	if len(c.Servers()) != 0 {
-		t.Fatal("stopped server not reaped")
-	}
-}
-
 func TestTotalCapacityAndActive(t *testing.T) {
 	c := New(10, 0, 0.4)
 	c.Launch(0, 100, 0)
 	c.Launch(1, 50, 0)
-	c.Advance(10)
+	c.Advance(10, nil)
 	if got := c.TotalCapacity(10); got != 150 {
 		t.Fatalf("TotalCapacity = %v", got)
 	}
@@ -110,9 +92,10 @@ func TestCountByMarketExcludesDraining(t *testing.T) {
 	a := c.Launch(0, 100, 0)
 	c.Launch(0, 100, 0)
 	c.Launch(1, 50, 0)
-	c.Advance(1)
+	c.Advance(1, nil)
 	c.RevokeWarning(a.ID, 1, 60)
-	counts := c.CountByMarket(2)
+	counts := []int{-1, -1}
+	c.CountByMarketInto(counts)
 	if counts[0] != 1 || counts[1] != 1 {
 		t.Fatalf("counts = %v, want [1 1]", counts)
 	}
@@ -125,14 +108,15 @@ func TestScaleToLaunchesAndStops(t *testing.T) {
 	if started != 3 || stopped != 0 {
 		t.Fatalf("started/stopped = %d/%d", started, stopped)
 	}
-	c.Advance(1)
+	c.Advance(1, nil)
 	// Scale market 0 down to 1.
 	started, stopped, _ = c.ScaleTo([]int{1, 1}, caps, 1)
 	if started != 0 || stopped != 1 {
 		t.Fatalf("started/stopped = %d/%d", started, stopped)
 	}
-	c.Advance(2)
-	counts := c.CountByMarket(2)
+	c.Advance(2, nil)
+	counts := make([]int, 2)
+	c.CountByMarketInto(counts)
 	if counts[0] != 1 || counts[1] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
@@ -142,11 +126,11 @@ func TestScaleToStopsYoungestFirst(t *testing.T) {
 	c := New(0, 0, 0.4)
 	caps := []float64{100}
 	old := c.Launch(0, 100, 0)
-	c.Advance(1)
+	c.Advance(1, nil)
 	young := c.Launch(0, 100, 5)
-	c.Advance(6)
+	c.Advance(6, nil)
 	c.ScaleTo([]int{1}, caps, 10)
-	c.Advance(10)
+	c.Advance(10, nil)
 	if len(c.Servers()) != 1 || c.Servers()[0].ID != old.ID {
 		t.Fatalf("should keep the old (warm) server, kept %d, want %d (young %d)",
 			c.Servers()[0].ID, old.ID, young.ID)

@@ -8,7 +8,7 @@ import (
 func TestStoppedServerHoldsNoCapacity(t *testing.T) {
 	c := New(0.1, 0.5, 0.4)
 	s := c.Launch(0, 100, 0)
-	c.Advance(1) // past boot and warm-up: running at full capacity
+	c.Advance(1, nil) // past boot and warm-up: running at full capacity
 	if got := s.EffectiveCapacity(1); got != 100 {
 		t.Fatalf("running capacity = %v, want 100", got)
 	}
@@ -23,12 +23,14 @@ func TestStoppedServerHoldsNoCapacity(t *testing.T) {
 	}
 	// Stopped servers survive Advance (they are parked, not terminated), but
 	// stay invisible to market counts and revocation warnings.
-	c.Advance(2)
-	if len(c.Servers()) != 1 || len(c.StoppedServers()) != 1 {
+	c.Advance(2, nil)
+	if len(c.Servers()) != 1 || len(c.AppendStopped(nil)) != 1 {
 		t.Fatalf("stopped server reaped: %d servers, %d stopped",
-			len(c.Servers()), len(c.StoppedServers()))
+			len(c.Servers()), len(c.AppendStopped(nil)))
 	}
-	if counts := c.CountByMarket(1); counts[0] != 0 {
+	counts := []int{-1}
+	c.CountByMarketInto(counts)
+	if counts[0] != 0 {
 		t.Fatalf("stopped server counted toward market: %v", counts)
 	}
 	if c.RevokeWarning(s.ID, 2, 0.1) != nil {
@@ -39,7 +41,7 @@ func TestStoppedServerHoldsNoCapacity(t *testing.T) {
 func TestStopPreserveDrainsThenParks(t *testing.T) {
 	c := New(0.1, 0.5, 0.4)
 	s := c.Launch(0, 100, 0)
-	c.Advance(1)
+	c.Advance(1, nil)
 	// Graceful stop: serves through the grace window, then parks instead of
 	// terminating.
 	c.StopPreserve(s.ID, 1, 0.5)
@@ -49,7 +51,7 @@ func TestStopPreserveDrainsThenParks(t *testing.T) {
 	if got := s.EffectiveCapacity(1.2); got != 100 {
 		t.Fatalf("draining capacity = %v, want 100", got)
 	}
-	c.Advance(1.6)
+	c.Advance(1.6, nil)
 	if s.State() != StateStopped {
 		t.Fatalf("state after grace = %v, want stopped", s.State())
 	}
@@ -63,11 +65,11 @@ func TestRestartSkipsWarmup(t *testing.T) {
 	// ramps to full capacity over the warm-up window.
 	cold := c.Launch(0, 100, 0)
 	atReady := 0 + boot + 1e-9
-	c.Advance(atReady)
+	c.Advance(atReady, nil)
 	if got := cold.EffectiveCapacity(atReady); got >= 100*0.5 {
 		t.Fatalf("cold server at readyAt serves %v, want a cold fraction well below full", got)
 	}
-	c.Advance(boot + warmup)
+	c.Advance(boot+warmup, nil)
 	if got := cold.EffectiveCapacity(boot + warmup); got != 100 {
 		t.Fatalf("cold server after warm-up serves %v, want 100", got)
 	}
@@ -79,7 +81,7 @@ func TestRestartSkipsWarmup(t *testing.T) {
 		t.Fatal("Restart must boot a stopped server")
 	}
 	atRestartReady := 1 + boot + 1e-9
-	c.Advance(atRestartReady)
+	c.Advance(atRestartReady, nil)
 	if got := rs.EffectiveCapacity(atRestartReady); got != 100 {
 		t.Fatalf("restarted server at readyAt serves %v, want 100 (no warm-up ramp)", got)
 	}
@@ -104,26 +106,26 @@ func TestScaleToPreserveRestartsAndParks(t *testing.T) {
 	if started != 0 || stopped != 0 || restarted != 1 {
 		t.Fatalf("ScaleTo = (%d, %d, %d), want (0, 0, 1)", started, stopped, restarted)
 	}
-	c.Advance(2)
+	c.Advance(2, nil)
 
 	// Surplus in a preserve market: parked, not terminated.
 	started, stopped, restarted = c.ScaleTo([]int{0}, caps, 2)
 	if started != 0 || stopped != 1 || restarted != 0 {
 		t.Fatalf("ScaleTo = (%d, %d, %d), want (0, 1, 0)", started, stopped, restarted)
 	}
-	c.Advance(3)
-	if len(c.StoppedServers()) != 1 {
-		t.Fatalf("surplus must be preserved, stopped pool = %d", len(c.StoppedServers()))
+	c.Advance(3, nil)
+	if len(c.AppendStopped(nil)) != 1 {
+		t.Fatalf("surplus must be preserved, stopped pool = %d", len(c.AppendStopped(nil)))
 	}
 
 	// Non-preserve markets keep the terminate semantics.
 	c2 := New(0, 0, 0.4)
 	c2.Launch(0, 100, 0)
-	c2.Advance(1)
+	c2.Advance(1, nil)
 	c2.ScaleTo([]int{0}, caps, 1)
-	c2.Advance(2)
-	if len(c2.StoppedServers()) != 0 || len(c2.Servers()) != 0 {
+	c2.Advance(2, nil)
+	if len(c2.AppendStopped(nil)) != 0 || len(c2.Servers()) != 0 {
 		t.Fatalf("non-preserve surplus must terminate: %d stopped, %d alive",
-			len(c2.StoppedServers()), len(c2.Servers()))
+			len(c2.AppendStopped(nil)), len(c2.Servers()))
 	}
 }

@@ -18,7 +18,8 @@ const ledgerStepHrs = 0.25
 func ledgerPrice(m, t int) float64 { return math.Ldexp(1, 25*m+t-20) }
 
 // ledgerCatalog has one on-demand market (0, which the sentinel stops and
-// restarts) and one transient market (1) that is never revoked.
+// restarts) and one transient market (1) that is never revoked unless a case
+// sets its revocation probability.
 func ledgerCatalog(n int) *market.Catalog {
 	cat := &market.Catalog{StepHrs: ledgerStepHrs, Intervals: n}
 	for m, transient := range []bool{false, true} {
@@ -66,12 +67,14 @@ func intervals(from, to int) map[int]bool {
 	return on
 }
 
-// TestHourlyBillingExactLedger is the billing oracle: each case scripts one
-// server's life and names every instance-hour it owes as (market, interval in
-// which the hour started). The bootstrap launch lands 116 s before interval 1,
-// so the first hour opens in interval 0, and hour k in interval 4k. A restart
-// is at the start of its interval. Stop grace is 115 s, so a scale-down in
-// interval t ends inside it.
+// TestHourlyBillingExactLedger is the billing oracle: each case scripts the
+// servers' lives and names every instance-hour they owe as (market, interval
+// in which the hour started). The bootstrap launch lands 116 s before interval
+// 1, so the first hour opens in interval 0, and hour k in interval 4k. A
+// restart is at the start of its interval. Stop grace is 115 s, so a
+// scale-down in interval t ends inside it. The last two cases launch a server
+// mid-interval while every other server is paid well past that moment, the
+// stretch in which the simulator skips the billing scan.
 func TestHourlyBillingExactLedger(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -79,6 +82,8 @@ func TestHourlyBillingExactLedger(t *testing.T) {
 		pol      *scriptPolicy
 		sentinel bool
 		subSteps int
+		revokeAt int      // interval in which market 1 is surely revoked (0: never)
+		lifetime float64  // Config.MaxLifetimeHrs
 		hours    [][2]int // (market, interval) of every charged hour
 	}{{
 		// Up through interval 5, drained at the start of interval 6: the
@@ -115,14 +120,38 @@ func TestHourlyBillingExactLedger(t *testing.T) {
 		pol:      &scriptPolicy{mkt: 1, on: intervals(1, 11)},
 		subSteps: 2,
 		hours:    [][2]int{{1, 0}, {1, 4}, {1, 8}},
+	}, {
+		// Market 1 is revoked between 0.55 and 0.70 h in interval 2 and the
+		// fleet drops to nothing, so the balancer reprovisions in on-demand
+		// market 0 at the warning: that replacement owes an hour opening in
+		// interval 2, and is drained again at interval 3, where the planner
+		// relaunches in market 1.
+		name:     "reprovision at a mid-interval warning",
+		n:        6,
+		pol:      &scriptPolicy{mkt: 1, on: intervals(1, 5)},
+		revokeAt: 2,
+		hours:    [][2]int{{1, 0}, {0, 2}, {1, 3}},
+	}, {
+		// A 0.46-h lifetime expires the bootstrap server at the 0.681-h
+		// sub-step (interval 2) and its same-market replacement at 1.144 h
+		// (interval 4): each replacement owes an hour from its launch.
+		name:     "lifetime replacements billed from their launch",
+		n:        6,
+		pol:      &scriptPolicy{mkt: 1, on: intervals(1, 5)},
+		lifetime: 0.46,
+		hours:    [][2]int{{1, 0}, {1, 2}, {1, 4}},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
+			cat := ledgerCatalog(tc.n)
+			if tc.revokeAt > 0 {
+				cat.Markets[1].FailProb.Values[tc.revokeAt] = 1
+			}
 			s := &Simulator{
 				Cfg: Config{
 					Seed: 1, TransiencyAware: true, Sentinel: tc.sentinel, SentinelStandby: 1,
-					SubSteps: tc.subSteps,
+					SubSteps: tc.subSteps, MaxLifetimeHrs: tc.lifetime,
 				},
-				Cat:      ledgerCatalog(tc.n),
+				Cat:      cat,
 				Workload: &trace.Series{StepHrs: ledgerStepHrs, Values: make([]float64, tc.n)},
 				Policy:   tc.pol,
 			}

@@ -246,7 +246,7 @@ type Scratch struct {
 	blacked    []bool
 	revoked    []bool
 	revs       []revocation
-	prevIDs    []int
+	reaped     []int
 	victims    []int
 	pops       []popCount
 	mktBuf     []*cluster.Server
@@ -283,7 +283,7 @@ func (sc *Scratch) reset(markets, groups int) {
 	sc.groupShock = growTo(sc.groupShock, groups)
 	sc.groupSet = growTo(sc.groupSet, groups)
 	sc.revs = sc.revs[:0]
-	sc.prevIDs = sc.prevIDs[:0]
+	sc.reaped = sc.reaped[:0]
 	sc.victims = sc.victims[:0]
 	sc.pops = sc.pops[:0]
 	sc.mktBuf = sc.mktBuf[:0]
@@ -389,32 +389,21 @@ func (s *Simulator) Run() (*Result, error) {
 		}
 		return x
 	}
-	// advance ticks the cluster and, when a journal is attached, records the
-	// servers reaped as terminated (in ID order, for determinism). Server IDs
-	// are assigned in increasing order and Advance preserves order, so both
-	// the before and after views are ID-ascending: the reaped set falls out
-	// of one linear merge, with no per-call map or sort.
+	// advance ticks the cluster and journals the servers reaped as terminated
+	// (in ID order, for determinism).
 	advance := func(now float64) {
-		if cfg.Journal == nil {
-			cl.Advance(now)
-			return
-		}
-		prev := scr.prevIDs[:0]
-		for _, srv := range cl.Servers() {
-			prev = append(prev, srv.ID)
-		}
-		scr.prevIDs = prev
-		cl.Advance(now)
-		live := cl.Servers()
-		j := 0
-		for _, id := range prev {
-			if j < len(live) && live[j].ID == id {
-				j++
-				continue
-			}
+		scr.reaped = cl.Advance(now, scr.reaped[:0])
+		for _, id := range scr.reaped {
 			cfg.Journal.Record(metrics.EvBackendTerminated, id, -1, "")
 		}
 	}
+	// The hourly-billing scan is skipped while no server can owe an hour: the
+	// fleet saw no mutation since the last scan (billMut) and now is before
+	// the earliest time that scan left paid (billNext). Without a mutation no
+	// server joined the billable set or re-based its LaunchedAt, so every
+	// billable server was in that scan and is paid past now.
+	billMut, billNext := cl.Mutations(), math.Inf(-1)
+	var latMemo latencyMemo
 	for t := 1; t < n; t++ {
 		tStart := float64(t) * stepHrs
 		tEnd := tStart + stepHrs
@@ -727,7 +716,8 @@ func (s *Simulator) Run() (*Result, error) {
 			// restarted. Restart re-bases LaunchedAt, and a restart after the
 			// paid hour lapsed lands past the ledger's time, so billing
 			// resumes from the restart; one inside the paid hour is covered.
-			if !cfg.PerSecondBilling {
+			if mut := cl.Mutations(); !cfg.PerSecondBilling && (mut != billMut || now >= billNext) {
+				billMut, billNext = mut, math.Inf(1)
 				for _, srv := range cl.Servers() {
 					if srv.State() == cluster.StateTerminated || srv.State() == cluster.StateStopped {
 						continue
@@ -748,6 +738,9 @@ func (s *Simulator) Run() (*Result, error) {
 						until += 1.0
 					}
 					billed[srv.ID] = until
+					if until < billNext {
+						billNext = until
+					}
 				}
 			}
 			advance(now)
@@ -774,7 +767,7 @@ func (s *Simulator) Run() (*Result, error) {
 			deadDrop := offered * deadFrac
 			offered -= deadDrop
 
-			served, dropped, lat := cfg.Latency.Interval(offered, capNow)
+			served, dropped, lat := latMemo.interval(cfg.Latency, offered, capNow)
 			dt := sub * secPerHr // seconds in this sub-step
 
 			// Track the admission-control regime: time spent with offered
@@ -972,6 +965,24 @@ func (s *Simulator) cheapestAlive(t int, x float64, revs []revocation, scr *Scra
 		}
 	}
 	return best
+}
+
+// latencyMemo remembers the last LatencyModel.Interval evaluation. Interval
+// is a pure function, so while the offered load and the capacity keep their
+// bits — a quiet stretch of sub-steps — its answer is reused exactly.
+type latencyMemo struct {
+	ok                   bool
+	offered, capacity    uint64 // math.Float64bits of the arguments
+	served, dropped, lat float64
+}
+
+func (lm *latencyMemo) interval(m cluster.LatencyModel, offered, capacity float64) (served, dropped, lat float64) {
+	ob, cb := math.Float64bits(offered), math.Float64bits(capacity)
+	if !lm.ok || ob != lm.offered || cb != lm.capacity {
+		lm.served, lm.dropped, lm.lat = m.Interval(offered, capacity)
+		lm.ok, lm.offered, lm.capacity = true, ob, cb
+	}
+	return lm.served, lm.dropped, lm.lat
 }
 
 // pruneDead drops dead-routing entries whose detection window has fully
