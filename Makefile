@@ -62,8 +62,9 @@ vet:
 smoke:
 	sh scripts/smoke.sh
 
+# fuzz-smoke runs every ^Fuzz target of every package for 30 s.
 fuzz-smoke:
-	@for pkg in ./internal/solver ./internal/stats ./internal/linalg; do \
+	@for pkg in $$($(GO) list ./...); do \
 		for t in $$($(GO) test $$pkg -list '^Fuzz' | grep '^Fuzz'); do \
 			echo "==> $$pkg $$t"; \
 			$(GO) test $$pkg -run='^$$' -fuzz="^$$t$$" -fuzztime=30s || exit 1; \

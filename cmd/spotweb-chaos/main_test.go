@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
@@ -21,7 +22,7 @@ func TestSelectScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := builtin.EncodeJSON()
+	data, err := json.Marshal(builtin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestSelectScenarios(t *testing.T) {
 	}
 	outage.Faults = append(append([]chaos.FaultSpec(nil), outage.Faults...),
 		chaos.FaultSpec{Kind: chaos.KindPriceSpike, Start: 0.3, Duration: 0.3, Severity: 3})
-	if data, err = outage.EncodeJSON(); err != nil {
+	if data, err = json.Marshal(outage); err != nil {
 		t.Fatal(err)
 	}
 	spiked := filepath.Join(dir, "outage-spike.json")

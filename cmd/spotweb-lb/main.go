@@ -23,7 +23,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -69,40 +72,104 @@ func flatCatalog(n int) *market.Catalog {
 	return cat
 }
 
-func main() {
-	listen := flag.String("listen", ":8080", "address for the load balancer")
-	metricsAddr := flag.String("metrics", ":8081", "address for /metrics, /events, /stats and pprof (empty = disabled)")
-	backendsFlag := flag.String("backends", "25,25,50,50,40,40", "comma-separated backend capacities (req/s)")
-	service := flag.Duration("service", 4*time.Millisecond, "base service time per request")
-	startDelay := flag.Duration("start-delay", 5*time.Second, "simulated VM boot time")
-	warmup := flag.Duration("warmup", 5*time.Second, "cache warm-up window")
-	warning := flag.Duration("warning", 10*time.Second, "revocation warning period")
-	slo := flag.Duration("slo", 500*time.Millisecond, "latency SLO threshold for the attainment tracker")
-	vanilla := flag.Bool("vanilla", false, "disable transiency awareness (baseline)")
-	revokeAfter := flag.Duration("revoke-after", 0, "inject a revocation after this delay (0 = never)")
-	revoke := flag.String("revoke", "", "comma-separated backend ids to revoke")
-	rate := flag.Float64("rate", 100, "assumed offered rate for the revocation decision")
-	highUtil := flag.Float64("high-util", 0.85, "utilization threshold of the §6.1 revocation decision")
-	admitRPS := flag.Float64("admit-rps", 0, "token-bucket admission limit on the LB hot path in req/s (0 = off)")
-	chaosScenario := flag.String("chaos-scenario", "", "chaos scenario to replay: a JSON file or a built-in name (empty = none)")
-	chaosDur := flag.Duration("chaos-duration", time.Minute, "wall-clock window the chaos scenario timeline is mapped onto")
-	chaosMarkets := flag.Int("chaos-markets", 3, "synthetic markets the backends are spread over for chaos targeting")
-	seed := flag.Int64("seed", 42, "seed for chaos scenario compilation")
-	riskFlags := risk.BindFlags(flag.CommandLine)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	caps, err := parseFloats(*backendsFlag)
-	if err != nil {
-		log.Fatalf("bad -backends: %v", err)
+// lbFlags is the parsed command line.
+type lbFlags struct {
+	listen, metricsAddr, backends, revoke, chaosScenario   string
+	service, startDelay, warmup, warning, slo, revokeAfter time.Duration
+	chaosDur                                               time.Duration
+	vanilla                                                bool
+	rate, highUtil, admitRPS                               float64
+	chaosMarkets                                           int
+	seed                                                   int64
+	risk                                                   *risk.Flags
+	// positional holds the first non-flag argument and everything after it,
+	// which the flag package leaves unparsed.
+	positional []string
+	// caps and victims are -backends and -revoke, parsed by check.
+	caps    []float64
+	victims []int
+}
+
+func parseFlags(fs *flag.FlagSet, args []string) (*lbFlags, error) {
+	f := &lbFlags{}
+	fs.StringVar(&f.listen, "listen", ":8080", "address for the load balancer")
+	fs.StringVar(&f.metricsAddr, "metrics", ":8081", "address for /metrics, /events, /stats and pprof (empty = disabled)")
+	fs.StringVar(&f.backends, "backends", "25,25,50,50,40,40", "comma-separated backend capacities (req/s); backend ids are 0, 1, … in this order")
+	fs.DurationVar(&f.service, "service", 4*time.Millisecond, "base service time per request")
+	fs.DurationVar(&f.startDelay, "start-delay", 5*time.Second, "simulated VM boot time")
+	fs.DurationVar(&f.warmup, "warmup", 5*time.Second, "cache warm-up window")
+	fs.DurationVar(&f.warning, "warning", 10*time.Second, "revocation warning period")
+	fs.DurationVar(&f.slo, "slo", 500*time.Millisecond, "latency SLO threshold for the attainment tracker")
+	fs.BoolVar(&f.vanilla, "vanilla", false, "disable transiency awareness (baseline)")
+	fs.DurationVar(&f.revokeAfter, "revoke-after", 0, "inject a revocation after this delay (0 = never)")
+	fs.StringVar(&f.revoke, "revoke", "", "comma-separated backend ids to revoke")
+	fs.Float64Var(&f.rate, "rate", 100, "assumed offered rate for the revocation decision")
+	fs.Float64Var(&f.highUtil, "high-util", 0.85, "utilization threshold of the §6.1 revocation decision")
+	fs.Float64Var(&f.admitRPS, "admit-rps", 0, "token-bucket admission limit on the LB hot path in req/s (0 = off)")
+	fs.StringVar(&f.chaosScenario, "chaos-scenario", "", "chaos scenario to replay: a JSON file or a built-in name (empty = none)")
+	fs.DurationVar(&f.chaosDur, "chaos-duration", time.Minute, "wall-clock window the chaos scenario timeline is mapped onto")
+	fs.IntVar(&f.chaosMarkets, "chaos-markets", 3, "synthetic markets the backends are spread over for chaos targeting and the risk prior")
+	fs.Int64Var(&f.seed, "seed", 42, "seed for chaos scenario compilation")
+	f.risk = risk.BindFlags(fs)
+	err := fs.Parse(args)
+	f.positional = fs.Args()
+	return f, err
+}
+
+// check parses -backends and -revoke and rejects what used to fail only once
+// the servers were up: a positional argument (every flag after it silently
+// kept its default), a capacity that is not a positive finite rate (a
+// negative one panicked in the join timer), -chaos-markets below 1 (a
+// division by zero) and a revoke id outside the launched backends (logged as
+// revoked, and nothing happened).
+func (f *lbFlags) check() error {
+	if len(f.positional) > 0 {
+		return fmt.Errorf("unexpected argument %q: spotweb-lb takes flags only", f.positional[0])
 	}
+	caps, err := parseFloats(f.backends)
+	if err != nil {
+		return fmt.Errorf("-backends %q: %v", f.backends, err)
+	}
+	for _, c := range caps {
+		if !(c > 0) || math.IsInf(c, 1) {
+			return fmt.Errorf("-backends %q: capacity %v: want a positive, finite req/s", f.backends, c)
+		}
+	}
+	if f.chaosMarkets < 1 {
+		return fmt.Errorf("-chaos-markets %d: want at least 1", f.chaosMarkets)
+	}
+	if f.revoke != "" {
+		victims, err := parseInts(f.revoke)
+		if err != nil {
+			return fmt.Errorf("-revoke %q: %v", f.revoke, err)
+		}
+		for _, id := range victims {
+			if id < 0 || id >= len(caps) {
+				return fmt.Errorf("-revoke %d: no such backend; the %d backends have ids 0..%d", id, len(caps), len(caps)-1)
+			}
+		}
+		f.victims = victims
+	}
+	f.caps = caps
+	return nil
+}
 
-	var reg *metrics.Registry
-	var journal *metrics.Journal
-	collector := monitor.NewCollector(time.Minute)
-	if *metricsAddr != "" {
-		reg = metrics.NewRegistry()
-		journal = metrics.NewJournal(0)
-		reg.SetJournal(journal)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("spotweb-lb", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	f, err := parseFlags(fs, args)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if err != nil {
+		return 2 // fs.Parse has reported it, with the usage
+	}
+	if err := f.check(); err != nil {
+		fmt.Fprintln(stderr, "spotweb-lb:", err)
+		fs.Usage()
+		return 2
 	}
 
 	// Optional fault injection: the scenario's normalized timeline is mapped
@@ -111,48 +178,71 @@ func main() {
 	// faults have market-shaped targets.
 	var faults *runner.FaultDriver
 	var override func() (lb.RevocationAction, bool)
-	if *chaosScenario != "" {
-		sc, err := chaos.Resolve(*chaosScenario)
-		if err != nil {
-			log.Fatal(err)
+	if f.chaosScenario != "" {
+		sc, err := chaos.Resolve(f.chaosScenario)
+		var in *chaos.Injector
+		if err == nil {
+			in, err = chaos.Compile(sc, f.seed, f.chaosMarkets)
 		}
-		in, err := chaos.Compile(sc, *seed, *chaosMarkets)
 		if err != nil {
-			log.Fatal(err)
+			fmt.Fprintln(stderr, "spotweb-lb: -chaos-scenario:", err)
+			return 2
 		}
-		faults = runner.NewFaultDriver(in, *chaosDur, *warning, *rate)
+		faults = runner.NewFaultDriver(in, f.chaosDur, f.warning, f.rate)
 		override = faults.Hook()
+	}
+
+	logger := log.New(stderr, "", log.LstdFlags)
+	lbLn, err := net.Listen("tcp", f.listen)
+	if err != nil {
+		logger.Print(err)
+		return 1
+	}
+	var monLn net.Listener
+	if f.metricsAddr != "" {
+		if monLn, err = net.Listen("tcp", f.metricsAddr); err != nil {
+			lbLn.Close()
+			logger.Print(err)
+			return 1
+		}
+	}
+
+	var reg *metrics.Registry
+	var journal *metrics.Journal
+	collector := monitor.NewCollector(time.Minute)
+	if f.metricsAddr != "" {
+		reg = metrics.NewRegistry()
+		journal = metrics.NewJournal(0)
+		reg.SetJournal(journal)
 	}
 
 	cl := testbed.NewCluster(testbed.ClusterConfig{
 		Backend: testbed.BackendConfig{
-			BaseServiceTime: *service,
-			StartDelay:      *startDelay,
-			WarmupDur:       *warmup,
+			BaseServiceTime: f.service,
+			StartDelay:      f.startDelay,
+			WarmupDur:       f.warmup,
 			ColdFactor:      0.4,
 		},
-		Warning: *warning,
-		Vanilla: *vanilla,
+		Warning: f.warning,
+		Vanilla: f.vanilla,
 		OnRequest: func(lat time.Duration, dropped bool) {
 			collector.Record(lat, dropped)
 		},
 		Metrics:        reg,
 		Journal:        journal,
-		SLOTarget:      *slo,
-		HighUtil:       *highUtil,
-		AdmitRPS:       *admitRPS,
+		SLOTarget:      f.slo,
+		HighUtil:       f.highUtil,
+		AdmitRPS:       f.admitRPS,
 		ActionOverride: override,
 	})
-	var ids []int
-	for i, c := range caps {
+	for i, c := range f.caps {
 		var b *testbed.Backend
 		if faults != nil {
-			b = cl.AddBackendForMarket(i%*chaosMarkets, c)
+			b = cl.AddBackendForMarket(i%f.chaosMarkets, c)
 		} else {
 			b = cl.AddBackend(c)
 		}
-		ids = append(ids, b.ID)
-		log.Printf("backend %d: capacity %.0f req/s at %s (market %d)", b.ID, c, b.URL(), b.Market)
+		logger.Printf("backend %d: capacity %.0f req/s at %s (market %d)", b.ID, c, b.URL(), b.Market)
 	}
 
 	// Online risk estimation: the LB testbed has no market catalog, so the
@@ -160,13 +250,13 @@ func main() {
 	// learns purely from the journal's revocation warnings. Its corrected,
 	// confidence-widened estimates surface as spotweb_risk_* on /metrics.
 	var feed *risk.Feed
-	if riskFlags.Enabled() {
-		est := riskFlags.Estimator(flatCatalog(*chaosMarkets), reg)
+	if f.risk.Enabled() {
+		est := f.risk.Estimator(flatCatalog(f.chaosMarkets), reg)
 		feed = risk.NewFeed(est, risk.FeedConfig{
 			Journal:  journal,
 			Interval: time.Second,
 			Snapshot: func() ([]bool, []float64) {
-				counts := cl.MarketCounts(*chaosMarkets)
+				counts := cl.MarketCounts(f.chaosMarkets)
 				exposed := make([]bool, len(counts))
 				for i, c := range counts {
 					exposed[i] = c > 0
@@ -175,19 +265,15 @@ func main() {
 			},
 		})
 		if feed == nil {
-			log.Printf("risk: estimator needs the journal; run without -metrics='' to enable")
+			logger.Printf("risk: estimator needs the journal; run without -metrics='' to enable")
 		}
 		feed.Start()
 	}
 
-	if *revokeAfter > 0 && *revoke != "" {
-		victims, err := parseInts(*revoke)
-		if err != nil {
-			log.Fatalf("bad -revoke: %v", err)
-		}
-		time.AfterFunc(*revokeAfter, func() {
-			log.Printf("revoking backends %v (warning %s)", victims, *warning)
-			cl.Revoke(victims, *rate)
+	if f.revokeAfter > 0 && len(f.victims) > 0 {
+		time.AfterFunc(f.revokeAfter, func() {
+			logger.Printf("revoking backends %v (warning %s)", f.victims, f.warning)
+			cl.Revoke(f.victims, f.rate)
 		})
 	}
 
@@ -195,62 +281,62 @@ func main() {
 	defer stop()
 
 	if faults != nil {
-		log.Printf("chaos: replaying scenario %q over %s", *chaosScenario, *chaosDur)
+		logger.Printf("chaos: replaying scenario %q over %s", f.chaosScenario, f.chaosDur)
 		go faults.Run(ctx, cl)
 	}
 
-	lbSrv := &http.Server{Addr: *listen, Handler: cl}
+	serveErr := make(chan error, 2) // one per server
+	lbSrv := &http.Server{Handler: cl}
 	var monSrv *http.Server
-	if *metricsAddr != "" {
+	if monLn != nil {
 		api := &monitor.API{
 			Collector:   collector,
 			Metrics:     reg,
 			Journal:     journal,
 			EnablePProf: true,
 		}
-		monSrv = &http.Server{Addr: *metricsAddr, Handler: api.Handler()}
-		go func() {
-			log.Printf("instrumentation on %s (/stats /healthz /metrics /events /debug/pprof)", *metricsAddr)
-			if err := monSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Fatal(err)
-			}
-		}()
+		monSrv = &http.Server{Handler: api.Handler()}
+		logger.Printf("instrumentation on %s (/stats /healthz /metrics /events /debug/pprof)", monLn.Addr())
+		go func() { serveErr <- monSrv.Serve(monLn) }()
 	}
-	go func() {
-		log.Printf("spotweb-lb listening on %s (vanilla=%v, %d backends)", *listen, *vanilla, len(ids))
-		if err := lbSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
-	}()
+	logger.Printf("spotweb-lb listening on %s (vanilla=%v, %d backends)", lbLn.Addr(), f.vanilla, len(f.caps))
+	go func() { serveErr <- lbSrv.Serve(lbLn) }()
 
-	<-ctx.Done()
+	code := 0
+	select {
+	case <-ctx.Done():
+	case err := <-serveErr:
+		logger.Print(err)
+		code = 1
+	}
 	stop() // a second signal kills hard
-	log.Printf("shutdown: draining HTTP servers and backends")
+	logger.Printf("shutdown: draining HTTP servers and backends")
 	shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := lbSrv.Shutdown(shCtx); err != nil {
-		log.Printf("shutdown: lb server: %v", err)
+		logger.Printf("shutdown: lb server: %v", err)
 	}
 	if monSrv != nil {
 		if err := monSrv.Shutdown(shCtx); err != nil {
-			log.Printf("shutdown: metrics server: %v", err)
+			logger.Printf("shutdown: metrics server: %v", err)
 		}
 	}
 	feed.Close()
 	cl.Close()
 	if reg != nil {
-		fmt.Fprintln(os.Stderr, "# final metrics snapshot")
-		reg.WritePrometheus(os.Stderr)
+		fmt.Fprintln(stderr, "# final metrics snapshot")
+		reg.WritePrometheus(stderr)
 	}
 	if journal != nil {
 		evs := journal.Events()
-		fmt.Fprintf(os.Stderr, "# final event journal (%d retained)\n", len(evs))
+		fmt.Fprintf(stderr, "# final event journal (%d retained)\n", len(evs))
 		for _, e := range evs {
-			fmt.Fprintf(os.Stderr, "# event seq=%d at=%s type=%s backend=%d market=%d %s\n",
+			fmt.Fprintf(stderr, "# event seq=%d at=%s type=%s backend=%d market=%d %s\n",
 				e.Seq, e.At.Format(time.RFC3339Nano), e.Type, e.Backend, e.Market, e.Detail)
 		}
 	}
-	log.Printf("shutdown complete")
+	logger.Printf("shutdown complete")
+	return code
 }
 
 func parseFloats(s string) ([]float64, error) {

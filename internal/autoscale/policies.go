@@ -8,7 +8,6 @@ package autoscale
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/linalg"
 	"repro/internal/market"
@@ -138,63 +137,6 @@ func FreezeWeights(cat *market.Catalog, t int, lambda, alpha float64) (linalg.Ve
 		w.Scale(1 / s)
 	}
 	return w, nil
-}
-
-// Qu implements the Qu et al. heuristic from Table 1 (reference [29]): the
-// user specifies K, the number of concurrent market failures to survive; the
-// policy spreads demand evenly over the M cheapest transient markets sized
-// so that losing any K of them still leaves full capacity — i.e. each market
-// carries demand/(M−K). SLO-awareness is only indirect (through K) and no
-// future knowledge is used.
-type Qu struct {
-	Cat *market.Catalog
-	// M is the number of markets used; K the failures tolerated (K < M).
-	M, K     int
-	Workload predict.Predictor
-}
-
-// NewQu validates and builds the baseline.
-func NewQu(cat *market.Catalog, m, k int, wl predict.Predictor) (*Qu, error) {
-	if m <= 0 || k < 0 || k >= m {
-		return nil, fmt.Errorf("autoscale: invalid Qu parameters M=%d K=%d", m, k)
-	}
-	transient := 0
-	for _, mk := range cat.Markets {
-		if mk.Transient {
-			transient++
-		}
-	}
-	if m > transient {
-		return nil, fmt.Errorf("autoscale: Qu needs %d transient markets, catalog has %d", m, transient)
-	}
-	return &Qu{Cat: cat, M: m, K: k, Workload: wl}, nil
-}
-
-// Name implements sim.Policy.
-func (p *Qu) Name() string { return fmt.Sprintf("qu-m%d-k%d", p.M, p.K) }
-
-// Decide implements sim.Policy.
-func (p *Qu) Decide(t int, observed float64) ([]int, error) {
-	p.Workload.Observe(observed)
-	lam := p.Workload.Predict(1)[0]
-	// Pick the M cheapest transient markets right now.
-	type cand struct {
-		i    int
-		cost float64
-	}
-	var cands []cand
-	for i, mk := range p.Cat.Markets {
-		if mk.Transient {
-			cands = append(cands, cand{i, mk.PerRequestCostAt(t)})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].cost < cands[b].cost })
-	perMarket := lam / float64(p.M-p.K)
-	counts := make([]int, p.Cat.Len())
-	for _, c := range cands[:p.M] {
-		counts[c.i] = int(math.Ceil(perMarket / p.Cat.Markets[c.i].Type.Capacity))
-	}
-	return counts, nil
 }
 
 // OnDemand provisions everything on the cheapest-per-request on-demand

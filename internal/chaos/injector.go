@@ -66,22 +66,6 @@ type Injector struct {
 	force    []forceSpan
 }
 
-// Scenario returns the compiled scenario name ("" for a nil injector).
-func (in *Injector) Scenario() string {
-	if in == nil {
-		return ""
-	}
-	return in.scenario
-}
-
-// Seed returns the compile seed.
-func (in *Injector) Seed() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
-}
-
 // Revocations returns the forced revocations scheduled in [from, to),
 // ordered by fire time.
 func (in *Injector) Revocations(from, to float64) []Revocation {
@@ -94,14 +78,6 @@ func (in *Injector) Revocations(from, to float64) []Revocation {
 		return nil
 	}
 	return in.revs[lo:hi]
-}
-
-// NumRevocations returns the number of compiled forced-revocation events.
-func (in *Injector) NumRevocations() int {
-	if in == nil {
-		return 0
-	}
-	return len(in.revs)
 }
 
 // WarnScale returns the fraction of the normal revocation-warning period

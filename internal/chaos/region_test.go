@@ -126,8 +126,8 @@ func TestEmptyRegionInjectsNothing(t *testing.T) {
 	if got := in.Revocations(0.15, 0.25); len(got) != 1 || len(got[0].Markets) != 0 || got[0].Count != 0 {
 		t.Fatalf("empty-region storm must stay empty (no Count fallback), got %+v", got)
 	}
-	if in.NumRevocations() != 1 {
-		t.Fatalf("outage over an empty region must inject nothing, have %d events", in.NumRevocations())
+	if len(in.revs) != 1 {
+		t.Fatalf("outage over an empty region must inject nothing, have %d events", len(in.revs))
 	}
 	for m := 0; m < 6; m++ {
 		if _, dark := in.Blackout(0.6, m); dark {

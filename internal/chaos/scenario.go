@@ -174,6 +174,10 @@ type Scenario struct {
 	Faults    []FaultSpec      `json:"faults"`
 }
 
+// maxFlapWindows caps the square-wave periods one flap fault may expand to
+// (the built-in flap has 5.5).
+const maxFlapWindows = 10000
+
 // Validate checks the scenario for internal consistency.
 func (s *Scenario) Validate() error {
 	if s.Name == "" {
@@ -242,6 +246,16 @@ func (s *Scenario) Validate() error {
 			if f.Period <= 0 || f.Duration <= 0 {
 				return fmt.Errorf("%s: needs period and duration", where)
 			}
+			// Compile steps t += Period across the window: bound the number
+			// of steps, and make sure each one moves t. Half a period that
+			// still registers at the window's end is at least one ulp there,
+			// so every step below it advances t.
+			if f.Duration/f.Period > maxFlapWindows {
+				return fmt.Errorf("%s: period %g cuts the %g window into more than %d square waves", where, f.Period, f.Duration, maxFlapWindows)
+			}
+			if end := f.Start + f.Duration; end+f.Period/2 == end {
+				return fmt.Errorf("%s: period %g is too short to step across the window [%g,%g)", where, f.Period, f.Start, end)
+			}
 		case KindPriceSpike:
 			if f.Severity < 1 {
 				return fmt.Errorf("%s: severity %g below 1", where, f.Severity)
@@ -297,9 +311,4 @@ func Resolve(nameOrPath string) (*Scenario, error) {
 		return LoadScenario(nameOrPath)
 	}
 	return Builtin(nameOrPath)
-}
-
-// MarshalJSON-ready helper: EncodeJSON returns the scenario as indented JSON.
-func (s *Scenario) EncodeJSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }

@@ -4,6 +4,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 var quick = Options{Quick: true, Seed: 42}
@@ -61,8 +63,14 @@ func TestFig4cdPaddingShape(t *testing.T) {
 	if res.SpotWebFit.Mu <= res.BaselineFit.Mu {
 		t.Fatal("padded error distribution should center above baseline")
 	}
-	if res.BaselineHist.Total() == 0 || res.SpotWebHist.Total() == 0 {
-		t.Fatal("histograms empty")
+	for _, h := range []*stats.Histogram{res.BaselineHist, res.SpotWebHist} {
+		n := h.Under + h.Over
+		for _, c := range h.Counts {
+			n += c
+		}
+		if n == 0 {
+			t.Fatal("histograms empty")
+		}
 	}
 }
 

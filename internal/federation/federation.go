@@ -155,9 +155,6 @@ func Build(cfg Config) (*Federation, error) {
 // Len returns the total number of markets in the merged view.
 func (f *Federation) Len() int { return len(f.refs) }
 
-// Ref resolves a global market index to its shard-local identity.
-func (f *Federation) Ref(i int) MarketRef { return f.refs[i] }
-
 // RegionMap returns region name → global market indices, the shape the
 // chaos layer's region-targeted faults consume (Scenario.RegionMap).
 func (f *Federation) RegionMap() map[string][]int {

@@ -144,8 +144,8 @@ func TestRegionMapCoversAllMarkets(t *testing.T) {
 				t.Fatalf("market %d appears in two regions", i)
 			}
 			seen[i] = true
-			if fed.Ref(i).Region != region {
-				t.Fatalf("market %d maps to %q but Ref says %q", i, region, fed.Ref(i).Region)
+			if fed.refs[i].Region != region {
+				t.Fatalf("market %d maps to %q but Ref says %q", i, region, fed.refs[i].Region)
 			}
 		}
 	}
@@ -168,9 +168,9 @@ func TestCorrelationMatrixBlocks(t *testing.T) {
 		t.Fatalf("matrix dim %d, want %d", len(mat), n)
 	}
 	for i := 0; i < n; i++ {
-		ri := fed.Ref(i)
+		ri := fed.refs[i]
 		for j := 0; j < n; j++ {
-			rj := fed.Ref(j)
+			rj := fed.refs[j]
 			want := 0.25
 			switch {
 			case i == j:

@@ -14,28 +14,24 @@ import (
 )
 
 // TestEpochAdvancesPerPublish pins the generation counter: every mutation
-// that republishes bumps the epoch exactly once, and the pointer-loaded
-// table always carries the current epoch.
+// that republishes bumps the published table's epoch exactly once.
 func TestEpochAdvancesPerPublish(t *testing.T) {
 	w := NewSmoothWRR()
-	if w.Epoch() != 0 {
-		t.Fatalf("fresh WRR epoch = %d, want 0", w.Epoch())
+	if w.table().gen != 0 {
+		t.Fatalf("fresh WRR epoch = %d, want 0", w.table().gen)
 	}
 	w.SetWeight(1, 1)
 	w.SetWeight(2, 3)
-	if w.Epoch() != 2 {
-		t.Fatalf("after two SetWeight: epoch = %d, want 2", w.Epoch())
+	if w.table().gen != 2 {
+		t.Fatalf("after two SetWeight: epoch = %d, want 2", w.table().gen)
 	}
 	w.Apply(map[int]float64{1: 1, 2: 3, 3: 2}) // bulk reconcile = one swap
-	if w.Epoch() != 3 {
-		t.Fatalf("after Apply: epoch = %d, want 3", w.Epoch())
-	}
-	if g := w.table().gen; g != w.Epoch() {
-		t.Fatalf("loaded table gen %d != epoch %d", g, w.Epoch())
+	if w.table().gen != 3 {
+		t.Fatalf("after Apply: epoch = %d, want 3", w.table().gen)
 	}
 	w.setDrain(3, true)
-	if w.Epoch() != 4 {
-		t.Fatalf("setDrain must republish: epoch = %d, want 4", w.Epoch())
+	if w.table().gen != 4 {
+		t.Fatalf("setDrain must republish: epoch = %d, want 4", w.table().gen)
 	}
 }
 
@@ -57,7 +53,7 @@ func TestEpochNoStaleReadAfterTwoSwaps(t *testing.T) {
 
 	w.SetWeight(1, 0) // swap 1: backend 1 leaves rotation
 	w.SetWeight(2, 3) // swap 2: backend 2 reweighted
-	wantGen := w.Epoch()
+	wantGen := w.table().gen
 
 	for i := 0; i < 1000; i++ {
 		if g := w.table().gen; g != wantGen {

@@ -53,9 +53,8 @@ func TestSmoothWRROnlineWeightUpdate(t *testing.T) {
 			t.Fatalf("pick = %d/%v, want 2", id, ok)
 		}
 	}
-	shares := w.Shares()
-	if shares[1] != 0 || shares[2] != 1 {
-		t.Fatalf("shares = %v", shares)
+	if ents := w.table().ents; len(ents) != 2 || ents[0].weight != 0 || ents[1].weight != 1 {
+		t.Fatalf("entries = %+v", ents)
 	}
 }
 
@@ -88,27 +87,12 @@ func TestSmoothWRRNegativeWeightPanics(t *testing.T) {
 	NewSmoothWRR().SetWeight(1, -1)
 }
 
-func TestNextExcluding(t *testing.T) {
-	w := NewSmoothWRR()
-	w.SetWeight(1, 1)
-	w.SetWeight(2, 1)
-	for i := 0; i < 10; i++ {
-		id, ok := w.NextExcluding(map[int]bool{1: true})
-		if !ok || id != 2 {
-			t.Fatalf("pick = %d", id)
-		}
-	}
-	if _, ok := w.NextExcluding(map[int]bool{1: true, 2: true}); ok {
-		t.Fatal("all-excluded should fail")
-	}
-}
-
 func TestBackendsSorted(t *testing.T) {
 	w := NewSmoothWRR()
 	w.SetWeight(3, 1)
 	w.SetWeight(1, 1)
 	w.SetWeight(2, 1)
-	ids := w.Backends()
+	ids := backendIDs(w)
 	if len(ids) != 3 || ids[0] != 1 || ids[2] != 3 {
 		t.Fatalf("Backends = %v", ids)
 	}
@@ -260,7 +244,7 @@ func TestUpdatePortfolioRemovesStale(t *testing.T) {
 	b := NewBalancer()
 	b.UpdatePortfolio(map[int]float64{1: 1, 2: 2})
 	b.UpdatePortfolio(map[int]float64{2: 1, 3: 1})
-	ids := b.WRR.Backends()
+	ids := backendIDs(b.WRR)
 	if len(ids) != 2 || ids[0] != 2 || ids[1] != 3 {
 		t.Fatalf("Backends = %v", ids)
 	}
@@ -348,4 +332,13 @@ func TestSoftDrainKeepsServingSessions(t *testing.T) {
 	if !ok || id == cur {
 		t.Fatalf("session not migrated at drain completion: %d/%v", id, ok)
 	}
+}
+
+// backendIDs returns the registered backend ids in ascending order.
+func backendIDs(w *SmoothWRR) []int {
+	var ids []int
+	for _, e := range w.table().ents {
+		ids = append(ids, e.id)
+	}
+	return ids
 }

@@ -53,11 +53,6 @@ func (w *SmoothWRR) publishLocked() {
 	w.tbl.Store(buildTable(w.gen, ents))
 }
 
-// Epoch returns the generation of the published table. Every mutation
-// increments it; a pick that begins after a mutation returns observes a
-// table with at least that generation.
-func (w *SmoothWRR) Epoch() uint64 { return w.table().gen }
-
 // findLocked returns the index of id in the master entry slice, or -1.
 func (w *SmoothWRR) findLocked(id int) int {
 	i := sort.Search(len(w.ents), func(i int) bool { return w.ents[i].id >= id })
@@ -183,29 +178,6 @@ func (w *SmoothWRR) nextOpen() (id int, ok bool) {
 	return w.curOpen.next(w.table().seqOpen)
 }
 
-// NextExcluding picks the next backend skipping the given ids. The
-// precomputed cycle is scanned forward from the cursor position, which
-// yields the conditional distribution (remaining backends keep their
-// relative proportions). Lock-free.
-func (w *SmoothWRR) NextExcluding(exclude map[int]bool) (id int, ok bool) {
-	t := w.table()
-	n := len(t.seqAll)
-	if n == 0 {
-		return 0, false
-	}
-	if len(exclude) == 0 {
-		return w.curAll.next(t.seqAll)
-	}
-	k := w.curAll.v.Add(1) - 1
-	for i := 0; i < n; i++ {
-		id := t.seqAll[(k+uint64(i))%uint64(n)]
-		if !exclude[id] {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
 // Has reports whether a backend is still registered (removal marks the end
 // of its drain lifecycle, so Has doubles as the routability check closing
 // the assign/drain race in Balancer.Route). Lock-free.
@@ -216,45 +188,6 @@ func (w *SmoothWRR) Has(id int) bool {
 	}
 	_, ok := t.lookup(id)
 	return ok
-}
-
-// Weights returns a copy of the current backend weights.
-func (w *SmoothWRR) Weights() map[int]float64 {
-	t := w.table()
-	out := make(map[int]float64, len(t.ents))
-	for _, e := range t.ents {
-		out[e.id] = e.weight
-	}
-	return out
-}
-
-// Shares returns each backend's normalized weight fraction; backends with
-// zero weight are included with share 0.
-func (w *SmoothWRR) Shares() map[int]float64 {
-	t := w.table()
-	var total float64
-	for _, e := range t.ents {
-		total += e.weight
-	}
-	out := make(map[int]float64, len(t.ents))
-	for _, e := range t.ents {
-		if total > 0 {
-			out[e.id] = e.weight / total
-		} else {
-			out[e.id] = 0
-		}
-	}
-	return out
-}
-
-// Backends returns the registered backend ids in ascending order.
-func (w *SmoothWRR) Backends() []int {
-	t := w.table()
-	out := make([]int, 0, len(t.ents))
-	for _, e := range t.ents {
-		out = append(out, e.id)
-	}
-	return out
 }
 
 // Len returns the number of registered backends.

@@ -90,20 +90,6 @@ func BenchmarkFactorModelMulVec(b *testing.B) {
 	}
 }
 
-func BenchmarkMul(b *testing.B) {
-	for _, n := range []int{128, 384} {
-		b.Run(itoa(n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(4))
-			x := randomMatrix(rng, n, n)
-			y := randomMatrix(rng, n, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				x.Mul(y)
-			}
-		})
-	}
-}
-
 func BenchmarkAtA(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	m := randomMatrix(rng, 400, 300)

@@ -122,7 +122,7 @@ func TestBitIdenticalCompactRisk(t *testing.T) {
 }
 
 func TestCompactRiskShapePanics(t *testing.T) {
-	m := Identity(4)
+	m := identity(4)
 	m.Set(0, 1, 1)
 	op, _ := CompactRisk(m)
 	for name, fn := range map[string]func(){

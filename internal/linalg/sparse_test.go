@@ -56,7 +56,7 @@ func TestCSRThreshold(t *testing.T) {
 }
 
 func TestCSRShapePanics(t *testing.T) {
-	c := NewCSRFromDense(Identity(2), 0)
+	c := NewCSRFromDense(identity(2), 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

@@ -91,7 +91,7 @@ func TestBitIdenticalStackedMulVec(t *testing.T) {
 }
 
 func TestStackedMulVecShapePanics(t *testing.T) {
-	m := Identity(4)
+	m := identity(4)
 	m.Set(0, 1, 1)
 	m.Set(1, 0, 1)
 	compact, _ := CompactRisk(m)

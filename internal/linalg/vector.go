@@ -76,17 +76,6 @@ func (v Vector) NormInf() float64 {
 	return m
 }
 
-// AddScaled sets v ← v + a·w and returns v. It panics if lengths differ.
-func (v Vector) AddScaled(a float64, w Vector) Vector {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: AddScaled length mismatch %d vs %d", len(v), len(w)))
-	}
-	for i := range v {
-		v[i] += a * w[i]
-	}
-	return v
-}
-
 // Scale sets v ← a·v and returns v.
 func (v Vector) Scale(a float64) Vector {
 	for i := range v {
@@ -105,40 +94,6 @@ func (v Vector) Sub(w Vector) Vector {
 		out[i] = v[i] - w[i]
 	}
 	return out
-}
-
-// Add returns a new vector v + w.
-func (v Vector) Add(w Vector) Vector {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: Add length mismatch %d vs %d", len(v), len(w)))
-	}
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out
-}
-
-// Max returns the largest element of v, or -Inf for an empty vector.
-func (v Vector) Max() float64 {
-	m := math.Inf(-1)
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the smallest element of v, or +Inf for an empty vector.
-func (v Vector) Min() float64 {
-	m := math.Inf(1)
-	for _, x := range v {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Clamp sets each element of v into [lo, hi] element-wise.

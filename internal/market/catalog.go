@@ -23,15 +23,6 @@ var paperTypes = map[string]InstanceType{
 	"x1e.16xlarge": {Name: "x1e.16xlarge", VCPUs: 64, MemGiB: 1952, Capacity: 1334, OnDemandPrice: 13.344},
 }
 
-// PaperType returns one of the instance types named in the paper.
-func PaperType(name string) (InstanceType, error) {
-	t, ok := paperTypes[name]
-	if !ok {
-		return InstanceType{}, fmt.Errorf("market: unknown paper instance type %q", name)
-	}
-	return t, nil
-}
-
 // CatalogConfig parameterizes synthetic catalog generation.
 type CatalogConfig struct {
 	Seed int64

@@ -18,18 +18,12 @@ func smallCatalog(t *testing.T) *Catalog {
 }
 
 func TestPaperType(t *testing.T) {
-	it, err := PaperType("r5d.24xlarge")
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := paperTypes["r5d.24xlarge"]
 	if it.Capacity != 1920 {
 		t.Fatalf("r5d.24xlarge capacity = %v, want 1920 (paper §6.3)", it.Capacity)
 	}
-	if _, err := PaperType("nope"); err == nil {
-		t.Fatal("expected error for unknown type")
-	}
 	// x1e.16xlarge per-request cost is the paper's 0.01 $/hr-per-req/s anchor.
-	x, _ := PaperType("x1e.16xlarge")
+	x := paperTypes["x1e.16xlarge"]
 	if c := x.OnDemandPrice / x.Capacity; math.Abs(c-0.01) > 1e-3 {
 		t.Fatalf("x1e.16xlarge per-request cost = %v, want ≈0.01", c)
 	}
@@ -117,8 +111,15 @@ func TestFailProbs(t *testing.T) {
 func TestCovarianceMatrix(t *testing.T) {
 	c := smallCatalog(t)
 	m := c.CovarianceMatrix(200, 150)
-	if m.Rows != c.Len() || !m.IsSymmetric(1e-12) {
-		t.Fatalf("covariance shape/symmetry broken")
+	if m.Rows != c.Len() {
+		t.Fatalf("covariance shape broken")
+	}
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < i; j++ {
+			if math.Abs(m.At(i, j)-m.At(j, i)) > 1e-12 {
+				t.Fatalf("covariance not symmetric at (%d,%d)", i, j)
+			}
+		}
 	}
 	// Must be positive definite thanks to the ridge.
 	if _, err := linalg.Cholesky(m); err != nil {

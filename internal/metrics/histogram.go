@@ -100,42 +100,6 @@ func (h *Histogram) Sum() float64 {
 	return float64(h.sumNanos.Load()) * 1e-9
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) as the upper bound of the
-// bucket containing that rank — exact to the bucket resolution (≤ 6.25%
-// relative). Returns 0 with no observations. Overflowed observations
-// (> ~1073 s) report the top bucket's bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	var total int64
-	var snap [nBuckets]int64
-	for i := range snap {
-		snap[i] = h.counts[i].Load()
-		total += snap[i]
-	}
-	over := h.overflow.Load()
-	total += over
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q*float64(total-1)) + 1
-	var cum int64
-	for i := range snap {
-		cum += snap[i]
-		if cum >= rank {
-			return bucketUpper(i)
-		}
-	}
-	return bucketUpper(nBuckets - 1)
-}
-
 // Quantiles returns several quantiles with one bucket snapshot.
 func (h *Histogram) Quantiles(qs ...float64) []float64 {
 	out := make([]float64, len(qs))

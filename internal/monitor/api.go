@@ -29,15 +29,13 @@ type Warning struct {
 	Deadline time.Time `json:"deadline"`
 }
 
-// MarketMonitor tracks market state and relays revocation warnings to
-// subscribers (the transiency-aware balancer, §5.2: "On a revocation
-// warning, the monitoring system forwards it to the Load balancer").
+// MarketMonitor tracks market state and keeps the log of relayed
+// revocation warnings that /warnings serves.
 type MarketMonitor struct {
 	Cat *market.Catalog
 
-	mu   sync.Mutex
-	subs []chan Warning
-	log  []Warning
+	mu  sync.Mutex
+	log []Warning
 }
 
 // NewMarketMonitor wraps a catalog.
@@ -62,29 +60,11 @@ func (m *MarketMonitor) Snapshot(t int) []MarketSnapshot {
 	return out
 }
 
-// Subscribe returns a channel receiving future warnings. The channel is
-// buffered; slow subscribers drop warnings rather than block the relay.
-func (m *MarketMonitor) Subscribe() <-chan Warning {
-	ch := make(chan Warning, 16)
-	m.mu.Lock()
-	m.subs = append(m.subs, ch)
-	m.mu.Unlock()
-	return ch
-}
-
-// RelayWarning forwards a revocation warning to all subscribers and records
-// it in the warning log.
+// RelayWarning records a revocation warning in the warning log.
 func (m *MarketMonitor) RelayWarning(w Warning) {
 	m.mu.Lock()
 	m.log = append(m.log, w)
-	subs := append([]chan Warning(nil), m.subs...)
 	m.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- w:
-		default: // drop rather than block the warning path
-		}
-	}
 }
 
 // Warnings returns a copy of the warning log.

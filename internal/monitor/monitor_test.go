@@ -146,37 +146,10 @@ func TestMarketMonitorSnapshotAndWarnings(t *testing.T) {
 			t.Fatalf("per-request cost mismatch: %v vs %v", s.PerReqCost, want)
 		}
 	}
-	ch := m.Subscribe()
 	w := Warning{ServerID: 5, Market: 1, Deadline: time.Now().Add(2 * time.Minute)}
 	m.RelayWarning(w)
-	select {
-	case got := <-ch:
-		if got.ServerID != 5 {
-			t.Fatalf("warning = %+v", got)
-		}
-	default:
-		t.Fatal("warning not relayed")
-	}
-	if len(m.Warnings()) != 1 {
-		t.Fatal("warning log broken")
-	}
-}
-
-func TestMarketMonitorSlowSubscriberDoesNotBlock(t *testing.T) {
-	cat := market.TestbedCatalog(1, 4)
-	m := NewMarketMonitor(cat)
-	m.Subscribe() // never drained
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 100; i++ { // more than the channel buffer
-			m.RelayWarning(Warning{ServerID: i})
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("relay blocked on slow subscriber")
+	if log := m.Warnings(); len(log) != 1 || log[0].ServerID != 5 {
+		t.Fatalf("warning log = %+v", log)
 	}
 }
 

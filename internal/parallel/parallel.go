@@ -110,16 +110,8 @@ func PoolFor(n int) *Pool {
 	}
 }
 
-// Workers returns the pool's parallel width.
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 1
-	}
-	return p.width
-}
-
 // Limit returns a view of p whose parallel width is at most width. The view
-// shares p's workers. width <= 0 or width >= p.Workers() returns p itself; a
+// shares p's workers. width <= 0 or width >= p's own width returns p itself; a
 // width of 1 returns Serial.
 func (p *Pool) Limit(width int) *Pool {
 	if p == nil || p.tasks == nil || width >= p.width || width <= 0 {
@@ -170,9 +162,9 @@ func (f *firstPanic) repanic() {
 	}
 }
 
-// Do runs the given functions on the pool, at most Workers() at a time (the
-// caller counts as one), and waits for all of them, re-raising the first
-// panic. It is the fan-out primitive for independent tasks such as shard
+// Do runs the given functions on the pool, at most the pool's width at a
+// time (the caller counts as one), and waits for all of them, re-raising the
+// first panic. It is the fan-out primitive for independent tasks such as shard
 // solves and sweep cells.
 func (p *Pool) Do(fns ...func()) {
 	if len(fns) == 0 {

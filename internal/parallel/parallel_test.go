@@ -27,8 +27,8 @@ func TestNewClampsToGOMAXPROCS(t *testing.T) {
 		{0, max}, {-3, max}, {1, 1}, {2, 2}, {max, max}, {max + 100, max},
 	} {
 		p := New(tc.ask)
-		if got := p.Workers(); got != tc.want {
-			t.Errorf("New(%d).Workers() = %d, want %d", tc.ask, got, tc.want)
+		if got := p.width; got != tc.want {
+			t.Errorf("New(%d).width = %d, want %d", tc.ask, got, tc.want)
 		}
 		p.Close()
 	}
@@ -41,8 +41,8 @@ func TestLimit(t *testing.T) {
 	withProcs(t, 4)
 	p := New(4)
 	defer p.Close()
-	if v := p.Limit(2); v.Workers() != 2 {
-		t.Errorf("Limit(2).Workers() = %d, want 2", v.Workers())
+	if v := p.Limit(2); v.width != 2 {
+		t.Errorf("Limit(2).width = %d, want 2", v.width)
 	}
 	if v := p.Limit(100); v != p {
 		t.Error("Limit above width should return the pool itself")
@@ -176,8 +176,8 @@ func TestSharedPoolStress(t *testing.T) {
 func TestNewIOUnclamped(t *testing.T) {
 	p := NewIO(8)
 	defer p.Close()
-	if got := p.Workers(); got != 8 {
-		t.Fatalf("NewIO(8).Workers() = %d, want 8 (GOMAXPROCS=%d)", got, runtime.GOMAXPROCS(0))
+	if got := p.width; got != 8 {
+		t.Fatalf("NewIO(8).width = %d, want 8 (GOMAXPROCS=%d)", got, runtime.GOMAXPROCS(0))
 	}
 	if NewIO(1) != Serial || NewIO(0) != Serial {
 		t.Error("NewIO(<=1) should return the Serial pool")

@@ -1,9 +1,6 @@
 package portfolio
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // CostBreakdown decomposes one horizon step's objective into the paper's
 // terms — the introspection a deployment uses to understand *why* the
@@ -62,16 +59,4 @@ func (c Config) Breakdown(plan *Plan, in *Inputs) ([]CostBreakdown, error) {
 func (b CostBreakdown) String() string {
 	return fmt.Sprintf("step %d: prov %.4f + sla %.4f + risk %.4f + churn %.4f = %.4f",
 		b.Step, b.Provisioning, b.SLA, b.Risk, b.Churn, b.Total)
-}
-
-// FormatBreakdown renders the whole horizon as a table.
-func FormatBreakdown(rows []CostBreakdown) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-5s %12s %12s %12s %12s %12s\n",
-		"step", "provisioning", "sla", "risk", "churn", "total")
-	for _, b := range rows {
-		fmt.Fprintf(&sb, "%-5d %12.4f %12.4f %12.4f %12.4f %12.4f\n",
-			b.Step, b.Provisioning, b.SLA, b.Risk, b.Churn, b.Total)
-	}
-	return sb.String()
 }

@@ -18,7 +18,9 @@ func kktInputs(rng *rand.Rand, n, h int) *Inputs {
 		g.Data[i] = rng.NormFloat64()
 	}
 	risk := g.AtA()
-	risk.ScaleInPlace(0.01 / float64(n))
+	for i := range risk.Data {
+		risk.Data[i] *= 0.01 / float64(n)
+	}
 	risk.AddDiag(0.005)
 	in := &Inputs{Risk: risk}
 	base := make([]float64, n)

@@ -239,21 +239,6 @@ func (c Config) ProvisioningCost(alloc linalg.Vector, lambda float64, perReqCost
 	return s
 }
 
-// SLACost evaluates Eq. 4 for a single period a posteriori: given the actual
-// arrival rate and the rate that was provisioned for.
-func (c Config) SLACost(alloc linalg.Vector, failProb []float64, actual, predicted float64) float64 {
-	var s float64
-	short := actual - predicted
-	for i, a := range alloc {
-		if short > 0 {
-			s += c.PenaltyP * a * (failProb[i]*actual*c.LongRequestFrac + short)
-		} else {
-			s += c.PenaltyP * a * failProb[i] * actual * c.LongRequestFrac
-		}
-	}
-	return s
-}
-
 // RiskCost evaluates Eq. 5, α·AᵀMA.
 func (c Config) RiskCost(alloc linalg.Vector, m *linalg.Matrix) float64 {
 	return c.Alpha * m.QuadForm(alloc)

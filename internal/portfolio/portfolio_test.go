@@ -396,14 +396,6 @@ func TestCostModelHelpers(t *testing.T) {
 	if math.Abs(prov-(0.5*100*0.01+0.5*100*0.02)) > 1e-12 {
 		t.Fatalf("ProvisioningCost = %v", prov)
 	}
-	// No shortfall: only the L-term (here L=0 ⇒ zero cost).
-	if c := cfg.SLACost(alloc, []float64{0.1, 0.1}, 90, 100); c != 0 {
-		t.Fatalf("SLACost without shortfall and L=0 should be 0, got %v", c)
-	}
-	// Shortfall of 10 req/s with P=0.02: cost = Σ a_i · P · 10 = 0.2.
-	if c := cfg.SLACost(alloc, []float64{0.1, 0.1}, 110, 100); math.Abs(c-0.2) > 1e-12 {
-		t.Fatalf("SLACost = %v, want 0.2", c)
-	}
 	risk := diagRisk(0.01, 0.01)
 	if r := cfg.RiskCost(alloc, risk); math.Abs(r-5*(0.25*0.01+0.25*0.01)) > 1e-12 {
 		t.Fatalf("RiskCost = %v", r)

@@ -90,8 +90,8 @@ func TestChangepointResetsEstimatorWindow(t *testing.T) {
 		prices[0] = 0.05 * (1 + 0.02*noisy(i))
 		e.ObserveInterval(i, exposed, prices)
 	}
-	preX := e.EffectiveSamples(0)
-	_, preUCB, _ := e.Estimate(0)
+	preX := exposure(e, 0)
+	_, preUCB, _ := estimate(e, 0)
 	if preX < 150 {
 		t.Fatalf("exposure %v did not accumulate", preX)
 	}
@@ -109,14 +109,14 @@ func TestChangepointResetsEstimatorWindow(t *testing.T) {
 	if got := e.Overlay().Epoch; got != epoch0+1 {
 		t.Fatalf("overlay epoch %d, want %d", got, epoch0+1)
 	}
-	postX := e.EffectiveSamples(0)
+	postX := exposure(e, 0)
 	forget := ChangepointConfig{}.withDefaults().Forget
 	if postX > preX*forget+5 {
 		t.Fatalf("evidence window not reset: %v -> %v (forget %v)", preX, postX, forget)
 	}
 	// Evidence is thin again, so with clean exposure the bound must sit
 	// WIDER than the richly observed pre-shift bound.
-	_, postUCB, _ := e.Estimate(0)
+	_, postUCB, _ := estimate(e, 0)
 	if postUCB <= preUCB {
 		t.Fatalf("uncertainty did not widen after reset: %.4f -> %.4f", preUCB, postUCB)
 	}

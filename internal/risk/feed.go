@@ -94,15 +94,6 @@ func (f *Feed) run() {
 	}
 }
 
-// Dropped reports how many events the subscription evicted because the
-// feed fell behind.
-func (f *Feed) Dropped() int64 {
-	if f == nil {
-		return 0
-	}
-	return f.sub.Dropped()
-}
-
 // Close detaches from the journal and waits for the pump to exit.
 func (f *Feed) Close() {
 	if f == nil {

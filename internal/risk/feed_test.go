@@ -33,7 +33,7 @@ func TestFeedSeedsBaselineFromJournal(t *testing.T) {
 		j.Record(metrics.EvWarning, -1, 0, "")
 	}
 	e := New(Config{}, testCatalog(1, 0.02, nil))
-	_, before, _ := e.Estimate(0)
+	_, before, _ := estimate(e, 0)
 	f := NewFeed(e, FeedConfig{Journal: j, Interval: time.Hour})
 	if f == nil {
 		t.Fatal("NewFeed returned nil with a live journal")
@@ -42,10 +42,10 @@ func TestFeedSeedsBaselineFromJournal(t *testing.T) {
 		f.Start()
 		f.Close()
 	}()
-	if e.Events() != pre {
-		t.Fatalf("lifetime events = %d, want %d seeded from baseline", e.Events(), pre)
+	if events(e) != pre {
+		t.Fatalf("lifetime events = %d, want %d seeded from baseline", events(e), pre)
 	}
-	if _, after, _ := e.Estimate(0); after != before {
+	if _, after, _ := estimate(e, 0); after != before {
 		t.Fatalf("baseline seeding moved the estimate: %.4f -> %.4f", before, after)
 	}
 }
@@ -69,14 +69,14 @@ func TestFeedPumpsWarningsAndTicks(t *testing.T) {
 	// Non-warning and out-of-range events must be ignored, not crash.
 	j.Record(metrics.EvDrainStart, -1, 0, "")
 	j.Record(metrics.EvWarning, -1, -1, "")
-	if !waitFor(t, 5*time.Second, func() bool { return e.Events() >= 5 }) {
-		t.Fatalf("pump delivered %d/5 warnings", e.Events())
+	if !waitFor(t, 5*time.Second, func() bool { return events(e) >= 5 }) {
+		t.Fatalf("pump delivered %d/5 warnings", events(e))
 	}
-	if !waitFor(t, 5*time.Second, func() bool { return e.EffectiveSamples(0) >= 3 }) {
-		t.Fatalf("ticker accumulated only %.1f exposure intervals", e.EffectiveSamples(0))
+	if !waitFor(t, 5*time.Second, func() bool { return exposure(e, 0) >= 3 }) {
+		t.Fatalf("ticker accumulated only %.1f exposure intervals", exposure(e, 0))
 	}
-	if e.Events() != 5 {
-		t.Fatalf("non-warning events leaked into lifetime totals: %d", e.Events())
+	if events(e) != 5 {
+		t.Fatalf("non-warning events leaked into lifetime totals: %d", events(e))
 	}
 }
 
@@ -117,12 +117,12 @@ func TestFeedConcurrentJournalStress(t *testing.T) {
 		return ov != nil && ov.Version > 0
 	}
 	ok := waitFor(t, 10*time.Second, func() bool {
-		return e.Events()+f.Dropped() == writers*each && published()
+		return events(e)+f.sub.Dropped() == writers*each && published()
 	})
 	f.Close()
 	if !ok {
 		t.Fatalf("observed %d + dropped %d of %d recorded, overlay published: %v",
-			e.Events(), f.Dropped(), writers*each, published())
+			events(e), f.sub.Dropped(), writers*each, published())
 	}
 }
 
@@ -140,7 +140,4 @@ func TestFeedNilContracts(t *testing.T) {
 	var f *Feed
 	f.Start()
 	f.Close()
-	if f.Dropped() != 0 {
-		t.Fatal("nil feed Dropped must be 0")
-	}
 }

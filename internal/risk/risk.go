@@ -389,35 +389,6 @@ func (e *Estimator) Overlay() *market.Overlay {
 	return e.overlay.Load()
 }
 
-// Estimate returns the current posterior mean and published upper credible
-// bound for market i (false for on-demand or out-of-range markets).
-func (e *Estimator) Estimate(i int) (mean, ucb float64, ok bool) {
-	if e == nil || i < 0 || i >= e.n || !e.cat.Markets[i].Transient {
-		return 0, 0, false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var gk, gx float64
-	for j, m := range e.cat.Markets {
-		if m.Transient && e.pool[j] == e.pool[i] {
-			gk += e.k[j]
-			gx += e.x[j]
-		}
-	}
-	mean, ucb = e.posteriorLocked(i, gk, gx)
-	return mean, ucb, true
-}
-
-// EffectiveSamples returns market i's decayed exposure count.
-func (e *Estimator) EffectiveSamples(i int) float64 {
-	if e == nil || i < 0 || i >= e.n {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.x[i]
-}
-
 // Changepoints returns the lifetime number of detected regime shifts.
 func (e *Estimator) Changepoints() int64 {
 	if e == nil {
@@ -426,17 +397,6 @@ func (e *Estimator) Changepoints() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.changepoints
-}
-
-// Events returns the lifetime revocation events consumed, including any
-// pre-attach baseline seeded by SeedLifetime.
-func (e *Estimator) Events() int64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.events
 }
 
 // SeedLifetime folds in revocation events that happened before the

@@ -63,7 +63,7 @@ func TestPosteriorConvergesToTrueRate(t *testing.T) {
 		}
 		e.ObserveInterval(i, exposed, nil)
 	}
-	mean, ucb, ok := e.Estimate(0)
+	mean, ucb, ok := estimate(e, 0)
 	if !ok {
 		t.Fatal("no estimate for transient market")
 	}
@@ -85,8 +85,8 @@ func TestPosteriorConvergesToTrueRate(t *testing.T) {
 	if got := ov.FailProbAt(0, -1); math.Abs(got-ucb) > 1e-12 {
 		t.Fatalf("overlay %.4f != published ucb %.4f", got, ucb)
 	}
-	if e.Events() != int64(intervals/period) {
-		t.Fatalf("events = %d", e.Events())
+	if events(e) != int64(intervals/period) {
+		t.Fatalf("events = %d", events(e))
 	}
 }
 
@@ -96,7 +96,7 @@ func TestPosteriorConvergesToTrueRate(t *testing.T) {
 func TestColdMarketFallsBackToPrior(t *testing.T) {
 	cat := testCatalog(2, 0.02, []int{0, 1})
 	e := New(Config{Quantile: 0.9}, cat)
-	mean, ucb, ok := e.Estimate(1)
+	mean, ucb, ok := estimate(e, 1)
 	if !ok {
 		t.Fatal("no estimate")
 	}
@@ -112,7 +112,7 @@ func TestColdMarketFallsBackToPrior(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		e.ObserveInterval(i, []bool{true, true}, nil)
 	}
-	_, ucb2, _ := e.Estimate(1)
+	_, ucb2, _ := estimate(e, 1)
 	if ucb2 >= ucb {
 		t.Fatalf("clean exposure did not tighten the bound: %.4f -> %.4f", ucb, ucb2)
 	}
@@ -124,16 +124,16 @@ func TestColdMarketFallsBackToPrior(t *testing.T) {
 func TestGroupPoolingSharesEvidence(t *testing.T) {
 	cat := testCatalog(3, 0.01, []int{0, 0, 1})
 	e := New(Config{PoolWeight: 0.5}, cat)
-	_, coldMate, _ := e.Estimate(1)
-	_, coldOther, _ := e.Estimate(2)
+	_, coldMate, _ := estimate(e, 1)
+	_, coldOther, _ := estimate(e, 2)
 	for i := 0; i < 20; i++ {
 		if i%2 == 0 {
 			e.ObserveRevocation(0, false)
 		}
 		e.ObserveInterval(i, []bool{true, true, true}, nil)
 	}
-	_, mate, _ := e.Estimate(1)
-	_, other, _ := e.Estimate(2)
+	_, mate, _ := estimate(e, 1)
+	_, other, _ := estimate(e, 2)
 	if mate <= coldMate {
 		t.Fatalf("group-mate estimate did not rise: %.4f -> %.4f", coldMate, mate)
 	}
@@ -152,11 +152,11 @@ func TestRevocationDedupWithinInterval(t *testing.T) {
 	e.ObserveRevocation(0, true)
 	e.ObserveRevocation(0, false)
 	e.ObserveInterval(0, nil, nil)
-	if got := e.EffectiveSamples(0); math.Abs(got-1) > 1e-9 {
+	if got := exposure(e, 0); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("exposure after one interval = %.4f, want 1", got)
 	}
-	if e.Events() != 3 {
-		t.Fatalf("lifetime events = %d, want 3", e.Events())
+	if events(e) != 3 {
+		t.Fatalf("lifetime events = %d, want 3", events(e))
 	}
 }
 
@@ -166,12 +166,12 @@ func TestRevocationDedupWithinInterval(t *testing.T) {
 func TestSeedLifetimeCountsBaseline(t *testing.T) {
 	cat := testCatalog(1, 0.02, nil)
 	e := New(Config{}, cat)
-	_, before, _ := e.Estimate(0)
+	_, before, _ := estimate(e, 0)
 	e.SeedLifetime(2000)
-	if e.Events() != 2000 {
-		t.Fatalf("lifetime events = %d, want 2000", e.Events())
+	if events(e) != 2000 {
+		t.Fatalf("lifetime events = %d, want 2000", events(e))
 	}
-	_, after, _ := e.Estimate(0)
+	_, after, _ := estimate(e, 0)
 	if after != before {
 		t.Fatalf("unattributed baseline moved the estimate: %.4f -> %.4f", before, after)
 	}
@@ -187,10 +187,7 @@ func TestNilEstimatorNoOps(t *testing.T) {
 	if e.Overlay() != nil {
 		t.Fatal("nil estimator published an overlay")
 	}
-	if _, _, ok := e.Estimate(0); ok {
-		t.Fatal("nil estimator returned an estimate")
-	}
-	if e.Events() != 0 || e.Changepoints() != 0 || e.EffectiveSamples(0) != 0 || e.MeanAbsDivergence() != 0 {
+	if e.Changepoints() != 0 || e.MeanAbsDivergence() != 0 {
 		t.Fatal("nil estimator accessors must return zeros")
 	}
 }
@@ -280,7 +277,7 @@ func TestObserveIntervalAllocatesOnlyTheOverlay(t *testing.T) {
 	if allocs != 2 {
 		t.Fatalf("ObserveInterval allocates %v times per call, want 2 (the overlay)", allocs)
 	}
-	if _, _, ok := e.Estimate(1); !ok || testing.AllocsPerRun(100, func() { e.Estimate(1) }) != 0 {
+	if _, _, ok := estimate(e, 1); !ok || testing.AllocsPerRun(100, func() { estimate(e, 1) }) != 0 {
 		t.Fatal("Estimate allocates")
 	}
 }
@@ -303,4 +300,38 @@ func TestQuantilesKeyEveryArgument(t *testing.T) {
 	if got, want := none.BetaQuantile(0.9, 2, 3), stats.BetaQuantile(0.9, 2, 3); got != want {
 		t.Fatalf("nil memo = %v, want %v", got, want)
 	}
+}
+
+// estimate returns market i's current posterior mean and upper credible
+// bound, recomputed from the pooled counters (false for on-demand or
+// out-of-range markets).
+func estimate(e *Estimator, i int) (mean, ucb float64, ok bool) {
+	if i < 0 || i >= e.n || !e.cat.Markets[i].Transient {
+		return 0, 0, false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var gk, gx float64
+	for j, m := range e.cat.Markets {
+		if m.Transient && e.pool[j] == e.pool[i] {
+			gk += e.k[j]
+			gx += e.x[j]
+		}
+	}
+	mean, ucb = e.posteriorLocked(i, gk, gx)
+	return mean, ucb, true
+}
+
+// events returns the lifetime revocation events the estimator consumed.
+func events(e *Estimator) int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.events
+}
+
+// exposure returns market i's decayed exposure count.
+func exposure(e *Estimator, i int) float64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.x[i]
 }

@@ -22,40 +22,6 @@ type QuadOperator interface {
 	Dim() int
 }
 
-// DenseOperator adapts a dense matrix to QuadOperator.
-type DenseOperator struct{ M *linalg.Matrix }
-
-// Apply implements QuadOperator.
-func (d DenseOperator) Apply(x, dst linalg.Vector) { d.M.MulVec(x, dst) }
-
-// Dim implements QuadOperator.
-func (d DenseOperator) Dim() int { return d.M.Rows }
-
-// BlockDiagOperator applies the same (or per-block) square blocks along the
-// diagonal: the horizon-stacked risk Hessian is H copies of 2αM.
-type BlockDiagOperator struct {
-	Blocks []*linalg.Matrix // one per block, each square
-}
-
-// Apply implements QuadOperator.
-func (b BlockDiagOperator) Apply(x, dst linalg.Vector) {
-	off := 0
-	for _, m := range b.Blocks {
-		n := m.Rows
-		m.MulVec(x[off:off+n], dst[off:off+n])
-		off += n
-	}
-}
-
-// Dim implements QuadOperator.
-func (b BlockDiagOperator) Dim() int {
-	n := 0
-	for _, m := range b.Blocks {
-		n += m.Rows
-	}
-	return n
-}
-
 // FISTASettings tunes the projected accelerated gradient solver.
 type FISTASettings struct {
 	MaxIter int     // default 2000

@@ -31,7 +31,7 @@ func FuzzBoxBandProject(f *testing.F) {
 		lo := linalg.NewVector(3)
 		hi := linalg.Vector{cap, cap, cap}
 		set := NewBoxBand(lo, hi, sumLo, sumHi)
-		if !set.Feasible() {
+		if !feasible(set) {
 			t.Skip()
 		}
 		x := linalg.Vector{x0, x1, x2}

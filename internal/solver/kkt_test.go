@@ -82,7 +82,7 @@ func structuredQP(risk *linalg.Matrix, riskScale, churnK float64, h int, q linal
 			bands[tau].WithAnchor(anchorIdx, s.anchorMin)
 		}
 	}
-	op := DenseOperator{M: p}
+	op := denseOp{M: p}
 	return &Problem{
 			POp:     op,
 			Q:       q,
@@ -106,7 +106,9 @@ func mpoKKTProblem(rng *rand.Rand, n, h int, anchored bool) (*Problem, *Projecte
 		g.Data[i] = rng.NormFloat64()
 	}
 	risk := g.AtA()
-	risk.ScaleInPlace(1 / float64(n))
+	for i := range risk.Data {
+		risk.Data[i] *= 1 / float64(n)
+	}
 	risk.AddDiag(0.5)
 	q := linalg.NewVector(n * h)
 	for i := range q {
@@ -245,7 +247,7 @@ func TestKKTFISTASteadyStateZeroAlloc(t *testing.T) {
 		q[i] = rng.NormFloat64()
 	}
 	p := &ProjectedProblem{
-		P: BlockDiagOperator{Blocks: blocks},
+		P: blockDiagOp(blocks),
 		Q: q,
 		C: NewProductSet(bands),
 	}

@@ -129,7 +129,7 @@ func TestFISTAOptimalByOracle(t *testing.T) {
 		for name, set := range oracleSets(n) {
 			rng := rand.New(rand.NewSource(int64(100 + n)))
 			m, q := randomQuadratic(rng, n)
-			op := DenseOperator{M: m}
+			op := denseOp{M: m}
 			res := SolveFISTA(&ProjectedProblem{P: op, Q: q, C: set}, FISTASettings{MaxIter: 50000, Tol: 1e-10})
 			if res.Status != StatusSolved {
 				t.Fatalf("%s n=%d: %v after %d iterations", name, n, res.Status, res.Iterations)
@@ -137,7 +137,10 @@ func TestFISTAOptimalByOracle(t *testing.T) {
 			assertOptimal(t, op, q, set, res.X, 1e-7)
 
 			w := set.randomFeasiblePoint(rng)
-			bad := res.X.Clone().Scale(0.95).AddScaled(0.05, w)
+			bad := res.X.Clone().Scale(0.95)
+			for i := range bad {
+				bad[i] += 0.05 * w[i]
+			}
 			if r := fixedPointResidual(op, q, set, bad); r <= 1e-7 {
 				t.Errorf("%s n=%d: fixed-point check accepts the perturbed point (residual %g)", name, n, r)
 			}

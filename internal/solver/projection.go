@@ -138,36 +138,6 @@ func (b *BoxBand) WithAnchor(idx []int, min float64) *BoxBand {
 	return b
 }
 
-// Feasible reports whether the set is non-empty.
-func (b *BoxBand) Feasible() bool {
-	var minSum, maxSum float64
-	for i := range b.Lo {
-		if b.Lo[i] > b.Hi[i] {
-			return false
-		}
-		minSum += b.Lo[i]
-		maxSum += b.Hi[i]
-	}
-	if b.SumLo > b.SumHi || minSum > b.SumHi || maxSum < b.SumLo {
-		return false
-	}
-	if b.anchorMin > 0 {
-		// The anchor block must be able to reach its floor, and pinning it at
-		// the floor must leave the residual band reachable for the rest.
-		var hiA, loO float64
-		for _, i := range b.anchorIdx {
-			hiA += b.Hi[i]
-		}
-		for _, i := range b.otherIdx {
-			loO += b.Lo[i]
-		}
-		if hiA < b.anchorMin || b.anchorMin+loO > b.SumHi {
-			return false
-		}
-	}
-	return true
-}
-
 // clipSum returns g(μ) = Σ_i clip(y_i − μ, lo_i, hi_i), summed in index order,
 // and the number of coordinates strictly between their bounds (−g's slope at
 // μ).
@@ -496,16 +466,6 @@ func NewProductSet(blocks []*BoxBand) *ProductSet {
 
 // Dim returns the total stacked dimension.
 func (p *ProductSet) Dim() int { return p.total }
-
-// Feasible reports whether every block is feasible.
-func (p *ProductSet) Feasible() bool {
-	for _, b := range p.Blocks {
-		if !b.Feasible() {
-			return false
-		}
-	}
-	return true
-}
 
 // Stats sums the blocks' pass counts (see BoxBand.Stats).
 func (p *ProductSet) Stats() ProjectionStats {

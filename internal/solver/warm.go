@@ -48,14 +48,6 @@ type WarmState struct {
 // factorization (diagnostic; the solver revalidates it independently).
 func (w *WarmState) HasFactorization() bool { return w != nil && w.fact != nil }
 
-// Primal returns a copy of the stored primal iterate, or nil.
-func (w *WarmState) Primal() linalg.Vector {
-	if w == nil || w.x == nil {
-		return nil
-	}
-	return w.x.Clone()
-}
-
 // ShiftHorizon shifts the stored iterates one period earlier for a
 // receding-horizon problem whose decision vector stacks h period-blocks of n
 // variables: block τ takes block τ+1's values and the terminal block is

@@ -2,25 +2,6 @@ package stats
 
 import "math"
 
-// BetaCDF returns the regularized incomplete beta function I_x(a, b) — the
-// CDF of the Beta(a, b) distribution at x. Computed via the standard
-// continued-fraction expansion (Numerical Recipes §6.4, modified Lentz),
-// using the symmetry I_x(a,b) = 1 − I_{1−x}(b,a) to keep the fraction in its
-// rapidly converging regime. Accurate to ~1e-12 for the shape range the risk
-// estimator uses (a down to ~1e-3, b up to ~1e6).
-func BetaCDF(x, a, b float64) float64 {
-	if math.IsNaN(x) || a <= 0 || b <= 0 {
-		return math.NaN()
-	}
-	if x <= 0 {
-		return 0
-	}
-	if x >= 1 {
-		return 1
-	}
-	return betaCDF(x, a, b, logBeta(a, b))
-}
-
 // logBeta returns lgΓ(a+b) − lgΓ(a) − lgΓ(b), subtracted left to right: the
 // negated log of the Beta function, which is constant over a quantile's
 // bisection.
@@ -31,9 +12,14 @@ func logBeta(a, b float64) float64 {
 	return lg1 - lg2 - lg3
 }
 
-// betaCDF is BetaCDF for x in (0, 1) with lb = logBeta(a, b). The exponent
-// adds lb, a·ln x and b·ln(1−x) in BetaCDF's original left-to-right order,
-// so hoisting lb changes no bit.
+// betaCDF returns the regularized incomplete beta function I_x(a, b) — the
+// CDF of the Beta(a, b) distribution — for x in (0, 1), with lb =
+// logBeta(a, b). Computed via the standard continued-fraction expansion
+// (Numerical Recipes §6.4, modified Lentz), using the symmetry I_x(a,b) =
+// 1 − I_{1−x}(b,a) to keep the fraction in its rapidly converging regime.
+// Accurate to ~1e-12 for the shape range the risk estimator uses (a down to
+// ~1e-3, b up to ~1e6). The exponent adds lb, a·ln x and b·ln(1−x) left to
+// right, the order of the lgamma form, so hoisting lb changes no bit.
 func betaCDF(x, a, b, lb float64) float64 {
 	front := math.Exp(lb + a*math.Log(x) + b*math.Log1p(-x))
 	if x < (a+1)/(a+b+2) {
@@ -95,8 +81,8 @@ func betaCF(x, a, b float64) float64 {
 // refinement but unconditionally robust for the extreme shapes cold-market
 // priors produce (a ≪ 1), and the estimator only evaluates it once per
 // market per interval. The log-Beta term is computed once, not per step;
-// every midpoint lies strictly inside (0, 1), where BetaCDF is betaCDF, so the
-// result is bit-identical to bisecting on BetaCDF.
+// every midpoint lies strictly inside (0, 1), so the result is bit-identical
+// to bisecting on the CDF that recomputes it.
 func BetaQuantile(p, a, b float64) float64 {
 	if math.IsNaN(p) || a <= 0 || b <= 0 {
 		return math.NaN()

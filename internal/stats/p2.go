@@ -119,6 +119,3 @@ func (e *P2Quantile) Value() float64 {
 	}
 	return e.q[2]
 }
-
-// Count returns the number of observed samples.
-func (e *P2Quantile) Count() int { return e.count }

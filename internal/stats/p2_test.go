@@ -20,8 +20,8 @@ func TestP2QuantileUniform(t *testing.T) {
 		if math.Abs(e.Value()-exact) > 0.02 {
 			t.Fatalf("p=%v: P2 %v vs exact %v", p, e.Value(), exact)
 		}
-		if e.Count() != 50000 {
-			t.Fatalf("Count = %d", e.Count())
+		if e.count != 50000 {
+			t.Fatalf("count = %d", e.count)
 		}
 	}
 }

@@ -160,9 +160,6 @@ func (h *Histogram) Observe(x float64) {
 	}
 }
 
-// Total returns the number of observed samples, including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
 // BinCenters returns the center x-value of each bin.
 func (h *Histogram) BinCenters() []float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
@@ -193,15 +190,6 @@ type NormalFit struct {
 // FitNormal fits a normal distribution by moments.
 func FitNormal(xs []float64) NormalFit {
 	return NormalFit{Mu: Mean(xs), Sigma: StdDev(xs)}
-}
-
-// PDF evaluates the fitted normal density at x.
-func (n NormalFit) PDF(x float64) float64 {
-	if n.Sigma <= 0 {
-		return 0
-	}
-	z := (x - n.Mu) / n.Sigma
-	return math.Exp(-0.5*z*z) / (n.Sigma * math.Sqrt(2*math.Pi))
 }
 
 // ZQuantile returns the standard-normal quantile for probability p using the
@@ -236,21 +224,6 @@ func ZQuantile(p float64) float64 {
 		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
 			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
 	}
-}
-
-// MAE returns the mean absolute error between predictions and actuals.
-func MAE(pred, actual []float64) float64 {
-	if len(pred) != len(actual) {
-		panic("stats: MAE length mismatch")
-	}
-	if len(pred) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range pred {
-		s += math.Abs(pred[i] - actual[i])
-	}
-	return s / float64(len(pred))
 }
 
 // MAPE returns the mean absolute percentage error (skipping zero actuals).

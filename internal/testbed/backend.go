@@ -89,9 +89,6 @@ func newBackend(id int, cfg BackendConfig) *Backend {
 // URL returns the backend's base URL.
 func (b *Backend) URL() string { return b.srv.URL }
 
-// Served returns the number of requests completed.
-func (b *Backend) Served() int64 { return b.served.Load() }
-
 // Shed returns the number of requests rejected by the overload guard.
 func (b *Backend) Shed() int64 { return b.shed.Load() }
 

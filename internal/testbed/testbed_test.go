@@ -30,8 +30,8 @@ func TestBackendServes(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if b.Served() != 1 {
-		t.Fatalf("served = %d", b.Served())
+	if b.served.Load() != 1 {
+		t.Fatalf("served = %d", b.served.Load())
 	}
 }
 
@@ -126,8 +126,8 @@ func TestClusterRoutesAcrossBackends(t *testing.T) {
 	if dropped > served/10 {
 		t.Fatalf("dropped = %d of %d", dropped, served)
 	}
-	if b1.Served() == 0 || b2.Served() == 0 {
-		t.Fatalf("load not spread: %d/%d", b1.Served(), b2.Served())
+	if b1.served.Load() == 0 || b2.served.Load() == 0 {
+		t.Fatalf("load not spread: %d/%d", b1.served.Load(), b2.served.Load())
 	}
 }
 

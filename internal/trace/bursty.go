@@ -79,35 +79,3 @@ func (c BurstyConfig) Generate() *Series {
 	}
 	return &Series{Name: "bursty", StepHrs: step, Values: vals, UnitName: "req/s"}
 }
-
-// IndexOfDispersion returns the variance-to-mean ratio of the series over
-// disjoint windows of the given length — the standard burstiness measure
-// (IDC ≈ 1 for Poisson-like, ≫ 1 for bursty arrivals).
-func IndexOfDispersion(s *Series, window int) float64 {
-	if window <= 0 || s.Len() < 2*window {
-		return 1
-	}
-	var sums []float64
-	for i := 0; i+window <= s.Len(); i += window {
-		var sum float64
-		for k := i; k < i+window; k++ {
-			sum += s.Values[k]
-		}
-		sums = append(sums, sum)
-	}
-	var mean float64
-	for _, x := range sums {
-		mean += x
-	}
-	mean /= float64(len(sums))
-	if mean == 0 {
-		return 1
-	}
-	var varsum float64
-	for _, x := range sums {
-		d := x - mean
-		varsum += d * d
-	}
-	variance := varsum / float64(len(sums)-1)
-	return variance / mean
-}

@@ -35,8 +35,8 @@ func TestBurstyIsBurstierThanSmooth(t *testing.T) {
 		}
 		return out
 	}
-	ib := IndexOfDispersion(norm(bursty), 6)
-	is := IndexOfDispersion(norm(smooth), 6)
+	ib := indexOfDispersion(norm(bursty), 6)
+	is := indexOfDispersion(norm(smooth), 6)
 	if ib <= is {
 		t.Fatalf("bursty IDC %v should exceed smooth IDC %v", ib, is)
 	}
@@ -79,20 +79,17 @@ func TestBurstyPanicsOnBadConfig(t *testing.T) {
 	BurstyConfig{Days: 1, SamplesPerHour: 1, BaseRate: 10}.Generate() // no regimes
 }
 
-func TestIndexOfDispersionEdgeCases(t *testing.T) {
-	s := ConstantSeries("c", 1, 100, 5)
-	if idc := IndexOfDispersion(s, 10); idc > 1e-9 {
-		t.Fatalf("constant series IDC = %v, want 0", idc)
+// indexOfDispersion returns the variance-to-mean ratio of the series' sums
+// over disjoint windows of the given length — the standard burstiness
+// measure (≈ 1 for Poisson-like arrivals, ≫ 1 for bursty ones).
+func indexOfDispersion(s *Series, window int) float64 {
+	var sums []float64
+	for i := 0; i+window <= s.Len(); i += window {
+		var sum float64
+		for _, v := range s.Values[i : i+window] {
+			sum += v
+		}
+		sums = append(sums, sum)
 	}
-	if IndexOfDispersion(s, 0) != 1 {
-		t.Fatal("bad window should return neutral 1")
-	}
-	short := ConstantSeries("s", 1, 5, 1)
-	if IndexOfDispersion(short, 10) != 1 {
-		t.Fatal("short series should return neutral 1")
-	}
-	zero := ConstantSeries("z", 1, 100, 0)
-	if IndexOfDispersion(zero, 10) != 1 {
-		t.Fatal("zero-mean series should return neutral 1")
-	}
+	return stats.Variance(sums) / stats.Mean(sums)
 }

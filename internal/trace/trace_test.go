@@ -15,8 +15,8 @@ func TestWikipediaLikeShape(t *testing.T) {
 	if s.Len() != 21*24 {
 		t.Fatalf("len = %d, want %d", s.Len(), 21*24)
 	}
-	if s.Hours() != 21*24 {
-		t.Fatalf("hours = %v", s.Hours())
+	if h := float64(s.Len()) * s.StepHrs; h != 21*24 {
+		t.Fatalf("hours = %v", h)
 	}
 	for i, v := range s.Values {
 		if v < 0 || math.IsNaN(v) {

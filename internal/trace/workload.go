@@ -39,9 +39,6 @@ func (s *Series) Clone() *Series {
 	return &out
 }
 
-// Hours returns the total duration covered in hours.
-func (s *Series) Hours() float64 { return float64(len(s.Values)) * s.StepHrs }
-
 // WorkloadConfig parameterizes the synthetic web workload generator. The
 // model is: base + diurnal + weekly trend + multiplicative noise + spikes,
 // matching the structure the paper's predictor (spline for the repeating
