@@ -255,9 +255,10 @@ func BenchmarkCatalogGeneration(b *testing.B) {
 	}
 }
 
-// riskBenchCatalogs are the two shapes the risk-kernel benchmarks run on: Fig.
-// 7b's largest catalog (144 types with on-demand twins, n = 288) and one
-// federation-shard sized catalog of transient markets only (n = 50).
+// riskBenchCatalogs are the two shapes the covariance benchmark runs on, and
+// the plan_single and plan_fed legs of BenchmarkRiskMatVec: Fig. 7b's largest
+// catalog (144 types with on-demand twins, n = 288) and one federation-shard
+// sized catalog of transient markets only (n = 50).
 var riskBenchCatalogs = []struct {
 	name string
 	cfg  market.CatalogConfig
@@ -281,20 +282,29 @@ func BenchmarkCovarianceMatrix(b *testing.B) {
 	}
 }
 
-// BenchmarkRiskMatVec measures applying the risk matrix M to the six periods
-// of a plan_single iterate — the solver's per-iteration risk kernel — densely
-// and through the compact operator solveFISTA derives (linalg.CompactRisk),
-// each as six per-period MulVec calls and as one stacked call that reads M
-// once. At n = 50 nothing is isolated, so "compact" is the matrix itself and
-// the two must read the same.
+// BenchmarkRiskMatVec measures the solver's per-iteration risk kernel — M
+// applied to every period of an iterate in one stacked call — densely and
+// through the compact operator solveFISTA derives (linalg.CompactRisk), at the
+// shapes the ledger plans: plan_single's n = 288 at H = 6 (and at H = 1, the
+// SPO/ExoSphere program), a plan_fed shard at H = 4 and a what-if cell (three
+// types with on-demand twins, n = 6) at H = 4. At n = 50 nothing is isolated,
+// so "compact" is the matrix itself and the two must read the same.
 func BenchmarkRiskMatVec(b *testing.B) {
-	const h = 6
-	for _, c := range riskBenchCatalogs {
+	for _, c := range []struct {
+		name string
+		cfg  market.CatalogConfig
+		h    int
+	}{
+		{riskBenchCatalogs[0].name, riskBenchCatalogs[0].cfg, 6},
+		{riskBenchCatalogs[0].name, riskBenchCatalogs[0].cfg, 1},
+		{riskBenchCatalogs[1].name, riskBenchCatalogs[1].cfg, 4},
+		{"n6-half-ondemand", market.CatalogConfig{Seed: 1, NumTypes: 3, IncludeOnDemand: true, Hours: 24 * 30}, 4},
+	} {
 		cat := c.cfg.Generate()
 		n := cat.Len()
 		m := cat.CovarianceMatrix(24*20, cat.TwoWeekWindow())
 		compact, _ := linalg.CompactRisk(m)
-		x, dst := linalg.NewVector(h*n), linalg.NewVector(h*n)
+		x, dst := linalg.NewVector(c.h*n), linalg.NewVector(c.h*n)
 		for i := range x {
 			x[i] = 1 / float64(i+1)
 		}
@@ -302,15 +312,7 @@ func BenchmarkRiskMatVec(b *testing.B) {
 			name string
 			m    linalg.MatVec
 		}{{"dense", m}, {"compact", compact}} {
-			b.Run(c.name+"/"+op.name+"/h=6 per-period", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					for p := 0; p < h; p++ {
-						op.m.MulVec(x[p*n:(p+1)*n], dst[p*n:(p+1)*n])
-					}
-				}
-			})
-			b.Run(c.name+"/"+op.name+"/h=6 stacked", func(b *testing.B) {
+			b.Run(c.name+"/"+op.name+"/h="+strconv.Itoa(c.h), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					linalg.MulVecStacked(op.m, n, x, dst)

@@ -19,12 +19,12 @@ func isolate(m *Matrix, idx ...int) {
 	}
 }
 
-// checkCompactBits applies m densely and through CompactRisk and fails on any
-// differing bit; it returns the operator and its coupled count.
+// checkCompactBits applies m through refMulVec and through CompactRisk and
+// fails on any differing bit; it returns the operator and its coupled count.
 func checkCompactBits(t *testing.T, m *Matrix, x Vector) (MatVec, int) {
 	t.Helper()
 	n := m.Rows
-	want := m.MulVec(x, NewVector(n))
+	want := refMulVec(m, x, NewVector(n))
 	op, k := CompactRisk(m)
 	got := NewVector(n)
 	for i := range got {
@@ -157,7 +157,9 @@ func TestCompactMulVecAllocFree(t *testing.T) {
 }
 
 // FuzzCompactRisk builds a matrix with an arbitrary zero pattern from the
-// input and checks the compact operator against the dense matvec bit for bit.
+// input and checks the compact operator's MulVec, and the stacked apply of the
+// matrix and of the operator over h = 1..7 periods (mask bits 12–15), against
+// refMulVec bit for bit.
 func FuzzCompactRisk(f *testing.F) {
 	f.Add(uint8(6), uint16(0b101010), []byte("spotweb on-demand twins"))
 	f.Add(uint8(1), uint16(1), []byte{})
@@ -189,11 +191,14 @@ func FuzzCompactRisk(f *testing.F) {
 				isolate(m, i)
 			}
 		}
-		x := NewVector(nn)
+		h := 1 + int(mask>>12)%7
+		x := NewVector(nn * h)
 		for i := range x {
 			x[i] = next()
 		}
-		checkCompactBits(t, m, x)
+		op, _ := checkCompactBits(t, m, x[:nn])
+		checkStackedBits(t, "matrix", m, m, x, h)
+		checkStackedBits(t, "compact", m, op, x, h)
 	})
 }
 
@@ -210,7 +215,7 @@ func TestBitIdenticalFactorModelMulVec(t *testing.T) {
 		}
 		x := signedVector(rng, n)
 		tmp := fm.F.MulVecT(x, NewVector(k))
-		want := fm.F.MulVec(tmp, NewVector(n))
+		want := refMulVec(fm.F, tmp, NewVector(n))
 		for i := range want {
 			want[i] += fm.D[i] * x[i]
 		}

@@ -37,14 +37,7 @@ func (m *Matrix) MulVec(x, dst Vector) Vector {
 	if len(dst) != m.Rows {
 		panic(fmt.Sprintf("linalg: MulVec dst length %d != rows %d", len(dst), m.Rows))
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, a := range row {
-			s += a * x[j]
-		}
-		dst[i] = s
-	}
+	m.mulBlocks(x, dst, 1)
 	return dst
 }
 

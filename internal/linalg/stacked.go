@@ -38,99 +38,54 @@ func stackedBlocks(x, dst Vector, rows, cols int) int {
 	panic(fmt.Sprintf("linalg: MulVecStacked shape mismatch %d/%d vs %dx%d", len(x), len(dst), rows, cols))
 }
 
-// MulVecStacked implements StackedMatVec. Four blocks share a pass over the
-// row — blocking across outputs only (DESIGN.md §5): each output keeps its own
-// accumulator over the columns in ascending order, and the four independent
-// chains fill the add pipeline one chain leaves idle.
+// MulVecStacked implements StackedMatVec.
 func (m *Matrix) MulVecStacked(x, dst Vector) Vector {
-	h := stackedBlocks(x, dst, m.Rows, m.Cols)
-	if h == 1 {
-		return m.MulVec(x, dst)
-	}
-	r, c := m.Rows, m.Cols
-	for i := 0; i < r; i++ {
-		row := m.Data[i*c : (i+1)*c]
-		p := 0
-		for ; p+4 <= h; p += 4 {
-			x0, x1 := x[p*c:(p+1)*c], x[(p+1)*c:(p+2)*c]
-			x2, x3 := x[(p+2)*c:(p+3)*c], x[(p+3)*c:(p+4)*c]
-			var s0, s1, s2, s3 float64
-			for j, a := range row {
-				s0 += a * x0[j]
-				s1 += a * x1[j]
-				s2 += a * x2[j]
-				s3 += a * x3[j]
-			}
-			dst[p*r+i], dst[(p+1)*r+i], dst[(p+2)*r+i], dst[(p+3)*r+i] = s0, s1, s2, s3
-		}
-		if p+2 <= h {
-			x0, x1 := x[p*c:(p+1)*c], x[(p+1)*c:(p+2)*c]
-			var s0, s1 float64
-			for j, a := range row {
-				s0 += a * x0[j]
-				s1 += a * x1[j]
-			}
-			dst[p*r+i], dst[(p+1)*r+i] = s0, s1
-			p += 2
-		}
-		if p < h {
-			x0 := x[p*c : (p+1)*c]
-			var s0 float64
-			for j, a := range row {
-				s0 += a * x0[j]
-			}
-			dst[p*r+i] = s0
-		}
-	}
+	m.mulBlocks(x, dst, stackedBlocks(x, dst, m.Rows, m.Cols))
 	return dst
 }
 
-// MulVecStacked implements StackedMatVec; see (*Matrix).MulVecStacked for the
-// blocking and (*Compact).MulVec for why x is read through the index list.
-func (c *Compact) MulVecStacked(x, dst Vector) Vector {
-	n := c.m.Rows
-	h := stackedBlocks(x, dst, n, n)
-	if h == 1 {
-		return c.MulVec(x, dst)
-	}
-	for p := 0; p < h; p++ {
-		c.mulIsolated(x[p*n:(p+1)*n], dst[p*n:(p+1)*n])
-	}
-	for _, i := range c.coupled {
-		row := c.m.Data[i*n : (i+1)*n]
+// mulBlocks is the one dense matvec kernel: dst_p = m·x_p for the h blocks of
+// x (length Cols each) and dst (length Rows each), shapes unchecked. A pass
+// over the columns carries two rows × two blocks — four outputs, each in its
+// own accumulator Σ_j M_ij·x_pj in ascending j from +0, so the sums are the
+// one-row loop's (DESIGN.md §5, "blocking only across outputs"). The pair
+// shares each x load, and four independent chains keep the adder busy. An odd
+// last block runs the row pair alone; an odd last row pairs with itself, its
+// second accumulators repeating the first bit for bit into the same outputs.
+func (m *Matrix) mulBlocks(x, dst Vector, h int) {
+	r, c := m.Rows, m.Cols
+	for i := 0; i < r; i += 2 {
+		i1 := min(i+1, r-1)
+		r0 := m.Data[i*c : (i+1)*c]
+		r1 := m.Data[i1*c:][:len(r0)]
 		p := 0
-		for ; p+4 <= h; p += 4 {
-			x0, x1 := x[p*n:(p+1)*n], x[(p+1)*n:(p+2)*n]
-			x2, x3 := x[(p+2)*n:(p+3)*n], x[(p+3)*n:(p+4)*n]
-			var s0, s1, s2, s3 float64
-			for _, j := range c.coupled {
-				a := row[j]
-				s0 += a * x0[j]
-				s1 += a * x1[j]
-				s2 += a * x2[j]
-				s3 += a * x3[j]
+		for ; p+2 <= h; p += 2 {
+			x0, x1 := x[p*c:][:len(r0)], x[(p+1)*c:][:len(r0)]
+			var s00, s01, s10, s11 float64
+			for j, a := range r0 {
+				b, u, v := r1[j], x0[j], x1[j]
+				s00 += a * u
+				s01 += a * v
+				s10 += b * u
+				s11 += b * v
 			}
-			dst[p*n+i], dst[(p+1)*n+i], dst[(p+2)*n+i], dst[(p+3)*n+i] = s0, s1, s2, s3
-		}
-		if p+2 <= h {
-			x0, x1 := x[p*n:(p+1)*n], x[(p+1)*n:(p+2)*n]
-			var s0, s1 float64
-			for _, j := range c.coupled {
-				a := row[j]
-				s0 += a * x0[j]
-				s1 += a * x1[j]
-			}
-			dst[p*n+i], dst[(p+1)*n+i] = s0, s1
-			p += 2
+			dst[p*r+i], dst[p*r+i1], dst[(p+1)*r+i], dst[(p+1)*r+i1] = s00, s10, s01, s11
 		}
 		if p < h {
-			x0 := x[p*n : (p+1)*n]
-			var s0 float64
-			for _, j := range c.coupled {
-				s0 += row[j] * x0[j]
+			x0 := x[p*c:][:len(r0)]
+			var s0, s1 float64
+			for j, a := range r0 {
+				u := x0[j]
+				s0 += a * u
+				s1 += r1[j] * u
 			}
-			dst[p*n+i] = s0
+			dst[p*r+i], dst[p*r+i1] = s0, s1
 		}
 	}
+}
+
+// MulVecStacked implements StackedMatVec; see (*Compact).MulVec.
+func (c *Compact) MulVecStacked(x, dst Vector) Vector {
+	c.mul(x, dst, stackedBlocks(x, dst, c.n, c.n))
 	return dst
 }

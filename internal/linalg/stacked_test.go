@@ -6,30 +6,54 @@ import (
 	"testing"
 )
 
+// refMulVec is the oracle every risk matvec is held to (DESIGN.md §5, "Kernel
+// contract"): one row and one accumulator at a time, Σ_j M_ij·x_j in ascending
+// j from +0.
+func refMulVec(m *Matrix, x, dst Vector) Vector {
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		var s float64
+		for j, a := range row {
+			s += a * x[j]
+		}
+		dst[i] = s
+	}
+	return dst
+}
+
 // onlyMulVec hides every method but MulVec, as *CSR and *FactorModel look to
 // MulVecStacked.
 type onlyMulVec struct{ m MatVec }
 
 func (o onlyMulVec) MulVec(x, dst Vector) Vector { return o.m.MulVec(x, dst) }
 
-// checkStackedBits applies op to h stacked blocks in one call and fails on
-// any bit that differs from h separate MulVec calls.
-func checkStackedBits(t *testing.T, name string, op MatVec, n, h int, rng *rand.Rand) {
+// checkStackedBits applies op — an operator built from m — to the h stacked
+// blocks of x, once in one MulVecStacked call and once as h MulVec calls, and
+// fails on any bit of either that differs from refMulVec on m.
+func checkStackedBits(t *testing.T, name string, m *Matrix, op MatVec, x Vector, h int) {
 	t.Helper()
-	x := signedVector(rng, n*h)
-	want := NewVector(n * h)
+	r, c := m.Rows, m.Cols
+	want := NewVector(r * h)
 	for p := 0; p < h; p++ {
-		op.MulVec(x[p*n:(p+1)*n], want[p*n:(p+1)*n])
+		refMulVec(m, x[p*c:(p+1)*c], want[p*r:(p+1)*r])
 	}
-	got := NewVector(n * h)
-	for i := range got {
-		got[i] = math.NaN() // every output must be written
+	stacked, perBlock := NewVector(r*h), NewVector(r*h)
+	for i := range stacked {
+		stacked[i], perBlock[i] = math.NaN(), math.NaN() // every output must be written
 	}
-	MulVecStacked(op, n, x, got)
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s h=%d: block %d output %d: stacked %v (%#x) != MulVec %v (%#x)",
-				name, h, i/n, i%n, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+	MulVecStacked(op, c, x, stacked)
+	for p := 0; p < h; p++ {
+		op.MulVec(x[p*c:(p+1)*c], perBlock[p*r:(p+1)*r])
+	}
+	for _, got := range []struct {
+		how string
+		v   Vector
+	}{{"stacked", stacked}, {"MulVec", perBlock}} {
+		for i := range want {
+			if math.Float64bits(got.v[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s h=%d: block %d output %d: %s %v (%#x) != reference %v (%#x)",
+					name, h, i/r, i%r, got.how, got.v[i], math.Float64bits(got.v[i]), want[i], math.Float64bits(want[i]))
+			}
 		}
 	}
 }
@@ -41,18 +65,28 @@ func TestBitIdenticalStackedMulVec(t *testing.T) {
 		}
 		return idx
 	}
+	// k is the coupled count: even and odd blocks, and none at all. One
+	// coupled index cannot occur — an off-diagonal entry couples two — so the
+	// one-row block is the dense n = 1 matrix.
 	cases := []struct {
 		name string
-		n    int
+		n, k int
 		iso  []int
 	}{
-		{"interleaved", 12, odd(12)},
-		{"leading", 9, []int{0, 1, 2}},
-		{"trailing", 9, []int{6, 7, 8}},
-		{"none", 10, nil},
-		{"all-isolated", 5, []int{0, 1, 2, 3, 4}},
-		{"n=1", 1, nil},
-		{"n=288-half", 288, odd(288)},
+		{"interleaved", 12, 6, odd(12)},
+		{"leading", 9, 6, []int{0, 1, 2}},
+		{"trailing", 9, 6, []int{6, 7, 8}},
+		{"k=3", 5, 3, []int{0, 2}},
+		{"k=5", 8, 5, []int{1, 3, 5}},
+		{"none n=2", 2, 2, nil},
+		{"none n=3", 3, 3, nil},
+		{"none n=5", 5, 5, nil},
+		{"none n=10", 10, 10, nil},
+		{"all-isolated", 5, 0, []int{0, 1, 2, 3, 4}},
+		{"n=1", 1, 0, nil},
+		{"n=288-half", 288, 144, odd(288)},
+		{"n=288-odd-k", 288, 145, odd(288)[1:]},
+		{"none n=288", 288, 288, nil},
 	}
 	rng := rand.New(rand.NewSource(18))
 	for _, tc := range cases {
@@ -64,28 +98,22 @@ func TestBitIdenticalStackedMulVec(t *testing.T) {
 			i := tc.iso[0]
 			m.Set(i, i, -m.At(i, i))
 		}
-		compact, _ := CompactRisk(m)
-		if _, isMatrix := compact.(*Matrix); isMatrix != (len(tc.iso) == 0 && tc.n > 1) {
-			t.Fatalf("%s: CompactRisk returned %T", tc.name, compact)
+		compact, k := CompactRisk(m)
+		if _, isMatrix := compact.(*Matrix); isMatrix != (len(tc.iso) == 0 && tc.n > 1) || k != tc.k {
+			t.Fatalf("%s: CompactRisk returned %T with %d coupled, want %d", tc.name, compact, k, tc.k)
 		}
 		for h := 1; h <= 7; h++ {
-			checkStackedBits(t, tc.name+"/matrix", m, tc.n, h, rng)
-			checkStackedBits(t, tc.name+"/compact", compact, tc.n, h, rng)
-			checkStackedBits(t, tc.name+"/fallback", onlyMulVec{compact}, tc.n, h, rng)
+			x := signedVector(rng, tc.n*h)
+			checkStackedBits(t, tc.name+"/matrix", m, m, x, h)
+			checkStackedBits(t, tc.name+"/compact", m, compact, x, h)
+			checkStackedBits(t, tc.name+"/fallback", m, onlyMulVec{compact}, x, h)
 		}
 	}
-	// Non-square: blocks of Cols in, blocks of Rows out.
-	r := randomMatrix(rng, 5, 3)
-	for h := 1; h <= 7; h++ {
-		x := signedVector(rng, 3*h)
-		got := r.MulVecStacked(x, NewVector(5*h))
-		for p := 0; p < h; p++ {
-			want := r.MulVec(x[3*p:3*p+3], NewVector(5))
-			for i := range want {
-				if math.Float64bits(got[5*p+i]) != math.Float64bits(want[i]) {
-					t.Fatalf("5x3 h=%d block %d output %d: %v != %v", h, p, i, got[5*p+i], want[i])
-				}
-			}
+	// Non-square, odd and even row counts: blocks of Cols in, blocks of Rows out.
+	for _, shape := range [][2]int{{5, 3}, {2, 7}, {3, 1}, {1, 4}} {
+		r := randomMatrix(rng, shape[0], shape[1])
+		for h := 1; h <= 7; h++ {
+			checkStackedBits(t, "non-square", r, r, signedVector(rng, shape[1]*h), h)
 		}
 	}
 }
