@@ -27,6 +27,11 @@ func TestGridFromFlags(t *testing.T) {
 	if err := os.WriteFile(staleGrid, []byte(strings.Replace(fileGrid, `"config":{}`, `"config":{"parallelism":4}`, 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A seed axis past the bound used to panic the engine's make().
+	hugeGrid := filepath.Join(t.TempDir(), "huge.json")
+	if err := os.WriteFile(hugeGrid, []byte(strings.Replace(fileGrid, `"seeds":3`, `"seeds":4611686018427387904`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	def, _ := sweep.BuiltinVariant("default")
 	sentinel, _ := sweep.BuiltinVariant("sentinel")
 	flagGrid := func(edit func(*sweep.Grid)) sweep.Grid {
@@ -66,6 +71,7 @@ func TestGridFromFlags(t *testing.T) {
 		{name: "grid file with negative override", args: []string{"-grid", gridFile, "-substeps", "-1"}, wantErr: "negative Hours/SubSteps"},
 		{name: "missing grid file", args: []string{"-grid", gridFile + ".absent"}, wantErr: "no such file"},
 		{name: "grid file with a parallelism override", args: []string{"-grid", staleGrid}, wantErr: `unknown field "parallelism"`},
+		{name: "grid file with a seed axis past the bound", args: []string{"-grid", hugeGrid}, wantErr: "past the bound"},
 		{name: "parallelism flag", args: []string{"-parallelism", "4"}, wantParseErr: "flag provided but not defined: -parallelism"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,9 @@
 package linalg
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // MatVec is the one-method view of a square matrix the optimizer's risk term
 // needs. *Matrix, *CSR, *FactorModel and *Compact all satisfy it.
@@ -19,12 +22,18 @@ type MatVec interface {
 // cannot change a sum that started at +0; an isolated output is 0 + M_ii·x_i.
 // A non-finite x breaks the equivalence (0·∞ is NaN in the dense sum).
 //
-// The operator holds a packed copy of the coupled block, so the matrix it was
-// built from may change afterwards. It also owns the scratch its calls gather
-// x into and compute in: one Compact serves one goroutine at a time.
+// A bitwise-symmetric coupled block has rows that are its columns, so its
+// full 8-row chunks run the lane kernel (lanes.go) down the columns; the
+// leftover rows, a block without a full chunk and an asymmetric block run
+// (*Matrix).mulBlocks. With isolated indices the operator holds a packed copy
+// of the coupled block; with none it runs over the matrix itself, without a
+// copy. Either way it lives for one solve: the matrix must not change while
+// the operator is in use. It also owns the scratch its calls gather x into
+// and compute in: one Compact serves one goroutine at a time.
 type Compact struct {
 	n       int
-	block   Matrix    // the k×k coupled block, packed
+	block   Matrix    // the k×k coupled block: packed, or the matrix itself when k == n
+	sym     bool      // block is bitwise symmetric and has a full 8-row chunk
 	coupled []int     // ascending
 	iso     []int     // ascending; coupled ∪ iso = [0, n)
 	isoDiag []float64 // M_ii of iso[t]
@@ -34,8 +43,9 @@ type Compact struct {
 
 // CompactRisk scans the square matrix m once for isolated indices and returns
 // the cheapest exact way to apply it, with the number of coupled indices. When
-// nothing is isolated that is m itself (coupled == m.Rows): callers then run
-// exactly the dense code.
+// nothing is isolated and the lanes cannot help — fewer than 8 rows, or m not
+// bitwise symmetric — that is m itself (coupled == m.Rows) and callers run
+// exactly the dense code; a symmetric m gets an operator over m's own storage.
 func CompactRisk(m *Matrix) (MatVec, int) {
 	if m.Rows != m.Cols {
 		panic(fmt.Sprintf("linalg: CompactRisk of non-square %dx%d matrix", m.Rows, m.Cols))
@@ -59,7 +69,10 @@ func CompactRisk(m *Matrix) (MatVec, int) {
 		}
 	}
 	if k == n {
-		return m, n
+		if !laneSymmetric(m) {
+			return m, n
+		}
+		return &Compact{n: n, block: *m, sym: true}, n
 	}
 	// One allocation holds both index lists, one the packed block and the
 	// isolated diagonal: a what-if sweep builds an operator per solve.
@@ -82,7 +95,28 @@ func CompactRisk(m *Matrix) (MatVec, int) {
 			packed[t] = row[j]
 		}
 	}
+	c.sym = laneSymmetric(&c.block)
 	return c, k
+}
+
+// laneSymmetric reports whether the square m has a full 8-row chunk for the
+// lanes and equals its transpose in every bit, so that its rows can be read
+// as its columns. Covariance plus ridge always is: the estimator writes one
+// value to (i, j) and (j, i).
+func laneSymmetric(m *Matrix) bool {
+	n := m.Rows
+	if n < 8 {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		row := m.Data[i*n : (i+1)*n]
+		for j := i + 1; j < n; j++ {
+			if math.Float64bits(row[j]) != math.Float64bits(m.Data[j*n+i]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // MulVec computes dst = M·x and returns dst; shapes as (*Matrix).MulVec.
@@ -96,16 +130,21 @@ func (c *Compact) MulVec(x, dst Vector) Vector {
 
 // mul applies the operator to the h length-n blocks of x: the isolated outputs
 // one product each, the coupled ones by gathering every block's coupled x into
-// scratch, running the packed block through the dense kernel and scattering
-// the results back. One index list over all h blocks keeps the gather and the
-// scatter one loop each, which is what a 6-market what-if cell pays for.
+// scratch, running the packed block through the kernels and scattering the
+// results back. One index list over all h blocks keeps the gather and the
+// scatter one loop each, which is what a 6-market what-if cell pays for. With
+// nothing isolated the block is the matrix and runs on x and dst directly.
 func (c *Compact) mul(x, dst Vector, h int) {
+	if len(c.iso) == 0 { // the block is the matrix itself, and symmetric
+		c.block.mulSym(x, dst, h)
+		return
+	}
 	n, coupled, iso, diag := c.n, c.coupled, c.iso, c.isoDiag[:len(c.iso)]
 	for p := 0; p < h; p++ {
 		xb, db := x[p*n:(p+1)*n], dst[p*n:(p+1)*n]
 		for t, i := range iso {
 			var s float64 // the dense sum starts at +0: a −0 product must read +0
-			s += diag[t] * xb[i]
+			s += float64(diag[t] * xb[i])
 			db[i] = s
 		}
 	}
@@ -125,8 +164,38 @@ func (c *Compact) mul(x, dst Vector, h int) {
 	for q, j := range at {
 		xs[q] = x[j]
 	}
-	c.block.mulBlocks(xs, ys, h)
+	if c.sym {
+		c.block.mulSym(xs, ys, h)
+	} else {
+		c.block.mulBlocks(xs, ys, h, 0)
+	}
 	for q, i := range at {
 		dst[i] = ys[q]
 	}
+}
+
+// mulSym computes dst_p = m·x_p for the h blocks of the symmetric k×k m: the
+// full 8-row chunks through the lane kernel where the CPU has it, two blocks
+// per pass — lane l of the chunk at row c sums M_j,c+l·x_pj = M_c+l,j·x_pj
+// down the columns, in ascending j — and every other row through mulBlocks.
+func (m *Matrix) mulSym(x, dst Vector, h int) {
+	k, end := m.Rows, 0
+	if useLanes {
+		end = k &^ 7
+	}
+	var out [16]float64
+	for c := 0; c < end; c += 8 {
+		a := m.Data[c:]
+		p := 0
+		for ; p+2 <= h; p += 2 {
+			lanes8x2(a, k, x[p*k:], 1, k, k, &out)
+			copy(dst[p*k+c:][:8], out[:8])
+			copy(dst[(p+1)*k+c:][:8], out[8:])
+		}
+		if p < h {
+			lanes8x1(a, k, x[p*k:], 1, k, (*[8]float64)(out[:8]))
+			copy(dst[p*k+c:][:8], out[:8])
+		}
+	}
+	m.mulBlocks(x, dst, h, end)
 }

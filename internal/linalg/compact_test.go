@@ -19,24 +19,27 @@ func isolate(m *Matrix, idx ...int) {
 	}
 }
 
-// checkCompactBits applies m through refMulVec and through CompactRisk and
-// fails on any differing bit; it returns the operator and its coupled count.
+// checkCompactBits applies m through refMulVec and through CompactRisk, with
+// both bodies this CPU has (lanes, scalar), and fails on any differing bit; it
+// returns the operator and its coupled count.
 func checkCompactBits(t *testing.T, m *Matrix, x Vector) (MatVec, int) {
 	t.Helper()
 	n := m.Rows
 	want := refMulVec(m, x, NewVector(n))
 	op, k := CompactRisk(m)
-	got := NewVector(n)
-	for i := range got {
-		got[i] = math.NaN() // every output must be written
-	}
-	op.MulVec(x, got)
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("output %d: compact %v (%#x) != dense %v (%#x), coupled=%d/%d",
-				i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), k, n)
+	forEachLaneBody(t, func(body string) {
+		got := NewVector(n)
+		for i := range got {
+			got[i] = math.NaN() // every output must be written
 		}
-	}
+		op.MulVec(x, got)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s output %d: compact %v (%#x) != dense %v (%#x), coupled=%d/%d",
+					body, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), k, n)
+			}
+		}
+	})
 	return op, k
 }
 
@@ -99,10 +102,20 @@ func TestBitIdenticalCompactRisk(t *testing.T) {
 	}
 
 	t.Run("none-isolated-same-pointer", func(t *testing.T) {
+		// Nothing isolated: a symmetric matrix with a full lane chunk gets an
+		// operator over its own storage, no copy; one without a chunk or
+		// without symmetry is returned itself, for the dense code.
 		m := randomSPD(rng, 10)
 		op, k := CompactRisk(m)
-		if got, ok := op.(*Matrix); !ok || got != m || k != 10 {
-			t.Fatalf("CompactRisk of a dense matrix = %T (coupled %d), want the matrix itself", op, k)
+		if c, ok := op.(*Compact); !ok || &c.block.Data[0] != &m.Data[0] || !c.sym || k != 10 {
+			t.Fatalf("CompactRisk of a dense symmetric matrix = %T (coupled %d), want an operator over the matrix itself", op, k)
+		}
+		small := randomSPD(rng, 7)
+		m.Set(3, 4, m.At(3, 4)+1)
+		for _, dense := range []*Matrix{small, m} {
+			if op, k := CompactRisk(dense); op != MatVec(dense) || k != dense.Rows {
+				t.Fatalf("CompactRisk of a dense %dx%d matrix = %T (coupled %d), want the matrix itself", dense.Rows, dense.Rows, op, k)
+			}
 		}
 	})
 
@@ -157,16 +170,18 @@ func TestCompactMulVecAllocFree(t *testing.T) {
 }
 
 // FuzzCompactRisk builds a matrix with an arbitrary zero pattern from the
-// input and checks the compact operator's MulVec, and the stacked apply of the
-// matrix and of the operator over h = 1..7 periods (mask bits 12–15), against
-// refMulVec bit for bit.
+// input — mirrored to a symmetric one, which runs the lanes, when n's top bit
+// is set — and checks the compact operator's MulVec, and the stacked apply of
+// the matrix and of the operator over h = 1..7 periods (mask bits 12–15),
+// against refMulVec bit for bit with both bodies (lanes, scalar).
 func FuzzCompactRisk(f *testing.F) {
 	f.Add(uint8(6), uint16(0b101010), []byte("spotweb on-demand twins"))
 	f.Add(uint8(1), uint16(1), []byte{})
 	f.Add(uint8(9), uint16(0), []byte{0xff, 0x00, 0x80, 0x7f, 0x01})
 	f.Add(uint8(12), uint16(0xffff), []byte{0x80, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(uint8(0x80|17), uint16(0x5005), []byte("a symmetric block of two lane chunks"))
 	f.Fuzz(func(t *testing.T, n uint8, mask uint16, data []byte) {
-		nn := int(n % 13)
+		nn := int(n&0x7f) % 19
 		if nn == 0 {
 			return
 		}
@@ -186,7 +201,14 @@ func FuzzCompactRisk(f *testing.F) {
 		for i := range m.Data {
 			m.Data[i] = next()
 		}
-		for i := 0; i < nn; i++ {
+		if n&0x80 != 0 {
+			for i := 0; i < nn; i++ {
+				for j := 0; j < i; j++ {
+					m.Set(i, j, m.At(j, i))
+				}
+			}
+		}
+		for i := 0; i < nn && i < 12; i++ {
 			if mask&(1<<i) != 0 {
 				isolate(m, i)
 			}

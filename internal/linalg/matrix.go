@@ -37,7 +37,7 @@ func (m *Matrix) MulVec(x, dst Vector) Vector {
 	if len(dst) != m.Rows {
 		panic(fmt.Sprintf("linalg: MulVec dst length %d != rows %d", len(dst), m.Rows))
 	}
-	m.mulBlocks(x, dst, 1)
+	m.mulBlocks(x, dst, 1, 0)
 	return dst
 }
 

@@ -40,21 +40,23 @@ func stackedBlocks(x, dst Vector, rows, cols int) int {
 
 // MulVecStacked implements StackedMatVec.
 func (m *Matrix) MulVecStacked(x, dst Vector) Vector {
-	m.mulBlocks(x, dst, stackedBlocks(x, dst, m.Rows, m.Cols))
+	m.mulBlocks(x, dst, stackedBlocks(x, dst, m.Rows, m.Cols), 0)
 	return dst
 }
 
-// mulBlocks is the one dense matvec kernel: dst_p = m·x_p for the h blocks of
-// x (length Cols each) and dst (length Rows each), shapes unchecked. A pass
-// over the columns carries two rows × two blocks — four outputs, each in its
-// own accumulator Σ_j M_ij·x_pj in ascending j from +0, so the sums are the
-// one-row loop's (DESIGN.md §5, "blocking only across outputs"). The pair
-// shares each x load, and four independent chains keep the adder busy. An odd
-// last block runs the row pair alone; an odd last row pairs with itself, its
-// second accumulators repeating the first bit for bit into the same outputs.
-func (m *Matrix) mulBlocks(x, dst Vector, h int) {
+// mulBlocks is the scalar dense matvec kernel: rows lo.. of dst_p = m·x_p for
+// the h blocks of x (length Cols each) and dst (length Rows each), shapes
+// unchecked. A pass over the columns carries two rows × two blocks — four
+// outputs, each in its own accumulator Σ_j M_ij·x_pj in ascending j from +0,
+// so the sums are the one-row loop's (DESIGN.md §5, "blocking only across
+// outputs"). The pair shares each x load, and four independent chains keep
+// the adder busy. An odd last block runs the row pair alone; an odd last row
+// pairs with itself, its second accumulators repeating the first bit for bit
+// into the same outputs. Every product is an explicit float64(a*b): the Go
+// spec then forbids fusing it with the sum, so arm64 rounds as amd64 does.
+func (m *Matrix) mulBlocks(x, dst Vector, h, lo int) {
 	r, c := m.Rows, m.Cols
-	for i := 0; i < r; i += 2 {
+	for i := lo; i < r; i += 2 {
 		i1 := min(i+1, r-1)
 		r0 := m.Data[i*c : (i+1)*c]
 		r1 := m.Data[i1*c:][:len(r0)]
@@ -64,10 +66,10 @@ func (m *Matrix) mulBlocks(x, dst Vector, h int) {
 			var s00, s01, s10, s11 float64
 			for j, a := range r0 {
 				b, u, v := r1[j], x0[j], x1[j]
-				s00 += a * u
-				s01 += a * v
-				s10 += b * u
-				s11 += b * v
+				s00 += float64(a * u)
+				s01 += float64(a * v)
+				s10 += float64(b * u)
+				s11 += float64(b * v)
 			}
 			dst[p*r+i], dst[p*r+i1], dst[(p+1)*r+i], dst[(p+1)*r+i1] = s00, s10, s01, s11
 		}
@@ -76,8 +78,8 @@ func (m *Matrix) mulBlocks(x, dst Vector, h int) {
 			var s0, s1 float64
 			for j, a := range r0 {
 				u := x0[j]
-				s0 += a * u
-				s1 += r1[j] * u
+				s0 += float64(a * u)
+				s1 += float64(r1[j] * u)
 			}
 			dst[p*r+i], dst[p*r+i1] = s0, s1
 		}

@@ -132,30 +132,18 @@ func (c *Catalog) FailProbs(t int) linalg.Vector {
 // training window and the default trailing window for CovarianceMatrix.
 func (c *Catalog) TwoWeekWindow() int { return int(14 * 24 / c.StepHrs) }
 
-// failWindows gathers, one row per market in idx, the failure-probability
-// series over the trailing window [t-window, t). An on-demand market's row is
-// exactly zero. It returns nil when the window holds fewer than two samples.
-func (c *Catalog) failWindows(idx []int, t, window int) *linalg.Matrix {
-	lo := max(t-window, 0)
-	if t-lo < 2 {
-		return nil
+// failWindow returns market mk's failure-probability series over the window
+// [lo, t): the series itself when it reaches t, otherwise clamped reads into
+// buf (length t−lo). mk must be transient.
+func failWindow(mk *Market, lo, t int, buf []float64) []float64 {
+	vals := mk.FailProb.Values
+	if t <= len(vals) {
+		return vals[lo:t]
 	}
-	x := linalg.NewMatrix(len(idx), t-lo)
-	for r, i := range idx {
-		mk := c.Markets[i]
-		if !mk.Transient {
-			continue
-		}
-		row, vals := x.Row(r), mk.FailProb.Values
-		if t <= len(vals) {
-			copy(row, vals[lo:t])
-			continue
-		}
-		for k := range row { // the window runs past the series: clamped reads
-			row[k] = vals[clampIndex(lo+k, len(vals))]
-		}
+	for k := range buf { // the window runs past the series: clamped reads
+		buf[k] = vals[clampIndex(lo+k, len(vals))]
 	}
-	return x
+	return buf
 }
 
 // diagonalPrior is the covariance estimators' not-enough-history fallback:
@@ -174,35 +162,40 @@ func (c *Catalog) diagonalPrior(t int) linalg.Vector {
 // [t-window, t). A small ridge is added to the diagonal so M is strictly
 // positive definite (required by the quadratic risk term). On-demand markets
 // contribute zero rows/columns apart from the ridge: their series is
-// identically 0, so only the transient markets' windows are gathered and
-// their covariance block is scattered into the dense result.
+// identically 0, so only the transient markets' windows are gathered — centred
+// on their stats.Mean, straight from the series into linalg.Samples — and the
+// covariance block computed from them is scattered into the dense result.
+// Every entry equals stats.Covariance of the two windows bit for bit.
 func (c *Catalog) CovarianceMatrix(t, window int) *linalg.Matrix {
 	n := c.Len()
-	idx := make([]int, 0, n)
-	for i, mk := range c.Markets {
-		if mk.Transient {
-			idx = append(idx, i)
-		}
-	}
-	x := c.failWindows(idx, t, window)
-	if x == nil {
+	lo := max(t-window, 0)
+	w := t - lo
+	if w < 2 {
 		m := linalg.NewMatrix(n, n)
 		for i, d := range c.diagonalPrior(t) {
 			m.Set(i, i, d)
 		}
 		return m
 	}
-	series := make([][]float64, len(idx))
-	for r := range series {
-		series[r] = x.Row(r)
+	idx := make([]int, 0, n)
+	for i, mk := range c.Markets {
+		if mk.Transient {
+			idx = append(idx, i)
+		}
 	}
-	block, k := stats.CovarianceMatrix(series)
-	m := &linalg.Matrix{Rows: k, Cols: k, Data: block}
+	k := len(idx)
+	samples, buf := linalg.NewSamples(w, k), make([]float64, w)
+	for r, i := range idx {
+		win := failWindow(c.Markets[i], lo, t, buf)
+		samples.SetCentred(r, win, stats.Mean(win))
+	}
+	m := samples.Covariance()
 	if k < n {
+		block := m
 		m = linalg.NewMatrix(n, n)
 		for a, i := range idx {
 			for b, j := range idx {
-				m.Set(i, j, block[a*k+b])
+				m.Set(i, j, block.At(a, b))
 			}
 		}
 	}

@@ -36,14 +36,17 @@ func (c *Catalog) SparseCovariance(t, window int, tol float64) *linalg.CSR {
 // revocations (one factor per correlated demand pool).
 func (c *Catalog) FactorCovariance(t, window, k int) *linalg.FactorModel {
 	n := c.Len()
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	x := c.failWindows(all, t, window)
-	if x == nil || k < 1 {
+	lo := max(t-window, 0)
+	if t-lo < 2 || k < 1 {
 		// Not enough history: diagonal prior, no factors.
 		return &linalg.FactorModel{D: c.diagonalPrior(t), F: linalg.NewMatrix(n, 0)}
+	}
+	// One market per row; an on-demand market's row is exactly zero.
+	x := linalg.NewMatrix(n, t-lo)
+	for j, mk := range c.Markets {
+		if mk.Transient {
+			copy(x.Row(j), failWindow(mk, lo, t, x.Row(j)))
+		}
 	}
 	if k > n {
 		k = n

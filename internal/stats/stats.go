@@ -258,7 +258,7 @@ func Covariance(x, y []float64) float64 {
 	mx, my := Mean(x), Mean(y)
 	var s float64
 	for i := range x {
-		s += (x[i] - mx) * (y[i] - my)
+		s += float64((x[i] - mx) * (y[i] - my)) // float64(): never fused, on any GOARCH
 	}
 	return s / float64(n-1)
 }
@@ -279,85 +279,6 @@ func Center(xs []float64) {
 	for i := range xs {
 		xs[i] -= m
 	}
-}
-
-// CovarianceMatrix computes the sample covariance matrix of the given series
-// (each series is one variable; all must share a length). The series are
-// centred IN PLACE — callers that still need the raw values pass copies. The
-// result is returned row-major as a flat slice of n×n entries plus the
-// dimension; series shorter than 2 samples give the zero matrix.
-//
-// Every entry equals Covariance(series[i], series[j]) bit for bit: each is
-// one accumulator summed over the samples in ascending order. The speed comes
-// from centring once instead of once per pair, from computing only the upper
-// triangle, and from 2 × 2 register blocks: four entries — four independent
-// accumulator chains — share every load of two row series and two column
-// series (DESIGN §5, "blocking only across outputs").
-func CovarianceMatrix(series [][]float64) ([]float64, int) {
-	n := len(series)
-	out := make([]float64, n*n)
-	if n == 0 {
-		return out, n
-	}
-	w := len(series[0])
-	for _, s := range series {
-		if len(s) != w {
-			panic("stats: CovarianceMatrix length mismatch")
-		}
-		Center(s)
-	}
-	if w < 2 {
-		return out, n
-	}
-	d := float64(w - 1)
-	set := func(i, j int, s float64) {
-		c := s / d
-		out[i*n+j] = c
-		out[j*n+i] = c
-	}
-	i := 0
-	for ; i+1 < n; i += 2 {
-		// Reslicing to len(a0) lets the compiler drop the bounds checks from
-		// the inner loops.
-		a0 := series[i]
-		a1 := series[i+1][:len(a0)]
-		j := i
-		for ; j+1 < n; j += 2 {
-			b0, b1 := series[j][:len(a0)], series[j+1][:len(a0)]
-			var s00, s01, s10, s11 float64
-			for k, x0 := range a0 {
-				x1, y0, y1 := a1[k], b0[k], b1[k]
-				s00 += x0 * y0
-				s01 += x0 * y1
-				s10 += x1 * y0
-				s11 += x1 * y1
-			}
-			// On the diagonal block (j == i) s10 is entry (i+1, i), the
-			// mirror of s01: the same products commuted, so the same bits.
-			set(i, j, s00)
-			set(i+1, j, s10)
-			set(i, j+1, s01)
-			set(i+1, j+1, s11)
-		}
-		if j < n { // odd n: a 2 × 1 strip down the last column
-			b := series[j][:len(a0)]
-			var s0, s1 float64
-			for k, x0 := range a0 {
-				s0 += x0 * b[k]
-				s1 += a1[k] * b[k]
-			}
-			set(i, j, s0)
-			set(i+1, j, s1)
-		}
-	}
-	if i < n { // odd n: the last row holds only its diagonal entry
-		var s float64
-		for _, x := range series[i] {
-			s += x * x
-		}
-		set(i, i, s)
-	}
-	return out, n
 }
 
 // RelativeErrors returns (pred−actual)/actual element-wise, skipping entries

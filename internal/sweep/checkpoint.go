@@ -42,6 +42,12 @@ func loadCheckpoint(path string, g Grid) (map[CellRef]CellResult, int64, error) 
 	if err != nil {
 		return nil, 0, err
 	}
+	return parseCheckpoint(data, path, g)
+}
+
+// parseCheckpoint is loadCheckpoint on the file's bytes; path only names the
+// file in errors.
+func parseCheckpoint(data []byte, path string, g Grid) (map[CellRef]CellResult, int64, error) {
 	off := 0
 	nextLine := func() ([]byte, bool) {
 		i := bytes.IndexByte(data[off:], '\n')

@@ -81,15 +81,30 @@ func (g Grid) hours() int {
 	return runner.ScenarioHours(g.Quick)
 }
 
-// CellCount returns the total number of cells the grid expands to.
+// CellCount returns the total number of cells the grid expands to. It is
+// exact for a grid Validate accepts.
 func (g Grid) CellCount() int { return len(g.Scenarios) * g.Seeds * len(g.Variants) }
 
-// Validate checks the grid is well-formed: non-empty axes and unique
-// coordinate names.
+// maxCells bounds a grid's cell count, and with it the seed axis: the engine
+// allocates the cell table and one catalog per seed index up front, so a grid
+// past it — or one whose product overflows int — is rejected before any of
+// that happens. A million cells is hours of work at the quick run length.
+const maxCells = 1 << 20
+
+// Validate checks the grid is well-formed: non-empty axes, at most maxCells
+// cells, unique coordinate names.
 func (g Grid) Validate() error {
 	if len(g.Scenarios) == 0 || g.Seeds <= 0 || len(g.Variants) == 0 {
 		return fmt.Errorf("sweep: grid needs at least one scenario, seed and variant (have %d×%d×%d)",
 			len(g.Scenarios), g.Seeds, len(g.Variants))
+	}
+	cells := 1
+	for _, axis := range []int{len(g.Scenarios), g.Seeds, len(g.Variants)} {
+		if axis > maxCells/cells { // axis·cells > maxCells, without overflowing
+			return fmt.Errorf("sweep: grid of %d×%d×%d cells is past the bound of %d",
+				len(g.Scenarios), g.Seeds, len(g.Variants), maxCells)
+		}
+		cells *= axis
 	}
 	seen := map[string]bool{}
 	for _, s := range g.Scenarios {

@@ -78,6 +78,24 @@ func TestGridValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("zero seeds accepted")
 	}
+	// A seed axis past the bound made Run panic in make(); with four
+	// scenarios the cell count overflowed to exactly 0.
+	for _, scen := range [][]string{{"storm"}, {"storm", "flap", "price-spike", "combined"}} {
+		bad = g
+		bad.Scenarios, bad.Seeds = scen, 1<<62
+		if bad.Validate() == nil {
+			t.Errorf("%d scenarios × 2^62 seeds (CellCount %d) accepted", len(scen), bad.CellCount())
+		}
+	}
+	bad = g
+	bad.Seeds = maxCells/(len(g.Scenarios)*len(g.Variants)) + 1
+	if bad.Validate() == nil {
+		t.Errorf("%d cells accepted, bound %d", bad.CellCount(), maxCells)
+	}
+	bad.Seeds--
+	if err := bad.Validate(); err != nil {
+		t.Errorf("%d cells rejected, bound %d: %v", bad.CellCount(), maxCells, err)
+	}
 }
 
 // TestSweepMatchesStandaloneCell is the core determinism property: any cell
