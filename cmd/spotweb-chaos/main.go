@@ -15,8 +15,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -26,37 +28,56 @@ import (
 	"repro/internal/runcfg"
 )
 
-func main() {
-	scenarioPath := flag.String("scenario", "", "path to a scenario JSON file")
-	suite := flag.String("suite", "", "built-in scenario name, or 'all' for the whole suite")
-	out := flag.String("out", "", "directory to write <scenario>.json reports into")
-	check := flag.String("check", "", "directory of golden reports to compare against (nonzero exit on deviation)")
-	testbedRun := flag.Bool("testbed", false, "replay on the wall-clock testbed instead of the simulator (not deterministic, no -check)")
-	testbedDur := flag.Duration("testbed-duration", 3*time.Second, "compressed run length for -testbed")
-	list := flag.Bool("list", false, "list built-in scenarios and exit")
-	rcFlags := runcfg.BindFlags(flag.CommandLine)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, writes reports and listings to stdout
+// and diagnostics to stderr, and returns the exit code — 2 for a usage error,
+// found before any scenario runs, 1 for a failed run or check.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("spotweb-chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scenarioPath := fs.String("scenario", "", "path to a scenario JSON file")
+	suite := fs.String("suite", "", "built-in scenario name, or 'all' for the whole suite")
+	out := fs.String("out", "", "directory to write <scenario>.json reports into")
+	check := fs.String("check", "", "directory of golden reports to compare against (nonzero exit on deviation)")
+	testbedRun := fs.Bool("testbed", false, "replay on the wall-clock testbed instead of the simulator (not deterministic, no -check)")
+	testbedDur := fs.Duration("testbed-duration", 3*time.Second, "compressed run length for -testbed")
+	list := fs.Bool("list", false, "list built-in scenarios and exit")
+	rcFlags := runcfg.BindFlags(fs)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2 // fs.Parse has reported it, with the usage
+	}
+	rc := rcFlags.Config()
+	if err := rc.Validate(); err != nil {
+		fmt.Fprintln(stderr, err)
+		fs.Usage()
+		return 2
+	}
 
 	if *list {
 		for _, name := range chaos.BuiltinNames() {
 			sc, _ := chaos.Builtin(name)
-			fmt.Printf("%-14s %s\n", name, sc.Description)
+			fmt.Fprintf(stdout, "%-14s %s\n", name, sc.Description)
 		}
-		return
+		return 0
 	}
-
-	rc := rcFlags.Config()
 
 	scenarios, err := selectScenarios(*scenarioPath, *suite)
 	if err == nil {
 		err = checkTestbedFlags(*testbedRun, *out, *check, *testbedDur)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		fs.Usage()
+		return 2
 	}
 
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, format+"\n", args...)
+		return 1
+	}
 	deviations := 0
 	for _, sc := range scenarios {
 		if *testbedRun {
@@ -64,53 +85,54 @@ func main() {
 				Scenario: sc, Seed: rc.RunSeed(), Duration: *testbedDur,
 			})
 			if err != nil {
-				fatalf("testbed %s: %v", sc.Name, err)
+				return fail("testbed %s: %v", sc.Name, err)
 			}
 			data, _ := json.MarshalIndent(sum, "", "  ")
-			fmt.Printf("%s\n", data)
+			fmt.Fprintf(stdout, "%s\n", data)
 			continue
 		}
 
 		rep, err := runner.RunSim(sc, rc)
 		if err != nil {
-			fatalf("run %s: %v", sc.Name, err)
+			return fail("run %s: %v", sc.Name, err)
 		}
 		data, err := rep.EncodeJSON()
 		if err != nil {
-			fatalf("encode %s: %v", sc.Name, err)
+			return fail("encode %s: %v", sc.Name, err)
 		}
 		if *out != "" {
 			if err := os.MkdirAll(*out, 0o755); err != nil {
-				fatalf("%v", err)
+				return fail("%v", err)
 			}
 			path := filepath.Join(*out, sc.Name+".json")
 			if err := os.WriteFile(path, data, 0o644); err != nil {
-				fatalf("%v", err)
+				return fail("%v", err)
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+			fmt.Fprintf(stderr, "wrote %s\n", path)
 		}
 		if *check != "" {
 			path := filepath.Join(*check, sc.Name+".json")
 			golden, err := os.ReadFile(path)
 			switch {
 			case err != nil:
-				fmt.Fprintf(os.Stderr, "FAIL %s: no golden report (%v)\n", sc.Name, err)
+				fmt.Fprintf(stderr, "FAIL %s: no golden report (%v)\n", sc.Name, err)
 				deviations++
 			case !bytes.Equal(golden, data):
-				fmt.Fprintf(os.Stderr, "FAIL %s: report deviates from %s\n", sc.Name, path)
+				fmt.Fprintf(stderr, "FAIL %s: report deviates from %s\n", sc.Name, path)
 				deviations++
 			default:
-				fmt.Fprintf(os.Stderr, "ok   %s (score %.1f)\n", sc.Name, rep.Score)
+				fmt.Fprintf(stderr, "ok   %s (score %.1f)\n", sc.Name, rep.Score)
 			}
 			continue
 		}
 		if *out == "" {
-			fmt.Printf("%s", data)
+			fmt.Fprintf(stdout, "%s", data)
 		}
 	}
 	if deviations > 0 {
-		fatalf("%d scenario report(s) deviate from the golden files; regenerate with 'make chaos-golden' if the change is intentional", deviations)
+		return fail("%d scenario report(s) deviate from the golden files; regenerate with 'make chaos-golden' if the change is intentional", deviations)
 	}
+	return 0
 }
 
 // selectScenarios resolves the -scenario / -suite flags into a scenario list.
@@ -162,9 +184,4 @@ func checkTestbedFlags(testbed bool, out, check string, dur time.Duration) error
 		return fmt.Errorf("-testbed prints its summary to stdout: -out %s would write nothing", out)
 	}
 	return nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
 }

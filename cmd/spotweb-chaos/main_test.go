@@ -110,7 +110,7 @@ func TestCheckTestbedFlags(t *testing.T) {
 }
 
 // TestParallelismFlagGone: scenarios are independent runs of one serial
-// planner, so the shared flag set main binds no longer takes -parallelism (it
+// planner, so the shared flag set run binds no longer takes -parallelism (it
 // could never change a report).
 func TestParallelismFlagGone(t *testing.T) {
 	fs := flag.NewFlagSet("spotweb-chaos", flag.ContinueOnError)
@@ -119,5 +119,41 @@ func TestParallelismFlagGone(t *testing.T) {
 	err := fs.Parse([]string{"-quick", "-parallelism", "4"})
 	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -parallelism") {
 		t.Fatalf("Parse = %v, want -parallelism rejected as an unknown flag", err)
+	}
+}
+
+// TestRunRejectsBadRunOptions: run options no run can mean exit 2 with the
+// flag's name before any scenario runs. -high-util NaN used to score the
+// storm 98.65 (the default scores 82.41) and exit 0, -warning NaN scored
+// 92.66, and -warning -100 and -risk-quantile 1.5 silently ran the defaults.
+func TestRunRejectsBadRunOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		args       []string
+		want       int
+		wantStdout string
+		wantStderr string
+	}{
+		{name: "NaN high-util", args: []string{"-suite", "storm", "-quick", "-high-util", "NaN"}, want: 2, wantStderr: "-high-util NaN"},
+		{name: "NaN warning", args: []string{"-suite", "storm", "-quick", "-warning", "NaN"}, want: 2, wantStderr: "-warning NaN"},
+		{name: "negative warning", args: []string{"-suite", "storm", "-quick", "-warning", "-100"}, want: 2, wantStderr: "-warning -100"},
+		{name: "risk-quantile 1.5", args: []string{"-suite", "storm", "-quick", "-risk", "-risk-quantile", "1.5"}, want: 2, wantStderr: "-risk-quantile 1.5"},
+		{name: "no scenario", args: []string{"-quick"}, want: 2, wantStderr: "one of -scenario, -suite or -list"},
+		{name: "unknown flag", args: []string{"-parallelism", "4"}, want: 2, wantStderr: "-parallelism"},
+		{name: "list", args: []string{"-list"}, want: 0, wantStdout: "storm"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			if got := run(tc.args, &stdout, &stderr); got != tc.want {
+				t.Fatalf("run(%v) = %d, want %d\nstderr: %s", tc.args, got, tc.want, stderr.String())
+			}
+			if !strings.Contains(stdout.String(), tc.wantStdout) || !strings.Contains(stderr.String(), tc.wantStderr) {
+				t.Fatalf("run(%v): stdout %q, stderr %q; want them to contain %q and %q",
+					tc.args, stdout.String(), stderr.String(), tc.wantStdout, tc.wantStderr)
+			}
+			if tc.want != 0 && stdout.Len() != 0 {
+				t.Fatalf("run(%v) failed but wrote to stdout: %q", tc.args, stdout.String())
+			}
+		})
 	}
 }

@@ -46,7 +46,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (*simFlags, error) {
 
 // check rejects flag combinations that used to be silently ignored:
 // -federation is its own experiment, so -exp beside it never ran, and
-// -fed-out without it wrote nothing.
+// -fed-out without it wrote nothing; and run options no run can mean
+// (runcfg.RunConfig.Validate).
 func (f *simFlags) check() error {
 	switch {
 	case f.fed.Enabled() && f.expSet:
@@ -54,7 +55,7 @@ func (f *simFlags) check() error {
 	case !f.fed.Enabled() && f.fedOut != "":
 		return fmt.Errorf("-fed-out %s needs -federation", f.fedOut)
 	}
-	return nil
+	return f.rc.Config().Validate()
 }
 
 // fedScale sizes the federation scaling benchmark from the flags.

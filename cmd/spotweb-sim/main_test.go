@@ -26,6 +26,10 @@ func TestRun(t *testing.T) {
 		{name: "unknown flag", args: []string{"-no-such-flag"}, want: 2, wantStderr: "-no-such-flag"},
 		{name: "federation with -exp", args: []string{"-federation", "-exp", "fig6a"}, want: 2, wantStderr: "-exp fig6a"},
 		{name: "fed-out without federation", args: []string{"-fed-out", "f.json"}, want: 2, wantStderr: "-fed-out f.json needs -federation"},
+		// Run options that used to run something else, exit 0.
+		{name: "NaN high-util", args: []string{"-exp", "table1", "-high-util", "NaN"}, want: 2, wantStderr: "-high-util NaN"},
+		{name: "negative warning", args: []string{"-exp", "table1", "-warning", "-100"}, want: 2, wantStderr: "-warning -100"},
+		{name: "risk-quantile 1.5", args: []string{"-exp", "table1", "-risk", "-risk-quantile", "1.5"}, want: 2, wantStderr: "-risk-quantile 1.5"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -32,6 +32,12 @@ func TestGridFromFlags(t *testing.T) {
 	if err := os.WriteFile(hugeGrid, []byte(strings.Replace(fileGrid, `"seeds":3`, `"seeds":4611686018427387904`, 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A variant's run options are validated as the flags are: a negative
+	// warning period used to run the default one.
+	badConfig := filepath.Join(t.TempDir(), "bad-config.json")
+	if err := os.WriteFile(badConfig, []byte(strings.Replace(fileGrid, `"config":{}`, `"config":{"warning_sec":-100}`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	def, _ := sweep.BuiltinVariant("default")
 	sentinel, _ := sweep.BuiltinVariant("sentinel")
 	flagGrid := func(edit func(*sweep.Grid)) sweep.Grid {
@@ -72,6 +78,7 @@ func TestGridFromFlags(t *testing.T) {
 		{name: "missing grid file", args: []string{"-grid", gridFile + ".absent"}, wantErr: "no such file"},
 		{name: "grid file with a parallelism override", args: []string{"-grid", staleGrid}, wantErr: `unknown field "parallelism"`},
 		{name: "grid file with a seed axis past the bound", args: []string{"-grid", hugeGrid}, wantErr: "past the bound"},
+		{name: "grid file with a negative warning", args: []string{"-grid", badConfig}, wantErr: `variant "default": -warning -100`},
 		{name: "parallelism flag", args: []string{"-parallelism", "4"}, wantParseErr: "flag provided but not defined: -parallelism"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

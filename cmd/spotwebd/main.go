@@ -98,7 +98,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (*daemonFlags, error) {
 // -markets 0 silently planned the catalog generator's default size, a
 // positional argument silently ended flag parsing, and a non-positive -slo or
 // -cap-scale, a negative -admit-rps or -warning ran a daemon that could not
-// mean what it was asked.
+// mean what it was asked — as did the run options runcfg.RunConfig.Validate
+// rejects.
 func (f *daemonFlags) check() error {
 	switch {
 	case len(f.positional) > 0:
@@ -116,7 +117,7 @@ func (f *daemonFlags) check() error {
 	case f.warning < 0:
 		return fmt.Errorf("-warning %s: want a non-negative warning period", f.warning)
 	}
-	return nil
+	return f.rc.Config().Validate()
 }
 
 func run(args []string, stdout, stderr io.Writer) int {

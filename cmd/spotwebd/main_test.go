@@ -40,6 +40,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{name: "negative admit-rps", args: []string{"-admit-rps", "-1"}, want: 2, wantStderr: "-admit-rps -1: want 0 (off) or a positive req/s"},
 		{name: "NaN admit-rps", args: []string{"-admit-rps", "NaN"}, want: 2, wantStderr: "-admit-rps NaN"},
 		{name: "negative warning", args: []string{"-warning", "-1s"}, want: 2, wantStderr: "-warning -1s: want a non-negative warning period"},
+		{name: "NaN high-util", args: []string{"-high-util", "NaN"}, want: 2, wantStderr: "-high-util NaN"},
+		{name: "anchor-min above 1", args: []string{"-anchor-min", "1.5"}, want: 2, wantStderr: "-anchor-min 1.5"},
+		{name: "risk-quantile 1.5", args: []string{"-risk", "-risk-quantile", "1.5"}, want: 2, wantStderr: "-risk-quantile 1.5"},
 		{name: "positional argument", args: []string{"bogus"}, want: 2, wantStderr: `unexpected argument "bogus"`},
 		{name: "positional after flags", args: []string{"-markets", "4", "bogus", "-interval", "0"}, want: 2, wantStderr: `unexpected argument "bogus"`},
 		{name: "unknown scenario", args: []string{"-chaos-scenario", "no-such-scenario"}, want: 2, wantStderr: "-chaos-scenario:"},

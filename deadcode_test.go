@@ -43,7 +43,6 @@ var deadcodeAllowlist = map[string]string{
 	"linalg.FactorModel.Dense":           "(b) ADMM island (ROADMAP item 2): FactorModel moves beside its one ablation",
 	"linalg.FactorModel.QuadForm":        "(b) ADMM island (ROADMAP item 2): FactorModel moves beside its one ablation",
 	"portfolio.Config.Breakdown":         "(c) ROADMAP item 5: the per-round trace record carries the cost terms",
-	"risk.Quantiles.Stats":               "(c) ROADMAP item 5: the sweep stats artifact reports memo hit rates",
 }
 
 // TestNoDeadExports fails for every exported function, method, type, variable

@@ -74,20 +74,9 @@ func CompactRisk(m *Matrix) (MatVec, int) {
 		}
 		return &Compact{n: n, block: *m, sym: true}, n
 	}
-	// One allocation holds both index lists, one the packed block and the
-	// isolated diagonal: a what-if sweep builds an operator per solve.
-	idx, vals := make([]int, n), make([]float64, k*k+n-k)
-	c := &Compact{
-		n: n, block: Matrix{Rows: k, Cols: k, Data: vals[:k*k]},
-		coupled: idx[:0:k], iso: idx[k:k], isoDiag: vals[k*k : k*k],
-	}
-	for i, on := range isCoupled {
-		if on {
-			c.coupled = append(c.coupled, i)
-		} else {
-			c.iso = append(c.iso, i)
-			c.isoDiag = append(c.isoDiag, m.Data[i*n+i])
-		}
+	c := newCompact(isCoupled, k, nil)
+	for i := range c.iso {
+		c.isoDiag[i] = m.Data[c.iso[i]*n+c.iso[i]]
 	}
 	for s, i := range c.coupled {
 		row, packed := m.Data[i*n:(i+1)*n], c.block.Data[s*k:(s+1)*k]
@@ -98,6 +87,103 @@ func CompactRisk(m *Matrix) (MatVec, int) {
 	c.sym = laneSymmetric(&c.block)
 	return c, k
 }
+
+// CompactBlock returns what CompactRisk returns for the n×n matrix M that
+// holds the k×k block at the rows and columns idx (ascending, k = len(idx)),
+// diag on the rest of its diagonal and zeros everywhere else — the same
+// operator, coupled set and count, without forming M. A covariance of
+// revocation dynamics is such a matrix: the block over the transient markets
+// plus a ridge. The operator may keep block's storage, so the caller hands the
+// block over.
+func CompactBlock(n int, idx []int, block *Matrix, diag float64) (MatVec, int) {
+	k := len(idx)
+	if block.Rows != k || block.Cols != k || k > n {
+		panic(fmt.Sprintf("linalg: CompactBlock of a %dx%d block over %d of %d indices", block.Rows, block.Cols, k, n))
+	}
+	if k == n { // idx is every index: M is the block
+		return CompactRisk(block)
+	}
+	isCoupled := make([]bool, n)
+	kc := 0
+	mark := func(i int) {
+		if !isCoupled[i] {
+			isCoupled[i] = true
+			kc++
+		}
+	}
+	for a := 0; a < k; a++ {
+		for b, v := range block.Data[a*k : (a+1)*k] {
+			if v != 0 && b != a { // as CompactRisk: the row and the column couple
+				mark(idx[a])
+				mark(idx[b])
+			}
+		}
+	}
+	var packed []float64
+	if kc == k { // every block index is coupled: the block is the packed block
+		packed = block.Data
+	}
+	c := newCompact(isCoupled, kc, packed)
+	for t, a := 0, 0; t < len(c.iso); t++ {
+		i := c.iso[t]
+		for a < k && idx[a] < i {
+			a++
+		}
+		if c.isoDiag[t] = diag; a < k && idx[a] == i {
+			c.isoDiag[t] = block.Data[a*k+a]
+		}
+	}
+	if packed == nil {
+		// at[t] is the block position of coupled index t, in ascending order.
+		at := make([]int, 0, kc)
+		for a, i := range idx {
+			if isCoupled[i] {
+				at = append(at, a)
+			}
+		}
+		for s, a := range at {
+			row, packed := block.Data[a*k:(a+1)*k], c.block.Data[s*kc:(s+1)*kc]
+			for t, b := range at {
+				packed[t] = row[b]
+			}
+		}
+	}
+	c.sym = laneSymmetric(&c.block)
+	return c, kc
+}
+
+// newCompact returns the operator over the indices isCoupled splits, k of
+// them coupled: the ascending index lists, an isolated diagonal for the caller
+// to fill and the k×k packed block — block when it is given, zeros to fill
+// otherwise. One allocation holds both index lists, one the packed block and
+// the isolated diagonal: a what-if sweep builds an operator per solve.
+func newCompact(isCoupled []bool, k int, block []float64) *Compact {
+	n := len(isCoupled)
+	size := n - k
+	if block == nil {
+		size += k * k
+	}
+	idx, vals := make([]int, n), make([]float64, size)
+	if block == nil {
+		block, vals = vals[n-k:], vals[:n-k]
+	}
+	c := &Compact{
+		n: n, block: Matrix{Rows: k, Cols: k, Data: block},
+		coupled: idx[:0:k], iso: idx[k:k], isoDiag: vals,
+	}
+	for i, on := range isCoupled {
+		if on {
+			c.coupled = append(c.coupled, i)
+		} else {
+			c.iso = append(c.iso, i)
+		}
+	}
+	return c
+}
+
+// Coupled returns the number of indices the operator multiplies through its
+// coupled block: n less the isolated ones.
+func (c *Compact) Coupled() int { return c.n - len(c.iso) }
 
 // laneSymmetric reports whether the square m has a full 8-row chunk for the
 // lanes and equals its transpose in every bit, so that its rows can be read

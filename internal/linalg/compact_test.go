@@ -263,3 +263,227 @@ func TestFactorModelMulVecAllocs(t *testing.T) {
 		}
 	}
 }
+
+// sameOperator fails unless got and want are the same operator: the same type
+// and, for a *Compact, the same coupled and isolated lists, isolated diagonal,
+// packed block and symmetry flag, every float bit for bit.
+func sameOperator(t *testing.T, got, want MatVec) {
+	t.Helper()
+	sameBits := func(what string, a, b []float64) {
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d entries, want %d", what, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s[%d] = %v (%#x), want %v (%#x)", what, i, a[i], math.Float64bits(a[i]), b[i], math.Float64bits(b[i]))
+			}
+		}
+	}
+	sameInts := func(what string, a, b []int) {
+		if len(a) != len(b) {
+			t.Fatalf("%s = %v, want %v", what, a, b)
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s = %v, want %v", what, a, b)
+			}
+		}
+	}
+	switch w := want.(type) {
+	case *Matrix:
+		g, ok := got.(*Matrix)
+		if !ok || g.Rows != w.Rows || g.Cols != w.Cols {
+			t.Fatalf("operator is %T, want the %dx%d matrix", got, w.Rows, w.Cols)
+		}
+		sameBits("matrix", g.Data, w.Data)
+	case *Compact:
+		g, ok := got.(*Compact)
+		if !ok {
+			t.Fatalf("operator is %T, want a *Compact", got)
+		}
+		if g.n != w.n || g.sym != w.sym || g.block.Rows != w.block.Rows || g.block.Cols != w.block.Cols {
+			t.Fatalf("operator n=%d sym=%v block %dx%d, want n=%d sym=%v block %dx%d",
+				g.n, g.sym, g.block.Rows, g.block.Cols, w.n, w.sym, w.block.Rows, w.block.Cols)
+		}
+		sameInts("coupled", g.coupled, w.coupled)
+		sameInts("iso", g.iso, w.iso)
+		sameBits("isoDiag", g.isoDiag, w.isoDiag)
+		sameBits("block", g.block.Data, w.block.Data)
+	default:
+		t.Fatalf("reference operator is %T", want)
+	}
+}
+
+// scatterBlock is the n×n matrix CompactBlock stands for: block at the rows
+// and columns idx, diag on the rest of the diagonal, zeros elsewhere.
+func scatterBlock(n int, idx []int, block *Matrix, diag float64) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, diag)
+	}
+	for a, i := range idx {
+		for b, j := range idx {
+			m.Set(i, j, block.At(a, b))
+		}
+	}
+	return m
+}
+
+// checkCompactBlock holds CompactBlock to CompactRisk of the matrix it stands
+// for — same operator, same coupled count — and the stacked apply of the
+// block-built operator over h = 1..7 periods to refMulVec, with both bodies.
+func checkCompactBlock(t *testing.T, n int, idx []int, block *Matrix, diag float64, x Vector) int {
+	t.Helper()
+	dense := scatterBlock(n, idx, block, diag)
+	want, wantK := CompactRisk(dense)
+	own := &Matrix{Rows: block.Rows, Cols: block.Cols, Data: append([]float64(nil), block.Data...)}
+	got, k := CompactBlock(n, idx, own, diag)
+	if k != wantK {
+		t.Fatalf("coupled = %d, CompactRisk says %d", k, wantK)
+	}
+	if c, ok := got.(*Compact); ok && c.Coupled() != k {
+		t.Fatalf("Coupled() = %d, constructor said %d", c.Coupled(), k)
+	}
+	sameOperator(t, got, want)
+	for h := 1; h <= 7; h++ {
+		checkStackedBits(t, "block", dense, got, x[:h*n], h)
+	}
+	return k
+}
+
+func TestBitIdenticalCompactBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	every := func(n, step int) (idx []int) {
+		for i := 0; i < n; i += step {
+			idx = append(idx, i)
+		}
+		return idx
+	}
+	for _, tc := range []struct {
+		name    string
+		n       int
+		idx     []int
+		flat    []int // block positions whose row and column are zeroed off the diagonal
+		coupled int
+	}{
+		{"twins-288", 288, every(288, 2), nil, 144},
+		{"k==n lanes", 16, every(16, 1), nil, 16},
+		{"k==n small", 5, every(5, 1), nil, 5},
+		{"k==n one flat", 12, every(12, 1), []int{3}, 11},
+		{"k<8", 9, every(9, 2), nil, 5},
+		{"flat rows packed", 40, every(40, 2), []int{0, 7, 19}, 17},
+		{"all flat", 24, every(24, 2), every(12, 1), 0},
+		{"no block", 6, nil, nil, 0},
+		{"one index", 4, []int{2}, nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := len(tc.idx)
+			block := randomSPD(rng, k)
+			if k == 0 {
+				block = NewMatrix(0, 0)
+			}
+			isolate(block, tc.flat...)
+			if len(tc.flat) > 0 && k > 1 {
+				// A −0 off the diagonal is an exact zero, and a negative
+				// isolated diagonal makes −0 products from +0 inputs.
+				a := tc.flat[0]
+				block.Set(a, (a+1)%k, math.Copysign(0, -1))
+				block.Set(a, a, -block.At(a, a))
+			}
+			x := signedVector(rng, 7*tc.n)
+			if got := checkCompactBlock(t, tc.n, tc.idx, block, 1e-6, x); got != tc.coupled {
+				t.Fatalf("coupled = %d, want %d", got, tc.coupled)
+			}
+			x.Zero()
+			checkCompactBlock(t, tc.n, tc.idx, block, -1e-6, x)
+		})
+	}
+
+	t.Run("keeps-the-block", func(t *testing.T) {
+		// Every block index coupled: the block is the packed block, no copy.
+		block := randomSPD(rng, 10)
+		op, _ := CompactBlock(20, every(20, 2), block, 1e-6)
+		if c := op.(*Compact); &c.block.Data[0] != &block.Data[0] {
+			t.Fatal("CompactBlock copied a block it could keep")
+		}
+	})
+
+	t.Run("shape-panics", func(t *testing.T) {
+		for name, fn := range map[string]func(){
+			"block-vs-idx":     func() { CompactBlock(4, []int{0, 1}, NewMatrix(3, 3), 0) },
+			"more-than-n":      func() { CompactBlock(1, []int{0, 1}, NewMatrix(2, 2), 0) },
+			"non-square-block": func() { CompactBlock(4, []int{0, 1}, NewMatrix(2, 3), 0) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s: expected panic", name)
+					}
+				}()
+				fn()
+			}()
+		}
+	})
+}
+
+// FuzzCompactBlock builds a block over an arbitrary index subset (mask bits
+// 0–11 pick the indices; the rest of n's indices are outside it) from the
+// input — mirrored to a symmetric one, as a covariance is, when n's top bit
+// is set — zeroes some of its rows and columns off the diagonal (a
+// zero-variance series; mask bits 12–15), and holds CompactBlock to
+// CompactRisk of the scattered matrix: the same operator, coupled set and
+// count, symmetry flag, and stacked apply over h = 1..7 with both bodies.
+func FuzzCompactBlock(f *testing.F) {
+	f.Add(uint8(6), uint16(0b101010), []byte("spotweb on-demand twins"))
+	f.Add(uint8(0x80|12), uint16(0x0fff), []byte("k == n, one lane chunk and a half"))
+	f.Add(uint8(0x80|18), uint16(0x0aaa), []byte{0x80, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(uint8(0x80|9), uint16(0xf1ff), []byte{})
+	f.Add(uint8(5), uint16(0), []byte{0xff, 0x00, 0x80, 0x7f, 0x01})
+	f.Fuzz(func(t *testing.T, n uint8, mask uint16, data []byte) {
+		nn := int(n&0x7f) % 19
+		if nn == 0 {
+			return
+		}
+		pos := 0
+		next := func() float64 {
+			var buf [8]byte
+			if pos < len(data) {
+				pos += copy(buf[:], data[pos:])
+			}
+			v := math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e100 {
+				v = float64(buf[0])/255 - 0.5 // the contract covers finite operands only
+			}
+			return v
+		}
+		var idx []int
+		for i := 0; i < nn; i++ {
+			if i >= 12 || mask&(1<<i) != 0 {
+				idx = append(idx, i)
+			}
+		}
+		k := len(idx)
+		block := NewMatrix(k, k)
+		for i := range block.Data {
+			block.Data[i] = next()
+		}
+		if n&0x80 != 0 {
+			for a := 0; a < k; a++ {
+				for b := 0; b < a; b++ {
+					block.Set(a, b, block.At(b, a))
+				}
+			}
+		}
+		for a := 0; a < k; a++ {
+			if mask&(1<<(12+a%4)) != 0 && a%3 == 0 {
+				isolate(block, a)
+			}
+		}
+		diag := next()
+		x := NewVector(7 * nn)
+		for i := range x {
+			x[i] = next()
+		}
+		checkCompactBlock(t, nn, idx, block, diag, x)
+	})
+}

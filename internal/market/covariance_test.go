@@ -3,6 +3,7 @@ package market
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/linalg"
@@ -116,4 +117,134 @@ func TestTwoWeekWindow(t *testing.T) {
 			t.Fatalf("StepHrs %v: window %d, want %d", c.step, got, c.want)
 		}
 	}
+}
+
+// checkOperator holds CovarianceOperator(t, window) to the operator the
+// planner used to build, linalg.CompactRisk(CovarianceMatrix(t, window)): the
+// same operator before first use (type, coupled and isolated lists, packed
+// block, isolated diagonal, symmetry flag), the same coupled count, and the
+// same stacked apply over h = 1..7 periods of signed inputs with −0 entries,
+// bit for bit. It returns the coupled count.
+func checkOperator(t *testing.T, label string, c *Catalog, tt, window int, rng *rand.Rand) int {
+	t.Helper()
+	n := c.Len()
+	got, k := c.CovarianceOperator(tt, window)
+	want, wantK := linalg.CompactRisk(c.CovarianceMatrix(tt, window))
+	if k != wantK {
+		t.Fatalf("%s t=%d w=%d: coupled %d, CompactRisk(CovarianceMatrix) %d", label, tt, window, k, wantK)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s t=%d w=%d: operator %T differs from CompactRisk(CovarianceMatrix)'s %T", label, tt, window, got, want)
+	}
+	for h := 1; h <= 7 && n > 0; h++ {
+		x := linalg.NewVector(h * n)
+		for i := range x {
+			switch i % 4 {
+			case 0:
+				x[i] = math.Copysign(0, -1)
+			default:
+				x[i] = rng.NormFloat64()
+			}
+		}
+		a, b := linalg.NewVector(h*n), linalg.NewVector(h*n)
+		linalg.MulVecStacked(got, n, x, a)
+		linalg.MulVecStacked(want, n, x, b)
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s t=%d w=%d h=%d: output %d = %#x, want %#x", label, tt, window, h, i,
+					math.Float64bits(a[i]), math.Float64bits(b[i]))
+			}
+		}
+	}
+	return k
+}
+
+func TestBitIdenticalCovarianceOperator(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	twins := CatalogConfig{Seed: 7, NumTypes: 144, IncludeOnDemand: true, Hours: 24 * 16}.Generate()
+	for _, tc := range []struct {
+		name    string
+		cat     *Catalog
+		t, w    int
+		coupled int
+	}{
+		{"288 twins, two weeks", twins, 24 * 15, 24 * 14, 144},
+		{"288 twins, w<2", twins, 1, 24 * 14, 0},
+		{"288 twins, w=2", twins, 2, 24 * 14, 12},
+		{"testbed", TestbedCatalog(3, 400), 350, 336, 3},
+		{"zero variance", flatCatalog(12, 340), 338, 336, 0},
+		{"fig5, k==n<8", Fig5Catalog(3, 400), 350, 336, 3},
+		{"all spot, k==n lanes", patternCatalog(rng, 17, 340, func(int) bool { return true }), 338, 336, 17},
+		{"all on-demand", patternCatalog(rng, 9, 340, func(int) bool { return false }), 338, 336, 0},
+		{"interleaved, k<8", patternCatalog(rng, 9, 340, func(i int) bool { return i%2 == 0 }), 338, 336, 5},
+		{"past the series", patternCatalog(rng, 20, 340, func(i int) bool { return i%3 != 0 }), 342, 5, 13},
+		{"empty", &Catalog{StepHrs: 1, Intervals: 10}, 5, 3, 0},
+	} {
+		if got := checkOperator(t, tc.name, tc.cat, tc.t, tc.w, rng); got != tc.coupled {
+			t.Fatalf("%s: coupled %d, want %d", tc.name, got, tc.coupled)
+		}
+	}
+}
+
+// flatCatalog is n transient markets whose failure probability is a constant
+// 0.25 — exact in binary, so every centred sample is 0 and every market
+// isolated — interleaved with on-demand twins.
+func flatCatalog(n, intervals int) *Catalog {
+	c := &Catalog{StepHrs: 1, Intervals: intervals}
+	for i := 0; i < n; i++ {
+		c.Markets = append(c.Markets, &Market{
+			Type:      InstanceType{Name: "flat", Capacity: 100, OnDemandPrice: 1},
+			Transient: i%2 == 0,
+			Price:     trace.ConstantSeries("p", 1, intervals, 1),
+			FailProb:  trace.ConstantSeries("f", 1, intervals, 0.25),
+		})
+	}
+	return c
+}
+
+// FuzzCovarianceOperator builds a catalog from the input — n markets, a
+// transient mask, a mask of transient markets whose series is constant (zero
+// variance: isolated), series values and the window — and holds
+// CovarianceOperator to CompactRisk(CovarianceMatrix) through checkOperator.
+func FuzzCovarianceOperator(f *testing.F) {
+	f.Add(uint8(12), uint16(0x0fff), uint16(0), uint8(30), uint8(20), []byte("k == n, a lane chunk and a half"))
+	f.Add(uint8(18), uint16(0x0555), uint16(0x0100), uint8(30), uint8(29), []byte("on-demand twins, one flat spot"))
+	f.Add(uint8(6), uint16(0x003f), uint16(0x003f), uint8(25), uint8(20), []byte{})
+	f.Add(uint8(9), uint16(0x01ff), uint16(0), uint8(1), uint8(20), []byte("w < 2: the diagonal prior"))
+	f.Add(uint8(4), uint16(0x000a), uint16(0), uint8(40), uint8(12), []byte{0x80, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Fuzz(func(t *testing.T, n uint8, spot, flat uint16, tt, window uint8, data []byte) {
+		nn := int(n) % 19
+		const intervals = 32
+		pos := 0
+		next := func() float64 {
+			if pos >= len(data) {
+				pos++
+				return float64(pos%7) / 16
+			}
+			pos++
+			return float64(data[pos-1]) / 512
+		}
+		c := &Catalog{StepHrs: 1, Intervals: intervals}
+		for i := 0; i < nn; i++ {
+			mk := &Market{
+				Type:      InstanceType{Name: "f", Capacity: 100, OnDemandPrice: 1},
+				Transient: i >= 16 || spot&(1<<i) != 0,
+				Price:     &trace.Series{StepHrs: 1, Values: make([]float64, intervals)},
+			}
+			if mk.Transient {
+				vals := make([]float64, intervals)
+				v := next()
+				for k := range vals {
+					if i >= 16 || flat&(1<<i) == 0 {
+						v = next()
+					}
+					vals[k] = v
+				}
+				mk.FailProb = &trace.Series{StepHrs: 1, Values: vals}
+			}
+			c.Markets = append(c.Markets, mk)
+		}
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		checkOperator(t, "fuzz", c, int(tt)%(intervals+4), int(window)%(intervals+3)-1, rng)
+	})
 }

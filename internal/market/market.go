@@ -152,55 +152,94 @@ func (c *Catalog) diagonalPrior(t int) linalg.Vector {
 	d := linalg.NewVector(c.Len())
 	for i, mk := range c.Markets {
 		f := mk.FailProbAt(t)
-		d[i] = f*f + 1e-6
+		d[i] = f*f + covRidge
 	}
 	return d
 }
 
-// CovarianceMatrix estimates M, the pairwise covariance of revocation
-// dynamics, from the failure-probability series over the trailing window
-// [t-window, t). A small ridge is added to the diagonal so M is strictly
-// positive definite (required by the quadratic risk term). On-demand markets
-// contribute zero rows/columns apart from the ridge: their series is
-// identically 0, so only the transient markets' windows are gathered — centred
-// on their stats.Mean, straight from the series into linalg.Samples — and the
-// covariance block computed from them is scattered into the dense result.
-// Every entry equals stats.Covariance of the two windows bit for bit.
-func (c *Catalog) CovarianceMatrix(t, window int) *linalg.Matrix {
-	n := c.Len()
+// covRidge is the ridge every covariance estimate adds to its diagonal, so M
+// is strictly positive definite (required by the quadratic risk term).
+const covRidge = 1e-6
+
+// covarianceBlock estimates the covariance of revocation dynamics over the
+// transient markets idx (ascending) from the failure-probability series over
+// the trailing window [t-window, t), plus the ridge on its diagonal: the
+// only part of M that is not zero off the diagonal, since an on-demand
+// market's series is identically 0. Each window is gathered straight from the
+// series into linalg.Samples, centred on its stats.Mean, so every entry
+// equals stats.Covariance of the two windows bit for bit. A nil block means
+// fewer than two samples: M is the diagonal prior.
+func (c *Catalog) covarianceBlock(t, window int) (idx []int, block *linalg.Matrix) {
 	lo := max(t-window, 0)
 	w := t - lo
 	if w < 2 {
-		m := linalg.NewMatrix(n, n)
-		for i, d := range c.diagonalPrior(t) {
-			m.Set(i, i, d)
-		}
-		return m
+		return nil, nil
 	}
-	idx := make([]int, 0, n)
+	idx = make([]int, 0, c.Len())
 	for i, mk := range c.Markets {
 		if mk.Transient {
 			idx = append(idx, i)
 		}
 	}
-	k := len(idx)
-	samples, buf := linalg.NewSamples(w, k), make([]float64, w)
+	samples, buf := linalg.NewSamples(w, len(idx)), make([]float64, w)
 	for r, i := range idx {
 		win := failWindow(c.Markets[i], lo, t, buf)
 		samples.SetCentred(r, win, stats.Mean(win))
 	}
-	m := samples.Covariance()
-	if k < n {
-		block := m
-		m = linalg.NewMatrix(n, n)
-		for a, i := range idx {
-			for b, j := range idx {
-				m.Set(i, j, block.At(a, b))
-			}
+	block = samples.Covariance()
+	block.AddDiag(covRidge)
+	return idx, block
+}
+
+// priorMatrix is M when the window holds fewer than two samples: the
+// diagonal prior.
+func (c *Catalog) priorMatrix(t int) *linalg.Matrix {
+	m := linalg.NewMatrix(c.Len(), c.Len())
+	for i, d := range c.diagonalPrior(t) {
+		m.Set(i, i, d)
+	}
+	return m
+}
+
+// CovarianceMatrix estimates M, the pairwise covariance of revocation
+// dynamics, from the failure-probability series over the trailing window
+// [t-window, t), as the dense n×n matrix: the transient block scattered into
+// it, the ridge alone on every on-demand market's diagonal. The federation's
+// shards, the ADMM backend and the baselines read this view; the planner's
+// FISTA solve reads CovarianceOperator.
+func (c *Catalog) CovarianceMatrix(t, window int) *linalg.Matrix {
+	idx, block := c.covarianceBlock(t, window)
+	n := c.Len()
+	switch {
+	case block == nil:
+		return c.priorMatrix(t)
+	case len(idx) == n:
+		return block
+	}
+	m := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, covRidge) // 0 + ridge, what the ridge makes of a zero row
+	}
+	for a, i := range idx {
+		row := m.Row(i)
+		for b, j := range idx {
+			row[j] = block.At(a, b)
 		}
 	}
-	m.AddDiag(1e-6)
 	return m
+}
+
+// CovarianceOperator is M over the same window as the risk operator the
+// planner's FISTA solve applies: linalg.CompactRisk(CovarianceMatrix(t,
+// window)) — the same operator and coupled count — built from the transient
+// block without forming the dense matrix. It returns the operator and its
+// coupled count.
+func (c *Catalog) CovarianceOperator(t, window int) (linalg.MatVec, int) {
+	idx, block := c.covarianceBlock(t, window)
+	if block == nil {
+		return linalg.CompactRisk(c.priorMatrix(t))
+	}
+	return linalg.CompactBlock(c.Len(), idx, block, covRidge)
 }
 
 // CheapestTransient returns the index of the transient market with the

@@ -1,6 +1,10 @@
 // Package parallel provides the worker pool that runs independent tasks side
 // by side: federation shard solves (PoolFor) and what-if sweep cells (NewIO).
 // One solve is serial; nothing inside a solver or a linalg kernel uses a pool.
+// The one thing that runs beside a single solve is not a pool task either:
+// portfolio.Planner builds the next round's risk operator — one covariance
+// build — on a goroutine of its own while the round solves, never anything
+// inside the solve.
 //
 // Design constraints, in order of importance:
 //

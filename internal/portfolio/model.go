@@ -141,8 +141,10 @@ type Inputs struct {
 	// required by the ADMM backend; the FISTA backend prefers RiskOp when
 	// set.
 	Risk *linalg.Matrix
-	// RiskOp optionally supplies M as a structured operator (sparse or
-	// factor model) for the FISTA backend; Risk may then be nil.
+	// RiskOp optionally supplies M as a structured operator for the FISTA
+	// backend — sparse, a factor model, or the Planner's *linalg.Compact
+	// from Catalog.CovarianceOperator, which carries its coupled count into
+	// Plan.RiskCoupled; Risk may then be nil.
 	RiskOp RiskApplier
 	// RiskDim must be set to N when Risk is nil (RiskOp carries no shape).
 	RiskDim int

@@ -31,7 +31,8 @@ type Plan struct {
 	// RiskCoupled is the number of markets the risk matvec multiplied: the
 	// FISTA backend skips markets whose row and column of M are zero off the
 	// diagonal (every on-demand market). Equals the market count when nothing
-	// was skipped (and always for ADMM or a caller-supplied RiskOp).
+	// was skipped (and always for ADMM or a RiskOp other than a
+	// *linalg.Compact).
 	RiskCoupled int
 	// Projection counts the FISTA projections that bisected, their real passes
 	// and grid jumps (zero for ADMM): Projection.PassesPerProjection() ≈ 6
@@ -243,12 +244,16 @@ func (c Config) maxIter(def int) int {
 // every on-demand market's row and column of M are zero off the diagonal —
 // and applied through linalg.CompactRisk, which is bit-identical to the dense
 // matvec and is the matrix itself when nothing is isolated. A caller-supplied
-// RiskOp is used as given.
+// RiskOp is used as given; a *linalg.Compact (the planner's, built by
+// Catalog.CovarianceOperator) reports its own coupled count.
 func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState) (solver.Result, int) {
 	kappa := c.churnWeight(in, n)
 	risk, coupled := in.RiskOp, n
-	if risk == nil {
+	switch op := risk.(type) {
+	case nil:
 		risk, coupled = linalg.CompactRisk(in.Risk)
+	case *linalg.Compact:
+		coupled = op.Coupled()
 	}
 	var anchorIdx []int
 	if c.AMinOnDemand > 0 {

@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"math"
+	"runtime"
 	"time"
 
 	"repro/internal/linalg"
@@ -143,7 +144,7 @@ type Planner struct {
 	// probabilities only.
 	RiskOverlay OverlayProvider
 	// CovWindow is the trailing window (in intervals) for the covariance
-	// matrix M; 0 means 14 days.
+	// matrix M; ≤ 0 means 14 days (Catalog.TwoWeekWindow).
 	CovWindow int
 	// MinServerFraction drops allocations smaller than this fraction of one
 	// server (default 0.05).
@@ -162,6 +163,33 @@ type Planner struct {
 	// Source, RiskOverlay or Metrics after construction keep working.
 	builder InputBuilder
 	ws      WarmSolver
+
+	// next is the risk operator of the round after the last one, being built
+	// beside that round's solve (nil when none was started); prefetchCat and
+	// prefetchOK cache whether the catalog is large enough for that to pay.
+	// inlineRisk is the tests' seam that builds every operator inline.
+	next        *riskPrefetch
+	prefetchCat *market.Catalog
+	prefetchOK  bool
+	inlineRisk  bool
+}
+
+// prefetchMinTransient is the transient-market count from which a round
+// builds the next round's risk operator on a second core: one 8-wide lane
+// chunk, the size from which linalg.Samples lays the covariance out for the
+// lane kernel. Smaller catalogs build it inline, where a goroutine hand-off
+// would cost more than the build.
+const prefetchMinTransient = 8
+
+// riskPrefetch is the FISTA risk operator of round t over window, for cat,
+// built on its own goroutine; done closes once op is set. The goroutine runs
+// one bounded build and exits: the round it was started for waits on done,
+// and nothing waits for one whose round never comes.
+type riskPrefetch struct {
+	t, window int
+	cat       *market.Catalog
+	done      chan struct{}
+	op        linalg.MatVec
 }
 
 // NewPlanner wires a planner with defaults.
@@ -191,11 +219,19 @@ func (p *Planner) Step(t int, actualLambda float64) (*Decision, error) {
 	p.builder.RiskOverlay, p.builder.Metrics = p.RiskOverlay, p.Metrics
 	p.ws.Metrics = p.Metrics
 
+	window := p.CovWindow
+	if window <= 0 {
+		window = p.Cat.TwoWeekWindow()
+	}
 	in, epoch := p.builder.Build(t, p.Cfg.Horizon, actualLambda)
-	covStart := time.Now()
-	in.Risk = p.Cat.CovarianceMatrix(t, p.CovWindow)
-	p.Metrics.Histogram("spotweb_planner_covariance_seconds", "Risk covariance estimation wall time per planning step.").
-		Observe(time.Since(covStart).Seconds())
+	if p.Cfg.Solver == SolverADMM {
+		// The ADMM backend assembles its KKT blocks from the dense matrix.
+		covStart := time.Now()
+		in.Risk = p.Cat.CovarianceMatrix(t, window)
+		observeCovariance(p.Metrics, covStart)
+	} else {
+		in.RiskOp, in.RiskDim = p.riskOperator(t, window), p.Cat.Len()
+	}
 	in.PrevAlloc = p.prevAlloc
 	if p.Cfg.AMinOnDemand > 0 {
 		od := make([]bool, p.Cat.Len())
@@ -225,6 +261,80 @@ func (p *Planner) Step(t int, actualLambda float64) (*Decision, error) {
 		PredictedLambda: in.Lambda[0],
 		Capacity:        CapacityOf(counts, caps),
 	}, nil
+}
+
+// riskOperator returns round t's FISTA risk operator: the one the previous
+// round started building when it is for this t, window and catalog, one built
+// inline otherwise. When the catalog has a lane chunk of transient markets and
+// a second core is there, it then starts round t+1's, to run beside this
+// round's solve: the covariance over [t+1−window, t+1) reads only the
+// catalog's series, which never change once the catalog is built. The solve
+// itself stays serial.
+func (p *Planner) riskOperator(t, window int) linalg.MatVec {
+	pre, m := p.next, p.Metrics
+	p.next = nil
+	engaged := p.prefetches()
+	var op linalg.MatVec
+	if pre != nil && pre.t == t && pre.window == window && pre.cat == p.Cat {
+		waitStart := time.Now()
+		<-pre.done
+		op = pre.op
+		if m != nil {
+			m.Histogram("spotweb_planner_risk_prefetch_wait_seconds",
+				"Wall time a planning step waited for the risk operator the previous step started building.").
+				Observe(time.Since(waitStart).Seconds())
+			m.Counter("spotweb_planner_risk_prefetch_total", prefetchHelp, metrics.L("result", "hit")).Inc()
+		}
+	} else {
+		op = covarianceOperator(m, p.Cat, t, window)
+		if engaged && m != nil {
+			m.Counter("spotweb_planner_risk_prefetch_total", prefetchHelp, metrics.L("result", "miss")).Inc()
+		}
+	}
+	if engaged {
+		next := &riskPrefetch{t: t + 1, window: window, cat: p.Cat, done: make(chan struct{})}
+		go func() {
+			next.op = covarianceOperator(m, next.cat, next.t, next.window)
+			close(next.done)
+		}()
+		p.next = next
+	}
+	return op
+}
+
+const prefetchHelp = "Planning steps whose risk operator the previous step had built (hit) or that built it inline although prefetching was on (miss)."
+
+// prefetches reports whether rounds build the next round's risk operator
+// ahead: the catalog's transient count, cached per catalog, is checked first,
+// so a small catalog never asks the scheduler for GOMAXPROCS.
+func (p *Planner) prefetches() bool {
+	if p.inlineRisk {
+		return false
+	}
+	if p.prefetchCat != p.Cat {
+		transient := 0
+		for _, mk := range p.Cat.Markets {
+			if mk.Transient {
+				transient++
+			}
+		}
+		p.prefetchCat, p.prefetchOK = p.Cat, transient >= prefetchMinTransient
+	}
+	return p.prefetchOK && runtime.GOMAXPROCS(0) >= 2
+}
+
+// covarianceOperator builds cat's FISTA risk operator for round t and times
+// the build, on whichever goroutine runs it.
+func covarianceOperator(m *metrics.Registry, cat *market.Catalog, t, window int) linalg.MatVec {
+	start := time.Now()
+	op, _ := cat.CovarianceOperator(t, window)
+	observeCovariance(m, start)
+	return op
+}
+
+func observeCovariance(m *metrics.Registry, start time.Time) {
+	m.Histogram("spotweb_planner_covariance_seconds", "Risk covariance estimation wall time per planning step.").
+		Observe(time.Since(start).Seconds())
 }
 
 // recordMetrics publishes one solve's health and the executed portfolio's

@@ -13,6 +13,8 @@ package runcfg
 
 import (
 	"flag"
+	"fmt"
+	"math"
 
 	"repro/internal/market"
 	"repro/internal/portfolio"
@@ -57,6 +59,32 @@ type RunConfig struct {
 	// Sentinel enables the simulator's sentinel loop: stopped on-demand
 	// standbys warm-restart after revocations instead of cold launches.
 	Sentinel bool `json:"sentinel,omitempty"`
+}
+
+// Validate rejects an option set a run cannot mean: every number must be
+// finite; HighUtil, WarningSec, AnchorMin and RiskHalfLife must not be
+// negative; AnchorMin is a share, at most 1; RiskQuantile is a quantile in
+// [0, 1). 0 keeps meaning "as published". The error names the flag that
+// sets the field.
+func (o RunConfig) Validate() error {
+	for _, f := range []struct {
+		flag string
+		v    float64
+	}{
+		{"high-util", o.HighUtil}, {"warning", o.WarningSec}, {"anchor-min", o.AnchorMin},
+		{"risk-quantile", o.RiskQuantile}, {"risk-halflife", o.RiskHalfLife},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("-%s %v: want 0 (as published) or a positive, finite value", f.flag, f.v)
+		}
+	}
+	if o.AnchorMin > 1 {
+		return fmt.Errorf("-anchor-min %v: want a share of at most 1", o.AnchorMin)
+	}
+	if o.RiskQuantile >= 1 {
+		return fmt.Errorf("-risk-quantile %v: want a quantile below 1", o.RiskQuantile)
+	}
+	return nil
 }
 
 // Planner lays the run's planner options over a policy's portfolio

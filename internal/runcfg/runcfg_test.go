@@ -1,8 +1,11 @@
 package runcfg
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/market"
@@ -129,4 +132,67 @@ func TestZeroValueMarshalsEmpty(t *testing.T) {
 	if string(data) != "{}" {
 		t.Fatalf("zero RunConfig marshals to %s, want {} (absent fields mean paper defaults)", data)
 	}
+}
+
+// TestValidate: every value the flags used to take silently — a NaN
+// threshold scored a storm 98.65 instead of 82.41, a negative warning or an
+// out-of-range quantile ran the defaults — is an error naming the flag; the
+// zero value and the flag defaults are valid.
+func TestValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		rc      RunConfig
+		wantErr string
+	}{
+		{rc: RunConfig{}},
+		{rc: RunConfig{Seed: 42, HighUtil: 0.85, WarningSec: 120}},
+		{rc: RunConfig{HighUtil: 0.7, WarningSec: 30, AnchorMin: 1, Risk: true, RiskQuantile: 0.95, RiskHalfLife: 12}},
+		{rc: RunConfig{HighUtil: nan}, wantErr: "-high-util NaN"},
+		{rc: RunConfig{HighUtil: -0.5}, wantErr: "-high-util -0.5"},
+		{rc: RunConfig{WarningSec: nan}, wantErr: "-warning NaN"},
+		{rc: RunConfig{WarningSec: -100}, wantErr: "-warning -100"},
+		{rc: RunConfig{WarningSec: inf}, wantErr: "-warning +Inf"},
+		{rc: RunConfig{AnchorMin: -0.1}, wantErr: "-anchor-min -0.1"},
+		{rc: RunConfig{AnchorMin: 1.5}, wantErr: "-anchor-min 1.5: want a share of at most 1"},
+		{rc: RunConfig{RiskQuantile: 1.5}, wantErr: "-risk-quantile 1.5: want a quantile below 1"},
+		{rc: RunConfig{RiskQuantile: 1}, wantErr: "-risk-quantile 1:"},
+		{rc: RunConfig{RiskQuantile: -0.2}, wantErr: "-risk-quantile -0.2"},
+		{rc: RunConfig{RiskHalfLife: math.Inf(-1)}, wantErr: "-risk-halflife -Inf"},
+	} {
+		err := tc.rc.Validate()
+		if tc.wantErr == "" && err != nil {
+			t.Errorf("%+v: unexpected error %v", tc.rc, err)
+		}
+		if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("%+v: error %v, want one containing %q", tc.rc, err, tc.wantErr)
+		}
+	}
+}
+
+// FuzzRunConfig decodes a grid-file RunConfig strictly (unknown fields are
+// errors) and validates it; a config Validate accepts must lay over a
+// planner, a simulator and an estimator without panicking.
+func FuzzRunConfig(f *testing.F) {
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"quick":true,"seed":7,"high_util":0.7,"warning_sec":30,"cold_start":true}`))
+	f.Add([]byte(`{"risk":true,"risk_quantile":0.95,"risk_halflife":12,"anchor_min":0.3,"sentinel":true}`))
+	f.Add([]byte(`{"risk":true,"risk_quantile":0.999999,"risk_halflife":1e300,"anchor_min":1}`))
+	f.Add([]byte(`{"warning_sec":-100}`))
+	f.Add([]byte(`{"high_util":1e309}`))
+	f.Add([]byte(`{"parallelism":4}`))
+	cat := market.CatalogConfig{Seed: 1, NumTypes: 2, IncludeOnDemand: true, Hours: 8}.Generate()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rc RunConfig
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&rc); err != nil || rc.Validate() != nil {
+			return
+		}
+		est := rc.Estimator(cat)
+		if (est != nil) != rc.Risk {
+			t.Fatalf("%+v: estimator %v", rc, est)
+		}
+		rc.Planner(portfolio.Config{Horizon: 3}, cat)
+		rc.Sim(sim.Config{Seed: 9}, est)
+	})
 }

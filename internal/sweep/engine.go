@@ -65,6 +65,11 @@ type Stats struct {
 	Cores       int     `json:"cores"`
 	ElapsedSec  float64 `json:"elapsed_sec"`
 	CellsPerSec float64 `json:"cells_per_sec"`
+	// QuantileCalls and QuantileHits are the risk legs' Beta-quantile memo
+	// lookups and hits, summed over the run's plan caches (one per seed
+	// index, shared by every estimator of that seed).
+	QuantileCalls int64 `json:"quantile_calls"`
+	QuantileHits  int64 `json:"quantile_hits"`
 }
 
 // StatsSchema identifies the Stats encoding emitted by cmd/spotweb-sweep.
@@ -117,12 +122,14 @@ func Run(grid Grid, opts Options) (*Artifact, Stats, error) {
 		seeds[i] = SeedFor(grid.BaseSeed, i)
 	}
 	var envs [][]*runner.Env // [seedIdx][scenIdx]
+	var caches []*runner.PlanCache
 	if opts.cellHook == nil {
 		hours := grid.hours()
 		envs = make([][]*runner.Env, grid.Seeds)
 		for si := range seeds {
 			envs[si] = make([]*runner.Env, len(scs))
 			cat, plans := runner.StandardCatalog(seeds[si], hours), &runner.PlanCache{}
+			caches = append(caches, plans)
 			for ci, sc := range scs {
 				env, err := runner.NewEnv(sc, seeds[si], hours, cat)
 				if err != nil {
@@ -252,6 +259,11 @@ func Run(grid Grid, opts Options) (*Artifact, Stats, error) {
 	pool.Close()
 
 	elapsed := time.Since(start)
+	for _, c := range caches {
+		calls, hits := c.Quantiles.Stats()
+		stats.QuantileCalls += calls
+		stats.QuantileHits += hits
+	}
 	stats.Executed = executed
 	stats.ElapsedSec = elapsed.Seconds()
 	if elapsed > 0 {

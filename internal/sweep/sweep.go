@@ -119,6 +119,9 @@ func (g Grid) Validate() error {
 			return fmt.Errorf("sweep: variant names must be unique and non-empty (%q)", v.Name)
 		}
 		seen[v.Name] = true
+		if err := v.Config.Validate(); err != nil {
+			return fmt.Errorf("sweep: variant %q: %v", v.Name, err)
+		}
 	}
 	if g.Hours < 0 || g.SubSteps < 0 {
 		return fmt.Errorf("sweep: negative Hours/SubSteps")

@@ -3,9 +3,11 @@ package sweep
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -77,6 +79,12 @@ func TestGridValidate(t *testing.T) {
 	bad.Seeds = 0
 	if bad.Validate() == nil {
 		t.Error("zero seeds accepted")
+	}
+	// A variant's run options are checked as the command-line flags are.
+	bad = g
+	bad.Variants = append(append([]Variant(nil), g.Variants...), Variant{Name: "nan", Config: runcfg.RunConfig{HighUtil: math.NaN()}})
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), `variant "nan": -high-util NaN`) {
+		t.Errorf("variant with HighUtil NaN: Validate = %v", err)
 	}
 	// A seed axis past the bound made Run panic in make(); with four
 	// scenarios the cell count overflowed to exactly 0.
@@ -233,7 +241,8 @@ func TestSweepEveryScenarioKind(t *testing.T) {
 // variant, whose estimator each leg feeds. Those 6 estimators share one
 // quantile memo, which serves a repeat for almost half their quantiles (the
 // legs agree until their first fault). At 4 workers the default and sentinel
-// groups race for the same traces; the artifact must not notice.
+// groups race for the same traces; the artifact must not notice. The stats
+// artifact reports the memo's calls and hits.
 func TestPlanSharingAcrossSweep(t *testing.T) {
 	grid := ChaosSuiteGrid(1, true)
 	grid.KeepReports = true
@@ -241,7 +250,7 @@ func TestPlanSharingAcrossSweep(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var builds atomic.Int64
 		var plans *runner.PlanCache
-		art, _, err := Run(grid, Options{Workers: workers, envHook: func(env *runner.Env) {
+		art, st, err := Run(grid, Options{Workers: workers, envHook: func(env *runner.Env) {
 			plans = env.Plans
 			build := env.NewPlanner
 			env.NewPlanner = func(cfg portfolio.Config, declared *market.Catalog, est *risk.Estimator) autoscale.Stepper {
@@ -259,6 +268,10 @@ func TestPlanSharingAcrossSweep(t *testing.T) {
 		t.Logf("%d workers: the memo served %d of %d quantiles", workers, hits, calls)
 		if calls == 0 || float64(hits) < 0.4*float64(calls) {
 			t.Fatalf("%d workers: the memo served %d of %d quantiles, want ≥ 40 %%", workers, hits, calls)
+		}
+		if st.QuantileCalls != calls || st.QuantileHits != hits { // one seed: one cache
+			t.Fatalf("%d workers: Stats reports %d of %d quantiles, the memo %d of %d",
+				workers, st.QuantileHits, st.QuantileCalls, hits, calls)
 		}
 		b, err := art.EncodeJSON()
 		if err != nil {
