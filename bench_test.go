@@ -10,10 +10,13 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
+	"syscall"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/federation"
 	"repro/internal/linalg"
 	"repro/internal/market"
 	"repro/internal/metrics"
@@ -280,6 +283,66 @@ func BenchmarkCovarianceMatrix(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFederatedStep times federation.Planner.Step in the shape of the
+// ledger's plan_fed: 2,000 markets over 40 shards (4 regions × 10 AZs × 50
+// transient types), H = 4, a shard pool as wide as the CPU count, the
+// workload predictor warmed on two weeks of a Wikipedia-like trace, and every
+// round over the full 14-day covariance window. Beside ns/op and the
+// allocations it reports cpu-ms/op, the process CPU per Step from rusage —
+// the caller's and the pool workers' together — so a coordinator change
+// reads a number with no harness around it.
+func BenchmarkFederatedStep(b *testing.B) {
+	const warm, hours = 24 * 14, 24 * 56
+	fed, err := federation.Build(federation.Config{
+		Regions: 4, AZsPerRegion: 10, TypesPerAZ: 50, Hours: hours, Seed: 2019,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	wcfg := trace.WikipediaLike(7)
+	wcfg.Days = hours / 24
+	wl := wcfg.Generate()
+	cfg := portfolio.Config{Horizon: 4}.WithDefaults()
+	newPlanner := func() *federation.Planner {
+		wp := predict.NewSplinePredictor(predict.SplineConfig{
+			StepHrs: fed.Merged.StepHrs, ARLag1: true, CIProb: 0.99,
+		}, cfg.Horizon)
+		for _, v := range wl.Values[:warm] {
+			wp.Observe(v)
+		}
+		return federation.NewPlanner(fed, federation.PlannerConfig{Portfolio: cfg, Parallelism: runtime.NumCPU()},
+			wp, portfolio.MeanRevertSource{Cat: fed.Merged})
+	}
+	pl, t := newPlanner(), warm
+	var cpu float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if t == hours-cfg.Horizon-1 { // out of trace: a fresh planner, untimed
+			b.StopTimer()
+			pl, t = newPlanner(), warm
+			b.StartTimer()
+		}
+		c0 := processCPUSeconds()
+		if _, err := pl.Step(t, wl.Values[t]); err != nil {
+			b.Fatal(err)
+		}
+		cpu += processCPUSeconds() - c0
+		t++
+	}
+	b.ReportMetric(1e3*cpu/float64(b.N), "cpu-ms/op")
+}
+
+// processCPUSeconds returns the process's user+system CPU time so far.
+func processCPUSeconds() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	tv := func(t syscall.Timeval) float64 { return float64(t.Sec) + float64(t.Usec)/1e6 }
+	return tv(ru.Utime) + tv(ru.Stime)
 }
 
 // BenchmarkRiskMatVec measures the solver's per-iteration risk kernel — M

@@ -46,14 +46,18 @@ func parseFlags(fs *flag.FlagSet, args []string) (*simFlags, error) {
 
 // check rejects flag combinations that used to be silently ignored:
 // -federation is its own experiment, so -exp beside it never ran, and
-// -fed-out without it wrote nothing; and run options no run can mean
-// (runcfg.RunConfig.Validate).
+// -fed-out without it wrote nothing; federation flags that sized the scaling
+// benchmark with a default instead (federation.Flags.Validate); and run
+// options no run can mean (runcfg.RunConfig.Validate).
 func (f *simFlags) check() error {
 	switch {
 	case f.fed.Enabled() && f.expSet:
 		return fmt.Errorf("-federation runs the federation scaling benchmark; it cannot be combined with -exp %s", f.exp)
 	case !f.fed.Enabled() && f.fedOut != "":
 		return fmt.Errorf("-fed-out %s needs -federation", f.fedOut)
+	}
+	if err := f.fed.Validate(); err != nil {
+		return err
 	}
 	return f.rc.Config().Validate()
 }

@@ -47,6 +47,33 @@ func TestRun(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFederationFlags: each of these used to exit 0 after
+// planning a federation of another size — -regions -3 planned 8 regions,
+// -fed-types -4 six types, -fed-azs -1 one AZ, -fed-providers "" the default
+// providers. Now each exits 2 naming the flag, before any planning.
+func TestRunRejectsBadFederationFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args       []string
+		wantStderr string
+	}{
+		{[]string{"-regions", "-3", "-fed-types", "2"}, "-regions -3"},
+		{[]string{"-fed-types", "-4"}, "-fed-types -4"},
+		{[]string{"-fed-azs", "-1"}, "-fed-azs -1"},
+		{[]string{"-fed-rounds", "-2"}, "-fed-rounds -2"},
+		{[]string{"-fed-providers", ""}, `-fed-providers ""`},
+	} {
+		args := append([]string{"-federation", "-quick"}, tc.args...)
+		var stdout, stderr bytes.Buffer
+		if got := run(args, &stdout, &stderr); got != 2 {
+			t.Fatalf("run(%v) = %d, want 2\nstdout: %s", args, got, stdout.String())
+		}
+		if stdout.Len() != 0 || !strings.Contains(stderr.String(), tc.wantStderr) {
+			t.Fatalf("run(%v): stdout %q, stderr %q; want no output and an error naming %s",
+				args, stdout.String(), stderr.String(), tc.wantStderr)
+		}
+	}
+}
+
 // TestFedScaleFromFlags: the federation flag group, -parallelism included,
 // sizes the scaling benchmark; -federation alone keeps the default -exp.
 func TestFedScaleFromFlags(t *testing.T) {

@@ -99,7 +99,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*daemonFlags, error) {
 // positional argument silently ended flag parsing, and a non-positive -slo or
 // -cap-scale, a negative -admit-rps or -warning ran a daemon that could not
 // mean what it was asked — as did the run options runcfg.RunConfig.Validate
-// rejects.
+// rejects and the federation flags federation.Flags.Validate rejects.
 func (f *daemonFlags) check() error {
 	switch {
 	case len(f.positional) > 0:
@@ -116,6 +116,9 @@ func (f *daemonFlags) check() error {
 		return fmt.Errorf("-admit-rps %v: want 0 (off) or a positive req/s", f.admitRPS)
 	case f.warning < 0:
 		return fmt.Errorf("-warning %s: want a non-negative warning period", f.warning)
+	}
+	if err := f.fed.Validate(); err != nil {
+		return err
 	}
 	return f.rc.Config().Validate()
 }

@@ -68,6 +68,33 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFederationFlags: with -federation these used to start both
+// servers on a federation of another size (-regions -3 planned 8 regions,
+// -fed-types -4 six types, -fed-azs -1 one AZ, -fed-providers "" the default
+// providers). Now each exits 2 naming the flag before any listener starts.
+func TestRunRejectsBadFederationFlags(t *testing.T) {
+	addr := []string{"-listen", "127.0.0.1:99999", "-monitor", "127.0.0.1:99998", "-federation"}
+	for _, tc := range []struct {
+		args       []string
+		wantStderr string
+	}{
+		{[]string{"-regions", "-3"}, "-regions -3: want at least 1"},
+		{[]string{"-fed-types", "-4"}, "-fed-types -4: want at least 1"},
+		{[]string{"-fed-azs", "-1"}, "-fed-azs -1: want at least 1"},
+		{[]string{"-fed-rounds", "-1"}, "-fed-rounds -1"},
+		{[]string{"-fed-providers", ""}, `-fed-providers ""`},
+	} {
+		args := append(append([]string(nil), addr...), tc.args...)
+		var stdout, stderr bytes.Buffer
+		if got := run(args, &stdout, &stderr); got != 2 {
+			t.Fatalf("run(%v) = %d, want 2\nstderr: %s", args, got, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.wantStderr) {
+			t.Fatalf("run(%v): stderr %q, want it to contain %q", args, stderr.String(), tc.wantStderr)
+		}
+	}
+}
+
 // lockedBuffer is a log sink the daemon's goroutines and the test can share.
 type lockedBuffer struct {
 	mu  sync.Mutex

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/autoscale"
 	"repro/internal/chaos"
@@ -293,6 +294,10 @@ type Env struct {
 type PlanCache struct {
 	traces    sync.Map // planKey → *planTrace
 	Quantiles risk.Quantiles
+	// built counts the traces made, one per distinct planner input; replays
+	// counts the estimator-free legs handed one, the leg that records it
+	// included.
+	built, replays atomic.Int64
 }
 
 type planKey struct {
@@ -310,8 +315,19 @@ type planTrace struct {
 }
 
 func (c *PlanCache) trace(k planKey) *planTrace {
-	tr, _ := c.traces.LoadOrStore(k, &planTrace{})
+	c.replays.Add(1)
+	tr, loaded := c.traces.LoadOrStore(k, &planTrace{})
+	if !loaded {
+		c.built.Add(1)
+	}
 	return tr.(*planTrace)
+}
+
+// Stats returns how many decision traces the cache built and how many
+// estimator-free legs replayed one: replays/traces legs shared each planner
+// run.
+func (c *PlanCache) Stats() (traces, replays int64) {
+	return c.built.Load(), c.replays.Load()
 }
 
 // bitsKey encodes float64 values as a comparable string of their bits.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 
 	"repro/internal/federation"
 	"repro/internal/portfolio"
@@ -54,6 +55,7 @@ type FedScalePoint struct {
 // FedScaleResult is the full benchmark output (checked in as
 // BENCH_fed.json by scripts/bench_fed.sh).
 type FedScaleResult struct {
+	Host             FedHost         `json:"host"`
 	Seed             int64           `json:"seed"`
 	Regions          int             `json:"regions"`
 	AZsPerRegion     int             `json:"azs_per_region"`
@@ -65,6 +67,14 @@ type FedScaleResult struct {
 	MaxRoundSeconds  float64         `json:"max_round_seconds"`
 	MarketsPerSecond float64         `json:"markets_per_second"`
 	Scaling          []FedScalePoint `json:"scaling"`
+}
+
+// FedHost records the machine a FedScaleResult was measured on: its wall
+// times mean nothing without it.
+type FedHost struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
 }
 
 // FedScale runs the federated-planner scaling benchmark: Steps receding-
@@ -85,6 +95,7 @@ func FedScale(w io.Writer, opt Options, fopt FedScaleOptions) error {
 		fopt.Steps = 6
 	}
 	res := FedScaleResult{
+		Host: FedHost{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()},
 		Seed: opt.RunSeed(), Regions: fopt.Regions, AZsPerRegion: fopt.AZs, TypesPerAZ: fopt.Types,
 	}
 

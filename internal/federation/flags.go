@@ -2,6 +2,7 @@ package federation
 
 import (
 	"flag"
+	"fmt"
 	"strings"
 )
 
@@ -38,16 +39,43 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 // Enabled reports whether -federation was set.
 func (f *Flags) Enabled() bool { return f != nil && f.On }
 
-// Build constructs the federation the flags describe.
-func (f *Flags) Build(seed int64, hours int, includeOnDemand bool) (*Federation, error) {
+// Validate rejects flag values that Build and PlannerConfig would otherwise
+// replace with their defaults without a word: a -regions, -fed-azs or
+// -fed-types below 1, a negative -fed-rounds, and a -fed-providers list that
+// names no provider. The error names the flag.
+func (f *Flags) Validate() error {
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"-regions", f.Regions}, {"-fed-azs", f.AZs}, {"-fed-types", f.Types}} {
+		if c.v < 1 {
+			return fmt.Errorf("%s %d: want at least 1", c.name, c.v)
+		}
+	}
+	if f.Rounds < 0 {
+		return fmt.Errorf("-fed-rounds %d: want 0 (the default 3) or more", f.Rounds)
+	}
+	if len(f.providers()) == 0 {
+		return fmt.Errorf("-fed-providers %q: want at least one provider kind", f.Providers)
+	}
+	return nil
+}
+
+// providers returns the -fed-providers kinds, trimmed, empty entries dropped.
+func (f *Flags) providers() []string {
 	var provs []string
 	for _, p := range strings.Split(f.Providers, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			provs = append(provs, p)
 		}
 	}
+	return provs
+}
+
+// Build constructs the federation the flags describe.
+func (f *Flags) Build(seed int64, hours int, includeOnDemand bool) (*Federation, error) {
 	return Build(Config{
-		Providers:       provs,
+		Providers:       f.providers(),
 		Regions:         f.Regions,
 		AZsPerRegion:    f.AZs,
 		TypesPerAZ:      f.Types,

@@ -3,6 +3,7 @@ package federation
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/linalg"
@@ -128,6 +129,10 @@ type Planner struct {
 	prevAlloc linalg.Vector
 	shares    []float64
 	stats     Stats
+	// denseRisk is the tests' seam for the oracle's shard path: each
+	// shard's dense CovarianceMatrix — windows gathered one at a time into a
+	// fresh buffer — as Inputs.Risk, which every solve scans.
+	denseRisk bool
 }
 
 // NewPlanner wires a federated planner with defaults. src must address the
@@ -201,7 +206,7 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 	covSecs := time.Since(start).Seconds()
 
 	// Per-shard inputs: rows are subslices of the merged rows (overlay
-	// already applied globally).
+	// already applied globally); the risk is the shard's operator.
 	shardIns := make([]*portfolio.Inputs, len(shards))
 	for s, sh := range shards {
 		si := &portfolio.Inputs{
@@ -209,7 +214,11 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 			PerReqCost:   make([][]float64, h),
 			FailProb:     make([][]float64, h),
 			ShortfallMAE: in.ShortfallMAE,
-			Risk:         risks[s],
+		}
+		if p.denseRisk {
+			si.Risk = risks[s].(*linalg.Matrix)
+		} else {
+			si.RiskOp, si.RiskDim = risks[s], sh.Cat.Len()
 		}
 		for τ := 0; τ < h; τ++ {
 			si.PerReqCost[τ] = in.PerReqCost[τ][sh.Lo:sh.Hi]
@@ -326,16 +335,43 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 	}, nil
 }
 
-// shardCovariances returns every shard's covariance matrix, computed on the
-// shard pool with build as one more task of the same fan-out (first: it is
-// the longest). Shards read disjoint catalogs and each task writes its own
-// slot, so the matrices are the serial loop's bit for bit at any pool width.
-func (p *Planner) shardCovariances(t int, build func()) []*linalg.Matrix {
-	risks := make([]*linalg.Matrix, len(p.Fed.Shards))
+// shardCovariances returns every shard's FISTA risk operator
+// (Catalog.CovarianceOperator), computed on the shard pool with build as one
+// more task of the same fan-out (first: it is the longest). Shards read
+// disjoint catalogs and each task writes its own slot, so the operators are
+// the serial loop's bit for bit at any pool width. Each running task gathers
+// its windows into one buffer: it takes one a finished task put back, or
+// makes one when there is none, so no more exist than tasks run at once — at
+// most the pool's width. The buffers die with the call: nothing holds shard
+// windows between Steps.
+func (p *Planner) shardCovariances(t int, build func()) []linalg.MatVec {
+	risks := make([]linalg.MatVec, len(p.Fed.Shards))
+	var (
+		mu   sync.Mutex
+		free []*linalg.Samples
+	)
 	fns := make([]func(), 1, 1+len(risks))
 	fns[0] = build
 	for s, sh := range p.Fed.Shards {
-		fns = append(fns, func() { risks[s] = sh.Cat.CovarianceMatrix(t, p.Cfg.CovWindow) })
+		if p.denseRisk {
+			fns = append(fns, func() { risks[s] = sh.Cat.CovarianceMatrix(t, p.Cfg.CovWindow) })
+			continue
+		}
+		fns = append(fns, func() {
+			var win *linalg.Samples
+			mu.Lock()
+			if n := len(free); n > 0 {
+				win, free = free[n-1], free[:n-1]
+			}
+			mu.Unlock()
+			if win == nil {
+				win = new(linalg.Samples)
+			}
+			risks[s], _ = sh.Cat.CovarianceOperator(t, p.Cfg.CovWindow, win)
+			mu.Lock()
+			free = append(free, win)
+			mu.Unlock()
+		})
 	}
 	p.pool.Do(fns...)
 	return risks
@@ -381,7 +417,11 @@ func (p *Planner) proportionalShares() []float64 {
 // marginal is +Inf (the shard is saturated).
 func (p *Planner) marginalCost(s int, cfg portfolio.Config, in *portfolio.Inputs, plan *portfolio.Plan) float64 {
 	a0 := plan.First()
-	ma := in.Risk.MulVec(a0, p.riskAlloc[s])
+	risk := in.RiskOp
+	if in.Risk != nil { // the denseRisk seam
+		risk = in.Risk
+	}
+	ma := risk.MulVec(a0, p.riskAlloc[s])
 	lam := in.Lambda[0]
 	mc := math.Inf(1)
 	for i := range a0 {

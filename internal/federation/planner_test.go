@@ -3,9 +3,11 @@ package federation
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/metrics"
 	"repro/internal/portfolio"
 	"repro/internal/predict"
@@ -231,8 +233,9 @@ func TestFederatedStepInvariants(t *testing.T) {
 
 // TestShardCovarianceParallelBitIdentical: shard covariances run on the shard
 // pool with the shared input build as one more task of the fan-out, and
-// shards are independent, so every shard matrix and the merged plan must
-// carry the same bits at any pool width.
+// shards are independent, so every shard's risk operator — the one
+// linalg.CompactRisk makes of its dense CovarianceMatrix, applied with the
+// same bits — and the merged plan must be the same at any pool width.
 func TestShardCovarianceParallelBitIdentical(t *testing.T) {
 	if old := runtime.GOMAXPROCS(0); old < 4 {
 		runtime.GOMAXPROCS(4) // before the shared pool is first sized
@@ -273,7 +276,17 @@ func TestShardCovarianceParallelBitIdentical(t *testing.T) {
 				t.Fatalf("width %d step %d: the build task did not run", widths[k], step)
 			}
 			for s, sh := range fed.Shards {
-				sameBits("shard matrix", risks[s].Data, sh.Cat.CovarianceMatrix(step, 24).Data)
+				want, _ := linalg.CompactRisk(sh.Cat.CovarianceMatrix(step, 24))
+				if !reflect.DeepEqual(risks[s], want) {
+					t.Fatalf("width %d step %d shard %d: operator %T differs from CompactRisk(CovarianceMatrix)'s %T",
+						widths[k], step, s, risks[s], want)
+				}
+				n := sh.Cat.Len()
+				x := linalg.NewVector(n)
+				for i := range x {
+					x[i] = float64(i%5) - 1.75
+				}
+				sameBits("shard operator", risks[s].MulVec(x, linalg.NewVector(n)), want.MulVec(x, linalg.NewVector(n)))
 			}
 			dec, err := p.Step(step, 60+float64(step%7))
 			if err != nil {

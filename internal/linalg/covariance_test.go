@@ -28,7 +28,8 @@ func pairwiseCovarianceMatrix(series [][]float64) []float64 {
 // centredSamples stores each series centred on its stats.Mean, as
 // Catalog.CovarianceMatrix does.
 func centredSamples(series [][]float64, w int) *Samples {
-	o := NewSamples(w, len(series))
+	o := new(Samples)
+	o.Reset(w, len(series))
 	for r, s := range series {
 		o.SetCentred(r, s, stats.Mean(s))
 	}
@@ -132,5 +133,62 @@ func FuzzCovarianceKernel(f *testing.F) {
 			}
 		}
 		checkCovarianceBits(t, series, ww)
+	})
+}
+
+// TestSamplesReuse runs one Samples through a sequence of shapes — growing,
+// shrinking, across the lane threshold and back, stride changes without a
+// reallocation — and holds it after each Reset and gather to a fresh
+// Samples of the same shape: the same layout and the same storage in every
+// bit, padding lanes included, and the same Covariance. Every other series is
+// stored through SetCentred8 where eight fit, so the eight-wide gather is held
+// to the one-series one on both layouts.
+func TestSamplesReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	shapes := [][2]int{{40, 20}, {40, 17}, {12, 9}, {40, 3}, {33, 16}, {40, 8}, {7, 23}, {40, 20}, {2, 1}, {40, 11}}
+	forEachLaneBody(t, func(body string) {
+		reused := new(Samples)
+		for _, sh := range shapes {
+			w, k := sh[0], sh[1]
+			series := make([][]float64, k)
+			for i := range series {
+				series[i] = make([]float64, w)
+				for s := range series[i] {
+					series[i][s] = 0.3 * rng.Float64()
+				}
+			}
+			fresh := centredSamples(series, w)
+			reused.Reset(w, k)
+			r := 0
+			for ; r+8 <= k; r += 8 {
+				var wins [8][]float64
+				var means [8]float64
+				for l := range wins {
+					wins[l], means[l] = series[r+l], stats.Mean(series[r+l])
+				}
+				reused.SetCentred8(r, &wins, &means)
+			}
+			for ; r < k; r++ {
+				reused.SetCentred(r, series[r], stats.Mean(series[r]))
+			}
+			if reused.w != fresh.w || reused.k != fresh.k || reused.lanes != fresh.lanes || reused.stride != fresh.stride {
+				t.Fatalf("%s w=%d k=%d: shape %+v, fresh %+v", body, w, k,
+					[]any{reused.w, reused.k, reused.lanes, reused.stride}, []any{fresh.w, fresh.k, fresh.lanes, fresh.stride})
+			}
+			if len(reused.z) != len(fresh.z) {
+				t.Fatalf("%s w=%d k=%d: %d stored values, fresh %d", body, w, k, len(reused.z), len(fresh.z))
+			}
+			for i := range fresh.z {
+				if math.Float64bits(reused.z[i]) != math.Float64bits(fresh.z[i]) {
+					t.Fatalf("%s w=%d k=%d: stored value %d = %v, fresh %v", body, w, k, i, reused.z[i], fresh.z[i])
+				}
+			}
+			got, want := reused.Covariance(), fresh.Covariance()
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%s w=%d k=%d: covariance entry %d = %v, fresh %v", body, w, k, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
 	})
 }

@@ -32,8 +32,9 @@ func checkLanes(a []float64, as int, x []float64, xs, xoff, n int) {
 // covariance kernel reads: where the CPU has the lanes and k fills at least
 // one lane chunk, sample-major — sample s's k values contiguous, each row
 // padded with zeros to whole chunks of 8 — and one contiguous row per series
-// otherwise (a what-if cell's k = 3 would pad 3 values to 8). The layout is
-// fixed when the Samples is made.
+// otherwise (a what-if cell's k = 3 would pad 3 values to 8). Reset fixes the
+// shape and the layout; the zero value holds nothing until then. One Samples
+// serves one goroutine at a time.
 type Samples struct {
 	w, k   int
 	lanes  bool
@@ -41,13 +42,29 @@ type Samples struct {
 	z      []float64
 }
 
-// NewSamples returns zeroed Samples for k series of w samples.
-func NewSamples(w, k int) *Samples {
-	if useLanes && k >= 8 {
-		p := (k + 7) &^ 7
-		return &Samples{w: w, k: k, lanes: true, stride: p, z: make([]float64, w*p)}
+// Reset shapes o for k series of w samples, keeping its storage when that
+// holds enough and allocating zeroed storage otherwise, so a window buffer
+// serves one build after another. After Reset every padding lane is zero,
+// while the series' own entries hold whatever the last shape left there:
+// every series must be set before Covariance.
+func (o *Samples) Reset(w, k int) {
+	lanes := useLanes && k >= 8
+	stride, size := w, k*w
+	if lanes {
+		stride = (k + 7) &^ 7
+		size = w * stride
 	}
-	return &Samples{w: w, k: k, stride: w, z: make([]float64, k*w)}
+	o.w, o.k, o.lanes, o.stride = w, k, lanes, stride
+	if cap(o.z) < size {
+		o.z = make([]float64, size)
+		return
+	}
+	o.z = o.z[:size]
+	if lanes && stride > k {
+		for s := 0; s < w; s++ {
+			clear(o.z[s*stride+k : (s+1)*stride])
+		}
+	}
 }
 
 // SetCentred stores series r as win[s] − mean for s < w; centring with
@@ -64,6 +81,32 @@ func (o *Samples) SetCentred(r int, win []float64, mean float64) {
 	row := o.z[r*o.stride : (r+1)*o.stride]
 	for s, v := range win {
 		row[s] = v - mean
+	}
+}
+
+// SetCentred8 stores the eight series r … r+7 as SetCentred does, series r+l
+// being wins[l] centred on means[l]. In the sample-major layout it writes each
+// sample's eight values side by side: one pass over the eight windows instead
+// of eight strided ones.
+func (o *Samples) SetCentred8(r int, wins *[8][]float64, means *[8]float64) {
+	if !o.lanes {
+		for l, win := range wins {
+			o.SetCentred(r+l, win, means[l])
+		}
+		return
+	}
+	// Reslicing every window to len(w0) lets the compiler drop the bounds
+	// checks from the loop.
+	w0 := wins[0][:o.w]
+	w1, w2, w3 := wins[1][:len(w0)], wins[2][:len(w0)], wins[3][:len(w0)]
+	w4, w5, w6, w7 := wins[4][:len(w0)], wins[5][:len(w0)], wins[6][:len(w0)], wins[7][:len(w0)]
+	m := *means
+	z := o.z[r:]
+	for s, v := range w0 {
+		*(*[8]float64)(z[s*o.stride:]) = [8]float64{
+			v - m[0], w1[s] - m[1], w2[s] - m[2], w3[s] - m[3],
+			w4[s] - m[4], w5[s] - m[5], w6[s] - m[6], w7[s] - m[7],
+		}
 	}
 }
 

@@ -119,16 +119,19 @@ func TestTwoWeekWindow(t *testing.T) {
 	}
 }
 
-// checkOperator holds CovarianceOperator(t, window) to the operator the
+// checkOperator holds CovarianceOperator(t, window, win) to the operator the
 // planner used to build, linalg.CompactRisk(CovarianceMatrix(t, window)): the
 // same operator before first use (type, coupled and isolated lists, packed
 // block, isolated diagonal, symmetry flag), the same coupled count, and the
 // same stacked apply over h = 1..7 periods of signed inputs with −0 entries,
-// bit for bit. It returns the coupled count.
-func checkOperator(t *testing.T, label string, c *Catalog, tt, window int, rng *rand.Rand) int {
+// bit for bit. win is the window buffer (nil: a fresh one); the dense view
+// gathers one window at a time into a fresh buffer, so this also holds the
+// eight-wide gather and a reused buffer to today's. It returns the coupled
+// count.
+func checkOperator(t *testing.T, label string, c *Catalog, tt, window int, win *linalg.Samples, rng *rand.Rand) int {
 	t.Helper()
 	n := c.Len()
-	got, k := c.CovarianceOperator(tt, window)
+	got, k := c.CovarianceOperator(tt, window, win)
 	want, wantK := linalg.CompactRisk(c.CovarianceMatrix(tt, window))
 	if k != wantK {
 		t.Fatalf("%s t=%d w=%d: coupled %d, CompactRisk(CovarianceMatrix) %d", label, tt, window, k, wantK)
@@ -162,6 +165,18 @@ func checkOperator(t *testing.T, label string, c *Catalog, tt, window int, rng *
 func TestBitIdenticalCovarianceOperator(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	twins := CatalogConfig{Seed: 7, NumTypes: 144, IncludeOnDemand: true, Hours: 24 * 16}.Generate()
+	// Every third market's series runs four samples longer: at t = 342 its
+	// window lies inside its series while the others' run past theirs, so
+	// eight-wide groups and single clamped windows interleave.
+	mixed := patternCatalog(rng, 30, 340, func(i int) bool { return i%5 != 0 })
+	for i, mk := range mixed.Markets {
+		if mk.Transient && i%3 == 0 {
+			mk.FailProb.Values = append(mk.FailProb.Values, 0.01, 0.13, 0.02, 0.07)
+		}
+	}
+	// One buffer serves every case after its fresh build: it grows, shrinks,
+	// crosses the lane threshold and changes stride.
+	reused := new(linalg.Samples)
 	for _, tc := range []struct {
 		name    string
 		cat     *Catalog
@@ -178,10 +193,14 @@ func TestBitIdenticalCovarianceOperator(t *testing.T) {
 		{"all on-demand", patternCatalog(rng, 9, 340, func(int) bool { return false }), 338, 336, 0},
 		{"interleaved, k<8", patternCatalog(rng, 9, 340, func(i int) bool { return i%2 == 0 }), 338, 336, 5},
 		{"past the series", patternCatalog(rng, 20, 340, func(i int) bool { return i%3 != 0 }), 342, 5, 13},
+		{"past some series", mixed, 342, 40, 24},
+		{"k=8, twins", patternCatalog(rng, 16, 340, func(i int) bool { return i%2 == 1 }), 338, 100, 8},
 		{"empty", &Catalog{StepHrs: 1, Intervals: 10}, 5, 3, 0},
 	} {
-		if got := checkOperator(t, tc.name, tc.cat, tc.t, tc.w, rng); got != tc.coupled {
-			t.Fatalf("%s: coupled %d, want %d", tc.name, got, tc.coupled)
+		for _, win := range []*linalg.Samples{nil, reused} {
+			if got := checkOperator(t, tc.name, tc.cat, tc.t, tc.w, win, rng); got != tc.coupled {
+				t.Fatalf("%s: coupled %d, want %d", tc.name, got, tc.coupled)
+			}
 		}
 	}
 }
@@ -205,7 +224,10 @@ func flatCatalog(n, intervals int) *Catalog {
 // FuzzCovarianceOperator builds a catalog from the input — n markets, a
 // transient mask, a mask of transient markets whose series is constant (zero
 // variance: isolated), series values and the window — and holds
-// CovarianceOperator to CompactRisk(CovarianceMatrix) through checkOperator.
+// CovarianceOperator to CompactRisk(CovarianceMatrix) through checkOperator,
+// with a fresh window buffer and then with one buffer reused across builds of
+// varying (w, k): the whole catalog at the input's window, a shorter window,
+// the catalog less its first markets, and the input's window again.
 func FuzzCovarianceOperator(f *testing.F) {
 	f.Add(uint8(12), uint16(0x0fff), uint16(0), uint8(30), uint8(20), []byte("k == n, a lane chunk and a half"))
 	f.Add(uint8(18), uint16(0x0555), uint16(0x0100), uint8(30), uint8(29), []byte("on-demand twins, one flat spot"))
@@ -245,6 +267,16 @@ func FuzzCovarianceOperator(f *testing.F) {
 			c.Markets = append(c.Markets, mk)
 		}
 		rng := rand.New(rand.NewSource(int64(len(data))))
-		checkOperator(t, "fuzz", c, int(tt)%(intervals+4), int(window)%(intervals+3)-1, rng)
+		ti, wi := int(tt)%(intervals+4), int(window)%(intervals+3)-1
+		checkOperator(t, "fuzz", c, ti, wi, nil, rng)
+		reused := new(linalg.Samples)
+		tail := &Catalog{StepHrs: 1, Intervals: intervals, Markets: c.Markets[min(len(c.Markets), int(spot%5)):]}
+		for _, b := range []struct {
+			c     *Catalog
+			t, w  int
+			label string
+		}{{c, ti, wi, "reused"}, {c, ti, wi / 2, "reused, shorter"}, {tail, ti, wi, "reused, fewer markets"}, {c, ti, wi, "reused again"}} {
+			checkOperator(t, b.label, b.c, b.t, b.w, reused, rng)
+		}
 	})
 }

@@ -166,10 +166,13 @@ const covRidge = 1e-6
 // the trailing window [t-window, t), plus the ridge on its diagonal: the
 // only part of M that is not zero off the diagonal, since an on-demand
 // market's series is identically 0. Each window is gathered straight from the
-// series into linalg.Samples, centred on its stats.Mean, so every entry
-// equals stats.Covariance of the two windows bit for bit. A nil block means
-// fewer than two samples: M is the diagonal prior.
-func (c *Catalog) covarianceBlock(t, window int) (idx []int, block *linalg.Matrix) {
+// series into win — reset to the window's shape, a fresh one when win is nil
+// — centred on its stats.Mean, so every entry equals stats.Covariance of the
+// two windows bit for bit. grouped gathers eight windows that lie inside
+// their series per pass (gatherEight); the rest, and every window when it is
+// false, go one at a time. A nil block means fewer than two samples: M is the
+// diagonal prior.
+func (c *Catalog) covarianceBlock(t, window int, win *linalg.Samples, grouped bool) (idx []int, block *linalg.Matrix) {
 	lo := max(t-window, 0)
 	w := t - lo
 	if w < 2 {
@@ -181,14 +184,62 @@ func (c *Catalog) covarianceBlock(t, window int) (idx []int, block *linalg.Matri
 			idx = append(idx, i)
 		}
 	}
-	samples, buf := linalg.NewSamples(w, len(idx)), make([]float64, w)
-	for r, i := range idx {
-		win := failWindow(c.Markets[i], lo, t, buf)
-		samples.SetCentred(r, win, stats.Mean(win))
+	if win == nil {
+		win = new(linalg.Samples)
 	}
-	block = samples.Covariance()
+	win.Reset(w, len(idx))
+	var buf []float64 // clamped reads of a window past its series, made once needed
+	for r := 0; r < len(idx); {
+		if grouped && r+8 <= len(idx) && c.gatherEight(win, r, idx[r:r+8], lo, t) {
+			r += 8
+			continue
+		}
+		mk := c.Markets[idx[r]]
+		if buf == nil && t > len(mk.FailProb.Values) {
+			buf = make([]float64, w)
+		}
+		vals := failWindow(mk, lo, t, buf)
+		win.SetCentred(r, vals, stats.Mean(vals))
+		r++
+	}
+	block = win.Covariance()
 	block.AddDiag(covRidge)
 	return idx, block
+}
+
+// gatherEight stores the windows [lo, t) of the eight markets idx as series
+// r … r+7 of win and reports true, or reports false without storing anything
+// when one of the windows runs past its series. The eight means are summed
+// side by side, each in its own accumulator in index order from +0 and then
+// divided by the window's length — stats.Mean of each window bit for bit —
+// and win takes each sample's eight centred values in one write.
+func (c *Catalog) gatherEight(win *linalg.Samples, r int, idx []int, lo, t int) bool {
+	var wins [8][]float64
+	for l, i := range idx[:8] {
+		vals := c.Markets[i].FailProb.Values
+		if t > len(vals) {
+			return false
+		}
+		wins[l] = vals[lo:t]
+	}
+	w0 := wins[0]
+	w1, w2, w3 := wins[1][:len(w0)], wins[2][:len(w0)], wins[3][:len(w0)]
+	w4, w5, w6, w7 := wins[4][:len(w0)], wins[5][:len(w0)], wins[6][:len(w0)], wins[7][:len(w0)]
+	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	for s, v := range w0 {
+		s0 += v
+		s1 += w1[s]
+		s2 += w2[s]
+		s3 += w3[s]
+		s4 += w4[s]
+		s5 += w5[s]
+		s6 += w6[s]
+		s7 += w7[s]
+	}
+	n := float64(len(w0))
+	means := [8]float64{s0 / n, s1 / n, s2 / n, s3 / n, s4 / n, s5 / n, s6 / n, s7 / n}
+	win.SetCentred8(r, &wins, &means)
+	return true
 }
 
 // priorMatrix is M when the window holds fewer than two samples: the
@@ -204,11 +255,13 @@ func (c *Catalog) priorMatrix(t int) *linalg.Matrix {
 // CovarianceMatrix estimates M, the pairwise covariance of revocation
 // dynamics, from the failure-probability series over the trailing window
 // [t-window, t), as the dense n×n matrix: the transient block scattered into
-// it, the ridge alone on every on-demand market's diagonal. The federation's
-// shards, the ADMM backend and the baselines read this view; the planner's
-// FISTA solve reads CovarianceOperator.
+// it, the ridge alone on every on-demand market's diagonal. Its windows are
+// gathered one at a time into a fresh buffer. The ADMM backend, the baselines,
+// the ablations and bench/'s composed round read this view; every FISTA solve
+// the planners run — the single planner's and each federation shard's — reads
+// CovarianceOperator.
 func (c *Catalog) CovarianceMatrix(t, window int) *linalg.Matrix {
-	idx, block := c.covarianceBlock(t, window)
+	idx, block := c.covarianceBlock(t, window, nil, false)
 	n := c.Len()
 	switch {
 	case block == nil:
@@ -229,13 +282,15 @@ func (c *Catalog) CovarianceMatrix(t, window int) *linalg.Matrix {
 	return m
 }
 
-// CovarianceOperator is M over the same window as the risk operator the
-// planner's FISTA solve applies: linalg.CompactRisk(CovarianceMatrix(t,
-// window)) — the same operator and coupled count — built from the transient
-// block without forming the dense matrix. It returns the operator and its
-// coupled count.
-func (c *Catalog) CovarianceOperator(t, window int) (linalg.MatVec, int) {
-	idx, block := c.covarianceBlock(t, window)
+// CovarianceOperator is M over the same window as the risk operator a FISTA
+// solve applies: linalg.CompactRisk(CovarianceMatrix(t, window)) — the same
+// operator and coupled count — built from the transient block without forming
+// the dense matrix, its windows gathered eight per pass. win is the window
+// buffer the build gathers into and may hold from an earlier build (nil: a
+// fresh one); the operator never keeps it, so the caller may reuse it as soon
+// as the call returns. It returns the operator and its coupled count.
+func (c *Catalog) CovarianceOperator(t, window int, win *linalg.Samples) (linalg.MatVec, int) {
+	idx, block := c.covarianceBlock(t, window, win, true)
 	if block == nil {
 		return linalg.CompactRisk(c.priorMatrix(t))
 	}

@@ -142,9 +142,10 @@ type Inputs struct {
 	// set.
 	Risk *linalg.Matrix
 	// RiskOp optionally supplies M as a structured operator for the FISTA
-	// backend — sparse, a factor model, or the Planner's *linalg.Compact
-	// from Catalog.CovarianceOperator, which carries its coupled count into
-	// Plan.RiskCoupled; Risk may then be nil.
+	// backend — sparse, a factor model, or the *linalg.Compact from
+	// Catalog.CovarianceOperator that the Planner and every federation shard
+	// pass, which carries its coupled count into Plan.RiskCoupled; Risk may
+	// then be nil.
 	RiskOp RiskApplier
 	// RiskDim must be set to N when Risk is nil (RiskOp carries no shape).
 	RiskDim int

@@ -30,9 +30,12 @@ type Plan struct {
 	WarmStarted bool
 	// RiskCoupled is the number of markets the risk matvec multiplied: the
 	// FISTA backend skips markets whose row and column of M are zero off the
-	// diagonal (every on-demand market). Equals the market count when nothing
-	// was skipped (and always for ADMM or a RiskOp other than a
-	// *linalg.Compact).
+	// diagonal (every on-demand market). A *linalg.Compact — the operator
+	// Catalog.CovarianceOperator builds for the single planner and for every
+	// federation shard — reports its own count, and a dense Inputs.Risk the
+	// count of the operator linalg.CompactRisk derives from it. Equals the
+	// market count when nothing was skipped, and always for ADMM or another
+	// RiskOp.
 	RiskCoupled int
 	// Projection counts the FISTA projections that bisected, their real passes
 	// and grid jumps (zero for ADMM): Projection.PassesPerProjection() ≈ 6
@@ -240,12 +243,15 @@ func (c Config) maxIter(def int) int {
 }
 
 // solveFISTA runs the FISTA backend and reports how many markets its risk
-// matvec multiplies. A dense in.Risk is scanned once for isolated markets —
-// every on-demand market's row and column of M are zero off the diagonal —
-// and applied through linalg.CompactRisk, which is bit-identical to the dense
-// matvec and is the matrix itself when nothing is isolated. A caller-supplied
-// RiskOp is used as given; a *linalg.Compact (the planner's, built by
-// Catalog.CovarianceOperator) reports its own coupled count.
+// matvec multiplies. A caller-supplied RiskOp is used as given; a
+// *linalg.Compact — the operator Catalog.CovarianceOperator builds, which the
+// single planner and every federation shard pass — reports its own coupled
+// count, so no planner's solve scans a matrix. A dense in.Risk alone (ADMM
+// callers' inputs, the baselines, bench/'s composed round) is scanned once
+// for isolated markets — every on-demand market's row and column of M are
+// zero off the diagonal — and applied through linalg.CompactRisk, which is
+// bit-identical to the dense matvec and is the matrix itself when nothing is
+// isolated.
 func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState) (solver.Result, int) {
 	kappa := c.churnWeight(in, n)
 	risk, coupled := in.RiskOp, n

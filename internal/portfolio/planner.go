@@ -327,7 +327,7 @@ func (p *Planner) prefetches() bool {
 // the build, on whichever goroutine runs it.
 func covarianceOperator(m *metrics.Registry, cat *market.Catalog, t, window int) linalg.MatVec {
 	start := time.Now()
-	op, _ := cat.CovarianceOperator(t, window)
+	op, _ := cat.CovarianceOperator(t, window, nil)
 	observeCovariance(m, start)
 	return op
 }

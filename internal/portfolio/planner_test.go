@@ -63,6 +63,58 @@ func TestReactiveSourceMatchesPresent(t *testing.T) {
 	}
 }
 
+// perSampleMeanRevert is MeanRevertSource.PerReqCosts as it was written
+// before the window read the price slice directly: one clamped
+// PerRequestCostAt per sample of the trailing mean.
+func perSampleMeanRevert(s MeanRevertSource, t, h int) [][]float64 {
+	n := s.Cat.Len()
+	lo := max(t-s.window(), 0)
+	means := make([]float64, n)
+	for i, m := range s.Cat.Markets {
+		if t <= lo {
+			means[i] = m.PerRequestCostAt(t)
+			continue
+		}
+		var sum float64
+		for k := lo; k <= t; k++ {
+			sum += m.PerRequestCostAt(k)
+		}
+		means[i] = sum / float64(t-lo+1)
+	}
+	now := s.Cat.PerRequestCosts(t)
+	out := make([][]float64, h)
+	for k := range out {
+		decay := math.Exp(-s.theta() * float64(k+1))
+		out[k] = make([]float64, n)
+		for i := range out[k] {
+			out[k][i] = means[i] + (now[i]-means[i])*decay
+		}
+	}
+	return out
+}
+
+// TestMeanRevertPerReqCostsBits holds the trailing price mean to the
+// per-sample loop bit for bit: windows inside the series, windows that start
+// at 0, windows that run past the final interval by one sample or wholly,
+// t = 0, and a window of one sample.
+func TestMeanRevertPerReqCostsBits(t *testing.T) {
+	cat := market.CatalogConfig{Seed: 35, NumTypes: 9, IncludeOnDemand: true, Hours: 24 * 9}.Generate()
+	T := cat.Intervals
+	for _, src := range []MeanRevertSource{{Cat: cat}, {Cat: cat, Window: 1}, {Cat: cat, Window: 31, Theta: 0.2}} {
+		for _, tt := range []int{0, 1, 5, 24 * 7, T - 2, T - 1, T, T + 3, T + 24*8} {
+			got, want := src.PerReqCosts(tt, 4), perSampleMeanRevert(src, tt, 4)
+			for k := range want {
+				for i := range want[k] {
+					if math.Float64bits(got[k][i]) != math.Float64bits(want[k][i]) {
+						t.Fatalf("window %d t=%d row %d market %d: %v, per-sample loop %v",
+							src.window(), tt, k, i, got[k][i], want[k][i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // OracleSource near the end of the trace: horizon indices past the final
 // interval must clamp to it instead of reading out of range.
 func TestOracleSourceTailClamp(t *testing.T) {

@@ -54,8 +54,17 @@ func (s MeanRevertSource) PerReqCosts(t, h int) [][]float64 {
 			continue
 		}
 		var sum float64
-		for k := lo; k <= t; k++ {
-			sum += m.PerRequestCostAt(k)
+		if vals := m.Price.Values; t < len(vals) {
+			// The window lies inside the series, where PerRequestCostAt's
+			// clamp reads vals[k] itself: the same quotients, the same order.
+			capacity := m.Type.Capacity
+			for _, v := range vals[lo : t+1] {
+				sum += v / capacity
+			}
+		} else {
+			for k := lo; k <= t; k++ {
+				sum += m.PerRequestCostAt(k)
+			}
 		}
 		means[i] = sum / float64(t-lo+1)
 	}

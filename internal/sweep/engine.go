@@ -70,6 +70,11 @@ type Stats struct {
 	// index, shared by every estimator of that seed).
 	QuantileCalls int64 `json:"quantile_calls"`
 	QuantileHits  int64 `json:"quantile_hits"`
+	// PlanTraces and PlanReplays are the decision traces the plan caches
+	// built and the estimator-free legs that replayed one, summed over the
+	// run's caches like the quantile counts.
+	PlanTraces  int64 `json:"plan_traces"`
+	PlanReplays int64 `json:"plan_replays"`
 }
 
 // StatsSchema identifies the Stats encoding emitted by cmd/spotweb-sweep.
@@ -263,6 +268,9 @@ func Run(grid Grid, opts Options) (*Artifact, Stats, error) {
 		calls, hits := c.Quantiles.Stats()
 		stats.QuantileCalls += calls
 		stats.QuantileHits += hits
+		traces, replays := c.Stats()
+		stats.PlanTraces += traces
+		stats.PlanReplays += replays
 	}
 	stats.Executed = executed
 	stats.ElapsedSec = elapsed.Seconds()

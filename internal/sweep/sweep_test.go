@@ -242,7 +242,8 @@ func TestSweepEveryScenarioKind(t *testing.T) {
 // quantile memo, which serves a repeat for almost half their quantiles (the
 // legs agree until their first fault). At 4 workers the default and sentinel
 // groups race for the same traces; the artifact must not notice. The stats
-// artifact reports the memo's calls and hits.
+// artifact reports the memo's calls and hits, and the 6 traces built and the
+// 24 estimator-free legs that replayed them.
 func TestPlanSharingAcrossSweep(t *testing.T) {
 	grid := ChaosSuiteGrid(1, true)
 	grid.KeepReports = true
@@ -272,6 +273,10 @@ func TestPlanSharingAcrossSweep(t *testing.T) {
 		if st.QuantileCalls != calls || st.QuantileHits != hits { // one seed: one cache
 			t.Fatalf("%d workers: Stats reports %d of %d quantiles, the memo %d of %d",
 				workers, st.QuantileHits, st.QuantileCalls, hits, calls)
+		}
+		if st.PlanTraces != 6 || st.PlanReplays != 24 {
+			t.Fatalf("%d workers: Stats reports %d traces replayed by %d legs, want 6 by 24",
+				workers, st.PlanTraces, st.PlanReplays)
 		}
 		b, err := art.EncodeJSON()
 		if err != nil {
