@@ -13,6 +13,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/autoscale"
 	"repro/internal/chaos"
@@ -296,8 +297,9 @@ type PlanCache struct {
 	Quantiles risk.Quantiles
 	// built counts the traces made, one per distinct planner input; replays
 	// counts the estimator-free legs handed one, the leg that records it
-	// included.
-	built, replays atomic.Int64
+	// included; waitNs sums the time legs slept on a trace another leg was
+	// still recording.
+	built, replays, waitNs atomic.Int64
 }
 
 type planKey struct {
@@ -310,6 +312,7 @@ type planKey struct {
 // up to the round that failed, whose error err then holds.
 type planTrace struct {
 	once   sync.Once
+	done   atomic.Bool // set once once.Do has returned
 	counts [][]int
 	err    error
 }
@@ -323,11 +326,11 @@ func (c *PlanCache) trace(k planKey) *planTrace {
 	return tr.(*planTrace)
 }
 
-// Stats returns how many decision traces the cache built and how many
-// estimator-free legs replayed one: replays/traces legs shared each planner
-// run.
-func (c *PlanCache) Stats() (traces, replays int64) {
-	return c.built.Load(), c.replays.Load()
+// Stats returns how many decision traces the cache built, how many
+// estimator-free legs replayed one (replays/traces legs shared each planner
+// run), and how long legs waited for a trace another leg was still recording.
+func (c *PlanCache) Stats() (traces, replays int64, wait time.Duration) {
+	return c.built.Load(), c.replays.Load(), time.Duration(c.waitNs.Load())
 }
 
 // bitsKey encodes float64 values as a comparable string of their bits.
@@ -344,6 +347,7 @@ func bitsKey(vals []float64) string {
 // records by driving a live planner through exactly sim.Run's calls.
 type replay struct {
 	tr       *planTrace
+	plans    *PlanCache
 	label    string
 	workload *trace.Series
 	build    func() autoscale.Stepper
@@ -352,7 +356,21 @@ type replay struct {
 func (r replay) Name() string { return r.label }
 
 func (r replay) Decide(t int, _ float64) ([]int, error) {
+	if !r.tr.done.Load() {
+		r.record()
+	}
+	if t < len(r.tr.counts) {
+		return r.tr.counts[t], nil
+	}
+	return nil, r.tr.err
+}
+
+// record runs the trace's planner once; a leg that finds another leg
+// recording sleeps until it is done and adds that wait to the cache's.
+func (r replay) record() {
+	start, recorded := time.Now(), false
 	r.tr.once.Do(func() {
+		recorded = true
 		p := r.build()
 		for s := 0; s < r.workload.Len()-1; s++ {
 			dec, err := p.Step(s, r.workload.At(s))
@@ -363,10 +381,10 @@ func (r replay) Decide(t int, _ float64) ([]int, error) {
 			r.tr.counts = append(r.tr.counts, dec.Counts)
 		}
 	})
-	if t < len(r.tr.counts) {
-		return r.tr.counts[t], nil
+	r.tr.done.Store(true)
+	if !recorded {
+		r.plans.waitNs.Add(int64(time.Since(start)))
 	}
-	return nil, r.tr.err
 }
 
 // StandardEnv and NewStandardEnvWithCatalog are the names bench/ compiles
@@ -520,7 +538,7 @@ func (e *Env) newLeg(rc runcfg.RunConfig, faults bool, j *metrics.Journal, est *
 	} else {
 		policy = replay{
 			tr:    e.Plans.trace(planKey{declared, cfg, bitsKey(e.Workload.Values)}),
-			label: name, workload: e.Workload,
+			plans: e.Plans, label: name, workload: e.Workload,
 			build: func() autoscale.Stepper { return e.NewPlanner(cfg, declared, nil) },
 		}
 	}

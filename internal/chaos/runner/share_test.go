@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/autoscale"
 	"repro/internal/chaos"
@@ -173,6 +174,58 @@ func TestPlanSharingReplaysPlannerError(t *testing.T) {
 		if _, got := env.newLeg(rc, faults, nil, nil, env.Policy, nil).Run(); got == nil || got.Error() != want.Error() {
 			t.Fatalf("faults=%v: replayed leg error = %v, want %q", faults, got, want)
 		}
+	}
+}
+
+// TestPlanCacheCountsWait: a leg that finds its trace still being recorded
+// by another leg adds the time it slept to the cache's wait; the recording
+// leg and a leg that arrives after the trace is done add nothing.
+func TestPlanCacheCountsWait(t *testing.T) {
+	sc, err := chaos.Builtin("storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := NewEnv(sc, 42, 12, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	build := env.NewPlanner
+	env.NewPlanner = func(cfg portfolio.Config, declared *market.Catalog, est *risk.Estimator) autoscale.Stepper {
+		close(started) // a second build would panic: the trace is recorded once
+		<-release
+		return build(cfg, declared, est)
+	}
+	run := func(errs chan<- error) {
+		_, err := env.newLeg(runcfg.RunConfig{}, false, nil, nil, env.Policy, nil).Run()
+		errs <- err
+	}
+	errs := make(chan error, 2)
+	go run(errs)
+	<-started
+	t0 := time.Now()
+	go run(errs)
+	time.Sleep(30 * time.Millisecond)
+	close(release)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	bound := time.Since(t0)
+	traces, replays, wait := env.Plans.Stats()
+	if traces != 1 || replays != 2 {
+		t.Fatalf("%d traces replayed by %d legs, want 1 by 2", traces, replays)
+	}
+	if wait <= 0 || wait > bound {
+		t.Fatalf("legs waited %v, want a positive wait of at most the waiting leg's %v", wait, bound)
+	}
+	go run(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	if _, _, again := env.Plans.Stats(); again != wait {
+		t.Fatalf("a leg replaying a finished trace moved the wait from %v to %v", wait, again)
 	}
 }
 

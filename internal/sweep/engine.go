@@ -23,10 +23,11 @@ var ErrStopped = errors.New("sweep: run stopped early (StopAfter reached; resume
 // checkpoint.
 type Options struct {
 	// Workers is the number of concurrent cell workers (<=1 runs serially).
-	// Workers are NOT clamped to the core count — cells block on nothing
-	// but CPU, yet small containers still benefit from a few extra workers
-	// absorbing scheduling gaps, and the engine's scaling benchmarks need
-	// widths beyond one core.
+	// Workers are NOT clamped to the core count; the engine's scaling
+	// benchmarks need widths beyond one core. Before the run's last group a
+	// worker idles only while another builds a decision trace it needs
+	// (runner.PlanCache, reported as Stats.PlanWaitSec), which claimOrder
+	// keeps rare, so a worker beyond the core count mostly queues for CPU.
 	Workers int
 	// CheckpointPath, when set, appends every completed cell to a JSONL
 	// checkpoint file (one line per cell, after a header binding the file
@@ -75,6 +76,9 @@ type Stats struct {
 	// run's caches like the quantile counts.
 	PlanTraces  int64 `json:"plan_traces"`
 	PlanReplays int64 `json:"plan_replays"`
+	// PlanWaitSec is the time legs spent waiting for a trace another worker
+	// was still building, summed over the run's caches; 0 at one worker.
+	PlanWaitSec float64 `json:"plan_wait_sec"`
 }
 
 // StatsSchema identifies the Stats encoding emitted by cmd/spotweb-sweep.
@@ -89,8 +93,9 @@ const StatsSchema = "spotweb-sweep-stats/v1"
 // env marks that leg scenario-independent, and each worker drives every cell
 // through one reusable sim.Scratch. The envs of one seed index share one
 // runner.PlanCache, so estimator-free legs of every scenario and variant plan
-// each distinct planner input once. Cell results depend only on the grid
-// (never on scheduling), so artifacts are byte-identical at any worker count.
+// each distinct planner input once. Workers claim the groups in claimOrder.
+// Cell results depend only on the grid (never on scheduling), so artifacts
+// are byte-identical at any worker count.
 func Run(grid Grid, opts Options) (*Artifact, Stats, error) {
 	start := time.Now()
 	workers := opts.Workers
@@ -115,7 +120,6 @@ func Run(grid Grid, opts Options) (*Artifact, Stats, error) {
 		scs[i] = sc
 	}
 
-	variants := len(grid.Variants)
 	total := grid.CellCount()
 	stats.TotalCells = total
 
@@ -214,15 +218,15 @@ func Run(grid Grid, opts Options) (*Artifact, Stats, error) {
 		}
 	}
 
-	groups := grid.Seeds * variants
+	order := claimOrder(grid)
 	workerFn := func() {
 		scratch := sim.NewScratch()
 		for !stopped.Load() && !failed.Load() {
 			g := int(nextGroup.Add(1)) - 1
-			if g >= groups {
+			if g >= len(order) {
 				return
 			}
-			seedIdx, varIdx := g/variants, g%variants
+			seedIdx, varIdx := order[g].seed, order[g].variant
 			seed := seeds[seedIdx]
 			variant := grid.Variants[varIdx]
 			var baseline *sim.Result
@@ -268,9 +272,10 @@ func Run(grid Grid, opts Options) (*Artifact, Stats, error) {
 		calls, hits := c.Quantiles.Stats()
 		stats.QuantileCalls += calls
 		stats.QuantileHits += hits
-		traces, replays := c.Stats()
+		traces, replays, wait := c.Stats()
 		stats.PlanTraces += traces
 		stats.PlanReplays += replays
+		stats.PlanWaitSec += wait.Seconds()
 	}
 	stats.Executed = executed
 	stats.ElapsedSec = elapsed.Seconds()
@@ -302,6 +307,33 @@ func Run(grid Grid, opts Options) (*Artifact, Stats, error) {
 		Cells:    cells,
 		Surfaces: surfaces(grid, cells),
 	}, stats, nil
+}
+
+// group is one (seed index, variant index) pair of a grid: the unit a worker
+// claims and runs the scenarios of.
+type group struct{ seed, variant int }
+
+// claimOrder is the order in which workers claim the grid's groups. The
+// groups of variants that plan live (RunConfig.Risk: every leg feeds an
+// estimator and nothing replays) come first, because they are the longest;
+// then every other group, variant-major in grid order. Within a variant the
+// seed index varies fastest, so with at least as many seeds as workers the
+// groups in flight at once use different seeds' PlanCaches, and a variant
+// that only replays another's traces is reached after that builder's group
+// was claimed.
+func claimOrder(g Grid) []group {
+	order := make([]group, 0, g.Seeds*len(g.Variants))
+	for _, live := range []bool{true, false} {
+		for vi, v := range g.Variants {
+			if v.Config.Risk != live {
+				continue
+			}
+			for si := 0; si < g.Seeds; si++ {
+				order = append(order, group{si, vi})
+			}
+		}
+	}
+	return order
 }
 
 // refIndex maps a checkpointed cell back to its flat artifact index.

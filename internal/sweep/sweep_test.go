@@ -162,7 +162,7 @@ func TestSweepMatchesStandaloneCell(t *testing.T) {
 // cells like any other — precompiled envs, per-worker scratch, Hours/SubSteps
 // overrides. A grid mixing them with a standard scenario (whose baseline is
 // cached across the group while theirs is not) encodes to the same bytes at
-// 1 and 4 workers and across a kill/resume, and every cell equals its
+// 1, 2 and 4 workers and across a kill/resume, and every cell equals its
 // standalone RunCell reproduction at the same derived seed.
 func TestSweepEveryScenarioKind(t *testing.T) {
 	grid := Grid{
@@ -189,7 +189,7 @@ func TestSweepEveryScenarioKind(t *testing.T) {
 		}
 		return b
 	}
-	art, _, err := Run(grid, Options{Workers: 4})
+	art, _, err := Run(grid, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +197,10 @@ func TestSweepEveryScenarioKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encode(Options{Workers: 1}), want) {
-		t.Fatal("artifact differs between 1 and 4 workers")
+	for _, workers := range []int{2, 4} {
+		if !bytes.Equal(encode(Options{Workers: workers}), want) {
+			t.Fatalf("artifact differs between 1 and %d workers", workers)
+		}
 	}
 
 	ck := filepath.Join(t.TempDir(), "sweep.ckpt")
@@ -240,15 +242,19 @@ func TestSweepEveryScenarioKind(t *testing.T) {
 // sentinel or by anchor and sentinel-anchor, plus the 6 live legs of the risk
 // variant, whose estimator each leg feeds. Those 6 estimators share one
 // quantile memo, which serves a repeat for almost half their quantiles (the
-// legs agree until their first fault). At 4 workers the default and sentinel
-// groups race for the same traces; the artifact must not notice. The stats
-// artifact reports the memo's calls and hits, and the 6 traces built and the
-// 24 estimator-free legs that replayed them.
+// legs agree until their first fault). The grid has one seed, fewer than
+// 2 or 4 workers, so claimOrder cannot give the groups in flight different
+// seeds: this is where the race for a trace remains. At 4 workers the
+// sentinel group starts beside the default group and waits for its traces;
+// at 2 it does when the risk group ends first. The artifact must not notice
+// either way. The stats artifact reports the memo's calls and hits, the 6
+// traces built and the 24 estimator-free legs that replayed them, and no
+// wait at 1 worker.
 func TestPlanSharingAcrossSweep(t *testing.T) {
 	grid := ChaosSuiteGrid(1, true)
 	grid.KeepReports = true
 	var want []byte
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		var builds atomic.Int64
 		var plans *runner.PlanCache
 		art, st, err := Run(grid, Options{Workers: workers, envHook: func(env *runner.Env) {
@@ -278,6 +284,10 @@ func TestPlanSharingAcrossSweep(t *testing.T) {
 			t.Fatalf("%d workers: Stats reports %d traces replayed by %d legs, want 6 by 24",
 				workers, st.PlanTraces, st.PlanReplays)
 		}
+		t.Logf("%d workers: legs waited %.4f s for traces", workers, st.PlanWaitSec)
+		if workers == 1 && st.PlanWaitSec != 0 {
+			t.Fatalf("1 worker: Stats reports %g s waited for traces, want 0", st.PlanWaitSec)
+		}
 		b, err := art.EncodeJSON()
 		if err != nil {
 			t.Fatal(err)
@@ -286,6 +296,58 @@ func TestPlanSharingAcrossSweep(t *testing.T) {
 			want = b
 		} else if !bytes.Equal(b, want) {
 			t.Fatalf("artifact differs between 1 and %d workers", workers)
+		}
+	}
+}
+
+// TestClaimOrder pins the order workers claim groups in: every (seed,
+// variant) group exactly once, the live-planning (Risk) variants' groups
+// before any other, and — given at least as many seeds as workers — no two
+// of any w consecutive claims on one seed index, so the groups in flight
+// never share a PlanCache.
+func TestClaimOrder(t *testing.T) {
+	mixed := []Variant{
+		{Name: "default"},
+		{Name: "risk", Config: runcfg.RunConfig{Risk: true}},
+		{Name: "sentinel", Config: runcfg.RunConfig{Sentinel: true}},
+		{Name: "risk-anchor", Config: runcfg.RunConfig{Risk: true, AnchorMin: 0.3}},
+		{Name: "anchor", Config: runcfg.RunConfig{AnchorMin: 0.3}},
+	}
+	for _, variants := range [][]Variant{BuiltinVariants(), mixed, mixed[:1], mixed[1:2]} {
+		for _, seeds := range []int{1, 2, 3, 4, 5, 8} {
+			g := Grid{Seeds: seeds, Variants: variants}
+			order := claimOrder(g)
+			if len(order) != seeds*len(variants) {
+				t.Fatalf("%d seeds × %d variants: %d claims", seeds, len(variants), len(order))
+			}
+			seen := map[group]bool{}
+			liveDone := false
+			for i, c := range order {
+				if c.seed < 0 || c.seed >= seeds || c.variant < 0 || c.variant >= len(variants) || seen[c] {
+					t.Fatalf("%d seeds × %d variants: claim %d %+v is outside the grid or repeated", seeds, len(variants), i, c)
+				}
+				seen[c] = true
+				live := variants[c.variant].Config.Risk
+				if live && liveDone {
+					t.Fatalf("%d seeds × %d variants: live group %+v claimed after a replaying one", seeds, len(variants), c)
+				}
+				liveDone = liveDone || !live
+			}
+			for _, w := range []int{2, 4} {
+				if seeds < w {
+					continue
+				}
+				for i := 0; i+w <= len(order); i++ {
+					used := map[int]bool{}
+					for _, c := range order[i : i+w] {
+						if used[c.seed] {
+							t.Fatalf("%d seeds × %d variants: claims %d..%d share seed index %d: %+v",
+								seeds, len(variants), i, i+w-1, c.seed, order[i:i+w])
+						}
+						used[c.seed] = true
+					}
+				}
+			}
 		}
 	}
 }
