@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-warm bench-lb bench-fed bench-sweep bench-gate loadgen fmt vet fuzz-smoke smoke chaos chaos-golden risk-sim sweep ci
+.PHONY: build test race bench bench-warm bench-fed bench-sweep bench-gate loadgen fmt vet fuzz-smoke smoke chaos chaos-golden risk-sim sweep ci
 
 build:
 	$(GO) build ./...
@@ -19,11 +19,6 @@ bench:
 bench-warm:
 	$(GO) test -run='^$$' -bench=RecedingHorizonColdVsWarm -benchtime=1x ./internal/portfolio/
 
-# bench-lb regenerates the LB data-plane baseline (gate benchmarks + loadgen
-# max-RPS) into BENCH_lb.json — run after an intentional data-plane change.
-bench-lb:
-	sh scripts/bench_lb.sh
-
 # bench-fed regenerates the federated-planner scale artifact (8 regions x
 # 10 AZs x 125 types = 10,000 markets over 80 shards, plus the 2/4/8-region
 # scaling curve) into BENCH_fed.json — the DESIGN.md §13 numbers.
@@ -37,16 +32,14 @@ bench-fed:
 bench-sweep:
 	sh scripts/bench_sweep.sh
 
-# bench-gate reruns the LB and sweep benchmarks and fails on a >20% ns/op
-# regression against the checked-in baselines (what CI's bench-gate job runs).
+# bench-gate reruns the sweep benchmarks and fails on a >20% ns/op
+# regression against the checked-in BENCH_sweep.json.
 bench-gate:
-	sh scripts/bench_lb.sh /tmp/BENCH_lb.current.json
-	$(GO) run ./scripts/benchdiff -baseline BENCH_lb.json -current /tmp/BENCH_lb.current.json -threshold 1.20
 	sh scripts/bench_sweep.sh /tmp/BENCH_sweep.current.json
 	$(GO) run ./scripts/benchdiff -baseline BENCH_sweep.json -current /tmp/BENCH_sweep.current.json -threshold 1.20
 
-# loadgen drives the closed-loop harness against the raw routing hot path —
-# the quick million-RPS sanity check.
+# loadgen drives the closed-loop harness against Balancer.Route alone — a
+# quick check that routing sustains well over 500 k routes/s.
 loadgen:
 	$(GO) run ./cmd/spotweb-load -mode route -backends 16 -sessions 1024 -duration 3s
 

@@ -1,11 +1,11 @@
 // Command spotweb-load is the load-generation harness CLI: closed-loop
 // workers hammering one of three targets, reporting throughput and sampled
-// latency quantiles (optionally as JSON for the BENCH_lb trajectory).
+// latency quantiles (optionally as JSON).
 //
 // Modes:
 //
-//	route    — a raw lb.Balancer's Route hot path (the data-plane hop in
-//	           isolation; this is the million-RPS measurement)
+//	route    — a raw lb.Balancer's Route (the routing decision in isolation;
+//	           it should sustain well over 500 k routes/s)
 //	cluster  — an in-process testbed cluster's front end (handler dispatch
 //	           plus the LB→backend socket hop)
 //	url      — a live HTTP endpoint (e.g. a running spotwebd), used by

@@ -34,6 +34,8 @@ var deadcodeAllowlist = map[string]string{
 	"metrics.Subscription.Dropped":       "(a) test oracle: risk/feed_test.go's conservation check, observed + dropped = recorded",
 	"solver.EstimateLipschitz":           "(a) test oracle: portfolio/oracle_test.go checks the planner's step against it",
 	"trace.ReadCSV":                      "(a) test oracle: round-trips WriteCSV, cmd/tracegen's format; FuzzReadCSV's target",
+	"lb.Balancer.Has":                    "(a) test oracle: testbed/stress_test.go checks a drained backend left rotation",
+	"lb.Balancer.SessionsOn":             "(a) test oracle: testbed/stress_test.go checks no session is stranded on a drained backend",
 	"solver.Problem.Gradient":            "(b) ADMM island (ROADMAP item 2)",
 	"solver.Problem.PrimalInfeasibility": "(b) ADMM island (ROADMAP item 2)",
 	"solver.WarmState.HasFactorization":  "(b) ADMM island (ROADMAP item 2)",

@@ -52,8 +52,8 @@ func TestBuiltinsCompile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile %s: %v", name, err)
 		}
-		if in.scenario != name {
-			t.Fatalf("scenario name = %q", in.scenario)
+		if in == nil || sc.Name != name {
+			t.Fatalf("scenario name = %q", sc.Name)
 		}
 	}
 	if _, err := Builtin("no-such"); err == nil {

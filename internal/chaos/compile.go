@@ -48,7 +48,7 @@ func Compile(sc *Scenario, seed int64, markets int) (*Injector, error) {
 		}
 	}
 
-	in := &Injector{scenario: sc.Name, seed: seed}
+	in := &Injector{}
 	for _, f := range sc.Faults {
 		switch f.Kind {
 		case KindStorm:

@@ -55,8 +55,6 @@ type forceSpan struct {
 // fault-free answer, so an unset injector costs one branch — the same
 // zero-overhead-disablement pattern as internal/metrics.
 type Injector struct {
-	scenario string
-	seed     int64
 	revs     []Revocation // sorted by T
 	warn     []span       // warning-scale windows (min combines)
 	capacity []span       // capacity-factor windows (product combines)

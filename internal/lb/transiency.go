@@ -1,6 +1,7 @@
 package lb
 
 import (
+	"sort"
 	"sync"
 
 	"repro/internal/metrics"
@@ -51,138 +52,129 @@ func DecideRevocation(utilization, highUtil, startDelay, warning float64) Revoca
 }
 
 // Balancer is the transiency-aware load balancer: smooth WRR routing with
-// portfolio-driven weights, revocation-warning handling and admission
-// control. The Vanilla flag disables all transiency awareness, reproducing
-// the unmodified-HAProxy baseline (keeps routing to revoked servers until
-// they disappear).
-//
-// Route is the data plane and is lock-free end to end: one atomic load of
-// the epoch-swapped routing table (drain marks are baked into the table's
-// precomputed pick sequences, so no per-request drain-set snapshot exists),
-// a sharded session lookup, an optional GCRA admission check, and striped
-// batch accounting. Control-plane operations — weight updates, drain
-// marks, migrations — swap in a new table and never stall routing.
+// portfolio-driven weights, sticky sessions, revocation-warning handling and
+// admission control. The Vanilla flag disables all transiency awareness,
+// reproducing the unmodified-HAProxy baseline (keeps routing to revoked
+// servers until they disappear). It is safe for concurrent use.
 type Balancer struct {
-	WRR      *SmoothWRR
-	Sessions *SessionTable
 	// HighUtil is the utilization threshold for the revocation decision.
 	HighUtil float64
 	// Vanilla disables transiency awareness.
 	Vanilla bool
-	// Journal, when set, records the drain/migration lifecycle (warning
-	// action chosen, sessions migrated, drain completed). A nil journal
-	// costs nothing on these paths.
+	// Journal, when set, records the drain lifecycle: action chosen,
+	// sessions migrated, drain completed.
 	Journal *metrics.Journal
-	// ActionOverride, when set, can force the outcome of HandleWarning's
-	// revocation decision (the chaos fault-injection hook): return ok =
-	// false to keep the normal decision.
+	// ActionOverride, when set, can force HandleWarning's decision (the
+	// chaos fault-injection hook); ok = false keeps the normal one.
 	ActionOverride func() (RevocationAction, bool)
 
-	// admit, when set, rate-limits the routing hot path (token-bucket
-	// admission control). Nil admits everything at the cost of one branch.
+	// admit, when set, rate-limits Route (token-bucket admission control).
 	admit *TokenBucket
-	// stats is the batched per-route accounting (nil when metrics are off).
-	stats *routeStats
+	// Route outcome counters; nil (no-op) when metrics are off.
+	routed, sticky, dropped, rejected *metrics.Counter
 
-	// migMu serializes session migrations with drain completion: a
-	// migration's target snapshot must not interleave with another backend's
-	// final drain, or a session can be re-homed onto a backend that has
-	// already terminated (see TestConcurrentRevocationsNeverStrandSessions).
-	// Route never touches it.
-	migMu sync.Mutex
+	mu       sync.Mutex
+	ents     []entry        // ascending id
+	sessions map[string]int // sticky session → backend
 }
 
 // NewBalancer returns a transiency-aware balancer with the paper's defaults.
 func NewBalancer() *Balancer {
-	return &Balancer{
-		WRR:      NewSmoothWRR(),
-		Sessions: NewSessionTable(),
-		HighUtil: 0.85,
-	}
+	return &Balancer{HighUtil: 0.85, sessions: make(map[string]int)}
 }
 
 // SetAdmission installs (or, with nil, removes) the token-bucket admission
 // limiter applied to every Route call.
 func (b *Balancer) SetAdmission(tb *TokenBucket) { b.admit = tb }
 
-// SetMetrics registers the data plane's batched route accounting
-// (spotweb_lb_route_total, spotweb_lb_sticky_hits_total) with a registry.
-// Call before serving traffic; a nil registry leaves metrics disabled.
-func (b *Balancer) SetMetrics(r *metrics.Registry) { b.stats = newRouteStats(r) }
-
-// UpdatePortfolio resets backend weights after a new portfolio is chosen
-// (the optimizer → LB REST call in the paper). Weights are the relative
-// market weights; backends absent from the map are removed. One epoch swap
-// total: routing sees either the old portfolio or the new one, never a
-// half-applied mix.
-func (b *Balancer) UpdatePortfolio(weights map[int]float64) {
-	b.WRR.Apply(weights)
+// SetMetrics registers spotweb_lb_route_total{result} and
+// spotweb_lb_sticky_hits_total with r before serving; nil disables them.
+func (b *Balancer) SetMetrics(r *metrics.Registry) {
+	const help = "Routing decisions by the LB data plane."
+	b.routed = r.Counter("spotweb_lb_route_total", help, metrics.L("result", "ok"))
+	b.dropped = r.Counter("spotweb_lb_route_total", help, metrics.L("result", "dropped"))
+	b.rejected = r.Counter("spotweb_lb_route_total", help, metrics.L("result", "admission_rejected"))
+	b.sticky = r.Counter("spotweb_lb_sticky_hits_total", "Requests routed to their existing session binding.")
 }
 
-// Route picks a backend for a request. A sticky session is honored while its
-// backend remains routable. Hard-draining backends never receive requests.
-// Soft-draining backends (high-utilization revocations, §4.4) keep serving
-// their existing sessions and sessionless traffic through the warning period
-// — pulling that load early would overwhelm the already-hot survivors — but
-// are never assigned new sessions. ok is false when the request must be
-// dropped.
+// Route picks a backend for a request; ok is false when it must be dropped.
+// A sticky session is honored while its backend remains routable.
+// Hard-draining backends never receive requests. Soft-draining ones
+// (high-utilization revocations, §4.4) keep their sessions and take
+// sessionless traffic — the hot survivors could not absorb it early — but
+// are never assigned new sessions.
 func (b *Balancer) Route(session string) (backend int, ok bool) {
 	if !b.admit.Allow() {
-		b.stats.admissionReject()
+		b.rejected.Inc()
 		return 0, false
 	}
-	for attempt := 0; attempt < 4; attempt++ {
-		if session != "" {
-			if cur, found := b.Sessions.Lookup(session); found {
-				// Existing sessions stay put unless the backend is
-				// hard-drained or already out of rotation (vanilla mode keeps
-				// using even revoked backends).
-				hard, _, registered := b.WRR.drainState(cur)
-				if b.Vanilla || (registered && !hard) {
-					b.stats.routed(true)
-					return cur, true
-				}
+	b.mu.Lock()
+	backend, ok, hit := b.routeLocked(session)
+	b.mu.Unlock()
+	if hit {
+		b.sticky.Inc()
+	}
+	if ok {
+		b.routed.Inc()
+	} else {
+		b.dropped.Inc()
+	}
+	return backend, ok
+}
+
+func (b *Balancer) routeLocked(session string) (backend int, ok, hit bool) {
+	view := viewLive
+	if session != "" {
+		// Existing sessions stay put unless the backend is hard-drained or
+		// out of rotation (vanilla keeps using even revoked backends).
+		if cur, found := b.sessions[session]; found {
+			if i, reg := b.findLocked(cur); b.Vanilla || reg && !b.ents[i].hard {
+				return cur, true, true
 			}
 		}
-		var id int
-		var found bool
-		switch {
-		case b.Vanilla:
-			id, found = b.WRR.Next()
-		case session != "":
-			// New session bindings avoid both hard- and soft-draining backends.
-			id, found = b.WRR.nextOpen()
-		default:
-			id, found = b.WRR.nextLive()
-		}
-		if !found {
-			b.stats.drop()
-			return 0, false
-		}
-		if session == "" {
-			b.stats.routed(false)
-			return id, true
-		}
-		b.Sessions.Assign(session, id)
-		if b.Vanilla || b.WRR.Has(id) {
-			b.stats.routed(false)
-			return id, true
-		}
-		// The backend completed its drain between our pick and the
-		// assignment, so its final session sweep may already have run:
-		// unbind and pick again rather than strand the session on a
-		// terminated server.
-		b.Sessions.End(session)
+		view = viewOpen
 	}
-	b.stats.drop()
-	return 0, false
+	if b.Vanilla {
+		view = viewAll
+	}
+	backend, ok = b.nextLocked(view)
+	if ok && session != "" {
+		b.sessions[session] = backend
+	}
+	return backend, ok, false
+}
+
+// EndSession unbinds a session; its next request is placed afresh.
+func (b *Balancer) EndSession(session string) {
+	b.mu.Lock()
+	delete(b.sessions, session)
+	b.mu.Unlock()
+}
+
+// SessionCount returns the number of bound sessions.
+func (b *Balancer) SessionCount() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.sessions)
+}
+
+// SessionsOn returns the number of sessions bound to a backend.
+func (b *Balancer) SessionsOn(backend int) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, id := range b.sessions {
+		if id == backend {
+			n++
+		}
+	}
+	return n
 }
 
 // HandleWarning processes a revocation warning for a backend: decides the
-// action from the current utilization, marks the backend draining, migrates
-// its sessions to the remaining servers, and returns the action taken plus
-// the number of sessions migrated. In vanilla mode the warning is ignored
-// (action ActionAdmissionControl, 0 migrated) — the baseline behaviour.
+// action from the utilization, marks the backend draining, migrates its
+// sessions when the survivors can take them, and returns the action and the
+// number migrated. Vanilla ignores warnings (ActionAdmissionControl, 0).
 func (b *Balancer) HandleWarning(backend int, utilization, startDelay, warning float64) (RevocationAction, int) {
 	if b.Vanilla {
 		return ActionAdmissionControl, 0
@@ -193,95 +185,97 @@ func (b *Balancer) HandleWarning(backend int, utilization, startDelay, warning f
 			action = forced
 		}
 	}
-	// Redistribute → survivors can absorb the load: hard-drain (fully out
-	// of rotation). Otherwise survivors are hot: soft-drain — the backend
-	// keeps serving its sessions through the warning period while
-	// replacements boot; sessions migrate when the replacements are
-	// routable (MigrateOff) or at the latest just before termination
-	// (CompleteDrain). One epoch swap publishes the mark.
-	b.WRR.setDrain(backend, action == ActionRedistribute)
-	b.Journal.Record(metrics.EvDrainStart, backend, -1, action.String())
+	// Redistribute: the survivors absorb the load now (hard drain).
+	// Otherwise they are hot: the backend keeps its sessions while
+	// replacements boot (soft drain) until MigrateOff or CompleteDrain.
 	migrated := 0
+	b.mu.Lock()
+	b.markLocked(backend, action == ActionRedistribute)
 	if action == ActionRedistribute {
-		migrated = b.MigrateOff(backend)
+		migrated = b.migrateLocked(backend)
 	}
+	b.mu.Unlock()
+	b.Journal.Record(metrics.EvDrainStart, backend, -1, action.String())
+	b.recordMigrated(backend, migrated)
 	return action, migrated
 }
 
 // MigrateOff moves every session bound to a backend onto non-draining
-// backends — invoked when the survivors have headroom (redistribute) or once
-// replacement capacity becomes routable (reprovision). Placement is
-// load-aware: each session goes to the backend with the fewest bound
-// sessions per unit of weight, so survivors that already carry sessions are
-// not overloaded by the influx. Returns the number migrated.
+// backends once they can take it (redistribute, or replacements routable)
+// and returns the number moved. Placement is load-aware: each session goes
+// to the backend with the fewest bound sessions per unit of weight.
 func (b *Balancer) MigrateOff(backend int) int {
-	b.migMu.Lock()
-	defer b.migMu.Unlock()
-	return b.migrateOffSerialized(backend)
+	b.mu.Lock()
+	n := b.migrateLocked(backend)
+	b.mu.Unlock()
+	b.recordMigrated(backend, n)
+	return n
 }
 
-// migrateOffSerialized is MigrateOff's body; callers hold migMu, so the
-// target snapshot below cannot race a concurrent CompleteDrain — a backend
-// either still carries weight (and its own pending drain will sweep any
-// session we re-home onto it) or has been removed from the WRR (and is
-// never chosen as a target).
-func (b *Balancer) migrateOffSerialized(backend int) int {
-	t := b.WRR.table()
+// migrateLocked is MigrateOff's body. Sessions move in name order, so a
+// migration places them the same way every run.
+func (b *Balancer) migrateLocked(backend int) int {
 	type target struct {
-		id     int
-		weight float64
-		bound  int
+		id, bound int
+		weight    float64
 	}
 	var targets []target
-	for _, e := range t.ents {
-		if e.weight <= 0 || e.hard || e.soft || e.id == backend {
-			continue
+	for _, e := range b.ents {
+		if e.in(viewOpen) && e.id != backend {
+			targets = append(targets, target{id: e.id, weight: e.weight})
 		}
-		targets = append(targets, target{id: e.id, weight: e.weight, bound: b.Sessions.CountOn(e.id)})
 	}
 	if len(targets) == 0 {
 		return 0
 	}
-	migrated := b.Sessions.MigrateAll(backend, func() (int, bool) {
-		best := -1
-		bestScore := 0.0
-		for i, tg := range targets {
-			score := float64(tg.bound+1) / tg.weight
-			if best == -1 || score < bestScore {
-				best, bestScore = i, score
+	var victims []string
+	for s, id := range b.sessions {
+		if id == backend {
+			victims = append(victims, s)
+			continue
+		}
+		for i := range targets {
+			if targets[i].id == id {
+				targets[i].bound++
+			}
+		}
+	}
+	sort.Strings(victims)
+	for _, s := range victims {
+		best := 0
+		for i := range targets {
+			if float64(targets[i].bound+1)/targets[i].weight < float64(targets[best].bound+1)/targets[best].weight {
+				best = i
 			}
 		}
 		targets[best].bound++
-		return targets[best].id, true
-	})
-	if migrated > 0 {
-		b.Journal.Record(metrics.EvSessionsMigrated, backend, -1, "n="+metrics.Itoa(migrated))
+		b.sessions[s] = targets[best].id
 	}
-	return migrated
+	return len(victims)
 }
 
-// CompleteDrain migrates any sessions still bound to a drained backend (the
-// paper's seamless switch-over happens within the warning period, before the
-// server terminates) and removes it from rotation. The final migration and
-// the WRR removal happen atomically with respect to other migrations (under
-// migMu): without that, a concurrent MigrateOff of an overlapping backend
-// set can re-home a session onto this backend between its last sweep and
-// its removal, stranding the session on a terminated server.
+func (b *Balancer) recordMigrated(backend, n int) {
+	if n > 0 {
+		b.Journal.Record(metrics.EvSessionsMigrated, backend, -1, "n="+metrics.Itoa(n))
+	}
+}
+
+// CompleteDrain removes a drained backend from rotation and migrates the
+// sessions still bound to it before the server terminates, in one step: no
+// route or migration can bind a session to it afterwards.
 func (b *Balancer) CompleteDrain(backend int) {
-	b.migMu.Lock()
-	// Remove from rotation BEFORE the final sweep: once the backend is out
-	// of the WRR (one epoch swap), no serialized migration can target it,
-	// and any Route that had already picked it re-checks routability after
-	// binding — so every session bound to it is either caught by the sweep
-	// below or rebound by Route itself.
-	b.WRR.Remove(backend)
-	b.migrateOffSerialized(backend)
-	b.migMu.Unlock()
+	b.mu.Lock()
+	b.removeLocked(backend)
+	n := b.migrateLocked(backend)
+	b.mu.Unlock()
+	b.recordMigrated(backend, n)
 	b.Journal.Record(metrics.EvDrainComplete, backend, -1, "")
 }
 
-// Draining reports whether a backend is draining (hard or soft). Lock-free.
+// Draining reports whether a backend is draining (hard or soft).
 func (b *Balancer) Draining(backend int) bool {
-	hard, soft, _ := b.WRR.drainState(backend)
-	return hard || soft
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	i, ok := b.findLocked(backend)
+	return ok && (b.ents[i].hard || b.ents[i].soft)
 }

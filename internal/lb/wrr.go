@@ -1,194 +1,155 @@
 // Package lb implements SpotWeb's transiency-aware load balancer (§4.4):
-// a smooth weighted-round-robin scheduler whose weights can be reset online
-// as the portfolio changes (the paper's HAProxy wrapper), a sharded session
-// table supporting bulk migration off revoked servers, and the revocation
-// decision logic (§6.1's three scenarios: redistribute, reprovision within
-// the warning period, or admission-control). A vanilla (transiency-unaware)
-// mode reproduces the paper's unmodified-HAProxy baseline.
+// smooth weighted round robin with weights reset online as the portfolio
+// changes (the paper's HAProxy wrapper), sticky sessions migrated off
+// revoked servers, and §6.1's revocation decision (redistribute, reprovision
+// within the warning period, or admission control). A vanilla mode
+// reproduces the unmodified-HAProxy baseline.
 //
-// The data plane is lock-free: Route, Next, session Lookup/Assign and the
-// admission token bucket never take a mutex. Mutations (planner weight
-// updates, drain marks) rebuild an immutable routing table and publish it
-// with one atomic pointer swap (see table.go), so a re-plan never stalls
-// request routing.
+// The balancer is serial: one mutex guards the scheduler and the session
+// map, and each operation is one critical section. A route costs tens of
+// nanoseconds against a request's hundreds of microseconds of proxying.
 package lb
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
-// SmoothWRR is a smooth weighted round robin scheduler (the algorithm used
-// by nginx/HAProxy): proportional-to-weight interleaving without bursts,
-// with online weight updates. Picks are lock-free reads of an immutable
-// epoch-swapped table; SetWeight/Remove serialize on a mutation mutex,
-// rebuild the table, and publish it atomically — so Next never contends
-// with a planner update. It is safe for concurrent use.
-type SmoothWRR struct {
-	mu   sync.Mutex // serializes mutations only; never held by picks
-	ents []rentry   // master copy, ascending id
-	gen  uint64
-	tbl  atomic.Pointer[rtable]
-
-	curAll, curLive, curOpen cursor
+// entry is one backend's scheduler row.
+type entry struct {
+	id      int
+	weight  float64
+	current float64 // the smooth-WRR score
+	// hard: out of every non-vanilla view. soft (§4.4 high utilization):
+	// keeps its sessions and sessionless traffic, takes no new sessions.
+	hard, soft bool
 }
 
-// NewSmoothWRR returns an empty scheduler.
-func NewSmoothWRR() *SmoothWRR {
-	w := &SmoothWRR{}
-	w.tbl.Store(emptyTable)
-	return w
+// routeView selects which backends a pick may return.
+type routeView uint8
+
+const (
+	viewAll  routeView = iota // every backend (vanilla: drain marks ignored)
+	viewLive                  // not hard-draining (anonymous traffic)
+	viewOpen                  // neither hard- nor soft-draining (new sessions)
+)
+
+// in reports whether the entry takes part in a pick in view v.
+func (e *entry) in(v routeView) bool {
+	return e.weight > 0 && (v == viewAll || !e.hard && (v == viewLive || !e.soft))
 }
 
-// table returns the current immutable routing table.
-func (w *SmoothWRR) table() *rtable { return w.tbl.Load() }
-
-// publishLocked rebuilds and atomically publishes the table; callers hold mu.
-func (w *SmoothWRR) publishLocked() {
-	w.gen++
-	ents := make([]rentry, len(w.ents))
-	copy(ents, w.ents)
-	w.tbl.Store(buildTable(w.gen, ents))
-}
-
-// findLocked returns the index of id in the master entry slice, or -1.
-func (w *SmoothWRR) findLocked(id int) int {
-	i := sort.Search(len(w.ents), func(i int) bool { return w.ents[i].id >= id })
-	if i < len(w.ents) && w.ents[i].id == id {
-		return i
+// nextLocked is nginx's and HAProxy's smooth weighted round robin: each
+// backend in view v adds its weight to its score; the highest (ties to the
+// lowest id) wins and pays back the view's total. Others keep their score.
+func (b *Balancer) nextLocked(v routeView) (id int, ok bool) {
+	var total float64
+	best := -1
+	for i := range b.ents {
+		e := &b.ents[i]
+		if !e.in(v) {
+			continue
+		}
+		e.current += e.weight
+		total += e.weight
+		if best < 0 || e.current > b.ents[best].current {
+			best = i
+		}
 	}
-	return -1
+	if best < 0 {
+		return 0, false
+	}
+	b.ents[best].current -= total
+	return b.ents[best].id, true
+}
+
+// findLocked returns the index of id in the id-sorted entries, or where it
+// would be inserted, and whether it is there.
+func (b *Balancer) findLocked(id int) (int, bool) {
+	i := sort.Search(len(b.ents), func(i int) bool { return b.ents[i].id >= id })
+	return i, i < len(b.ents) && b.ents[i].id == id
+}
+
+// setWeightLocked updates a backend's weight, keeping its score and drain
+// marks, or registers it with a zero score.
+func (b *Balancer) setWeightLocked(id int, weight float64) {
+	i, ok := b.findLocked(id)
+	if ok {
+		b.ents[i].weight = weight
+		return
+	}
+	b.ents = append(b.ents, entry{})
+	copy(b.ents[i+1:], b.ents[i:])
+	b.ents[i] = entry{id: id, weight: weight}
+}
+
+func checkWeight(id int, weight float64) {
+	if !(weight >= 0) || math.IsInf(weight, 1) {
+		panic(fmt.Sprintf("lb: invalid weight %v for backend %d", weight, id))
+	}
 }
 
 // SetWeight adds or updates a backend. A weight of 0 keeps the backend
-// registered but never selected.
-func (w *SmoothWRR) SetWeight(id int, weight float64) {
-	if weight < 0 {
-		panic(fmt.Sprintf("lb: negative weight %v for backend %d", weight, id))
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if i := w.findLocked(id); i >= 0 {
-		w.ents[i].weight = weight
-	} else {
-		at := sort.Search(len(w.ents), func(i int) bool { return w.ents[i].id >= id })
-		w.ents = append(w.ents, rentry{})
-		copy(w.ents[at+1:], w.ents[at:])
-		w.ents[at] = rentry{id: id, weight: weight}
-	}
-	w.publishLocked()
+// registered but never selected. A negative or non-finite weight panics.
+func (b *Balancer) SetWeight(id int, weight float64) {
+	checkWeight(id, weight)
+	b.mu.Lock()
+	b.setWeightLocked(id, weight)
+	b.mu.Unlock()
 }
 
-// Apply bulk-reconciles the scheduler to a weight map in one table rebuild:
-// backends absent from the map are removed (clearing their drain marks),
-// present ones are set to their weight, keeping any drain marks. This is
-// the planner's path — one epoch swap per re-plan instead of one per
-// backend.
-func (w *SmoothWRR) Apply(weights map[int]float64) {
-	for id, wt := range weights {
-		if wt < 0 {
-			panic(fmt.Sprintf("lb: negative weight %v for backend %d", wt, id))
-		}
+// UpdatePortfolio resets backend weights after a new portfolio is chosen
+// (the optimizer → LB REST call in the paper). Backends absent from the map
+// are removed; present ones keep their drain marks. Routing sees either the
+// old portfolio or the new one, never a mix.
+func (b *Balancer) UpdatePortfolio(weights map[int]float64) {
+	for id, w := range weights {
+		checkWeight(id, w)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	kept := w.ents[:0]
-	for _, e := range w.ents {
-		if wt, ok := weights[e.id]; ok {
-			e.weight = wt
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	kept := b.ents[:0]
+	for _, e := range b.ents {
+		if _, ok := weights[e.id]; ok {
 			kept = append(kept, e)
 		}
 	}
-	w.ents = kept
-	for bid, wt := range weights {
-		if w.findLocked(bid) < 0 {
-			at := sort.Search(len(w.ents), func(i int) bool { return w.ents[i].id >= bid })
-			w.ents = append(w.ents, rentry{})
-			copy(w.ents[at+1:], w.ents[at:])
-			w.ents[at] = rentry{id: bid, weight: wt}
-		}
+	b.ents = kept
+	for id, w := range weights {
+		b.setWeightLocked(id, w)
 	}
-	w.publishLocked()
 }
 
-// Remove deletes a backend (and its drain marks). It reports whether the
+// Remove deletes a backend and its drain marks. It reports whether the
 // backend existed.
-func (w *SmoothWRR) Remove(id int) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	i := w.findLocked(id)
-	if i < 0 {
-		return false
+func (b *Balancer) Remove(id int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.removeLocked(id)
+}
+
+func (b *Balancer) removeLocked(id int) bool {
+	i, ok := b.findLocked(id)
+	if ok {
+		b.ents = append(b.ents[:i], b.ents[i+1:]...)
 	}
-	w.ents = append(w.ents[:i], w.ents[i+1:]...)
-	w.publishLocked()
-	return true
-}
-
-// setDrain marks a backend hard- or soft-draining (Balancer's warning
-// path); clearDrain removes both marks.
-func (w *SmoothWRR) setDrain(id int, hard bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	i := w.findLocked(id)
-	if i < 0 {
-		return
-	}
-	if hard {
-		w.ents[i].hard = true
-	} else {
-		w.ents[i].soft = true
-	}
-	w.publishLocked()
-}
-
-// drainState reports a backend's drain marks from the published table
-// (lock-free; an array index on the sticky hot path when ids are dense).
-func (w *SmoothWRR) drainState(id int) (hard, soft, registered bool) {
-	t := w.table()
-	if t.dense != nil {
-		if id < 0 || id >= len(t.dense) {
-			return false, false, false
-		}
-		s := t.dense[id]
-		return s == stateHard, s == stateSoft, s != 0
-	}
-	e, ok := t.lookup(id)
-	return e.hard, e.soft, ok
-}
-
-// Next picks the next backend over all registered positive-weight entries
-// (drain marks are ignored — the vanilla baseline's view). ok is false when
-// no backend has positive weight. Lock-free.
-func (w *SmoothWRR) Next() (id int, ok bool) {
-	return w.curAll.next(w.table().seqAll)
-}
-
-// nextLive picks excluding hard-draining backends (anonymous traffic; the
-// §4.4 soft-draining servers keep receiving sessionless load). Lock-free.
-func (w *SmoothWRR) nextLive() (id int, ok bool) {
-	return w.curLive.next(w.table().seqLive)
-}
-
-// nextOpen picks excluding both hard- and soft-draining backends (new
-// session bindings). Lock-free.
-func (w *SmoothWRR) nextOpen() (id int, ok bool) {
-	return w.curOpen.next(w.table().seqOpen)
-}
-
-// Has reports whether a backend is still registered (removal marks the end
-// of its drain lifecycle, so Has doubles as the routability check closing
-// the assign/drain race in Balancer.Route). Lock-free.
-func (w *SmoothWRR) Has(id int) bool {
-	t := w.table()
-	if t.dense != nil {
-		return id >= 0 && id < len(t.dense) && t.dense[id] != 0
-	}
-	_, ok := t.lookup(id)
 	return ok
 }
 
-// Len returns the number of registered backends.
-func (w *SmoothWRR) Len() int { return len(w.table().ents) }
+// markLocked sets a registered backend's hard or soft drain mark.
+func (b *Balancer) markLocked(id int, hard bool) {
+	if i, ok := b.findLocked(id); ok && hard {
+		b.ents[i].hard = true
+	} else if ok {
+		b.ents[i].soft = true
+	}
+}
+
+// Has reports whether a backend is registered (in rotation or draining).
+func (b *Balancer) Has(id int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	_, ok := b.findLocked(id)
+	return ok
+}

@@ -3,7 +3,7 @@
 // counting every operation and sampling latencies into a log-linear
 // histogram. Closed-loop max-throughput is the right shape for measuring a
 // routing hot path (an open-loop generator would need a pacing clock that
-// itself costs more than a lock-free Route); the in-process testbed's
+// itself costs more than a Route); the in-process testbed's
 // open-loop generator (testbed.LoadGen) remains the tool for SLO
 // experiments at paper-scale rates.
 //

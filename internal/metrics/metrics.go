@@ -74,11 +74,12 @@ type stripe struct {
 	_ [56]byte
 }
 
-// Counter is a monotonically increasing sharded counter (a monotone wrapper
-// over Striped). All methods are safe for concurrent use and are no-ops on a
-// nil receiver.
+// Counter is a monotonically increasing counter striped over per-goroutine
+// cells, so concurrent Add calls land on distinct cache lines and never
+// contend; Value folds the stripes at read time. All methods are safe for
+// concurrent use and are no-ops on a nil receiver.
 type Counter struct {
-	s Striped
+	cells []stripe
 }
 
 // Inc adds one.
@@ -89,7 +90,7 @@ func (c *Counter) Add(n int64) {
 	if c == nil || n <= 0 {
 		return
 	}
-	c.s.cells[shardIndex()].v.Add(n)
+	c.cells[shardIndex()].v.Add(n)
 }
 
 // Value sums the stripes. The sum is not a point-in-time snapshot under
@@ -99,7 +100,11 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.s.Sum()
+	var t int64
+	for i := range c.cells {
+		t += c.cells[i].v.Load()
+	}
+	return t
 }
 
 // Gauge is a settable float64 value (atomic bit-store). Methods are safe
@@ -206,7 +211,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	f := r.familyFor(name, help, kindCounter)
 	s, created := f.seriesFor(labels)
 	if created {
-		s.counter = &Counter{s: Striped{cells: make([]stripe, shardCount)}}
+		s.counter = &Counter{cells: make([]stripe, shardCount)}
 	}
 	return s.counter
 }

@@ -211,7 +211,7 @@ func Run(cfg Config) (*Result, error) {
 		servers[id] = s
 		if spec.ReadyAt <= now {
 			s.ready = true
-			bal.WRR.SetWeight(id, spec.Capacity)
+			bal.SetWeight(id, spec.Capacity)
 		} else {
 			heap.Push(&h, &event{at: spec.ReadyAt, kind: evServerReady, server: id})
 		}
@@ -337,7 +337,7 @@ func Run(cfg Config) (*Result, error) {
 			srv := servers[e.server]
 			srv.advance(now)
 			srv.ready = true
-			bal.WRR.SetWeight(srv.id, srv.capacity)
+			bal.SetWeight(srv.id, srv.capacity)
 			scheduleCompletion(srv)
 
 		case evMigrate:

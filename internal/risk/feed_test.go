@@ -32,7 +32,7 @@ func TestFeedSeedsBaselineFromJournal(t *testing.T) {
 	for i := 0; i < pre; i++ {
 		j.Record(metrics.EvWarning, -1, 0, "")
 	}
-	e := New(Config{}, testCatalog(1, 0.02, nil))
+	e := New(Config{Metrics: metrics.NewRegistry()}, testCatalog(1, 0.02, nil))
 	_, before, _ := estimate(e, 0)
 	f := NewFeed(e, FeedConfig{Journal: j, Interval: time.Hour})
 	if f == nil {
@@ -55,7 +55,7 @@ func TestFeedSeedsBaselineFromJournal(t *testing.T) {
 // exposure so the evidence window actually grows.
 func TestFeedPumpsWarningsAndTicks(t *testing.T) {
 	j := metrics.NewJournal(64)
-	e := New(Config{HalfLifeHrs: 1e9}, testCatalog(1, 0.02, nil))
+	e := New(Config{Metrics: metrics.NewRegistry(), HalfLifeHrs: 1e9}, testCatalog(1, 0.02, nil))
 	f := NewFeed(e, FeedConfig{
 		Journal:  j,
 		Interval: time.Millisecond,
@@ -86,7 +86,7 @@ func TestFeedPumpsWarningsAndTicks(t *testing.T) {
 // either observed or counted dropped.
 func TestFeedConcurrentJournalStress(t *testing.T) {
 	j := metrics.NewJournal(256)
-	e := New(Config{}, testCatalog(2, 0.02, []int{0, 1}))
+	e := New(Config{Metrics: metrics.NewRegistry()}, testCatalog(2, 0.02, []int{0, 1}))
 	f := NewFeed(e, FeedConfig{
 		Journal:  j,
 		Buffer:   64,

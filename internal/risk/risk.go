@@ -121,7 +121,6 @@ type Estimator struct {
 	t            int // latest observed interval
 	version      uint64
 	epoch        uint64
-	events       int64 // lifetime revocation events (incl. seeded baseline)
 	injected     int64
 	changepoints int64
 
@@ -204,7 +203,6 @@ func (e *Estimator) ObserveRevocation(mkt int, injected bool) {
 	}
 	e.mu.Lock()
 	e.pending[mkt] = true
-	e.events++
 	if injected {
 		e.injected++
 	}
@@ -408,9 +406,6 @@ func (e *Estimator) SeedLifetime(events int64) {
 	if e == nil || events <= 0 {
 		return
 	}
-	e.mu.Lock()
-	e.events += events
-	e.mu.Unlock()
 	e.cEvents.Add(events)
 }
 

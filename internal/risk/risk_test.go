@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/market"
+	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -53,7 +54,7 @@ func TestPosteriorConvergesToTrueRate(t *testing.T) {
 		intervals = 400
 	)
 	cat := testCatalog(1, 0.001, nil) // catalog claims 0.1% — a lie
-	e := New(Config{HalfLifeHrs: 1e9, PoolWeight: 0.001}, cat)
+	e := New(Config{Metrics: metrics.NewRegistry(), HalfLifeHrs: 1e9, PoolWeight: 0.001}, cat)
 	exposed := []bool{true, false}
 	// Deterministic stream: one revocation every 1/trueRate intervals.
 	period := int(math.Round(1 / trueRate))
@@ -147,7 +148,7 @@ func TestGroupPoolingSharesEvidence(t *testing.T) {
 // Bernoulli success, while lifetime event counts keep every warning.
 func TestRevocationDedupWithinInterval(t *testing.T) {
 	cat := testCatalog(1, 0.02, nil)
-	e := New(Config{}, cat)
+	e := New(Config{Metrics: metrics.NewRegistry()}, cat)
 	e.ObserveRevocation(0, false)
 	e.ObserveRevocation(0, true)
 	e.ObserveRevocation(0, false)
@@ -165,7 +166,7 @@ func TestRevocationDedupWithinInterval(t *testing.T) {
 // lifetime totals without perturbing rate estimates.
 func TestSeedLifetimeCountsBaseline(t *testing.T) {
 	cat := testCatalog(1, 0.02, nil)
-	e := New(Config{}, cat)
+	e := New(Config{Metrics: metrics.NewRegistry()}, cat)
 	_, before, _ := estimate(e, 0)
 	e.SeedLifetime(2000)
 	if events(e) != 2000 {
@@ -322,11 +323,10 @@ func estimate(e *Estimator, i int) (mean, ucb float64, ok bool) {
 	return mean, ucb, true
 }
 
-// events returns the lifetime revocation events the estimator consumed.
+// events reads spotweb_risk_events_total, the lifetime revocation events
+// the estimator consumed (its config must carry a registry).
 func events(e *Estimator) int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.events
+	return e.cfg.Metrics.Counter("spotweb_risk_events_total", "").Value()
 }
 
 // exposure returns market i's decayed exposure count.

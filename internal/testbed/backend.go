@@ -67,7 +67,6 @@ type Backend struct {
 	srv      *httptest.Server
 	bornAt   time.Time
 	inflight atomic.Int64
-	served   atomic.Int64
 	shed     atomic.Int64
 	closed   atomic.Bool
 	slowdown atomic.Uint64 // float64 bits; 0 means full speed (factor 1)
@@ -152,7 +151,6 @@ func (b *Backend) handle(w http.ResponseWriter, r *http.Request) {
 		st = time.Duration(float64(st) * (1 + 2*(saturation-0.5)))
 	}
 	time.Sleep(st)
-	b.served.Add(1)
 	fmt.Fprintf(w, "ok from %d\n", b.ID)
 }
 

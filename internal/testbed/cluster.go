@@ -136,7 +136,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		r.GaugeFunc("spotweb_ready_capacity_req_per_sec", "Warm-adjusted capacity of ready backends.",
 			c.TotalReadyCapacity)
 		r.GaugeFunc("spotweb_sessions_live", "Sticky sessions currently bound.",
-			func() float64 { return float64(c.balancer.Sessions.Len()) })
+			func() float64 { return float64(c.balancer.SessionCount()) })
 	}
 	return c
 }
@@ -210,7 +210,7 @@ func (c *Cluster) addBackend(mkt int, capacity float64, replacement bool) *Backe
 		c.cfg.Journal.Record(metrics.EvReplacementStarted, id, mkt, "")
 	}
 	join := func() {
-		c.balancer.WRR.SetWeight(id, capacity)
+		c.balancer.SetWeight(id, capacity)
 		if replacement {
 			c.cfg.Journal.Record(metrics.EvReplacementUp, id, mkt, "")
 			if c.admission.CompareAndSwap(true, false) {
@@ -480,7 +480,7 @@ func (c *Cluster) serve(w http.ResponseWriter, session string) {
 		c.noteFailure(id)
 		// A failed sticky backend should not pin the retry: rebind.
 		if session != "" && !c.cfg.Vanilla {
-			c.balancer.Sessions.End(session)
+			c.balancer.EndSession(session)
 		}
 	}
 	http.Error(w, "backend failed", http.StatusBadGateway)
@@ -494,7 +494,7 @@ func (c *Cluster) noteFailure(id int) {
 	n := c.fails[id]
 	c.mu.Unlock()
 	if c.cfg.Vanilla && n >= c.cfg.FailDetect {
-		c.balancer.WRR.Remove(id)
+		c.balancer.Remove(id)
 	}
 }
 

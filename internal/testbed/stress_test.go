@@ -83,13 +83,13 @@ func TestConcurrentServeRevokeScale(t *testing.T) {
 	// drained: nothing stranded, nothing still in rotation.
 	deadline := time.Now().Add(2 * time.Second)
 	for _, id := range []int{0, 1, 2} {
-		for cl.balancer.WRR.Has(id) && time.Now().Before(deadline) {
+		for cl.balancer.Has(id) && time.Now().Before(deadline) {
 			time.Sleep(10 * time.Millisecond)
 		}
-		if cl.balancer.WRR.Has(id) {
+		if cl.balancer.Has(id) {
 			t.Fatalf("revoked backend %d still in rotation after drain deadline", id)
 		}
-		if n := cl.balancer.Sessions.CountOn(id); n != 0 {
+		if n := cl.balancer.SessionsOn(id); n != 0 {
 			t.Fatalf("%d sessions stranded on revoked backend %d", n, id)
 		}
 	}

@@ -1,10 +1,12 @@
 package testbed
 
 import (
+	"io"
 	"net/http"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/stats"
 )
 
@@ -26,12 +28,13 @@ func TestBackendServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if b.served.Load() != 1 {
-		t.Fatalf("served = %d", b.served.Load())
+	if string(body) != "ok from 0\n" {
+		t.Fatalf("body = %q", body)
 	}
 }
 
@@ -111,10 +114,15 @@ func TestRecorderWindows(t *testing.T) {
 }
 
 func TestClusterRoutesAcrossBackends(t *testing.T) {
-	c := NewCluster(ClusterConfig{Backend: fastBackendCfg(), Warning: time.Second})
+	reg := metrics.NewRegistry()
+	c := NewCluster(ClusterConfig{Backend: fastBackendCfg(), Warning: time.Second, Metrics: reg})
 	defer c.Close()
 	b1 := c.AddBackend(100)
 	b2 := c.AddBackend(100)
+	proxied := func(b *Backend) int64 {
+		return reg.Counter("spotweb_backend_requests_total", "",
+			metrics.L("backend", metrics.Itoa(b.ID)), metrics.L("market", "-1")).Value()
+	}
 	rec := NewRecorder()
 	LoadGen(c, 200, 500*time.Millisecond, 0, rec)
 	served, dropped := rec.Totals()
@@ -126,8 +134,8 @@ func TestClusterRoutesAcrossBackends(t *testing.T) {
 	if dropped > served/10 {
 		t.Fatalf("dropped = %d of %d", dropped, served)
 	}
-	if b1.served.Load() == 0 || b2.served.Load() == 0 {
-		t.Fatalf("load not spread: %d/%d", b1.served.Load(), b2.served.Load())
+	if proxied(b1) == 0 || proxied(b2) == 0 {
+		t.Fatalf("load not spread: %d/%d", proxied(b1), proxied(b2))
 	}
 }
 

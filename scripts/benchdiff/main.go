@@ -1,12 +1,10 @@
-// Command benchdiff maintains the BENCH_* trajectories: it parses raw
+// Command benchdiff maintains the BENCH_sweep trajectory: it parses raw
 // `go test -bench` output into a compact JSON baseline and compares two
-// baselines with a regression threshold. It is the CI bench gates' brain
-// (scripts/bench_lb.sh and scripts/bench_sweep.sh produce, the workflow
-// jobs compare).
+// baselines with a regression threshold (scripts/bench_sweep.sh produces,
+// `make bench-gate` and the nightly workflow compare).
 //
 // Parse mode (produce a baseline from raw benchmark output):
 //
-//	benchdiff -parse raw.txt [-loadgen loadgen.json] -out BENCH_lb.json
 //	benchdiff -parse raw.txt -schema spotweb-bench-sweep/v1 -meta stats.json -out BENCH_sweep.json
 //
 // Multiple runs of the same benchmark (-count=N) collapse to the MINIMUM
@@ -15,7 +13,7 @@
 //
 // Compare mode (gate a candidate against the checked-in baseline):
 //
-//	benchdiff -baseline BENCH_lb.json -current new.json -threshold 1.20
+//	benchdiff -baseline BENCH_sweep.json -current new.json -threshold 1.20
 //
 // Exits 1 when any baseline benchmark regresses beyond the threshold or is
 // missing from the candidate; benchmarks only present in the candidate are
@@ -38,7 +36,6 @@ import (
 type Baseline struct {
 	Schema     string                `json:"schema"`
 	Benchmarks map[string]BenchEntry `json:"benchmarks"`
-	Loadgen    json.RawMessage       `json:"loadgen,omitempty"`
 	// Meta carries arbitrary producer-supplied context (e.g. the sweep
 	// engine's Stats: real-cell cells/sec, worker and core counts). It is
 	// informational — compare mode gates only on Benchmarks.
@@ -51,9 +48,8 @@ type BenchEntry struct {
 	Samples int     `json:"samples"` // runs collapsed into the minimum
 }
 
-// defaultSchema keeps the original LB trajectory working unflagged; other
-// trajectories pass -schema explicitly.
-const defaultSchema = "spotweb-bench-lb/v1"
+// defaultSchema is the sweep trajectory's schema id.
+const defaultSchema = "spotweb-bench-sweep/v1"
 
 // benchLine matches `BenchmarkName-8   12345   67.8 ns/op ...`; the -N
 // GOMAXPROCS suffix is stripped so baselines transfer across machines.
@@ -61,10 +57,9 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.eE+]
 
 func main() {
 	parse := flag.String("parse", "", "raw go-test bench output to summarize")
-	loadgen := flag.String("loadgen", "", "optional loadgen result JSON to embed (parse mode)")
 	schema := flag.String("schema", defaultSchema, "schema id stamped into the baseline (parse mode)")
 	meta := flag.String("meta", "", "optional JSON file embedded verbatim under 'meta' (parse mode)")
-	out := flag.String("out", "BENCH_lb.json", "output path for the summarized baseline (parse mode)")
+	out := flag.String("out", "BENCH_sweep.json", "output path for the summarized baseline (parse mode)")
 	baseline := flag.String("baseline", "", "checked-in baseline JSON (compare mode)")
 	current := flag.String("current", "", "candidate baseline JSON (compare mode)")
 	threshold := flag.Float64("threshold", 1.20, "max allowed current/baseline ns/op ratio")
@@ -72,7 +67,7 @@ func main() {
 
 	switch {
 	case *parse != "":
-		if err := runParse(*parse, *loadgen, *meta, *schema, *out); err != nil {
+		if err := runParse(*parse, *meta, *schema, *out); err != nil {
 			fatal(err)
 		}
 	case *baseline != "" && *current != "":
@@ -84,7 +79,7 @@ func main() {
 			os.Exit(1)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "usage: benchdiff -parse raw.txt [-loadgen lg.json] [-out BENCH_lb.json]")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff -parse raw.txt [-schema id] [-meta stats.json] [-out BENCH_sweep.json]")
 		fmt.Fprintln(os.Stderr, "       benchdiff -baseline a.json -current b.json [-threshold 1.20]")
 		os.Exit(2)
 	}
@@ -95,7 +90,7 @@ func fatal(err error) {
 	os.Exit(2)
 }
 
-func runParse(rawPath, loadgenPath, metaPath, schema, outPath string) error {
+func runParse(rawPath, metaPath, schema, outPath string) error {
 	f, err := os.Open(rawPath)
 	if err != nil {
 		return err
@@ -125,16 +120,6 @@ func runParse(rawPath, loadgenPath, metaPath, schema, outPath string) error {
 	}
 	if len(b.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark lines found in %s", rawPath)
-	}
-	if loadgenPath != "" {
-		lg, err := os.ReadFile(loadgenPath)
-		if err != nil {
-			return err
-		}
-		if !json.Valid(lg) {
-			return fmt.Errorf("%s is not valid JSON", loadgenPath)
-		}
-		b.Loadgen = json.RawMessage(lg)
 	}
 	if metaPath != "" {
 		m, err := os.ReadFile(metaPath)

@@ -56,7 +56,7 @@ echo "==> drove $reqs requests through the LB"
 [ "$reqs" -gt 0 ] || { echo "FAIL: no request ever succeeded" >&2; cat "$LOG" >&2; exit 1; }
 
 # Burst the loadgen harness (url mode, sticky sessions) against the live
-# daemon so the lock-free data plane's own series accumulate real traffic.
+# daemon so the balancer's own series accumulate real traffic.
 echo "==> loadgen burst against the LB"
 go run ./cmd/spotweb-load -mode url -url "http://127.0.0.1:$LB_PORT/" \
     -workers 4 -sessions 16 -duration 2s -sample-every 1 || {
