@@ -19,8 +19,8 @@ import (
 	"testing"
 )
 
-// deadcodeAllowlist names the exported declarations under internal/ that
-// may stay without a caller in non-test code, keyed as the gate prints them.
+// deadcodeAllowlist names the declarations under internal/ that may stay
+// without a caller in non-test code, keyed as the gate prints them.
 // Every entry gives one of three kinds of reason: (a) a test seam or a
 // cross-package test oracle, (b) part of the ADMM island ROADMAP item 2
 // deletes, (c) the consumer a ROADMAP item names. An entry that is no longer
@@ -42,16 +42,16 @@ var deadcodeAllowlist = map[string]string{
 	"linalg.CSR.At":                      "(b) ADMM island (ROADMAP item 2): CSR moves beside its one ablation",
 	"linalg.CSR.Dense":                   "(b) ADMM island (ROADMAP item 2): CSR moves beside its one ablation",
 	"linalg.CSR.NNZ":                     "(b) ADMM island (ROADMAP item 2): CSR moves beside its one ablation",
-	"linalg.FactorModel.Dense":           "(b) ADMM island (ROADMAP item 2): FactorModel moves beside its one ablation",
-	"linalg.FactorModel.QuadForm":        "(b) ADMM island (ROADMAP item 2): FactorModel moves beside its one ablation",
+	"linalg.FactorModel.Dense":           "(a) test oracle: portfolio/risk_test.go solves the dense expansion beside the factor model",
 	"portfolio.Config.Breakdown":         "(c) ROADMAP item 5: the per-round trace record carries the cost terms",
 }
 
-// TestNoDeadExports fails for every exported function, method, type, variable
-// or constant declared in a non-test file under internal/ that no non-test
-// file of the module refers to. It type-checks the module's non-test files
-// with go/types; a reference from inside the declaration itself (a
-// function's own body, a type's own methods) does not count.
+// TestNoDeadExports fails for every package-level function, type, variable or
+// constant and every method — exported or not, init functions aside —
+// declared in a non-test file under internal/ that no non-test file of the
+// module refers to. It type-checks the module's non-test files with go/types; a reference
+// from inside the declaration itself (a function's own body, a type's own
+// methods) does not count.
 //
 // Interface rule: a method is live when its name and signature match a
 // method of any interface type the program mentions — a named interface of
@@ -76,7 +76,7 @@ func TestNoDeadExports(t *testing.T) {
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		t.Errorf("%s: exported, no caller in non-test code (%s)", key, dead[key])
+		t.Errorf("%s: no caller in non-test code (%s)", key, dead[key])
 	}
 }
 
@@ -90,9 +90,9 @@ type listedPackage struct {
 	Export     string
 }
 
-// deadExports returns every exported declaration under internal/ without a
-// reference from non-test code, keyed as "pkg.Name" or "pkg.Type.Method"
-// (pkg relative to internal/), with its position as the value.
+// deadExports returns every declaration under internal/ without a reference
+// from non-test code, keyed as "pkg.Name" or "pkg.Type.Method" (pkg relative
+// to internal/), with its position as the value.
 func deadExports() (map[string]string, error) {
 	cmd := exec.Command("go", "list", "-deps", "-export", "-json", "./...")
 	var stderr bytes.Buffer
@@ -228,7 +228,7 @@ func deadExports() (map[string]string, error) {
 		scope := pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if obj.Exported() && !used[obj] {
+			if !used[obj] { // init functions are not in the scope
 				dead[rel+"."+name] = fset.Position(obj.Pos()).String()
 			}
 			tn, ok := obj.(*types.TypeName)
@@ -241,7 +241,7 @@ func deadExports() (map[string]string, error) {
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
-				if m.Exported() && !used[m] && !matchesIface(m) {
+				if !used[m] && !matchesIface(m) {
 					dead[rel+"."+name+"."+m.Name()] = fset.Position(m.Pos()).String()
 				}
 			}

@@ -122,11 +122,12 @@ func (p *ConstantPortfolio) Decide(_ int, observed float64) ([]int, error) {
 // 2 hours of running").
 func FreezeWeights(cat *market.Catalog, t int, lambda, alpha float64) (linalg.Vector, error) {
 	cfg := portfolio.Config{Horizon: 1, Alpha: alpha}
+	risk, _ := cat.CovarianceOperator(t, cat.TwoWeekWindow(), nil)
 	in := &portfolio.Inputs{
 		Lambda:     []float64{lambda},
 		PerReqCost: [][]float64{cat.PerRequestCosts(t)},
 		FailProb:   [][]float64{cat.FailProbs(t)},
-		Risk:       cat.CovarianceMatrix(t, cat.TwoWeekWindow()),
+		Risk:       risk,
 	}
 	plan, err := portfolio.Optimize(cfg, in)
 	if err != nil {

@@ -149,12 +149,10 @@ func AblationRisk(w io.Writer, opt Options) RiskAblationResult {
 		inD.Risk = dense
 		msD, planD := timeIt(inD)
 		inS := base()
-		inS.RiskOp = sparse
-		inS.RiskDim = cat.Len()
+		inS.Risk = sparse
 		msS, planS := timeIt(inS)
 		inF := base()
-		inF.RiskOp = factor
-		inF.RiskDim = cat.Len()
+		inF.Risk = factor
 		msF, _ := timeIt(inF)
 		res.DenseMS = append(res.DenseMS, msD)
 		res.SparseMS = append(res.SparseMS, msS)

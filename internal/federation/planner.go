@@ -129,10 +129,6 @@ type Planner struct {
 	prevAlloc linalg.Vector
 	shares    []float64
 	stats     Stats
-	// denseRisk is the tests' seam for the oracle's shard path: each
-	// shard's dense CovarianceMatrix — windows gathered one at a time into a
-	// fresh buffer — as Inputs.Risk, which every solve scans.
-	denseRisk bool
 }
 
 // NewPlanner wires a federated planner with defaults. src must address the
@@ -213,12 +209,8 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 			Lambda:       in.Lambda,
 			PerReqCost:   make([][]float64, h),
 			FailProb:     make([][]float64, h),
+			Risk:         risks[s],
 			ShortfallMAE: in.ShortfallMAE,
-		}
-		if p.denseRisk {
-			si.Risk = risks[s].(*linalg.Matrix)
-		} else {
-			si.RiskOp, si.RiskDim = risks[s], sh.Cat.Len()
 		}
 		for τ := 0; τ < h; τ++ {
 			si.PerReqCost[τ] = in.PerReqCost[τ][sh.Lo:sh.Hi]
@@ -306,9 +298,12 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 		p.solvers[s].Shift(shards[s].Cat.Len())
 	}
 	plan := mergePlans(results, shards, nGlobal, h)
-	p.shares = shares
-
 	merged := plan.First()
+	if err := portfolio.CheckFinite(merged); err != nil {
+		p.Metrics.Counter("spotweb_solver_errors_total", "MPO solves that failed.").Inc()
+		return nil, fmt.Errorf("federation: %w", err)
+	}
+	p.shares = shares
 	p.prevAlloc = merged.Clone()
 
 	counts := portfolio.ServerCounts(merged, in.Lambda[0], p.caps, p.Cfg.MinServerFraction)
@@ -353,10 +348,6 @@ func (p *Planner) shardCovariances(t int, build func()) []linalg.MatVec {
 	fns := make([]func(), 1, 1+len(risks))
 	fns[0] = build
 	for s, sh := range p.Fed.Shards {
-		if p.denseRisk {
-			fns = append(fns, func() { risks[s] = sh.Cat.CovarianceMatrix(t, p.Cfg.CovWindow) })
-			continue
-		}
 		fns = append(fns, func() {
 			var win *linalg.Samples
 			mu.Lock()
@@ -417,11 +408,7 @@ func (p *Planner) proportionalShares() []float64 {
 // marginal is +Inf (the shard is saturated).
 func (p *Planner) marginalCost(s int, cfg portfolio.Config, in *portfolio.Inputs, plan *portfolio.Plan) float64 {
 	a0 := plan.First()
-	risk := in.RiskOp
-	if in.Risk != nil { // the denseRisk seam
-		risk = in.Risk
-	}
-	ma := risk.MulVec(a0, p.riskAlloc[s])
+	ma := in.Risk.MulVec(a0, p.riskAlloc[s])
 	lam := in.Lambda[0]
 	mc := math.Inf(1)
 	for i := range a0 {

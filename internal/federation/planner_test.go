@@ -311,3 +311,34 @@ func TestShardCovarianceParallelBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestPlannerRejectsNonFinitePlan: a NaN at interval 0 of every transient
+// market's failure-probability series reaches each shard's covariance from
+// interval 2 on, and the shard solves end with NaN allocations; Step must
+// return an error, counted in spotweb_solver_errors_total, instead of a
+// Decision sized from them.
+func TestPlannerRejectsNonFinitePlan(t *testing.T) {
+	fed, err := Build(Config{Regions: 2, AZsPerRegion: 1, TypesPerAZ: 6, Hours: 48, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mk := range fed.Merged.Markets {
+		if mk.Transient {
+			mk.FailProb.Values[0] = math.NaN()
+		}
+	}
+	cfg := fedTestConfig()
+	reg := metrics.NewRegistry()
+	wp := predict.NewSplinePredictor(predict.SplineConfig{StepHrs: fed.Merged.StepHrs, ARLag1: true, CIProb: 0.99}, cfg.Horizon)
+	p := NewPlanner(fed, PlannerConfig{Portfolio: cfg}, wp, portfolio.ReactiveSource{Cat: fed.Merged})
+	p.Metrics = reg
+	if _, err := p.Step(1, 60); err != nil {
+		t.Fatalf("step 1: %v", err)
+	}
+	if dec, err := p.Step(2, 60); err == nil {
+		t.Fatalf("step 2 planned counts %v from allocations %v", dec.Counts, dec.Plan.First())
+	}
+	if v := reg.Counter("spotweb_solver_errors_total", "").Value(); v != 1 {
+		t.Fatalf("spotweb_solver_errors_total = %d, want 1", v)
+	}
+}

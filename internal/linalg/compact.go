@@ -5,16 +5,18 @@ import (
 	"math"
 )
 
-// MatVec is the one-method view of a square matrix the optimizer's risk term
-// needs. *Matrix, *CSR, *FactorModel and *Compact all satisfy it.
+// MatVec is the view of a square matrix the optimizer's risk term needs: its
+// order and its product with a vector. *Matrix, *CSR, *FactorModel and
+// *Compact all satisfy it.
 type MatVec interface {
+	Dim() int
 	MulVec(x, dst Vector) Vector
 }
 
-// Compact applies a dense square matrix while skipping its isolated indices —
-// those whose row AND column are exactly zero off the diagonal. The covariance
-// of revocation dynamics has one such index per on-demand market, so half of
-// a typical catalog's matvec multiplies exact zeros.
+// Compact applies a bitwise-symmetric dense matrix while skipping its isolated
+// indices — those whose row (and so column) is exactly zero off the diagonal.
+// The covariance of revocation dynamics has one such index per on-demand
+// market, so half of a typical catalog's matvec multiplies exact zeros.
 //
 // MulVec is bit-identical to (*Matrix).MulVec for finite x (DESIGN.md §5,
 // "Kernel contract"): a coupled output keeps one accumulator summed over the
@@ -22,18 +24,17 @@ type MatVec interface {
 // cannot change a sum that started at +0; an isolated output is 0 + M_ii·x_i.
 // A non-finite x breaks the equivalence (0·∞ is NaN in the dense sum).
 //
-// A bitwise-symmetric coupled block has rows that are its columns, so its
-// full 8-row chunks run the lane kernel (lanes.go) down the columns; the
-// leftover rows, a block without a full chunk and an asymmetric block run
-// (*Matrix).mulBlocks. With isolated indices the operator holds a packed copy
-// of the coupled block; with none it runs over the matrix itself, without a
-// copy. Either way it lives for one solve: the matrix must not change while
-// the operator is in use. It also owns the scratch its calls gather x into
-// and compute in: one Compact serves one goroutine at a time.
+// The coupled block's rows are its columns, so its full 8-row chunks run the
+// lane kernel (lanes.go) down the columns; the leftover rows and a block
+// without a full chunk run (*Matrix).mulBlocks. With isolated indices the
+// operator holds a packed copy of the coupled block; with none it runs over
+// the matrix itself, without a copy. Either way it lives for one solve: the
+// matrix must not change while the operator is in use. It also owns the
+// scratch its calls gather x into and compute in: one Compact serves one
+// goroutine at a time.
 type Compact struct {
 	n       int
 	block   Matrix    // the k×k coupled block: packed, or the matrix itself when k == n
-	sym     bool      // block is bitwise symmetric and has a full 8-row chunk
 	coupled []int     // ascending
 	iso     []int     // ascending; coupled ∪ iso = [0, n)
 	isoDiag []float64 // M_ii of iso[t]
@@ -42,37 +43,25 @@ type Compact struct {
 }
 
 // CompactRisk scans the square matrix m once for isolated indices and returns
-// the cheapest exact way to apply it, with the number of coupled indices. When
-// nothing is isolated and the lanes cannot help — fewer than 8 rows, or m not
-// bitwise symmetric — that is m itself (coupled == m.Rows) and callers run
-// exactly the dense code; a symmetric m gets an operator over m's own storage.
+// the cheapest exact way to apply it, with the number of coupled indices. A
+// matrix that is not bitwise symmetric, or that isolates nothing and has
+// fewer than 8 rows for the lanes, is returned itself (coupled == m.Rows) and
+// callers run exactly the dense code; a symmetric m that isolates nothing
+// gets an operator over m's own storage.
 func CompactRisk(m *Matrix) (MatVec, int) {
 	if m.Rows != m.Cols {
 		panic(fmt.Sprintf("linalg: CompactRisk of non-square %dx%d matrix", m.Rows, m.Cols))
 	}
 	n := m.Rows
-	isCoupled := make([]bool, n)
-	k := 0
-	mark := func(i int) {
-		if !isCoupled[i] {
-			isCoupled[i] = true
-			k++
-		}
-	}
-	for i := 0; i < n && k < n; i++ {
-		for j, a := range m.Data[i*n : (i+1)*n] {
-			// NaN != 0, so a non-finite entry couples its indices.
-			if a != 0 && j != i {
-				mark(i) // row i is non-zero
-				mark(j) // column j is non-zero
-			}
-		}
+	isCoupled, k, ok := scanSymmetric(m, nil, n)
+	if !ok {
+		return m, n
 	}
 	if k == n {
-		if !laneSymmetric(m) {
+		if n < 8 {
 			return m, n
 		}
-		return &Compact{n: n, block: *m, sym: true}, n
+		return &Compact{n: n, block: *m}, n
 	}
 	c := newCompact(isCoupled, k, nil)
 	for i := range c.iso {
@@ -84,27 +73,17 @@ func CompactRisk(m *Matrix) (MatVec, int) {
 			packed[t] = row[j]
 		}
 	}
-	c.sym = laneSymmetric(&c.block)
 	return c, k
 }
 
-// CompactBlock returns what CompactRisk returns for the n×n matrix M that
-// holds the k×k block at the rows and columns idx (ascending, k = len(idx)),
-// diag on the rest of its diagonal and zeros everywhere else — the same
-// operator, coupled set and count, without forming M. A covariance of
-// revocation dynamics is such a matrix: the block over the transient markets
-// plus a ridge. The operator may keep block's storage, so the caller hands the
-// block over.
-func CompactBlock(n int, idx []int, block *Matrix, diag float64) (MatVec, int) {
-	k := len(idx)
-	if block.Rows != k || block.Cols != k || k > n {
-		panic(fmt.Sprintf("linalg: CompactBlock of a %dx%d block over %d of %d indices", block.Rows, block.Cols, k, n))
-	}
-	if k == n { // idx is every index: M is the block
-		return CompactRisk(block)
-	}
-	isCoupled := make([]bool, n)
-	kc := 0
+// scanSymmetric reports whether the square block equals its transpose in
+// every bit and, when it does, which of the n indices it couples, and how
+// many: both indices of every non-zero entry off the diagonal (NaN != 0, so a
+// non-finite entry couples), block position a being index idx[a] — or a
+// itself when idx is nil.
+func scanSymmetric(block *Matrix, idx []int, n int) ([]bool, int, bool) {
+	k := block.Rows
+	isCoupled, kc := make([]bool, n), 0
 	mark := func(i int) {
 		if !isCoupled[i] {
 			isCoupled[i] = true
@@ -112,12 +91,46 @@ func CompactBlock(n int, idx []int, block *Matrix, diag float64) (MatVec, int) {
 		}
 	}
 	for a := 0; a < k; a++ {
-		for b, v := range block.Data[a*k : (a+1)*k] {
-			if v != 0 && b != a { // as CompactRisk: the row and the column couple
+		row := block.Data[a*k : (a+1)*k]
+		for b := a + 1; b < k; b++ {
+			v := row[b]
+			if math.Float64bits(v) != math.Float64bits(block.Data[b*k+a]) {
+				return nil, 0, false
+			}
+			if v == 0 {
+				continue
+			}
+			if idx == nil {
+				mark(a)
+				mark(b)
+			} else {
 				mark(idx[a])
 				mark(idx[b])
 			}
 		}
+	}
+	return isCoupled, kc, true
+}
+
+// CompactBlock returns what CompactRisk returns for the n×n matrix M that
+// holds the bitwise-symmetric k×k block at the rows and columns idx
+// (ascending, k = len(idx)), diag on the rest of its diagonal and zeros
+// everywhere else — the same operator, coupled set and count, without forming
+// M. A covariance of revocation dynamics is such a matrix: the block over the
+// transient markets plus a ridge, one value written to (i, j) and (j, i). An
+// asymmetric block panics. The operator may keep block's storage, so the
+// caller hands the block over.
+func CompactBlock(n int, idx []int, block *Matrix, diag float64) (MatVec, int) {
+	k := len(idx)
+	if block.Rows != k || block.Cols != k || k > n {
+		panic(fmt.Sprintf("linalg: CompactBlock of a %dx%d block over %d of %d indices", block.Rows, block.Cols, k, n))
+	}
+	isCoupled, kc, ok := scanSymmetric(block, idx, n)
+	if !ok {
+		panic(fmt.Sprintf("linalg: CompactBlock of an asymmetric %dx%d block", k, k))
+	}
+	if k == n { // idx is every index: M is the block
+		return CompactRisk(block)
 	}
 	var packed []float64
 	if kc == k { // every block index is coupled: the block is the packed block
@@ -148,7 +161,6 @@ func CompactBlock(n int, idx []int, block *Matrix, diag float64) (MatVec, int) {
 			}
 		}
 	}
-	c.sym = laneSymmetric(&c.block)
 	return c, kc
 }
 
@@ -185,25 +197,8 @@ func newCompact(isCoupled []bool, k int, block []float64) *Compact {
 // coupled block: n less the isolated ones.
 func (c *Compact) Coupled() int { return c.n - len(c.iso) }
 
-// laneSymmetric reports whether the square m has a full 8-row chunk for the
-// lanes and equals its transpose in every bit, so that its rows can be read
-// as its columns. Covariance plus ridge always is: the estimator writes one
-// value to (i, j) and (j, i).
-func laneSymmetric(m *Matrix) bool {
-	n := m.Rows
-	if n < 8 {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		row := m.Data[i*n : (i+1)*n]
-		for j := i + 1; j < n; j++ {
-			if math.Float64bits(row[j]) != math.Float64bits(m.Data[j*n+i]) {
-				return false
-			}
-		}
-	}
-	return true
-}
+// Dim returns n.
+func (c *Compact) Dim() int { return c.n }
 
 // MulVec computes dst = M·x and returns dst; shapes as (*Matrix).MulVec.
 func (c *Compact) MulVec(x, dst Vector) Vector {
@@ -218,10 +213,11 @@ func (c *Compact) MulVec(x, dst Vector) Vector {
 // one product each, the coupled ones by gathering every block's coupled x into
 // scratch, running the packed block through the kernels and scattering the
 // results back. One index list over all h blocks keeps the gather and the
-// scatter one loop each, which is what a 6-market what-if cell pays for. With
-// nothing isolated the block is the matrix and runs on x and dst directly.
+// scatter one loop each, which is what a 6-market what-if cell pays for; a
+// block without a full lane chunk goes straight to mulBlocks. With nothing
+// isolated the block is the matrix and runs on x and dst directly.
 func (c *Compact) mul(x, dst Vector, h int) {
-	if len(c.iso) == 0 { // the block is the matrix itself, and symmetric
+	if len(c.iso) == 0 { // the block is the matrix itself, with 8 rows or more
 		c.block.mulSym(x, dst, h)
 		return
 	}
@@ -250,10 +246,10 @@ func (c *Compact) mul(x, dst Vector, h int) {
 	for q, j := range at {
 		xs[q] = x[j]
 	}
-	if c.sym {
-		c.block.mulSym(xs, ys, h)
-	} else {
+	if c.block.Rows < 8 {
 		c.block.mulBlocks(xs, ys, h, 0)
+	} else {
+		c.block.mulSym(xs, ys, h)
 	}
 	for q, i := range at {
 		dst[i] = ys[q]

@@ -81,11 +81,13 @@ func TestBitIdenticalCompactRisk(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := randomSPD(rng, tc.n)
 			isolate(m, tc.iso...)
-			// A −0 off the diagonal is still an exact zero; a negative
-			// diagonal on an isolated index makes −0 products with +0 inputs.
+			// A −0 off the diagonal, mirrored to keep m symmetric, is still
+			// an exact zero; a negative diagonal on an isolated index makes
+			// −0 products with +0 inputs.
 			if len(tc.iso) > 0 && tc.n > 1 {
 				i := tc.iso[0]
 				m.Set(i, (i+1)%tc.n, math.Copysign(0, -1))
+				m.Set((i+1)%tc.n, i, math.Copysign(0, -1))
 				m.Set(i, i, -m.At(i, i))
 			}
 			for trial := 0; trial < 4; trial++ {
@@ -107,7 +109,7 @@ func TestBitIdenticalCompactRisk(t *testing.T) {
 		// without symmetry is returned itself, for the dense code.
 		m := randomSPD(rng, 10)
 		op, k := CompactRisk(m)
-		if c, ok := op.(*Compact); !ok || &c.block.Data[0] != &m.Data[0] || !c.sym || k != 10 {
+		if c, ok := op.(*Compact); !ok || &c.block.Data[0] != &m.Data[0] || k != 10 {
 			t.Fatalf("CompactRisk of a dense symmetric matrix = %T (coupled %d), want an operator over the matrix itself", op, k)
 		}
 		small := randomSPD(rng, 7)
@@ -121,15 +123,17 @@ func TestBitIdenticalCompactRisk(t *testing.T) {
 
 	t.Run("zero-row-nonzero-column-is-coupled", func(t *testing.T) {
 		// Index 2's row is zero off the diagonal but x_2 feeds rows 0 and 4;
-		// index 3's column is zero but output 3 reads x_1. Both are coupled.
+		// index 3's column is zero but output 3 reads x_1. Both are coupled —
+		// as is every index, 5 too: an asymmetric matrix is returned itself,
+		// for the dense code.
 		m := randomSPD(rng, 6)
 		isolate(m, 2, 3, 5)
 		m.Set(0, 2, 0.25)
 		m.Set(4, 2, -1.5)
 		m.Set(3, 1, 0.75)
-		_, k := checkCompactBits(t, m, signedVector(rng, 6))
-		if k != 5 { // everything but 5
-			t.Fatalf("coupled = %d, want 5", k)
+		op, k := checkCompactBits(t, m, signedVector(rng, 6))
+		if op != MatVec(m) || k != 6 {
+			t.Fatalf("CompactRisk of an asymmetric matrix = %T (coupled %d), want the matrix itself", op, k)
 		}
 	})
 }
@@ -265,8 +269,8 @@ func TestFactorModelMulVecAllocs(t *testing.T) {
 }
 
 // sameOperator fails unless got and want are the same operator: the same type
-// and, for a *Compact, the same coupled and isolated lists, isolated diagonal,
-// packed block and symmetry flag, every float bit for bit.
+// and, for a *Compact, the same coupled and isolated lists, isolated diagonal
+// and packed block, every float bit for bit.
 func sameOperator(t *testing.T, got, want MatVec) {
 	t.Helper()
 	sameBits := func(what string, a, b []float64) {
@@ -301,9 +305,9 @@ func sameOperator(t *testing.T, got, want MatVec) {
 		if !ok {
 			t.Fatalf("operator is %T, want a *Compact", got)
 		}
-		if g.n != w.n || g.sym != w.sym || g.block.Rows != w.block.Rows || g.block.Cols != w.block.Cols {
-			t.Fatalf("operator n=%d sym=%v block %dx%d, want n=%d sym=%v block %dx%d",
-				g.n, g.sym, g.block.Rows, g.block.Cols, w.n, w.sym, w.block.Rows, w.block.Cols)
+		if g.n != w.n || g.block.Rows != w.block.Rows || g.block.Cols != w.block.Cols {
+			t.Fatalf("operator n=%d block %dx%d, want n=%d block %dx%d",
+				g.n, g.block.Rows, g.block.Cols, w.n, w.block.Rows, w.block.Cols)
 		}
 		sameInts("coupled", g.coupled, w.coupled)
 		sameInts("iso", g.iso, w.iso)
@@ -384,10 +388,11 @@ func TestBitIdenticalCompactBlock(t *testing.T) {
 			}
 			isolate(block, tc.flat...)
 			if len(tc.flat) > 0 && k > 1 {
-				// A −0 off the diagonal is an exact zero, and a negative
-				// isolated diagonal makes −0 products from +0 inputs.
+				// A −0 off the diagonal, mirrored, is an exact zero, and a
+				// negative isolated diagonal makes −0 products from +0 inputs.
 				a := tc.flat[0]
 				block.Set(a, (a+1)%k, math.Copysign(0, -1))
+				block.Set((a+1)%k, a, math.Copysign(0, -1))
 				block.Set(a, a, -block.At(a, a))
 			}
 			x := signedVector(rng, 7*tc.n)
@@ -413,6 +418,8 @@ func TestBitIdenticalCompactBlock(t *testing.T) {
 			"block-vs-idx":     func() { CompactBlock(4, []int{0, 1}, NewMatrix(3, 3), 0) },
 			"more-than-n":      func() { CompactBlock(1, []int{0, 1}, NewMatrix(2, 2), 0) },
 			"non-square-block": func() { CompactBlock(4, []int{0, 1}, NewMatrix(2, 3), 0) },
+			"asymmetric-block": func() { CompactBlock(4, []int{0, 1}, &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 0.5, 0.25, 1}}, 0) },
+			"asymmetric-k==n":  func() { CompactBlock(2, []int{0, 1}, &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 0.5, 0.25, 1}}, 0) },
 		} {
 			func() {
 				defer func() {
@@ -426,19 +433,21 @@ func TestBitIdenticalCompactBlock(t *testing.T) {
 	})
 }
 
-// FuzzCompactBlock builds a block over an arbitrary index subset (mask bits
-// 0–11 pick the indices; the rest of n's indices are outside it) from the
-// input — mirrored to a symmetric one, as a covariance is, when n's top bit
-// is set — zeroes some of its rows and columns off the diagonal (a
-// zero-variance series; mask bits 12–15), and holds CompactBlock to
-// CompactRisk of the scattered matrix: the same operator, coupled set and
-// count, symmetry flag, and stacked apply over h = 1..7 with both bodies.
+// FuzzCompactBlock builds a symmetric block, as a covariance is, over an
+// arbitrary index subset (mask bits 0–11 pick the indices; the rest of n's
+// indices are outside it) from the input, zeroes some of its rows and columns
+// off the diagonal (a zero-variance series; mask bits 12–15), and holds
+// CompactBlock to CompactRisk of the scattered matrix: the same operator,
+// coupled set and count, and stacked apply over h = 1..7 with both bodies.
+// With n's top bit set it flips one bit of one off-diagonal entry instead,
+// and CompactBlock must panic on the asymmetric block.
 func FuzzCompactBlock(f *testing.F) {
 	f.Add(uint8(6), uint16(0b101010), []byte("spotweb on-demand twins"))
-	f.Add(uint8(0x80|12), uint16(0x0fff), []byte("k == n, one lane chunk and a half"))
-	f.Add(uint8(0x80|18), uint16(0x0aaa), []byte{0x80, 0, 0, 0, 0, 0, 0, 0x80})
-	f.Add(uint8(0x80|9), uint16(0xf1ff), []byte{})
-	f.Add(uint8(5), uint16(0), []byte{0xff, 0x00, 0x80, 0x7f, 0x01})
+	f.Add(uint8(12), uint16(0x0fff), []byte("k == n, one lane chunk and a half"))
+	f.Add(uint8(18), uint16(0x0aaa), []byte{0x80, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(uint8(9), uint16(0xf1ff), []byte{})
+	f.Add(uint8(0x80|5), uint16(0), []byte{0xff, 0x00, 0x80, 0x7f, 0x01})
+	f.Add(uint8(0x80|12), uint16(0x0fff), []byte("an asymmetric k == n block"))
 	f.Fuzz(func(t *testing.T, n uint8, mask uint16, data []byte) {
 		nn := int(n&0x7f) % 19
 		if nn == 0 {
@@ -467,11 +476,9 @@ func FuzzCompactBlock(f *testing.F) {
 		for i := range block.Data {
 			block.Data[i] = next()
 		}
-		if n&0x80 != 0 {
-			for a := 0; a < k; a++ {
-				for b := 0; b < a; b++ {
-					block.Set(a, b, block.At(b, a))
-				}
+		for a := 0; a < k; a++ {
+			for b := 0; b < a; b++ {
+				block.Set(a, b, block.At(b, a))
 			}
 		}
 		for a := 0; a < k; a++ {
@@ -480,6 +487,20 @@ func FuzzCompactBlock(f *testing.F) {
 			}
 		}
 		diag := next()
+		if n&0x80 != 0 {
+			if k < 2 {
+				return
+			}
+			a := int(mask>>12) % (k - 1)
+			block.Set(a, a+1, math.Float64frombits(math.Float64bits(block.At(a, a+1))^1))
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("CompactBlock accepted a block asymmetric at (%d, %d)", a, a+1)
+				}
+			}()
+			CompactBlock(nn, idx, block, diag)
+			return
+		}
 		x := NewVector(7 * nn)
 		for i := range x {
 			x[i] = next()

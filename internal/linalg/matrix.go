@@ -28,6 +28,9 @@ func (m *Matrix) Add(i, j int, x float64) { m.Data[i*m.Cols+j] += x }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 
+// Dim returns m's row count: its order when m is square, as MatVec assumes.
+func (m *Matrix) Dim() int { return m.Rows }
+
 // MulVec computes y = m·x into the provided destination, which must have
 // length m.Rows. x must have length m.Cols. It returns dst.
 func (m *Matrix) MulVec(x, dst Vector) Vector {
@@ -98,21 +101,4 @@ func (m *Matrix) AddDiag(x float64) {
 	for i := 0; i < m.Rows; i++ {
 		m.Data[i*m.Cols+i] += x
 	}
-}
-
-// QuadForm returns xᵀ·m·x for a square matrix m.
-func (m *Matrix) QuadForm(x Vector) float64 {
-	if m.Rows != m.Cols || len(x) != m.Rows {
-		panic("linalg: QuadForm shape mismatch")
-	}
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var ri float64
-		for j, a := range row {
-			ri += a * x[j]
-		}
-		s += x[i] * ri
-	}
-	return s
 }

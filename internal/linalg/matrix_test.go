@@ -104,26 +104,6 @@ func TestAtA(t *testing.T) {
 	}
 }
 
-func TestQuadForm(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := randomSPD(rng, 5)
-	x := NewVector(5)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	// xᵀMx must equal x·(Mx) and be positive for SPD M.
-	mx := NewVector(5)
-	m.MulVec(x, mx)
-	want := x.Dot(mx)
-	got := m.QuadForm(x)
-	if !almostEqual(got, want, 1e-12) {
-		t.Fatalf("QuadForm = %v, want %v", got, want)
-	}
-	if got <= 0 {
-		t.Fatalf("SPD quad form should be positive, got %v", got)
-	}
-}
-
 func TestAddDiagScaleAddMatrix(t *testing.T) {
 	m := identity(3)
 	m.AddDiag(2)

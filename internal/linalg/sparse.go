@@ -99,6 +99,9 @@ func (s colValSlice) Swap(i, j int) {
 	s.val[i], s.val[j] = s.val[j], s.val[i]
 }
 
+// Dim returns c's row count, as (*Matrix).Dim.
+func (c *CSR) Dim() int { return c.Rows }
+
 // NNZ returns the number of stored entries.
 func (c *CSR) NNZ() int { return len(c.Val) }
 
@@ -223,13 +226,6 @@ func (f *FactorModel) MulVec(x, dst Vector) Vector {
 		dst[i] = s + f.D[i]*x[i]
 	}
 	return dst
-}
-
-// QuadForm evaluates xᵀMx.
-func (f *FactorModel) QuadForm(x Vector) float64 {
-	dst := NewVector(len(x))
-	f.MulVec(x, dst)
-	return x.Dot(dst)
 }
 
 // Dense expands the factor model to a dense matrix.

@@ -95,10 +95,9 @@ func TestFactorModelMatchesDense(t *testing.T) {
 				t.Fatalf("FactorModel MulVec mismatch at %d: %v vs %v", i, got[i], want[i])
 			}
 		}
-		if qf := fm.QuadForm(x); math.Abs(qf-dense.QuadForm(x)) > 1e-9 {
-			t.Fatalf("QuadForm mismatch")
-		}
-		if fm.QuadForm(x) < 0 {
+		if qf := x.Dot(got); math.Abs(qf-x.Dot(want)) > 1e-9 {
+			t.Fatalf("xᵀMx mismatch")
+		} else if qf < 0 {
 			t.Fatal("factor model must be PSD")
 		}
 	}

@@ -26,6 +26,7 @@ func refMulVec(m *Matrix, x, dst Vector) Vector {
 // MulVecStacked.
 type onlyMulVec struct{ m MatVec }
 
+func (o onlyMulVec) Dim() int                    { return o.m.Dim() }
 func (o onlyMulVec) MulVec(x, dst Vector) Vector { return o.m.MulVec(x, dst) }
 
 // checkStackedBits applies op — an operator built from m — to the h stacked
@@ -75,7 +76,7 @@ func TestBitIdenticalStackedMulVec(t *testing.T) {
 	// k is the coupled count: even and odd blocks, and none at all. One
 	// coupled index cannot occur — an off-diagonal entry couples two — so the
 	// one-row block is the dense n = 1 matrix. asym breaks the symmetry of
-	// the coupled block, which sends it to mulBlocks instead of the lanes.
+	// the matrix, which CompactRisk then returns itself, all n coupled.
 	type stackedCase struct {
 		name string
 		n, k int
@@ -96,7 +97,8 @@ func TestBitIdenticalStackedMulVec(t *testing.T) {
 	}
 	// Every chunk shape of the lanes — no full chunk, one, one and a tail, two
 	// — with nothing isolated (the operator runs over the matrix itself) and
-	// with every other index isolated (the packed block), symmetric and not.
+	// with every other index isolated (the packed block), symmetric — and the
+	// same matrices made asymmetric, which run the dense code.
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 50, 144} {
 		k := (n + 1) / 2 // the even indices stay coupled …
 		if k < 2 {
@@ -110,13 +112,16 @@ func TestBitIdenticalStackedMulVec(t *testing.T) {
 			if asym {
 				tag += "-asym"
 			}
-			none := n
+			none, oddK := n, k
 			if n == 1 {
 				none = 0
 			}
+			if asym {
+				oddK = n
+			}
 			cases = append(cases,
 				stackedCase{"none " + tag, n, none, nil, asym},
-				stackedCase{"odd " + tag, n, k, odd(n), asym})
+				stackedCase{"odd " + tag, n, oddK, odd(n), asym})
 		}
 	}
 	rng := rand.New(rand.NewSource(18))
@@ -138,12 +143,9 @@ func TestBitIdenticalStackedMulVec(t *testing.T) {
 			m.Set(0, 2, m.At(0, 2)+0.5)
 		}
 		compact, k := CompactRisk(m)
-		wantMatrix := k == tc.n && tc.n > 1 && (tc.n < 8 || tc.asym)
+		wantMatrix := tc.asym || k == tc.n && tc.n > 1 && tc.n < 8
 		if _, isMatrix := compact.(*Matrix); isMatrix != wantMatrix || k != tc.k {
 			t.Fatalf("%s: CompactRisk returned %T with %d coupled, want %d (matrix itself: %v)", tc.name, compact, k, tc.k, wantMatrix)
-		}
-		if c, ok := compact.(*Compact); ok && c.sym != (k >= 8 && !tc.asym) {
-			t.Fatalf("%s: lanes symmetric = %v with %d coupled", tc.name, c.sym, k)
 		}
 		for h := 1; h <= 7; h++ {
 			x := signedVector(rng, tc.n*h)

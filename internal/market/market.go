@@ -168,11 +168,10 @@ const covRidge = 1e-6
 // market's series is identically 0. Each window is gathered straight from the
 // series into win — reset to the window's shape, a fresh one when win is nil
 // — centred on its stats.Mean, so every entry equals stats.Covariance of the
-// two windows bit for bit. grouped gathers eight windows that lie inside
-// their series per pass (gatherEight); the rest, and every window when it is
-// false, go one at a time. A nil block means fewer than two samples: M is the
-// diagonal prior.
-func (c *Catalog) covarianceBlock(t, window int, win *linalg.Samples, grouped bool) (idx []int, block *linalg.Matrix) {
+// two windows bit for bit. Eight windows that lie inside their series go per
+// pass (gatherEight), the rest one at a time. A nil block means fewer than two
+// samples: M is the diagonal prior.
+func (c *Catalog) covarianceBlock(t, window int, win *linalg.Samples) (idx []int, block *linalg.Matrix) {
 	lo := max(t-window, 0)
 	w := t - lo
 	if w < 2 {
@@ -190,7 +189,7 @@ func (c *Catalog) covarianceBlock(t, window int, win *linalg.Samples, grouped bo
 	win.Reset(w, len(idx))
 	var buf []float64 // clamped reads of a window past its series, made once needed
 	for r := 0; r < len(idx); {
-		if grouped && r+8 <= len(idx) && c.gatherEight(win, r, idx[r:r+8], lo, t) {
+		if r+8 <= len(idx) && c.gatherEight(win, r, idx[r:r+8], lo, t) {
 			r += 8
 			continue
 		}
@@ -255,13 +254,11 @@ func (c *Catalog) priorMatrix(t int) *linalg.Matrix {
 // CovarianceMatrix estimates M, the pairwise covariance of revocation
 // dynamics, from the failure-probability series over the trailing window
 // [t-window, t), as the dense n×n matrix: the transient block scattered into
-// it, the ridge alone on every on-demand market's diagonal. Its windows are
-// gathered one at a time into a fresh buffer. The ADMM backend, the baselines,
+// it, the ridge alone on every on-demand market's diagonal. The ADMM backend,
 // the ablations and bench/'s composed round read this view; every FISTA solve
-// the planners run — the single planner's and each federation shard's — reads
-// CovarianceOperator.
+// the planners run reads CovarianceOperator.
 func (c *Catalog) CovarianceMatrix(t, window int) *linalg.Matrix {
-	idx, block := c.covarianceBlock(t, window, nil, false)
+	idx, block := c.covarianceBlock(t, window, nil)
 	n := c.Len()
 	switch {
 	case block == nil:
@@ -285,12 +282,12 @@ func (c *Catalog) CovarianceMatrix(t, window int) *linalg.Matrix {
 // CovarianceOperator is M over the same window as the risk operator a FISTA
 // solve applies: linalg.CompactRisk(CovarianceMatrix(t, window)) — the same
 // operator and coupled count — built from the transient block without forming
-// the dense matrix, its windows gathered eight per pass. win is the window
-// buffer the build gathers into and may hold from an earlier build (nil: a
-// fresh one); the operator never keeps it, so the caller may reuse it as soon
-// as the call returns. It returns the operator and its coupled count.
+// the dense matrix. win is the window buffer the build gathers into and may
+// hold from an earlier build (nil: a fresh one); the operator never keeps it,
+// so the caller may reuse it as soon as the call returns. It returns the
+// operator and its coupled count.
 func (c *Catalog) CovarianceOperator(t, window int, win *linalg.Samples) (linalg.MatVec, int) {
-	idx, block := c.covarianceBlock(t, window, win, true)
+	idx, block := c.covarianceBlock(t, window, win)
 	if block == nil {
 		return linalg.CompactRisk(c.priorMatrix(t))
 	}

@@ -20,10 +20,8 @@ func TestSparseCovarianceApproximatesDense(t *testing.T) {
 	for i := range x {
 		x[i] = 1.0 / float64(c.Len())
 	}
-	qd := dense.QuadForm(x)
-	tmp := linalg.NewVector(c.Len())
-	sparse.MulVec(x, tmp)
-	qs := x.Dot(tmp)
+	qd := x.Dot(dense.MulVec(x, linalg.NewVector(c.Len())))
+	qs := x.Dot(sparse.MulVec(x, linalg.NewVector(c.Len())))
 	if math.Abs(qd-qs) > 0.05*math.Abs(qd)+1e-9 {
 		t.Fatalf("quad forms diverge: dense %v vs sparse %v", qd, qs)
 	}
@@ -48,8 +46,8 @@ func TestFactorCovarianceApproximatesDense(t *testing.T) {
 				x[i] = 0.2
 			}
 		}
-		qd := dense.QuadForm(x)
-		qf := fm.QuadForm(x)
+		qd := x.Dot(dense.MulVec(x, linalg.NewVector(c.Len())))
+		qf := x.Dot(fm.MulVec(x, linalg.NewVector(c.Len())))
 		if qf < 0 {
 			t.Fatal("factor model not PSD")
 		}

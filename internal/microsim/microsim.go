@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"repro/internal/lb"
 )
@@ -65,7 +66,7 @@ type job struct {
 type psServer struct {
 	id         int
 	capacity   float64
-	jobs       map[int]*job // jobID → job
+	jobs       []*job // in arrival order
 	lastUpdate float64
 	version    int
 	// ready gates service until the simulated boot completes.
@@ -203,12 +204,14 @@ func Run(cfg Config) (*Result, error) {
 	bal := lb.NewBalancer()
 	bal.Vanilla = cfg.Vanilla
 
-	servers := map[int]*psServer{}
+	// Servers, jobs and pending migrations are visited in id, arrival and id
+	// order: map order would make two runs of one Config differ.
+	var servers []*psServer // by id
 	var h eventHeap
 	addServer := func(spec ServerSpec, now float64) *psServer {
 		id := len(servers)
-		s := &psServer{id: id, capacity: spec.Capacity, jobs: map[int]*job{}, lastUpdate: now}
-		servers[id] = s
+		s := &psServer{id: id, capacity: spec.Capacity, lastUpdate: now}
+		servers = append(servers, s)
 		if spec.ReadyAt <= now {
 			s.ready = true
 			bal.SetWeight(id, spec.Capacity)
@@ -228,10 +231,6 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{}
 	pendingMigration := map[int]bool{}
-	jobIDs := 0
-	jobServer := map[int]int{} // jobID → server
-	jobMeta := map[int]*job{}
-	arrivalOf := map[int]float64{}
 	sessionN := 0
 
 	scheduleCompletion := func(s *psServer) {
@@ -272,65 +271,57 @@ func Run(cfg Config) (*Result, error) {
 				sessionN++
 			}
 			id, ok := bal.Route(session)
-			srv := servers[id]
-			if !ok || srv == nil || !srv.ready || srv.terminated {
+			if !ok || !servers[id].ready || servers[id].terminated {
 				res.Dropped++
 				res.Samples = append(res.Samples, Sample{At: now, Dropped: true})
 				continue
 			}
+			srv := servers[id]
 			srv.advance(now)
 			if len(srv.jobs) >= maxQueue(srv) {
 				res.Dropped++
 				res.Samples = append(res.Samples, Sample{At: now, Dropped: true})
 				continue
 			}
-			jobIDs++
-			j := &job{arrived: now, remaining: rng.ExpFloat64()}
-			srv.jobs[jobIDs] = j
-			jobServer[jobIDs] = srv.id
-			jobMeta[jobIDs] = j
-			arrivalOf[jobIDs] = now
+			srv.jobs = append(srv.jobs, &job{arrived: now, remaining: rng.ExpFloat64()})
 			scheduleCompletion(srv)
 
 		case evCompletion:
 			srv := servers[e.server]
-			if srv == nil || e.version != srv.version {
+			if e.version != srv.version {
 				continue // stale
 			}
 			srv.advance(now)
-			finish := func(id int, j *job) {
-				delete(srv.jobs, id)
+			finish := func(j *job) {
 				res.Served++
-				res.Samples = append(res.Samples, Sample{
-					At: arrivalOf[id], Latency: now - j.arrived,
-				})
-				delete(jobServer, id)
-				delete(jobMeta, id)
-				delete(arrivalOf, id)
+				res.Samples = append(res.Samples, Sample{At: j.arrived, Latency: now - j.arrived})
 			}
 			// Complete every job whose remaining work hit zero. Floating
 			// error can leave the scheduled job a hair above zero, which
 			// would re-arm a zero-width event forever — so if the tolerance
 			// catches nothing, force-complete the minimum-remaining job
 			// (this event was scheduled for exactly its completion).
-			completed := false
-			for id, j := range srv.jobs {
+			kept := srv.jobs[:0]
+			for _, j := range srv.jobs {
 				if j.remaining <= 1e-9 {
-					finish(id, j)
-					completed = true
+					finish(j)
+				} else {
+					kept = append(kept, j)
 				}
 			}
-			if !completed && len(srv.jobs) > 0 && srv.ready && !srv.terminated {
-				minID, minJob := -1, (*job)(nil)
-				for id, j := range srv.jobs {
-					if minJob == nil || j.remaining < minJob.remaining {
-						minID, minJob = id, j
+			if len(kept) == len(srv.jobs) && len(kept) > 0 && srv.ready && !srv.terminated {
+				m := 0
+				for k, j := range kept {
+					if j.remaining < kept[m].remaining {
+						m = k
 					}
 				}
-				if minJob.remaining < 1e-6 {
-					finish(minID, minJob)
+				if kept[m].remaining < 1e-6 {
+					finish(kept[m])
+					kept = append(kept[:m], kept[m+1:]...)
 				}
 			}
+			srv.jobs = kept
 			scheduleCompletion(srv)
 
 		case evServerReady:
@@ -344,7 +335,12 @@ func Run(cfg Config) (*Result, error) {
 			// All replacement capacity scheduled before this event is now
 			// routable: move sessions off the soft-draining (revoked but
 			// still serving) backends, well inside the warning period.
+			victims := make([]int, 0, len(pendingMigration))
 			for v := range pendingMigration {
+				victims = append(victims, v)
+			}
+			sort.Ints(victims)
+			for _, v := range victims {
 				bal.MigrateOff(v)
 				delete(pendingMigration, v)
 			}
@@ -390,7 +386,7 @@ func Run(cfg Config) (*Result, error) {
 
 		case evTermination:
 			srv := servers[e.server]
-			if srv == nil || srv.terminated {
+			if srv.terminated {
 				continue
 			}
 			srv.advance(now)
@@ -401,15 +397,11 @@ func Run(cfg Config) (*Result, error) {
 			// Vanilla keeps the dead backend in rotation; arrivals routed
 			// to it are dropped at the routing step.
 			// In-flight jobs on the terminated server are lost.
-			for id, j := range srv.jobs {
-				_ = j
-				delete(srv.jobs, id)
+			for _, j := range srv.jobs {
 				res.Dropped++
-				res.Samples = append(res.Samples, Sample{At: arrivalOf[id], Dropped: true})
-				delete(jobServer, id)
-				delete(jobMeta, id)
-				delete(arrivalOf, id)
+				res.Samples = append(res.Samples, Sample{At: j.arrived, Dropped: true})
 			}
+			srv.jobs = nil
 		}
 	}
 	return res, nil

@@ -186,3 +186,38 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal("microsim must be deterministic per seed")
 	}
 }
+
+// TestRunIsDeterministic: repeated runs of one Config — revocations,
+// replacements, migration and sticky sessions included — return identical
+// Results, sample for sample.
+func TestRunIsDeterministic(t *testing.T) {
+	cfg := Config{
+		Seed: 42, Duration: 240, Rate: 180, Sessions: 64,
+		Servers: []ServerSpec{{Capacity: 60}, {Capacity: 60}, {Capacity: 40}, {Capacity: 40}, {Capacity: 20}},
+		Revocations: []Revocation{{
+			At: 60, Servers: []int{0, 1, 2},
+			Replacements:     []ServerSpec{{Capacity: 60}, {Capacity: 60}},
+			ReplacementDelay: 20,
+		}},
+		Warning: 30,
+	}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < 8; run++ {
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Served != want.Served || got.Dropped != want.Dropped || len(got.Samples) != len(want.Samples) {
+			t.Fatalf("run %d: served/dropped/samples %d/%d/%d, first run %d/%d/%d", run,
+				got.Served, got.Dropped, len(got.Samples), want.Served, want.Dropped, len(want.Samples))
+		}
+		for i, s := range want.Samples {
+			if got.Samples[i] != s {
+				t.Fatalf("run %d: sample %d = %+v, first run %+v", run, i, got.Samples[i], s)
+			}
+		}
+	}
+}

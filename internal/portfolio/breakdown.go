@@ -1,6 +1,10 @@
 package portfolio
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/linalg"
+)
 
 // CostBreakdown decomposes one horizon step's objective into the paper's
 // terms — the introspection a deployment uses to understand *why* the
@@ -36,14 +40,7 @@ func (c Config) Breakdown(plan *Plan, in *Inputs) ([]CostBreakdown, error) {
 		for i, x := range a {
 			b.SLA += cfg.PenaltyP * x * (in.FailProb[τ][i]*in.Lambda[τ]*cfg.LongRequestFrac + in.ShortfallMAE)
 		}
-		switch {
-		case in.Risk != nil:
-			b.Risk = cfg.RiskCost(a, in.Risk)
-		case in.RiskOp != nil:
-			tmp := a.Clone()
-			in.RiskOp.MulVec(a, tmp)
-			b.Risk = cfg.Alpha * a.Dot(tmp)
-		}
+		b.Risk = cfg.Alpha * a.Dot(in.Risk.MulVec(a, linalg.NewVector(n)))
 		if kappa > 0 && prev != nil {
 			d := a.Sub(prev)
 			b.Churn = kappa * d.Dot(d)

@@ -42,7 +42,7 @@ func TestBreakdownSumsToObjectiveTerms(t *testing.T) {
 	}
 }
 
-func TestBreakdownWithRiskOp(t *testing.T) {
+func TestBreakdownWithFactorRisk(t *testing.T) {
 	n := 3
 	fm := &linalg.FactorModel{D: linalg.Vector{0.01, 0.01, 0.01}, F: linalg.NewMatrix(n, 0)}
 	cfg := Config{Horizon: 1, Alpha: 5}
@@ -50,7 +50,7 @@ func TestBreakdownWithRiskOp(t *testing.T) {
 		Lambda:     []float64{100},
 		PerReqCost: [][]float64{{0.001, 0.002, 0.003}},
 		FailProb:   [][]float64{{0.05, 0.05, 0.05}},
-		RiskOp:     fm, RiskDim: n,
+		Risk:       fm,
 	}
 	plan, err := Optimize(cfg, in)
 	if err != nil {

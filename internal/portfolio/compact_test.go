@@ -20,7 +20,12 @@ func twinCatalog(types int) *market.Catalog {
 // horizon operator multiplies by M one period at a time as it always did.
 type perPeriodRisk struct{ m linalg.MatVec }
 
+func (p perPeriodRisk) Dim() int                                  { return p.m.Dim() }
 func (p perPeriodRisk) MulVec(x, dst linalg.Vector) linalg.Vector { return p.m.MulVec(x, dst) }
+
+// denseDoor hides the *linalg.Matrix type from solveFISTA, which then applies
+// the matrix as given — Matrix.MulVecStacked — instead of through CompactRisk.
+type denseDoor struct{ *linalg.Matrix }
 
 // plansIdentical fails unless the two plans agree in every bit of every float
 // and in every solver counter.
@@ -50,9 +55,9 @@ func plansIdentical(t *testing.T, tag string, a, b *Plan) {
 // TestBitIdenticalCompactSolve drives the same receding-horizon trace three
 // times: with the dense covariance in Inputs.Risk, where solveFISTA derives
 // the compact operator and applies it to all periods in one stacked call;
-// through the dense door Inputs.RiskOp, where the very same matrix is applied
-// by Matrix.MulVecStacked; and through a wrapper that leaves only MulVec, one
-// call per period. Every round — the cold first one and the warm ones after
+// through the dense door, a wrapper that hides the matrix's type, so the very
+// same matrix is applied by Matrix.MulVecStacked; and through a wrapper that
+// leaves only MulVec, one call per period. Every round — the cold first one and the warm ones after
 // it — must agree in every bit.
 func TestBitIdenticalCompactSolve(t *testing.T) {
 	cat := twinCatalog(9)
@@ -75,9 +80,9 @@ func TestBitIdenticalCompactSolve(t *testing.T) {
 		case compactLeg:
 			in.Risk = m
 		case denseDoorLeg:
-			in.RiskOp, in.RiskDim = m, n
+			in.Risk = denseDoor{m}
 		case perPeriodLeg:
-			in.RiskOp, in.RiskDim = perPeriodRisk{m}, n
+			in.Risk = perPeriodRisk{m}
 		}
 		in.PrevAlloc = tr.prev
 		plan, err := tr.ws.Solve(cfg, cat, in, epoch)

@@ -120,12 +120,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// RiskApplier abstracts the risk matrix M so structured representations —
-// sparse (linalg.CSR) or low-rank-plus-diagonal (linalg.FactorModel) — can
-// back the quadratic risk term without materializing a dense N×N matrix.
-// *linalg.Matrix satisfies it too.
-type RiskApplier = linalg.MatVec
-
 // Inputs carries the per-solve data: predictions over the horizon plus the
 // current risk estimate.
 type Inputs struct {
@@ -137,18 +131,11 @@ type Inputs struct {
 	PerReqCost [][]float64
 	// FailProb[τ][i] is the predicted revocation probability.
 	FailProb [][]float64
-	// Risk is the covariance matrix M of revocation dynamics (N×N). It is
-	// required by the ADMM backend; the FISTA backend prefers RiskOp when
-	// set.
-	Risk *linalg.Matrix
-	// RiskOp optionally supplies M as a structured operator for the FISTA
-	// backend — sparse, a factor model, or the *linalg.Compact from
-	// Catalog.CovarianceOperator that the Planner and every federation shard
-	// pass, which carries its coupled count into Plan.RiskCoupled; Risk may
-	// then be nil.
-	RiskOp RiskApplier
-	// RiskDim must be set to N when Risk is nil (RiskOp carries no shape).
-	RiskDim int
+	// Risk is the covariance matrix M of revocation dynamics (N×N): dense
+	// (*linalg.Matrix, which the ADMM backend requires), sparse, a factor
+	// model, or the operator Catalog.CovarianceOperator builds for the
+	// planners' FISTA solves.
+	Risk linalg.MatVec
 	// OnDemand[i] marks market i as non-revocable (on-demand) — the anchor
 	// asset class. Only consulted when Config.AMinOnDemand > 0; nil is fine
 	// otherwise.
@@ -168,21 +155,13 @@ func (in *Inputs) Validate(h int) (int, error) {
 	if len(in.PerReqCost) != h || len(in.FailProb) != h {
 		return 0, fmt.Errorf("portfolio: cost/fail series must have %d steps", h)
 	}
-	var n int
-	switch {
-	case in.Risk != nil:
-		if in.Risk.Rows != in.Risk.Cols {
-			return 0, fmt.Errorf("portfolio: risk matrix non-square")
-		}
-		n = in.Risk.Rows
-	case in.RiskOp != nil:
-		if in.RiskDim <= 0 {
-			return 0, fmt.Errorf("portfolio: RiskDim required with RiskOp")
-		}
-		n = in.RiskDim
-	default:
+	if in.Risk == nil {
 		return 0, fmt.Errorf("portfolio: risk matrix missing")
 	}
+	if m, ok := in.Risk.(*linalg.Matrix); ok && m.Rows != m.Cols {
+		return 0, fmt.Errorf("portfolio: risk matrix non-square")
+	}
+	n := in.Risk.Dim()
 	for τ := 0; τ < h; τ++ {
 		if len(in.PerReqCost[τ]) != n || len(in.FailProb[τ]) != n {
 			return 0, fmt.Errorf("portfolio: step %d has wrong market count", τ)
@@ -240,9 +219,4 @@ func (c Config) ProvisioningCost(alloc linalg.Vector, lambda float64, perReqCost
 		s += a * lambda * perReqCost[i]
 	}
 	return s
-}
-
-// RiskCost evaluates Eq. 5, α·AᵀMA.
-func (c Config) RiskCost(alloc linalg.Vector, m *linalg.Matrix) float64 {
-	return c.Alpha * m.QuadForm(alloc)
 }

@@ -30,12 +30,9 @@ type Plan struct {
 	WarmStarted bool
 	// RiskCoupled is the number of markets the risk matvec multiplied: the
 	// FISTA backend skips markets whose row and column of M are zero off the
-	// diagonal (every on-demand market). A *linalg.Compact — the operator
-	// Catalog.CovarianceOperator builds for the single planner and for every
-	// federation shard — reports its own count, and a dense Inputs.Risk the
-	// count of the operator linalg.CompactRisk derives from it. Equals the
-	// market count when nothing was skipped, and always for ADMM or another
-	// RiskOp.
+	// diagonal (every on-demand market) when M is a *linalg.Compact or a
+	// symmetric dense matrix. Equals the market count when nothing was
+	// skipped, and always for ADMM or a sparse or factor-model risk.
 	RiskCoupled int
 	// Projection counts the FISTA projections that bisected, their real passes
 	// and grid jumps (zero for ADMM): Projection.PassesPerProjection() ≈ 6
@@ -54,7 +51,7 @@ func (p *Plan) First() linalg.Vector { return p.Alloc[0] }
 // operator: block-diagonal risk (2αM per period) plus the tridiagonal churn
 // coupling 2κ(‖A_τ − A_{τ−1}‖² terms).
 type horizonOperator struct {
-	m     RiskApplier // risk matrix M (dense, sparse or factor model)
+	m     linalg.MatVec // risk matrix M
 	alpha float64
 	kappa float64
 	n, h  int
@@ -195,8 +192,8 @@ func OptimizeWarm(cfg Config, in *Inputs, warm *solver.WarmState) (*Plan, error)
 			return nil, fmt.Errorf("portfolio: AMinOnDemand %v exceeds AMax %v", c.AMinOnDemand, c.AMax)
 		}
 	}
-	if c.Solver == SolverADMM && in.Risk == nil {
-		return nil, fmt.Errorf("portfolio: SolverADMM needs the dense Inputs.Risk (its KKT blocks are assembled from it); a RiskOp alone serves FISTA only")
+	if _, dense := in.Risk.(*linalg.Matrix); c.Solver == SolverADMM && !dense {
+		return nil, fmt.Errorf("portfolio: SolverADMM needs the dense Inputs.Risk (its KKT blocks are assembled from it); any other risk serves FISTA only")
 	}
 	start := time.Now()
 	var res solver.Result
@@ -243,21 +240,20 @@ func (c Config) maxIter(def int) int {
 }
 
 // solveFISTA runs the FISTA backend and reports how many markets its risk
-// matvec multiplies. A caller-supplied RiskOp is used as given; a
-// *linalg.Compact — the operator Catalog.CovarianceOperator builds, which the
-// single planner and every federation shard pass — reports its own coupled
-// count, so no planner's solve scans a matrix. A dense in.Risk alone (ADMM
-// callers' inputs, the baselines, bench/'s composed round) is scanned once
-// for isolated markets — every on-demand market's row and column of M are
-// zero off the diagonal — and applied through linalg.CompactRisk, which is
-// bit-identical to the dense matvec and is the matrix itself when nothing is
-// isolated.
+// matvec multiplies. A *linalg.Compact — the operator
+// Catalog.CovarianceOperator builds, which the single planner and every
+// federation shard pass — reports its own coupled count, so no planner's
+// solve scans a matrix. A dense Inputs.Risk (ADMM callers' inputs, the
+// ablations, bench/'s composed round) is scanned once for isolated markets —
+// every on-demand market's row and column of M are zero off the diagonal —
+// and applied through linalg.CompactRisk, which is bit-identical to the dense
+// matvec. Any other risk is applied as given.
 func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState) (solver.Result, int) {
 	kappa := c.churnWeight(in, n)
-	risk, coupled := in.RiskOp, n
+	risk, coupled := in.Risk, n
 	switch op := risk.(type) {
-	case nil:
-		risk, coupled = linalg.CompactRisk(in.Risk)
+	case *linalg.Matrix:
+		risk, coupled = linalg.CompactRisk(op)
 	case *linalg.Compact:
 		coupled = op.Coupled()
 	}
@@ -280,6 +276,7 @@ func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState) (solver.Re
 // the MPOStructure declaration its block-tridiagonal KKT factorization is
 // assembled from. Nothing O((nh)²) is ever allocated.
 func (c Config) buildADMMSparse(in *Inputs, n int, kappa float64) *solver.Problem {
+	risk := in.Risk.(*linalg.Matrix) // OptimizeWarm admits ADMM with a dense risk only
 	h := c.Horizon
 	dim := n * h
 	m := dim + h
@@ -322,14 +319,14 @@ func (c Config) buildADMMSparse(in *Inputs, n int, kappa float64) *solver.Proble
 		u[row] = math.Inf(1)
 	}
 	return &solver.Problem{
-		POp:     &horizonOperator{m: in.Risk, alpha: c.Alpha, kappa: kappa, n: n, h: h},
+		POp:     &horizonOperator{m: risk, alpha: c.Alpha, kappa: kappa, n: n, h: h},
 		Q:       c.buildLinear(in, n, kappa),
 		ASparse: linalg.NewCSRFromTriplets(m, dim, is, js, vs),
 		L:       l,
 		U:       u,
 		Block: &solver.MPOStructure{
 			N: n, H: h,
-			Risk:      in.Risk,
+			Risk:      risk,
 			RiskScale: 2 * c.Alpha,
 			ChurnK:    2 * kappa,
 			Anchor:    anchor,
@@ -344,6 +341,19 @@ func (c Config) solveADMM(in *Inputs, n int, warm *solver.WarmState) solver.Resu
 	})
 }
 
+// CheckFinite returns an error when the executed allocation has a NaN or ±Inf
+// entry — what a non-finite input the solver's residual check could only mark
+// as not converged (a NaN in M) makes of a plan — so a planner reports a
+// failed round instead of sizing servers from it.
+func CheckFinite(alloc linalg.Vector) error {
+	for i, a := range alloc {
+		if !finite(a) {
+			return fmt.Errorf("portfolio: non-finite allocation %v for market %d", a, i)
+		}
+	}
+	return nil
+}
+
 // ServerCounts converts a fractional allocation into integer server counts
 // (§4.2's A_t^i = n_t^i r_i / λ_t inverted). Naively ceiling every market
 // wastes most of a large instance per thin allocation, so integerization is
@@ -351,7 +361,7 @@ func (c Config) solveADMM(in *Inputs, n int, warm *solver.WarmState) solver.Resu
 // whole servers — largest remainder first, smallest instance on ties — until
 // the realized capacity covers the allocated demand λ·ΣA. Allocations so
 // small they would claim only a sliver of one server (< minFraction) are
-// dropped to avoid churning tiny instances.
+// dropped to avoid churning tiny instances, and so are NaN and ±Inf ones.
 func ServerCounts(alloc linalg.Vector, lambda float64, capacities []float64, minFraction float64) []int {
 	out := make([]int, len(alloc))
 	if lambda <= 0 {
@@ -368,7 +378,7 @@ func ServerCounts(alloc linalg.Vector, lambda float64, capacities []float64, min
 			continue
 		}
 		want := a * lambda / capacities[i]
-		if want < minFraction {
+		if !(want >= minFraction) || math.IsInf(want, 1) { // a sliver, NaN or +Inf
 			continue
 		}
 		n := int(math.Floor(want + 1e-9))

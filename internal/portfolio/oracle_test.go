@@ -24,11 +24,7 @@ func planDefect(cfg Config, in *Inputs, plan *Plan, tol float64) string {
 	c := cfg.WithDefaults()
 	n := len(plan.Alloc[0])
 	kappa := c.churnWeight(in, n)
-	var risk RiskApplier = in.Risk
-	if in.RiskOp != nil {
-		risk = in.RiskOp
-	}
-	op := &horizonOperator{m: risk, alpha: c.Alpha, kappa: kappa, n: n, h: c.Horizon}
+	op := &horizonOperator{m: in.Risk, alpha: c.Alpha, kappa: kappa, n: n, h: c.Horizon}
 	q := c.buildLinear(in, n, kappa)
 	var anchorIdx []int
 	if c.AMinOnDemand > 0 {

@@ -167,11 +167,9 @@ type Planner struct {
 	// next is the risk operator of the round after the last one, being built
 	// beside that round's solve (nil when none was started); prefetchCat and
 	// prefetchOK cache whether the catalog is large enough for that to pay.
-	// inlineRisk is the tests' seam that builds every operator inline.
 	next        *riskPrefetch
 	prefetchCat *market.Catalog
 	prefetchOK  bool
-	inlineRisk  bool
 }
 
 // prefetchMinTransient is the transient-market count from which a round
@@ -230,7 +228,7 @@ func (p *Planner) Step(t int, actualLambda float64) (*Decision, error) {
 		in.Risk = p.Cat.CovarianceMatrix(t, window)
 		observeCovariance(p.Metrics, covStart)
 	} else {
-		in.RiskOp, in.RiskDim = p.riskOperator(t, window), p.Cat.Len()
+		in.Risk = p.riskOperator(t, window)
 	}
 	in.PrevAlloc = p.prevAlloc
 	if p.Cfg.AMinOnDemand > 0 {
@@ -242,6 +240,9 @@ func (p *Planner) Step(t int, actualLambda float64) (*Decision, error) {
 	}
 
 	plan, err := p.ws.Solve(p.Cfg, p.Cat, in, epoch)
+	if err == nil {
+		err = CheckFinite(plan.First())
+	}
 	if err != nil {
 		p.Metrics.Counter("spotweb_solver_errors_total", "MPO solves that failed.").Inc()
 		return nil, err
@@ -308,9 +309,6 @@ const prefetchHelp = "Planning steps whose risk operator the previous step had b
 // ahead: the catalog's transient count, cached per catalog, is checked first,
 // so a small catalog never asks the scheduler for GOMAXPROCS.
 func (p *Planner) prefetches() bool {
-	if p.inlineRisk {
-		return false
-	}
 	if p.prefetchCat != p.Cat {
 		transient := 0
 		for _, mk := range p.Cat.Markets {

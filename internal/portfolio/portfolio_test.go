@@ -91,10 +91,11 @@ func TestNonFiniteRiskIsNotConverged(t *testing.T) {
 	cfg := Config{Horizon: 3}
 	solve := func(tick int, poison bool) *Plan {
 		in, epoch := b.Build(tick, cfg.Horizon, sineLoad(tick))
-		in.Risk = cat.CovarianceMatrix(tick, cat.TwoWeekWindow())
+		m := cat.CovarianceMatrix(tick, cat.TwoWeekWindow())
 		if poison {
-			in.Risk.Set(1, 2, math.NaN())
+			m.Set(1, 2, math.NaN())
 		}
+		in.Risk = m
 		plan, err := ws.Solve(cfg, cat, in, epoch)
 		if err != nil {
 			t.Fatal(err)
@@ -352,8 +353,8 @@ func TestValidationErrors(t *testing.T) {
 			uniformInputs(1, 100, []float64{0.001, 0.001}, []float64{0, 0}, risk), "AMin"},
 		// ADMM assembles its KKT blocks from the dense matrix; the error must
 		// say so instead of an opaque "solver failed".
-		{"ADMM with a RiskOp only", Config{Horizon: 1, Solver: SolverADMM},
-			&Inputs{Lambda: []float64{1}, PerReqCost: [][]float64{{1, 1}}, FailProb: [][]float64{{0, 0}}, RiskOp: risk, RiskDim: 2},
+		{"ADMM with a non-dense risk", Config{Horizon: 1, Solver: SolverADMM},
+			&Inputs{Lambda: []float64{1}, PerReqCost: [][]float64{{1, 1}}, FailProb: [][]float64{{0, 0}}, Risk: perPeriodRisk{risk}},
 			"SolverADMM needs the dense Inputs.Risk"},
 	} {
 		_, err := Optimize(tc.cfg, tc.in)
@@ -395,10 +396,6 @@ func TestCostModelHelpers(t *testing.T) {
 	prov := cfg.ProvisioningCost(alloc, 100, []float64{0.01, 0.02})
 	if math.Abs(prov-(0.5*100*0.01+0.5*100*0.02)) > 1e-12 {
 		t.Fatalf("ProvisioningCost = %v", prov)
-	}
-	risk := diagRisk(0.01, 0.01)
-	if r := cfg.RiskCost(alloc, risk); math.Abs(r-5*(0.25*0.01+0.25*0.01)) > 1e-12 {
-		t.Fatalf("RiskCost = %v", r)
 	}
 }
 

@@ -17,14 +17,12 @@ type prefetchCall struct {
 	window int
 }
 
-// runScript steps a fresh planner through calls — building every risk
-// operator inline when inline is set — and returns its decisions and the
-// registry it recorded into.
-func runScript(t *testing.T, cfg Config, inline bool, calls []prefetchCall) ([]*Decision, *metrics.Registry) {
+// runScript steps a fresh planner through calls and returns its decisions and
+// the registry it recorded into.
+func runScript(t *testing.T, cfg Config, calls []prefetchCall) ([]*Decision, *metrics.Registry) {
 	t.Helper()
 	first := calls[0].cat
 	pl := NewPlanner(cfg, first, testPredictor(first), ReactiveSource{Cat: first})
-	pl.inlineRisk = inline
 	reg := metrics.NewRegistry()
 	pl.Metrics = reg
 	var out []*Decision
@@ -92,11 +90,10 @@ func sameDecisions(t *testing.T, label string, calls []prefetchCall, got, want [
 // allocations bit for bit, counts and coupled counts — over 110 rounds of a
 // 288-market catalog, through out-of-order Steps and a window and a catalog
 // changed between calls, and takes the prefetched operator exactly when the
-// previous call built it for this call's key. GOMAXPROCS = 1 runs inline.
+// previous call built it for this call's key. The inline planner runs at
+// GOMAXPROCS = 1, where a planner builds every operator inline.
 func TestPrefetchOracle(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	gen := func(seed int64) *market.Catalog {
 		return market.CatalogConfig{Seed: seed, NumTypes: 144, IncludeOnDemand: true, Hours: 24 * 21}.Generate()
 	}
@@ -126,12 +123,14 @@ func TestPrefetchOracle(t *testing.T) {
 	}
 	cfg := Config{Horizon: 4, ChurnKappa: 1}
 
-	inline, reg := runScript(t, cfg, true, calls)
+	runtime.GOMAXPROCS(1)
+	inline, reg := runScript(t, cfg, calls)
 	if hits, misses := prefetchHits(reg); hits != 0 || misses != 0 {
-		t.Fatalf("forced inline: %d hits, %d misses recorded, want none", hits, misses)
+		t.Fatalf("GOMAXPROCS=1: %d hits, %d misses recorded, want the inline path", hits, misses)
 	}
 
-	got, reg := runScript(t, cfg, false, calls)
+	runtime.GOMAXPROCS(2)
+	got, reg := runScript(t, cfg, calls)
 	sameDecisions(t, "prefetch", calls, got, inline)
 	hits, misses := prefetchHits(reg)
 	if want := int64(expectedHits(calls)); hits != want || hits+misses != int64(len(calls)) {
@@ -144,13 +143,6 @@ func TestPrefetchOracle(t *testing.T) {
 	}
 	if n := reg.Histogram("spotweb_planner_risk_prefetch_wait_seconds", "").Count(); n != hits {
 		t.Fatalf("prefetch_wait_seconds observed %d waits, want one per hit (%d)", n, hits)
-	}
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	got, reg = runScript(t, cfg, false, calls[:20])
-	sameDecisions(t, "GOMAXPROCS=1", calls, got, inline[:20])
-	if hits, misses := prefetchHits(reg); hits != 0 || misses != 0 {
-		t.Fatalf("GOMAXPROCS=1: %d hits, %d misses, want the inline path", hits, misses)
 	}
 }
 

@@ -47,8 +47,7 @@ func TestOptimizeWithSparseRiskMatchesDense(t *testing.T) {
 	}
 
 	inSparse := mk()
-	inSparse.RiskOp = linalg.NewCSRFromDense(dense, 0)
-	inSparse.RiskDim = n
+	inSparse.Risk = linalg.NewCSRFromDense(dense, 0)
 	ps, err := Optimize(cfg, inSparse)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +77,7 @@ func TestOptimizeWithFactorRisk(t *testing.T) {
 		costs[i] = 0.002 // identical costs: risk decides
 		fails[i] = 0.05
 	}
-	in := &Inputs{RiskOp: fm, RiskDim: n}
+	in := &Inputs{Risk: fm}
 	for τ := 0; τ < h; τ++ {
 		in.Lambda = append(in.Lambda, 500)
 		in.PerReqCost = append(in.PerReqCost, costs)
@@ -114,24 +113,51 @@ func TestOptimizeWithFactorRisk(t *testing.T) {
 	}
 }
 
-func TestRiskOpValidation(t *testing.T) {
-	in := &Inputs{
-		Lambda:     []float64{100},
-		PerReqCost: [][]float64{{0.01, 0.01}},
-		FailProb:   [][]float64{{0, 0}},
-		RiskOp:     &linalg.FactorModel{D: linalg.Vector{1, 1}},
-		// RiskDim missing.
+// TestValidateRiskRepresentations: Validate returns an error — it does not
+// panic — for a missing risk, a non-square dense matrix, and a dense, CSR,
+// factor-model or compact risk whose order differs from the market count. A
+// well-sized factor model solves, and ADMM refuses it (TestValidationErrors
+// checks the message).
+func TestValidateRiskRepresentations(t *testing.T) {
+	inputs := func(risk linalg.MatVec) *Inputs {
+		return &Inputs{
+			Lambda:     []float64{100},
+			PerReqCost: [][]float64{{0.01, 0.01}},
+			FailProb:   [][]float64{{0, 0}},
+			Risk:       risk,
+		}
 	}
-	if _, err := Optimize(Config{Horizon: 1}, in); err == nil {
-		t.Fatal("expected RiskDim error")
+	dense3 := diagRisk(0.01, 0.01, 0.01)
+	dense3.Set(0, 1, 0.001)
+	dense3.Set(1, 0, 0.001)
+	compact3, _ := linalg.CompactRisk(dense3) // index 2 is isolated
+	if _, ok := compact3.(*linalg.Compact); !ok {
+		t.Fatalf("CompactRisk returned %T, want a *linalg.Compact", compact3)
 	}
-	in.RiskDim = 2
+	for name, risk := range map[string]linalg.MatVec{
+		"missing":          nil,
+		"non-square dense": linalg.NewMatrix(2, 3),
+		"dense":            dense3,
+		"csr":              linalg.NewCSRFromDense(dense3, 0),
+		"factor":           &linalg.FactorModel{D: linalg.Vector{1, 1, 1}},
+		"compact":          compact3,
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: Validate panicked: %v", name, r)
+				}
+			}()
+			if _, err := inputs(risk).Validate(1); err == nil {
+				t.Fatalf("%s: Validate accepted it", name)
+			}
+		}()
+	}
+	in := inputs(&linalg.FactorModel{D: linalg.Vector{1, 1}})
 	if _, err := Optimize(Config{Horizon: 1}, in); err != nil {
-		t.Fatalf("RiskOp-only solve failed: %v", err)
+		t.Fatalf("factor-model solve failed: %v", err)
 	}
-	// ADMM requires the dense matrix (TestValidationErrors checks the message).
-	cfg := Config{Horizon: 1, Solver: SolverADMM}
-	if _, err := Optimize(cfg, in); err == nil {
-		t.Fatal("ADMM without dense Risk should fail")
+	if _, err := Optimize(Config{Horizon: 1, Solver: SolverADMM}, in); err == nil {
+		t.Fatal("ADMM without a dense Risk should fail")
 	}
 }
