@@ -436,19 +436,33 @@ func BenchmarkBoxBandProject(b *testing.B) {
 }
 
 // BenchmarkBetaQuantile measures the risk estimator's per-market overlay
-// kernel: the upper credible bound of a Beta posterior, a ≈ 50-step bisection
-// on the incomplete beta function. "cold" is a standard-catalog prior with no
+// kernel: the upper credible bound of a Beta posterior, a bisection on the
+// incomplete beta function. "cold" is a standard-catalog prior with no
 // evidence (s = 8, p0 = 0.02), "warm" a market after a few dozen exposed
 // intervals and two revocations, "thin" the 1e-5 clamp against heavy exposure.
+// A "near" leg starts from the bound the estimator published one interval
+// earlier, before its evidence decayed by one 1-h step at the default 24-h
+// half-life (p0, k and x are the evidence behind a and b; the cold prior has
+// none to decay, so its guess is the answer).
 func BenchmarkBetaQuantile(b *testing.B) {
+	decay := math.Exp2(-1.0 / 24)
 	for _, c := range []struct {
-		name    string
-		p, a, b float64
-	}{{"cold", 0.9, 0.16, 7.84}, {"warm", 0.9, 2.16, 35.84}, {"thin", 0.85, 8e-5, 2e3}} {
+		name        string
+		p, p0, k, x float64
+	}{{"cold", 0.9, 0.02, 0, 0}, {"warm", 0.9, 0.02, 2, 30}, {"thin", 0.85, 1e-5, 0, 1992}} {
+		qa, qb := 8*c.p0+c.k, 8*(1-c.p0)+c.x-c.k
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				stats.BetaQuantile(c.p, c.a, c.b)
+				stats.BetaQuantile(c.p, qa, qb, math.NaN())
+			}
+		})
+		k, x := c.k/decay, c.x/decay
+		guess := stats.BetaQuantile(c.p, 8*c.p0+k, 8*(1-c.p0)+x-k, math.NaN())
+		b.Run(c.name+"/near", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				stats.BetaQuantile(c.p, qa, qb, guess)
 			}
 		})
 	}

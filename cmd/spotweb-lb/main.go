@@ -42,6 +42,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/risk"
+	"repro/internal/runcfg"
 	"repro/internal/testbed"
 	"repro/internal/trace"
 )
@@ -122,11 +123,16 @@ func parseFlags(fs *flag.FlagSet, args []string) (*lbFlags, error) {
 // the servers were up: a positional argument (every flag after it silently
 // kept its default), a capacity that is not a positive finite rate (a
 // negative one panicked in the join timer), -chaos-markets below 1 (a
-// division by zero) and a revoke id outside the launched backends (logged as
-// revoked, and nothing happened).
+// division by zero), a revoke id outside the launched backends (logged as
+// revoked, and nothing happened) and a -risk-quantile or -risk-halflife the
+// run options reject (a NaN quantile passed the estimator's defaults and
+// published NaN for every market).
 func (f *lbFlags) check() error {
 	if len(f.positional) > 0 {
 		return fmt.Errorf("unexpected argument %q: spotweb-lb takes flags only", f.positional[0])
+	}
+	if err := (runcfg.RunConfig{RiskQuantile: f.risk.Quantile, RiskHalfLife: f.risk.HalfLife}).Validate(); err != nil {
+		return err
 	}
 	caps, err := parseFloats(f.backends)
 	if err != nil {

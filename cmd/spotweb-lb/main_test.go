@@ -13,8 +13,9 @@ import (
 // before any backend or listener starts: -chaos-markets 0 divided by zero, a
 // negative capacity panicked in the backend's join timer, -revoke 99 with six
 // backends logged a revocation that never happened, a positional argument
-// silently ended flag parsing, and a flap period too short for its window hung
-// the scenario compiler.
+// silently ended flag parsing, a flap period too short for its window hung
+// the scenario compiler, and -risk-quantile NaN published NaN for every
+// market.
 func TestRunRejectsBadFlags(t *testing.T) {
 	tinyFlap := filepath.Join(t.TempDir(), "tiny-flap.json")
 	err := os.WriteFile(tinyFlap, []byte(`{"name":"tiny-flap","faults":[{"kind":"flap","start":0.5,"duration":0.1,"period":1e-20,"severity":0.5}]}`), 0o644)
@@ -43,6 +44,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{name: "positional after flags", args: []string{"-vanilla", "extra"}, want: 2, wantStderr: `unexpected argument "extra"`},
 		{name: "unknown scenario", args: []string{"-chaos-scenario", "no-such-scenario"}, want: 2, wantStderr: "-chaos-scenario:"},
 		{name: "flap period too short", args: []string{"-chaos-scenario", tinyFlap}, want: 2, wantStderr: "more than 10000 square waves"},
+		{name: "NaN risk quantile", args: []string{"-risk", "-risk-quantile", "NaN"}, want: 2, wantStderr: "-risk-quantile NaN: want 0 (as published) or a positive, finite value"},
+		{name: "infinite risk quantile", args: []string{"-risk-quantile", "Inf"}, want: 2, wantStderr: "-risk-quantile +Inf: want 0 (as published)"},
+		{name: "negative risk quantile", args: []string{"-risk-quantile", "-0.5"}, want: 2, wantStderr: "-risk-quantile -0.5: want 0 (as published)"},
+		{name: "risk quantile 1", args: []string{"-risk", "-risk-quantile", "1"}, want: 2, wantStderr: "-risk-quantile 1: want a quantile below 1"},
+		{name: "NaN risk half-life", args: []string{"-risk", "-risk-halflife", "NaN"}, want: 2, wantStderr: "-risk-halflife NaN: want 0 (as published)"},
+		{name: "infinite risk half-life", args: []string{"-risk-halflife", "Inf"}, want: 2, wantStderr: "-risk-halflife +Inf: want 0 (as published)"},
+		{name: "negative risk half-life", args: []string{"-risk-halflife", "-2"}, want: 2, wantStderr: "-risk-halflife -2: want 0 (as published)"},
 		{name: "unknown flag", args: []string{"-no-such-flag"}, want: 2, wantStderr: "-no-such-flag"},
 		{name: "help", args: []string{"-h"}, want: 0, wantStderr: "-chaos-markets"},
 		{name: "unusable listen address", args: nil, want: 1, wantStderr: "256.0.0.1"},

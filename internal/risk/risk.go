@@ -61,7 +61,8 @@ type Config struct {
 	// evidence are needed before observation outweighs the catalog.
 	PriorStrength float64
 	// PoolWeight in [0,1] shrinks each market's counts toward its demand
-	// pool's totals (default 0.5): 0 = fully per-market, 1 = fully pooled.
+	// pool's totals: 1 = fully pooled. 0 selects the default 0.5; a negative
+	// value means 0, fully per-market, and one above 1 means 1.
 	PoolWeight float64
 	// MaxFailProb caps published probabilities (default 0.9).
 	MaxFailProb float64
@@ -115,6 +116,9 @@ type Estimator struct {
 	// gx, the per-pool totals buildOverlayLocked accumulates.
 	pool   []int
 	gk, gx []float64
+	// last holds each market's last posterior shape and its quantile, before
+	// the MaxFailProb cap (posteriorLocked).
+	last []lastQuantile
 	// quantiles, when set, shares posterior quantiles with other estimators.
 	quantiles *Quantiles
 
@@ -150,6 +154,7 @@ func New(cfg Config, declared *market.Catalog) *Estimator {
 		pending: make([]bool, n),
 		cp:      make([]cusum, n),
 		pool:    make([]int, n),
+		last:    make([]lastQuantile, n),
 	}
 	// Pools are numbered in order of first appearance, so any group labels
 	// (sparse, negative) map onto dense slices sized once here.
@@ -286,8 +291,29 @@ func (e *Estimator) buildOverlayLocked() *market.Overlay {
 }
 
 // posteriorLocked returns the posterior mean and upper credible bound for
-// market i given pooled group totals; e.mu must be held.
+// market i given pooled group totals; e.mu must be held. A shape bit-equal to
+// the market's last one has the same quantile; any other is bisected from
+// near the last (stats.BetaQuantile: the same bits from any guess).
 func (e *Estimator) posteriorLocked(i int, gk, gx float64) (mean, ucb float64) {
+	a, b := e.shapeLocked(i, gk, gx)
+	mean = a / (a + b)
+	last := &e.last[i]
+	if math.Float64bits(a) != math.Float64bits(last.a) || math.Float64bits(b) != math.Float64bits(last.b) {
+		*last = lastQuantile{a, b, e.quantiles.BetaQuantile(e.cfg.Quantile, a, b, last.q)}
+	}
+	ucb = last.q
+	if ucb > e.cfg.MaxFailProb {
+		ucb = e.cfg.MaxFailProb
+	}
+	return mean, ucb
+}
+
+// lastQuantile is a posterior Beta(a, b) and its quantile q.
+type lastQuantile struct{ a, b, q float64 }
+
+// shapeLocked returns market i's posterior Beta(a, b) given pooled group
+// totals; e.mu must be held.
+func (e *Estimator) shapeLocked(i int, gk, gx float64) (a, b float64) {
 	w := e.cfg.PoolWeight
 	keff := e.k[i] + w*(gk-e.k[i])
 	xeff := e.x[i] + w*(gx-e.x[i])
@@ -301,17 +327,12 @@ func (e *Estimator) posteriorLocked(i int, gk, gx float64) (mean, ucb float64) {
 		p0 = 0.5
 	}
 	s := e.cfg.PriorStrength
-	a := s*p0 + keff
-	b := s*(1-p0) + (xeff - keff)
+	a = s*p0 + keff
+	b = s*(1-p0) + (xeff - keff)
 	if b < 1e-3 {
 		b = 1e-3
 	}
-	mean = a / (a + b)
-	ucb = e.quantiles.BetaQuantile(e.cfg.Quantile, a, b)
-	if ucb > e.cfg.MaxFailProb {
-		ucb = e.cfg.MaxFailProb
-	}
-	return mean, ucb
+	return a, b
 }
 
 // ShareQuantiles makes the estimator take its posterior quantiles from q,
@@ -341,10 +362,11 @@ type Quantiles struct {
 type quantileKey struct{ p, a, b uint64 }
 
 // BetaQuantile returns stats.BetaQuantile(p, a, b), from the memo when any
-// estimator sharing it asked before.
-func (q *Quantiles) BetaQuantile(p, a, b float64) float64 {
+// estimator sharing it asked before, and otherwise bisected from near guess
+// (the same bits for any guess).
+func (q *Quantiles) BetaQuantile(p, a, b, guess float64) float64 {
 	if q == nil {
-		return stats.BetaQuantile(p, a, b)
+		return stats.BetaQuantile(p, a, b, guess)
 	}
 	k := quantileKey{math.Float64bits(p), math.Float64bits(a), math.Float64bits(b)}
 	q.mu.Lock()
@@ -359,7 +381,7 @@ func (q *Quantiles) BetaQuantile(p, a, b float64) float64 {
 	}
 	// Computed outside the lock: a concurrent miss on the same key computes
 	// the same bits and stores them again.
-	v = stats.BetaQuantile(p, a, b)
+	v = stats.BetaQuantile(p, a, b, guess)
 	q.mu.Lock()
 	if q.memo == nil {
 		q.memo = make(map[quantileKey]float64)

@@ -2,6 +2,7 @@ package risk
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/market"
@@ -289,7 +290,7 @@ func TestObserveIntervalAllocatesOnlyTheOverlay(t *testing.T) {
 func TestQuantilesKeyEveryArgument(t *testing.T) {
 	var q Quantiles
 	for _, c := range [][3]float64{{0.9, 2, 3}, {0.8, 2, 3}, {0.9, 2.5, 3}, {0.9, 2, 4}, {0.9, 2, 3}} {
-		got, want := q.BetaQuantile(c[0], c[1], c[2]), stats.BetaQuantile(c[0], c[1], c[2])
+		got, want := q.BetaQuantile(c[0], c[1], c[2], 0.5), stats.BetaQuantile(c[0], c[1], c[2], math.NaN())
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("memo BetaQuantile%v = %v, want %v", c, got, want)
 		}
@@ -298,7 +299,7 @@ func TestQuantilesKeyEveryArgument(t *testing.T) {
 		t.Fatalf("calls, hits = %d, %d; want 5, 1", calls, hits)
 	}
 	var none *Quantiles
-	if got, want := none.BetaQuantile(0.9, 2, 3), stats.BetaQuantile(0.9, 2, 3); got != want {
+	if got, want := none.BetaQuantile(0.9, 2, 3, 0.5), stats.BetaQuantile(0.9, 2, 3, math.NaN()); got != want {
 		t.Fatalf("nil memo = %v, want %v", got, want)
 	}
 }
@@ -312,15 +313,21 @@ func estimate(e *Estimator, i int) (mean, ucb float64, ok bool) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var gk, gx float64
+	gk, gx := pooledLocked(e, i)
+	mean, ucb = e.posteriorLocked(i, gk, gx)
+	return mean, ucb, true
+}
+
+// pooledLocked returns the revocation and exposure totals of market i's
+// demand pool, summed in ascending market order; e.mu must be held.
+func pooledLocked(e *Estimator, i int) (gk, gx float64) {
 	for j, m := range e.cat.Markets {
 		if m.Transient && e.pool[j] == e.pool[i] {
 			gk += e.k[j]
 			gx += e.x[j]
 		}
 	}
-	mean, ucb = e.posteriorLocked(i, gk, gx)
-	return mean, ucb, true
+	return gk, gx
 }
 
 // events reads spotweb_risk_events_total, the lifetime revocation events
@@ -334,4 +341,77 @@ func exposure(e *Estimator, i int) float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.x[i]
+}
+
+// TestBitIdenticalReusedQuantiles: an estimator that reuses each market's
+// quantile when its posterior shape repeats, and bisects from near the last
+// one otherwise, publishes the overlay that bisecting every quantile from
+// [0, 1] would, bit for bit — over a 288-market catalog for 1,000 intervals
+// at two seeds, with the price stream feeding the changepoint detector. Each
+// interval a random third of the markets holds servers, but only in pools
+// whose number is not 2 mod 3, and revocations are drawn at the declared
+// probabilities only in even pools: so some pools see no evidence (their
+// shapes repeat), some only exposure (a repeats while b moves) and some both.
+// The shared memo's counts show that both the reuse and the warm start were
+// taken.
+func TestBitIdenticalReusedQuantiles(t *testing.T) {
+	const intervals = 1000
+	for _, seed := range []int64{7, 43} {
+		cat := market.CatalogConfig{Seed: seed, NumTypes: 144, IncludeOnDemand: true}.Generate()
+		var q Quantiles
+		e := New(Config{}, cat)
+		e.ShareQuantiles(&q)
+		rng := rand.New(rand.NewSource(seed))
+		exposed := make([]bool, cat.Len())
+		prices := make([]float64, cat.Len())
+		transient := 0
+		for _, m := range cat.Markets {
+			if m.Transient {
+				transient++
+			}
+		}
+		for t0 := 0; t0 < intervals; t0++ {
+			for i, m := range cat.Markets {
+				prices[i] = m.PriceAt(t0)
+				exposed[i] = rng.Intn(3) == 0 && e.pool[i]%3 != 2
+				if exposed[i] && m.Transient && e.pool[i]%2 == 0 && rng.Float64() < m.FailProbAt(t0) {
+					e.ObserveRevocation(i, false)
+				}
+			}
+			e.ObserveInterval(t0, exposed, prices)
+			got := e.Overlay().FailProb
+			for i, m := range cat.Markets {
+				if !m.Transient {
+					continue
+				}
+				e.mu.Lock()
+				gk, gx := pooledLocked(e, i)
+				a, b := e.shapeLocked(i, gk, gx)
+				e.mu.Unlock()
+				want := math.Min(stats.BetaQuantile(e.cfg.Quantile, a, b, math.NaN()), e.cfg.MaxFailProb)
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("seed %d interval %d market %d: Beta(%v, %v) bound %v, from [0, 1] %v", seed, t0, i, a, b, got[i], want)
+				}
+			}
+		}
+		calls, hits := q.Stats()
+		if all := int64(transient * (intervals + 1)); calls >= all || calls-hits == 0 {
+			t.Fatalf("seed %d: %d quantiles asked of the memo (%d served) for %d bounds: no reuse or no warm start", seed, calls, hits, all)
+		}
+		t.Logf("seed %d: %d of %d bounds reused a quantile, %d bisected from near the last", seed, int64(transient*(intervals+1))-calls, transient*(intervals+1), calls-hits)
+	}
+}
+
+// TestNonFiniteShapeIsNotNoRisk: a NaN half-life makes every decayed count,
+// and so every posterior shape, NaN. The bound it publishes is NaN, not the
+// 2⁻⁵¹ ≈ 4.4e-16 — "no risk" — the bisection used to reach when every CDF
+// comparison failed.
+func TestNonFiniteShapeIsNotNoRisk(t *testing.T) {
+	e := New(Config{HalfLifeHrs: math.NaN()}, testCatalog(2, 0.02, nil))
+	e.ObserveInterval(0, []bool{true, true, false}, nil)
+	for i, v := range e.Overlay().FailProb[:2] {
+		if !math.IsNaN(v) {
+			t.Fatalf("market %d: NaN evidence published %v", i, v)
+		}
+	}
 }
