@@ -378,7 +378,7 @@ func BenchmarkRiskMatVec(b *testing.B) {
 			b.Run(c.name+"/"+op.name+"/h="+strconv.Itoa(c.h), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					linalg.MulVecStacked(op.m, n, x, dst)
+					op.m.MulVecStacked(x, dst)
 				}
 			})
 		}

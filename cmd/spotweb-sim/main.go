@@ -126,8 +126,6 @@ func run(args []string, w, stderr io.Writer) int {
 			experiments.AblationChurn(w, opt)
 		case "ablation-padding":
 			experiments.AblationPadding(w, opt)
-		case "ablation-risk":
-			experiments.AblationRisk(w, opt)
 		case "startup":
 			experiments.DiscussionStartupDelay(w, opt)
 		case "google":
@@ -145,7 +143,7 @@ func run(args []string, w, stderr io.Writer) int {
 	if f.exp == "all" {
 		for _, id := range []string{"table1", "fig3", "fig4a", "fig4a-sim", "fig4cd", "fig5",
 			"fig6a", "fig6b", "tv4", "fig7a", "fig7b",
-			"ablation-churn", "ablation-padding", "ablation-risk", "ablation-longreq", "startup", "google", "predictors"} {
+			"ablation-churn", "ablation-padding", "ablation-longreq", "startup", "google", "predictors"} {
 			fmt.Fprintf(w, "\n===== %s =====\n", id)
 			runExp(id)
 		}

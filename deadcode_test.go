@@ -22,28 +22,21 @@ import (
 // deadcodeAllowlist names the declarations under internal/ that may stay
 // without a caller in non-test code, keyed as the gate prints them.
 // Every entry gives one of three kinds of reason: (a) a test seam or a
-// cross-package test oracle, (b) part of the ADMM island ROADMAP item 2
-// deletes, (c) the consumer a ROADMAP item names. An entry that is no longer
-// declared, or that has gained a caller, fails the gate: the list only
-// shrinks.
+// cross-package test oracle, (b) part of the cold ADMM probe that bench/
+// names, which goes with ROADMAP item 18, (c) the consumer a ROADMAP item
+// names. An entry that is no longer declared, or that has gained a caller,
+// fails the gate: the list only shrinks.
 var deadcodeAllowlist = map[string]string{
-	"metrics.SLOTracker.SetClock":        "(a) test seam: fixes the clock the SLO windows read",
-	"metrics.Journal.SetClock":           "(a) test seam: fixes the journal's timestamps",
-	"monitor.Collector.SetClock":         "(a) test seam: fixes the sliding windows' clock",
-	"monitor.RateSeries.SetClock":        "(a) test seam: fixes the rate series' clock",
-	"metrics.Subscription.Dropped":       "(a) test oracle: risk/feed_test.go's conservation check, observed + dropped = recorded",
-	"solver.EstimateLipschitz":           "(a) test oracle: portfolio/oracle_test.go checks the planner's step against it",
-	"trace.ReadCSV":                      "(a) test oracle: round-trips WriteCSV, cmd/tracegen's format; FuzzReadCSV's target",
-	"lb.Balancer.Has":                    "(a) test oracle: testbed/stress_test.go checks a drained backend left rotation",
-	"lb.Balancer.SessionsOn":             "(a) test oracle: testbed/stress_test.go checks no session is stranded on a drained backend",
-	"solver.Problem.Gradient":            "(b) ADMM island (ROADMAP item 2)",
-	"solver.Problem.PrimalInfeasibility": "(b) ADMM island (ROADMAP item 2)",
-	"solver.WarmState.HasFactorization":  "(b) ADMM island (ROADMAP item 2)",
-	"linalg.CSR.At":                      "(b) ADMM island (ROADMAP item 2): CSR moves beside its one ablation",
-	"linalg.CSR.Dense":                   "(b) ADMM island (ROADMAP item 2): CSR moves beside its one ablation",
-	"linalg.CSR.NNZ":                     "(b) ADMM island (ROADMAP item 2): CSR moves beside its one ablation",
-	"linalg.FactorModel.Dense":           "(a) test oracle: portfolio/risk_test.go solves the dense expansion beside the factor model",
-	"portfolio.Config.Breakdown":         "(c) ROADMAP item 5: the per-round trace record carries the cost terms",
+	"metrics.SLOTracker.SetClock":  "(a) test seam: fixes the clock the SLO windows read",
+	"metrics.Journal.SetClock":     "(a) test seam: fixes the journal's timestamps",
+	"monitor.Collector.SetClock":   "(a) test seam: fixes the sliding windows' clock",
+	"monitor.RateSeries.SetClock":  "(a) test seam: fixes the rate series' clock",
+	"metrics.Subscription.Dropped": "(a) test oracle: risk/feed_test.go's conservation check, observed + dropped = recorded",
+	"solver.EstimateLipschitz":     "(a) test oracle: portfolio/oracle_test.go checks the planner's step against it",
+	"trace.ReadCSV":                "(a) test oracle: round-trips WriteCSV, cmd/tracegen's format; FuzzReadCSV's target",
+	"lb.Balancer.Has":              "(a) test oracle: testbed/stress_test.go checks a drained backend left rotation",
+	"lb.Balancer.SessionsOn":       "(a) test oracle: testbed/stress_test.go checks no session is stranded on a drained backend",
+	"portfolio.Config.Breakdown":   "(c) ROADMAP item 5: the per-round trace record carries the cost terms",
 }
 
 // TestNoDeadExports fails for every package-level function, type, variable or

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/autoscale"
 	"repro/internal/linalg"
@@ -97,81 +96,6 @@ func AblationPadding(w io.Writer, opt Options) PaddingAblationResult {
 	fmt.Fprintf(w, "%-8s %12s %14s\n", "CI", "cost", "violations %%")
 	for i, ci := range res.Levels {
 		fmt.Fprintf(w, "%-8.2f %12.2f %14.2f\n", ci, res.Costs[i], res.ViolationPct[i])
-	}
-	return res
-}
-
-// RiskAblationResult compares the three risk-matrix representations at
-// scale: dense, thresholded-sparse and k-factor.
-type RiskAblationResult struct {
-	Markets    []int
-	DenseMS    []float64
-	SparseMS   []float64
-	FactorMS   []float64
-	AllocDrift []float64 // max |alloc_sparse − alloc_dense| at the largest N
-}
-
-// AblationRisk times one solve per representation.
-func AblationRisk(w io.Writer, opt Options) RiskAblationResult {
-	counts := []int{36, 144, 288}
-	if opt.Quick {
-		counts = []int{18, 72}
-	}
-	res := RiskAblationResult{Markets: counts}
-	for _, nm := range counts {
-		cat := market.CatalogConfig{Seed: opt.RunSeed(), NumTypes: nm, Hours: 24 * 20}.Generate()
-		tt, window := 24*18, 24*14
-		dense := cat.CovarianceMatrix(tt, window)
-		sparse := cat.SparseCovariance(tt, window, 0.01)
-		factor := cat.FactorCovariance(tt, window, 6)
-
-		costs := cat.PerRequestCosts(tt)
-		fails := cat.FailProbs(tt)
-		cfg := portfolio.Config{Horizon: 4, ChurnKappa: 0.5, DisableWarmStart: opt.ColdStart}
-		base := func() *portfolio.Inputs {
-			in := &portfolio.Inputs{}
-			for τ := 0; τ < 4; τ++ {
-				in.Lambda = append(in.Lambda, 3000)
-				in.PerReqCost = append(in.PerReqCost, costs)
-				in.FailProb = append(in.FailProb, fails)
-			}
-			return in
-		}
-		timeIt := func(in *portfolio.Inputs) (float64, *portfolio.Plan) {
-			start := time.Now()
-			plan, err := portfolio.Optimize(cfg, in)
-			if err != nil {
-				panic(err)
-			}
-			return float64(time.Since(start).Microseconds()) / 1000, plan
-		}
-		inD := base()
-		inD.Risk = dense
-		msD, planD := timeIt(inD)
-		inS := base()
-		inS.Risk = sparse
-		msS, planS := timeIt(inS)
-		inF := base()
-		inF.Risk = factor
-		msF, _ := timeIt(inF)
-		res.DenseMS = append(res.DenseMS, msD)
-		res.SparseMS = append(res.SparseMS, msS)
-		res.FactorMS = append(res.FactorMS, msF)
-		var drift float64
-		for i := range planD.First() {
-			if d := planD.First()[i] - planS.First()[i]; d > drift {
-				drift = d
-			} else if -d > drift {
-				drift = -d
-			}
-		}
-		res.AllocDrift = append(res.AllocDrift, drift)
-	}
-	fmt.Fprintf(w, "Ablation: risk-matrix representation (solve ms, one MPO solve, H=4)\n")
-	fmt.Fprintf(w, "%-9s %10s %10s %10s %12s\n", "markets", "dense", "sparse", "factor", "alloc drift")
-	for i, nm := range counts {
-		fmt.Fprintf(w, "%-9d %10.2f %10.2f %10.2f %12.4f\n",
-			nm, res.DenseMS[i], res.SparseMS[i], res.FactorMS[i], res.AllocDrift[i])
 	}
 	return res
 }

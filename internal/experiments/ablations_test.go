@@ -36,22 +36,6 @@ func TestAblationPaddingShape(t *testing.T) {
 	}
 }
 
-func TestAblationRiskShape(t *testing.T) {
-	res := AblationRisk(io.Discard, quick)
-	last := len(res.Markets) - 1
-	// The factor model must not be slower than dense at the largest scale.
-	if res.FactorMS[last] > res.DenseMS[last]*1.5 {
-		t.Fatalf("factor solve %v ms vs dense %v ms at %d markets",
-			res.FactorMS[last], res.DenseMS[last], res.Markets[last])
-	}
-	// Thresholded-sparse must reproduce the dense allocation.
-	for i, d := range res.AllocDrift {
-		if d > 0.02 {
-			t.Fatalf("markets=%d: sparse allocation drifted %v from dense", res.Markets[i], d)
-		}
-	}
-}
-
 func TestAblationLongRequests(t *testing.T) {
 	res := AblationLongRequests(io.Discard, quick)
 	first, last := res.MeanFailProb[0], res.MeanFailProb[len(res.MeanFailProb)-1]

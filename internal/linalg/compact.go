@@ -6,11 +6,18 @@ import (
 )
 
 // MatVec is the view of a square matrix the optimizer's risk term needs: its
-// order and its product with a vector. *Matrix, *CSR, *FactorModel and
-// *Compact all satisfy it.
+// order, its product with a vector, and its product with several vectors laid
+// end to end. *Matrix and *Compact satisfy it.
 type MatVec interface {
 	Dim() int
 	MulVec(x, dst Vector) Vector
+	// MulVecStacked computes dst_p = M·x_p for every length-n block p of x
+	// (len(x) == len(dst) == h·n) and returns dst, reading M once: the
+	// horizon-stacked risk Hessian is H copies of one M, and a per-period
+	// MulVec would stream M through the cache H times per solver iteration.
+	// Every output element is bit-identical to the one MulVec writes for its
+	// block.
+	MulVecStacked(x, dst Vector) Vector
 }
 
 // Compact applies a bitwise-symmetric dense matrix while skipping its isolated

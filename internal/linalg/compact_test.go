@@ -228,46 +228,6 @@ func FuzzCompactRisk(f *testing.F) {
 	})
 }
 
-// TestBitIdenticalFactorModelMulVec pins FactorModel.MulVec, which writes out
-// the Fᵀx and F·(Fᵀx) loops to stay allocation-free, to the Matrix methods it
-// used to call.
-func TestBitIdenticalFactorModelMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for _, k := range []int{0, 1, 3, factorStackMax, factorStackMax + 5} {
-		n := 23
-		fm := &FactorModel{D: NewVector(n), F: randomMatrix(rng, n, k)}
-		for i := range fm.D {
-			fm.D[i] = rng.Float64()
-		}
-		x := signedVector(rng, n)
-		tmp := fm.F.MulVecT(x, NewVector(k))
-		want := refMulVec(fm.F, tmp, NewVector(n))
-		for i := range want {
-			want[i] += fm.D[i] * x[i]
-		}
-		got := fm.MulVec(x, NewVector(n))
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("k=%d output %d: %v != %v", k, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestFactorModelMulVecAllocs is the regression test for the per-call
-// NewVector(k): up to factorStackMax factors the matvec must not allocate.
-func TestFactorModelMulVecAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	n := 64
-	for _, tc := range []struct{ k, allocs int }{{3, 0}, {factorStackMax, 0}, {factorStackMax + 1, 1}} {
-		fm := &FactorModel{D: NewVector(n), F: randomMatrix(rng, n, tc.k)}
-		x, dst := signedVector(rng, n), NewVector(n)
-		if a := testing.AllocsPerRun(50, func() { fm.MulVec(x, dst) }); int(a) != tc.allocs {
-			t.Fatalf("k=%d: FactorModel.MulVec allocates %v objects per call, want %d", tc.k, a, tc.allocs)
-		}
-	}
-}
-
 // sameOperator fails unless got and want are the same operator: the same type
 // and, for a *Compact, the same coupled and isolated lists, isolated diagonal
 // and packed block, every float bit for bit.

@@ -22,9 +22,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set writes element (i, j).
 func (m *Matrix) Set(i, j int, x float64) { m.Data[i*m.Cols+j] = x }
 
-// Add adds x to element (i, j).
-func (m *Matrix) Add(i, j int, x float64) { m.Data[i*m.Cols+j] += x }
-
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 

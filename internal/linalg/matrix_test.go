@@ -57,7 +57,7 @@ func TestIdentityMulVec(t *testing.T) {
 func TestMatrixAtSetAdd(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(1, 2, 5)
-	m.Add(1, 2, 2)
+	m.Set(1, 2, m.At(1, 2)+2)
 	if m.At(1, 2) != 7 {
 		t.Fatalf("At(1,2) = %v, want 7", m.At(1, 2))
 	}

@@ -2,31 +2,6 @@ package linalg
 
 import "fmt"
 
-// StackedMatVec is a MatVec that can apply its matrix to several vectors laid
-// end to end while reading the matrix once. The horizon-stacked risk Hessian
-// is H copies of one M, so a per-period MulVec streams M through the cache H
-// times per solver iteration; *Matrix and *Compact implement the stacked form.
-type StackedMatVec interface {
-	MatVec
-	// MulVecStacked computes dst_p = M·x_p for every length-n block p of x
-	// (len(x) == len(dst) == h·n) and returns dst. Every output element is
-	// bit-identical to the one MulVec writes for its block.
-	MulVecStacked(x, dst Vector) Vector
-}
-
-// MulVecStacked applies the n×n operator m to every length-n block of x: in
-// one call when m implements StackedMatVec, block by block otherwise (*CSR,
-// *FactorModel).
-func MulVecStacked(m MatVec, n int, x, dst Vector) Vector {
-	if s, ok := m.(StackedMatVec); ok {
-		return s.MulVecStacked(x, dst)
-	}
-	for off := 0; off < len(x); off += n {
-		m.MulVec(x[off:off+n], dst[off:off+n])
-	}
-	return dst
-}
-
 // stackedBlocks returns h for operands of h blocks each, panicking when x is
 // not h blocks of cols and dst h blocks of rows for one h ≥ 1.
 func stackedBlocks(x, dst Vector, rows, cols int) int {
@@ -38,7 +13,7 @@ func stackedBlocks(x, dst Vector, rows, cols int) int {
 	panic(fmt.Sprintf("linalg: MulVecStacked shape mismatch %d/%d vs %dx%d", len(x), len(dst), rows, cols))
 }
 
-// MulVecStacked implements StackedMatVec.
+// MulVecStacked implements MatVec.
 func (m *Matrix) MulVecStacked(x, dst Vector) Vector {
 	m.mulBlocks(x, dst, stackedBlocks(x, dst, m.Rows, m.Cols), 0)
 	return dst
@@ -86,7 +61,7 @@ func (m *Matrix) mulBlocks(x, dst Vector, h, lo int) {
 	}
 }
 
-// MulVecStacked implements StackedMatVec; see (*Compact).MulVec.
+// MulVecStacked implements MatVec; see (*Compact).MulVec.
 func (c *Compact) MulVecStacked(x, dst Vector) Vector {
 	c.mul(x, dst, stackedBlocks(x, dst, c.n, c.n))
 	return dst

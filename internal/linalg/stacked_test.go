@@ -22,13 +22,6 @@ func refMulVec(m *Matrix, x, dst Vector) Vector {
 	return dst
 }
 
-// onlyMulVec hides every method but MulVec, as *CSR and *FactorModel look to
-// MulVecStacked.
-type onlyMulVec struct{ m MatVec }
-
-func (o onlyMulVec) Dim() int                    { return o.m.Dim() }
-func (o onlyMulVec) MulVec(x, dst Vector) Vector { return o.m.MulVec(x, dst) }
-
 // checkStackedBits applies op — an operator built from m — to the h stacked
 // blocks of x, once in one MulVecStacked call and once as h MulVec calls, with
 // both bodies this CPU has (lanes, scalar), and fails on any bit of either that
@@ -45,7 +38,7 @@ func checkStackedBits(t *testing.T, name string, m *Matrix, op MatVec, x Vector,
 		for i := range stacked {
 			stacked[i], perBlock[i] = math.NaN(), math.NaN() // every output must be written
 		}
-		MulVecStacked(op, c, x, stacked)
+		op.MulVecStacked(x, stacked)
 		for p := 0; p < h; p++ {
 			op.MulVec(x[p*c:(p+1)*c], perBlock[p*r:(p+1)*r])
 		}
@@ -151,7 +144,6 @@ func TestBitIdenticalStackedMulVec(t *testing.T) {
 			x := signedVector(rng, tc.n*h)
 			checkStackedBits(t, tc.name+"/matrix", m, m, x, h)
 			checkStackedBits(t, tc.name+"/compact", m, compact, x, h)
-			checkStackedBits(t, tc.name+"/fallback", m, onlyMulVec{compact}, x, h)
 		}
 	}
 	// Non-square, odd and even row counts: blocks of Cols in, blocks of Rows out.
@@ -190,12 +182,12 @@ func TestStackedMulVecAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	m := randomSPD(rng, 40)
 	x, dst := signedVector(rng, 240), NewVector(240)
-	if a := testing.AllocsPerRun(50, func() { MulVecStacked(m, 40, x, dst) }); a != 0 {
+	if a := testing.AllocsPerRun(50, func() { m.MulVecStacked(x, dst) }); a != 0 {
 		t.Fatalf("Matrix.MulVecStacked allocates %v objects per call", a)
 	}
 	isolate(m, 1, 5, 9, 30)
 	op, _ := CompactRisk(m)
-	if a := testing.AllocsPerRun(50, func() { MulVecStacked(op, 40, x, dst) }); a != 0 {
+	if a := testing.AllocsPerRun(50, func() { op.MulVecStacked(x, dst) }); a != 0 {
 		t.Fatalf("Compact.MulVecStacked allocates %v objects per call", a)
 	}
 }

@@ -150,8 +150,8 @@ func checkOperator(t *testing.T, label string, c *Catalog, tt, window int, win *
 			}
 		}
 		a, b := linalg.NewVector(h*n), linalg.NewVector(h*n)
-		linalg.MulVecStacked(got, n, x, a)
-		linalg.MulVecStacked(want, n, x, b)
+		got.MulVecStacked(x, a)
+		want.MulVecStacked(x, b)
 		for i := range a {
 			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 				t.Fatalf("%s t=%d w=%d h=%d: output %d = %#x, want %#x", label, tt, window, h, i,

@@ -146,17 +146,6 @@ func failWindow(mk *Market, lo, t int, buf []float64) []float64 {
 	return buf
 }
 
-// diagonalPrior is the covariance estimators' not-enough-history fallback:
-// the squared current failure probability plus the ridge.
-func (c *Catalog) diagonalPrior(t int) linalg.Vector {
-	d := linalg.NewVector(c.Len())
-	for i, mk := range c.Markets {
-		f := mk.FailProbAt(t)
-		d[i] = f*f + covRidge
-	}
-	return d
-}
-
 // covRidge is the ridge every covariance estimate adds to its diagonal, so M
 // is strictly positive definite (required by the quadratic risk term).
 const covRidge = 1e-6
@@ -242,11 +231,13 @@ func (c *Catalog) gatherEight(win *linalg.Samples, r int, idx []int, lo, t int) 
 }
 
 // priorMatrix is M when the window holds fewer than two samples: the
-// diagonal prior.
+// diagonal prior, each market's squared current failure probability plus the
+// ridge.
 func (c *Catalog) priorMatrix(t int) *linalg.Matrix {
 	m := linalg.NewMatrix(c.Len(), c.Len())
-	for i, d := range c.diagonalPrior(t) {
-		m.Set(i, i, d)
+	for i, mk := range c.Markets {
+		f := mk.FailProbAt(t)
+		m.Set(i, i, f*f+covRidge)
 	}
 	return m
 }

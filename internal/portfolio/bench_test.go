@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"repro/internal/market"
@@ -11,8 +12,8 @@ import (
 // fresh planner per b.N iteration and reports mean solver iterations per
 // round over the steady-state tail (after the predictor and the warm-start
 // chain have settled), so the nightly artifact records the warm-start
-// speedup (the ISSUE's ≥2× acceptance gate at admm-n200).
-func benchColdVsWarm(b *testing.B, kind SolverKind, n, rounds, tail int, disableWarm bool) {
+// speedup.
+func benchColdVsWarm(b *testing.B, n, rounds, tail int, disableWarm bool) {
 	// 10-minute re-planning against a diurnal workload — the paper's §6
 	// regime: 144 ticks per day, so consecutive rounds differ by the small
 	// data deltas the warm seed exploits.
@@ -23,7 +24,7 @@ func benchColdVsWarm(b *testing.B, kind SolverKind, n, rounds, tail int, disable
 	b.ResetTimer()
 	totalIters := 0
 	for i := 0; i < b.N; i++ {
-		pl := NewPlanner(Config{Horizon: 4, ChurnKappa: 0.5, Solver: kind, DisableWarmStart: disableWarm},
+		pl := NewPlanner(Config{Horizon: 4, ChurnKappa: 0.5, DisableWarmStart: disableWarm},
 			cat, testPredictor(cat), ReactiveSource{Cat: cat})
 		for tick := 0; tick < rounds; tick++ {
 			dec, err := pl.Step(tick, diurnal(tick))
@@ -39,21 +40,11 @@ func benchColdVsWarm(b *testing.B, kind SolverKind, n, rounds, tail int, disable
 }
 
 func BenchmarkRecedingHorizonColdVsWarm(b *testing.B) {
-	cases := []struct {
-		name string
-		kind SolverKind
-		n    int
-	}{
-		// Market counts mirror the PR 1 solver benches (50/200/500).
-		{"fista-n50", SolverFISTA, 50},
-		{"fista-n200", SolverFISTA, 200},
-		{"fista-n500", SolverFISTA, 500},
-		{"admm-n50", SolverADMM, 50},
-		{"admm-n200", SolverADMM, 200},
-	}
 	const rounds, tail = 24, 12
-	for _, c := range cases {
-		b.Run(c.name+"/cold", func(b *testing.B) { benchColdVsWarm(b, c.kind, c.n, rounds, tail, true) })
-		b.Run(c.name+"/warm", func(b *testing.B) { benchColdVsWarm(b, c.kind, c.n, rounds, tail, false) })
+	// Market counts mirror the solver benches (50/200/500).
+	for _, n := range []int{50, 200, 500} {
+		name := "fista-n" + strconv.Itoa(n)
+		b.Run(name+"/cold", func(b *testing.B) { benchColdVsWarm(b, n, rounds, tail, true) })
+		b.Run(name+"/warm", func(b *testing.B) { benchColdVsWarm(b, n, rounds, tail, false) })
 	}
 }

@@ -42,29 +42,6 @@ func TestBreakdownSumsToObjectiveTerms(t *testing.T) {
 	}
 }
 
-func TestBreakdownWithFactorRisk(t *testing.T) {
-	n := 3
-	fm := &linalg.FactorModel{D: linalg.Vector{0.01, 0.01, 0.01}, F: linalg.NewMatrix(n, 0)}
-	cfg := Config{Horizon: 1, Alpha: 5}
-	in := &Inputs{
-		Lambda:     []float64{100},
-		PerReqCost: [][]float64{{0.001, 0.002, 0.003}},
-		FailProb:   [][]float64{{0.05, 0.05, 0.05}},
-		Risk:       fm,
-	}
-	plan, err := Optimize(cfg, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := cfg.Breakdown(plan, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0].Risk <= 0 {
-		t.Fatalf("factor-model risk not evaluated: %+v", rows[0])
-	}
-}
-
 func TestBreakdownValidation(t *testing.T) {
 	cfg := Config{Horizon: 2}
 	in := uniformInputs(2, 100, []float64{0.001, 0.002}, []float64{0, 0}, diagRisk(0.01, 0.01))

@@ -16,12 +16,20 @@ func twinCatalog(types int) *market.Catalog {
 	return market.CatalogConfig{Seed: 21, NumTypes: types, IncludeOnDemand: true, Hours: 24 * 20}.Generate()
 }
 
-// perPeriodRisk hides the stacked apply of the operator it wraps, so the
-// horizon operator multiplies by M one period at a time as it always did.
+// perPeriodRisk replaces the stacked apply of the operator it wraps with one
+// MulVec per period, so the horizon operator multiplies by M one period at a
+// time as it always did.
 type perPeriodRisk struct{ m linalg.MatVec }
 
 func (p perPeriodRisk) Dim() int                                  { return p.m.Dim() }
 func (p perPeriodRisk) MulVec(x, dst linalg.Vector) linalg.Vector { return p.m.MulVec(x, dst) }
+func (p perPeriodRisk) MulVecStacked(x, dst linalg.Vector) linalg.Vector {
+	n := p.m.Dim()
+	for off := 0; off < len(x); off += n {
+		p.m.MulVec(x[off:off+n], dst[off:off+n])
+	}
+	return dst
+}
 
 // denseDoor hides the *linalg.Matrix type from solveFISTA, which then applies
 // the matrix as given — Matrix.MulVecStacked — instead of through CompactRisk.
@@ -57,8 +65,8 @@ func plansIdentical(t *testing.T, tag string, a, b *Plan) {
 // the compact operator and applies it to all periods in one stacked call;
 // through the dense door, a wrapper that hides the matrix's type, so the very
 // same matrix is applied by Matrix.MulVecStacked; and through a wrapper that
-// leaves only MulVec, one call per period. Every round — the cold first one and the warm ones after
-// it — must agree in every bit.
+// applies it with one MulVec call per period. Every round — the cold first
+// one and the warm ones after it — must agree in every bit.
 func TestBitIdenticalCompactSolve(t *testing.T) {
 	cat := twinCatalog(9)
 	n := cat.Len()

@@ -31,13 +31,15 @@ const (
 	// (default; scales to hundreds of markets).
 	SolverFISTA SolverKind = iota
 	// SolverADMM uses the OSQP-style solver over the structured MPO program
-	// (block-tridiagonal KKT factor). No binary selects it: it is the
-	// benchmark's cold-solve probe and FISTA's cross-check in tests.
+	// (block-tridiagonal KKT factor), always cold. No binary selects it: it is
+	// the benchmark's cold-solve probe and FISTA's cross-check in tests. It
+	// needs a dense Inputs.Risk, so a Planner configured with it fails every
+	// round.
 	SolverADMM
 )
 
 // KKTPath and KKTSparse are named by bench/plan.go; removed with ROADMAP
-// 1(a). See Config.KKT.
+// item 18. See Config.KKT.
 type KKTPath int
 
 const KKTSparse KKTPath = 0
@@ -85,14 +87,14 @@ type Config struct {
 	MaxIter int
 	// DisableWarmStart cold-starts every receding-horizon solve. The zero
 	// value keeps warm starting ON: each Planner round seeds the solver with
-	// the previous round's iterates shifted one period (plus the cached KKT
-	// factorization / Lipschitz estimate), which cuts steady-state solver
-	// iterations severalfold without changing what the solver converges to
+	// the previous round's iterates shifted one period (plus the cached
+	// Lipschitz estimate), which cuts steady-state solver iterations
+	// severalfold without changing what the solver converges to
 	// (first-interval allocations agree within solver tolerance). Disable it
 	// to reproduce strictly independent per-round solves.
 	DisableWarmStart bool
 	// Parallelism and KKT are ignored — one solve is serial and ADMM has one
-	// KKT engine. Named by bench/plan.go; removed with ROADMAP 1(a).
+	// KKT engine. Named by bench/plan.go; removed with ROADMAP item 18.
 	Parallelism int
 	KKT         KKTPath
 }
@@ -132,9 +134,9 @@ type Inputs struct {
 	// FailProb[τ][i] is the predicted revocation probability.
 	FailProb [][]float64
 	// Risk is the covariance matrix M of revocation dynamics (N×N): dense
-	// (*linalg.Matrix, which the ADMM backend requires), sparse, a factor
-	// model, or the operator Catalog.CovarianceOperator builds for the
-	// planners' FISTA solves.
+	// (*linalg.Matrix, which the ADMM backend requires) or the compact
+	// operator Catalog.CovarianceOperator builds for the planners' FISTA
+	// solves.
 	Risk linalg.MatVec
 	// OnDemand[i] marks market i as non-revocable (on-demand) — the anchor
 	// asset class. Only consulted when Config.AMinOnDemand > 0; nil is fine

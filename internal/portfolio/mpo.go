@@ -26,7 +26,7 @@ type Plan struct {
 	// convergence quality the monitoring subsystem exposes per solve.
 	PriRes float64
 	// WarmStarted reports whether the solve was seeded from a previous
-	// round's warm state (iterates, KKT factorization or Lipschitz cache).
+	// round's warm state (iterates or Lipschitz cache).
 	WarmStarted bool
 	// RiskCoupled is the number of markets the risk matvec multiplied: the
 	// FISTA backend skips markets whose row and column of M are zero off the
@@ -60,8 +60,8 @@ type horizonOperator struct {
 // Apply implements solver.QuadOperator.
 func (o *horizonOperator) Apply(x, dst linalg.Vector) {
 	n, h := o.n, o.h
-	// All periods go to M in one call, so a stacked operator reads M once.
-	linalg.MulVecStacked(o.m, n, x, dst)
+	// All periods go to M in one call, so M is read once.
+	o.m.MulVecStacked(x, dst)
 	dst.Scale(2 * o.alpha)
 	if o.kappa == 0 {
 		return
@@ -165,7 +165,8 @@ func Optimize(cfg Config, in *Inputs) (*Plan, error) {
 // OptimizeWarm solves the MPO program, optionally seeding the solver from a
 // previous round's warm state (see solver.WarmState). The state is consumed;
 // the state for the *next* round rides back on the returned Plan. A nil warm
-// state is a cold start — OptimizeWarm(cfg, in, nil) ≡ Optimize(cfg, in).
+// state is a cold start — OptimizeWarm(cfg, in, nil) ≡ Optimize(cfg, in). The
+// ADMM backend ignores warm, always solves cold and returns no warm state.
 func OptimizeWarm(cfg Config, in *Inputs, warm *solver.WarmState) (*Plan, error) {
 	c := cfg.WithDefaults()
 	n, err := in.Validate(c.Horizon)
@@ -200,7 +201,7 @@ func OptimizeWarm(cfg Config, in *Inputs, warm *solver.WarmState) (*Plan, error)
 	coupled := n
 	switch c.Solver {
 	case SolverADMM:
-		res = c.solveADMM(in, n, warm)
+		res = c.solveADMM(in, n)
 	default:
 		res, coupled = c.solveFISTA(in, n, warm)
 	}
@@ -243,11 +244,11 @@ func (c Config) maxIter(def int) int {
 // matvec multiplies. A *linalg.Compact — the operator
 // Catalog.CovarianceOperator builds, which the single planner and every
 // federation shard pass — reports its own coupled count, so no planner's
-// solve scans a matrix. A dense Inputs.Risk (ADMM callers' inputs, the
-// ablations, bench/'s composed round) is scanned once for isolated markets —
-// every on-demand market's row and column of M are zero off the diagonal —
-// and applied through linalg.CompactRisk, which is bit-identical to the dense
-// matvec. Any other risk is applied as given.
+// solve scans a matrix. A dense Inputs.Risk (the tests', bench/'s composed
+// round) is scanned once for isolated markets — every on-demand market's row
+// and column of M are zero off the diagonal — and applied through
+// linalg.CompactRisk, which is bit-identical to the dense matvec. Any other
+// risk is applied as given.
 func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState) (solver.Result, int) {
 	kappa := c.churnWeight(in, n)
 	risk, coupled := in.Risk, n
@@ -334,10 +335,10 @@ func (c Config) buildADMMSparse(in *Inputs, n int, kappa float64) *solver.Proble
 	}
 }
 
-func (c Config) solveADMM(in *Inputs, n int, warm *solver.WarmState) solver.Result {
+func (c Config) solveADMM(in *Inputs, n int) solver.Result {
 	kappa := c.churnWeight(in, n)
 	return solver.SolveADMM(c.buildADMMSparse(in, n, kappa), solver.ADMMSettings{
-		MaxIter: c.maxIter(8000), EpsAbs: 1e-6, EpsRel: 1e-6, Warm: warm,
+		MaxIter: c.maxIter(8000), EpsAbs: 1e-6, EpsRel: 1e-6,
 	})
 }
 

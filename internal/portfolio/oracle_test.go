@@ -103,9 +103,10 @@ func plansAgree(t *testing.T, tag string, fista, admm *Plan) {
 }
 
 // The two backends over the sizes, horizons and anchor settings the planner
-// meets, cold and over a six-round receding-horizon trace in which each solve
-// is seeded from the previous round's shifted state: every FISTA plan is
-// optimal by the oracle, and the structured ADMM plan agrees with it.
+// meets, over a six-round receding-horizon trace in which each FISTA solve is
+// seeded from the previous round's shifted state and ADMM solves cold: every
+// FISTA plan is optimal by the oracle, and the structured ADMM plan agrees
+// with it.
 func TestADMMAndFISTAAgreeOnMPO(t *testing.T) {
 	const rounds = 6
 	for _, n := range []int{3, 10, 50} {
@@ -121,36 +122,36 @@ func TestADMMAndFISTAAgreeOnMPO(t *testing.T) {
 					in.OnDemand = markOnDemand(n, (n+2)/3)
 					cfg.AMinOnDemand = 0.4
 				}
-				var warmF, warmA *solver.WarmState
+				var warm *solver.WarmState
 				for round := 0; round < rounds; round++ {
 					tag := func(what string) string {
 						return fmt.Sprintf("%s n=%d h=%d anchored=%v round %d", what, n, h, anchored, round)
 					}
 					cfg.Solver = SolverFISTA
-					pf, err := OptimizeWarm(cfg, in, warmF)
+					pf, err := OptimizeWarm(cfg, in, warm)
 					if err != nil {
 						t.Fatal(tag("FISTA"), err)
 					}
 					cfg.Solver = SolverADMM
-					pa, err := OptimizeWarm(cfg, in, warmA)
+					pa, err := Optimize(cfg, in)
 					if err != nil {
 						t.Fatal(tag("ADMM"), err)
 					}
 					if pf.Status != solver.StatusSolved || pa.Status != solver.StatusSolved {
 						t.Fatalf("%s: FISTA %v, ADMM %v", tag("status"), pf.Status, pa.Status)
 					}
-					if warm := round > 0; pf.WarmStarted != warm || pa.WarmStarted != warm {
-						t.Fatalf("%s: FISTA %v, ADMM %v, want %v", tag("warm-started"), pf.WarmStarted, pa.WarmStarted, warm)
+					if pf.WarmStarted != (round > 0) || pa.WarmStarted || pa.warm != nil {
+						t.Fatalf("%s: FISTA %v, ADMM %v (state %v), want FISTA %v and ADMM cold without state",
+							tag("warm-started"), pf.WarmStarted, pa.WarmStarted, pa.warm != nil, round > 0)
 					}
 					cfg.Solver = SolverFISTA
 					assertPlanOptimal(t, cfg, in, pf, 1e-6)
 					plansAgree(t, tag("agreement"), pf, pa)
 
 					// Next round: execute the first interval, shift the
-					// seeds one period, drift the forecasts.
-					warmF, warmA = pf.warm, pa.warm
-					warmF.ShiftHorizon(n)
-					warmA.ShiftHorizon(n)
+					// seed one period, drift the forecasts.
+					warm = pf.warm
+					warm.ShiftHorizon(n)
 					in.PrevAlloc = pf.First().Clone()
 					for τ := range in.Lambda {
 						in.Lambda[τ] *= 1 + 0.04*math.Sin(float64(round+τ))

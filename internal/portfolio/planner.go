@@ -222,14 +222,7 @@ func (p *Planner) Step(t int, actualLambda float64) (*Decision, error) {
 		window = p.Cat.TwoWeekWindow()
 	}
 	in, epoch := p.builder.Build(t, p.Cfg.Horizon, actualLambda)
-	if p.Cfg.Solver == SolverADMM {
-		// The ADMM backend assembles its KKT blocks from the dense matrix.
-		covStart := time.Now()
-		in.Risk = p.Cat.CovarianceMatrix(t, window)
-		observeCovariance(p.Metrics, covStart)
-	} else {
-		in.Risk = p.riskOperator(t, window)
-	}
+	in.Risk = p.riskOperator(t, window)
 	in.PrevAlloc = p.prevAlloc
 	if p.Cfg.AMinOnDemand > 0 {
 		od := make([]bool, p.Cat.Len())
@@ -326,13 +319,9 @@ func (p *Planner) prefetches() bool {
 func covarianceOperator(m *metrics.Registry, cat *market.Catalog, t, window int) linalg.MatVec {
 	start := time.Now()
 	op, _ := cat.CovarianceOperator(t, window, nil)
-	observeCovariance(m, start)
-	return op
-}
-
-func observeCovariance(m *metrics.Registry, start time.Time) {
 	m.Histogram("spotweb_planner_covariance_seconds", "Risk covariance estimation wall time per planning step.").
 		Observe(time.Since(start).Seconds())
+	return op
 }
 
 // recordMetrics publishes one solve's health and the executed portfolio's

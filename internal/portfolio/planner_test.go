@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/market"
@@ -220,12 +221,12 @@ func TestPlannerWarmFallbackCounter(t *testing.T) {
 // warm-started rounds, and the planner's metrics registry. At round 10 the
 // market set is swapped (different catalog, different market count), which
 // must invalidate any warm state rather than feed wrong-shape seeds.
-func runRecedingHorizon(t *testing.T, kind SolverKind, disableWarm bool, rounds int) ([][]float64, int, *metrics.Registry) {
+func runRecedingHorizon(t *testing.T, disableWarm bool, rounds int) ([][]float64, int, *metrics.Registry) {
 	t.Helper()
 	cat1 := market.CatalogConfig{Seed: 11, NumTypes: 6, Hours: 72}.Generate()
 	cat2 := market.CatalogConfig{Seed: 12, NumTypes: 9, Hours: 72}.Generate()
 	reg := metrics.NewRegistry()
-	pl := NewPlanner(Config{Horizon: 4, ChurnKappa: 0.5, Solver: kind, DisableWarmStart: disableWarm},
+	pl := NewPlanner(Config{Horizon: 4, ChurnKappa: 0.5, DisableWarmStart: disableWarm},
 		cat1, testPredictor(cat1), ReactiveSource{Cat: cat1})
 	pl.Metrics = reg
 
@@ -239,7 +240,7 @@ func runRecedingHorizon(t *testing.T, kind SolverKind, disableWarm bool, rounds 
 		}
 		dec, err := pl.Step(tick, sineLoad(tick))
 		if err != nil {
-			t.Fatalf("%v warm=%v round %d: %v", kind, !disableWarm, tick, err)
+			t.Fatalf("warm=%v round %d: %v", !disableWarm, tick, err)
 		}
 		firsts = append(firsts, append([]float64(nil), dec.Plan.First()...))
 		if dec.Plan.WarmStarted {
@@ -249,53 +250,57 @@ func runRecedingHorizon(t *testing.T, kind SolverKind, disableWarm bool, rounds 
 	return firsts, warmRounds, reg
 }
 
-// Warm-vs-cold equivalence over 20 receding-horizon rounds, both backends:
-// the executed (first-interval) allocations must match within solver
-// tolerance every round, including across a mid-run market-set change that
-// forces warm-state invalidation.
+// Warm-vs-cold equivalence over 20 receding-horizon rounds of the FISTA
+// backend (ADMM always solves cold): the executed (first-interval)
+// allocations must match within solver tolerance every round, including
+// across a mid-run market-set change that forces warm-state invalidation.
 func TestPlannerWarmColdFirstIntervalEquivalence(t *testing.T) {
-	const rounds = 20
-	for _, tc := range []struct {
-		name string
-		kind SolverKind
-		tol  float64
-	}{
-		{"FISTA", SolverFISTA, 1e-3},
-		{"ADMM", SolverADMM, 2e-3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			coldF, coldWarmRounds, _ := runRecedingHorizon(t, tc.kind, true, rounds)
-			warmF, warmRounds, reg := runRecedingHorizon(t, tc.kind, false, rounds)
-			if coldWarmRounds != 0 {
-				t.Fatalf("DisableWarmStart planner reported %d warm rounds", coldWarmRounds)
+	const rounds, tol = 20, 1e-3
+	t.Run("FISTA", func(t *testing.T) {
+		coldF, coldWarmRounds, _ := runRecedingHorizon(t, true, rounds)
+		warmF, warmRounds, reg := runRecedingHorizon(t, false, rounds)
+		if coldWarmRounds != 0 {
+			t.Fatalf("DisableWarmStart planner reported %d warm rounds", coldWarmRounds)
+		}
+		// Round 0 is necessarily cold and round 10's market swap forces a
+		// cold restart; everything else should warm-start.
+		if warmRounds < rounds-4 {
+			t.Fatalf("only %d/%d rounds warm-started", warmRounds, rounds)
+		}
+		for round := range coldF {
+			if len(coldF[round]) != len(warmF[round]) {
+				t.Fatalf("round %d: market count diverged", round)
 			}
-			// Round 0 is necessarily cold and round 10's market swap forces a
-			// cold restart; everything else should warm-start.
-			if warmRounds < rounds-4 {
-				t.Fatalf("only %d/%d rounds warm-started", warmRounds, rounds)
-			}
-			for round := range coldF {
-				if len(coldF[round]) != len(warmF[round]) {
-					t.Fatalf("round %d: market count diverged", round)
-				}
-				for i := range coldF[round] {
-					if d := math.Abs(coldF[round][i] - warmF[round][i]); d > tc.tol {
-						t.Fatalf("round %d market %d: warm %v vs cold %v (diff %v > %v)",
-							round, i, warmF[round][i], coldF[round][i], d, tc.tol)
-					}
+			for i := range coldF[round] {
+				if d := math.Abs(coldF[round][i] - warmF[round][i]); d > tol {
+					t.Fatalf("round %d market %d: warm %v vs cold %v (diff %v > %v)",
+						round, i, warmF[round][i], coldF[round][i], d, tol)
 				}
 			}
-			inval := reg.Counter("spotweb_planner_warm_invalidations_total",
-				"Warm-start states dropped because the market set, horizon or solver changed.")
-			if inval.Value() < 1 {
-				t.Fatal("market-set change did not tick the warm invalidation counter")
-			}
-			fb := reg.Counter("spotweb_planner_fallback_total",
-				"Warm-started solves that failed to converge and were re-solved cold.")
-			if fb.Value() != 0 {
-				t.Fatalf("unexpected warm fallbacks: %d", fb.Value())
-			}
-		})
+		}
+		inval := reg.Counter("spotweb_planner_warm_invalidations_total",
+			"Warm-start states dropped because the market set, horizon or anchor bound changed.")
+		if inval.Value() < 1 {
+			t.Fatal("market-set change did not tick the warm invalidation counter")
+		}
+		fb := reg.Counter("spotweb_planner_fallback_total",
+			"Warm-started solves that failed to converge and were re-solved cold.")
+		if fb.Value() != 0 {
+			t.Fatalf("unexpected warm fallbacks: %d", fb.Value())
+		}
+	})
+}
+
+// A planner configured with the ADMM backend fails every round with the
+// dense-risk error: planners pass the compact risk operator, and ADMM, which
+// assembles its KKT blocks from a dense matrix, is only a cold probe.
+func TestPlannerADMMFailsEveryRound(t *testing.T) {
+	cat := market.CatalogConfig{Seed: 11, NumTypes: 6, Hours: 72}.Generate()
+	pl := NewPlanner(Config{Horizon: 4, Solver: SolverADMM}, cat, testPredictor(cat), ReactiveSource{Cat: cat})
+	for tick := 0; tick < 3; tick++ {
+		if _, err := pl.Step(tick, sineLoad(tick)); err == nil || !strings.Contains(err.Error(), "SolverADMM needs the dense Inputs.Risk") {
+			t.Fatalf("round %d: err = %v, want the dense-risk error", tick, err)
+		}
 	}
 }
 
@@ -308,7 +313,7 @@ func TestPlannerWarmReducesIterations(t *testing.T) {
 	// by small data deltas, which is what the warm seed exploits.
 	cat := market.CatalogConfig{Seed: 21, NumTypes: 32, Hours: 48, SamplesPerHour: 6}.Generate()
 	run := func(disableWarm bool) int {
-		pl := NewPlanner(Config{Horizon: 4, ChurnKappa: 0.5, Solver: SolverADMM, DisableWarmStart: disableWarm},
+		pl := NewPlanner(Config{Horizon: 4, ChurnKappa: 0.5, DisableWarmStart: disableWarm},
 			cat, testPredictor(cat), ReactiveSource{Cat: cat})
 		total := 0
 		for tick := 0; tick < 24; tick++ {

@@ -279,7 +279,7 @@ func TestHorizonOperatorMatchesDense(t *testing.T) {
 			risk.Set(i, j, v)
 			risk.Set(j, i, v)
 		}
-		risk.Add(i, i, 0.05)
+		risk.Set(i, i, risk.At(i, i)+0.05)
 	}
 	op := &horizonOperator{m: risk, alpha: 5, kappa: 0.7, n: n, h: h}
 	// Dense counterpart: block-diagonal 2αM plus the churn tridiagonal.
@@ -304,10 +304,10 @@ func TestHorizonOperatorMatchesDense(t *testing.T) {
 				diagCount = 2.0
 			}
 			for i := 0; i < n; i++ {
-				dense.Add(τ*n+i, τ*n+i, k2*diagCount)
+				dense.Set(τ*n+i, τ*n+i, dense.At(τ*n+i, τ*n+i)+k2*diagCount)
 				if τ > 0 {
-					dense.Add(τ*n+i, (τ-1)*n+i, -k2)
-					dense.Add((τ-1)*n+i, τ*n+i, -k2)
+					dense.Set(τ*n+i, (τ-1)*n+i, dense.At(τ*n+i, (τ-1)*n+i)-k2)
+					dense.Set((τ-1)*n+i, τ*n+i, dense.At((τ-1)*n+i, τ*n+i)-k2)
 				}
 			}
 		}

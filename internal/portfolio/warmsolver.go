@@ -13,11 +13,10 @@ import (
 //   - The previous accepted solve's solver state seeds the next solve
 //     (unless cfg.DisableWarmStart).
 //   - The state is invalidated whenever the market set, the horizon or the
-//     solver backend changed since it was captured: stale iterates of the
-//     wrong shape (or a factorization of the wrong problem) must never leak
-//     into a solve. Likewise when the risk-overlay epoch bumped — a regime
-//     shift re-anchored the estimator, so the cached trajectory tracked the
-//     wrong cost surface.
+//     anchor floor changed since it was captured: stale iterates of the
+//     wrong shape must never leak into a solve. Likewise when the
+//     risk-overlay epoch bumped — a regime shift re-anchored the estimator,
+//     so the cached trajectory tracked the wrong cost surface.
 //   - A solve that does not converge within the iteration budget is not
 //     trusted when it was warm-started: the stale state is discarded, a
 //     spotweb_planner_fallback_total counter ticks, and the round is
@@ -39,7 +38,6 @@ type WarmSolver struct {
 	warmN      int
 	warmH      int
 	warmCat    *market.Catalog
-	warmKind   SolverKind
 	warmEpoch  uint64
 	warmAnchor float64
 	shifted    bool
@@ -55,10 +53,10 @@ func (w *WarmSolver) Solve(cfg Config, cat *market.Catalog, in *Inputs, epoch ui
 		return Optimize(cfg, in)
 	}
 	if w.warm != nil && (w.warmN != n || w.warmH != h || w.warmCat != cat ||
-		w.warmKind != cfg.Solver || w.warmAnchor != cfg.AMinOnDemand) {
+		w.warmAnchor != cfg.AMinOnDemand) {
 		w.warm = nil
 		w.Metrics.Counter("spotweb_planner_warm_invalidations_total",
-			"Warm-start states dropped because the market set, horizon, solver or anchor bound changed.").Inc()
+			"Warm-start states dropped because the market set, horizon or anchor bound changed.").Inc()
 	}
 	if w.warm != nil && w.warmEpoch != epoch {
 		// Overlay epoch bump = the risk estimator detected a price-process
@@ -85,7 +83,7 @@ func (w *WarmSolver) Solve(cfg Config, cat *market.Catalog, in *Inputs, epoch ui
 	}
 	if plan.Status == solver.StatusSolved && plan.warm != nil {
 		w.warm = plan.warm
-		w.warmN, w.warmH, w.warmCat, w.warmKind = n, h, cat, cfg.Solver
+		w.warmN, w.warmH, w.warmCat = n, h, cat
 		w.warmEpoch = epoch
 		w.warmAnchor = cfg.AMinOnDemand
 		w.shifted = false

@@ -26,17 +26,19 @@ type ChangepointConfig struct {
 	MinStd float64
 }
 
+// withDefaults replaces each unset, out-of-range or non-finite field by its
+// default, as Config.withDefaults does.
 func (c ChangepointConfig) withDefaults() ChangepointConfig {
-	if c.Threshold <= 0 {
+	if !positiveFinite(c.Threshold) {
 		c.Threshold = 12
 	}
-	if c.Drift <= 0 {
+	if !positiveFinite(c.Drift) {
 		c.Drift = 1.5
 	}
-	if c.Forget <= 0 || c.Forget >= 1 {
+	if !(c.Forget > 0 && c.Forget < 1) {
 		c.Forget = 0.25
 	}
-	if c.MinStd <= 0 {
+	if !positiveFinite(c.MinStd) {
 		c.MinStd = 0.02
 	}
 	return c

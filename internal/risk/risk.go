@@ -45,7 +45,8 @@ import (
 )
 
 // Config parameterizes an Estimator. The zero value selects usable
-// defaults everywhere.
+// defaults everywhere, and so does a NaN or ±Inf field: every number must be
+// finite, as runcfg.RunConfig.Validate requires of a run's.
 type Config struct {
 	// Quantile is the upper-credible-bound level published in the overlay
 	// (default 0.90). Higher = more conservative toward thin evidence.
@@ -62,7 +63,7 @@ type Config struct {
 	PriorStrength float64
 	// PoolWeight in [0,1] shrinks each market's counts toward its demand
 	// pool's totals: 1 = fully pooled. 0 selects the default 0.5; a negative
-	// value means 0, fully per-market, and one above 1 means 1.
+	// finite value means 0, fully per-market, and one above 1 means 1.
 	PoolWeight float64
 	// MaxFailProb caps published probabilities (default 0.9).
 	MaxFailProb float64
@@ -72,29 +73,36 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
+// withDefaults replaces each unset, out-of-range or non-finite field by its
+// default. The range checks are written so that NaN, which fails every
+// comparison, fails them too.
 func (c Config) withDefaults() Config {
-	if c.Quantile <= 0 || c.Quantile >= 1 {
+	if !(c.Quantile > 0 && c.Quantile < 1) {
 		c.Quantile = 0.90
 	}
-	if c.HalfLifeHrs <= 0 {
+	if !positiveFinite(c.HalfLifeHrs) {
 		c.HalfLifeHrs = 24
 	}
-	if c.PriorStrength <= 0 {
+	if !positiveFinite(c.PriorStrength) {
 		c.PriorStrength = 8
 	}
-	if c.PoolWeight < 0 {
-		c.PoolWeight = 0
-	} else if c.PoolWeight == 0 {
+	switch {
+	case c.PoolWeight == 0 || math.IsNaN(c.PoolWeight) || math.IsInf(c.PoolWeight, 0):
 		c.PoolWeight = 0.5
-	} else if c.PoolWeight > 1 {
+	case c.PoolWeight < 0:
+		c.PoolWeight = 0
+	case c.PoolWeight > 1:
 		c.PoolWeight = 1
 	}
-	if c.MaxFailProb <= 0 || c.MaxFailProb > 1 {
+	if !(c.MaxFailProb > 0 && c.MaxFailProb <= 1) {
 		c.MaxFailProb = 0.9
 	}
 	c.Changepoint = c.Changepoint.withDefaults()
 	return c
 }
+
+// positiveFinite reports whether v is in (0, +Inf); NaN is not.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Estimator tracks per-market revocation evidence against a declared
 // catalog and publishes a market.Overlay of corrected probabilities. Safe

@@ -402,16 +402,78 @@ func TestBitIdenticalReusedQuantiles(t *testing.T) {
 	}
 }
 
-// TestNonFiniteShapeIsNotNoRisk: a NaN half-life makes every decayed count,
-// and so every posterior shape, NaN. The bound it publishes is NaN, not the
-// 2⁻⁵¹ ≈ 4.4e-16 — "no risk" — the bisection used to reach when every CDF
-// comparison failed.
+// TestNonFiniteShapeIsNotNoRisk: a NaN declared probability makes every
+// posterior shape NaN. The bound it publishes is NaN, not the 2⁻⁵¹ ≈ 4.4e-16
+// — "no risk" — the bisection used to reach when every CDF comparison failed.
 func TestNonFiniteShapeIsNotNoRisk(t *testing.T) {
-	e := New(Config{HalfLifeHrs: math.NaN()}, testCatalog(2, 0.02, nil))
+	e := New(Config{}, testCatalog(2, math.NaN(), nil))
 	e.ObserveInterval(0, []bool{true, true, false}, nil)
 	for i, v := range e.Overlay().FailProb[:2] {
 		if !math.IsNaN(v) {
 			t.Fatalf("market %d: NaN evidence published %v", i, v)
+		}
+	}
+}
+
+// TestNonFiniteConfigTakesDefaults: a NaN or ±Inf in any Config field, the
+// changepoint detector's included, takes that field's default, as an unset
+// one does. Over a trace with revocations, a pooled pair of markets and a
+// price shift that trips the detector, such an estimator publishes the
+// default estimator's overlay, every bit of every round.
+func TestNonFiniteConfigTakesDefaults(t *testing.T) {
+	fields := map[string]func(c *Config, v float64){
+		"Quantile":      func(c *Config, v float64) { c.Quantile = v },
+		"HalfLifeHrs":   func(c *Config, v float64) { c.HalfLifeHrs = v },
+		"PriorStrength": func(c *Config, v float64) { c.PriorStrength = v },
+		"PoolWeight":    func(c *Config, v float64) { c.PoolWeight = v },
+		"MaxFailProb":   func(c *Config, v float64) { c.MaxFailProb = v },
+		"Threshold":     func(c *Config, v float64) { c.Changepoint.Threshold = v },
+		"Drift":         func(c *Config, v float64) { c.Changepoint.Drift = v },
+		"Forget":        func(c *Config, v float64) { c.Changepoint.Forget = v },
+		"MinStd":        func(c *Config, v float64) { c.Changepoint.MinStd = v },
+	}
+	trace := func(cfg Config) (overlays []*market.Overlay, changepoints int64) {
+		e := New(cfg, testCatalog(3, 0.02, []int{1, 1, 2}))
+		exposed := []bool{true, true, true, false}
+		prices := []float64{0.05, 0.05, 0.05, 0.1}
+		for i := 0; i < 120; i++ {
+			if i%4 == 0 {
+				e.ObserveRevocation(0, false)
+			}
+			if i%9 == 0 {
+				e.ObserveRevocation(2, false)
+			}
+			prices[0] = 0.05 * (1 + 0.02*noisy(i))
+			if i >= 80 {
+				prices[0] = 0.2
+			}
+			e.ObserveInterval(i, exposed, prices)
+			overlays = append(overlays, e.Overlay())
+		}
+		return overlays, e.Changepoints()
+	}
+	want, wantCP := trace(Config{})
+	if wantCP == 0 {
+		t.Fatal("the trace trips no changepoint: the detector's fields go unchecked")
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			var cfg Config
+			set(&cfg, v)
+			got, cp := trace(cfg)
+			if cp != wantCP {
+				t.Fatalf("%s = %v: %d changepoints, want %d", name, v, cp, wantCP)
+			}
+			for r := range want {
+				if got[r].Epoch != want[r].Epoch {
+					t.Fatalf("%s = %v: round %d epoch %d, want %d", name, v, r, got[r].Epoch, want[r].Epoch)
+				}
+				for i, p := range want[r].FailProb {
+					if math.Float64bits(got[r].FailProb[i]) != math.Float64bits(p) {
+						t.Fatalf("%s = %v: round %d market %d published %v, want %v", name, v, r, i, got[r].FailProb[i], p)
+					}
+				}
+			}
 		}
 	}
 }

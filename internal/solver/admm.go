@@ -14,13 +14,6 @@ type ADMMSettings struct {
 	MaxIter int     // iteration budget (default 4000)
 	EpsAbs  float64 // absolute tolerance (default 1e-6)
 	EpsRel  float64 // relative tolerance (default 1e-6)
-	// Warm, when non-nil, seeds the solve from a previous Result.Warm: the
-	// x/z/y iterates start from the stored (optionally horizon-shifted)
-	// values, and the cached KKT factorization is reused when its
-	// fingerprint matches this problem's (P, A, σ, ρ) exactly. Warm state
-	// never changes what the solver converges to — only how fast — and is
-	// consumed: do not share one WarmState across concurrent solves.
-	Warm *WarmState
 }
 
 func (s ADMMSettings) withDefaults() ADMMSettings {
@@ -52,10 +45,8 @@ func (s ADMMSettings) withDefaults() ADMMSettings {
 //	(P + σI + ρAᵀA)·x̃ = σx − q + Aᵀ(ρz − y).
 //
 // All matvecs go through the problem's sparse A, so one iteration costs a
-// reduced solve plus O(nnz) — never a dense m×n product. The factorization is
-// valid for a fixed (P, A, σ, ρ); it is stored in WarmState and reused across
-// sequential solves whose fingerprint matches, but must never serve two solves
-// concurrently (it owns scratch).
+// reduced solve plus O(nnz) — never a dense m×n product. One solve owns the
+// factorization and its scratch.
 type reducedKKT struct {
 	fact *linalg.BlockTriDiagFactor
 	rhs  linalg.Vector // n
@@ -143,53 +134,22 @@ func factorBlockKKT(p *Problem, sigma, rho float64) (*reducedKKT, error) {
 // with over-relaxation α. The problem must declare its MPO block structure
 // (Problem.Block): the x-update eliminates ν and solves the reduced positive
 // definite system through one block-tridiagonal factorization, computed once
-// and reused every iteration.
+// and reused every iteration. Every solve starts cold from zero iterates and
+// returns no warm state.
 func SolveADMM(p *Problem, settings ADMMSettings) Result {
 	if err := p.Validate(); err != nil {
 		return Result{Status: StatusError}
 	}
 	s := settings.withDefaults()
 	n, m := p.N(), p.M()
-
-	// Fingerprint the KKT data. A warm state carrying a factorization of the
-	// numerically identical (P, A, σ, ρ) skips assembly + factorization
-	// entirely — the dominant setup cost of repeated solves with fixed
-	// matrices.
-	sig := problemSig(p, s.Sigma, s.Rho)
-	warmStarted := false
-	var fact *reducedKKT
-	if s.Warm != nil && s.Warm.fact != nil && s.Warm.factSig == sig {
-		fact = s.Warm.fact
-		warmStarted = true
-	} else {
-		var err error
-		fact, err = factorBlockKKT(p, s.Sigma, s.Rho)
-		if err != nil {
-			return Result{Status: StatusError}
-		}
+	fact, err := factorBlockKKT(p, s.Sigma, s.Rho)
+	if err != nil {
+		return Result{Status: StatusError}
 	}
 
 	x := linalg.NewVector(n)
 	z := linalg.NewVector(m)
 	y := linalg.NewVector(m)
-	if s.Warm != nil && len(s.Warm.x) == n {
-		copy(x, s.Warm.x)
-		warmStarted = true
-		if len(s.Warm.z) == m && len(s.Warm.y) == m {
-			copy(z, s.Warm.z)
-			copy(y, s.Warm.y)
-		} else {
-			// Seed the slack consistently with the warm primal.
-			p.ASparse.MulVec(x, z)
-			for i := range z {
-				if z[i] < p.L[i] {
-					z[i] = p.L[i]
-				} else if z[i] > p.U[i] {
-					z[i] = p.U[i]
-				}
-			}
-		}
-	}
 	ax := linalg.NewVector(m)
 	aty := linalg.NewVector(n)
 	px := linalg.NewVector(n)
@@ -245,14 +205,6 @@ func SolveADMM(p *Problem, settings ADMMSettings) Result {
 		}
 	}
 	res.X = x
-	res.Y = y
 	res.Objective = p.Objective(x)
-	res.WarmStarted = warmStarted
-	// Snapshot the warm state for the next solve. The iterates are cloned so
-	// later mutation of Result.X (or of a retained WarmState) cannot alias.
-	res.Warm = &WarmState{
-		x: x.Clone(), z: z.Clone(), y: y.Clone(),
-		fact: fact, factSig: sig,
-	}
 	return res
 }

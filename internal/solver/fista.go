@@ -116,10 +116,9 @@ func (p *ProjectedProblem) Objective(x linalg.Vector) float64 {
 }
 
 // SolveFISTA minimizes the projected problem with FISTA (accelerated
-// proximal gradient) plus adaptive restart. The returned Result has Y == nil
-// (no explicit duals). Termination is on the fixed-point residual
-// ‖x − Π_C(x − ∇f(x)/L)‖∞ ≤ tol; a NaN residual (non-finite problem data)
-// ends the solve at that check with StatusMaxIterations.
+// proximal gradient) plus adaptive restart. Termination is on the fixed-point
+// residual ‖x − Π_C(x − ∇f(x)/L)‖∞ ≤ tol; a NaN residual (non-finite problem
+// data) ends the solve at that check with StatusMaxIterations.
 func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 	s := settings.withDefaults()
 	n := p.P.Dim()

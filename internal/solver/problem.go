@@ -9,8 +9,9 @@
 //     binary plans with it.
 //   - ADMM: an OSQP-style operator-splitting solver for the horizon-stacked
 //     MPO program  minimize ½xᵀPx + qᵀx  subject to  l ≤ Ax ≤ u,  built on a
-//     block-tridiagonal factorization of the reduced KKT system. It is the
-//     benchmark's cold-solve probe and FISTA's cross-check in tests.
+//     block-tridiagonal factorization of the reduced KKT system. It always
+//     solves cold: it is the benchmark's cold-solve probe and FISTA's
+//     cross-check in tests.
 package solver
 
 import (
@@ -162,46 +163,20 @@ func (p *Problem) Objective(x linalg.Vector) float64 {
 	return 0.5*x.Dot(px) + p.Q.Dot(x)
 }
 
-// Gradient writes Px + q into dst and returns it.
-func (p *Problem) Gradient(x, dst linalg.Vector) linalg.Vector {
-	p.POp.Apply(x, dst)
-	for i := range dst {
-		dst[i] += p.Q[i]
-	}
-	return dst
-}
-
-// PrimalInfeasibility returns max(0, l−Ax, Ax−u)∞ — how far Ax is from the
-// constraint band.
-func (p *Problem) PrimalInfeasibility(x linalg.Vector) float64 {
-	ax := linalg.NewVector(p.M())
-	p.ASparse.MulVec(x, ax)
-	var worst float64
-	for i, v := range ax {
-		if d := p.L[i] - v; d > worst {
-			worst = d
-		}
-		if d := v - p.U[i]; d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
 // Result carries a solver's output.
 type Result struct {
 	Status     Status
 	X          linalg.Vector // primal solution
-	Y          linalg.Vector // dual solution for Ax (ADMM only; nil for FISTA)
 	Objective  float64
 	Iterations int
 	PriRes     float64 // final primal residual (inf-norm)
 	DuaRes     float64 // final dual residual (inf-norm)
-	// Warm is the solver state to seed a subsequent solve of a nearby
-	// problem with (see WarmState). Nil on error results.
+	// Warm is the FISTA state to seed a subsequent solve of a nearby
+	// problem with (see WarmState). Nil on error results and for ADMM, which
+	// always solves cold.
 	Warm *WarmState
 	// WarmStarted reports whether this solve was seeded from a prior
-	// WarmState (iterates, factorization or Lipschitz cache).
+	// WarmState (iterates or Lipschitz cache).
 	WarmStarted bool
 	// Projection counts the solve's bisected projections, their real passes
 	// and grid jumps (FISTA over a BoxBand or ProductSet; zero otherwise).

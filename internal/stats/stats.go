@@ -273,14 +273,6 @@ func Correlation(x, y []float64) float64 {
 	return Covariance(x, y) / (sx * sy)
 }
 
-// Center subtracts the mean of xs from every element, in place.
-func Center(xs []float64) {
-	m := Mean(xs)
-	for i := range xs {
-		xs[i] -= m
-	}
-}
-
 // RelativeErrors returns (pred−actual)/actual element-wise, skipping entries
 // with zero actual. Positive values mean over-prediction (over-provisioning
 // in SpotWeb's Fig. 4(c)/(d) convention).
