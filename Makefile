@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-warm bench-fed bench-sweep bench-gate loadgen fmt vet fuzz-smoke smoke chaos chaos-golden risk-sim sweep ci
+.PHONY: build test race bench bench-warm bench-fed bench-sweep bench-gate fmt vet fuzz-smoke smoke chaos chaos-golden risk-sim sweep ci
 
 build:
 	$(GO) build ./...
@@ -37,11 +37,6 @@ bench-sweep:
 bench-gate:
 	sh scripts/bench_sweep.sh /tmp/BENCH_sweep.current.json
 	$(GO) run ./scripts/benchdiff -baseline BENCH_sweep.json -current /tmp/BENCH_sweep.current.json -threshold 1.20
-
-# loadgen drives the closed-loop harness against Balancer.Route alone — a
-# quick check that routing sustains well over 500 k routes/s.
-loadgen:
-	$(GO) run ./cmd/spotweb-load -mode route -backends 16 -sessions 1024 -duration 3s
 
 fmt:
 	@out=$$(gofmt -l .); \

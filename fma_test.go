@@ -14,7 +14,7 @@ import (
 // fmaMains are the fewest main packages whose dependencies, built for arm64,
 // cover every package under internal/: the fused-multiply-add gate
 // cross-builds them and reads their code.
-var fmaMains = []string{"./bench", "./cmd/spotweb-sim", "./cmd/spotwebd", "./cmd/spotweb-load"}
+var fmaMains = []string{"./bench", "./cmd/spotweb-sim", "./cmd/spotwebd"}
 
 // fmaAllowlist counts, per function under internal/, the fused multiply-adds
 // (FMADDD, FMSUBD, FNMADDD, FNMSUBD) the arm64 compiler emits today. amd64
@@ -51,7 +51,6 @@ var fmaAllowlist = map[string]int{
 	"market.CatalogConfig.Generate":            12,
 	"market.Fig5Catalog":                       1,
 	"market.GoogleLikeCatalog":                 2,
-	"monitor.(*Collector).Snapshot":            6,
 	"portfolio.(*Planner).Step":                1,
 	"portfolio.(*Planner).recordMetrics":       1,
 	"portfolio.(*horizonOperator).Apply":       3,
@@ -82,20 +81,12 @@ var fmaAllowlist = map[string]int{
 	"solver.SolveFISTA":                        6,
 	"solver.estimateLipschitz":                 4,
 	"solver.factorBlockKKT":                    2,
-	"stats.(*P2Quantile).Observe":              1,
-	"stats.(*P2Quantile).Value":                2,
-	"stats.(*P2Quantile).parabolic":            1,
-	"stats.Quantile":                           2,
-	"stats.Quantiles":                          2,
 	"stats.StdDev":                             1,
-	"stats.Summarize":                          6,
 	"stats.ZQuantile":                          28,
 	"stats.betaCDF":                            2,
 	"stats.betaCF":                             3,
 	"stats.logBeta":                            1,
 	"stats.warmBracket":                        1,
-	"testbed.(*Backend).warmFactor":            1,
-	"testbed.(*Cluster).TotalReadyCapacity":    1,
 	"trace.BurstyConfig.Generate":              3,
 	"trace.FailureConfig.Generate":             4,
 	"trace.PriceConfig.Generate":               4,

@@ -67,8 +67,13 @@ func TestLawSmoothWRRShare(t *testing.T) {
 // TestLawTransiency drives balancers through seeded operations drawn from
 // the scheduler golden's mix (weight updates, completed drains in place of
 // removals, hard and soft drains by revocation warning, and routes), plus
-// migrations and ended sessions, and checks three laws after every step:
+// migrations and ended sessions, and checks four laws after every step:
 //
+//   - a sticky session stays put: a session bound to backend X before a
+//     route comes back to X whenever X is registered and not hard-draining.
+//     That includes a soft-draining X (§4.4: it keeps its sessions) and an
+//     X of weight 0, which takes no anonymous traffic or new session but
+//     keeps the sessions bound to it;
 //   - no new session lands on a draining backend: a route that binds a
 //     session afresh returns a backend that was open (positive weight, not
 //     draining) when it was called;
@@ -96,6 +101,19 @@ func TestLawTransiency(t *testing.T) {
 		}
 		return set
 	}
+	// sticky reports whether a session bound to id must stay there: id is
+	// registered and not hard-draining. soft and idle say which of the
+	// weaker states it is in.
+	sticky := func(b *Balancer, id int) (stay, soft, idle bool) {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		i, ok := b.findLocked(id)
+		if !ok || b.ents[i].hard {
+			return false, false, false
+		}
+		return true, b.ents[i].soft, b.ents[i].weight == 0
+	}
+	var softHolds, idleHolds int
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		b := NewBalancer()
@@ -141,8 +159,20 @@ func TestLawTransiency(t *testing.T) {
 					session = "new" + strconv.Itoa(fresh)
 				}
 				prev, had := lookup(b, session)
+				stay, soft, idle := sticky(b, prev)
+				stay = stay && had
 				before := open(b, -1)
 				got, ok := b.Route(session)
+				if stay && (!ok || got != prev) {
+					t.Fatalf("seed %d step %d: session %q bound to backend %d (soft-draining %v, weight 0 %v) routed to %d (ok %v)",
+						seed, step, session, prev, soft, idle, got, ok)
+				}
+				if stay && soft {
+					softHolds++
+				}
+				if stay && idle {
+					idleHolds++
+				}
 				if ok && gone[got] {
 					t.Fatalf("seed %d step %d: route reached backend %d after CompleteDrain", seed, step, got)
 				}
@@ -152,4 +182,8 @@ func TestLawTransiency(t *testing.T) {
 			}
 		}
 	}
+	if softHolds == 0 || idleHolds == 0 {
+		t.Fatalf("the stickiness law saw %d soft-draining and %d weight-0 holds, want both > 0", softHolds, idleHolds)
+	}
+	t.Logf("sticky routes held on a soft-draining backend %d times, on a weight-0 backend %d times", softHolds, idleHolds)
 }

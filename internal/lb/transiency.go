@@ -98,8 +98,9 @@ func (b *Balancer) SetMetrics(r *metrics.Registry) {
 }
 
 // Route picks a backend for a request; ok is false when it must be dropped.
-// A sticky session is honored while its backend remains routable.
-// Hard-draining backends never receive requests. Soft-draining ones
+// A sticky session is honored while its backend stays registered and not
+// hard-draining, at any weight: a weight-0 backend keeps the sessions bound
+// to it. Hard-draining backends never receive requests. Soft-draining ones
 // (high-utilization revocations, §4.4) keep their sessions and take
 // sessionless traffic — the hot survivors could not absorb it early — but
 // are never assigned new sessions.

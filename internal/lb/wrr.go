@@ -91,7 +91,9 @@ func checkWeight(id int, weight float64) {
 }
 
 // SetWeight adds or updates a backend. A weight of 0 keeps the backend
-// registered but never selected. A negative or non-finite weight panics.
+// registered but never picked for anonymous traffic or a new session;
+// sessions already bound to it stay (see Route). A negative or non-finite
+// weight panics.
 func (b *Balancer) SetWeight(id int, weight float64) {
 	checkWeight(id, weight)
 	b.mu.Lock()

@@ -23,9 +23,9 @@ const (
 )
 
 // Histogram is a concurrent latency histogram: lock-free Observe (one
-// atomic add per call), exact bucket-resolution quantile reads, and
-// Prometheus exposition with cumulative le buckets. All methods are
-// nil-receiver no-ops. Construct via Registry.Histogram or NewHistogram.
+// atomic add per call) and Prometheus exposition with cumulative le
+// buckets. All methods are nil-receiver no-ops. Construct via
+// Registry.Histogram or NewHistogram.
 type Histogram struct {
 	counts   [nBuckets]atomic.Int64
 	overflow atomic.Int64
@@ -98,44 +98,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return float64(h.sumNanos.Load()) * 1e-9
-}
-
-// Quantiles returns several quantiles with one bucket snapshot.
-func (h *Histogram) Quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	if h == nil {
-		return out
-	}
-	var total int64
-	var snap [nBuckets]int64
-	for i := range snap {
-		snap[i] = h.counts[i].Load()
-		total += snap[i]
-	}
-	total += h.overflow.Load()
-	if total == 0 {
-		return out
-	}
-	for k, q := range qs {
-		if q < 0 {
-			q = 0
-		}
-		if q > 1 {
-			q = 1
-		}
-		rank := int64(q*float64(total-1)) + 1
-		var cum int64
-		v := bucketUpper(nBuckets - 1)
-		for i := range snap {
-			cum += snap[i]
-			if cum >= rank {
-				v = bucketUpper(i)
-				break
-			}
-		}
-		out[k] = v
-	}
-	return out
 }
 
 // Bucket is one non-empty histogram bucket for exposition: cumulative

@@ -9,10 +9,9 @@
 // Two properties shape the design:
 //
 //   - Hot-path cheapness. Observe/Inc on the request path must not
-//     serialize goroutines: counters are sharded across cache-line-padded
-//     atomics, histogram buckets are plain atomic adds, and the SLO
-//     tracker's ring slots are atomic. Nothing on the write path takes the
-//     registry lock.
+//     serialize goroutines: a counter is one atomic add, histogram buckets
+//     are plain atomic adds, and the SLO tracker's ring slots are atomic.
+//     Nothing on the write path takes the registry lock.
 //   - Zero-overhead disablement. A nil *Registry hands out nil handles, and
 //     every handle method is a nil-receiver no-op — instrumented code calls
 //     metrics unconditionally and costs one predictable branch when
@@ -26,13 +25,11 @@ package metrics
 
 import (
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 // Label is one name="value" pair attached to a metric series.
@@ -43,43 +40,11 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// shardCount is the number of counter stripes: the next power of two ≥
-// GOMAXPROCS, capped at 64 (beyond that the memory cost outgrows the
-// contention win).
-var shardCount = func() int {
-	n := runtime.GOMAXPROCS(0)
-	s := 1
-	for s < n && s < 64 {
-		s <<= 1
-	}
-	return s
-}()
-
-// shardIndex picks a stripe for the calling goroutine. Go exposes no cheap
-// goroutine or P identity, so we hash the address of a stack variable:
-// goroutine stacks live in distinct allocations, so distinct goroutines
-// land on distinct stripes with high probability, while a single goroutine
-// stays on one stripe (its stack address is stable between growths). The
-// uintptr conversion is only used as a hash input, never dereferenced.
-func shardIndex() int {
-	var b byte
-	return int((uintptr(unsafe.Pointer(&b)) >> 10) & uintptr(shardCount-1))
-}
-
-// stripe is one cache-line-padded counter cell. 64-byte padding keeps
-// adjacent stripes out of each other's cache lines (false sharing is the
-// whole point of sharding).
-type stripe struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing counter striped over per-goroutine
-// cells, so concurrent Add calls land on distinct cache lines and never
-// contend; Value folds the stripes at read time. All methods are safe for
-// concurrent use and are no-ops on a nil receiver.
+// Counter is a monotonically increasing counter: one atomic add per
+// increment. All methods are safe for concurrent use and are no-ops on a
+// nil receiver.
 type Counter struct {
-	cells []stripe
+	v atomic.Int64
 }
 
 // Inc adds one.
@@ -90,21 +55,15 @@ func (c *Counter) Add(n int64) {
 	if c == nil || n <= 0 {
 		return
 	}
-	c.cells[shardIndex()].v.Add(n)
+	c.v.Add(n)
 }
 
-// Value sums the stripes. The sum is not a point-in-time snapshot under
-// concurrent writes, but it is always ≤ the true count at return time and
-// monotone across calls — exactly what a scrape needs.
+// Value returns the current count.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var t int64
-	for i := range c.cells {
-		t += c.cells[i].v.Load()
-	}
-	return t
+	return c.v.Load()
 }
 
 // Gauge is a settable float64 value (atomic bit-store). Methods are safe
@@ -211,7 +170,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	f := r.familyFor(name, help, kindCounter)
 	s, created := f.seriesFor(labels)
 	if created {
-		s.counter = &Counter{cells: make([]stripe, shardCount)}
+		s.counter = &Counter{}
 	}
 	return s.counter
 }

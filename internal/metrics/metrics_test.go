@@ -112,6 +112,45 @@ func TestHistogramBucketLayout(t *testing.T) {
 	}
 }
 
+// Quantiles returns several quantiles from one bucket snapshot: each is
+// the upper bound of the bucket that holds its rank.
+func (h *Histogram) Quantiles(qs ...float64) []float64 {
+	out := make([]float64, len(qs))
+	if h == nil {
+		return out
+	}
+	var total int64
+	var snap [nBuckets]int64
+	for i := range snap {
+		snap[i] = h.counts[i].Load()
+		total += snap[i]
+	}
+	total += h.overflow.Load()
+	if total == 0 {
+		return out
+	}
+	for k, q := range qs {
+		if q < 0 {
+			q = 0
+		}
+		if q > 1 {
+			q = 1
+		}
+		rank := int64(q*float64(total-1)) + 1
+		var cum int64
+		v := bucketUpper(nBuckets - 1)
+		for i := range snap {
+			cum += snap[i]
+			if cum >= rank {
+				v = bucketUpper(i)
+				break
+			}
+		}
+		out[k] = v
+	}
+	return out
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	h := NewHistogram()
 	// 1..1000 ms uniformly.

@@ -46,7 +46,7 @@ func (e *P2Quantile) Observe(x float64) {
 				e.q[i] = e.initial[i]
 				e.n[i] = i + 1
 			}
-			e.np = [5]float64{1, 1 + 2*e.p, 1 + 4*e.p, 3 + 2*e.p, 5}
+			e.np = [5]float64{1, 1 + float64(2*e.p), 1 + float64(4*e.p), 3 + float64(2*e.p), 5}
 		}
 		return
 	}
@@ -97,9 +97,9 @@ func (e *P2Quantile) parabolic(i, s int) float64 {
 	fs := float64(s)
 	n := e.n
 	q := e.q
-	return q[i] + fs/float64(n[i+1]-n[i-1])*
+	return q[i] + float64(fs/float64(n[i+1]-n[i-1])*
 		((float64(n[i]-n[i-1])+fs)*(q[i+1]-q[i])/float64(n[i+1]-n[i])+
-			(float64(n[i+1]-n[i])-fs)*(q[i]-q[i-1])/float64(n[i]-n[i-1]))
+			(float64(n[i+1]-n[i])-fs)*(q[i]-q[i-1])/float64(n[i]-n[i-1])))
 }
 
 func (e *P2Quantile) linear(i, s int) float64 {

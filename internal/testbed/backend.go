@@ -122,7 +122,7 @@ func (b *Backend) warmFactor() float64 {
 		return b.cfg.ColdFactor
 	}
 	frac := float64(sinceReady) / float64(b.cfg.WarmupDur)
-	return b.cfg.ColdFactor + (1-b.cfg.ColdFactor)*frac
+	return b.cfg.ColdFactor + float64((1-b.cfg.ColdFactor)*frac)
 }
 
 func (b *Backend) handle(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -172,7 +173,9 @@ func (c *Cluster) InflightRequests() int64 {
 // AddBackend launches a new server and registers it with the balancer using
 // a weight proportional to its capacity. The backend enters rotation only
 // once its simulated boot completes (a health-checked launch, as HAProxy
-// would do): routing to a booting server would shed every request.
+// would do): routing to a booting server would shed every request. Until
+// then it is registered with weight 0, so a drain or revocation marks it
+// and it never joins.
 func (c *Cluster) AddBackend(capacity float64) *Backend {
 	return c.addBackend(-1, capacity, false)
 }
@@ -198,6 +201,7 @@ func (c *Cluster) addBackend(mkt int, capacity float64, replacement bool) *Backe
 		b.SetSlowdown(math.Float64frombits(bits))
 	}
 	c.backends[id] = b
+	c.balancer.SetWeight(id, 0)
 	c.mu.Unlock()
 	if r := c.cfg.Metrics; r != nil {
 		labels := []metrics.Label{metrics.L("backend", metrics.Itoa(id)), metrics.L("market", metrics.Itoa(mkt))}
@@ -210,6 +214,12 @@ func (c *Cluster) addBackend(mkt int, capacity float64, replacement bool) *Backe
 		c.cfg.Journal.Record(metrics.EvReplacementStarted, id, mkt, "")
 	}
 	join := func() {
+		// A backend drained or revoked while it booted never joins. A mark
+		// landing between this check and SetWeight is kept (SetWeight keeps
+		// drain marks), the same as a mark that lands just after the join.
+		if c.balancer.Draining(id) {
+			return
+		}
 		c.balancer.SetWeight(id, capacity)
 		if replacement {
 			c.cfg.Journal.Record(metrics.EvReplacementUp, id, mkt, "")
@@ -251,8 +261,9 @@ func (c *Cluster) MarketCounts(numMarkets int) []int {
 // ScaleTo reconciles the cluster toward per-market backend counts: missing
 // backends are launched (they join rotation once booted); surplus backends
 // are drained gracefully — pulled from rotation immediately, terminated
-// after the warning period so in-flight work completes. It returns how many
-// were started and stopped.
+// after the warning period so in-flight work completes. Surplus goes
+// youngest first (highest id), so a booting or cold backend is drained
+// before a warm one. It returns how many were started and stopped.
 func (c *Cluster) ScaleTo(counts []int, capacities []float64) (started, stopped int) {
 	have := c.MarketCounts(len(counts))
 	for mkt, want := range counts {
@@ -266,13 +277,11 @@ func (c *Cluster) ScaleTo(counts []int, capacities []float64) (started, stopped 
 			for id, b := range c.backends {
 				if b.Market == mkt && !b.closed.Load() && !c.balancer.Draining(id) {
 					victims = append(victims, b)
-					if len(victims) == surplus {
-						break
-					}
 				}
 			}
 			c.mu.Unlock()
-			for _, b := range victims {
+			sort.Slice(victims, func(i, j int) bool { return victims[i].ID > victims[j].ID })
+			for _, b := range victims[:min(surplus, len(victims))] {
 				c.drain(b)
 				stopped++
 			}
@@ -327,7 +336,7 @@ func (c *Cluster) TotalReadyCapacity() float64 {
 		if b.closed.Load() || !b.Ready() || c.balancer.Draining(id) {
 			continue
 		}
-		sum += b.cfg.Capacity * b.warmFactor()
+		sum += float64(b.cfg.Capacity * b.warmFactor())
 	}
 	return sum
 }

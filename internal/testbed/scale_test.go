@@ -90,3 +90,77 @@ func TestOnRequestHook(t *testing.T) {
 		t.Fatal("hook missed served requests")
 	}
 }
+
+// bootingCfg boots each backend for 50 ms before it may join rotation.
+func bootingCfg() BackendConfig {
+	cfg := fastBackendCfg()
+	cfg.StartDelay = 50 * time.Millisecond
+	return cfg
+}
+
+// routesTo counts how many of n anonymous routes land on backend id.
+func routesTo(c *Cluster, id, n int) int {
+	hits := 0
+	for i := 0; i < n; i++ {
+		if got, ok := c.balancer.Route(""); ok && got == id {
+			hits++
+		}
+	}
+	return hits
+}
+
+func TestScaleToDrainsBootingBackend(t *testing.T) {
+	c := NewCluster(ClusterConfig{Backend: bootingCfg(), Warning: 2 * time.Second})
+	defer c.Close()
+	caps := []float64{100}
+	if started, _ := c.ScaleTo([]int{1}, caps); started != 1 {
+		t.Fatalf("started = %d, want 1", started)
+	}
+	if _, stopped := c.ScaleTo([]int{0}, caps); stopped != 1 {
+		t.Fatalf("stopped = %d, want 1", stopped)
+	}
+	if counts := c.MarketCounts(1); counts[0] != 0 {
+		t.Fatalf("counts = %v right after the drain, want [0]", counts)
+	}
+	time.Sleep(150 * time.Millisecond) // boot ends, warning still running
+	if n := routesTo(c, 0, 100); n != 0 {
+		t.Fatalf("drained backend took %d of 100 routes after its boot", n)
+	}
+	if snap := c.Snapshot(); len(snap) != 0 {
+		t.Fatalf("snapshot = %v, want empty", snap)
+	}
+	if started, stopped := c.ScaleTo([]int{0}, caps); started != 0 || stopped != 0 {
+		t.Fatalf("second ScaleTo started/stopped = %d/%d, want 0/0", started, stopped)
+	}
+}
+
+func TestRevokeBootingBackend(t *testing.T) {
+	c := NewCluster(ClusterConfig{Backend: bootingCfg(), Warning: 2 * time.Second})
+	defer c.Close()
+	c.AddBackend(200)
+	time.Sleep(100 * time.Millisecond) // the survivor is up
+	victim := c.AddBackend(100)
+	// Offered rate 0: the survivor absorbs everything, a redistribute.
+	c.Revoke([]int{victim.ID}, 0)
+	time.Sleep(100 * time.Millisecond) // the victim's boot ends
+	if n := routesTo(c, victim.ID, 100); n != 0 {
+		t.Fatalf("revoked backend took %d of 100 routes after its boot", n)
+	}
+	if _, ok := c.Snapshot()[victim.ID]; ok {
+		t.Fatalf("snapshot %v still holds revoked backend %d", c.Snapshot(), victim.ID)
+	}
+}
+
+func TestScaleToDrainsYoungestFirst(t *testing.T) {
+	caps := []float64{100}
+	for rep := 0; rep < 20; rep++ {
+		c := NewCluster(ClusterConfig{Backend: fastBackendCfg(), Warning: 10 * time.Millisecond})
+		c.ScaleTo([]int{3}, caps)
+		c.ScaleTo([]int{2}, caps)
+		snap := c.Snapshot()
+		c.Close()
+		if _, ok := snap[2]; ok || len(snap) != 2 {
+			t.Fatalf("repetition %d: snapshot %v after 3 → 2, want backend 2 drained", rep, snap)
+		}
+	}
+}
