@@ -392,7 +392,11 @@ func BenchmarkRiskMatVec(b *testing.B) {
 // the previous call's exact answer. "drift" cycles through 64 iterates that
 // move a little each step, as consecutive FISTA iterates do: the guess is
 // close, not exact. n = 6 is a what-if sweep block, 50 a federation shard,
-// 288 Fig. 7b's largest catalog.
+// 288 Fig. 7b's largest catalog. "sweep/n=6" is a what-if sweep block as its
+// FISTA solves project it: the box [0, 0.4] and band [1, 1.5] of the
+// runner's portfolio config, and 64 drifting iterates a little below the
+// band's floor — the gradient step pulls every allocation down — with two
+// markets under zero and one over the cap.
 func BenchmarkBoxBandProject(b *testing.B) {
 	const driftSteps = 64
 	for _, n := range []int{6, 50, 288} {
@@ -433,6 +437,24 @@ func BenchmarkBoxBandProject(b *testing.B) {
 			})
 		}
 	}
+	lo, hi := linalg.NewVector(6), linalg.NewVector(6)
+	hi.Fill(0.4)
+	set := solver.NewBoxBand(lo, hi, 1, 1.5)
+	srcs := make([]linalg.Vector, driftSteps)
+	for k := range srcs {
+		srcs[k] = linalg.Vector{0.26, -0.02, 0.18, 0.43, -0.05, 0.12}
+		for i := range srcs[k] {
+			srcs[k][i] += 0.01 * math.Sin(2*math.Pi*float64(k)/driftSteps+float64(i))
+		}
+	}
+	y := linalg.NewVector(6)
+	b.Run("sweep/n=6", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(y, srcs[i%len(srcs)])
+			set.Project(y)
+		}
+	})
 }
 
 // BenchmarkBetaQuantile measures the risk estimator's per-market overlay

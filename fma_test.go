@@ -25,7 +25,6 @@ var fmaMains = []string{"./bench", "./cmd/spotweb-sim", "./cmd/spotwebd"}
 // and an entry above its function's count fails too, so the list only
 // shrinks.
 var fmaAllowlist = map[string]int{
-	"chaos.(*Report).Finalize":                 10,
 	"chaos.(*Scenario).Validate":               1,
 	"chaos.Compile":                            3,
 	"chaos.appendCopulaVictims":                1,
@@ -54,7 +53,7 @@ var fmaAllowlist = map[string]int{
 	"portfolio.(*Planner).Step":                1,
 	"portfolio.(*Planner).recordMetrics":       1,
 	"portfolio.(*horizonOperator).Apply":       3,
-	"portfolio.Config.buildLinear":             3,
+	"portfolio.Config.buildLinear":             2,
 	"portfolio.Config.solveADMM":               1,
 	"portfolio.Config.solveFISTA":              1,
 	"portfolio.MeanRevertSource.PerReqCosts":   1,
@@ -72,14 +71,9 @@ var fmaAllowlist = map[string]int{
 	"risk.(*Estimator).shapeLocked":            4,
 	"risk.(*cusum).observe":                    2,
 	"sim.(*Simulator).Run":                     29,
-	"solver.(*BoxBand).projectPlain":           3,
-	"solver.(*BoxBand).tighten":                1,
 	"solver.(*Problem).Objective":              1,
-	"solver.(*ProjectedProblem).Objective":     1,
 	"solver.(*reducedKKT).step":                3,
 	"solver.SolveADMM":                         5,
-	"solver.SolveFISTA":                        6,
-	"solver.estimateLipschitz":                 4,
 	"solver.factorBlockKKT":                    2,
 	"stats.StdDev":                             1,
 	"stats.ZQuantile":                          28,

@@ -117,9 +117,9 @@ func (r *Report) Finalize() {
 	survival := clamp(100*(1-r.DropFraction), 0, 100)
 	cost := clamp(100-math.Max(0, r.CostDeltaPct), 0, 100)
 	if r.RecoveryTargetPct > 0 {
-		r.Score = 0.45*attain + 0.2*survival + 0.2*cost + 0.15*recoveryScore(r.RecoverySecs)
+		r.Score = float64(0.45*attain) + float64(0.2*survival) + float64(0.2*cost) + float64(0.15*recoveryScore(r.RecoverySecs))
 	} else {
-		r.Score = 0.5*attain + 0.25*survival + 0.25*cost
+		r.Score = float64(0.5*attain) + float64(0.25*survival) + float64(0.25*cost)
 	}
 
 	for _, f := range []*float64{
@@ -142,9 +142,9 @@ func (r *Report) Finalize() {
 		}
 		cost := clamp(100-math.Max(0, costDelta), 0, 100)
 		if r.RecoveryTargetPct > 0 {
-			a.Score = 0.45*attain + 0.2*survival + 0.2*cost + 0.15*recoveryScore(a.RecoverySecs)
+			a.Score = float64(0.45*attain) + float64(0.2*survival) + float64(0.2*cost) + float64(0.15*recoveryScore(a.RecoverySecs))
 		} else {
-			a.Score = 0.5*attain + 0.25*survival + 0.25*cost
+			a.Score = float64(0.5*attain) + float64(0.25*survival) + float64(0.25*cost)
 		}
 		a.SLOGainPct = a.SLOAttainmentPct - r.SLOAttainmentPct
 		a.CostDeltaPct = 0

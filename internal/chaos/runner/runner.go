@@ -560,7 +560,9 @@ func (e *Env) newLeg(rc runcfg.RunConfig, faults bool, j *metrics.Journal, est *
 // here — the env carries the seed and run length.
 //
 // scratch, when non-nil, supplies reusable simulator working memory (one
-// Scratch per worker — a Scratch must never be shared by concurrent runs).
+// Scratch per worker — a Scratch must never be shared by concurrent runs);
+// each leg's attainment series lives in it until the next leg runs, so a
+// leg's series is scored before the next leg starts.
 // baseline, when non-nil and the env's SharedBaseline is set, is a fault-free
 // leg result a previous Run returned for this exact (seed, hours, options)
 // and is trusted instead of re-running the leg. The second return value is
@@ -575,11 +577,15 @@ func Run(env *Env, rc runcfg.RunConfig, scratch *sim.Scratch, baseline *sim.Resu
 		legRisk.Risk = false
 	}
 
-	j := metrics.NewJournal(8192)
+	j := metrics.NewCountingJournal() // the report reads its counts only
 	res, err := env.newLeg(rc, true, j, legRisk.Estimator(env.DeclaredSpiked), env.Policy, scratch).Run()
 	if err != nil {
 		return nil, nil, fmt.Errorf("runner: chaos run: %w", err)
 	}
+	// The worst first-fault → back-above-target episode in seconds, and the
+	// episode count, from the chaos leg's sub-step attainment series.
+	series := chaos.DownsampleAttainment(res.Attainment, env.Hours)
+	recoverySecs, recoveryEpisodes := chaos.RecoveryFromSeries(res.Attainment, recoveryTargetPct)
 	var adaptive *chaos.AdaptiveComparison
 	if env.AdaptivePolicy != "" {
 		est := risk.New(defaultRiskConfig(), env.DeclaredSpiked)
@@ -605,6 +611,7 @@ func Run(env *Env, rc runcfg.RunConfig, scratch *sim.Scratch, baseline *sim.Resu
 		if err != nil {
 			return nil, nil, fmt.Errorf("runner: baseline run: %w", err)
 		}
+		base.Attainment = nil // unread, and the next leg on scratch overwrites it
 	}
 	if env.SharedBaseline {
 		baseline = base
@@ -632,7 +639,9 @@ func Run(env *Env, rc runcfg.RunConfig, scratch *sim.Scratch, baseline *sim.Resu
 		BaselineViolationPct: base.ViolationPct,
 		Adaptive:             adaptive,
 		RecoveryTargetPct:    recoveryTargetPct,
-		AttainmentSeries:     chaos.DownsampleAttainment(res.Attainment, env.Hours),
+		AttainmentSeries:     series,
+		RecoverySecs:         recoverySecs,
+		RecoveryEpisodes:     recoveryEpisodes,
 		Restarts:             res.Restarts,
 		AnchorMin:            rc.AnchorMin,
 		Sentinel:             rc.Sentinel,
@@ -646,9 +655,6 @@ func Run(env *Env, rc runcfg.RunConfig, scratch *sim.Scratch, baseline *sim.Resu
 	if base.TotalCost > 0 {
 		rep.CostDeltaPct = 100 * (res.TotalCost - base.TotalCost) / base.TotalCost
 	}
-	// The worst first-fault → back-above-target episode in seconds, and the
-	// episode count, from the chaos leg's sub-step attainment series.
-	rep.RecoverySecs, rep.RecoveryEpisodes = chaos.RecoveryFromSeries(res.Attainment, recoveryTargetPct)
 	rep.Finalize()
 	return rep, baseline, nil
 }

@@ -60,7 +60,7 @@ func (v Vector) Sum() float64 {
 func (v Vector) Norm2() float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }

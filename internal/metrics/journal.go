@@ -65,6 +65,15 @@ func NewJournal(capacity int) *Journal {
 	}
 }
 
+// NewCountingJournal returns a journal that keeps the lifetime per-type
+// counts and nothing else: Record neither reads the clock nor retains,
+// numbers or delivers its event, so Events and Len report nothing and a
+// subscriber receives nothing. It is for a caller that reads back Counts
+// alone.
+func NewCountingJournal() *Journal {
+	return &Journal{counts: make(map[string]int64)}
+}
+
 // SetClock overrides the time source (tests).
 func (j *Journal) SetClock(now func() time.Time) {
 	if j == nil {
@@ -81,6 +90,11 @@ func (j *Journal) Record(typ string, backend, market int, detail string) {
 		return
 	}
 	j.mu.Lock()
+	j.counts[typ]++
+	if j.capacity == 0 { // a counting journal
+		j.mu.Unlock()
+		return
+	}
 	j.seq++
 	ev := Event{
 		Seq:     j.seq,
@@ -96,7 +110,6 @@ func (j *Journal) Record(typ string, backend, market int, detail string) {
 		j.buf[j.head] = ev
 		j.head = (j.head + 1) % len(j.buf)
 	}
-	j.counts[typ]++
 	for _, s := range j.subs {
 		s.push(ev)
 	}

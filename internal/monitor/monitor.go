@@ -7,8 +7,6 @@
 package monitor
 
 import (
-	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -153,27 +151,10 @@ func (c *Collector) Snapshot() Stats {
 	st.DropRate = float64(dropped) / w
 	if served > 0 {
 		st.MeanLatency = sum / float64(served)
-		sort.Float64s(lats)
-		st.P50 = quantileSorted(lats, 0.50)
-		st.P90 = quantileSorted(lats, 0.90)
-		st.P99 = quantileSorted(lats, 0.99)
+		q := stats.Quantiles(lats, 0.50, 0.90, 0.99)
+		st.P50, st.P90, st.P99 = q[0], q[1], q[2]
 	}
 	return st
-}
-
-func quantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 1 {
-		return sorted[0]
-	}
-	pos := float64(q * float64(n-1))
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // RateSeries accumulates per-interval arrival counts so the workload

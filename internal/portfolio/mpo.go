@@ -122,10 +122,12 @@ func (c Config) churnWeight(in *Inputs, n int) float64 {
 
 // buildLinear assembles the stacked linear cost vector, including the churn
 // cross-term with the fixed previous allocation (−2κ·prev on the first
-// block).
-func (c Config) buildLinear(in *Inputs, n int, kappa float64) linalg.Vector {
+// block), into q when it has the length and into a new vector otherwise.
+func (c Config) buildLinear(in *Inputs, n int, kappa float64, q linalg.Vector) linalg.Vector {
 	h := c.Horizon
-	q := linalg.NewVector(n * h)
+	if len(q) != n*h {
+		q = linalg.NewVector(n * h)
+	}
 	for τ := 0; τ < h; τ++ {
 		for i := 0; i < n; i++ {
 			q[τ*n+i] = c.linearCost(in, τ, i)
@@ -133,7 +135,7 @@ func (c Config) buildLinear(in *Inputs, n int, kappa float64) linalg.Vector {
 	}
 	if kappa > 0 && in.PrevAlloc != nil {
 		for i := 0; i < n; i++ {
-			q[i] -= 2 * kappa * in.PrevAlloc[i]
+			q[i] -= float64(2 * kappa * in.PrevAlloc[i])
 		}
 	}
 	return q
@@ -157,6 +159,53 @@ func (c Config) feasibleSet(n int, anchorIdx []int) *solver.ProductSet {
 	return solver.NewProductSet(blocks)
 }
 
+// workspace is what one WarmSolver's FISTA solves reuse from round to round:
+// the feasible set, the linear cost vector and the Hessian operator. The set
+// is rebuilt only when the market count, the horizon, the per-market cap, the
+// anchor floor or the anchor markets change; the budget band [AMin, AMax] —
+// a federation shard's moves at every coordination round — is set in place
+// before every solve, which leaves the set as a freshly built one would be.
+type workspace struct {
+	set           *solver.ProductSet
+	n, h          int
+	aMaxPer, aMin float64 // AMaxPerMarket and AMinOnDemand the set was built for
+	anchor        []int
+	q             linalg.Vector
+	op            horizonOperator
+}
+
+// feasible returns c's feasible set over n markets, anchored on in's
+// on-demand markets when c sets a floor.
+func (w *workspace) feasible(c Config, in *Inputs, n int) *solver.ProductSet {
+	if w.set == nil || w.n != n || w.h != c.Horizon || w.aMaxPer != c.AMaxPerMarket ||
+		w.aMin != c.AMinOnDemand || (c.AMinOnDemand > 0 && !sameIndices(w.anchor, in.OnDemand)) {
+		var anchor []int
+		if c.AMinOnDemand > 0 {
+			anchor = in.anchorIdx()
+		}
+		w.set = c.feasibleSet(n, anchor)
+		w.n, w.h, w.aMaxPer, w.aMin, w.anchor = n, c.Horizon, c.AMaxPerMarket, c.AMinOnDemand, anchor
+		return w.set
+	}
+	w.set.SetBand(c.AMin, c.AMax)
+	return w.set
+}
+
+// sameIndices reports whether idx lists exactly the set entries of marks, in
+// order.
+func sameIndices(idx []int, marks []bool) bool {
+	k := 0
+	for i, m := range marks {
+		if m {
+			if k == len(idx) || idx[k] != i {
+				return false
+			}
+			k++
+		}
+	}
+	return k == len(idx)
+}
+
 // Optimize solves the MPO program and returns the plan (cold start).
 func Optimize(cfg Config, in *Inputs) (*Plan, error) {
 	return OptimizeWarm(cfg, in, nil)
@@ -168,6 +217,12 @@ func Optimize(cfg Config, in *Inputs) (*Plan, error) {
 // state is a cold start — OptimizeWarm(cfg, in, nil) ≡ Optimize(cfg, in). The
 // ADMM backend ignores warm, always solves cold and returns no warm state.
 func OptimizeWarm(cfg Config, in *Inputs, warm *solver.WarmState) (*Plan, error) {
+	return optimize(cfg, in, warm, nil)
+}
+
+// optimize is OptimizeWarm building its FISTA solve's set, cost vector and
+// operator in ws when ws is non-nil.
+func optimize(cfg Config, in *Inputs, warm *solver.WarmState, ws *workspace) (*Plan, error) {
 	c := cfg.WithDefaults()
 	n, err := in.Validate(c.Horizon)
 	if err != nil {
@@ -181,7 +236,12 @@ func OptimizeWarm(cfg Config, in *Inputs, warm *solver.WarmState) (*Plan, error)
 			c.AMin, n, c.AMaxPerMarket)
 	}
 	if c.AMinOnDemand > 0 {
-		nOD := len(in.anchorIdx())
+		nOD := 0
+		for _, od := range in.OnDemand {
+			if od {
+				nOD++
+			}
+		}
 		if nOD == 0 {
 			return nil, fmt.Errorf("portfolio: AMinOnDemand %v set but no on-demand markets marked", c.AMinOnDemand)
 		}
@@ -203,7 +263,7 @@ func OptimizeWarm(cfg Config, in *Inputs, warm *solver.WarmState) (*Plan, error)
 	case SolverADMM:
 		res = c.solveADMM(in, n)
 	default:
-		res, coupled = c.solveFISTA(in, n, warm)
+		res, coupled = c.solveFISTA(in, n, warm, ws)
 	}
 	if res.Status == solver.StatusError {
 		return nil, fmt.Errorf("portfolio: solver failed")
@@ -218,16 +278,19 @@ func OptimizeWarm(cfg Config, in *Inputs, warm *solver.WarmState) (*Plan, error)
 		RiskCoupled: coupled,
 		Projection:  res.Projection,
 		warm:        res.Warm,
+		Alloc:       make([]linalg.Vector, c.Horizon),
 	}
-	for τ := 0; τ < c.Horizon; τ++ {
-		alloc := linalg.Vector(res.X[τ*n : (τ+1)*n]).Clone()
+	// res.X is the plan's own: each period's allocation is a capped window
+	// of it.
+	for τ := range plan.Alloc {
+		alloc := res.X[τ*n : (τ+1)*n : (τ+1)*n]
 		// Numerical cleanup: clip tiny negatives from solver tolerance.
 		for i := range alloc {
 			if alloc[i] < 0 {
 				alloc[i] = 0
 			}
 		}
-		plan.Alloc = append(plan.Alloc, alloc)
+		plan.Alloc[τ] = alloc
 	}
 	return plan, nil
 }
@@ -248,8 +311,9 @@ func (c Config) maxIter(def int) int {
 // round) is scanned once for isolated markets — every on-demand market's row
 // and column of M are zero off the diagonal — and applied through
 // linalg.CompactRisk, which is bit-identical to the dense matvec. Any other
-// risk is applied as given.
-func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState) (solver.Result, int) {
+// risk is applied as given. The set, the cost vector and the operator live
+// in ws, or in a workspace of the solve's own when ws is nil.
+func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState, ws *workspace) (solver.Result, int) {
 	kappa := c.churnWeight(in, n)
 	risk, coupled := in.Risk, n
 	switch op := risk.(type) {
@@ -258,15 +322,12 @@ func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState) (solver.Re
 	case *linalg.Compact:
 		coupled = op.Coupled()
 	}
-	var anchorIdx []int
-	if c.AMinOnDemand > 0 {
-		anchorIdx = in.anchorIdx()
+	if ws == nil {
+		ws = &workspace{} // a cold solve's own
 	}
-	pp := &solver.ProjectedProblem{
-		P: &horizonOperator{m: risk, alpha: c.Alpha, kappa: kappa, n: n, h: c.Horizon},
-		Q: c.buildLinear(in, n, kappa),
-		C: c.feasibleSet(n, anchorIdx),
-	}
+	ws.op = horizonOperator{m: risk, alpha: c.Alpha, kappa: kappa, n: n, h: c.Horizon}
+	ws.q = c.buildLinear(in, n, kappa, ws.q)
+	pp := &solver.ProjectedProblem{P: &ws.op, Q: ws.q, C: ws.feasible(c, in, n)}
 	return solver.SolveFISTA(pp, solver.FISTASettings{
 		MaxIter: c.maxIter(4000), Tol: 1e-7, Warm: warm,
 	}), coupled
@@ -321,7 +382,7 @@ func (c Config) buildADMMSparse(in *Inputs, n int, kappa float64) *solver.Proble
 	}
 	return &solver.Problem{
 		POp:     &horizonOperator{m: risk, alpha: c.Alpha, kappa: kappa, n: n, h: h},
-		Q:       c.buildLinear(in, n, kappa),
+		Q:       c.buildLinear(in, n, kappa, nil),
 		ASparse: linalg.NewCSRFromTriplets(m, dim, is, js, vs),
 		L:       l,
 		U:       u,

@@ -25,7 +25,7 @@ func planDefect(cfg Config, in *Inputs, plan *Plan, tol float64) string {
 	n := len(plan.Alloc[0])
 	kappa := c.churnWeight(in, n)
 	op := &horizonOperator{m: in.Risk, alpha: c.Alpha, kappa: kappa, n: n, h: c.Horizon}
-	q := c.buildLinear(in, n, kappa)
+	q := c.buildLinear(in, n, kappa, nil)
 	var anchorIdx []int
 	if c.AMinOnDemand > 0 {
 		anchorIdx = in.anchorIdx()

@@ -34,6 +34,7 @@ type WarmSolver struct {
 	// same names the Planner always used. Nil disables instrumentation.
 	Metrics *metrics.Registry
 
+	ws         workspace
 	warm       *solver.WarmState
 	warmN      int
 	warmH      int
@@ -67,7 +68,7 @@ func (w *WarmSolver) Solve(cfg Config, cat *market.Catalog, in *Inputs, epoch ui
 			"Warm-start states dropped because the risk overlay epoch changed (regime shift).").Inc()
 	}
 	warmUsed := w.warm != nil
-	plan, err := OptimizeWarm(cfg, in, w.warm)
+	plan, err := optimize(cfg, in, w.warm, &w.ws)
 	w.warm = nil // consumed (or about to be replaced)
 	if err != nil {
 		return nil, err

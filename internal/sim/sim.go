@@ -203,7 +203,10 @@ type Result struct {
 	// Attainment is the instantaneous SLO-attainment series sampled at every
 	// sub-step — the input to the chaos recovery-time scoring (RecoverySecs
 	// needs sub-interval resolution; per-interval numbers cannot tell an
-	// 85-second recovery from a 9-minute one).
+	// 85-second recovery from a 9-minute one). A run given a Scratch writes
+	// the series into the scratch's buffer: it is valid until that Scratch's
+	// next Run, so read or copy it first. Without a Scratch the result owns
+	// it.
 	Attainment []chaos.AttainPoint
 }
 
@@ -233,7 +236,8 @@ type Simulator struct {
 // Scratch is the simulator's reusable working memory: the revocation
 // buffers, copula group shocks, exposure/price snapshots, dead-routing
 // entries and the ID/server slices the journal and sentinel paths scan —
-// everything Run would otherwise rebuild every round. With a warmed-up
+// everything Run would otherwise rebuild every round — and the buffer the
+// last run's Result.Attainment lives in. With a warmed-up
 // Scratch a simulated round on the default path allocates nothing beyond
 // the result arrays Run preallocates once (asserted by the AllocsPerRun
 // regression test), which is what keeps thousand-cell sweeps off the
@@ -256,6 +260,8 @@ type Scratch struct {
 	// is paid through, -Inf before its first charge. Server IDs are dense
 	// from 0 in every run, so the slice grows with the run's launches.
 	billed []float64
+	// attain backs the last run's Result.Attainment.
+	attain []chaos.AttainPoint
 	// rng is the revocation sampler, re-seeded by every run.
 	rng *rand.Rand
 }
@@ -372,7 +378,10 @@ func (s *Simulator) Run() (*Result, error) {
 	// one arena backing every interval's Counts) so the steady-state loop
 	// appends without ever reallocating.
 	res.Intervals = make([]IntervalMetrics, 0, n-1)
-	res.Attainment = make([]chaos.AttainPoint, 0, (n-1)*cfg.SubSteps)
+	if points := (n - 1) * cfg.SubSteps; cap(scr.attain) < points {
+		scr.attain = make([]chaos.AttainPoint, 0, points)
+	}
+	res.Attainment = scr.attain[:0]
 	countsArena := make([]int, (n-1)*catLen)
 	// Chaos fault times are normalized fractions of the run: 0 is the start
 	// of the first simulated interval, 1 its end.
@@ -872,6 +881,7 @@ func (s *Simulator) Run() (*Result, error) {
 	}
 	scr.dead = dead[:0] // retain the grown buffers across runs
 	scr.billed = billed
+	scr.attain = res.Attainment
 	if servedTotal > 0 {
 		res.MeanLatency = latWeighted / servedTotal
 	}

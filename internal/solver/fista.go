@@ -52,15 +52,18 @@ func (s FISTASettings) withDefaults() FISTASettings {
 // valid for PSD operators), returning a slightly inflated value so that 1/L
 // is a safe step size.
 func EstimateLipschitz(p QuadOperator, iters int) float64 {
-	l, _ := estimateLipschitz(p, nil, iters)
+	n := p.Dim()
+	l, _ := estimateLipschitz(p, nil, iters, linalg.NewVector(n), linalg.NewVector(n))
 	return l
 }
 
 // estimateLipschitz runs power iteration from v0 (or a deterministic
 // pseudo-random start when v0 is nil/mismatched) and returns the inflated
 // λmax estimate together with the final unit eigenvector, so a subsequent
-// solve of a nearby operator can restart from it with far fewer matvecs.
-func estimateLipschitz(p QuadOperator, v0 linalg.Vector, iters int) (float64, linalg.Vector) {
+// solve of a nearby operator can restart from it with far fewer matvecs. v
+// and w are its n-long work vectors — v0 may be v itself — and the returned
+// eigenvector is v.
+func estimateLipschitz(p QuadOperator, v0 linalg.Vector, iters int, v, w linalg.Vector) (float64, linalg.Vector) {
 	n := p.Dim()
 	if n == 0 {
 		return 1, nil
@@ -68,7 +71,6 @@ func estimateLipschitz(p QuadOperator, v0 linalg.Vector, iters int) (float64, li
 	if iters <= 0 {
 		iters = 30
 	}
-	v := linalg.NewVector(n)
 	if len(v0) == n && v0.Norm2() > 0 {
 		copy(v, v0)
 	} else {
@@ -85,7 +87,6 @@ func estimateLipschitz(p QuadOperator, v0 linalg.Vector, iters int) (float64, li
 		v[0] = 1
 	}
 	v.Scale(1 / v.Norm2())
-	w := linalg.NewVector(n)
 	lambda := 0.0
 	for k := 0; k < iters; k++ {
 		p.Apply(v, w)
@@ -97,7 +98,7 @@ func estimateLipschitz(p QuadOperator, v0 linalg.Vector, iters int) (float64, li
 		copy(v, w)
 		v.Scale(1 / nrm)
 	}
-	return lambda * 1.02, v
+	return float64(lambda * 1.02), v
 }
 
 // ProjectedProblem is a QP over an arbitrary projectable convex set:
@@ -108,32 +109,51 @@ type ProjectedProblem struct {
 	C Projector
 }
 
-// Objective evaluates the quadratic objective at x.
-func (p *ProjectedProblem) Objective(x linalg.Vector) float64 {
-	tmp := linalg.NewVector(len(x))
+// objective evaluates the quadratic objective at x, with tmp, len(x) long,
+// as its work vector.
+func (p *ProjectedProblem) objective(x, tmp linalg.Vector) float64 {
 	p.P.Apply(x, tmp)
-	return 0.5*x.Dot(tmp) + p.Q.Dot(x)
+	return float64(0.5*x.Dot(tmp)) + p.Q.Dot(x)
+}
+
+// fit returns v when it is n long and a new zero vector otherwise.
+func fit(v linalg.Vector, n int) linalg.Vector {
+	if len(v) == n {
+		return v
+	}
+	return linalg.NewVector(n)
 }
 
 // SolveFISTA minimizes the projected problem with FISTA (accelerated
 // proximal gradient) plus adaptive restart. Termination is on the fixed-point
 // residual ‖x − Π_C(x − ∇f(x)/L)‖∞ ≤ tol; a NaN residual (non-finite problem
 // data) ends the solve at that check with StatusMaxIterations.
+//
+// The solve works in the vectors of settings.Warm wherever their length fits
+// — the seed iterates in place, the rest as scratch — and hands them on as
+// Result.Warm: the incoming state is consumed, and a receding-horizon run of
+// warm solves allocates only each Result.X, which is the caller's own.
 func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 	s := settings.withDefaults()
 	n := p.P.Dim()
+	warm := s.Warm
+	st := warm
+	if st == nil {
+		st = &WarmState{}
+	}
 	warmStarted := false
 	l := s.LipschitzBound
 	var lipVec linalg.Vector
+	lipW := fit(st.lipW, n)
 	if l <= 0 {
-		if s.Warm != nil && s.Warm.lip > 0 && len(s.Warm.lipVec) == n {
+		if warm != nil && warm.lip > 0 && len(warm.lipVec) == n {
 			// Warm refresh: the dominant eigenvector of the slowly-drifting
 			// Hessian is an excellent power-iteration start, so a few matvecs
 			// recover (and track) the estimate the cold path needs 30 for.
-			l, lipVec = estimateLipschitz(p.P, s.Warm.lipVec, 6)
+			l, lipVec = estimateLipschitz(p.P, warm.lipVec, 6, warm.lipVec, lipW)
 			warmStarted = true
 		} else {
-			l, lipVec = estimateLipschitz(p.P, nil, 30)
+			l, lipVec = estimateLipschitz(p.P, nil, 30, fit(st.lipVec, n), lipW)
 		}
 	}
 	if l < 1e-12 {
@@ -149,21 +169,21 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 		statsBefore = counter.Stats()
 	}
 
-	x := linalg.NewVector(n) // current iterate
+	// x is the current iterate: the warm seed in place, or a zero vector.
+	x, xPrev := fit(st.x, n), fit(st.xPrev, n)
 	tk := 1.0
-	var xPrev linalg.Vector
-	if s.Warm != nil && len(s.Warm.x) == n {
-		copy(x, s.Warm.x)
+	carried := false // the warm momentum pair seeds xPrev and tk
+	if warm != nil && len(warm.x) == n {
 		warmStarted = true
-		if len(s.Warm.xPrev) == n && s.Warm.tk >= 1 {
-			xPrev = s.Warm.xPrev.Clone()
-			tk = s.Warm.tk
+		if len(warm.xPrev) == n && warm.tk >= 1 {
+			carried, tk = true, warm.tk
 		}
 	}
 	p.C.Project(x)
-	yv := x.Clone() // extrapolated point
-	if xPrev == nil {
-		xPrev = x.Clone()
+	yv := fit(st.yv, n) // extrapolated point
+	copy(yv, x)
+	if !carried {
+		copy(xPrev, x)
 	} else {
 		// Re-extrapolate from the warm momentum pair; the adaptive restart
 		// below resets it on the first uphill step, so a stale direction
@@ -171,11 +191,10 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 		p.C.Project(xPrev)
 		beta := (tk - 1) / tk
 		for i := range yv {
-			yv[i] = x[i] + beta*(x[i]-xPrev[i])
+			yv[i] = x[i] + float64(beta*(x[i]-xPrev[i]))
 		}
 	}
-	grad := linalg.NewVector(n)
-	tmp := linalg.NewVector(n)
+	grad, tmp := fit(st.grad, n), fit(st.tmp, n)
 
 	res := Result{Status: StatusMaxIterations}
 	for iter := 1; iter <= s.MaxIter; iter++ {
@@ -183,22 +202,22 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 		p.P.Apply(yv, grad)
 		for i := range x {
 			xPrev[i] = x[i]
-			x[i] = yv[i] - step*(grad[i]+p.Q[i])
+			x[i] = yv[i] - float64(step*(grad[i]+p.Q[i]))
 		}
 		p.C.Project(x)
 
 		// Adaptive restart: if momentum points uphill, reset it.
 		var dot float64
 		for i := range x {
-			dot += (yv[i] - x[i]) * (x[i] - xPrev[i])
+			dot += float64((yv[i] - x[i]) * (x[i] - xPrev[i]))
 		}
 		if dot > 0 {
 			tk = 1
 		}
-		tNext := 0.5 * (1 + math.Sqrt(1+4*tk*tk))
+		tNext := 0.5 * (1 + math.Sqrt(1+float64(4*tk*tk)))
 		momentum := (tk - 1) / tNext
 		for i := range yv {
-			yv[i] = x[i] + momentum*(x[i]-xPrev[i])
+			yv[i] = x[i] + float64(momentum*(x[i]-xPrev[i]))
 		}
 		tk = tNext
 
@@ -206,7 +225,7 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 		if iter%5 == 0 || iter == s.MaxIter {
 			p.P.Apply(x, grad)
 			for i := range tmp {
-				tmp[i] = x[i] - step*(grad[i]+p.Q[i])
+				tmp[i] = x[i] - float64(step*(grad[i]+p.Q[i]))
 			}
 			p.C.Project(tmp)
 			var fp float64
@@ -225,18 +244,20 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 			}
 		}
 	}
-	res.X = x
-	res.Objective = p.Objective(x)
+	res.X = x.Clone()
+	res.Objective = p.objective(x, tmp)
 	res.WarmStarted = warmStarted
 	if counted {
 		res.Projection = counter.Stats().since(statsBefore)
 	}
-	if lipVec == nil && s.Warm != nil {
-		lipVec = s.Warm.lipVec // LipschitzBound override: keep any cached vector
+	if lipVec == nil && warm != nil {
+		lipVec = warm.lipVec // LipschitzBound override: keep any cached vector
 	}
-	res.Warm = &WarmState{
-		x: x.Clone(), xPrev: xPrev.Clone(), tk: tk,
+	*st = WarmState{
+		x: x, xPrev: xPrev, tk: tk,
 		lip: l, lipVec: lipVec,
+		yv: yv, grad: grad, tmp: tmp, lipW: lipW,
 	}
+	res.Warm = st
 	return res
 }

@@ -97,6 +97,17 @@ func (b *BoxBand) Stats() ProjectionStats {
 	return st
 }
 
+// setBand moves the budget band to [sumLo, sumHi] in place, the residual
+// band of an anchored set's other coordinates with it, and forgets the
+// multipliers of the last projections.
+func (b *BoxBand) setBand(sumLo, sumHi float64) {
+	b.SumLo, b.SumHi, b.mu = sumLo, sumHi, 0
+	if b.subA != nil {
+		b.subA.mu = 0
+		b.subO.SumLo, b.subO.SumHi, b.subO.mu = sumLo-b.anchorMin, sumHi-b.anchorMin, 0
+	}
+}
+
 // WithAnchor adds the constraint Σ_{i∈idx} x_i ≥ min to the set — the
 // anchor-tier floor of the SpotWeb HA formulation. It returns the receiver
 // for chaining. A nil/empty idx or min ≤ 0 leaves the set (and the exact
@@ -140,15 +151,16 @@ func (b *BoxBand) WithAnchor(idx []int, min float64) *BoxBand {
 
 // clipSum returns g(μ) = Σ_i clip(y_i − μ, lo_i, hi_i), summed in index order,
 // and the number of coordinates strictly between their bounds (−g's slope at
-// μ).
-func (b *BoxBand) clipSum(y linalg.Vector, mu float64) (s float64, free int) {
+// μ). lo and hi are as long as y.
+func clipSum(y, lo, hi linalg.Vector, mu float64) (s float64, free int) {
+	lo, hi = lo[:len(y)], hi[:len(y)]
 	for i, v := range y {
 		z := v - mu
-		if z < b.Lo[i] {
-			z = b.Lo[i]
-		} else if z > b.Hi[i] {
-			z = b.Hi[i]
-		} else if z != b.Lo[i] && z != b.Hi[i] {
+		if z < lo[i] {
+			z = lo[i]
+		} else if z > hi[i] {
+			z = hi[i]
+		} else if z != lo[i] && z != hi[i] {
 			free++
 		}
 		s += z
@@ -156,160 +168,46 @@ func (b *BoxBand) clipSum(y linalg.Vector, mu float64) (s float64, free int) {
 	return s, free
 }
 
-// certificate is what the real passes of one projection have proved about g
-// against target. On an ordered box g is nonincreasing in μ as computed, not
-// only in exact arithmetic: fl(y_i − μ) is, clipping to lo_i ≤ hi_i keeps it
-// so, and the rounded sum of two nonincreasing terms is nonincreasing again
-// (DESIGN.md §5). One evaluated pass therefore settles every μ on its far
-// side:
-//
-//	μ ≤ gt          ⇒ g(μ) > target
-//	eqLo ≤ μ ≤ eqHi ⇒ g(μ) == target
-//	μ ≥ lt          ⇒ g(μ) < target
-//
-// off is set for a box that is not ordered and by a pass whose sum is NaN
-// (infinite terms of both signs): the certificate is emptied and stays empty,
-// so it answers nothing and every query is evaluated.
-type certificate struct {
-	target             float64
-	gt, eqLo, eqHi, lt float64
-	off                bool
-}
-
-// newCertificate knows nothing yet.
-func newCertificate(target float64, off bool) certificate {
-	return certificate{target: target, gt: math.Inf(-1), eqLo: math.Inf(1), eqHi: math.Inf(-1), lt: math.Inf(1), off: off}
-}
-
-// record adds what g(mu) == sum proves.
-func (c *certificate) record(mu, sum float64) {
+// certify adds what a real pass proved, g(mu) == sum, to projectPlain's
+// certificate (gt, ub, eqHi, lt). The kernel only passes at a μ the
+// certificate left open — gt < μ < lt — so the side that moves takes μ
+// itself. A NaN sum (infinite terms of both signs) returns the empty
+// certificate and off: it must not be consulted again.
+func certify(gt, ub, eqHi, lt, mu, sum, target float64) (float64, float64, float64, float64, bool) {
 	switch {
-	case c.off:
-	case sum > c.target:
-		c.gt = max(c.gt, mu)
-	case sum < c.target:
-		c.lt = min(c.lt, mu)
-	case sum == c.target:
-		c.eqLo, c.eqHi = min(c.eqLo, mu), max(c.eqHi, mu)
-	default:
-		*c = newCertificate(c.target, true)
+	case sum > target:
+		return mu, ub, eqHi, lt, false
+	case sum < target:
+		return gt, min(ub, mu), eqHi, mu, false
+	case sum == target:
+		return gt, min(ub, mu), max(eqHi, mu), lt, false
 	}
+	inf := math.Inf(1)
+	return -inf, inf, -inf, inf, true
 }
 
-// ub is the smallest μ known to have g(μ) ≤ target.
-func (c *certificate) ub() float64 { return min(c.eqLo, c.lt) }
-
-// open reports whether a pass at mu could still tell the bisection something:
-// mu lies strictly between gt and ub (never for a NaN or infinite mu).
-func (c *certificate) open(mu float64) bool {
-	return !c.off && mu > c.gt && mu < c.ub()
-}
-
-// pass evaluates g(mu) for real and records what it proves.
-func (b *BoxBand) pass(y linalg.Vector, mu float64, c *certificate) (sum float64, free int) {
-	b.stats.Passes++
-	sum, free = b.clipSum(y, mu)
-	c.record(mu, sum)
-	return sum, free
-}
-
-// above answers g(mu) > target, from the certificate when it can.
-func (b *BoxBand) above(y linalg.Vector, mu float64, c *certificate) bool {
-	if mu <= c.gt {
-		return true
-	}
-	if mu >= c.ub() {
-		return false
-	}
-	sum, _ := b.pass(y, mu, c)
-	return sum > c.target
-}
-
-// below answers g(mu) < target, from the certificate when it can.
-func (b *BoxBand) below(y linalg.Vector, mu float64, c *certificate) bool {
-	if mu >= c.lt {
-		return true
-	}
-	if mu <= max(c.gt, c.eqHi) {
-		return false
-	}
-	sum, _ := b.pass(y, mu, c)
-	return sum < c.target
-}
-
-// tighten spends a few real passes where the root is likely to be, so that
-// the bracket and bisection queries of projectPlain find their answers
-// certified. It decides nothing: a pass only adds to c what g proves at that
-// μ, so the projection does not depend on how well tighten guesses. sum and
-// free are those of the pass at μ = 0.
-//
-// Newton steps start from the multiplier of the set's previous projection
-// (from μ = 0 when that one is already settled) and stop when the step leaves
-// the open gap — g is piecewise linear, so a step taken on the root's piece
-// lands within rounding of it. That leaves one side of the root pinned at the
-// last pass; a probe walks outward from it, two rounding quanta first and 8×
-// further each time, until the other side is pinned too.
-func (b *BoxBand) tighten(y linalg.Vector, c *certificate, sum float64, free int) {
-	const newtonPasses, probePasses = 6, 4
-	at, next := 0.0, b.mu
-	if !c.open(next) {
-		next = b.newton(y, c, at, sum, free)
-	}
-	n := 0
-	for ; n < newtonPasses && c.open(next); n++ {
-		at = next
-		sum, free = b.pass(y, at, c)
-		next = b.newton(y, c, at, sum, free)
-	}
-	if n == 0 || c.open(next) {
-		return // nowhere to look, or not converged: ulp-sized probes cannot help
-	}
-	dir := -1.0
-	if sum > c.target {
-		dir = 1
-	}
-	// One quantum: an ulp of μ, or the change of μ that moves the sum an ulp.
-	d := 2 * (math.Abs(at) + math.Abs(c.target)/float64(max(free, 1))) * 0x1p-52
-	for k := 0; k < probePasses; k++ {
-		at += dir * d
-		if !c.open(at) {
-			return // the far side is already this close
-		}
-		if sum, _ = b.pass(y, at, c); (sum > c.target) != (dir > 0) {
-			return
-		}
-		d *= 8
-	}
-}
-
-// newton returns the root of the linear piece of g that the pass (at, sum,
-// free) saw: at + (sum − target)/free. On a flat piece (free == 0) it first
-// moves to the end of the piece on the root's side — the nearest μ at which a
-// coordinate at a bound leaves it, the left end when sum == target
-// because that is where the bisection converges — and assumes slope −1 from
-// there; ±Inf when no coordinate can move. The scan is counted as a pass.
-func (b *BoxBand) newton(y linalg.Vector, c *certificate, at, sum float64, free int) float64 {
-	if free > 0 {
-		return at + (sum-c.target)/float64(free)
-	}
-	b.stats.Passes++
-	var end float64
-	if sum > c.target {
-		end = math.Inf(1)
+// flatEnd is where the flat piece of g that a pass at μ = at saw ends on the
+// root's side: the nearest μ at which a coordinate at a bound leaves it — the
+// left end when g(at) == target, because that is where the bisection
+// converges — and ±Inf when no coordinate can move.
+func flatEnd(y, lo, hi linalg.Vector, at float64, above bool) float64 {
+	lo, hi = lo[:len(y)], hi[:len(y)]
+	if above {
+		end := math.Inf(1)
 		for i, v := range y {
-			if hi := b.Hi[i]; v-at >= hi && b.Lo[i] < hi {
-				end = min(end, v-hi)
+			if v-at >= hi[i] && lo[i] < hi[i] {
+				end = min(end, v-hi[i])
 			}
 		}
-	} else {
-		end = math.Inf(-1)
-		for i, v := range y {
-			if lo := b.Lo[i]; v-at <= lo && lo < b.Hi[i] {
-				end = max(end, v-lo)
-			}
+		return end
+	}
+	end := math.Inf(-1)
+	for i, v := range y {
+		if v-at <= lo[i] && lo[i] < hi[i] {
+			end = max(end, v-lo[i])
 		}
 	}
-	return end + (sum - c.target)
+	return end
 }
 
 // Project projects y onto the set in place. The projection is the Euclidean
@@ -360,12 +258,38 @@ func (b *BoxBand) Project(y linalg.Vector) {
 	}
 }
 
-// projectPlain is the anchor-free box∩band projection: a bisection on μ whose
-// bracket-doubling loop, mid sequence, stop rule and write-back are the plain
-// ones, with each decision read from the certificate and a real pass only
-// when the queried μ falls in the gap the earlier passes left open.
+// projectPlain is the anchor-free box∩band projection: the plain bisection
+// on μ — bracket doubling, mid sequence, stop rule and write-back — with each
+// query read from a certificate of what the real O(n) passes have proved, and
+// a real pass only when the queried μ falls in the gap they left open.
+//
+// On an ordered box g is nonincreasing in μ as computed, not only in exact
+// arithmetic: fl(y_i − μ) is, clipping to lo_i ≤ hi_i keeps it so, and the
+// rounded sum of two nonincreasing terms is nonincreasing again (DESIGN.md
+// §5). One evaluated pass therefore settles every μ on its far side:
+//
+//	μ ≤ gt          ⇒ g(μ) > target
+//	ub ≤ μ          ⇒ g(μ) ≤ target (ub is the least μ seen at or below it)
+//	eqHi ≥ μ ≥ ub   ⇒ g(μ) == target, when some pass hit the target
+//	μ ≥ lt          ⇒ g(μ) < target
+//
+// off is set for a box that is not ordered and by a pass whose sum is NaN:
+// the certificate is then empty, answers nothing, and every query is
+// evaluated.
+//
+// Before bracketing, a few passes go where the root is likely to be, so that
+// the bracket and bisection queries find their answers certified. They
+// decide nothing — a pass only adds to the certificate what g proves at that
+// μ — so neither the result nor its bits depend on how well they guess.
+// Newton steps start from the multiplier of the set's previous projection
+// (from μ = 0 when that one is already settled) and stop when the step leaves
+// the open gap: g is piecewise linear, so a step taken on the root's piece
+// lands within rounding of it. That pins one side of the root at the last
+// pass; a probe walks outward from it, two rounding quanta first and 8×
+// further each time, until the other side is pinned too.
 func (b *BoxBand) projectPlain(y linalg.Vector) {
-	s, free := b.clipSum(y, 0)
+	lo, hi := b.Lo[:len(y)], b.Hi[:len(y)]
+	s, free := clipSum(y, lo, hi, 0)
 	var target float64
 	switch {
 	case s > b.SumHi:
@@ -373,23 +297,90 @@ func (b *BoxBand) projectPlain(y linalg.Vector) {
 	case s < b.SumLo:
 		target = b.SumLo
 	default:
-		ProjectBox(y, b.Lo, b.Hi)
+		ProjectBox(y, lo, hi)
 		return
 	}
-	b.stats.Projections++
-	b.stats.Passes++
-	c := newCertificate(target, !b.ordered)
-	c.record(0, s)
-	if !c.off {
-		b.tighten(y, &c, s, free)
+	inf := math.Inf(1)
+	gt, ub, eqHi, lt := -inf, inf, -inf, inf
+	off := !b.ordered
+	if !off {
+		if s > target {
+			gt = 0
+		} else {
+			lt, ub = 0, 0
+		}
 	}
+	passes, jumps := 1, 0
+
+	if !off {
+		const newtonPasses, probePasses = 6, 4
+		at, sum, slope, next := 0.0, s, free, b.mu
+		n := 0
+		for {
+			if n > 0 || !(next > gt && next < ub) {
+				// The root of the linear piece of g the last pass saw. On a
+				// flat piece, move to the piece's end on the root's side
+				// first (a scan, counted as a pass) and assume slope −1.
+				if slope > 0 {
+					next = at + (sum-target)/float64(slope)
+				} else {
+					passes++
+					next = flatEnd(y, lo, hi, at, sum > target) + (sum - target)
+				}
+			}
+			if n == newtonPasses || off || !(next > gt && next < ub) {
+				break
+			}
+			at = next
+			passes++
+			sum, slope = clipSum(y, lo, hi, at)
+			gt, ub, eqHi, lt, off = certify(gt, ub, eqHi, lt, at, sum, target)
+			n++
+		}
+		// Nowhere to look, or not converged: ulp-sized probes cannot help.
+		if n > 0 && !off && !(next > gt && next < ub) {
+			dir := -1.0
+			if sum > target {
+				dir = 1
+			}
+			// One quantum: an ulp of μ, or the change of μ that moves the sum
+			// an ulp.
+			d := 2 * (math.Abs(at) + math.Abs(target)/float64(max(slope, 1))) * 0x1p-52
+			for k := 0; k < probePasses; k++ {
+				at += float64(dir * d)
+				if off || !(at > gt && at < ub) {
+					break // the far side is already this close
+				}
+				passes++
+				sum, _ = clipSum(y, lo, hi, at)
+				gt, ub, eqHi, lt, off = certify(gt, ub, eqHi, lt, at, sum, target)
+				if (sum > target) != (dir > 0) {
+					break
+				}
+				d *= 8
+			}
+		}
+	}
+
 	// Bracket μ. g is nonincreasing in μ; find [muLo, muHi] such that
 	// g(muLo) ≥ target ≥ g(muHi).
 	muLo, muHi := 0.0, 0.0
-	if s > c.target {
+	if s > target {
 		// Need μ > 0. The largest useful μ drives everything to Lo.
 		muHi = 1.0
-		for b.above(y, muHi, &c) {
+		for {
+			above := muHi <= gt
+			if !above && muHi < ub {
+				passes++
+				sum, _ := clipSum(y, lo, hi, muHi)
+				if !off {
+					gt, ub, eqHi, lt, off = certify(gt, ub, eqHi, lt, muHi, sum, target)
+				}
+				above = sum > target
+			}
+			if !above {
+				break
+			}
 			muHi *= 2
 			if muHi > 1e18 {
 				break
@@ -397,7 +388,19 @@ func (b *BoxBand) projectPlain(y linalg.Vector) {
 		}
 	} else {
 		muLo = -1.0
-		for b.below(y, muLo, &c) {
+		for {
+			below := muLo >= lt
+			if !below && muLo > max(gt, eqHi) {
+				passes++
+				sum, _ := clipSum(y, lo, hi, muLo)
+				if !off {
+					gt, ub, eqHi, lt, off = certify(gt, ub, eqHi, lt, muLo, sum, target)
+				}
+				below = sum < target
+			}
+			if !below {
+				break
+			}
 			muLo *= 2
 			if muLo < -1e18 {
 				break
@@ -405,23 +408,40 @@ func (b *BoxBand) projectPlain(y linalg.Vector) {
 		}
 	}
 	// Grid jump. The bracket is [0, 2^k] or [−2^k, 0] with k ≥ 0, so every mid
-	// of the first 40 levels is a multiple of h = 2^(k−40) of magnitude at most
+	// of the first 45 levels is a multiple of h = 2^(k−45) of magnitude at most
 	// 2^k — computed exactly — and the stop rule cannot fire on a width ≥ h ≈
-	// 9e-13·2^k against 1e-14·(1+|muLo|) ≤ 2e-14·2^k. The decisions are
-	// monotone on that grid, so those 40 steps end on the one cell whose left
-	// end is the bracket's or decides "above" and whose right end is the
-	// bracket's or decides "not above". lo and lo+h below are grid points
-	// whatever the rounding of the quotient; the comparisons verify the rest
-	// (and fail for an empty certificate: gt = −Inf).
+	// 2.8e-14·2^k against 1e-14·(1+|muLo|) ≤ 2e-14·2^k. The decisions are
+	// monotone on that grid, so the first L ≤ 45 steps end on the one cell of
+	// width 2^(k−L) whose left end is the bracket's or decides "above" and
+	// whose right end is the bracket's or decides "not above". cell and cell+h
+	// below are grid points whatever the rounding of the quotient; the
+	// comparisons verify the rest (and fail for an empty certificate: gt =
+	// −Inf). The jump tries L = 45 and, where a level-45 grid point splits the
+	// certificate's gap, L = 40.
 	iter := 0
-	h := (muHi - muLo) * 0x1p-40
-	if lo := muLo + h*math.Floor((c.gt-muLo)/h); muLo <= lo && lo <= c.gt && c.ub() <= lo+h && lo+h <= muHi {
-		muLo, muHi, iter = lo, lo+h, 40
-		b.stats.Jumps++
+	for _, jump := range [...]struct {
+		levels int
+		scale  float64 // 2^−levels
+	}{{45, 0x1p-45}, {40, 0x1p-40}} {
+		h := float64((muHi - muLo) * jump.scale)
+		if cell := muLo + float64(h*math.Floor((gt-muLo)/h)); muLo <= cell && cell <= gt && ub <= cell+h && cell+h <= muHi {
+			muLo, muHi, iter = cell, cell+h, jump.levels
+			jumps = 1
+			break
+		}
 	}
 	for ; iter < b.maxBisectIters; iter++ {
-		mid := 0.5 * (muLo + muHi)
-		if b.above(y, mid, &c) {
+		mid := float64(0.5 * (muLo + muHi))
+		above := mid <= gt
+		if !above && mid < ub {
+			passes++
+			sum, _ := clipSum(y, lo, hi, mid)
+			if !off {
+				gt, ub, eqHi, lt, off = certify(gt, ub, eqHi, lt, mid, sum, target)
+			}
+			above = sum > target
+		}
+		if above {
 			muLo = mid
 		} else {
 			muHi = mid
@@ -430,14 +450,17 @@ func (b *BoxBand) projectPlain(y linalg.Vector) {
 			break
 		}
 	}
-	mu := 0.5 * (muLo + muHi)
+	mu := float64(0.5 * (muLo + muHi))
 	b.mu = mu
+	b.stats.Projections++
+	b.stats.Passes += passes
+	b.stats.Jumps += jumps
 	for i, v := range y {
 		z := v - mu
-		if z < b.Lo[i] {
-			z = b.Lo[i]
-		} else if z > b.Hi[i] {
-			z = b.Hi[i]
+		if z < lo[i] {
+			z = lo[i]
+		} else if z > hi[i] {
+			z = hi[i]
 		}
 		y[i] = z
 	}
@@ -462,6 +485,18 @@ func NewProductSet(blocks []*BoxBand) *ProductSet {
 		p.offs[k+1] = p.total
 	}
 	return p
+}
+
+// SetBand moves every block's budget band to [sumLo, sumHi] in place and
+// forgets where the blocks' last projections ended: the set then projects
+// exactly as fresh blocks NewBoxBand and WithAnchor would build with that
+// band — pass counts included — but allocates nothing. A multiplier carried
+// over from another solve is a poor first guess: the Newton steps it starts
+// overshoot, and more projections bisect from level 0.
+func (p *ProductSet) SetBand(sumLo, sumHi float64) {
+	for _, b := range p.Blocks {
+		b.setBand(sumLo, sumHi)
+	}
 }
 
 // Dim returns the total stacked dimension.

@@ -254,25 +254,27 @@ func TestBitIdenticalBoxBandProject(t *testing.T) {
 
 	t.Run("grid-edges", func(t *testing.T) {
 		// One free coordinate puts the root at y − 1.5 exactly: on a multiple
-		// of W·2⁻⁴⁰ and one and two ulps either side, for W = 1, 4 and 2²⁰,
-		// cold and again from the guess the neighbouring root left.
+		// of W·2⁻⁴⁰ or W·2⁻⁴⁵ — the grids the jump lands on — and one and two
+		// ulps either side, for W = 1, 4 and 2²⁰, cold and again from the
+		// guess the neighbouring root left.
 		lo, hi := linalg.Vector{0, 0, 0}, linalg.Vector{8, 1, 1}
 		for _, w := range []float64{1, 4, 1 << 20} {
-			h := w * 0x1p-40
-			for _, cell := range []float64{1, 3, 1 << 20, 1<<39 + 12345, 1<<40 - 1} {
-				root := w/2 + h*math.Floor(cell/2) // a grid point in (w/2, w)
-				for _, ulps := range []int{0, 1, 2, -1, -2} {
-					r := root
-					for k := 0; k < ulps; k++ {
-						r = math.Nextafter(r, math.Inf(1))
+			for _, h := range []float64{w * 0x1p-40, w * 0x1p-45} {
+				for _, cell := range []float64{1, 3, 1 << 20, 1<<39 + 12345, 1<<40 - 1, 1<<44 + 777, 1<<45 - 1} {
+					root := w/2 + h*math.Floor(cell/2) // a grid point in (w/2, w)
+					for _, ulps := range []int{0, 1, 2, -1, -2} {
+						r := root
+						for k := 0; k < ulps; k++ {
+							r = math.Nextafter(r, math.Inf(1))
+						}
+						for k := 0; k > ulps; k-- {
+							r = math.Nextafter(r, math.Inf(-1))
+						}
+						b := NewBoxBand(lo, hi, 1, 1.5)
+						y := linalg.Vector{r + 1.5, -3, -2 * w}
+						checkProjectSequence(t, fmt.Sprintf("W=%v cell %v %+d ulp", w, cell, ulps), b, y, y,
+							linalg.Vector{root + 1.5, -3, -2 * w}, linalg.Vector{-(r + 1.5), -w, -3 * w})
 					}
-					for k := 0; k > ulps; k-- {
-						r = math.Nextafter(r, math.Inf(-1))
-					}
-					b := NewBoxBand(lo, hi, 1, 1.5)
-					y := linalg.Vector{r + 1.5, -3, -2 * w}
-					checkProjectSequence(t, fmt.Sprintf("W=%v cell %v %+d ulp", w, cell, ulps), b, y, y,
-						linalg.Vector{root + 1.5, -3, -2 * w}, linalg.Vector{-(r + 1.5), -w, -3 * w})
 				}
 			}
 		}
@@ -452,6 +454,61 @@ func TestBitIdenticalBoxBandProject(t *testing.T) {
 	})
 }
 
+// TestBitIdenticalSweepShapedProjections replays what a what-if sweep's
+// FISTA solves feed the projection: 6-market blocks with the box [0, 0.4] and
+// the band [1, 1.5] of the runner's portfolio config, iterates one gradient
+// step off a point on the band — cheap markets pulled up, the rest pushed
+// down, noise that shrinks as a solve converges — and one set per block whose
+// multiplier carries from call to call, within a solve and across the solves
+// of a leg. The anchored set's three on-demand markets are the expensive ones,
+// so its floor binds and both sub-blocks project.
+func TestBitIdenticalSweepShapedProjections(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	lo, hi := linalg.NewVector(6), linalg.NewVector(6)
+	hi.Fill(0.4)
+	for _, c := range []struct {
+		name   string
+		set    *BoxBand
+		cost   linalg.Vector // the gradient's direction
+		anchor bool
+	}{
+		{"plain", NewBoxBand(lo, hi, 1, 1.5), linalg.Vector{0.5, -0.2, 0.3, 0.8, -0.4, 0.1}, false},
+		{"anchored", NewBoxBand(lo, hi, 1, 1.5).WithAnchor([]int{3, 4, 5}, 0.3), linalg.Vector{-0.3, -0.2, -0.25, 0.9, 0.8, 0.7}, true},
+	} {
+		b := c.set
+		for solve := 0; solve < 150; solve++ {
+			// Start on the band: the floor, the ceiling or between.
+			x := linalg.NewVector(6)
+			for i := range x {
+				x[i] = 0.4 * rng.Float64()
+			}
+			oracleProject(b, x)
+			step := 0.02 + 0.1*rng.Float64()
+			for iter := 0; iter < 25; iter++ {
+				y := x.Clone()
+				noise := 0.05 * math.Pow(0.7, float64(iter))
+				for i := range y {
+					y[i] -= step*c.cost[i] + noise*rng.NormFloat64()
+				}
+				if solve%5 == 0 { // lift the total over the ceiling: the lowering case
+					y[rng.Intn(6)] += 1
+				}
+				checkProjectBits(t, fmt.Sprintf("%s solve %d iterate %d", c.name, solve, iter), b, y)
+				oracleProject(b, y)
+				x = y
+			}
+		}
+		st := b.Stats()
+		if st.Projections == 0 || st.Jumps == 0 || st.PassesPerProjection() > 8 {
+			t.Fatalf("%s: %+v (%.1f passes per projection); want bisections, the grid jump and at most 8 passes each",
+				c.name, st, st.PassesPerProjection())
+		}
+		if c.anchor && (b.subA.stats.Projections == 0 || b.subO.stats.Projections == 0) {
+			t.Fatalf("%s: the floor never bound (sub-blocks %+v / %+v)", c.name, b.subA.stats, b.subO.stats)
+		}
+	}
+}
+
 // TestClipSumMonotone holds the lemma the certificate rests on: on an ordered
 // box the computed g(μ) never rises with μ — for far-apart and for adjacent
 // floats, mixed-sign y and non-zero Lo.
@@ -474,13 +531,13 @@ func TestClipSumMonotone(t *testing.T) {
 				y[i] = scale * rng.NormFloat64()
 			}
 			mu := scale * rng.NormFloat64()
-			prev, _ := b.clipSum(y, mu)
+			prev, _ := clipSum(y, lo, hi, mu)
 			for step := 0; step < 40; step++ {
 				next := math.Nextafter(mu, math.Inf(1))
 				if step%4 == 3 {
 					next = mu + scale*rng.Float64()*1e-3
 				}
-				s, _ := b.clipSum(y, next)
+				s, _ := clipSum(y, lo, hi, next)
 				if s > prev {
 					t.Fatalf("n=%d: g(%v) = %v > g(%v) = %v", n, next, s, mu, prev)
 				}

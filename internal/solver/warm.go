@@ -11,8 +11,13 @@ import "repro/internal/linalg"
 // solve terminates on the same residual criteria as a cold one and its
 // solution is interchangeable within solver tolerance.
 //
-// A WarmState must not be shared across concurrent solves: each solve that
-// consumes one should own it.
+// A solve consumes the state it is given: it works in the state's vectors —
+// the iterates in place, the rest as scratch — and returns the same state,
+// refilled, as its Result.Warm, so a receding-horizon run allocates no solver
+// vectors after its first round. The Result.X beside it is a copy the caller
+// owns; no later solve writes it. A WarmState must not be shared across
+// concurrent solves, and a state passed to one solve must not be passed to
+// another except as that solve's Result.Warm.
 type WarmState struct {
 	// Primal iterate.
 	x linalg.Vector
@@ -27,6 +32,11 @@ type WarmState struct {
 	// FISTA momentum pair and step counter.
 	xPrev linalg.Vector
 	tk    float64
+
+	// Work vectors the next solve of the same dimension reuses: the
+	// extrapolated point, the gradient, the residual check's trial point
+	// and power iteration's product.
+	yv, grad, tmp, lipW linalg.Vector
 }
 
 // ShiftHorizon shifts the stored iterates one period earlier for a

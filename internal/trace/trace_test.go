@@ -137,6 +137,28 @@ func TestFailureProcess(t *testing.T) {
 	}
 }
 
+// TestMarketProcessesRepeatOnPooledGenerators: the price and failure
+// processes draw from pooled generators, re-seeded per call. Interleaving
+// them — so each call takes a generator the other kind just advanced — must
+// not change a bit of either series.
+func TestMarketProcessesRepeatOnPooledGenerators(t *testing.T) {
+	price := PriceConfig{Seed: 4, OnDemandPrice: 1, MeanDiscount: 0.3, Volatility: 0.08,
+		Reversion: 0.05, JumpsPerWeek: 2, JumpMagnitude: 0.8, Hours: 24 * 7, SamplesPerHour: 2}
+	fail := FailureConfig{Seed: 5, BaseProb: 0.05, DriftsPerWeek: 2, SurgeProb: 0.1, SurgesPerWeek: 1,
+		Hours: 24 * 7, SamplesPerHour: 2}
+	p0, f0 := price.Generate(), fail.Generate()
+	for round := 0; round < 3; round++ {
+		f1, p1 := fail.Generate(), price.Generate()
+		for i := range p0.Values {
+			if math.Float64bits(p1.Values[i]) != math.Float64bits(p0.Values[i]) ||
+				math.Float64bits(f1.Values[i]) != math.Float64bits(f0.Values[i]) {
+				t.Fatalf("round %d sample %d: price %v/%v, failure %v/%v", round, i,
+					p1.Values[i], p0.Values[i], f1.Values[i], f0.Values[i])
+			}
+		}
+	}
+}
+
 func TestConstantSeries(t *testing.T) {
 	s := ConstantSeries("od", 1, 5, 2.5)
 	for _, v := range s.Values {

@@ -12,12 +12,14 @@ set -eu
 LB_PORT="${LB_PORT:-18080}"
 MON_PORT="${MON_PORT:-18081}"
 RUNTIME="${RUNTIME:-15}"
-BIN="$(mktemp -d)/spotwebd"
+BINDIR="$(mktemp -d)"
+BIN="$BINDIR/spotwebd"
 LOG="$(mktemp)"
 
 cleanup() {
     [ -n "${PID:-}" ] && kill -9 "$PID" 2>/dev/null || true
-    rm -f "$BIN" "$LOG"
+    rm -rf "$BINDIR"
+    rm -f "$LOG"
 }
 trap cleanup EXIT
 
