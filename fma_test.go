@@ -52,7 +52,6 @@ var fmaAllowlist = map[string]int{
 	"market.GoogleLikeCatalog":                 2,
 	"portfolio.(*Planner).Step":                1,
 	"portfolio.(*Planner).recordMetrics":       1,
-	"portfolio.(*horizonOperator).Apply":       3,
 	"portfolio.Config.buildLinear":             2,
 	"portfolio.Config.solveADMM":               1,
 	"portfolio.Config.solveFISTA":              1,
@@ -76,7 +75,6 @@ var fmaAllowlist = map[string]int{
 	"solver.SolveADMM":                         5,
 	"solver.factorBlockKKT":                    2,
 	"stats.StdDev":                             1,
-	"stats.ZQuantile":                          28,
 	"stats.betaCDF":                            2,
 	"stats.betaCF":                             3,
 	"stats.logBeta":                            1,

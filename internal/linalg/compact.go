@@ -264,26 +264,31 @@ func (c *Compact) mul(x, dst Vector, h int) {
 }
 
 // mulSym computes dst_p = m·x_p for the h blocks of the symmetric k×k m: the
-// full 8-row chunks through the lane kernel where the CPU has it, two blocks
-// per pass — lane l of the chunk at row c sums M_j,c+l·x_pj = M_c+l,j·x_pj
+// full 8-row chunks through the lane kernel where the CPU has it, four blocks
+// per pass, then a last pair, then a last block paired with itself
+// (xoff = 0) — lane l of the chunk at row c sums M_j,c+l·x_pj = M_c+l,j·x_pj
 // down the columns, in ascending j — and every other row through mulBlocks.
 func (m *Matrix) mulSym(x, dst Vector, h int) {
 	k, end := m.Rows, 0
 	if useLanes {
 		end = k &^ 7
 	}
-	var out [16]float64
+	var out [32]float64
 	for c := 0; c < end; c += 8 {
 		a := m.Data[c:]
 		p := 0
-		for ; p+2 <= h; p += 2 {
-			lanes8x2(a, k, x[p*k:], 1, k, k, &out)
-			copy(dst[p*k+c:][:8], out[:8])
-			copy(dst[(p+1)*k+c:][:8], out[8:])
+		for ; p+4 <= h; p += 4 {
+			lanes8x4(a, k, x[p*k:], 1, k, k, &out)
+			for q := 0; q < 4; q++ {
+				copy(dst[(p+q)*k+c:][:8], out[8*q:])
+			}
 		}
-		if p < h {
-			lanes8x1(a, k, x[p*k:], 1, k, (*[8]float64)(out[:8]))
-			copy(dst[p*k+c:][:8], out[:8])
+		for ; p < h; p += 2 {
+			pass := min(h-p, 2)
+			lanes8x2(a, k, x[p*k:], 1, (pass-1)*k, k, (*[16]float64)(out[:16]))
+			for q := 0; q < pass; q++ {
+				copy(dst[(p+q)*k+c:][:8], out[8*q:])
+			}
 		}
 	}
 	m.mulBlocks(x, dst, h, end)

@@ -20,7 +20,8 @@ func isolate(m *Matrix, idx ...int) {
 }
 
 // checkCompactBits applies m through refMulVec and through CompactRisk, with
-// both bodies this CPU has (lanes, scalar), and fails on any differing bit; it
+// every body this CPU has (avx512, avx2, scalar), and fails on any differing
+// bit; it
 // returns the operator and its coupled count.
 func checkCompactBits(t *testing.T, m *Matrix, x Vector) (MatVec, int) {
 	t.Helper()
@@ -56,6 +57,7 @@ func signedVector(rng *rand.Rand, n int) Vector {
 }
 
 func TestBitIdenticalCompactRisk(t *testing.T) {
+	logLaneBodies(t)
 	rng := rand.New(rand.NewSource(14))
 	odd := func(n int) (idx []int) {
 		for i := 1; i < n; i += 2 {
@@ -177,7 +179,7 @@ func TestCompactMulVecAllocFree(t *testing.T) {
 // input — mirrored to a symmetric one, which runs the lanes, when n's top bit
 // is set — and checks the compact operator's MulVec, and the stacked apply of
 // the matrix and of the operator over h = 1..7 periods (mask bits 12–15),
-// against refMulVec bit for bit with both bodies (lanes, scalar).
+// against refMulVec bit for bit with every body (avx512, avx2, scalar).
 func FuzzCompactRisk(f *testing.F) {
 	f.Add(uint8(6), uint16(0b101010), []byte("spotweb on-demand twins"))
 	f.Add(uint8(1), uint16(1), []byte{})
@@ -295,7 +297,7 @@ func scatterBlock(n int, idx []int, block *Matrix, diag float64) *Matrix {
 
 // checkCompactBlock holds CompactBlock to CompactRisk of the matrix it stands
 // for — same operator, same coupled count — and the stacked apply of the
-// block-built operator over h = 1..7 periods to refMulVec, with both bodies.
+// block-built operator over h = 1..7 periods to refMulVec, with every body.
 func checkCompactBlock(t *testing.T, n int, idx []int, block *Matrix, diag float64, x Vector) int {
 	t.Helper()
 	dense := scatterBlock(n, idx, block, diag)
@@ -316,6 +318,7 @@ func checkCompactBlock(t *testing.T, n int, idx []int, block *Matrix, diag float
 }
 
 func TestBitIdenticalCompactBlock(t *testing.T) {
+	logLaneBodies(t)
 	rng := rand.New(rand.NewSource(34))
 	every := func(n, step int) (idx []int) {
 		for i := 0; i < n; i += step {
@@ -398,7 +401,7 @@ func TestBitIdenticalCompactBlock(t *testing.T) {
 // indices are outside it) from the input, zeroes some of its rows and columns
 // off the diagonal (a zero-variance series; mask bits 12–15), and holds
 // CompactBlock to CompactRisk of the scattered matrix: the same operator,
-// coupled set and count, and stacked apply over h = 1..7 with both bodies.
+// coupled set and count, and stacked apply over h = 1..7 with every body.
 // With n's top bit set it flips one bit of one off-diagonal entry instead,
 // and CompactBlock must panic on the asymmetric block.
 func FuzzCompactBlock(f *testing.F) {

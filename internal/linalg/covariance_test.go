@@ -37,7 +37,7 @@ func centredSamples(series [][]float64, w int) *Samples {
 }
 
 // checkCovarianceBits compares the covariance of the centred series with the
-// oracle, with the lanes and with the scalar body.
+// oracle, with every body this CPU has (avx512, avx2, scalar).
 func checkCovarianceBits(t *testing.T, series [][]float64, w int) {
 	t.Helper()
 	want := pairwiseCovarianceMatrix(series)
@@ -61,6 +61,7 @@ func checkCovarianceBits(t *testing.T, series [][]float64, w int) {
 }
 
 func TestBitIdenticalCovarianceMatrix(t *testing.T) {
+	logLaneBodies(t)
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 50, 144, 288} {
 		for _, w := range []int{2, 3, 336} {
@@ -104,7 +105,7 @@ func TestBitIdenticalCovarianceMatrix(t *testing.T) {
 }
 
 // FuzzCovarianceKernel feeds arbitrary finite samples through the centred
-// Samples and their Covariance, with the lanes and with the scalar body, and
+// Samples and their Covariance, with every body this CPU has, and
 // through the pairwise oracle: every entry must agree in
 // every bit for any series count and window.
 func FuzzCovarianceKernel(f *testing.F) {

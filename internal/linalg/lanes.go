@@ -1,22 +1,25 @@
 package linalg
 
 // The lane kernel computes eight outputs per pass over a strided operand:
-// for l = 0..7 and each of one or two vectors p,
+// for l = 0..7 and each of two (lanes8x2) or four (lanes8x4) vectors p,
 //
 //	dst[8p+l] = Σ_{j<n} a[j·as+l] · x[j·xs + p·xoff]
 //
 // every output in its own accumulator, summed in ascending j from +0 — the
 // one-row loop's sum, so blocking eight outputs into vector lanes is blocking
-// across outputs (DESIGN.md §5, "Kernel contract"). Its body is
-// lanes_amd64.s: two YMM registers of four lanes per vector, a separate
-// VMULPD and VADDPD per term and never an FMA, so every lane rounds the
-// product and the sum as the scalar loop does. useLanes records, once at
-// package init, whether this CPU runs it; on every other CPU both callers
-// run their scalar bodies — (*Matrix).mulBlocks for the risk matvec, and
-// 2 × 2 blocks over market-major rows for the covariance. Callers guarantee
-// n ≥ 1, as, xs, xoff ≥ 0 and operands long enough for the last term; the
-// wrappers check that once per call.
-var useLanes = cpuHasLanes()
+// across outputs (DESIGN.md §5, "Kernel contract"). Its bodies are
+// lanes_amd64.s: lanes8x2 in two YMM registers of four lanes per vector, and
+// lanes8x4 in one ZMM register of eight lanes per vector where the CPU has
+// AVX-512 — two lanes8x2 passes otherwise. Each term is a separate VMULPD and
+// VADDPD and never an FMA, so every lane rounds the product and the sum as
+// the scalar loop does. xoff = 0 makes every vector the same one, which is
+// how a caller runs a lone last vector. useLanes and useZMM record, once at
+// package init, whether this CPU runs the AVX2 and the AVX-512 body; without
+// the AVX2 body both callers run their scalar bodies — (*Matrix).mulBlocks
+// for the risk matvec, and 2 × 2 blocks over market-major rows for the
+// covariance. Callers guarantee n ≥ 1, as, xs, xoff ≥ 0 and operands long
+// enough for the last term; the wrappers check that once per call.
+var useLanes, useZMM = cpuHasLanes(), cpuHasZMM()
 
 // checkLanes panics unless the last term of a lane pass is in range: the
 // assembly body reads without bounds checks.
@@ -136,32 +139,37 @@ func (o *Samples) Covariance() *Matrix {
 }
 
 // laneCovariance fills the upper triangle of g from the sample-major z: row
-// pairs × 8-column chunks, chunk c's lanes being columns c..c+7 of each
-// sample and the two broadcast values entries i and i+1 of the same sample;
-// an odd last row runs alone.
+// groups × 8-column chunks, chunk c's lanes being columns c..c+7 of each
+// sample and the broadcast values entries i… of the same sample — four rows
+// per pass, then a last pair, then a last row paired with itself (xoff = 0).
 func laneCovariance(g *Matrix, z []float64, w int) {
 	k, p := g.Rows, (g.Rows+7)&^7
 	d := float64(w - 1)
-	var out [16]float64
+	var out [32]float64
 	put := func(row, c int, lanes []float64) {
-		for l, s := range lanes {
+		for l, s := range lanes[:8] {
 			if j := c + l; j >= row && j < k {
 				g.Data[row*k+j] = s / d
 			}
 		}
 	}
 	i := 0
-	for ; i+1 < k; i += 2 {
+	for ; i+3 < k; i += 4 {
 		for c := i &^ 7; c < k; c += 8 {
-			lanes8x2(z[c:], p, z[i:], p, 1, w, &out)
-			put(i, c, out[:8])
-			put(i+1, c, out[8:])
+			lanes8x4(z[c:], p, z[i:], p, 1, w, &out)
+			for r := 0; r < 4; r++ {
+				put(i+r, c, out[8*r:])
+			}
 		}
 	}
-	if i < k { // odd k: the last row holds only its diagonal entry
-		c := i &^ 7
-		lanes8x1(z[c:], p, z[i:], p, w, (*[8]float64)(out[:8]))
-		put(i, c, out[:8])
+	for ; i < k; i += 2 {
+		rows := min(k-i, 2)
+		for c := i &^ 7; c < k; c += 8 {
+			lanes8x2(z[c:], p, z[i:], p, rows-1, w, (*[16]float64)(out[:16]))
+			for r := 0; r < rows; r++ {
+				put(i+r, c, out[8*r:])
+			}
+		}
 	}
 }
 

@@ -63,33 +63,50 @@ loop2:
 	VZEROUPPER
 	RET
 
-// func lanes8x1AVX2(a *float64, as int, x *float64, xs, n int, dst *[8]float64)
-TEXT ·lanes8x1AVX2(SB), NOSPLIT, $0-48
+// func lanes8x4AVX512(a *float64, as int, x *float64, xs, xoff, n int, dst *[32]float64)
+//
+// Z0..Z3 accumulate lanes 0–7 of the vectors at x, x+xoff, x+2·xoff and
+// x+3·xoff. Each term is one VMULPD, rounded, then one VADDPD, rounded:
+// never an FMA.
+TEXT ·lanes8x4AVX512(SB), NOSPLIT, $0-56
 	MOVQ a+0(FP), SI
 	MOVQ as+8(FP), AX
 	SHLQ $3, AX
 	MOVQ x+16(FP), DI
 	MOVQ xs+24(FP), BX
 	SHLQ $3, BX
-	MOVQ n+32(FP), CX
-	MOVQ dst+40(FP), R8
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
+	MOVQ xoff+32(FP), DX
+	SHLQ $3, DX
+	LEAQ (DX)(DX*2), R9
+	MOVQ n+40(FP), CX
+	MOVQ dst+48(FP), R8
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
 
-loop1:
-	VMOVUPD      (SI), Y4
-	VMOVUPD      32(SI), Y5
-	VBROADCASTSD (DI), Y6
-	VMULPD       Y6, Y4, Y8
-	VADDPD       Y8, Y0, Y0
-	VMULPD       Y6, Y5, Y9
-	VADDPD       Y9, Y1, Y1
+loop4:
+	VMOVUPD      (SI), Z4
+	VBROADCASTSD (DI), Z5
+	VBROADCASTSD (DI)(DX*1), Z6
+	VBROADCASTSD (DI)(DX*2), Z7
+	VBROADCASTSD (DI)(R9*1), Z8
+	VMULPD       Z5, Z4, Z9
+	VADDPD       Z9, Z0, Z0
+	VMULPD       Z6, Z4, Z10
+	VADDPD       Z10, Z1, Z1
+	VMULPD       Z7, Z4, Z11
+	VADDPD       Z11, Z2, Z2
+	VMULPD       Z8, Z4, Z12
+	VADDPD       Z12, Z3, Z3
 	ADDQ         AX, SI
 	ADDQ         BX, DI
 	DECQ         CX
-	JNZ          loop1
+	JNZ          loop4
 
-	VMOVUPD Y0, (R8)
-	VMOVUPD Y1, 32(R8)
+	VMOVUPD Z0, (R8)
+	VMOVUPD Z1, 64(R8)
+	VMOVUPD Z2, 128(R8)
+	VMOVUPD Z3, 192(R8)
 	VZEROUPPER
 	RET

@@ -24,8 +24,8 @@ func refMulVec(m *Matrix, x, dst Vector) Vector {
 
 // checkStackedBits applies op — an operator built from m — to the h stacked
 // blocks of x, once in one MulVecStacked call and once as h MulVec calls, with
-// both bodies this CPU has (lanes, scalar), and fails on any bit of either that
-// differs from refMulVec on m.
+// every body this CPU has (avx512, avx2, scalar), and fails on any bit of
+// either that differs from refMulVec on m.
 func checkStackedBits(t *testing.T, name string, m *Matrix, op MatVec, x Vector, h int) {
 	t.Helper()
 	r, c := m.Rows, m.Cols
@@ -65,6 +65,7 @@ func oddIndices(n int) (idx []int) {
 }
 
 func TestBitIdenticalStackedMulVec(t *testing.T) {
+	logLaneBodies(t)
 	odd := oddIndices
 	// k is the coupled count: even and odd blocks, and none at all. One
 	// coupled index cannot occur — an off-diagonal entry couples two — so the

@@ -77,18 +77,18 @@ func (o *horizonOperator) Apply(x, dst linalg.Vector) {
 			diagCount = 2.0
 		}
 		for i := 0; i < n; i++ {
-			db[i] += k2 * diagCount * xb[i]
+			db[i] += float64(k2 * diagCount * xb[i])
 		}
 		if τ > 0 {
 			prev := x[(τ-1)*n : τ*n]
 			for i := 0; i < n; i++ {
-				db[i] -= k2 * prev[i]
+				db[i] -= float64(k2 * prev[i])
 			}
 		}
 		if τ+1 < h {
 			next := x[(τ+1)*n : (τ+2)*n]
 			for i := 0; i < n; i++ {
-				db[i] -= k2 * next[i]
+				db[i] -= float64(k2 * next[i])
 			}
 		}
 	}

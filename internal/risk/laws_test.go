@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/market"
 )
 
 // lawRun feeds a fresh estimator over testCatalog(4, p0, {0, 0, 1, 1}) for
@@ -131,6 +133,91 @@ func TestLawEvidenceHalvesPerHalfLife(t *testing.T) {
 			for _, pair := range [][2]float64{{k[m], e.k[m]}, {x[m], e.x[m]}} {
 				if want, got := 0.5*pair[0], pair[1]; math.Abs(got-want) > 1e-12*want {
 					t.Fatalf("case %d: market %d's count %v became %v after a half-life of %d × %v h, want %v", c, m, pair[0], got, steps, step, want)
+				}
+			}
+		}
+	}
+}
+
+// changepointPair feeds two estimators over cat the same evidence for 300
+// intervals — every market exposed in each, market i revoked in every
+// every[i]-th (never when 0) — and the same flat, slightly noisy prices. Then,
+// with no further evidence, the stepped estimator sees market m's price
+// triple until its detector trips there. It returns both estimators at the
+// interval of the trip, and false unless that trip was the only changepoint.
+func changepointPair(cfg Config, cat *market.Catalog, every [4]int, m int) (flat, stepped *Estimator, ok bool) {
+	flat, stepped = New(cfg, cat), New(cfg, cat)
+	prices := func(iv int) []float64 {
+		p := make([]float64, 5)
+		for i := range p {
+			p[i] = 0.05 * (1 + 0.02*noisy(5*iv+i))
+		}
+		return p
+	}
+	const intervals = 300
+	exposed := []bool{true, true, true, true, false}
+	for iv := 0; iv < intervals; iv++ {
+		for _, e := range []*Estimator{flat, stepped} {
+			for i, n := range every {
+				if n > 0 && iv%n == n-1 {
+					e.ObserveRevocation(i, false)
+				}
+			}
+			e.ObserveInterval(iv, exposed, prices(iv))
+		}
+	}
+	for iv := intervals; iv < intervals+8; iv++ {
+		p := prices(iv)
+		flat.ObserveInterval(iv, nil, p)
+		p[m] *= 3
+		stepped.ObserveInterval(iv, nil, p)
+		if stepped.Changepoints() > 0 {
+			return flat, stepped, stepped.Changepoints() == 1 && flat.Changepoints() == 0
+		}
+	}
+	return flat, stepped, false
+}
+
+// TestLawChangepointMovesBoundTowardPrior: a changepoint detected in market m
+// forgets most of m's evidence. Against an estimator that saw the same
+// revocations and exposure and no price step, the overlay's Epoch is one
+// higher, m's posterior mean is strictly closer to the declared p0, and where
+// exposure outweighs the revocations — a bound below the no-evidence bound —
+// m's bound is strictly closer to the no-evidence bound. Each market is its
+// own demand pool; their revocation rates, 1/60, none, 1/3 and 1/10, sit on
+// either side of every p0. Fails on the mutation that deletes both Forget
+// lines (every value is equal) and on the one that forgets k alone, caught on
+// the exposure-heavy markets, whose mean and bound then stay put or fall
+// further below the prior's.
+//
+// Above the no-evidence bound the law holds for the mean only: forgetting
+// widens the posterior, so the upper bound of a market riskier than declared
+// can rise — 0.112 → 0.120 at p0 0.04, q 0.8 and rate 1/10, against a
+// no-evidence bound of 0.066.
+func TestLawChangepointMovesBoundTowardPrior(t *testing.T) {
+	every := [4]int{60, 0, 3, 10}
+	for _, p0 := range []float64{0.04, 0.06} {
+		cat := testCatalog(4, p0, []int{0, 1, 2, 3})
+		for _, q := range []float64{0.8, 0.9, 0.95} {
+			cfg := Config{Quantile: q, HalfLifeHrs: 1e9}
+			prior := New(cfg, cat).Overlay().FailProb
+			for m := range every {
+				flat, stepped, ok := changepointPair(cfg, cat, every, m)
+				if !ok {
+					t.Fatalf("p0 %v q %v: the price step made no changepoint in market %d alone", p0, q, m)
+				}
+				if a, b := flat.Overlay().Epoch, stepped.Overlay().Epoch; b != a+1 {
+					t.Fatalf("p0 %v q %v market %d: epoch %d after the changepoint, want %d", p0, q, m, b, a+1)
+				}
+				meanA, boundA, _ := estimate(flat, m)
+				meanB, boundB, _ := estimate(stepped, m)
+				if !(math.Abs(meanB-p0) < math.Abs(meanA-p0)) {
+					t.Fatalf("p0 %v q %v: market %d's posterior mean %v after a changepoint is no closer to p0 than %v without one",
+						p0, q, m, meanB, meanA)
+				}
+				if boundA < prior[m] && !(math.Abs(boundB-prior[m]) < math.Abs(boundA-prior[m])) {
+					t.Fatalf("p0 %v q %v: market %d's bound %v after a changepoint is no closer to the no-evidence bound %v than %v without one",
+						p0, q, m, boundB, prior[m], boundA)
 				}
 			}
 		}

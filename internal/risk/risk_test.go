@@ -1,6 +1,7 @@
 package risk
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -347,58 +348,61 @@ func exposure(e *Estimator, i int) float64 {
 // quantile when its posterior shape repeats, and bisects from near the last
 // one otherwise, publishes the overlay that bisecting every quantile from
 // [0, 1] would, bit for bit — over a 288-market catalog for 1,000 intervals
-// at two seeds, with the price stream feeding the changepoint detector. Each
-// interval a random third of the markets holds servers, but only in pools
-// whose number is not 2 mod 3, and revocations are drawn at the declared
-// probabilities only in even pools: so some pools see no evidence (their
-// shapes repeat), some only exposure (a repeats while b moves) and some both.
-// The shared memo's counts show that both the reuse and the warm start were
-// taken.
+// at two seeds, run as parallel subtests, with the price stream feeding the
+// changepoint detector. Each interval a random third of the markets holds
+// servers, but only in pools whose number is not 2 mod 3, and revocations are
+// drawn at the declared probabilities only in even pools: so some pools see
+// no evidence (their shapes repeat), some only exposure (a repeats while b
+// moves) and some both. The shared memo's counts show that both the reuse and
+// the warm start were taken.
 func TestBitIdenticalReusedQuantiles(t *testing.T) {
 	const intervals = 1000
 	for _, seed := range []int64{7, 43} {
-		cat := market.CatalogConfig{Seed: seed, NumTypes: 144, IncludeOnDemand: true}.Generate()
-		var q Quantiles
-		e := New(Config{}, cat)
-		e.ShareQuantiles(&q)
-		rng := rand.New(rand.NewSource(seed))
-		exposed := make([]bool, cat.Len())
-		prices := make([]float64, cat.Len())
-		transient := 0
-		for _, m := range cat.Markets {
-			if m.Transient {
-				transient++
-			}
-		}
-		for t0 := 0; t0 < intervals; t0++ {
-			for i, m := range cat.Markets {
-				prices[i] = m.PriceAt(t0)
-				exposed[i] = rng.Intn(3) == 0 && e.pool[i]%3 != 2
-				if exposed[i] && m.Transient && e.pool[i]%2 == 0 && rng.Float64() < m.FailProbAt(t0) {
-					e.ObserveRevocation(i, false)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			cat := market.CatalogConfig{Seed: seed, NumTypes: 144, IncludeOnDemand: true}.Generate()
+			var q Quantiles
+			e := New(Config{}, cat)
+			e.ShareQuantiles(&q)
+			rng := rand.New(rand.NewSource(seed))
+			exposed := make([]bool, cat.Len())
+			prices := make([]float64, cat.Len())
+			transient := 0
+			for _, m := range cat.Markets {
+				if m.Transient {
+					transient++
 				}
 			}
-			e.ObserveInterval(t0, exposed, prices)
-			got := e.Overlay().FailProb
-			for i, m := range cat.Markets {
-				if !m.Transient {
-					continue
+			for t0 := 0; t0 < intervals; t0++ {
+				for i, m := range cat.Markets {
+					prices[i] = m.PriceAt(t0)
+					exposed[i] = rng.Intn(3) == 0 && e.pool[i]%3 != 2
+					if exposed[i] && m.Transient && e.pool[i]%2 == 0 && rng.Float64() < m.FailProbAt(t0) {
+						e.ObserveRevocation(i, false)
+					}
 				}
-				e.mu.Lock()
-				gk, gx := pooledLocked(e, i)
-				a, b := e.shapeLocked(i, gk, gx)
-				e.mu.Unlock()
-				want := math.Min(stats.BetaQuantile(e.cfg.Quantile, a, b, math.NaN()), e.cfg.MaxFailProb)
-				if math.Float64bits(got[i]) != math.Float64bits(want) {
-					t.Fatalf("seed %d interval %d market %d: Beta(%v, %v) bound %v, from [0, 1] %v", seed, t0, i, a, b, got[i], want)
+				e.ObserveInterval(t0, exposed, prices)
+				got := e.Overlay().FailProb
+				for i, m := range cat.Markets {
+					if !m.Transient {
+						continue
+					}
+					e.mu.Lock()
+					gk, gx := pooledLocked(e, i)
+					a, b := e.shapeLocked(i, gk, gx)
+					e.mu.Unlock()
+					want := math.Min(stats.BetaQuantile(e.cfg.Quantile, a, b, math.NaN()), e.cfg.MaxFailProb)
+					if math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("seed %d interval %d market %d: Beta(%v, %v) bound %v, from [0, 1] %v", seed, t0, i, a, b, got[i], want)
+					}
 				}
 			}
-		}
-		calls, hits := q.Stats()
-		if all := int64(transient * (intervals + 1)); calls >= all || calls-hits == 0 {
-			t.Fatalf("seed %d: %d quantiles asked of the memo (%d served) for %d bounds: no reuse or no warm start", seed, calls, hits, all)
-		}
-		t.Logf("seed %d: %d of %d bounds reused a quantile, %d bisected from near the last", seed, int64(transient*(intervals+1))-calls, transient*(intervals+1), calls-hits)
+			calls, hits := q.Stats()
+			if all := int64(transient * (intervals + 1)); calls >= all || calls-hits == 0 {
+				t.Fatalf("seed %d: %d quantiles asked of the memo (%d served) for %d bounds: no reuse or no warm start", seed, calls, hits, all)
+			}
+			t.Logf("seed %d: %d of %d bounds reused a quantile, %d bisected from near the last", seed, int64(transient*(intervals+1))-calls, transient*(intervals+1), calls-hits)
+		})
 	}
 }
 

@@ -109,13 +109,6 @@ type ProjectedProblem struct {
 	C Projector
 }
 
-// objective evaluates the quadratic objective at x, with tmp, len(x) long,
-// as its work vector.
-func (p *ProjectedProblem) objective(x, tmp linalg.Vector) float64 {
-	p.P.Apply(x, tmp)
-	return float64(0.5*x.Dot(tmp)) + p.Q.Dot(x)
-}
-
 // fit returns v when it is n long and a new zero vector otherwise.
 func fit(v linalg.Vector, n int) linalg.Vector {
 	if len(v) == n {
@@ -245,7 +238,8 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 		}
 	}
 	res.X = x.Clone()
-	res.Objective = p.objective(x, tmp)
+	// Every exit from the loop follows a residual check, so grad holds P·x.
+	res.Objective = float64(0.5*x.Dot(grad)) + p.Q.Dot(x)
 	res.WarmStarted = warmStarted
 	if counted {
 		res.Projection = counter.Stats().since(statsBefore)

@@ -168,6 +168,51 @@ func TestFISTANaNResidualIsNotConverged(t *testing.T) {
 	}
 }
 
+// countingOp counts the Apply calls made on the operator it wraps.
+type countingOp struct {
+	QuadOperator
+	applies int
+}
+
+func (c *countingOp) Apply(x, dst linalg.Vector) {
+	c.applies++
+	c.QuadOperator.Apply(x, dst)
+}
+
+// A FISTA solve applies P once per gradient step, once per residual check
+// (every fifth iteration and the last) and, without a LipschitzBound, 30
+// times to estimate λmax — and not once more for the objective: every exit
+// from the loop follows a residual check, whose P·x the objective reuses. The
+// objective's bits are ½xᵀPx + qᵀx with P·x recomputed.
+func TestFISTAObjectiveReusesResidualMatVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, tc := range []struct {
+		name  string
+		s     FISTASettings
+		power int
+	}{
+		{"cold", FISTASettings{}, 30},
+		{"lipschitz-given", FISTASettings{LipschitzBound: 10}, 0},
+		{"max-iter", FISTASettings{MaxIter: 7}, 30},
+	} {
+		_, proj := portfolioLikeQP(rng, 8)
+		op := &countingOp{QuadOperator: proj.P}
+		proj.P = op
+		res := SolveFISTA(proj, tc.s)
+		checks := (res.Iterations + 4) / 5
+		if want := tc.power + res.Iterations + checks; op.applies != want {
+			t.Fatalf("%s: %d applies over %d iterations, want %d", tc.name, op.applies, res.Iterations, want)
+		}
+		px := linalg.NewVector(len(res.X))
+		op.QuadOperator.Apply(res.X, px)
+		want := float64(0.5*res.X.Dot(px)) + proj.Q.Dot(res.X)
+		if math.Float64bits(res.Objective) != math.Float64bits(want) {
+			t.Fatalf("%s: objective %v (%#x), want %v (%#x)", tc.name,
+				res.Objective, math.Float64bits(res.Objective), want, math.Float64bits(want))
+		}
+	}
+}
+
 // portfolioLikeQP builds a random single-period SpotWeb-shaped program: n
 // markets, cost vector q > 0, SPD risk P, allocation set {0 ≤ x ≤ cap,
 // 1 ≤ Σx ≤ 1.4} — as the structured Problem and as the ProjectedProblem.

@@ -209,20 +209,22 @@ func ZQuantile(p float64) float64 {
 	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 		3.754408661907416e+00}
 	const plow = 0.02425
+	// Every product is rounded before its sum (float64()), so no GOARCH
+	// fuses the Horner steps.
 	switch {
 	case p < plow:
 		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		return (float64((float64((float64((float64((float64(c[0]*q)+c[1])*q)+c[2])*q)+c[3])*q)+c[4])*q) + c[5]) /
+			(float64((float64((float64((float64(d[0]*q)+d[1])*q)+d[2])*q)+d[3])*q) + 1)
 	case p > 1-plow:
 		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		return -(float64((float64((float64((float64((float64(c[0]*q)+c[1])*q)+c[2])*q)+c[3])*q)+c[4])*q) + c[5]) /
+			(float64((float64((float64((float64(d[0]*q)+d[1])*q)+d[2])*q)+d[3])*q) + 1)
 	default:
 		q := p - 0.5
 		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
+		return (float64((float64((float64((float64((float64(a[0]*r)+a[1])*r)+a[2])*r)+a[3])*r)+a[4])*r) + a[5]) * q /
+			(float64((float64((float64((float64((float64(b[0]*r)+b[1])*r)+b[2])*r)+b[3])*r)+b[4])*r) + 1)
 	}
 }
 
