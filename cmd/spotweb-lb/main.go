@@ -227,7 +227,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			BaseServiceTime: f.service,
 			StartDelay:      f.startDelay,
 			WarmupDur:       f.warmup,
-			ColdFactor:      0.4,
 		},
 		Warning: f.warning,
 		Vanilla: f.vanilla,

@@ -236,7 +236,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			BaseServiceTime: 3 * time.Millisecond,
 			StartDelay:      2 * time.Second,
 			WarmupDur:       2 * time.Second,
-			ColdFactor:      0.4,
 		},
 		Warning: f.warning,
 		OnRequest: func(lat time.Duration, dropped bool) {

@@ -34,8 +34,6 @@ var deadcodeAllowlist = map[string]string{
 	"metrics.Subscription.Dropped": "(a) test oracle: risk/feed_test.go's conservation check, observed + dropped = recorded",
 	"solver.EstimateLipschitz":     "(a) test oracle: portfolio/oracle_test.go checks the planner's step against it",
 	"trace.ReadCSV":                "(a) test oracle: round-trips WriteCSV, cmd/tracegen's format; FuzzReadCSV's target",
-	"lb.Balancer.Has":              "(a) test oracle: testbed/stress_test.go checks a drained backend left rotation",
-	"lb.Balancer.SessionsOn":       "(a) test oracle: testbed/stress_test.go checks no session is stranded on a drained backend",
 	"portfolio.Config.Breakdown":   "(c) ROADMAP item 5: the per-round trace record carries the cost terms",
 }
 

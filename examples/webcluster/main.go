@@ -25,7 +25,6 @@ func main() {
 			BaseServiceTime: 4 * time.Millisecond,
 			StartDelay:      *minute, // servers boot in "under a minute"
 			WarmupDur:       *minute, // Memcached cold-cache warm-up
-			ColdFactor:      0.4,
 		},
 		Warning: 2 * *minute, // the cloud's revocation warning
 		Vanilla: *vanilla,

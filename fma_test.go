@@ -29,7 +29,6 @@ var fmaAllowlist = map[string]int{
 	"chaos.Compile":                            3,
 	"chaos.appendCopulaVictims":                1,
 	"chaos/runner.simWorkload":                 1,
-	"cluster.(*Cluster).TotalCapacity":         1,
 	"experiments.AblationLongRequests":         4,
 	"experiments.Fig7b":                        2,
 	"experiments.fedRun":                       1,
@@ -69,7 +68,7 @@ var fmaAllowlist = map[string]int{
 	"predict.(*SplinePredictor).pointForecast": 1,
 	"risk.(*Estimator).shapeLocked":            4,
 	"risk.(*cusum).observe":                    2,
-	"sim.(*Simulator).Run":                     29,
+	"sim.(*Simulator).Run":                     28,
 	"solver.(*Problem).Objective":              1,
 	"solver.(*reducedKKT).step":                3,
 	"solver.SolveADMM":                         5,

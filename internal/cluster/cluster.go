@@ -53,6 +53,10 @@ func (s State) String() string {
 	}
 }
 
+// coldFactor is the fraction of capacity a server has at the start of its
+// warm-up window (the Memcached cold-cache effect); it ramps linearly to 1.
+const coldFactor = 0.4
+
 // Server is one VM in the front-end tier. Its exported fields are fixed at
 // launch: the owning Cluster caches sums over them between mutations.
 type Server struct {
@@ -61,9 +65,6 @@ type Server struct {
 	// Capacity is the steady-state request rate (req/s) the server handles
 	// within SLO (r_i).
 	Capacity float64
-	// ColdFactor is the fraction of capacity available at the start of the
-	// warm-up window (Memcached cold-cache effect); ramps linearly to 1.
-	ColdFactor float64
 
 	state State
 	// launchedAt is when the VM was requested; readyAt = launchedAt +
@@ -81,6 +82,19 @@ func (s *Server) State() State { return s.state }
 
 // LaunchedAt returns the time the VM was requested (billing starts here).
 func (s *Server) LaunchedAt() float64 { return s.launchedAt }
+
+// deadline returns the time of the server's next state change, +Inf if none.
+func (s *Server) deadline() float64 {
+	switch s.state {
+	case StateStarting:
+		return s.readyAt
+	case StateWarming:
+		return s.warmAt
+	case StateDraining:
+		return s.terminateAt
+	}
+	return math.Inf(1)
+}
 
 // advance moves the server state machine to time now.
 func (s *Server) advance(now float64) {
@@ -120,31 +134,42 @@ func (s *Server) EffectiveCapacity(now float64) float64 {
 		}
 		return s.Capacity
 	}
-	if now >= s.warmAt {
-		return s.Capacity
+	return s.Capacity * s.warmth(now)
+}
+
+// Warmth reports, from the launch times alone, whether the server's boot has
+// finished by now and the fraction of Capacity its warm-up allows: coldFactor
+// up to readyAt, rising linearly to 1 at warmAt. It reads no state, so it may
+// run while another goroutine advances the Cluster (only Restart moves them).
+func (s *Server) Warmth(now float64) (booted bool, frac float64) {
+	return now >= s.readyAt, s.warmth(now)
+}
+
+// warmth is the fraction Warmth reports.
+func (s *Server) warmth(now float64) float64 {
+	switch {
+	case now >= s.warmAt:
+		return 1
+	case now <= s.readyAt || s.warmAt <= s.readyAt:
+		return coldFactor
 	}
-	if now <= s.readyAt || s.warmAt <= s.readyAt {
-		return s.Capacity * s.ColdFactor
-	}
-	frac := (now - s.readyAt) / (s.warmAt - s.readyAt)
-	return s.Capacity * (s.ColdFactor + (1-s.ColdFactor)*frac)
+	return coldFactor + float64((1-coldFactor)*((now-s.readyAt)/(s.warmAt-s.readyAt)))
 }
 
 // Cluster is a set of servers plus launch-parameter defaults.
 type Cluster struct {
-	// StartDelay is the VM boot time; WarmupDur the cache warm-up window;
-	// ColdFactor the initial capacity fraction during warm-up.
+	// StartDelay is the VM boot time; WarmupDur the cache warm-up window.
 	StartDelay float64
 	WarmupDur  float64
-	ColdFactor float64
 	// Preserve, when non-nil, marks markets whose surplus servers ScaleTo
 	// stops-and-preserves (drain → StateStopped) instead of terminating, and
 	// whose deficits are covered by restarting stopped servers before cold
 	// launches — the sentinel standby pool.
 	Preserve []bool
 
-	servers []*Server
-	nextID  int
+	servers       []*Server
+	nextID        int
+	ready, reaped []int // Advance's last report
 	// countScratch, stoppedScratch and victimScratch back ScaleTo's
 	// per-market census, restart candidates and surplus victims, so the
 	// per-interval reconcile path does not allocate.
@@ -168,17 +193,14 @@ type Cluster struct {
 }
 
 // New creates a cluster with the given launch parameters.
-func New(startDelay, warmupDur, coldFactor float64) *Cluster {
-	if coldFactor <= 0 || coldFactor > 1 {
-		coldFactor = 0.4
-	}
-	return &Cluster{StartDelay: startDelay, WarmupDur: warmupDur, ColdFactor: coldFactor}
+func New(startDelay, warmupDur float64) *Cluster {
+	return &Cluster{StartDelay: startDelay, WarmupDur: warmupDur}
 }
 
 // Launch requests a new server in the given market.
 func (c *Cluster) Launch(mkt int, capacity, now float64) *Server {
 	s := &Server{
-		ID: c.nextID, Market: mkt, Capacity: capacity, ColdFactor: c.ColdFactor,
+		ID: c.nextID, Market: mkt, Capacity: capacity,
 		state: StateStarting, launchedAt: now,
 		readyAt: now + c.StartDelay, warmAt: now + c.StartDelay + c.WarmupDur,
 	}
@@ -205,7 +227,7 @@ func (c *Cluster) Mutations() uint64 { return c.mutations }
 // zero capacity and, in the simulator, zero billing until restarted.
 func (c *Cluster) LaunchStopped(mkt int, capacity, now float64) *Server {
 	s := &Server{
-		ID: c.nextID, Market: mkt, Capacity: capacity, ColdFactor: c.ColdFactor,
+		ID: c.nextID, Market: mkt, Capacity: capacity,
 		state: StateStopped, launchedAt: now, terminateAt: now,
 	}
 	c.nextID++
@@ -256,16 +278,10 @@ func (c *Cluster) Restart(id int, now float64) *Server {
 	return nil
 }
 
-// StopGraceful drains a server: it keeps serving until now + grace and then
-// terminates — the make-before-break used when the portfolio shifts markets,
-// so replacement servers boot and warm up while the old ones still serve.
-func (c *Cluster) StopGraceful(id int, now, grace float64) bool {
-	return c.RevokeWarning(id, now, grace) != nil
-}
-
 // RevokeWarning marks a server as draining: it keeps serving for the
 // warning period and terminates at now + warning. Stopped servers hold no
-// capacity and cannot drain.
+// capacity and cannot drain. A graceful stop is the same drain, with the
+// grace period as its warning.
 func (c *Cluster) RevokeWarning(id int, now, warning float64) *Server {
 	for _, s := range c.servers {
 		if s.ID == id && s.state != StateTerminated && s.state != StateStopped {
@@ -278,41 +294,62 @@ func (c *Cluster) RevokeWarning(id int, now, warning float64) *Server {
 	return nil
 }
 
-// Advance ticks every server's state machine to time now, reaps terminated
-// servers and appends their IDs, in ID order, to reaped (usually a reused
-// scratch slice), which it returns. When no mutation happened since the last
-// full pass and now is before the earliest pending readyAt, warmAt or
-// terminateAt, no transition can fire and nothing is left to reap, so it
-// returns at once.
-func (c *Cluster) Advance(now float64, reaped []int) []int {
-	if c.clean && now < c.until {
-		return reaped
+// Advance ticks every server's state machine to time now and returns, in ID
+// order, the servers whose boot finished (they left StateStarting) and those
+// that terminated, which it drops. Both slices are the cluster's own, valid
+// until the next Advance. When no mutation happened since the last full pass
+// and now is before Next, no transition can fire, so it returns at once; that
+// check inlines, since the simulator asks every sub-step.
+func (c *Cluster) Advance(now float64) (ready, reaped []int) {
+	if !(c.clean && now < c.until) {
+		ready, reaped = c.fullPass(now)
 	}
+	return ready, reaped
+}
+
+// fullPass is Advance's scan of every server.
+func (c *Cluster) fullPass(now float64) (ready, reaped []int) {
+	ready, reaped = c.ready[:0], c.reaped[:0]
 	until, ramping := math.Inf(1), false
 	alive := c.servers[:0]
 	for _, s := range c.servers {
+		booting := s.state == StateStarting
 		s.advance(now)
-		next := math.Inf(1) // running and stopped servers wait on no deadline
 		switch s.state {
 		case StateTerminated:
 			reaped = append(reaped, s.ID)
 			continue
-		case StateStarting:
-			next = s.readyAt
 		case StateWarming:
-			next, ramping = s.warmAt, true
-		case StateDraining:
-			next = s.terminateAt
+			ramping = true
 		}
-		if next < until {
+		if booting && s.state != StateStarting {
+			ready = append(ready, s.ID)
+		}
+		if next := s.deadline(); next < until {
 			until = next
 		}
 		alive = append(alive, s)
 	}
 	c.servers = alive
+	c.ready, c.reaped = ready, reaped
 	c.clean, c.capOK = true, false
 	c.from, c.until, c.ramping = now, until, ramping
-	return reaped
+	return ready, reaped
+}
+
+// Next returns the earliest pending readyAt, warmAt or terminateAt: the first
+// time at which Advance changes a server's state, +Inf when none will.
+func (c *Cluster) Next() float64 {
+	if c.clean {
+		return c.until
+	}
+	until := math.Inf(1)
+	for _, s := range c.servers {
+		if next := s.deadline(); next < until {
+			until = next
+		}
+	}
+	return until
 }
 
 // Servers returns the live servers (all states except terminated). The slice
@@ -442,7 +479,7 @@ func (c *Cluster) ScaleTo(targets []int, capacities []float64, now float64) (sta
 				if preserve {
 					c.StopPreserve(victims[k].ID, now, grace)
 				} else {
-					c.StopGraceful(victims[k].ID, now, grace)
+					c.RevokeWarning(victims[k].ID, now, grace)
 				}
 				stopped++
 			}

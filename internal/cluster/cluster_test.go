@@ -6,7 +6,7 @@ import (
 )
 
 func TestServerLifecycle(t *testing.T) {
-	c := New(60, 30, 0.4) // 60 s boot, 30 s warm-up
+	c := New(60, 30) // 60 s boot, 30 s warm-up
 	s := c.Launch(0, 100, 0)
 	if s.State() != StateStarting {
 		t.Fatalf("state = %v", s.State())
@@ -36,7 +36,7 @@ func TestServerLifecycle(t *testing.T) {
 }
 
 func TestStartingSkipsToRunningWhenLate(t *testing.T) {
-	c := New(10, 5, 0.5)
+	c := New(10, 5)
 	s := c.Launch(0, 100, 0)
 	s.advance(100) // long past warmAt
 	if s.State() != StateRunning {
@@ -45,9 +45,9 @@ func TestStartingSkipsToRunningWhenLate(t *testing.T) {
 }
 
 func TestRevocationDraining(t *testing.T) {
-	c := New(0, 0, 0.4)
+	c := New(0, 0)
 	s := c.Launch(1, 200, 0)
-	c.Advance(1, nil)
+	c.Advance(1)
 	if s.State() != StateRunning {
 		t.Fatalf("state = %v", s.State())
 	}
@@ -62,7 +62,7 @@ func TestRevocationDraining(t *testing.T) {
 	if cap := s.EffectiveCapacity(131); cap != 0 {
 		t.Fatalf("post-termination capacity = %v, want 0", cap)
 	}
-	c.Advance(131, nil)
+	c.Advance(131)
 	if len(c.Servers()) != 0 {
 		t.Fatal("terminated server not reaped")
 	}
@@ -72,15 +72,15 @@ func TestRevocationDraining(t *testing.T) {
 }
 
 func TestTotalCapacityAndActive(t *testing.T) {
-	c := New(10, 0, 0.4)
+	c := New(10, 0)
 	c.Launch(0, 100, 0)
 	c.Launch(1, 50, 0)
-	c.Advance(10, nil)
+	c.Advance(10)
 	if got := c.TotalCapacity(10); got != 150 {
 		t.Fatalf("TotalCapacity = %v", got)
 	}
 	// Before boot completes nothing serves.
-	c2 := New(10, 0, 0.4)
+	c2 := New(10, 0)
 	c2.Launch(0, 100, 0)
 	if got := c2.TotalCapacity(5); got != 0 {
 		t.Fatalf("TotalCapacity before boot = %v", got)
@@ -88,11 +88,11 @@ func TestTotalCapacityAndActive(t *testing.T) {
 }
 
 func TestCountByMarketExcludesDraining(t *testing.T) {
-	c := New(0, 0, 0.4)
+	c := New(0, 0)
 	a := c.Launch(0, 100, 0)
 	c.Launch(0, 100, 0)
 	c.Launch(1, 50, 0)
-	c.Advance(1, nil)
+	c.Advance(1)
 	c.RevokeWarning(a.ID, 1, 60)
 	counts := []int{-1, -1}
 	c.CountByMarketInto(counts)
@@ -102,19 +102,19 @@ func TestCountByMarketExcludesDraining(t *testing.T) {
 }
 
 func TestScaleToLaunchesAndStops(t *testing.T) {
-	c := New(0, 0, 0.4)
+	c := New(0, 0)
 	caps := []float64{100, 50}
 	started, stopped, _ := c.ScaleTo([]int{2, 1}, caps, 0)
 	if started != 3 || stopped != 0 {
 		t.Fatalf("started/stopped = %d/%d", started, stopped)
 	}
-	c.Advance(1, nil)
+	c.Advance(1)
 	// Scale market 0 down to 1.
 	started, stopped, _ = c.ScaleTo([]int{1, 1}, caps, 1)
 	if started != 0 || stopped != 1 {
 		t.Fatalf("started/stopped = %d/%d", started, stopped)
 	}
-	c.Advance(2, nil)
+	c.Advance(2)
 	counts := make([]int, 2)
 	c.CountByMarketInto(counts)
 	if counts[0] != 1 || counts[1] != 1 {
@@ -123,14 +123,14 @@ func TestScaleToLaunchesAndStops(t *testing.T) {
 }
 
 func TestScaleToStopsYoungestFirst(t *testing.T) {
-	c := New(0, 0, 0.4)
+	c := New(0, 0)
 	caps := []float64{100}
 	old := c.Launch(0, 100, 0)
-	c.Advance(1, nil)
+	c.Advance(1)
 	young := c.Launch(0, 100, 5)
-	c.Advance(6, nil)
+	c.Advance(6)
 	c.ScaleTo([]int{1}, caps, 10)
-	c.Advance(10, nil)
+	c.Advance(10)
 	if len(c.Servers()) != 1 || c.Servers()[0].ID != old.ID {
 		t.Fatalf("should keep the old (warm) server, kept %d, want %d (young %d)",
 			c.Servers()[0].ID, old.ID, young.ID)
@@ -219,16 +219,5 @@ func TestStateString(t *testing.T) {
 		if s.String() != str {
 			t.Fatalf("State(%d).String() = %q", int(s), s.String())
 		}
-	}
-}
-
-func TestColdFactorDefault(t *testing.T) {
-	c := New(0, 0, 0)
-	if c.ColdFactor != 0.4 {
-		t.Fatalf("default cold factor = %v", c.ColdFactor)
-	}
-	c2 := New(0, 0, 2)
-	if c2.ColdFactor != 0.4 {
-		t.Fatalf("out-of-range cold factor not defaulted: %v", c2.ColdFactor)
 	}
 }

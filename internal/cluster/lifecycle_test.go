@@ -6,9 +6,9 @@ import (
 )
 
 func TestStoppedServerHoldsNoCapacity(t *testing.T) {
-	c := New(0.1, 0.5, 0.4)
+	c := New(0.1, 0.5)
 	s := c.Launch(0, 100, 0)
-	c.Advance(1, nil) // past boot and warm-up: running at full capacity
+	c.Advance(1) // past boot and warm-up: running at full capacity
 	if got := s.EffectiveCapacity(1); got != 100 {
 		t.Fatalf("running capacity = %v, want 100", got)
 	}
@@ -23,7 +23,7 @@ func TestStoppedServerHoldsNoCapacity(t *testing.T) {
 	}
 	// Stopped servers survive Advance (they are parked, not terminated), but
 	// stay invisible to market counts and revocation warnings.
-	c.Advance(2, nil)
+	c.Advance(2)
 	if len(c.Servers()) != 1 || len(c.AppendStopped(nil)) != 1 {
 		t.Fatalf("stopped server reaped: %d servers, %d stopped",
 			len(c.Servers()), len(c.AppendStopped(nil)))
@@ -39,9 +39,9 @@ func TestStoppedServerHoldsNoCapacity(t *testing.T) {
 }
 
 func TestStopPreserveDrainsThenParks(t *testing.T) {
-	c := New(0.1, 0.5, 0.4)
+	c := New(0.1, 0.5)
 	s := c.Launch(0, 100, 0)
-	c.Advance(1, nil)
+	c.Advance(1)
 	// Graceful stop: serves through the grace window, then parks instead of
 	// terminating.
 	c.StopPreserve(s.ID, 1, 0.5)
@@ -51,7 +51,7 @@ func TestStopPreserveDrainsThenParks(t *testing.T) {
 	if got := s.EffectiveCapacity(1.2); got != 100 {
 		t.Fatalf("draining capacity = %v, want 100", got)
 	}
-	c.Advance(1.6, nil)
+	c.Advance(1.6)
 	if s.State() != StateStopped {
 		t.Fatalf("state after grace = %v, want stopped", s.State())
 	}
@@ -59,17 +59,17 @@ func TestStopPreserveDrainsThenParks(t *testing.T) {
 
 func TestRestartSkipsWarmup(t *testing.T) {
 	const boot, warmup = 0.1, 0.5
-	c := New(boot, warmup, 0.4)
+	c := New(boot, warmup)
 
 	// Cold launch: at readyAt the server serves only the cold fraction and
 	// ramps to full capacity over the warm-up window.
 	cold := c.Launch(0, 100, 0)
 	atReady := 0 + boot + 1e-9
-	c.Advance(atReady, nil)
+	c.Advance(atReady)
 	if got := cold.EffectiveCapacity(atReady); got >= 100*0.5 {
 		t.Fatalf("cold server at readyAt serves %v, want a cold fraction well below full", got)
 	}
-	c.Advance(boot+warmup, nil)
+	c.Advance(boot + warmup)
 	if got := cold.EffectiveCapacity(boot + warmup); got != 100 {
 		t.Fatalf("cold server after warm-up serves %v, want 100", got)
 	}
@@ -81,7 +81,7 @@ func TestRestartSkipsWarmup(t *testing.T) {
 		t.Fatal("Restart must boot a stopped server")
 	}
 	atRestartReady := 1 + boot + 1e-9
-	c.Advance(atRestartReady, nil)
+	c.Advance(atRestartReady)
 	if got := rs.EffectiveCapacity(atRestartReady); got != 100 {
 		t.Fatalf("restarted server at readyAt serves %v, want 100 (no warm-up ramp)", got)
 	}
@@ -96,7 +96,7 @@ func TestRestartSkipsWarmup(t *testing.T) {
 }
 
 func TestScaleToPreserveRestartsAndParks(t *testing.T) {
-	c := New(0, 0, 0.4)
+	c := New(0, 0)
 	c.Preserve = []bool{true}
 	caps := []float64{100}
 
@@ -106,24 +106,24 @@ func TestScaleToPreserveRestartsAndParks(t *testing.T) {
 	if started != 0 || stopped != 0 || restarted != 1 {
 		t.Fatalf("ScaleTo = (%d, %d, %d), want (0, 0, 1)", started, stopped, restarted)
 	}
-	c.Advance(2, nil)
+	c.Advance(2)
 
 	// Surplus in a preserve market: parked, not terminated.
 	started, stopped, restarted = c.ScaleTo([]int{0}, caps, 2)
 	if started != 0 || stopped != 1 || restarted != 0 {
 		t.Fatalf("ScaleTo = (%d, %d, %d), want (0, 1, 0)", started, stopped, restarted)
 	}
-	c.Advance(3, nil)
+	c.Advance(3)
 	if len(c.AppendStopped(nil)) != 1 {
 		t.Fatalf("surplus must be preserved, stopped pool = %d", len(c.AppendStopped(nil)))
 	}
 
 	// Non-preserve markets keep the terminate semantics.
-	c2 := New(0, 0, 0.4)
+	c2 := New(0, 0)
 	c2.Launch(0, 100, 0)
-	c2.Advance(1, nil)
+	c2.Advance(1)
 	c2.ScaleTo([]int{0}, caps, 1)
-	c2.Advance(2, nil)
+	c2.Advance(2)
 	if len(c2.AppendStopped(nil)) != 0 || len(c2.Servers()) != 0 {
 		t.Fatalf("non-preserve surplus must terminate: %d stopped, %d alive",
 			len(c2.AppendStopped(nil)), len(c2.Servers()))

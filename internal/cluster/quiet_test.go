@@ -1,19 +1,24 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
 // fullAdvance and fullTotalCapacity are the reference the quiet-stretch
-// bookkeeping is held to: every server ticked, every terminated one reaped (in
-// ID order) and every capacity re-added, on every call.
-func fullAdvance(c *Cluster, now float64) []int {
-	var reaped []int
+// bookkeeping is held to: every server ticked, every booted and every
+// terminated one reported (in ID order), the terminated ones reaped, and every
+// capacity re-added, on every call.
+func fullAdvance(c *Cluster, now float64) (ready, reaped []int) {
 	alive := c.servers[:0]
 	for _, s := range c.servers {
+		booting := s.state == StateStarting
 		s.advance(now)
+		if booting && s.state != StateStarting && s.state != StateTerminated {
+			ready = append(ready, s.ID)
+		}
 		if s.state == StateTerminated {
 			reaped = append(reaped, s.ID)
 			continue
@@ -21,7 +26,29 @@ func fullAdvance(c *Cluster, now float64) []int {
 		alive = append(alive, s)
 	}
 	c.servers = alive
-	return reaped
+	return ready, reaped
+}
+
+// changesBy reports whether a full scan of a copy of c at time at moves any
+// server to another state.
+func changesBy(c *Cluster, at float64) bool {
+	for _, s := range c.servers {
+		cp := *s
+		cp.advance(at)
+		if cp.state != s.state {
+			return true
+		}
+	}
+	return false
+}
+
+// copies maps each live server's ID to a copy of it.
+func copies(c *Cluster) map[int]Server {
+	m := make(map[int]Server, len(c.servers))
+	for _, s := range c.servers {
+		m[s.ID] = *s
+	}
+	return m
 }
 
 func fullTotalCapacity(c *Cluster, now float64) float64 {
@@ -40,11 +67,18 @@ func fullTotalCapacity(c *Cluster, now float64) float64 {
 // exactly on readyAt, warmAt and terminateAt as well as inside warm-up ramps.
 // Capacity is also queried between an operation and the next Advance, as the
 // simulator does when it sizes a revocation decision.
+//
+// The same sequences hold the lifecycle laws every caller relies on:
+//   - Next never lies: a full scan of the twin changes no state strictly
+//     before Next and changes one at it (none at all when Next is +Inf),
+//     whether or not a mutation happened since the last Advance;
+//   - a server drained, revoked or stopped while it was still booting never
+//     reports ready, unless it is restarted.
 func TestQuietClusterMatchesFullScan(t *testing.T) {
 	caps := []float64{100, 70, 45}
 	for trial := 0; trial < 400; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		c, twin := New(1, 1.5, 0.4), New(1, 1.5, 0.4)
+		c, twin := New(1, 1.5), New(1, 1.5)
 		if trial%2 == 1 {
 			c.Preserve = []bool{true, false, true}
 			twin.Preserve = c.Preserve
@@ -66,27 +100,48 @@ func TestQuietClusterMatchesFullScan(t *testing.T) {
 				t.Fatalf("trial %d step %d %s: TotalCapacity(%v) = %v (%#x), want %v (%#x)",
 					trial, step, what, now, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
+			next := c.Next()
+			if math.IsInf(next, 1) {
+				if changesBy(twin, math.MaxFloat64) {
+					t.Fatalf("trial %d step %d %s: Next = +Inf, but a state is still pending", trial, step, what)
+				}
+			} else if changesBy(twin, math.Nextafter(next, math.Inf(-1))) || !changesBy(twin, next) {
+				t.Fatalf("trial %d step %d %s: Next = %v is not the first state change", trial, step, what, next)
+			}
 		}
-		var reaped []int
+		// noReady holds the servers a drain, a revocation or a stop reached
+		// while they booted (their state or their terminateAt moved); a
+		// restart takes a server out again.
+		noReady := map[int]bool{}
 		last := 0.0
 		for step := 0; step < 80; step++ {
 			now := last + 0.25*float64(rng.Intn(5))
 			at := last
 			for k := rng.Intn(3); k > 0; k-- {
 				at += 0.25 * float64(rng.Intn(int((now-at)/0.25)+1))
+				before := copies(c)
 				randomOp(t, rng, c, twin, caps, at)
+				for _, s := range c.servers {
+					switch was, ok := before[s.ID]; {
+					case ok && was.state == StateStarting && (s.state != StateStarting || s.terminateAt != was.terminateAt):
+						noReady[s.ID] = true
+					case was.state == StateStopped && s.state == StateStarting:
+						delete(noReady, s.ID)
+					}
+				}
 				if rng.Intn(2) == 0 {
 					check(step, "before Advance", now)
 				}
 			}
-			reaped = c.Advance(now, reaped[:0])
-			want := fullAdvance(twin, now)
-			if len(reaped) != len(want) {
-				t.Fatalf("trial %d step %d: Advance(%v) reaped %v, want %v", trial, step, now, reaped, want)
+			ready, reaped := c.Advance(now)
+			wantReady, wantReaped := fullAdvance(twin, now)
+			if fmt.Sprint(ready, reaped) != fmt.Sprint(wantReady, wantReaped) {
+				t.Fatalf("trial %d step %d: Advance(%v) reported ready %v, reaped %v; want %v, %v",
+					trial, step, now, ready, reaped, wantReady, wantReaped)
 			}
-			for i := range want {
-				if reaped[i] != want[i] {
-					t.Fatalf("trial %d step %d: Advance(%v) reaped %v, want %v", trial, step, now, reaped, want)
+			for _, id := range ready {
+				if noReady[id] {
+					t.Fatalf("trial %d step %d: server %d reported ready at %v after a drain, revocation or stop reached it while booting", trial, step, id, now)
 				}
 			}
 			check(step, "after Advance", now)
@@ -122,13 +177,9 @@ func randomOp(t *testing.T, rng *rand.Rand, c, twin *Cluster, caps []float64, at
 		if c.StopPreserve(id, at, grace) != twin.StopPreserve(id, at, grace) {
 			t.Fatalf("StopPreserve(%d) disagrees with the twin", id)
 		}
-	case 5:
+	case 5, 6:
 		if (c.RevokeWarning(id, at, grace) == nil) != (twin.RevokeWarning(id, at, grace) == nil) {
 			t.Fatalf("RevokeWarning(%d) disagrees with the twin", id)
-		}
-	case 6:
-		if c.StopGraceful(id, at, grace) != twin.StopGraceful(id, at, grace) {
-			t.Fatalf("StopGraceful(%d) disagrees with the twin", id)
 		}
 	case 7:
 		targets := make([]int, len(caps))

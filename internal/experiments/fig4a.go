@@ -36,7 +36,6 @@ func fig4aScenario(vanilla bool, minute time.Duration, opt Options) ([]stats.Fiv
 			BaseServiceTime: 4 * time.Millisecond,
 			StartDelay:      minute, // paper: machines start in < 1 minute
 			WarmupDur:       minute, // Memcached warm-up 30–90 s
-			ColdFactor:      0.4,
 			QueueLimit:      1024,
 		},
 		Warning: 2 * minute, // paper warning period: up to 2 min

@@ -10,6 +10,35 @@ import (
 )
 
 // next picks in the vanilla view (every positive-weight backend).
+// Draining reports whether a backend is draining (hard or soft).
+func (b *Balancer) Draining(backend int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	i, ok := b.findLocked(backend)
+	return ok && (b.ents[i].hard || b.ents[i].soft)
+}
+
+// Has reports whether a backend is registered (in rotation or draining).
+func (b *Balancer) Has(id int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	_, ok := b.findLocked(id)
+	return ok
+}
+
+// SessionsOn returns the number of sessions bound to a backend.
+func (b *Balancer) SessionsOn(backend int) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, id := range b.sessions {
+		if id == backend {
+			n++
+		}
+	}
+	return n
+}
+
 func next(b *Balancer) (int, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

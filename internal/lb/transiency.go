@@ -159,19 +159,6 @@ func (b *Balancer) SessionCount() int {
 	return len(b.sessions)
 }
 
-// SessionsOn returns the number of sessions bound to a backend.
-func (b *Balancer) SessionsOn(backend int) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	for _, id := range b.sessions {
-		if id == backend {
-			n++
-		}
-	}
-	return n
-}
-
 // HandleWarning processes a revocation warning for a backend: decides the
 // action from the utilization, marks the backend draining, migrates its
 // sessions when the survivors can take them, and returns the action and the
@@ -271,12 +258,4 @@ func (b *Balancer) CompleteDrain(backend int) {
 	b.mu.Unlock()
 	b.recordMigrated(backend, n)
 	b.Journal.Record(metrics.EvDrainComplete, backend, -1, "")
-}
-
-// Draining reports whether a backend is draining (hard or soft).
-func (b *Balancer) Draining(backend int) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	i, ok := b.findLocked(backend)
-	return ok && (b.ents[i].hard || b.ents[i].soft)
 }

@@ -147,11 +147,3 @@ func (b *Balancer) markLocked(id int, hard bool) {
 		b.ents[i].soft = true
 	}
 }
-
-// Has reports whether a backend is registered (in rotation or draining).
-func (b *Balancer) Has(id int) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	_, ok := b.findLocked(id)
-	return ok
-}

@@ -6,7 +6,8 @@
 // distributions (the boxplots of Fig. 4(a)) deterministically and orders of
 // magnitude faster than the wall-clock testbed, and it cross-validates the
 // fluid model: both must agree on drop fractions and mean latency for the
-// same scenario.
+// same scenario. Servers boot, drain and terminate through the same
+// internal/cluster state machine as the fluid simulator's and the testbed's.
 package microsim
 
 import (
@@ -16,6 +17,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/cluster"
 	"repro/internal/lb"
 )
 
@@ -26,8 +28,6 @@ const (
 	evArrival eventKind = iota
 	evCompletion
 	evRevocationWarning
-	evTermination
-	evServerReady
 	evMigrate
 )
 
@@ -38,15 +38,14 @@ type event struct {
 	kind    eventKind
 	server  int
 	version int
-	index   int
 }
 
 type eventHeap []*event
 
 func (h eventHeap) Len() int            { return len(h) }
 func (h eventHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *eventHeap) Push(x interface{}) { e := x.(*event); e.index = len(*h); *h = append(*h, e) }
+func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -62,23 +61,20 @@ type job struct {
 }
 
 // psServer is a processor-sharing station: total service rate Capacity
-// (request units per second) shared equally among active jobs.
+// (request units per second) shared equally among active jobs. Its lifecycle
+// is node's; jobs only reach a booted server, and a terminated one drops them.
 type psServer struct {
-	id         int
-	capacity   float64
+	node       *cluster.Server
 	jobs       []*job // in arrival order
 	lastUpdate float64
 	version    int
-	// ready gates service until the simulated boot completes.
-	ready      bool
-	terminated bool
 }
 
 // advance progresses all jobs' remaining work to time now.
 func (s *psServer) advance(now float64) {
 	n := len(s.jobs)
-	if n > 0 && now > s.lastUpdate && s.ready && !s.terminated {
-		each := (now - s.lastUpdate) * s.capacity / float64(n)
+	if n > 0 && now > s.lastUpdate {
+		each := (now - s.lastUpdate) * s.node.Capacity / float64(n)
 		for _, j := range s.jobs {
 			j.remaining -= each
 			if j.remaining < 0 {
@@ -92,7 +88,7 @@ func (s *psServer) advance(now float64) {
 // nextCompletion returns the time the earliest job finishes under the
 // current job set, or +Inf.
 func (s *psServer) nextCompletion() float64 {
-	if !s.ready || s.terminated || len(s.jobs) == 0 || s.capacity <= 0 {
+	if len(s.jobs) == 0 || s.node.Capacity <= 0 {
 		return math.Inf(1)
 	}
 	minRem := math.Inf(1)
@@ -101,7 +97,7 @@ func (s *psServer) nextCompletion() float64 {
 			minRem = j.remaining
 		}
 	}
-	return s.lastUpdate + minRem*float64(len(s.jobs))/s.capacity
+	return s.lastUpdate + minRem*float64(len(s.jobs))/s.node.Capacity
 }
 
 // ServerSpec declares one server in the scenario.
@@ -206,22 +202,38 @@ func Run(cfg Config) (*Result, error) {
 
 	// Servers, jobs and pending migrations are visited in id, arrival and id
 	// order: map order would make two runs of one Config differ.
-	var servers []*psServer // by id
+	var servers []*psServer // by id, the fleet's ID
 	var h eventHeap
-	addServer := func(spec ServerSpec, now float64) *psServer {
-		id := len(servers)
-		s := &psServer{id: id, capacity: spec.Capacity, lastUpdate: now}
-		servers = append(servers, s)
-		if spec.ReadyAt <= now {
-			s.ready = true
-			bal.SetWeight(id, spec.Capacity)
-		} else {
-			heap.Push(&h, &event{at: spec.ReadyAt, kind: evServerReady, server: id})
+	res := &Result{}
+	fleet := cluster.New(0, 0)
+	addServer := func(capacity, now, bootDelay float64) {
+		fleet.StartDelay = math.Max(bootDelay, 0)
+		node := fleet.Launch(0, capacity, now)
+		servers = append(servers, &psServer{node: node, lastUpdate: now})
+	}
+	// advanceFleet moves the fleet to now: a booted server joins the
+	// balancer, and a terminated one leaves it and loses its in-flight jobs
+	// (vanilla keeps the dead server in rotation; arrivals routed to it are
+	// dropped at the routing step).
+	advanceFleet := func(now float64) {
+		ready, reaped := fleet.Advance(now)
+		for _, id := range ready {
+			bal.SetWeight(id, servers[id].node.Capacity)
 		}
-		return s
+		for _, id := range reaped {
+			srv := servers[id]
+			if !cfg.Vanilla {
+				bal.CompleteDrain(id)
+			}
+			for _, j := range srv.jobs {
+				res.Dropped++
+				res.Samples = append(res.Samples, Sample{At: j.arrived, Dropped: true})
+			}
+			srv.jobs = nil
+		}
 	}
 	for _, spec := range cfg.Servers {
-		addServer(spec, 0)
+		addServer(spec.Capacity, 0, spec.ReadyAt)
 	}
 	for _, rev := range cfg.Revocations {
 		heap.Push(&h, &event{at: rev.At, kind: evRevocationWarning, server: -1})
@@ -229,21 +241,20 @@ func Run(cfg Config) (*Result, error) {
 	// First arrival.
 	heap.Push(&h, &event{at: rng.ExpFloat64() / cfg.Rate, kind: evArrival})
 
-	res := &Result{}
 	pendingMigration := map[int]bool{}
 	sessionN := 0
 
 	scheduleCompletion := func(s *psServer) {
 		s.version++
 		if at := s.nextCompletion(); !math.IsInf(at, 1) {
-			heap.Push(&h, &event{at: at, kind: evCompletion, server: s.id, version: s.version})
+			heap.Push(&h, &event{at: at, kind: evCompletion, server: s.node.ID, version: s.version})
 		}
 	}
 	maxQueue := func(s *psServer) int {
 		if cfg.MaxQueue > 0 {
 			return cfg.MaxQueue
 		}
-		mq := int(4 * s.capacity)
+		mq := int(4 * s.node.Capacity)
 		if mq < 8 {
 			mq = 8
 		}
@@ -252,6 +263,11 @@ func Run(cfg Config) (*Result, error) {
 
 	revIdx := 0
 	for h.Len() > 0 {
+		// Fleet transitions due no later than the next event go first.
+		if at := fleet.Next(); at <= h[0].at {
+			advanceFleet(at)
+			continue
+		}
 		e := heap.Pop(&h).(*event)
 		now := e.at
 		if now > cfg.Duration && e.kind == evArrival {
@@ -271,7 +287,7 @@ func Run(cfg Config) (*Result, error) {
 				sessionN++
 			}
 			id, ok := bal.Route(session)
-			if !ok || !servers[id].ready || servers[id].terminated {
+			if !ok || servers[id].node.State() == cluster.StateTerminated {
 				res.Dropped++
 				res.Samples = append(res.Samples, Sample{At: now, Dropped: true})
 				continue
@@ -309,7 +325,7 @@ func Run(cfg Config) (*Result, error) {
 					kept = append(kept, j)
 				}
 			}
-			if len(kept) == len(srv.jobs) && len(kept) > 0 && srv.ready && !srv.terminated {
+			if len(kept) == len(srv.jobs) && len(kept) > 0 {
 				m := 0
 				for k, j := range kept {
 					if j.remaining < kept[m].remaining {
@@ -322,13 +338,6 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 			srv.jobs = kept
-			scheduleCompletion(srv)
-
-		case evServerReady:
-			srv := servers[e.server]
-			srv.advance(now)
-			srv.ready = true
-			bal.SetWeight(srv.id, srv.capacity)
 			scheduleCompletion(srv)
 
 		case evMigrate:
@@ -348,16 +357,16 @@ func Run(cfg Config) (*Result, error) {
 		case evRevocationWarning:
 			rev := cfg.Revocations[revIdx]
 			revIdx++
-			// Total ready capacity and a crude offered estimate decide the
-			// action, mirroring the testbed.
+			// The survivors' capacity and a crude offered estimate decide
+			// the action, mirroring the testbed.
 			var remaining float64
 			victims := map[int]bool{}
 			for _, vi := range rev.Servers {
 				victims[vi] = true
 			}
-			for id, s := range servers {
-				if s.ready && !s.terminated && !victims[id] {
-					remaining += s.capacity
+			for _, s := range fleet.Servers() {
+				if !victims[s.ID] {
+					remaining += s.EffectiveCapacity(now)
 				}
 			}
 			offered := cfg.Rate
@@ -373,35 +382,16 @@ func Run(cfg Config) (*Result, error) {
 				if !cfg.Vanilla && action != lb.ActionRedistribute {
 					pendingMigration[vi] = true
 				}
-				heap.Push(&h, &event{at: now + cfg.Warning, kind: evTermination, server: vi})
+				fleet.RevokeWarning(vi, now, cfg.Warning)
 			}
 			for _, spec := range rev.Replacements {
-				spec.ReadyAt = now + rev.ReplacementDelay
-				addServer(spec, now)
+				addServer(spec.Capacity, now, rev.ReplacementDelay)
 			}
+			advanceFleet(now)
 			if len(rev.Replacements) > 0 {
 				// Migrate strictly after every replacement's ready event.
 				heap.Push(&h, &event{at: now + rev.ReplacementDelay + 1e-6, kind: evMigrate})
 			}
-
-		case evTermination:
-			srv := servers[e.server]
-			if srv.terminated {
-				continue
-			}
-			srv.advance(now)
-			srv.terminated = true
-			if !cfg.Vanilla {
-				bal.CompleteDrain(srv.id)
-			}
-			// Vanilla keeps the dead backend in rotation; arrivals routed
-			// to it are dropped at the routing step.
-			// In-flight jobs on the terminated server are lost.
-			for _, j := range srv.jobs {
-				res.Dropped++
-				res.Samples = append(res.Samples, Sample{At: j.arrived, Dropped: true})
-			}
-			srv.jobs = nil
 		}
 	}
 	return res, nil

@@ -250,7 +250,6 @@ type Scratch struct {
 	blacked    []bool
 	revoked    []bool
 	revs       []revocation
-	reaped     []int
 	victims    []int
 	pops       []popCount
 	mktBuf     []*cluster.Server
@@ -289,7 +288,6 @@ func (sc *Scratch) reset(markets, groups int) {
 	sc.groupShock = growTo(sc.groupShock, groups)
 	sc.groupSet = growTo(sc.groupSet, groups)
 	sc.revs = sc.revs[:0]
-	sc.reaped = sc.reaped[:0]
 	sc.victims = sc.victims[:0]
 	sc.pops = sc.pops[:0]
 	sc.mktBuf = sc.mktBuf[:0]
@@ -351,7 +349,7 @@ func (s *Simulator) Run() (*Result, error) {
 	}
 	scr.reset(catLen, groups)
 
-	cl := cluster.New(cfg.StartDelaySec/secPerHr, cfg.WarmupSec/secPerHr, 0.4)
+	cl := cluster.New(cfg.StartDelaySec/secPerHr, cfg.WarmupSec/secPerHr)
 	caps := make([]float64, catLen)
 	for i, m := range s.Cat.Markets {
 		caps[i] = m.Type.Capacity
@@ -399,10 +397,10 @@ func (s *Simulator) Run() (*Result, error) {
 		return x
 	}
 	// advance ticks the cluster and journals the servers reaped as terminated
-	// (in ID order, for determinism).
+	// (in ID order, for determinism); capacity is read off the fleet.
 	advance := func(now float64) {
-		scr.reaped = cl.Advance(now, scr.reaped[:0])
-		for _, id := range scr.reaped {
+		_, reaped := cl.Advance(now)
+		for _, id := range reaped {
 			cfg.Journal.Record(metrics.EvBackendTerminated, id, -1, "")
 		}
 	}

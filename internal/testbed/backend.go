@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 )
 
@@ -30,11 +31,9 @@ type BackendConfig struct {
 	// requests (503 until then).
 	StartDelay time.Duration
 	// WarmupDur is the cold-cache window during which service times are
-	// inflated (Memcached warm-up).
+	// inflated (Memcached warm-up): capacity ramps from internal/cluster's
+	// cold factor, 0.4, to 1, and service times are divided by it.
 	WarmupDur time.Duration
-	// ColdFactor < 1 scales capacity at the start of warm-up (service times
-	// are divided by it).
-	ColdFactor float64
 	// QueueLimit bounds concurrent requests; beyond it the server sheds
 	// load with 503 (the overload guard).
 	QueueLimit int
@@ -46,9 +45,6 @@ func (c BackendConfig) withDefaults() BackendConfig {
 	}
 	if c.BaseServiceTime <= 0 {
 		c.BaseServiceTime = 5 * time.Millisecond
-	}
-	if c.ColdFactor <= 0 || c.ColdFactor > 1 {
-		c.ColdFactor = 0.4
 	}
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 256
@@ -63,9 +59,17 @@ type Backend struct {
 	// (-1 when untagged).
 	Market int
 	cfg    BackendConfig
+	// node is the backend's lifecycle in the Cluster's fleet, clocked in
+	// seconds since epoch; the handler reads only its launch times.
+	node  *cluster.Server
+	epoch time.Time
+	// replacement marks a backend started to absorb a revocation (§6.1
+	// reprovisioning); reason, set when it is drained or revoked, is
+	// journaled with its termination. Both are guarded by the Cluster's mutex.
+	replacement bool
+	reason      string
 
 	srv      *httptest.Server
-	bornAt   time.Time
 	inflight atomic.Int64
 	shed     atomic.Int64
 	closed   atomic.Bool
@@ -77,10 +81,10 @@ type Backend struct {
 	metLat  *metrics.Histogram
 }
 
-// newBackend starts the HTTP server immediately; readiness is gated on
-// StartDelay inside the handler.
-func newBackend(id int, cfg BackendConfig) *Backend {
-	b := &Backend{ID: id, Market: -1, cfg: cfg.withDefaults(), bornAt: time.Now()}
+// newBackend starts the HTTP server of a launched fleet server at once; the
+// handler answers 503 until the node's boot ends.
+func newBackend(node *cluster.Server, epoch time.Time, cfg BackendConfig) *Backend {
+	b := &Backend{ID: node.ID, Market: node.Market, cfg: cfg.withDefaults(), node: node, epoch: epoch}
 	b.srv = httptest.NewServer(http.HandlerFunc(b.handle))
 	return b
 }
@@ -90,9 +94,6 @@ func (b *Backend) URL() string { return b.srv.URL }
 
 // Shed returns the number of requests rejected by the overload guard.
 func (b *Backend) Shed() int64 { return b.shed.Load() }
-
-// Ready reports whether the simulated boot has finished.
-func (b *Backend) Ready() bool { return time.Since(b.bornAt) >= b.cfg.StartDelay }
 
 // SetSlowdown applies a service-time inflation factor (≥ 1) — the chaos
 // slowdown fault. 1 restores full speed.
@@ -112,25 +113,13 @@ func (b *Backend) slowdownFactor() float64 {
 	return math.Float64frombits(bits)
 }
 
-// warmFactor returns the current capacity multiplier in [ColdFactor, 1].
-func (b *Backend) warmFactor() float64 {
-	sinceReady := time.Since(b.bornAt) - b.cfg.StartDelay
-	if sinceReady >= b.cfg.WarmupDur || b.cfg.WarmupDur <= 0 {
-		return 1
-	}
-	if sinceReady < 0 {
-		return b.cfg.ColdFactor
-	}
-	frac := float64(sinceReady) / float64(b.cfg.WarmupDur)
-	return b.cfg.ColdFactor + float64((1-b.cfg.ColdFactor)*frac)
-}
-
 func (b *Backend) handle(w http.ResponseWriter, r *http.Request) {
 	if b.closed.Load() {
 		http.Error(w, "terminated", http.StatusServiceUnavailable)
 		return
 	}
-	if !b.Ready() {
+	booted, warm := b.node.Warmth(time.Since(b.epoch).Seconds())
+	if !booted {
 		http.Error(w, "booting", http.StatusServiceUnavailable)
 		return
 	}
@@ -141,7 +130,6 @@ func (b *Backend) handle(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "overloaded", http.StatusServiceUnavailable)
 		return
 	}
-	warm := b.warmFactor()
 	// Service time: base, inflated while cold or slowed by fault injection,
 	// plus a processor-sharing penalty as concurrency approaches the
 	// capacity×service-time limit.

@@ -4,11 +4,11 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/lb"
 	"repro/internal/metrics"
 )
@@ -24,7 +24,8 @@ type ClusterConfig struct {
 	HighUtil float64
 	// ActionOverride, when set, can force the balancer's revocation decision
 	// (the chaos fault-injection hook); return ok = false to keep the normal
-	// decision.
+	// decision. It runs under the cluster's lock: it must not call back into
+	// the Cluster.
 	ActionOverride func() (lb.RevocationAction, bool)
 	// Vanilla disables transiency awareness in the front-end balancer
 	// (unmodified-HAProxy baseline): warnings are ignored and dead backends
@@ -67,6 +68,12 @@ type clusterMetrics struct {
 
 // Cluster is the testbed web cluster: backends plus the front-end balancer.
 // Its ServeHTTP is the load-balancer endpoint.
+//
+// Every backend's lifecycle (boot, warm-up, drain, termination) is a server
+// of one internal/cluster fleet, clocked in seconds since epoch. One timer is
+// armed for the fleet's next transition; each transition's side effects on
+// the balancer, the journal and the backend are applied where the fleet
+// advances.
 type Cluster struct {
 	cfg      ClusterConfig
 	balancer *lb.Balancer
@@ -77,9 +84,14 @@ type Cluster struct {
 	admission    atomic.Bool   // admission control currently in force
 	slowdown     atomic.Uint64 // float64 bits; applied to new backends
 
+	epoch   time.Time
+	timer   *time.Timer   // fires at the fleet's next transition
+	done    chan struct{} // closed by Close: ends the timer loop
+	stopped chan struct{} // closed by the timer loop as it returns
+
 	mu       sync.Mutex
-	backends map[int]*Backend
-	nextID   int
+	fleet    *cluster.Cluster
+	backends map[int]*Backend // the fleet's live servers, by ID
 	fails    map[int]int
 }
 
@@ -94,6 +106,11 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	c := &Cluster{
 		cfg:      cfg,
 		balancer: lb.NewBalancer(),
+		epoch:    time.Now(),
+		timer:    time.NewTimer(math.MaxInt64),
+		done:     make(chan struct{}),
+		stopped:  make(chan struct{}),
+		fleet:    cluster.New(cfg.Backend.StartDelay.Seconds(), cfg.Backend.WarmupDur.Seconds()),
 		backends: make(map[int]*Backend),
 		fails:    make(map[int]int),
 		client: &http.Client{
@@ -131,130 +148,139 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		r.GaugeFunc("spotweb_backends_live", "Backends in rotation (ready or booting, not draining).",
 			func() float64 { return float64(len(c.Snapshot())) })
 		r.GaugeFunc("spotweb_backends_draining", "Backends pulled from rotation awaiting termination.",
-			func() float64 { return float64(c.drainingCount()) })
+			func() float64 {
+				return c.sum(func(b *Backend) int64 {
+					if b.node.State() == cluster.StateDraining {
+						return 1
+					}
+					return 0
+				})
+			})
 		r.GaugeFunc("spotweb_lb_queue_depth", "In-flight requests across all backends.",
-			func() float64 { return float64(c.InflightRequests()) })
+			func() float64 { return c.sum(func(b *Backend) int64 { return b.inflight.Load() }) })
 		r.GaugeFunc("spotweb_ready_capacity_req_per_sec", "Warm-adjusted capacity of ready backends.",
 			c.TotalReadyCapacity)
 		r.GaugeFunc("spotweb_sessions_live", "Sticky sessions currently bound.",
 			func() float64 { return float64(c.balancer.SessionCount()) })
 	}
+	go c.run()
 	return c
 }
 
-// drainingCount returns the number of registered, unterminated backends
-// currently draining.
-func (c *Cluster) drainingCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for id, b := range c.backends {
-		if !b.closed.Load() && c.balancer.Draining(id) {
-			n++
+// run applies the fleet's transitions as they fall due, until Close.
+func (c *Cluster) run() {
+	defer close(c.stopped)
+	for {
+		select {
+		case <-c.timer.C:
+			c.update(func(float64) {})
+		case <-c.done:
+			return
 		}
 	}
-	return n
 }
 
-// InflightRequests sums the in-flight request count over live backends (the
-// cluster-wide queue depth).
-func (c *Cluster) InflightRequests() int64 {
+// update applies mutate to the fleet at the current fleet time under c.mu,
+// advances the fleet to that time and re-arms the timer for the next
+// transition. A backend whose boot ended joins rotation (a backend drained or
+// revoked while it booted never ends its boot). A terminated one leaves the
+// map and completes its drain; it is shut down once c.mu is released, since a
+// shutdown waits out its in-flight requests.
+func (c *Cluster) update(mutate func(now float64)) {
+	c.mu.Lock()
+	now := time.Since(c.epoch).Seconds()
+	mutate(now)
+	ready, reaped := c.fleet.Advance(now)
+	for _, id := range ready {
+		b := c.backends[id]
+		c.balancer.SetWeight(id, b.node.Capacity)
+		if !b.replacement {
+			c.cfg.Journal.Record(metrics.EvBackendUp, id, b.Market, "")
+			continue
+		}
+		c.cfg.Journal.Record(metrics.EvReplacementUp, id, b.Market, "")
+		if c.admission.CompareAndSwap(true, false) {
+			c.cfg.Journal.Record(metrics.EvAdmissionOff, id, -1, "replacement capacity routable")
+		}
+	}
+	gone := make([]*Backend, len(reaped))
+	for i, id := range reaped {
+		b := c.backends[id]
+		delete(c.backends, id)
+		c.cfg.Journal.Record(metrics.EvBackendTerminated, id, b.Market, b.reason)
+		// A vanilla balancer ignored the warning: it keeps routing to a
+		// revoked backend until its health check gives up.
+		if !c.cfg.Vanilla || b.reason != "revoked" {
+			c.balancer.CompleteDrain(id)
+		}
+		gone[i] = b
+	}
+	if next := c.fleet.Next(); !math.IsInf(next, 1) {
+		c.timer.Reset(time.Until(c.epoch.Add(time.Duration(next * float64(time.Second)))))
+	}
+	c.mu.Unlock()
+	for _, b := range gone {
+		b.terminate()
+	}
+}
+
+// sum adds f over the live backends (booting, in rotation or draining).
+func (c *Cluster) sum(f func(*Backend) int64) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n int64
 	for _, b := range c.backends {
-		if !b.closed.Load() {
-			n += b.inflight.Load()
-		}
+		n += f(b)
 	}
-	return n
+	return float64(n)
 }
 
 // AddBackend launches a new server and registers it with the balancer using
 // a weight proportional to its capacity. The backend enters rotation only
 // once its simulated boot completes (a health-checked launch, as HAProxy
-// would do): routing to a booting server would shed every request. Until
-// then it is registered with weight 0, so a drain or revocation marks it
-// and it never joins.
+// would do): routing to a booting server would shed every request.
 func (c *Cluster) AddBackend(capacity float64) *Backend {
-	return c.addBackend(-1, capacity, false)
+	return c.AddBackendForMarket(-1, capacity)
 }
 
 // AddBackendForMarket launches a backend tagged with a catalog market index,
 // enabling portfolio-driven scaling via ScaleTo.
 func (c *Cluster) AddBackendForMarket(mkt int, capacity float64) *Backend {
-	return c.addBackend(mkt, capacity, false)
+	var b *Backend
+	c.update(func(now float64) { b = c.launch(mkt, capacity, false, now) })
+	return b
 }
 
-// addBackend is the shared launch path. replacement marks a server started
-// to absorb a revocation (§6.1 reprovisioning): its rotation-join is
-// journaled as replacement_up and lifts admission control if in force.
-func (c *Cluster) addBackend(mkt int, capacity float64, replacement bool) *Backend {
-	c.mu.Lock()
-	id := c.nextID
-	c.nextID++
+// launch is the shared launch path, under c.mu: a fleet server and its HTTP
+// backend. replacement marks a server started to absorb a revocation.
+func (c *Cluster) launch(mkt int, capacity float64, replacement bool, now float64) *Backend {
 	bcfg := c.cfg.Backend
 	bcfg.Capacity = capacity
-	b := newBackend(id, bcfg)
-	b.Market = mkt
+	b := newBackend(c.fleet.Launch(mkt, capacity, now), c.epoch, bcfg)
+	b.replacement = replacement
 	if bits := c.slowdown.Load(); bits != 0 {
 		b.SetSlowdown(math.Float64frombits(bits))
 	}
-	c.backends[id] = b
-	c.balancer.SetWeight(id, 0)
-	c.mu.Unlock()
+	c.backends[b.ID] = b
 	if r := c.cfg.Metrics; r != nil {
-		labels := []metrics.Label{metrics.L("backend", metrics.Itoa(id)), metrics.L("market", metrics.Itoa(mkt))}
+		labels := []metrics.Label{metrics.L("backend", metrics.Itoa(b.ID)), metrics.L("market", metrics.Itoa(mkt))}
 		b.metReqs = r.Counter("spotweb_backend_requests_total", "Requests proxied to the backend.", labels...)
 		b.metLat = r.Histogram("spotweb_backend_request_seconds", "Backend-observed request latency.", labels...)
 		r.CounterFunc("spotweb_backend_shed_total", "Requests shed with 503 by the backend overload guard.",
 			b.Shed, labels...)
 	}
 	if replacement {
-		c.cfg.Journal.Record(metrics.EvReplacementStarted, id, mkt, "")
-	}
-	join := func() {
-		// A backend drained or revoked while it booted never joins. A mark
-		// landing between this check and SetWeight is kept (SetWeight keeps
-		// drain marks), the same as a mark that lands just after the join.
-		if c.balancer.Draining(id) {
-			return
-		}
-		c.balancer.SetWeight(id, capacity)
-		if replacement {
-			c.cfg.Journal.Record(metrics.EvReplacementUp, id, mkt, "")
-			if c.admission.CompareAndSwap(true, false) {
-				c.cfg.Journal.Record(metrics.EvAdmissionOff, id, -1, "replacement capacity routable")
-			}
-		} else {
-			c.cfg.Journal.Record(metrics.EvBackendUp, id, mkt, "")
-		}
-	}
-	if bcfg.StartDelay <= 0 {
-		join()
-	} else {
-		time.AfterFunc(bcfg.StartDelay, func() {
-			if !b.closed.Load() {
-				join()
-			}
-		})
+		c.cfg.Journal.Record(metrics.EvReplacementStarted, b.ID, mkt, "")
 	}
 	return b
 }
 
 // MarketCounts returns live (non-draining) backend counts per market index.
 func (c *Cluster) MarketCounts(numMarkets int) []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]int, numMarkets)
-	for id, b := range c.backends {
-		if b.closed.Load() || c.balancer.Draining(id) {
-			continue
-		}
-		if b.Market >= 0 && b.Market < numMarkets {
-			out[b.Market]++
-		}
-	}
+	c.mu.Lock()
+	c.fleet.CountByMarketInto(out)
+	c.mu.Unlock()
 	return out
 }
 
@@ -263,46 +289,32 @@ func (c *Cluster) MarketCounts(numMarkets int) []int {
 // are drained gracefully — pulled from rotation immediately, terminated
 // after the warning period so in-flight work completes. Surplus goes
 // youngest first (highest id), so a booting or cold backend is drained
-// before a warm one. It returns how many were started and stopped.
+// before a warm one. Redistribute is always safe for a voluntary scale-down:
+// the controller chose the smaller fleet deliberately. It returns how many
+// were started and stopped.
 func (c *Cluster) ScaleTo(counts []int, capacities []float64) (started, stopped int) {
-	have := c.MarketCounts(len(counts))
-	for mkt, want := range counts {
-		for n := have[mkt]; n < want; n++ {
-			c.AddBackendForMarket(mkt, capacities[mkt])
-			started++
-		}
-		if surplus := have[mkt] - want; surplus > 0 {
-			c.mu.Lock()
-			var victims []*Backend
-			for id, b := range c.backends {
-				if b.Market == mkt && !b.closed.Load() && !c.balancer.Draining(id) {
-					victims = append(victims, b)
+	c.update(func(now float64) {
+		have := make([]int, len(counts))
+		c.fleet.CountByMarketInto(have)
+		for mkt, want := range counts {
+			for n := have[mkt]; n < want; n++ {
+				c.launch(mkt, capacities[mkt], false, now)
+				started++
+			}
+			if surplus := have[mkt] - want; surplus > 0 {
+				live := c.fleet.AppendServersInMarket(nil, mkt) // in ID order
+				for k := len(live) - 1; k >= len(live)-surplus; k-- {
+					b := c.backends[live[k].ID]
+					c.cfg.Journal.Record(metrics.EvScaleDown, b.ID, b.Market, "")
+					c.fleet.RevokeWarning(b.ID, now, c.cfg.Warning.Seconds())
+					b.reason = "scale_down"
+					c.balancer.HandleWarning(b.ID, 0, c.cfg.Backend.StartDelay.Seconds(), c.cfg.Warning.Seconds())
+					stopped++
 				}
 			}
-			c.mu.Unlock()
-			sort.Slice(victims, func(i, j int) bool { return victims[i].ID > victims[j].ID })
-			for _, b := range victims[:min(surplus, len(victims))] {
-				c.drain(b)
-				stopped++
-			}
 		}
-	}
+	})
 	return started, stopped
-}
-
-// drain removes a backend from rotation and terminates it after the warning
-// period (voluntary scale-down; no replacement).
-func (c *Cluster) drain(b *Backend) {
-	c.cfg.Journal.Record(metrics.EvScaleDown, b.ID, b.Market, "")
-	// Redistribute is always safe for voluntary scale-down: the controller
-	// chose the smaller fleet deliberately.
-	c.balancer.HandleWarning(b.ID, 0, c.cfg.Backend.StartDelay.Seconds(), c.cfg.Warning.Seconds())
-	go func() {
-		time.Sleep(c.cfg.Warning)
-		b.terminate()
-		c.cfg.Journal.Record(metrics.EvBackendTerminated, b.ID, b.Market, "scale_down")
-		c.balancer.CompleteDrain(b.ID)
-	}()
 }
 
 // Snapshot returns a map of live (non-draining) backend id → market tag.
@@ -310,33 +322,36 @@ func (c *Cluster) Snapshot() map[int]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(map[int]int)
-	for id, b := range c.backends {
-		if b.closed.Load() || c.balancer.Draining(id) {
-			continue
+	for _, s := range c.fleet.Servers() {
+		if s.State() != cluster.StateDraining {
+			out[s.ID] = s.Market
 		}
-		out[id] = b.Market
 	}
 	return out
 }
 
-// backend returns a backend by id.
+// backend returns a live backend by id.
 func (c *Cluster) backend(id int) *Backend {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.backends[id]
 }
 
-// TotalReadyCapacity sums the warm-adjusted capacity of ready, non-draining
+// TotalReadyCapacity sums the warm-adjusted capacity of booted, non-draining
 // backends.
 func (c *Cluster) TotalReadyCapacity() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.readyCapacity(time.Since(c.epoch).Seconds())
+}
+
+// readyCapacity is TotalReadyCapacity at fleet time now, under c.mu.
+func (c *Cluster) readyCapacity(now float64) float64 {
 	var sum float64
-	for id, b := range c.backends {
-		if b.closed.Load() || !b.Ready() || c.balancer.Draining(id) {
-			continue
+	for _, s := range c.fleet.Servers() {
+		if booted, warm := s.Warmth(now); booted && s.State() != cluster.StateDraining {
+			sum += float64(s.Capacity * warm)
 		}
-		sum += float64(b.cfg.Capacity * b.warmFactor())
 	}
 	return sum
 }
@@ -351,48 +366,41 @@ func (c *Cluster) Revoke(ids []int, offeredRate float64) {
 
 // RevokeWithWarning is Revoke with an explicit warning period, letting fault
 // injectors deliver late (shortened) or lost (zero) warnings that differ
-// from the cluster's configured one.
+// from the cluster's configured one. A backend already draining keeps its
+// drain. Every victim's decision reads one utilization: the offered rate over
+// the survivors' ready capacity.
 func (c *Cluster) RevokeWithWarning(ids []int, offeredRate float64, warning time.Duration) {
-	var lost float64
-	for _, id := range ids {
-		if b := c.backend(id); b != nil {
-			lost += b.cfg.Capacity
-		}
-	}
-	for _, id := range ids {
-		b := c.backend(id)
-		if b == nil {
-			continue
-		}
-		c.cfg.Journal.Record(metrics.EvWarning, id, b.Market, "")
-		if !c.cfg.Vanilla {
-			remaining := c.TotalReadyCapacity() - lost
-			util := 2.0
-			if remaining > 0 {
-				util = offeredRate / remaining
+	c.update(func(now float64) {
+		var victims []*Backend
+		for _, id := range ids {
+			if b := c.backends[id]; b != nil && b.node.State() != cluster.StateDraining {
+				victims = append(victims, b)
+				b.reason = "revoked"
+				c.cfg.Journal.Record(metrics.EvWarning, id, b.Market, "")
+				c.fleet.RevokeWarning(id, now, warning.Seconds())
 			}
-			action, _ := c.balancer.HandleWarning(id, util,
+		}
+		if c.cfg.Vanilla {
+			return // the balancer ignores warnings
+		}
+		remaining := c.readyCapacity(now)
+		util := 2.0
+		if remaining > 0 {
+			util = offeredRate / remaining
+		}
+		for _, b := range victims {
+			action, _ := c.balancer.HandleWarning(b.ID, util,
 				c.cfg.Backend.StartDelay.Seconds(), warning.Seconds())
 			if action == lb.ActionAdmissionControl && c.admission.CompareAndSwap(false, true) {
-				c.cfg.Journal.Record(metrics.EvAdmissionOn, id, b.Market, "replacements cannot start in time")
+				c.cfg.Journal.Record(metrics.EvAdmissionOn, b.ID, b.Market, "replacements cannot start in time")
 			}
 			if action != lb.ActionRedistribute {
 				// Start a replacement of equal capacity; it becomes
 				// routable as soon as it is ready.
-				c.addBackend(b.Market, b.cfg.Capacity, true)
+				c.launch(b.Market, b.node.Capacity, true, now)
 			}
 		}
-		go func(b *Backend, id int) {
-			if warning > 0 {
-				time.Sleep(warning)
-			}
-			b.terminate()
-			c.cfg.Journal.Record(metrics.EvBackendTerminated, id, b.Market, "revoked")
-			if !c.cfg.Vanilla {
-				c.balancer.CompleteDrain(id)
-			}
-		}(b, id)
-	}
+	})
 }
 
 // SetSlowdown applies a service-time inflation factor (≥ 1) to every current
@@ -462,29 +470,29 @@ func (c *Cluster) serve(w http.ResponseWriter, session string) {
 			c.met.unrouted.Inc()
 			break
 		}
-		b := c.backend(id)
-		if b == nil {
-			continue
-		}
-		var bstart time.Time
-		if b.metLat != nil {
-			bstart = time.Now()
-		}
-		resp, err := c.client.Get(b.URL())
-		b.metReqs.Inc()
-		if b.metLat != nil {
-			b.metLat.Observe(time.Since(bstart).Seconds())
-		}
-		if err == nil && resp.StatusCode == http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			c.noteSuccess(id)
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-		if resp != nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+		// A backend gone from the map was terminated; a vanilla balancer
+		// still routes to it, and the request fails.
+		if b := c.backend(id); b != nil {
+			var bstart time.Time
+			if b.metLat != nil {
+				bstart = time.Now()
+			}
+			resp, err := c.client.Get(b.URL())
+			b.metReqs.Inc()
+			if b.metLat != nil {
+				b.metLat.Observe(time.Since(bstart).Seconds())
+			}
+			if err == nil && resp.StatusCode == http.StatusOK {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				c.noteSuccess(id)
+				w.WriteHeader(http.StatusOK)
+				return
+			}
+			if resp != nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
 		}
 		c.noteFailure(id)
 		// A failed sticky backend should not pin the retry: rebind.
@@ -515,13 +523,21 @@ func (c *Cluster) noteSuccess(id int) {
 	c.mu.Unlock()
 }
 
-// Close shuts down all backends.
+// Close shuts down all backends and returns once the fleet's timer loop has
+// exited.
 func (c *Cluster) Close() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	select {
+	case <-c.done:
+	default:
+		close(c.done)
+	}
+	c.timer.Stop()
 	for _, b := range c.backends {
 		b.terminate()
 	}
+	c.mu.Unlock()
+	<-c.stopped
 }
 
 // LoadGen drives open-loop load at a fixed rate against the cluster's
@@ -543,7 +559,7 @@ func LoadGen(c *Cluster, rate float64, dur time.Duration, sessions int, rec *Rec
 		i++
 		session := ""
 		if sessions > 0 {
-			session = "s" + itoa(i%sessions)
+			session = "s" + metrics.Itoa(i%sessions)
 		}
 		wg.Add(1)
 		go func(session string) {
@@ -591,18 +607,4 @@ func (s *sink) status() int {
 		return http.StatusOK
 	}
 	return s.code
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

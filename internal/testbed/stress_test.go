@@ -23,6 +23,7 @@ import (
 // churn), no request panics, and the striped route metrics stay coherent.
 func TestConcurrentServeRevokeScale(t *testing.T) {
 	reg := metrics.NewRegistry()
+	j := metrics.NewJournal(1024)
 	cl := NewCluster(ClusterConfig{
 		Backend: BackendConfig{
 			BaseServiceTime: 200 * time.Microsecond,
@@ -30,6 +31,7 @@ func TestConcurrentServeRevokeScale(t *testing.T) {
 		},
 		Warning: 100 * time.Millisecond,
 		Metrics: reg,
+		Journal: j,
 	})
 	defer cl.Close()
 	for i := 0; i < 6; i++ {
@@ -80,17 +82,37 @@ func TestConcurrentServeRevokeScale(t *testing.T) {
 		t.Fatal("no request succeeded during the churn")
 	}
 	// After the warning periods elapse the revoked backends must be fully
-	// drained: nothing stranded, nothing still in rotation.
+	// drained: terminated, their drains completed, and no session or
+	// anonymous request routed to them any more.
 	deadline := time.Now().Add(2 * time.Second)
 	for _, id := range []int{0, 1, 2} {
-		for cl.balancer.Has(id) && time.Now().Before(deadline) {
+		for cl.backend(id) != nil && time.Now().Before(deadline) {
 			time.Sleep(10 * time.Millisecond)
 		}
-		if cl.balancer.Has(id) {
-			t.Fatalf("revoked backend %d still in rotation after drain deadline", id)
+		if cl.backend(id) != nil {
+			t.Fatalf("revoked backend %d still live after drain deadline", id)
 		}
-		if n := cl.balancer.SessionsOn(id); n != 0 {
-			t.Fatalf("%d sessions stranded on revoked backend %d", n, id)
+	}
+	completed := map[int]bool{}
+	for _, ev := range j.Events() {
+		if ev.Type == metrics.EvDrainComplete {
+			completed[ev.Backend] = true
+		}
+	}
+	for g := 0; g < 4; g++ {
+		for s := 0; s <= 32; s++ {
+			session := fmt.Sprintf("g%d-s%d", g, s)
+			if s == 32 {
+				session = ""
+			}
+			if id, ok := cl.balancer.Route(session); ok && id <= 2 {
+				t.Fatalf("session %q routed to revoked backend %d after its drain", session, id)
+			}
+		}
+	}
+	for _, id := range []int{0, 1, 2} {
+		if !completed[id] {
+			t.Fatalf("revoked backend %d terminated without completing its drain", id)
 		}
 	}
 

@@ -16,14 +16,20 @@ func fastBackendCfg() BackendConfig {
 		BaseServiceTime: 2 * time.Millisecond,
 		StartDelay:      0,
 		WarmupDur:       0,
-		ColdFactor:      0.5,
 		QueueLimit:      512,
 	}
 }
 
+// soloBackend launches one backend of capacity cfg.Capacity on a cluster of
+// its own, closed when the test ends.
+func soloBackend(t *testing.T, cfg BackendConfig) *Backend {
+	c := NewCluster(ClusterConfig{Backend: cfg, Warning: time.Second})
+	t.Cleanup(c.Close)
+	return c.AddBackend(cfg.Capacity)
+}
+
 func TestBackendServes(t *testing.T) {
-	b := newBackend(0, fastBackendCfg())
-	defer b.terminate()
+	b := soloBackend(t, fastBackendCfg())
 	resp, err := http.Get(b.URL())
 	if err != nil {
 		t.Fatal(err)
@@ -41,8 +47,7 @@ func TestBackendServes(t *testing.T) {
 func TestBackendBootDelay(t *testing.T) {
 	cfg := fastBackendCfg()
 	cfg.StartDelay = 300 * time.Millisecond
-	b := newBackend(0, cfg)
-	defer b.terminate()
+	b := soloBackend(t, cfg)
 	resp, err := http.Get(b.URL())
 	if err != nil {
 		t.Fatal(err)
@@ -64,11 +69,9 @@ func TestBackendBootDelay(t *testing.T) {
 
 func TestBackendWarmupSlowsService(t *testing.T) {
 	cfg := fastBackendCfg()
-	cfg.BaseServiceTime = 10 * time.Millisecond
+	cfg.BaseServiceTime = 20 * time.Millisecond
 	cfg.WarmupDur = 500 * time.Millisecond
-	cfg.ColdFactor = 0.25
-	b := newBackend(0, cfg)
-	defer b.terminate()
+	b := soloBackend(t, cfg)
 	timeGet := func() time.Duration {
 		start := time.Now()
 		resp, err := http.Get(b.URL())
@@ -81,14 +84,14 @@ func TestBackendWarmupSlowsService(t *testing.T) {
 	cold := timeGet()
 	time.Sleep(600 * time.Millisecond)
 	warm := timeGet()
-	// Cold service ≈ 40 ms, warm ≈ 10 ms.
+	// Cold service ≈ 20 ms / 0.4 (internal/cluster's cold factor) = 50 ms, warm ≈ 20 ms.
 	if cold < 2*warm {
 		t.Fatalf("cold %v should be well above warm %v", cold, warm)
 	}
 }
 
 func TestBackendTerminate(t *testing.T) {
-	b := newBackend(0, fastBackendCfg())
+	b := soloBackend(t, fastBackendCfg())
 	b.terminate()
 	b.terminate() // idempotent
 	if _, err := http.Get(b.URL()); err == nil {
