@@ -377,8 +377,9 @@ func BenchmarkRiskMatVec(b *testing.B) {
 		}{{"dense", m}, {"compact", compact}} {
 			b.Run(c.name+"/"+op.name+"/h="+strconv.Itoa(c.h), func(b *testing.B) {
 				b.ReportAllocs()
+				var sc linalg.Scratch
 				for i := 0; i < b.N; i++ {
-					op.m.MulVecStacked(x, dst)
+					op.m.MulVecStacked(x, dst, &sc)
 				}
 			})
 		}

@@ -44,16 +44,12 @@ var fmaAllowlist = map[string]int{
 	"linalg.(*Matrix).MulVecT":                 1,
 	"linalg.Cholesky":                          2,
 	"linalg.FactorBlockTriDiag":                1,
-	"linalg.Vector.Dot":                        1,
 	"market.(*Catalog).priorMatrix":            1,
 	"market.CatalogConfig.Generate":            12,
 	"market.Fig5Catalog":                       1,
 	"market.GoogleLikeCatalog":                 2,
 	"portfolio.(*Planner).Step":                1,
 	"portfolio.(*Planner).recordMetrics":       1,
-	"portfolio.Config.buildLinear":             2,
-	"portfolio.Config.solveADMM":               1,
-	"portfolio.Config.solveFISTA":              1,
 	"portfolio.MeanRevertSource.PerReqCosts":   1,
 	"portfolio.NoisySource.PerReqCosts":        1,
 	"portfolio.ServerCounts":                   2,

@@ -413,6 +413,42 @@ func TestBalancerVanillaIgnoresWarnings(t *testing.T) {
 	}
 }
 
+// TestRetireLeavesRotation: a scale-down's victim leaves rotation in both
+// modes — its sessions move, no request reaches it, sticky or not — and its
+// drain is journaled from start to completion, vanilla too.
+func TestRetireLeavesRotation(t *testing.T) {
+	for _, vanilla := range []bool{false, true} {
+		b := NewBalancer()
+		b.Vanilla = vanilla
+		b.Journal = metrics.NewJournal(64)
+		b.UpdatePortfolio(map[int]float64{1: 1, 2: 1, 3: 1})
+		for i := 0; i < 30; i++ {
+			b.Route(fmt.Sprintf("s%d", i))
+		}
+		on1 := b.SessionsOn(1)
+		if on1 == 0 {
+			t.Fatalf("vanilla=%v: no sessions landed on 1", vanilla)
+		}
+		if moved := b.Retire(1); moved != on1 || b.SessionsOn(1) != 0 {
+			t.Fatalf("vanilla=%v: moved %d of %d sessions", vanilla, moved, on1)
+		}
+		for i := 0; i < 60; i++ {
+			if id, ok := b.Route(fmt.Sprintf("s%d", i%40)); !ok || id == 1 {
+				t.Fatalf("vanilla=%v: routed to the retired backend (%d, %v)", vanilla, id, ok)
+			}
+			if id, ok := b.Route(""); !ok || id == 1 {
+				t.Fatalf("vanilla=%v: routed to the retired backend (%d, %v)", vanilla, id, ok)
+			}
+		}
+		b.CompleteDrain(1)
+		c := b.Journal.Counts()
+		if c[metrics.EvDrainStart] != 1 || c[metrics.EvDrainComplete] != 1 {
+			t.Fatalf("vanilla=%v: %d drains started, %d completed, want 1 and 1",
+				vanilla, c[metrics.EvDrainStart], c[metrics.EvDrainComplete])
+		}
+	}
+}
+
 func TestUpdatePortfolioRemovesStale(t *testing.T) {
 	b := NewBalancer()
 	b.UpdatePortfolio(map[int]float64{1: 1, 2: 2})

@@ -188,6 +188,29 @@ func (b *Balancer) HandleWarning(backend int, utilization, startDelay, warning f
 	return action, migrated
 }
 
+// Retire takes a backend the operator chose to stop out of rotation and
+// returns the number of sessions moved off it: a voluntary scale-down, which
+// is not a revocation, so neither the revocation decision nor its override
+// applies, and a vanilla balancer, which ignores warnings, retires it too.
+// The backend's sessions move to the backends that take new ones, drain_start
+// is journaled (as a redistribute: the survivors absorb the load) and
+// CompleteDrain ends the drain when the backend stops. A transiency-aware
+// balancer hard-drains the backend; a vanilla one, whose views ignore drain
+// marks, drops it.
+func (b *Balancer) Retire(backend int) int {
+	b.mu.Lock()
+	if b.Vanilla {
+		b.removeLocked(backend)
+	} else {
+		b.markLocked(backend, true)
+	}
+	migrated := b.migrateLocked(backend)
+	b.mu.Unlock()
+	b.Journal.Record(metrics.EvDrainStart, backend, -1, ActionRedistribute.String())
+	b.recordMigrated(backend, migrated)
+	return migrated
+}
+
 // MigrateOff moves every session bound to a backend onto non-draining
 // backends once they can take it (redistribute, or replacements routable)
 // and returns the number moved. Placement is load-aware: each session goes

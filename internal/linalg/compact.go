@@ -16,8 +16,23 @@ type MatVec interface {
 	// horizon-stacked risk Hessian is H copies of one M, and a per-period
 	// MulVec would stream M through the cache H times per solver iteration.
 	// Every output element is bit-identical to the one MulVec writes for its
-	// block.
-	MulVecStacked(x, dst Vector) Vector
+	// block. A *Compact gathers x into s and computes there; s nil makes it
+	// allocate a Scratch of its own, and *Matrix ignores s.
+	MulVecStacked(x, dst Vector, s *Scratch) Vector
+}
+
+// Scratch is the memory a *Compact gathers x's coupled entries into and
+// computes in: 2·h·k values and the h·k gather positions, for the operator and
+// the block count of its last use. It grows to the largest product it serves
+// and is kept from one operator to the next, so a solver that builds an
+// operator per round allocates no scratch after its first. The zero value is
+// ready; one Scratch serves one product at a time, so two products running at
+// once need two.
+type Scratch struct {
+	v  Vector
+	at []int    // at[p·k+t] = p·n + coupled[t]
+	of *Compact // the operator at was built for, over h blocks
+	h  int
 }
 
 // Compact applies a bitwise-symmetric dense matrix while skipping its isolated
@@ -36,17 +51,15 @@ type MatVec interface {
 // without a full chunk run (*Matrix).mulBlocks. With isolated indices the
 // operator holds a packed copy of the coupled block; with none it runs over
 // the matrix itself, without a copy. Either way it lives for one solve: the
-// matrix must not change while the operator is in use. It also owns the
-// scratch its calls gather x into and compute in: one Compact serves one
-// goroutine at a time.
+// matrix must not change while the operator is in use. It writes nothing of
+// its own: the caller's Scratch holds what a product gathers, so products
+// with distinct Scratches may run at once.
 type Compact struct {
 	n       int
 	block   Matrix    // the k×k coupled block: packed, or the matrix itself when k == n
 	coupled []int     // ascending
 	iso     []int     // ascending; coupled ∪ iso = [0, n)
 	isoDiag []float64 // M_ii of iso[t]
-	scratch Vector    // gathered x, then block·x: 2·h·k, grown to the largest h seen
-	at      []int     // at[p·k+t] = p·n + coupled[t], for the h of the last call
 }
 
 // CompactRisk scans the square matrix m once for isolated indices and returns
@@ -207,23 +220,46 @@ func (c *Compact) Coupled() int { return c.n - len(c.iso) }
 // Dim returns n.
 func (c *Compact) Dim() int { return c.n }
 
-// MulVec computes dst = M·x and returns dst; shapes as (*Matrix).MulVec.
+// MulVec computes dst = M·x and returns dst; shapes as (*Matrix).MulVec. It
+// gathers nothing: a coupled output is one accumulator over the coupled
+// columns of its packed row in ascending order — the sum the kernels compute
+// — so MulVec needs no Scratch and allocates nothing. A solver's products go
+// through MulVecStacked, which runs the lane kernel on gathered x.
 func (c *Compact) MulVec(x, dst Vector) Vector {
 	if len(x) != c.n || len(dst) != c.n {
 		panic(fmt.Sprintf("linalg: Compact MulVec shape mismatch %d/%d vs %dx%d", len(x), len(dst), c.n, c.n))
 	}
-	c.mul(x, dst, 1)
+	if len(c.iso) == 0 {
+		c.block.mulSym(x, dst, 1)
+		return dst
+	}
+	for t, i := range c.iso {
+		var s float64 // the dense sum starts at +0: a −0 product must read +0
+		s += float64(c.isoDiag[t] * x[i])
+		dst[i] = s
+	}
+	k := len(c.coupled)
+	for r, i := range c.coupled {
+		row := c.block.Data[r*k : (r+1)*k]
+		var s float64
+		for t, j := range c.coupled {
+			s += float64(row[t] * x[j])
+		}
+		dst[i] = s
+	}
 	return dst
 }
 
 // mul applies the operator to the h length-n blocks of x: the isolated outputs
 // one product each, the coupled ones by gathering every block's coupled x into
-// scratch, running the packed block through the kernels and scattering the
-// results back. One index list over all h blocks keeps the gather and the
-// scatter one loop each, which is what a 6-market what-if cell pays for; a
-// block without a full lane chunk goes straight to mulBlocks. With nothing
-// isolated the block is the matrix and runs on x and dst directly.
-func (c *Compact) mul(x, dst Vector, h int) {
+// sc, running the packed block through the kernels and scattering the results
+// back. One index list over all h blocks keeps the gather and the scatter one
+// loop each, which is what a 6-market what-if cell pays for; sc keeps the list
+// while it serves this operator over h blocks. A block without a full lane
+// chunk goes straight to mulBlocks. With nothing isolated the block is the
+// matrix and runs on x and dst directly, and sc is not touched. A nil sc is a
+// Scratch of the call's own.
+func (c *Compact) mul(x, dst Vector, h int, sc *Scratch) {
 	if len(c.iso) == 0 { // the block is the matrix itself, with 8 rows or more
 		c.block.mulSym(x, dst, h)
 		return
@@ -237,19 +273,23 @@ func (c *Compact) mul(x, dst Vector, h int) {
 			db[i] = s
 		}
 	}
-	if k := len(coupled); len(c.at) != h*k {
-		if len(c.scratch) < 2*h*k {
-			c.scratch = NewVector(2 * h * k)
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	if k := len(coupled); sc.of != c || sc.h != h {
+		if len(sc.v) < 2*h*k {
+			sc.v = NewVector(2 * h * k)
 		}
-		c.at = c.at[:0]
+		sc.at = sc.at[:0]
 		for p := 0; p < h; p++ {
 			for _, j := range coupled {
-				c.at = append(c.at, p*n+j)
+				sc.at = append(sc.at, p*n+j)
 			}
 		}
+		sc.of, sc.h = c, h
 	}
-	at := c.at
-	xs, ys := c.scratch[:len(at)], c.scratch[len(at):2*len(at)]
+	at := sc.at
+	xs, ys := sc.v[:len(at)], sc.v[len(at):2*len(at)]
 	for q, j := range at {
 		xs[q] = x[j]
 	}
@@ -261,6 +301,21 @@ func (c *Compact) mul(x, dst Vector, h int) {
 	for q, i := range at {
 		dst[i] = ys[q]
 	}
+}
+
+// StackedSplit returns the block at which a stacked product over h blocks
+// splits into two parts, [0, cut) and [cut, h), that together run exactly the
+// lane passes of the whole: mulSym carries four blocks per pass, then a pair,
+// then a last block paired with itself, and mulBlocks pairs blocks, so a cut
+// at a multiple of four leaves every pass whole. It picks the multiple of
+// four nearest h/2 and returns 0 when that is not inside (0, h) — for h ≤ 4,
+// where any cut adds a pass or duplicates a block. h = 6 cuts at 4: one
+// four-block pass | one pair.
+func StackedSplit(h int) int {
+	if cut := 4 * ((h + 4) / 8); cut > 0 && cut < h {
+		return cut
+	}
+	return 0
 }
 
 // mulSym computes dst_p = m·x_p for the h blocks of the symmetric k×k m: the

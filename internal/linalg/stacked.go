@@ -13,8 +13,8 @@ func stackedBlocks(x, dst Vector, rows, cols int) int {
 	panic(fmt.Sprintf("linalg: MulVecStacked shape mismatch %d/%d vs %dx%d", len(x), len(dst), rows, cols))
 }
 
-// MulVecStacked implements MatVec.
-func (m *Matrix) MulVecStacked(x, dst Vector) Vector {
+// MulVecStacked implements MatVec; a dense matrix needs no scratch.
+func (m *Matrix) MulVecStacked(x, dst Vector, _ *Scratch) Vector {
 	m.mulBlocks(x, dst, stackedBlocks(x, dst, m.Rows, m.Cols), 0)
 	return dst
 }
@@ -62,7 +62,7 @@ func (m *Matrix) mulBlocks(x, dst Vector, h, lo int) {
 }
 
 // MulVecStacked implements MatVec; see (*Compact).MulVec.
-func (c *Compact) MulVecStacked(x, dst Vector) Vector {
-	c.mul(x, dst, stackedBlocks(x, dst, c.n, c.n))
+func (c *Compact) MulVecStacked(x, dst Vector, s *Scratch) Vector {
+	c.mul(x, dst, stackedBlocks(x, dst, c.n, c.n), s)
 	return dst
 }

@@ -38,7 +38,7 @@ func checkStackedBits(t *testing.T, name string, m *Matrix, op MatVec, x Vector,
 		for i := range stacked {
 			stacked[i], perBlock[i] = math.NaN(), math.NaN() // every output must be written
 		}
-		op.MulVecStacked(x, stacked)
+		op.MulVecStacked(x, stacked, nil)
 		for p := 0; p < h; p++ {
 			op.MulVec(x[p*c:(p+1)*c], perBlock[p*r:(p+1)*r])
 		}
@@ -162,10 +162,10 @@ func TestStackedMulVecShapePanics(t *testing.T) {
 	m.Set(1, 0, 1)
 	compact, _ := CompactRisk(m)
 	for name, fn := range map[string]func(){
-		"matrix-ragged-x":  func() { m.MulVecStacked(NewVector(9), NewVector(8)) },
-		"matrix-short-dst": func() { m.MulVecStacked(NewVector(8), NewVector(4)) },
-		"matrix-empty":     func() { m.MulVecStacked(nil, nil) },
-		"compact-ragged-x": func() { compact.(*Compact).MulVecStacked(NewVector(6), NewVector(8)) },
+		"matrix-ragged-x":  func() { m.MulVecStacked(NewVector(9), NewVector(8), nil) },
+		"matrix-short-dst": func() { m.MulVecStacked(NewVector(8), NewVector(4), nil) },
+		"matrix-empty":     func() { m.MulVecStacked(nil, nil, nil) },
+		"compact-ragged-x": func() { compact.(*Compact).MulVecStacked(NewVector(6), NewVector(8), nil) },
 	} {
 		func() {
 			defer func() {
@@ -183,12 +183,39 @@ func TestStackedMulVecAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	m := randomSPD(rng, 40)
 	x, dst := signedVector(rng, 240), NewVector(240)
-	if a := testing.AllocsPerRun(50, func() { m.MulVecStacked(x, dst) }); a != 0 {
+	if a := testing.AllocsPerRun(50, func() { m.MulVecStacked(x, dst, nil) }); a != 0 {
 		t.Fatalf("Matrix.MulVecStacked allocates %v objects per call", a)
 	}
 	isolate(m, 1, 5, 9, 30)
 	op, _ := CompactRisk(m)
-	if a := testing.AllocsPerRun(50, func() { op.MulVecStacked(x, dst) }); a != 0 {
+	var sc Scratch // its first use allocates, before AllocsPerRun counts
+	if a := testing.AllocsPerRun(50, func() { op.MulVecStacked(x, dst, &sc) }); a != 0 {
 		t.Fatalf("Compact.MulVecStacked allocates %v objects per call", a)
+	}
+}
+
+// TestScratchFollowsOperator: one Scratch serves operators with different
+// coupled sets and block counts in turn, as a solve workspace's does from
+// round to round, and every product is the one-accumulator reference's bit
+// for bit.
+func TestScratchFollowsOperator(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var sc Scratch
+	for round, iso := range [][]int{{1, 5, 9, 30}, {2, 3}, {1, 5, 9, 30}, {0, 7, 8, 20, 21, 39}} {
+		m := randomSPD(rng, 40)
+		isolate(m, iso...)
+		op, _ := CompactRisk(m)
+		for _, h := range []int{6, 4, 2, 6, 1} {
+			x := signedVector(rng, 40*h)
+			got := op.MulVecStacked(x, NewVector(40*h), &sc)
+			for p := 0; p < h; p++ {
+				want := refMulVec(m, x[p*40:(p+1)*40], NewVector(40))
+				for i, w := range want {
+					if g := got[p*40+i]; math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("round %d h=%d block %d output %d: %v, want %v", round, h, p, i, g, w)
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,10 +1,12 @@
 // Package parallel provides the worker pool that runs independent tasks side
 // by side: federation shard solves (PoolFor) and what-if sweep cells (NewIO).
-// One solve is serial; nothing inside a solver or a linalg kernel uses a pool.
-// The one thing that runs beside a single solve is not a pool task either:
-// portfolio.Planner builds the next round's risk operator — one covariance
-// build — on a goroutine of its own while the round solves, never anything
-// inside the solve.
+// Nothing inside a solver or a linalg kernel uses a pool. A large FISTA solve
+// splits its per-period work in two parts with one helper goroutine of its
+// own, started and stopped by the solve (solver.SolveFISTA): a pool's
+// hand-off per fan-out cost more than it saved (DESIGN.md §5). Beside a
+// planning round's solve, portfolio.Planner builds the next round's risk
+// operator — one covariance build — on a goroutine of its own; that is not a
+// pool task either.
 //
 // Design constraints, in order of importance:
 //

@@ -23,7 +23,7 @@ type perPeriodRisk struct{ m linalg.MatVec }
 
 func (p perPeriodRisk) Dim() int                                  { return p.m.Dim() }
 func (p perPeriodRisk) MulVec(x, dst linalg.Vector) linalg.Vector { return p.m.MulVec(x, dst) }
-func (p perPeriodRisk) MulVecStacked(x, dst linalg.Vector) linalg.Vector {
+func (p perPeriodRisk) MulVecStacked(x, dst linalg.Vector, _ *linalg.Scratch) linalg.Vector {
 	n := p.m.Dim()
 	for off := 0; off < len(x); off += n {
 		p.m.MulVec(x[off:off+n], dst[off:off+n])

@@ -93,8 +93,9 @@ type Config struct {
 	// (first-interval allocations agree within solver tolerance). Disable it
 	// to reproduce strictly independent per-round solves.
 	DisableWarmStart bool
-	// Parallelism and KKT are ignored — one solve is serial and ADMM has one
-	// KKT engine. Named by bench/plan.go; removed with ROADMAP item 18.
+	// Parallelism and KKT are ignored — a solve's split is chosen by its size
+	// and GOMAXPROCS alone, and ADMM has one KKT engine. Named by
+	// bench/plan.go; removed with ROADMAP item 18.
 	Parallelism int
 	KKT         KKTPath
 }
@@ -208,9 +209,9 @@ func (in *Inputs) anchorIdx() []int {
 // the provisioning cost per unit of allocation plus the Eq. 4 SLA terms.
 func (c Config) linearCost(in *Inputs, τ, i int) float64 {
 	lam := in.Lambda[τ]
-	cost := lam * in.PerReqCost[τ][i]
+	cost := float64(lam * in.PerReqCost[τ][i])
 	// Eq. 4: P·A·(f λ L + shortfall); shortfall charged a priori via MAE.
-	cost += c.PenaltyP * (in.FailProb[τ][i]*lam*c.LongRequestFrac + in.ShortfallMAE)
+	cost += float64(c.PenaltyP * (float64(in.FailProb[τ][i]*lam*c.LongRequestFrac) + in.ShortfallMAE))
 	return cost
 }
 

@@ -49,25 +49,40 @@ func (p *Plan) First() linalg.Vector { return p.Alloc[0] }
 
 // horizonOperator is the Hessian of the MPO objective as a matrix-free
 // operator: block-diagonal risk (2αM per period) plus the tridiagonal churn
-// coupling 2κ(‖A_τ − A_{τ−1}‖² terms).
+// coupling 2κ(‖A_τ − A_{τ−1}‖² terms). It applies all its periods or a range
+// of them; scratch holds what a *linalg.Compact M gathers, one slot per part a
+// solve applies at once, and outlives the operator's M when the operator is a
+// workspace's.
 type horizonOperator struct {
-	m     linalg.MatVec // risk matrix M
-	alpha float64
-	kappa float64
-	n, h  int
+	m       linalg.MatVec // risk matrix M
+	alpha   float64
+	kappa   float64
+	n, h    int
+	scratch [2]linalg.Scratch
 }
 
 // Apply implements solver.QuadOperator.
 func (o *horizonOperator) Apply(x, dst linalg.Vector) {
+	o.ApplyPeriods(x, dst, 0, o.h, 0)
+}
+
+// Periods returns the period length and the period count.
+func (o *horizonOperator) Periods() (n, h int) { return o.n, o.h }
+
+// ApplyPeriods writes periods lo … hi−1 of P·x into dst, reading x's periods
+// lo−1 … hi, with scratch slot part. Calls over disjoint period ranges with
+// distinct parts may run at once; every output is the bit Apply writes.
+func (o *horizonOperator) ApplyPeriods(x, dst linalg.Vector, lo, hi, part int) {
 	n, h := o.n, o.h
-	// All periods go to M in one call, so M is read once.
-	o.m.MulVecStacked(x, dst)
-	dst.Scale(2 * o.alpha)
+	// All the range's periods go to M in one call, so M is read once.
+	xr, dr := x[lo*n:hi*n], dst[lo*n:hi*n]
+	o.m.MulVecStacked(xr, dr, &o.scratch[part])
+	dr.Scale(2 * o.alpha)
 	if o.kappa == 0 {
 		return
 	}
 	k2 := 2 * o.kappa
-	for τ := 0; τ < h; τ++ {
+	for τ := lo; τ < hi; τ++ {
 		xb := x[τ*n : (τ+1)*n]
 		db := dst[τ*n : (τ+1)*n]
 		// Each A_τ appears in the (τ) difference and, if τ+1 < h, in the
@@ -111,7 +126,7 @@ func (c Config) churnWeight(in *Inputs, n int) float64 {
 			meanC += in.PerReqCost[τ][i]
 		}
 		meanC /= float64(n)
-		spend += in.Lambda[τ] * meanC
+		spend += float64(in.Lambda[τ] * meanC)
 	}
 	spend /= float64(c.Horizon)
 	if spend <= 0 {
@@ -160,11 +175,12 @@ func (c Config) feasibleSet(n int, anchorIdx []int) *solver.ProductSet {
 }
 
 // workspace is what one WarmSolver's FISTA solves reuse from round to round:
-// the feasible set, the linear cost vector and the Hessian operator. The set
-// is rebuilt only when the market count, the horizon, the per-market cap, the
-// anchor floor or the anchor markets change; the budget band [AMin, AMax] —
-// a federation shard's moves at every coordination round — is set in place
-// before every solve, which leaves the set as a freshly built one would be.
+// the feasible set, the linear cost vector and the Hessian operator with its
+// gather scratch. The set is rebuilt only when the market count, the
+// horizon, the per-market cap, the anchor floor or the anchor markets
+// change; the budget band [AMin, AMax] — a federation shard's moves at every
+// coordination round — is set in place before every solve, which leaves the
+// set as a freshly built one would be.
 type workspace struct {
 	set           *solver.ProductSet
 	n, h          int
@@ -325,7 +341,8 @@ func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState, ws *worksp
 	if ws == nil {
 		ws = &workspace{} // a cold solve's own
 	}
-	ws.op = horizonOperator{m: risk, alpha: c.Alpha, kappa: kappa, n: n, h: c.Horizon}
+	// The operator's scratch stays: the next round's operator gathers into it.
+	ws.op.m, ws.op.alpha, ws.op.kappa, ws.op.n, ws.op.h = risk, c.Alpha, kappa, n, c.Horizon
 	ws.q = c.buildLinear(in, n, kappa, ws.q)
 	pp := &solver.ProjectedProblem{P: &ws.op, Q: ws.q, C: ws.feasible(c, in, n)}
 	return solver.SolveFISTA(pp, solver.FISTASettings{

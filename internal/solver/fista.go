@@ -53,18 +53,20 @@ func (s FISTASettings) withDefaults() FISTASettings {
 // is a safe step size.
 func EstimateLipschitz(p QuadOperator, iters int) float64 {
 	n := p.Dim()
-	l, _ := estimateLipschitz(p, nil, iters, linalg.NewVector(n), linalg.NewVector(n))
+	var sp split
+	sp.setup(&ProjectedProblem{P: p}, n)
+	l, _ := sp.estimateLipschitz(nil, iters, linalg.NewVector(n), linalg.NewVector(n))
 	return l
 }
 
-// estimateLipschitz runs power iteration from v0 (or a deterministic
-// pseudo-random start when v0 is nil/mismatched) and returns the inflated
-// λmax estimate together with the final unit eigenvector, so a subsequent
-// solve of a nearby operator can restart from it with far fewer matvecs. v
-// and w are its n-long work vectors — v0 may be v itself — and the returned
-// eigenvector is v.
-func estimateLipschitz(p QuadOperator, v0 linalg.Vector, iters int, v, w linalg.Vector) (float64, linalg.Vector) {
-	n := p.Dim()
+// estimateLipschitz runs power iteration on the problem s is set up for from
+// v0 (or a deterministic pseudo-random start when v0 is nil/mismatched) and
+// returns the inflated λmax estimate together with the final unit
+// eigenvector, so a subsequent solve of a nearby operator can restart from it
+// with far fewer matvecs. v and w are its n-long work vectors — v0 may be v
+// itself — and the returned eigenvector is v. Each product runs on s's parts.
+func (s *split) estimateLipschitz(v0 linalg.Vector, iters int, v, w linalg.Vector) (float64, linalg.Vector) {
+	n := s.p.P.Dim()
 	if n == 0 {
 		return 1, nil
 	}
@@ -87,9 +89,10 @@ func estimateLipschitz(p QuadOperator, v0 linalg.Vector, iters int, v, w linalg.
 		v[0] = 1
 	}
 	v.Scale(1 / v.Norm2())
+	s.v, s.w = v, w
 	lambda := 0.0
 	for k := 0; k < iters; k++ {
-		p.Apply(v, w)
+		s.run(taskApply)
 		nrm := w.Norm2()
 		if nrm == 0 {
 			return 1e-12, v // P ≈ 0: any small L works, objective is affine
@@ -126,6 +129,14 @@ func fit(v linalg.Vector, n int) linalg.Vector {
 // — the seed iterates in place, the rest as scratch — and hands them on as
 // Result.Warm: the incoming state is consumed, and a receding-horizon run of
 // warm solves allocates only each Result.X, which is the caller's own.
+//
+// A large solve of a period operator over a ProductSet runs each iteration's
+// per-period work — the products with P, the gradient step, the residual
+// check's trial point and the projections — in two parts over contiguous
+// period ranges, one on a helper goroutine that exits before SolveFISTA
+// returns (see split); the restart dot, the momentum, the extrapolation and
+// the residual's max stay on the caller, in order, so every bit is the one
+// part's.
 func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 	s := settings.withDefaults()
 	n := p.P.Dim()
@@ -134,6 +145,9 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 	if st == nil {
 		st = &WarmState{}
 	}
+	sp := &st.split
+	sp.setup(p, n)
+	defer sp.stop() // also on a panic: no helper outlives the solve
 	warmStarted := false
 	l := s.LipschitzBound
 	var lipVec linalg.Vector
@@ -143,10 +157,10 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 			// Warm refresh: the dominant eigenvector of the slowly-drifting
 			// Hessian is an excellent power-iteration start, so a few matvecs
 			// recover (and track) the estimate the cold path needs 30 for.
-			l, lipVec = estimateLipschitz(p.P, warm.lipVec, 6, warm.lipVec, lipW)
+			l, lipVec = sp.estimateLipschitz(warm.lipVec, 6, warm.lipVec, lipW)
 			warmStarted = true
 		} else {
-			l, lipVec = estimateLipschitz(p.P, nil, 30, fit(st.lipVec, n), lipW)
+			l, lipVec = sp.estimateLipschitz(nil, 30, fit(st.lipVec, n), lipW)
 		}
 	}
 	if l < 1e-12 {
@@ -188,21 +202,20 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 		}
 	}
 	grad, tmp := fit(st.grad, n), fit(st.tmp, n)
+	sp.x, sp.xPrev, sp.yv, sp.grad, sp.tmp, sp.step = x, xPrev, yv, grad, tmp, step
 
 	res := Result{Status: StatusMaxIterations}
 	for iter := 1; iter <= s.MaxIter; iter++ {
-		// Gradient step at the extrapolated point.
-		p.P.Apply(yv, grad)
-		for i := range x {
-			xPrev[i] = x[i]
-			x[i] = yv[i] - float64(step*(grad[i]+p.Q[i]))
-		}
-		p.C.Project(x)
+		// Projected gradient step at the extrapolated point.
+		sp.run(taskStep)
 
 		// Adaptive restart: if momentum points uphill, reset it.
 		var dot float64
 		for i := range x {
 			dot += float64((yv[i] - x[i]) * (x[i] - xPrev[i]))
+		}
+		if traceDot != nil {
+			traceDot(dot)
 		}
 		if dot > 0 {
 			tk = 1
@@ -216,11 +229,7 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 
 		// Fixed-point residual at x (checked periodically).
 		if iter%5 == 0 || iter == s.MaxIter {
-			p.P.Apply(x, grad)
-			for i := range tmp {
-				tmp[i] = x[i] - float64(step*(grad[i]+p.Q[i]))
-			}
-			p.C.Project(tmp)
+			sp.run(taskCheck)
 			var fp float64
 			for i := range tmp {
 				if d := math.Abs(tmp[i] - x[i]); d > fp || math.IsNaN(d) {
@@ -247,11 +256,9 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 	if lipVec == nil && warm != nil {
 		lipVec = warm.lipVec // LipschitzBound override: keep any cached vector
 	}
-	*st = WarmState{
-		x: x, xPrev: xPrev, tk: tk,
-		lip: l, lipVec: lipVec,
-		yv: yv, grad: grad, tmp: tmp, lipW: lipW,
-	}
+	st.x, st.xPrev, st.tk = x, xPrev, tk
+	st.lip, st.lipVec = l, lipVec
+	st.yv, st.grad, st.tmp, st.lipW = yv, grad, tmp, lipW
 	res.Warm = st
 	return res
 }

@@ -516,7 +516,14 @@ func (p *ProductSet) Project(x linalg.Vector) {
 	if len(x) != p.total {
 		panic("solver: ProductSet Project dimension mismatch")
 	}
-	for k := range p.Blocks {
+	p.ProjectBlocks(x, 0, len(p.Blocks))
+}
+
+// ProjectBlocks projects blocks lo … hi−1 of the stacked x in place and
+// leaves the rest of x alone. Blocks keep their own state, so calls over
+// disjoint block ranges may run at once.
+func (p *ProductSet) ProjectBlocks(x linalg.Vector, lo, hi int) {
+	for k := lo; k < hi; k++ {
 		p.Blocks[k].Project(x[p.offs[k]:p.offs[k+1]])
 	}
 }

@@ -37,6 +37,9 @@ type WarmState struct {
 	// extrapolated point, the gradient, the residual check's trial point
 	// and power iteration's product.
 	yv, grad, tmp, lipW linalg.Vector
+
+	// The solve's parts and its helper hand-off; nothing of it carries over.
+	split split
 }
 
 // ShiftHorizon shifts the stored iterates one period earlier for a

@@ -289,9 +289,10 @@ func (c *Cluster) MarketCounts(numMarkets int) []int {
 // are drained gracefully — pulled from rotation immediately, terminated
 // after the warning period so in-flight work completes. Surplus goes
 // youngest first (highest id), so a booting or cold backend is drained
-// before a warm one. Redistribute is always safe for a voluntary scale-down:
-// the controller chose the smaller fleet deliberately. It returns how many
-// were started and stopped.
+// before a warm one. A scale-down is not a revocation: the controller chose
+// the smaller fleet deliberately, so the balancer retires the backend
+// (lb.Balancer.Retire) in either mode, vanilla too, and journals its drain.
+// It returns how many were started and stopped.
 func (c *Cluster) ScaleTo(counts []int, capacities []float64) (started, stopped int) {
 	c.update(func(now float64) {
 		have := make([]int, len(counts))
@@ -308,7 +309,7 @@ func (c *Cluster) ScaleTo(counts []int, capacities []float64) (started, stopped 
 					c.cfg.Journal.Record(metrics.EvScaleDown, b.ID, b.Market, "")
 					c.fleet.RevokeWarning(b.ID, now, c.cfg.Warning.Seconds())
 					b.reason = "scale_down"
-					c.balancer.HandleWarning(b.ID, 0, c.cfg.Backend.StartDelay.Seconds(), c.cfg.Warning.Seconds())
+					c.balancer.Retire(b.ID)
 					stopped++
 				}
 			}

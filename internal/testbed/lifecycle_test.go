@@ -46,8 +46,21 @@ func TestRevokeDecidesOnceForAllVictims(t *testing.T) {
 //   - a backend drained or warned while it boots never joins rotation.
 //
 // Revocations pick any ID launched so far, so they also hit booting,
-// draining and terminated backends.
+// draining and terminated backends. The laws hold on a transiency-aware
+// cluster and on a vanilla one.
 func TestLifecycleLaws(t *testing.T) {
+	for _, vanilla := range []bool{false, true} {
+		t.Run(map[bool]string{false: "aware", true: "vanilla"}[vanilla], func(t *testing.T) {
+			checkLifecycleLaws(t, vanilla)
+		})
+	}
+}
+
+// checkLifecycleLaws runs TestLifecycleLaws' sequences on a transiency-aware
+// or a vanilla cluster. A vanilla balancer ignores warnings, so its
+// revocations start no drain and complete none, while its scale-downs, which
+// are no revocations, start and complete theirs.
+func checkLifecycleLaws(t *testing.T, vanilla bool) {
 	caps := []float64{100, 60}
 	var warned, leftBooting int
 	for seed := int64(0); seed < 8; seed++ {
@@ -58,6 +71,7 @@ func TestLifecycleLaws(t *testing.T) {
 				WarmupDur: 2 * time.Millisecond},
 			Warning: 4 * time.Millisecond,
 			Journal: j,
+			Vanilla: vanilla,
 		})
 		scaled := 0 // backends ScaleTo launched; replacements are journaled
 		for op := 0; op < 40; op++ {
