@@ -43,12 +43,9 @@ func BenchmarkFig3Traces(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4aLoadBalancer runs the §6.1 testbed experiment (real HTTP
-// servers, compressed time). This is a wall-clock-bound experiment.
-func BenchmarkFig4aLoadBalancer(b *testing.B) {
-	if testing.Short() {
-		b.Skip("real-time testbed")
-	}
+// BenchmarkFig4a regenerates the §6.1 load-balancing experiment (full paper
+// time scale, request-level discrete-event simulation).
+func BenchmarkFig4a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		experiments.Fig4a(io.Discard, benchOpt)
 	}
@@ -488,13 +485,5 @@ func BenchmarkBetaQuantile(b *testing.B) {
 				stats.BetaQuantile(c.p, qa, qb, guess)
 			}
 		})
-	}
-}
-
-// BenchmarkFig4aSimDES regenerates the discrete-event rendition of Fig. 4(a)
-// (full paper time scale, request-level simulation).
-func BenchmarkFig4aSimDES(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig4aSim(io.Discard, benchOpt)
 	}
 }

@@ -5,6 +5,7 @@
 // Usage:
 //
 //	spotweb-sim -exp fig6b [-quick] [-seed 42] [-workload wiki|vod]
+//	spotweb-sim -exp fig4a [-seed 42]   # §6.1 on the request-level DES
 //	spotweb-sim -exp all
 package main
 
@@ -32,7 +33,7 @@ type simFlags struct {
 
 func parseFlags(fs *flag.FlagSet, args []string) (*simFlags, error) {
 	f := &simFlags{}
-	fs.StringVar(&f.exp, "exp", "all", "experiment id: table1, fig3, fig4a, fig4cd, fig5, fig6a, fig6b, tv4, fig7a, fig7b, padding, all")
+	fs.StringVar(&f.exp, "exp", "all", "experiment id: table1, fig3, fig4a (also fig4a-sim; the request-level DES), fig4cd, fig5, fig6a, fig6b, tv4, fig7a, fig7b, padding, all")
 	fs.StringVar(&f.workload, "workload", "wiki", "workload for fig6b: wiki or vod")
 	f.rc = runcfg.BindFlags(fs)
 	f.fed = federation.BindFlags(fs)
@@ -104,10 +105,8 @@ func run(args []string, w, stderr io.Writer) int {
 			experiments.Table1(w)
 		case "fig3a", "fig3b", "fig3":
 			experiments.Fig3Traces(w, opt)
-		case "fig4a":
+		case "fig4a", "fig4a-sim":
 			experiments.Fig4a(w, opt)
-		case "fig4a-sim":
-			experiments.Fig4aSim(w, opt)
 		case "fig4c", "fig4d", "fig4cd", "padding":
 			experiments.Fig4cd(w, opt)
 		case "fig5", "fig5a", "fig5b", "fig5c", "fig5d":
@@ -141,7 +140,7 @@ func run(args []string, w, stderr io.Writer) int {
 	}
 
 	if f.exp == "all" {
-		for _, id := range []string{"table1", "fig3", "fig4a", "fig4a-sim", "fig4cd", "fig5",
+		for _, id := range []string{"table1", "fig3", "fig4a", "fig4cd", "fig5",
 			"fig6a", "fig6b", "tv4", "fig7a", "fig7b",
 			"ablation-churn", "ablation-padding", "ablation-longreq", "startup", "google", "predictors"} {
 			fmt.Fprintf(w, "\n===== %s =====\n", id)

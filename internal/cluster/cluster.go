@@ -1,9 +1,9 @@
 // Package cluster models the front-end server fleet: VM lifecycle
 // (starting → warming → running → draining → terminated), start-up delays,
-// cold-cache warm-up ramps, per-server effective capacity, and the queueing
-// latency model the simulator uses to translate utilization into response
-// times and drops. Time is an abstract float64; the simulator uses hours and
-// the tests use whatever is convenient.
+// cold-cache warm-up ramps, per-server effective capacity, the queueing
+// latency model the fluid simulator turns utilization into response times
+// and drops with, and Front, the control plane over a fleet and its balancer.
+// Time is an abstract float64: hours in the fluid simulator, seconds elsewhere.
 package cluster
 
 import (
@@ -75,6 +75,11 @@ type Server struct {
 	// preserveOnStop makes a draining server transition to StateStopped
 	// instead of StateTerminated when the drain expires (sentinel standby).
 	preserveOnStop bool
+	// replaces is the revoked server a Front launched this one to replace
+	// (nil for any other launch); reason, set when a Front revokes or
+	// retires the server, is journaled with its termination.
+	replaces *Server
+	reason   string
 }
 
 // State returns the lifecycle state as of the last Advance.

@@ -25,7 +25,7 @@ func TestCrossValidateFluidLatencyModel(t *testing.T) {
 
 		res, err := Run(Config{
 			Seed: int64(100 * rho), Duration: 600, Rate: offered,
-			Servers:  []ServerSpec{{Capacity: sat}},
+			Servers:  []float64{sat},
 			MaxQueue: 1 << 20,
 		})
 		if err != nil {
@@ -55,7 +55,7 @@ func TestCrossValidateOverloadThroughput(t *testing.T) {
 	sat := sloCap / (1 - model.BaseServiceTime/model.SLOTarget)
 	res, err := Run(Config{
 		Seed: 9, Duration: 300, Rate: offered,
-		Servers:  []ServerSpec{{Capacity: sat}},
+		Servers:  []float64{sat},
 		MaxQueue: 256,
 	})
 	if err != nil {

@@ -1,13 +1,13 @@
 // Package microsim is a request-level discrete-event simulator: individual
-// requests arrive as a (non-homogeneous) Poisson process, are routed by the
-// real transiency-aware balancer (internal/lb), and are served by
+// requests arrive as a Poisson process, are routed by the real
+// transiency-aware balancer (internal/lb), and are served by
 // processor-sharing servers — the M/G/1-PS model whose fluid limit is the
 // interval simulator in internal/sim. It produces per-request latency
-// distributions (the boxplots of Fig. 4(a)) deterministically and orders of
-// magnitude faster than the wall-clock testbed, and it cross-validates the
-// fluid model: both must agree on drop fractions and mean latency for the
-// same scenario. Servers boot, drain and terminate through the same
-// internal/cluster state machine as the fluid simulator's and the testbed's.
+// distributions (the boxplots of Fig. 4(a)) deterministically, and it
+// cross-validates the fluid model on drop fractions and mean latency. It
+// drives the testbed's control plane, internal/cluster's Front, on a virtual
+// clock: servers boot, drain and terminate, and revocations are decided, as
+// on the testbed's wall clock.
 package microsim
 
 import (
@@ -15,10 +15,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/lb"
+	"repro/internal/metrics"
 )
 
 // eventKind discriminates heap entries.
@@ -27,8 +27,6 @@ type eventKind int
 const (
 	evArrival eventKind = iota
 	evCompletion
-	evRevocationWarning
-	evMigrate
 )
 
 // event is one heap entry. Completion events carry a per-server version so
@@ -66,6 +64,7 @@ type job struct {
 type psServer struct {
 	node       *cluster.Server
 	jobs       []*job // in arrival order
+	limit      int    // jobs beyond it are shed
 	lastUpdate float64
 	version    int
 }
@@ -100,23 +99,11 @@ func (s *psServer) nextCompletion() float64 {
 	return s.lastUpdate + minRem*float64(len(s.jobs))/s.node.Capacity
 }
 
-// ServerSpec declares one server in the scenario.
-type ServerSpec struct {
-	// Capacity is the service rate in requests/second (request demand has
-	// mean 1 unit).
-	Capacity float64
-	// ReadyAt is when the server finishes booting (0 = from the start).
-	ReadyAt float64
-}
-
-// Revocation schedules a warning for a set of servers.
+// Revocation schedules a warning for a set of servers. The control plane
+// decides each victim's action and starts its replacement (cluster.Front).
 type Revocation struct {
 	At      float64 // warning time (seconds)
-	Servers []int   // indices into the ServerSpec slice
-	// Replacements are started at the warning time (the reprovision path);
-	// they become ready after ReplacementDelay.
-	Replacements     []ServerSpec
-	ReplacementDelay float64
+	Servers []int   // fleet IDs; the initial fleet's are its Config.Servers indices
 }
 
 // Config is a microsim scenario.
@@ -124,15 +111,19 @@ type Config struct {
 	Seed int64
 	// Duration of the run in seconds.
 	Duration float64
-	// Rate is the arrival rate (req/s); RateFn overrides it when non-nil
-	// (non-homogeneous Poisson via thinning with Rate as the majorant).
-	Rate   float64
-	RateFn func(t float64) float64
+	// Rate is the arrival rate (req/s), also the offered rate a revocation
+	// is decided on.
+	Rate float64
 	// Sessions cycles this many sticky session ids (0 = stateless).
 	Sessions int
-	// Servers is the initial fleet.
-	Servers []ServerSpec
-	// Revocations to inject.
+	// Servers is the initial fleet, one service rate (req/s; request demand
+	// has mean 1 unit) per server. It launches at −StartDelay, so it is
+	// ready at 0.
+	Servers []float64
+	// StartDelay is every server's boot time (seconds): replacements serve
+	// StartDelay after their warning.
+	StartDelay float64
+	// Revocations to inject, in time order.
 	Revocations []Revocation
 	// Warning is the revocation warning period (seconds).
 	Warning float64
@@ -155,6 +146,10 @@ type Result struct {
 	Samples []Sample
 	Served  int
 	Dropped int
+	// Journal counts the control plane's lifecycle events by type, and
+	// Actions lists the revocation victims' actions in order.
+	Journal map[string]int64
+	Actions []lb.RevocationAction
 }
 
 // DropFraction returns dropped / total.
@@ -197,34 +192,31 @@ func Run(cfg Config) (*Result, error) {
 		cfg.Warning = 120
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	journal := metrics.NewCountingJournal()
 	bal := lb.NewBalancer()
 	bal.Vanilla = cfg.Vanilla
+	bal.Journal = journal
+	fleet := cluster.New(math.Max(cfg.StartDelay, 0), 0)
+	front := cluster.NewFront(fleet, bal, journal)
 
-	// Servers, jobs and pending migrations are visited in id, arrival and id
-	// order: map order would make two runs of one Config differ.
-	var servers []*psServer // by id, the fleet's ID
+	var servers []*psServer // by the fleet's ID
 	var h eventHeap
 	res := &Result{}
-	fleet := cluster.New(0, 0)
-	addServer := func(capacity, now, bootDelay float64) {
-		fleet.StartDelay = math.Max(bootDelay, 0)
-		node := fleet.Launch(0, capacity, now)
-		servers = append(servers, &psServer{node: node, lastUpdate: now})
-	}
-	// advanceFleet moves the fleet to now: a booted server joins the
-	// balancer, and a terminated one leaves it and loses its in-flight jobs
-	// (vanilla keeps the dead server in rotation; arrivals routed to it are
-	// dropped at the routing step).
-	advanceFleet := func(now float64) {
-		ready, reaped := fleet.Advance(now)
-		for _, id := range ready {
-			bal.SetWeight(id, servers[id].node.Capacity)
+	// advance moves the control plane to now: a launched server gets its
+	// station, and a terminated one loses its in-flight jobs (vanilla keeps
+	// the dead server in rotation; arrivals routed to it are dropped at the
+	// routing step).
+	advance := func(now float64) {
+		_, reaped, launched := front.Advance(now)
+		for _, node := range launched {
+			limit := cfg.MaxQueue
+			if limit <= 0 {
+				limit = max(int(4*node.Capacity), 8)
+			}
+			servers = append(servers, &psServer{node: node, limit: limit, lastUpdate: now})
 		}
 		for _, id := range reaped {
 			srv := servers[id]
-			if !cfg.Vanilla {
-				bal.CompleteDrain(id)
-			}
 			for _, j := range srv.jobs {
 				res.Dropped++
 				res.Samples = append(res.Samples, Sample{At: j.arrived, Dropped: true})
@@ -232,16 +224,13 @@ func Run(cfg Config) (*Result, error) {
 			srv.jobs = nil
 		}
 	}
-	for _, spec := range cfg.Servers {
-		addServer(spec.Capacity, 0, spec.ReadyAt)
+	for _, capacity := range cfg.Servers {
+		front.Launch(0, capacity, -fleet.StartDelay)
 	}
-	for _, rev := range cfg.Revocations {
-		heap.Push(&h, &event{at: rev.At, kind: evRevocationWarning, server: -1})
-	}
+	advance(-fleet.StartDelay)
 	// First arrival.
 	heap.Push(&h, &event{at: rng.ExpFloat64() / cfg.Rate, kind: evArrival})
 
-	pendingMigration := map[int]bool{}
 	sessionN := 0
 
 	scheduleCompletion := func(s *psServer) {
@@ -250,22 +239,19 @@ func Run(cfg Config) (*Result, error) {
 			heap.Push(&h, &event{at: at, kind: evCompletion, server: s.node.ID, version: s.version})
 		}
 	}
-	maxQueue := func(s *psServer) int {
-		if cfg.MaxQueue > 0 {
-			return cfg.MaxQueue
-		}
-		mq := int(4 * s.node.Capacity)
-		if mq < 8 {
-			mq = 8
-		}
-		return mq
-	}
 
-	revIdx := 0
+	revs := cfg.Revocations
 	for h.Len() > 0 {
-		// Fleet transitions due no later than the next event go first.
+		// Fleet transitions due no later than the next event go first, then
+		// revocations.
 		if at := fleet.Next(); at <= h[0].at {
-			advanceFleet(at)
+			advance(at)
+			continue
+		}
+		if len(revs) > 0 && revs[0].At <= h[0].at {
+			res.Actions = append(res.Actions, front.Revoke(revs[0].Servers, cfg.Rate, revs[0].At, cfg.Warning)...)
+			advance(revs[0].At)
+			revs = revs[1:]
 			continue
 		}
 		e := heap.Pop(&h).(*event)
@@ -275,12 +261,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		switch e.kind {
 		case evArrival:
-			// Schedule the next arrival (thinning for RateFn).
-			next := now + rng.ExpFloat64()/cfg.Rate
-			heap.Push(&h, &event{at: next, kind: evArrival})
-			if cfg.RateFn != nil && rng.Float64() > cfg.RateFn(now)/cfg.Rate {
-				continue // thinned out
-			}
+			heap.Push(&h, &event{at: now + rng.ExpFloat64()/cfg.Rate, kind: evArrival})
 			session := ""
 			if cfg.Sessions > 0 {
 				session = fmt.Sprintf("s%d", sessionN%cfg.Sessions)
@@ -294,7 +275,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 			srv := servers[id]
 			srv.advance(now)
-			if len(srv.jobs) >= maxQueue(srv) {
+			if len(srv.jobs) >= srv.limit {
 				res.Dropped++
 				res.Samples = append(res.Samples, Sample{At: now, Dropped: true})
 				continue
@@ -339,60 +320,8 @@ func Run(cfg Config) (*Result, error) {
 			}
 			srv.jobs = kept
 			scheduleCompletion(srv)
-
-		case evMigrate:
-			// All replacement capacity scheduled before this event is now
-			// routable: move sessions off the soft-draining (revoked but
-			// still serving) backends, well inside the warning period.
-			victims := make([]int, 0, len(pendingMigration))
-			for v := range pendingMigration {
-				victims = append(victims, v)
-			}
-			sort.Ints(victims)
-			for _, v := range victims {
-				bal.MigrateOff(v)
-				delete(pendingMigration, v)
-			}
-
-		case evRevocationWarning:
-			rev := cfg.Revocations[revIdx]
-			revIdx++
-			// The survivors' capacity and a crude offered estimate decide
-			// the action, mirroring the testbed.
-			var remaining float64
-			victims := map[int]bool{}
-			for _, vi := range rev.Servers {
-				victims[vi] = true
-			}
-			for _, s := range fleet.Servers() {
-				if !victims[s.ID] {
-					remaining += s.EffectiveCapacity(now)
-				}
-			}
-			offered := cfg.Rate
-			if cfg.RateFn != nil {
-				offered = cfg.RateFn(now)
-			}
-			util := 2.0
-			if remaining > 0 {
-				util = offered / remaining
-			}
-			for _, vi := range rev.Servers {
-				action, _ := bal.HandleWarning(vi, util, rev.ReplacementDelay, cfg.Warning)
-				if !cfg.Vanilla && action != lb.ActionRedistribute {
-					pendingMigration[vi] = true
-				}
-				fleet.RevokeWarning(vi, now, cfg.Warning)
-			}
-			for _, spec := range rev.Replacements {
-				addServer(spec.Capacity, now, rev.ReplacementDelay)
-			}
-			advanceFleet(now)
-			if len(rev.Replacements) > 0 {
-				// Migrate strictly after every replacement's ready event.
-				heap.Push(&h, &event{at: now + rev.ReplacementDelay + 1e-6, kind: evMigrate})
-			}
 		}
 	}
+	res.Journal = journal.Counts()
 	return res, nil
 }

@@ -2,8 +2,11 @@ package microsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/lb"
+	"repro/internal/metrics"
 	"repro/internal/stats"
 )
 
@@ -12,7 +15,7 @@ func TestMM1PSLatencyMatchesTheory(t *testing.T) {
 	// sojourn time = S/(1−ρ) = (1/100)/(1−0.7) = 33.3 ms.
 	res, err := Run(Config{
 		Seed: 1, Duration: 400, Rate: 70,
-		Servers: []ServerSpec{{Capacity: 100}},
+		Servers: []float64{100},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +38,7 @@ func TestThroughputConservation(t *testing.T) {
 	// Stable system: served + dropped ≈ arrivals ≈ rate×duration.
 	res, err := Run(Config{
 		Seed: 2, Duration: 200, Rate: 50,
-		Servers: []ServerSpec{{Capacity: 40}, {Capacity: 40}},
+		Servers: []float64{40, 40},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +54,7 @@ func TestOverloadShedsLoad(t *testing.T) {
 	// Offered 150 on capacity 100: ≈1/3 must be shed.
 	res, err := Run(Config{
 		Seed: 3, Duration: 120, Rate: 150,
-		Servers:  []ServerSpec{{Capacity: 100}},
+		Servers:  []float64{100},
 		MaxQueue: 64,
 	})
 	if err != nil {
@@ -62,41 +65,18 @@ func TestOverloadShedsLoad(t *testing.T) {
 	}
 }
 
-func TestNonHomogeneousArrivals(t *testing.T) {
-	// Rate ramps 20 → 80; early window must see fewer arrivals than late.
-	res, err := Run(Config{
-		Seed: 4, Duration: 200, Rate: 80,
-		RateFn:  func(tt float64) float64 { return 20 + 60*tt/200 },
-		Servers: []ServerSpec{{Capacity: 200}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	early := len(res.LatenciesBetween(0, 50)) + res.DropsBetween(0, 50)
-	late := len(res.LatenciesBetween(150, 200)) + res.DropsBetween(150, 200)
-	if late < 2*early {
-		t.Fatalf("thinning broken: early %d late %d", early, late)
-	}
-}
-
 func TestRevocationTransiencyAwareVsVanilla(t *testing.T) {
 	mk := func(vanilla bool) *Result {
 		res, err := Run(Config{
 			Seed: 5, Duration: 480, Rate: 150, Sessions: 600,
-			Servers: []ServerSpec{
-				{Capacity: 25}, {Capacity: 25},
-				{Capacity: 50}, {Capacity: 50}, {Capacity: 40}, {Capacity: 40},
+			Servers: []float64{
+				25, 25,
+				50, 50, 40, 40,
 			},
-			Revocations: []Revocation{{
-				At:      180,
-				Servers: []int{2, 3, 4, 5},
-				Replacements: []ServerSpec{
-					{Capacity: 50}, {Capacity: 50}, {Capacity: 40}, {Capacity: 40},
-				},
-				ReplacementDelay: 60,
-			}},
-			Warning: 120,
-			Vanilla: vanilla,
+			Revocations: []Revocation{{At: 180, Servers: []int{2, 3, 4, 5}}},
+			StartDelay:  60,
+			Warning:     120,
+			Vanilla:     vanilla,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -124,16 +104,10 @@ func TestRevocationTransiencyAwareVsVanilla(t *testing.T) {
 func TestRevocationLatencyRecovers(t *testing.T) {
 	res, err := Run(Config{
 		Seed: 6, Duration: 480, Rate: 150,
-		Servers: []ServerSpec{
-			{Capacity: 25}, {Capacity: 25},
-			{Capacity: 50}, {Capacity: 50}, {Capacity: 40}, {Capacity: 40},
-		},
-		Revocations: []Revocation{{
-			At: 180, Servers: []int{2, 3, 4, 5},
-			Replacements:     []ServerSpec{{Capacity: 50}, {Capacity: 50}, {Capacity: 40}, {Capacity: 40}},
-			ReplacementDelay: 60,
-		}},
-		Warning: 120,
+		Servers:     []float64{25, 25, 50, 50, 40, 40},
+		Revocations: []Revocation{{At: 180, Servers: []int{2, 3, 4, 5}}},
+		StartDelay:  60,
+		Warning:     120,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,19 +119,38 @@ func TestRevocationLatencyRecovers(t *testing.T) {
 	}
 }
 
+// TestBootDelayGatesService: the initial fleet serves from 0, and a
+// replacement serves only once its boot ends. A lone server revoked with a 1-s
+// warning cannot be replaced in time (admission control); between its
+// termination and the replacement's boot nothing serves.
 func TestBootDelayGatesService(t *testing.T) {
 	res, err := Run(Config{
-		Seed: 7, Duration: 60, Rate: 50,
-		Servers: []ServerSpec{{Capacity: 100, ReadyAt: 30}},
+		Seed: 7, Duration: 65, Rate: 50,
+		Servers:     []float64{100},
+		Revocations: []Revocation{{At: 5, Servers: []int{0}}},
+		StartDelay:  30,
+		Warning:     1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := res.DropsBetween(0, 29); d < 1000 {
+	if s := len(res.LatenciesBetween(0, 5)); s < 150 {
+		t.Fatalf("initial fleet served %d before the revocation", s)
+	}
+	if d := res.DropsBetween(6.5, 34); d < 1000 {
 		t.Fatalf("pre-boot drops = %d, want ≈all arrivals", d)
 	}
-	if s := len(res.LatenciesBetween(31, 60)); s < 1000 {
+	if s := len(res.LatenciesBetween(36, 65)); s < 1000 {
 		t.Fatalf("post-boot served = %d", s)
+	}
+	if len(res.Actions) != 1 || res.Actions[0] != lb.ActionAdmissionControl {
+		t.Fatalf("actions = %v, want [admission_control]", res.Actions)
+	}
+	for _, ev := range []string{metrics.EvReplacementStarted, metrics.EvReplacementUp,
+		metrics.EvAdmissionOn, metrics.EvAdmissionOff} {
+		if n := res.Journal[ev]; n != 1 {
+			t.Fatalf("%s journaled %d times, want 1", ev, n)
+		}
 	}
 }
 
@@ -174,7 +167,7 @@ func TestDeterminism(t *testing.T) {
 	mk := func() *Result {
 		res, err := Run(Config{
 			Seed: 8, Duration: 60, Rate: 100,
-			Servers: []ServerSpec{{Capacity: 80}, {Capacity: 80}},
+			Servers: []float64{80, 80},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -193,13 +186,10 @@ func TestDeterminism(t *testing.T) {
 func TestRunIsDeterministic(t *testing.T) {
 	cfg := Config{
 		Seed: 42, Duration: 240, Rate: 180, Sessions: 64,
-		Servers: []ServerSpec{{Capacity: 60}, {Capacity: 60}, {Capacity: 40}, {Capacity: 40}, {Capacity: 20}},
-		Revocations: []Revocation{{
-			At: 60, Servers: []int{0, 1, 2},
-			Replacements:     []ServerSpec{{Capacity: 60}, {Capacity: 60}},
-			ReplacementDelay: 20,
-		}},
-		Warning: 30,
+		Servers:     []float64{60, 60, 40, 40, 20},
+		Revocations: []Revocation{{At: 60, Servers: []int{0, 1, 2}}},
+		StartDelay:  20,
+		Warning:     30,
 	}
 	want, err := Run(cfg)
 	if err != nil {
@@ -219,5 +209,11 @@ func TestRunIsDeterministic(t *testing.T) {
 				t.Fatalf("run %d: sample %d = %+v, first run %+v", run, i, got.Samples[i], s)
 			}
 		}
+		if !reflect.DeepEqual(got.Journal, want.Journal) || !reflect.DeepEqual(got.Actions, want.Actions) {
+			t.Fatalf("run %d: journal %v actions %v, first run %v %v", run, got.Journal, got.Actions, want.Journal, want.Actions)
+		}
+	}
+	if n := want.Journal[metrics.EvReplacementUp]; n != 3 {
+		t.Fatalf("%d replacements came up, want one per reprovisioned victim (3)", n)
 	}
 }

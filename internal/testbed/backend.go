@@ -63,11 +63,6 @@ type Backend struct {
 	// seconds since epoch; the handler reads only its launch times.
 	node  *cluster.Server
 	epoch time.Time
-	// replacement marks a backend started to absorb a revocation (§6.1
-	// reprovisioning); reason, set when it is drained or revoked, is
-	// journaled with its termination. Both are guarded by the Cluster's mutex.
-	replacement bool
-	reason      string
 
 	srv      *httptest.Server
 	inflight atomic.Int64

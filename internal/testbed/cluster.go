@@ -67,13 +67,10 @@ type clusterMetrics struct {
 }
 
 // Cluster is the testbed web cluster: backends plus the front-end balancer.
-// Its ServeHTTP is the load-balancer endpoint.
-//
-// Every backend's lifecycle (boot, warm-up, drain, termination) is a server
-// of one internal/cluster fleet, clocked in seconds since epoch. One timer is
-// armed for the fleet's next transition; each transition's side effects on
-// the balancer, the journal and the backend are applied where the fleet
-// advances.
+// Its ServeHTTP is the load-balancer endpoint. The control plane is a
+// cluster.Front clocked in seconds since epoch, serialized under mu and
+// advanced by one timer armed for the fleet's next transition; every server
+// it launches gets an HTTP backend.
 type Cluster struct {
 	cfg      ClusterConfig
 	balancer *lb.Balancer
@@ -81,7 +78,6 @@ type Cluster struct {
 
 	instrumented bool // OnRequest or Metrics present: time requests
 	met          clusterMetrics
-	admission    atomic.Bool   // admission control currently in force
 	slowdown     atomic.Uint64 // float64 bits; applied to new backends
 
 	epoch   time.Time
@@ -90,7 +86,8 @@ type Cluster struct {
 	stopped chan struct{} // closed by the timer loop as it returns
 
 	mu       sync.Mutex
-	fleet    *cluster.Cluster
+	front    *cluster.Front
+	fleet    *cluster.Cluster // the front's fleet
 	backends map[int]*Backend // the fleet's live servers, by ID
 	fails    map[int]int
 }
@@ -135,6 +132,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		c.balancer.SetAdmission(lb.NewTokenBucket(cfg.AdmitRPS, burst))
 	}
 	c.balancer.SetMetrics(cfg.Metrics)
+	c.front = cluster.NewFront(c.fleet, c.balancer, cfg.Journal)
 	c.instrumented = cfg.OnRequest != nil || cfg.Metrics != nil
 	if r := cfg.Metrics; r != nil {
 		c.met = clusterMetrics{
@@ -180,40 +178,22 @@ func (c *Cluster) run() {
 	}
 }
 
-// update applies mutate to the fleet at the current fleet time under c.mu,
-// advances the fleet to that time and re-arms the timer for the next
-// transition. A backend whose boot ended joins rotation (a backend drained or
-// revoked while it booted never ends its boot). A terminated one leaves the
-// map and completes its drain; it is shut down once c.mu is released, since a
-// shutdown waits out its in-flight requests.
-func (c *Cluster) update(mutate func(now float64)) {
+// update applies mutate to the control plane at the current fleet time under
+// c.mu, advances the plane to that time, re-arms the timer and returns the
+// backends it attached. A reaped backend is shut down once c.mu is released,
+// since a shutdown waits out its in-flight requests.
+func (c *Cluster) update(mutate func(now float64)) (added []*Backend) {
 	c.mu.Lock()
 	now := time.Since(c.epoch).Seconds()
 	mutate(now)
-	ready, reaped := c.fleet.Advance(now)
-	for _, id := range ready {
-		b := c.backends[id]
-		c.balancer.SetWeight(id, b.node.Capacity)
-		if !b.replacement {
-			c.cfg.Journal.Record(metrics.EvBackendUp, id, b.Market, "")
-			continue
-		}
-		c.cfg.Journal.Record(metrics.EvReplacementUp, id, b.Market, "")
-		if c.admission.CompareAndSwap(true, false) {
-			c.cfg.Journal.Record(metrics.EvAdmissionOff, id, -1, "replacement capacity routable")
-		}
+	_, reaped, launched := c.front.Advance(now)
+	for _, node := range launched {
+		added = append(added, c.attach(node))
 	}
 	gone := make([]*Backend, len(reaped))
 	for i, id := range reaped {
-		b := c.backends[id]
+		gone[i] = c.backends[id]
 		delete(c.backends, id)
-		c.cfg.Journal.Record(metrics.EvBackendTerminated, id, b.Market, b.reason)
-		// A vanilla balancer ignored the warning: it keeps routing to a
-		// revoked backend until its health check gives up.
-		if !c.cfg.Vanilla || b.reason != "revoked" {
-			c.balancer.CompleteDrain(id)
-		}
-		gone[i] = b
 	}
 	if next := c.fleet.Next(); !math.IsInf(next, 1) {
 		c.timer.Reset(time.Until(c.epoch.Add(time.Duration(next * float64(time.Second)))))
@@ -222,6 +202,7 @@ func (c *Cluster) update(mutate func(now float64)) {
 	for _, b := range gone {
 		b.terminate()
 	}
+	return added
 }
 
 // sum adds f over the live backends (booting, in rotation or draining).
@@ -246,31 +227,24 @@ func (c *Cluster) AddBackend(capacity float64) *Backend {
 // AddBackendForMarket launches a backend tagged with a catalog market index,
 // enabling portfolio-driven scaling via ScaleTo.
 func (c *Cluster) AddBackendForMarket(mkt int, capacity float64) *Backend {
-	var b *Backend
-	c.update(func(now float64) { b = c.launch(mkt, capacity, false, now) })
-	return b
+	return c.update(func(now float64) { c.front.Launch(mkt, capacity, now) })[0]
 }
 
-// launch is the shared launch path, under c.mu: a fleet server and its HTTP
-// backend. replacement marks a server started to absorb a revocation.
-func (c *Cluster) launch(mkt int, capacity float64, replacement bool, now float64) *Backend {
+// attach starts the HTTP backend of a launched server, under c.mu.
+func (c *Cluster) attach(node *cluster.Server) *Backend {
 	bcfg := c.cfg.Backend
-	bcfg.Capacity = capacity
-	b := newBackend(c.fleet.Launch(mkt, capacity, now), c.epoch, bcfg)
-	b.replacement = replacement
+	bcfg.Capacity = node.Capacity
+	b := newBackend(node, c.epoch, bcfg)
 	if bits := c.slowdown.Load(); bits != 0 {
 		b.SetSlowdown(math.Float64frombits(bits))
 	}
 	c.backends[b.ID] = b
 	if r := c.cfg.Metrics; r != nil {
-		labels := []metrics.Label{metrics.L("backend", metrics.Itoa(b.ID)), metrics.L("market", metrics.Itoa(mkt))}
+		labels := []metrics.Label{metrics.L("backend", metrics.Itoa(b.ID)), metrics.L("market", metrics.Itoa(b.Market))}
 		b.metReqs = r.Counter("spotweb_backend_requests_total", "Requests proxied to the backend.", labels...)
 		b.metLat = r.Histogram("spotweb_backend_request_seconds", "Backend-observed request latency.", labels...)
 		r.CounterFunc("spotweb_backend_shed_total", "Requests shed with 503 by the backend overload guard.",
 			b.Shed, labels...)
-	}
-	if replacement {
-		c.cfg.Journal.Record(metrics.EvReplacementStarted, b.ID, mkt, "")
 	}
 	return b
 }
@@ -286,30 +260,24 @@ func (c *Cluster) MarketCounts(numMarkets int) []int {
 
 // ScaleTo reconciles the cluster toward per-market backend counts: missing
 // backends are launched (they join rotation once booted); surplus backends
-// are drained gracefully — pulled from rotation immediately, terminated
-// after the warning period so in-flight work completes. Surplus goes
-// youngest first (highest id), so a booting or cold backend is drained
-// before a warm one. A scale-down is not a revocation: the controller chose
-// the smaller fleet deliberately, so the balancer retires the backend
-// (lb.Balancer.Retire) in either mode, vanilla too, and journals its drain.
-// It returns how many were started and stopped.
+// are retired (cluster.Front.Retire) — pulled from rotation immediately, in
+// either mode, and terminated after the warning period so in-flight work
+// completes. Surplus goes youngest first (highest id), so a booting or cold
+// backend is drained before a warm one. It returns how many were started and
+// stopped.
 func (c *Cluster) ScaleTo(counts []int, capacities []float64) (started, stopped int) {
 	c.update(func(now float64) {
 		have := make([]int, len(counts))
 		c.fleet.CountByMarketInto(have)
 		for mkt, want := range counts {
 			for n := have[mkt]; n < want; n++ {
-				c.launch(mkt, capacities[mkt], false, now)
+				c.front.Launch(mkt, capacities[mkt], now)
 				started++
 			}
 			if surplus := have[mkt] - want; surplus > 0 {
 				live := c.fleet.AppendServersInMarket(nil, mkt) // in ID order
 				for k := len(live) - 1; k >= len(live)-surplus; k-- {
-					b := c.backends[live[k].ID]
-					c.cfg.Journal.Record(metrics.EvScaleDown, b.ID, b.Market, "")
-					c.fleet.RevokeWarning(b.ID, now, c.cfg.Warning.Seconds())
-					b.reason = "scale_down"
-					c.balancer.Retire(b.ID)
+					c.front.Retire(live[k].ID, now, c.cfg.Warning.Seconds())
 					stopped++
 				}
 			}
@@ -343,18 +311,7 @@ func (c *Cluster) backend(id int) *Backend {
 func (c *Cluster) TotalReadyCapacity() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.readyCapacity(time.Since(c.epoch).Seconds())
-}
-
-// readyCapacity is TotalReadyCapacity at fleet time now, under c.mu.
-func (c *Cluster) readyCapacity(now float64) float64 {
-	var sum float64
-	for _, s := range c.fleet.Servers() {
-		if booted, warm := s.Warmth(now); booted && s.State() != cluster.StateDraining {
-			sum += float64(s.Capacity * warm)
-		}
-	}
-	return sum
+	return c.front.ReadyCapacity(time.Since(c.epoch).Seconds())
 }
 
 // Revoke delivers a revocation warning for the given backends: the balancer
@@ -366,42 +323,10 @@ func (c *Cluster) Revoke(ids []int, offeredRate float64) {
 }
 
 // RevokeWithWarning is Revoke with an explicit warning period, letting fault
-// injectors deliver late (shortened) or lost (zero) warnings that differ
-// from the cluster's configured one. A backend already draining keeps its
-// drain. Every victim's decision reads one utilization: the offered rate over
-// the survivors' ready capacity.
+// injectors deliver late (shortened) or lost (zero) warnings; the control
+// plane decides (cluster.Front.Revoke).
 func (c *Cluster) RevokeWithWarning(ids []int, offeredRate float64, warning time.Duration) {
-	c.update(func(now float64) {
-		var victims []*Backend
-		for _, id := range ids {
-			if b := c.backends[id]; b != nil && b.node.State() != cluster.StateDraining {
-				victims = append(victims, b)
-				b.reason = "revoked"
-				c.cfg.Journal.Record(metrics.EvWarning, id, b.Market, "")
-				c.fleet.RevokeWarning(id, now, warning.Seconds())
-			}
-		}
-		if c.cfg.Vanilla {
-			return // the balancer ignores warnings
-		}
-		remaining := c.readyCapacity(now)
-		util := 2.0
-		if remaining > 0 {
-			util = offeredRate / remaining
-		}
-		for _, b := range victims {
-			action, _ := c.balancer.HandleWarning(b.ID, util,
-				c.cfg.Backend.StartDelay.Seconds(), warning.Seconds())
-			if action == lb.ActionAdmissionControl && c.admission.CompareAndSwap(false, true) {
-				c.cfg.Journal.Record(metrics.EvAdmissionOn, b.ID, b.Market, "replacements cannot start in time")
-			}
-			if action != lb.ActionRedistribute {
-				// Start a replacement of equal capacity; it becomes
-				// routable as soon as it is ready.
-				c.launch(b.Market, b.node.Capacity, true, now)
-			}
-		}
-	})
+	c.update(func(now float64) { c.front.Revoke(ids, offeredRate, now, warning.Seconds()) })
 }
 
 // SetSlowdown applies a service-time inflation factor (≥ 1) to every current
