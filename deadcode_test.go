@@ -19,13 +19,14 @@ import (
 	"testing"
 )
 
-// deadcodeAllowlist names the declarations under internal/ that may stay
-// without a caller in non-test code, keyed as the gate prints them.
+// deadcodeAllowlist names the findings under internal/ that may stay,
+// keyed as the gate prints them: declarations without a caller in non-test
+// code, fields no non-test code reads, and knobs only their defaults set.
 // Every entry gives one of three kinds of reason: (a) a test seam or a
 // cross-package test oracle, (b) part of the cold ADMM probe that bench/
 // names, which goes with ROADMAP item 18, (c) the consumer a ROADMAP item
-// names. An entry that is no longer declared, or that has gained a caller,
-// fails the gate: the list only shrinks.
+// names. An entry that is no longer a finding fails the gate: the list only
+// shrinks.
 var deadcodeAllowlist = map[string]string{
 	"metrics.SLOTracker.SetClock":  "(a) test seam: fixes the clock the SLO windows read",
 	"metrics.Journal.SetClock":     "(a) test seam: fixes the journal's timestamps",
@@ -35,6 +36,11 @@ var deadcodeAllowlist = map[string]string{
 	"solver.EstimateLipschitz":     "(a) test oracle: portfolio/oracle_test.go checks the planner's step against it",
 	"trace.ReadCSV":                "(a) test oracle: round-trips WriteCSV, cmd/tracegen's format; FuzzReadCSV's target",
 	"portfolio.Config.Breakdown":   "(c) ROADMAP item 5: the per-round trace record carries the cost terms",
+	"microsim.Result.Journal":      "(a) test oracle: the lifecycle counts microsim_test.go and testbed's TestDifferentialJournalLaw compare",
+	"sweep.Options.StopAfter":      "(a) test seam: halts a sweep after n cells, the interruption the checkpoint-resume tests resume from",
+	"risk.FeedConfig.Buffer":       "(a) test seam: feed_test.go's stress test subscribes 64 deep so the drop-oldest path runs (≈ 1,000 of 2,000 dropped; none at the default 1,024)",
+	"solver.Result.DuaRes":         "(b) ADMM's final dual residual, part of the cold ADMM probe bench/ names (ROADMAP item 18(a))",
+	"sim.Config.GroupCorrelation":  "(c) ROADMAP FOUND on ρ = 0: every fluid run samples revocations uncorrelated; the fix moves sim numbers and waits for item 3",
 }
 
 // TestNoDeadExports fails for every package-level function, type, variable or
@@ -49,6 +55,16 @@ var deadcodeAllowlist = map[string]string{
 // the module or of an imported standard package, or an interface literal.
 // Those are the methods the linker keeps, and interface calls reach them
 // without naming them.
+//
+// Field rules, over the struct fields of internal/'s package-level types
+// (fieldScan says what reads and sets a field):
+//   - dead field: no non-test code reads it;
+//   - knob with one value: an exported field of a …Config or …Options type
+//     that no non-test code sets but its type's defaults.
+//
+// Exported fields of the types the root package's API holds by value
+// (apiTypes) are exempt from both: callers outside the module set and read
+// them.
 func TestNoDeadExports(t *testing.T) {
 	dead, err := deadExports()
 	if err != nil {
@@ -56,7 +72,7 @@ func TestNoDeadExports(t *testing.T) {
 	}
 	for key := range deadcodeAllowlist {
 		if _, ok := dead[key]; !ok {
-			t.Errorf("allowlist entry %s is not declared or has a caller in non-test code: delete the entry", key)
+			t.Errorf("allowlist entry %s is not a finding: it is not declared, or non-test code uses it: delete the entry", key)
 		}
 	}
 	var keys []string
@@ -67,7 +83,7 @@ func TestNoDeadExports(t *testing.T) {
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		t.Errorf("%s: no caller in non-test code (%s)", key, dead[key])
+		t.Errorf("%s: %s", key, dead[key])
 	}
 }
 
@@ -125,6 +141,7 @@ func deadExports() (map[string]string, error) {
 	})
 
 	used := map[types.Object]bool{}
+	fields := newFieldScan()
 	ifaces := map[string][]*types.Signature{} // interface method name → signatures
 	addIface := func(it *types.Interface) {
 		for i := 0; i < it.NumMethods(); i++ {
@@ -145,9 +162,10 @@ func deadExports() (map[string]string, error) {
 			files = append(files, f)
 		}
 		info := &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
 		conf := types.Config{Importer: imp}
 		pkg, err := conf.Check(p.ImportPath, fset, files, info)
@@ -155,6 +173,7 @@ func deadExports() (map[string]string, error) {
 			return nil, fmt.Errorf("type-check %s: %v", p.ImportPath, err)
 		}
 		checked[p.ImportPath] = pkg
+		fields.scan(files, info)
 		for _, tv := range info.Types {
 			if it, ok := tv.Type.Underlying().(*types.Interface); ok {
 				addIface(it)
@@ -220,7 +239,7 @@ func deadExports() (map[string]string, error) {
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
 			if !used[obj] { // init functions are not in the scope
-				dead[rel+"."+name] = fset.Position(obj.Pos()).String()
+				dead[rel+"."+name] = "no caller in non-test code (" + fset.Position(obj.Pos()).String() + ")"
 			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -233,10 +252,13 @@ func deadExports() (map[string]string, error) {
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
 				if !used[m] && !matchesIface(m) {
-					dead[rel+"."+name+"."+m.Name()] = fset.Position(m.Pos()).String()
+					dead[rel+"."+name+"."+m.Name()] = "no caller in non-test code (" + fset.Position(m.Pos()).String() + ")"
 				}
 			}
 		}
+	}
+	for key, why := range fields.findings(checked, fset) {
+		dead[key] = why
 	}
 	return dead, nil
 }
@@ -289,6 +311,305 @@ func origin(obj types.Object) types.Object {
 		return f.Origin()
 	}
 	return obj
+}
+
+// fieldScan records, over the module's non-test files, which struct fields
+// are read and which are set other than by their type's own defaults.
+//
+// A plain `=` assignment and a key (or position) in a composite literal
+// write a field; every other selector reads it, `op=`, `++` and `&x.f`
+// included, and the last three also set it. Fields read without a selector
+// are read too: those of a struct used as a map key, compared with `==` or
+// passed by value as an interface argument, where it can be hashed,
+// compared or printed (and of the structs and arrays it holds by value);
+// those an embedded field's promotion passes through; and every field of a
+// struct that has a field tag (encoding/json reads and sets those). A write
+// is a default when it assigns a value that depends on no variable inside a
+// function named withDefaults or WithDefaults, or under an `if` whose
+// condition reads the same field (a zero-value or range guard).
+type fieldScan struct {
+	read  map[*types.Var]bool
+	tuned map[*types.Var]bool // set somewhere other than by a default
+}
+
+func newFieldScan() *fieldScan {
+	return &fieldScan{read: map[*types.Var]bool{}, tuned: map[*types.Var]bool{}}
+}
+
+// How a statement uses the selector on its left-hand side.
+const (
+	selWrite     = iota + 1 // plain `=`: sets the field without reading it
+	selDefault              // plain `=` of a fixed value in a default
+	selReadWrite            // `op=`, `++`, `&x.f`: reads and sets it
+)
+
+func (fs *fieldScan) scan(files []*ast.File, info *types.Info) {
+	for _, f := range files {
+		role := map[*ast.SelectorExpr]int{}
+		var stack []ast.Node
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+					switch {
+					case !ok:
+					case n.Tok != token.ASSIGN:
+						role[sel] = selReadWrite
+					case len(n.Rhs) == len(n.Lhs) && fixed(n.Rhs[i], info) && isDefault(stack, sel, info):
+						role[sel] = selDefault
+					default:
+						role[sel] = selWrite
+					}
+				}
+			case *ast.IncDecStmt:
+				if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+					role[sel] = selReadWrite
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
+					role[sel] = selReadWrite
+				}
+			case *ast.CompositeLit:
+				st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+				if !ok { // an array, slice or map literal
+					break
+				}
+				for i, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							fs.tuned[v.Origin()] = true
+						}
+					} else {
+						fs.tuned[st.Field(i).Origin()] = true
+					}
+				}
+			case *ast.StructType:
+				if st := info.Types[n].Type.(*types.Struct); tagged(st) {
+					for i := 0; i < st.NumFields(); i++ {
+						fs.read[st.Field(i).Origin()] = true
+						fs.tuned[st.Field(i).Origin()] = true
+					}
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					fs.readAll(info.Types[n.X].Type)
+				}
+			case *ast.CallExpr:
+				sig, ok := info.Types[n.Fun].Type.(*types.Signature)
+				if !ok { // a conversion
+					break
+				}
+				params := sig.Params()
+				for i, arg := range n.Args {
+					var p types.Type
+					switch last := params.Len() - 1; {
+					case sig.Variadic() && i >= last && !n.Ellipsis.IsValid():
+						p = params.At(last).Type().(*types.Slice).Elem()
+					case i <= last:
+						p = params.At(i).Type()
+					}
+					if p != nil && types.IsInterface(p) {
+						fs.readAll(info.Types[arg].Type)
+					}
+				}
+			case *ast.SelectorExpr:
+				sel := info.Selections[n]
+				if sel == nil { // a qualified identifier
+					break
+				}
+				t := sel.Recv()
+				idx := sel.Index()
+				for _, i := range idx[:len(idx)-1] { // embedded fields the selector passes through
+					st := structOf(t)
+					fs.read[st.Field(i).Origin()] = true
+					t = st.Field(i).Type()
+				}
+				if sel.Kind() != types.FieldVal {
+					break
+				}
+				v := sel.Obj().(*types.Var).Origin()
+				switch role[n] {
+				case selDefault:
+				case selWrite:
+					fs.tuned[v] = true
+				case selReadWrite:
+					fs.read[v], fs.tuned[v] = true, true
+				default:
+					fs.read[v] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, tv := range info.Types {
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			fs.readAll(m.Key())
+		}
+	}
+}
+
+// readAll marks read every field that comparing or hashing a value of type t
+// reads.
+func (fs *fieldScan) readAll(t types.Type) {
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			fs.read[u.Field(i).Origin()] = true
+			fs.readAll(u.Field(i).Type())
+		}
+	case *types.Array:
+		fs.readAll(u.Elem())
+	}
+}
+
+func tagged(st *types.Struct) bool {
+	for i := 0; i < st.NumFields(); i++ {
+		if st.Tag(i) != "" {
+			return true
+		}
+	}
+	return false
+}
+
+// isDefault reports whether the assignment to sel on top of stack sits in a
+// withDefaults/WithDefaults function or under an `if` that reads sel's field.
+func isDefault(stack []ast.Node, sel *ast.SelectorExpr, info *types.Info) bool {
+	field := info.Selections[sel]
+	if field == nil {
+		return false
+	}
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch n := stack[i].(type) {
+		case *ast.FuncDecl:
+			return n.Name.Name == "withDefaults" || n.Name.Name == "WithDefaults"
+		case *ast.IfStmt:
+			guard := false
+			ast.Inspect(n.Cond, func(c ast.Node) bool {
+				if s, ok := c.(*ast.SelectorExpr); ok && info.Selections[s] != nil && info.Selections[s].Obj() == field.Obj() {
+					guard = true
+				}
+				return !guard
+			})
+			if guard {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// fixed reports whether e's value depends on no variable: it names only
+// constants, types, functions and packages.
+func fixed(e ast.Expr, info *types.Info) bool {
+	ok := true
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, isID := n.(*ast.Ident); isID {
+			if v, isVar := info.Uses[id].(*types.Var); isVar && !v.IsField() {
+				ok = false
+			}
+		}
+		return ok
+	})
+	return ok
+}
+
+func structOf(t types.Type) *types.Struct {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.Underlying().(*types.Struct)
+}
+
+// findings returns the struct fields of internal/'s package-level types that
+// no non-test code reads, and the exported fields of its …Config and
+// …Options types that nothing but their defaults sets, keyed as
+// "pkg.Type.Field". Exported fields of the types the module's public API
+// holds by value are exempt from both.
+func (fs *fieldScan) findings(checked map[string]*types.Package, fset *token.FileSet) map[string]string {
+	api := apiTypes(checked["repro"])
+	out := map[string]string{}
+	var visit func(key string, st *types.Struct, public, knobs bool)
+	visit = func(key string, st *types.Struct, public, knobs bool) {
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if f.Name() == "_" || public && f.Exported() {
+				continue
+			}
+			fkey := key + "." + f.Name()
+			pos := " (" + fset.Position(f.Pos()).String() + ")"
+			switch {
+			case !fs.read[f]:
+				out[fkey] = "no non-test code reads this field" + pos
+			case knobs && f.Exported() && !fs.tuned[f]:
+				out[fkey] = "a knob with one value: only its type's defaults set it" + pos
+			}
+			if inner, ok := f.Type().(*types.Struct); ok {
+				visit(fkey, inner, public, false)
+			}
+		}
+	}
+	const internal = "repro/internal/"
+	for path, pkg := range checked {
+		if !strings.HasPrefix(path, internal) {
+			continue
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				knobs := strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")
+				visit(strings.TrimPrefix(path, internal)+"."+name, st, api[tn.Type()], knobs)
+			}
+		}
+	}
+	return out
+}
+
+// apiTypes returns the named types the root package's exported types and
+// aliases hold by value: through their exported fields, slices, arrays and
+// maps. A pointer is a handle the caller passes on, not a value it builds,
+// and is not followed.
+func apiTypes(root *types.Package) map[types.Type]bool {
+	seen := map[types.Type]bool{}
+	var walk func(types.Type)
+	walk = func(t types.Type) {
+		switch t := types.Unalias(t).(type) {
+		case *types.Named:
+			if !seen[t] {
+				seen[t] = true
+				walk(t.Underlying())
+			}
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				if t.Field(i).Exported() {
+					walk(t.Field(i).Type())
+				}
+			}
+		case *types.Slice:
+			walk(t.Elem())
+		case *types.Array:
+			walk(t.Elem())
+		case *types.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		}
+	}
+	scope := root.Scope()
+	for _, name := range scope.Names() {
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok && tn.Exported() {
+			walk(tn.Type())
+		}
+	}
+	return seen
 }
 
 type importerFunc func(path string) (*types.Package, error)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/lb"
@@ -232,5 +233,38 @@ func TestReportFinalizeAndEncode(t *testing.T) {
 	}
 	if a[len(a)-1] != '\n' {
 		t.Fatal("encoding should end with newline")
+	}
+}
+
+// TestRevocationVictims: the one storm-victim rule both the simulator and the
+// testbed resolve a Revocation by. live counts each market's live servers,
+// with non-transient markets at 0; explicit lists keep their order.
+func TestRevocationVictims(t *testing.T) {
+	live := []int{2, 0, 3, 2, 1}
+	for _, tc := range []struct {
+		name string
+		rv   Revocation
+		want []int
+	}{
+		{"count ties by index", Revocation{Count: 3}, []int{2, 0, 3}},
+		{"count one", Revocation{Count: 1}, []int{2}},
+		{"count above live markets", Revocation{Count: 9}, []int{2, 0, 3, 4}},
+		{"count zero", Revocation{}, nil},
+		{"explicit keeps order", Revocation{Markets: []int{4, 0}}, []int{4, 0}},
+		{"explicit skips empty", Revocation{Markets: []int{1, 3}}, []int{3}},
+		{"explicit skips out of range", Revocation{Markets: []int{-1, 5, 2}}, []int{2}},
+		{"explicit beats count", Revocation{Markets: []int{1}, Count: 2}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := tc.rv.Victims([]int{7}, live)
+			if want := append([]int{7}, tc.want...); !slices.Equal(got, want) {
+				t.Fatalf("Victims = %v, want %v after the buffer's own 7", got, want)
+			}
+		})
+	}
+	buf := make([]int, 0, len(live))
+	rv := Revocation{Count: 2}
+	if n := testing.AllocsPerRun(100, func() { buf = rv.Victims(buf[:0], live) }); n != 0 {
+		t.Fatalf("Victims allocates %v times into a buffer with room", n)
 	}
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/lb"
@@ -19,6 +20,40 @@ type Revocation struct {
 	// revocations leave (1 = full warning, 0 = none). The ambient
 	// warning-delay/loss windows apply on top (the minimum wins).
 	WarnScale float64
+}
+
+// Victims appends to dst the markets rv revokes, given live[m], the number of
+// live servers in market m, where a market that is not transient counts 0.
+// An explicit market list keeps its order and skips markets out of range or
+// with nothing live. A Count storm takes the Count most-populated markets,
+// by live count descending, then index ascending — correlated storms take
+// out the markets the portfolio leans on hardest — or every live market
+// when there are fewer. It allocates only when dst must grow.
+func (rv Revocation) Victims(dst, live []int) []int {
+	if len(rv.Markets) > 0 {
+		for _, m := range rv.Markets {
+			if m >= 0 && m < len(live) && live[m] > 0 {
+				dst = append(dst, m)
+			}
+		}
+		return dst
+	}
+	from := len(dst)
+	for m, n := range live {
+		if n > 0 {
+			dst = append(dst, m)
+		}
+	}
+	pops := dst[from:]
+	// The comparator is a total order (count, then index), so any correct
+	// sort yields the identical sequence.
+	slices.SortFunc(pops, func(a, b int) int {
+		if live[a] != live[b] {
+			return live[b] - live[a]
+		}
+		return a - b
+	})
+	return dst[:from+max(0, min(rv.Count, len(pops)))]
 }
 
 // span is one [From, To) window carrying a factor and an optional market

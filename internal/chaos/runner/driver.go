@@ -22,8 +22,6 @@ type TestbedOptions struct {
 	Seed int64
 	// Duration is the compressed run length (default 3s).
 	Duration time.Duration
-	// Rate is the offered load in req/s (default 240).
-	Rate float64
 }
 
 // TestbedSummary is the outcome of a testbed scenario run.
@@ -41,6 +39,7 @@ const (
 	testbedMarkets     = 3
 	testbedPerMarket   = 2
 	testbedCapacity    = 120.0
+	testbedRate        = 240.0 // offered load, req/s
 	testbedWarning     = 300 * time.Millisecond
 	testbedStartDelay  = 150 * time.Millisecond
 	testbedFaultPeriod = 20 * time.Millisecond
@@ -59,16 +58,13 @@ func RunTestbed(opt TestbedOptions) (*TestbedSummary, error) {
 	if opt.Duration <= 0 {
 		opt.Duration = 3 * time.Second
 	}
-	if opt.Rate <= 0 {
-		opt.Rate = 240
-	}
 	in, err := chaos.Compile(opt.Scenario, opt.Seed, testbedMarkets)
 	if err != nil {
 		return nil, err
 	}
 
 	j := metrics.NewJournal(8192)
-	drv := NewFaultDriver(in, opt.Duration, testbedWarning, opt.Rate)
+	drv := NewFaultDriver(in, opt.Duration, testbedWarning, testbedRate)
 	c := testbed.NewCluster(testbed.ClusterConfig{
 		Backend: testbed.BackendConfig{
 			Capacity:        testbedCapacity,
@@ -93,7 +89,7 @@ func RunTestbed(opt TestbedOptions) (*TestbedSummary, error) {
 	rec := testbed.NewRecorder()
 	go func() {
 		defer cancel()
-		testbed.LoadGen(c, opt.Rate, opt.Duration, 32, rec)
+		testbed.LoadGen(c, testbedRate, opt.Duration, 32, rec)
 	}()
 	drv.Run(ctx, c)
 
@@ -112,40 +108,21 @@ func RunTestbed(opt TestbedOptions) (*TestbedSummary, error) {
 	return sum, nil
 }
 
-// testbedVictims maps a compiled revocation onto live backend ids: explicit
-// market targets revoke every live backend in those markets; Count revokes
-// the Count most-populated markets (live-backend count descending, market
-// index ascending — the same resolution rule the simulator uses).
+// testbedVictims maps a compiled revocation onto live backend ids: every
+// live backend of each market chaos.Revocation.Victims picks, in ID order.
 func testbedVictims(c *testbed.Cluster, rv chaos.Revocation) []int {
 	byMarket := map[int][]int{}
+	markets := 0
 	for id, mkt := range c.Snapshot() {
 		byMarket[mkt] = append(byMarket[mkt], id)
+		markets = max(markets, mkt+1)
 	}
-	var markets []int
-	if len(rv.Markets) > 0 {
-		markets = rv.Markets
-	} else {
-		type pop struct{ mkt, n int }
-		var pops []pop
-		for mkt, ids := range byMarket {
-			pops = append(pops, pop{mkt, len(ids)})
-		}
-		sort.Slice(pops, func(a, b int) bool {
-			if pops[a].n != pops[b].n {
-				return pops[a].n > pops[b].n
-			}
-			return pops[a].mkt < pops[b].mkt
-		})
-		k := rv.Count
-		if k > len(pops) {
-			k = len(pops)
-		}
-		for i := 0; i < k; i++ {
-			markets = append(markets, pops[i].mkt)
-		}
+	live := make([]int, markets)
+	for mkt := range live {
+		live[mkt] = len(byMarket[mkt])
 	}
 	var ids []int
-	for _, mkt := range markets {
+	for _, mkt := range rv.Victims(nil, live) {
 		ids = append(ids, byMarket[mkt]...)
 	}
 	sort.Ints(ids)

@@ -70,8 +70,8 @@ func (d *FaultDriver) Revoked() int { return int(d.revoked.Load()) }
 // Run starts the scenario clock and applies the timeline to the cluster
 // until ctx is canceled. Revocations land on the cluster's current fleet:
 // explicit market targets hit every live backend in those markets, Count
-// storms hit the most-populated live markets (the simulator's resolution
-// rule).
+// storms hit the most-populated live markets (chaos.Revocation.Victims, the
+// simulator's rule too).
 func (d *FaultDriver) Run(ctx context.Context, c *testbed.Cluster) {
 	if d.in == nil {
 		return

@@ -71,7 +71,7 @@ func TestRunTestbedSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum, err := RunTestbed(TestbedOptions{
-		Scenario: sc, Seed: 42, Duration: 1500 * time.Millisecond, Rate: 200,
+		Scenario: sc, Seed: 42, Duration: 1500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

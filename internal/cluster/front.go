@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+
 	"repro/internal/lb"
 	"repro/internal/metrics"
 )
@@ -78,7 +80,7 @@ func (f *Front) Revoke(ids []int, offered, now, warning float64) []lb.Revocation
 	if f.bal.Vanilla {
 		return nil
 	}
-	util := 2.0
+	util := math.Inf(1) // no survivor absorbs anything
 	if ready := f.ReadyCapacity(now); ready > 0 {
 		util = offered / ready
 	}

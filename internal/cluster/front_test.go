@@ -32,7 +32,7 @@ func drainStarts(j *metrics.Journal) []string {
 // warned while it still boots never boots, so it adds nothing to the
 // utilization a later revocation is decided on. One booted 100 req/s server
 // carries 50 req/s beside a booting one of 100; once the booting one is gone,
-// revoking the booted one leaves no ready capacity: utilization 2, reprovision.
+// revoking the booted one leaves no ready capacity: utilization +Inf, reprovision.
 // Counting the booting server's capacity would read 0.5 and redistribute.
 func TestFrontBootingDrainAddsNoCapacity(t *testing.T) {
 	for _, drain := range []string{"retire", "revoke"} {
@@ -58,6 +58,22 @@ func TestFrontBootingDrainAddsNoCapacity(t *testing.T) {
 				t.Fatalf("journaled actions %v", acts)
 			}
 		})
+	}
+}
+
+// TestFrontRevokeEveryServerReprovisions: a warning that takes the whole
+// fleet leaves no survivor to absorb the load, so no HighUtil threshold
+// redistributes it: the utilization reads +Inf and the victim is replaced.
+func TestFrontRevokeEveryServerReprovisions(t *testing.T) {
+	f, bal, _ := newFront(false)
+	bal.HighUtil = 2.5
+	f.Launch(0, 100, -10)
+	f.Advance(0)
+	if acts := f.Revoke([]int{0}, 50, 1, 30); len(acts) != 1 || acts[0] != lb.ActionReprovision {
+		t.Fatalf("actions = %v, want [reprovision]", acts)
+	}
+	if _, _, launched := f.Advance(1); len(launched) != 1 {
+		t.Fatalf("launched %v, want one replacement", launched)
 	}
 }
 

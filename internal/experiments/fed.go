@@ -25,9 +25,6 @@ type FedScaleOptions struct {
 	// Parallelism bounds the shard-solve worker pool
 	// (federation.PlannerConfig.Parallelism).
 	Parallelism int
-	// Steps is the number of receding-horizon planning rounds timed
-	// (default 6; the first is a cold solve, the rest are warm).
-	Steps int
 	// OutFile, when set, also writes the result as JSON (the BENCH_fed.json
 	// artifact).
 	OutFile string
@@ -77,10 +74,15 @@ type FedHost struct {
 	GoVersion  string `json:"go_version"`
 }
 
-// FedScale runs the federated-planner scaling benchmark: Steps receding-
-// horizon planning rounds over the full Regions×AZs×Types federation, then a
-// sweep over fewer regions at constant per-region size to show shard
-// scaling. It prints a table and optionally writes the JSON artifact.
+// fedScaleSteps is the number of receding-horizon planning rounds timed: the
+// first is a cold solve, the rest are warm.
+const fedScaleSteps = 6
+
+// FedScale runs the federated-planner scaling benchmark: fedScaleSteps
+// receding-horizon planning rounds over the full Regions×AZs×Types
+// federation, then a sweep over fewer regions at constant per-region size to
+// show shard scaling. It prints a table and optionally writes the JSON
+// artifact.
 func FedScale(w io.Writer, opt Options, fopt FedScaleOptions) error {
 	if fopt.Regions <= 0 {
 		fopt.Regions = 8
@@ -90,9 +92,6 @@ func FedScale(w io.Writer, opt Options, fopt FedScaleOptions) error {
 	}
 	if fopt.Types <= 0 {
 		fopt.Types = 6
-	}
-	if fopt.Steps <= 0 {
-		fopt.Steps = 6
 	}
 	res := FedScaleResult{
 		Host: FedHost{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()},
@@ -177,8 +176,8 @@ func scalePoints(regions int) []int {
 	return out
 }
 
-// fedRun times Steps planning rounds over a federation of the given region
-// count and returns the per-round numbers.
+// fedRun times fedScaleSteps planning rounds over a federation of the given
+// region count and returns the per-round numbers.
 func fedRun(opt Options, fopt FedScaleOptions, regions int) ([]FedRound, int, int, error) {
 	fed, err := federation.Build(federation.Config{
 		Regions:      regions,
@@ -202,8 +201,8 @@ func fedRun(opt Options, fopt FedScaleOptions, regions int) ([]FedRound, int, in
 	}, 4)
 	pl := federation.NewPlanner(fed, pcfg, wl, portfolio.MeanRevertSource{Cat: fed.Merged})
 
-	rounds := make([]FedRound, 0, fopt.Steps)
-	for t := 0; t < fopt.Steps; t++ {
+	rounds := make([]FedRound, 0, fedScaleSteps)
+	for t := 0; t < fedScaleSteps; t++ {
 		lambda := 5000 + 2000*math.Sin(2*math.Pi*float64(t)/12)
 		dec, err := pl.Step(t, lambda)
 		if err != nil {

@@ -15,9 +15,8 @@ import (
 // at the paper's time scale, once transiency-aware and once vanilla, and is
 // deterministic per seed.
 type Fig4aResult struct {
-	AwareBins, VanillaBins []stats.FiveNum
-	AwareDrops             float64
-	VanillaDrops           float64
+	AwareDrops   float64
+	VanillaDrops float64
 	// VanillaPostDrops is the drop fraction after the revoked servers
 	// terminate (paper: 85%).
 	VanillaPostDrops float64
@@ -60,8 +59,7 @@ func Fig4a(w io.Writer, opt Options) Fig4aResult {
 	}
 	aware, awareBins := run(false)
 	vanilla, vanillaBins := run(true)
-	res := Fig4aResult{AwareBins: awareBins, VanillaBins: vanillaBins,
-		AwareDrops: aware.DropFraction(), VanillaDrops: vanilla.DropFraction()}
+	res := Fig4aResult{AwareDrops: aware.DropFraction(), VanillaDrops: vanilla.DropFraction()}
 	post := vanilla.DropsBetween(310, 480)
 	postServed := len(vanilla.LatenciesBetween(310, 480))
 	if post+postServed > 0 {

@@ -25,10 +25,8 @@ type Fig5Result struct {
 	// ConstCounts[t][i] and MPOCounts[t][i] are the allocation series of
 	// Figs. 5(c) and 5(d).
 	ConstCounts, MPOCounts [][]int
-	// MPOMarketsUsed counts markets that ever held servers under MPO.
-	MPOMarketsUsed int
-	ConstCost      float64
-	MPOCost        float64
+	ConstCost              float64
+	MPOCost                float64
 }
 
 // fig5Setting builds the shared catalog and workload.
@@ -88,15 +86,6 @@ func Fig5(w io.Writer, opt Options) Fig5Result {
 	for _, im := range swRes.Intervals {
 		res.MPOCounts = append(res.MPOCounts, im.Counts)
 	}
-	used := map[int]bool{}
-	for _, counts := range res.MPOCounts {
-		for i, c := range counts {
-			if c > 0 {
-				used[i] = true
-			}
-		}
-	}
-	res.MPOMarketsUsed = len(used)
 	// Oracle-predictor setting: the paper's Fig. 5/6(a) cost "does not
 	// include any SLO costs" — compare rental cost only.
 	res.ConstCost = constRes.TotalCost
@@ -195,10 +184,8 @@ func Fig6a(w io.Writer, opt Options) Fig6aResult {
 // and look-ahead sweeps (paper: up to 50%; more markets ⇒ more savings;
 // longer horizons ≈ flat).
 type Fig6bResult struct {
-	MarketCounts []int
-	Horizons     []int
-	// SavingsPct[mi][hi] is the savings of SpotWeb(H=Horizons[hi]) vs
-	// ExoSphere on the MarketCounts[mi]-market catalog.
+	// SavingsPct[mi][hi] is the savings of SpotWeb at the hi-th horizon vs
+	// ExoSphere on the mi-th catalog size, ExoCost[mi] ExoSphere's cost there.
 	SavingsPct [][]float64
 	ExoCost    []float64
 }
@@ -238,7 +225,7 @@ func Fig6b(w io.Writer, opt Options, workload string) Fig6bResult {
 	trainN := trainDays * 24 * perHour
 	wl := full.Slice(trainN, full.Len())
 
-	res := Fig6bResult{MarketCounts: marketCounts, Horizons: horizons}
+	var res Fig6bResult
 	for _, nm := range marketCounts {
 		cat := market.CatalogConfig{
 			Seed: opt.RunSeed() + int64(nm), NumTypes: nm,

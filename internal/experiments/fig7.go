@@ -74,9 +74,8 @@ func Fig7a(w io.Writer, opt Options) Fig7aResult {
 // §6.6's scalability study. The paper reports sub-second to ≈5 s and
 // sub-linear growth in the number of markets.
 type Fig7bResult struct {
-	MarketCounts []int
-	Horizons     []int
-	// Times[mi][hi] summarizes solve times in milliseconds.
+	// Times[mi][hi] summarizes the solve times, in milliseconds, at the mi-th
+	// market count and the hi-th horizon.
 	Times [][]stats.FiveNum
 }
 
@@ -92,7 +91,7 @@ func Fig7b(w io.Writer, opt Options) Fig7bResult {
 		reps = 4
 	}
 	rng := rand.New(rand.NewSource(opt.RunSeed()))
-	res := Fig7bResult{MarketCounts: marketCounts, Horizons: horizons}
+	var res Fig7bResult
 	for _, n := range marketCounts {
 		var row []stats.FiveNum
 		// Dense covariance with group structure, as the real catalog yields.

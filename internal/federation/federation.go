@@ -51,7 +51,6 @@ func (c Config) withDefaults() Config {
 // Shard is one AZ's slice of the federation: its own catalog (the unit of
 // planner sharding) plus its global index range in the merged catalog.
 type Shard struct {
-	Provider string
 	// Region is the catalog-qualified region name, e.g. "aws/us-east-1".
 	Region    string
 	RegionIdx int
@@ -66,11 +65,8 @@ func (s Shard) Name() string { return fmt.Sprintf("%s/az%d", s.Region, s.AZ) }
 
 // MarketRef resolves a global market index back to its shard-local identity.
 type MarketRef struct {
-	Provider string
-	Region   string
-	AZ       int
-	// Local is the market's index within its shard catalog.
-	Local int
+	Region string
+	AZ     int
 }
 
 // Federation is the merged multi-provider market view. Merged shares
@@ -81,7 +77,6 @@ type MarketRef struct {
 // across shards), so natural revocation correlation never crosses an AZ —
 // cross-region correlation is injected exclusively by the chaos copula.
 type Federation struct {
-	Cfg    Config
 	Shards []Shard
 	// Regions holds the catalog-qualified region names in build order.
 	Regions []string
@@ -105,7 +100,7 @@ func Build(cfg Config) (*Federation, error) {
 		provs[i] = p
 	}
 
-	f := &Federation{Cfg: c}
+	f := &Federation{}
 	groupOffset := 0
 	for r := 0; r < c.Regions; r++ {
 		prov := provs[r%len(provs)]
@@ -116,7 +111,6 @@ func Build(cfg Config) (*Federation, error) {
 		for az := 0; az < c.AZsPerRegion; az++ {
 			cat := prov.Catalog(regionName, az, c.TypesPerAZ, c.Hours, c.SamplesPerHour, c.IncludeOnDemand)
 			sh := Shard{
-				Provider:  prov.Name(),
 				Region:    qualified,
 				RegionIdx: r,
 				AZ:        az,
@@ -129,7 +123,7 @@ func Build(cfg Config) (*Federation, error) {
 			// Renumber demand-pool groups into a global namespace. On-demand
 			// markets keep Group = -1 (never in a pool).
 			maxGroup := -1
-			for j, m := range cat.Markets {
+			for _, m := range cat.Markets {
 				if m.Group >= 0 {
 					if m.Group > maxGroup {
 						maxGroup = m.Group
@@ -137,9 +131,7 @@ func Build(cfg Config) (*Federation, error) {
 					m.Group += groupOffset
 				}
 				f.Merged.Markets = append(f.Merged.Markets, m)
-				f.refs = append(f.refs, MarketRef{
-					Provider: prov.Name(), Region: qualified, AZ: az, Local: j,
-				})
+				f.refs = append(f.refs, MarketRef{Region: qualified, AZ: az})
 			}
 			groupOffset += maxGroup + 1
 			sh.Hi = len(f.Merged.Markets)

@@ -78,15 +78,10 @@ type Stats struct {
 	Shares []float64
 	// ShardSeconds is the per-shard wall time of the final round's solves.
 	ShardSeconds []float64
-	// The three phases of WallSeconds. CovarianceSeconds is the wall time of
-	// the input fan-out on the shard pool: the shard covariances plus, as one
-	// more task, the shared input build (forecast, overlay), whose own
-	// duration is InputBuildSeconds (inside CovarianceSeconds, not beside it).
-	// SolveSeconds is the wall time of the coordination loop; slicing, merging
-	// and integerization are the remainder.
-	InputBuildSeconds float64
+	// CovarianceSeconds is the wall time of the input fan-out on the shard
+	// pool: the shard covariances plus, as one more task, the shared input
+	// build (forecast, overlay).
 	CovarianceSeconds float64
-	SolveSeconds      float64
 	// WallSeconds is the full Step wall time.
 	WallSeconds float64
 }
@@ -190,14 +185,11 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 	// on (t, CovWindow) and are cached for the whole coordination loop, so the
 	// shared input build runs beside them instead of ahead of them.
 	var (
-		in        *portfolio.Inputs
-		epoch     uint64
-		inputSecs float64
+		in    *portfolio.Inputs
+		epoch uint64
 	)
 	risks := p.shardCovariances(t, func() {
-		t0 := time.Now()
 		in, epoch = p.builder.Build(t, h, actualLambda)
-		inputSecs = time.Since(t0).Seconds()
 	})
 	covSecs := time.Since(start).Seconds()
 
@@ -244,7 +236,6 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 		}
 	}
 	solveRound := func() { p.pool.Do(solves...) }
-	solveStart := time.Now()
 
 	rounds, fallbacks := 0, 0
 	if len(shards) == 1 {
@@ -290,8 +281,6 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 		}
 	}
 
-	solveSecs := time.Since(solveStart).Seconds()
-
 	// Accept the final round: shift each shard's warm state once, merge the
 	// horizon plans into one global plan.
 	for s := range shards {
@@ -311,9 +300,7 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 	p.stats = Stats{
 		Shards: len(shards), Markets: nGlobal, Rounds: rounds, Fallbacks: fallbacks,
 		Shares:            append([]float64(nil), shares...),
-		InputBuildSeconds: inputSecs,
 		CovarianceSeconds: covSecs,
-		SolveSeconds:      solveSecs,
 		WallSeconds:       time.Since(start).Seconds(),
 	}
 	p.stats.ShardSeconds = make([]float64, len(shards))

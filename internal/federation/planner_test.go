@@ -213,12 +213,9 @@ func TestFederatedStepInvariants(t *testing.T) {
 		if len(st.ShardSeconds) != 4 {
 			t.Fatalf("step %d: shard timings %v", step, st.ShardSeconds)
 		}
-		// The phases are timed and account for the round's wall time: the
-		// input build inside the covariance fan-out, the solves after it.
-		if st.InputBuildSeconds <= 0 || st.InputBuildSeconds > st.CovarianceSeconds ||
-			st.SolveSeconds <= 0 || st.CovarianceSeconds+st.SolveSeconds > st.WallSeconds {
-			t.Fatalf("step %d: input build %g s inside covariance %g s, then solves %g s, vs wall %g s",
-				step, st.InputBuildSeconds, st.CovarianceSeconds, st.SolveSeconds, st.WallSeconds)
+		// The input fan-out is timed inside the round's wall time.
+		if st.CovarianceSeconds <= 0 || st.CovarianceSeconds > st.WallSeconds {
+			t.Fatalf("step %d: covariance %g s vs wall %g s", step, st.CovarianceSeconds, st.WallSeconds)
 		}
 		if n := reg.Histogram("spotweb_planner_covariance_seconds", "").Count(); n != int64(step) {
 			t.Fatalf("step %d: covariance histogram holds %d observations", step, n)

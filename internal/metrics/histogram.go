@@ -63,9 +63,6 @@ func bucketUpperUS(i int) int64 {
 	return int64(subCount+sub+1) << uint(e)
 }
 
-// bucketUpper returns the exclusive upper bound of bucket i, in seconds.
-func bucketUpper(i int) float64 { return float64(bucketUpperUS(i)) * 1e-6 }
-
 // Observe records one latency in seconds. Negative values clamp to zero.
 func (h *Histogram) Observe(seconds float64) {
 	if h == nil {
@@ -101,10 +98,9 @@ func (h *Histogram) Sum() float64 {
 }
 
 // Bucket is one non-empty histogram bucket for exposition: cumulative
-// count of observations ≤ Upper seconds. UpperUS is the same bound in
-// exact integer microseconds (for noise-free le label rendering).
+// count of observations ≤ UpperUS, the bound in exact integer microseconds
+// (for noise-free le label rendering).
 type Bucket struct {
-	Upper      float64
 	UpperUS    int64
 	Cumulative int64
 }
@@ -126,7 +122,7 @@ func (h *Histogram) NonEmptyBuckets() []Bucket {
 			continue
 		}
 		cum += c
-		out = append(out, Bucket{Upper: bucketUpper(i), UpperUS: bucketUpperUS(i), Cumulative: cum})
+		out = append(out, Bucket{UpperUS: bucketUpperUS(i), Cumulative: cum})
 	}
 	return out
 }

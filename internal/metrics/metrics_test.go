@@ -112,6 +112,9 @@ func TestHistogramBucketLayout(t *testing.T) {
 	}
 }
 
+// bucketUpper returns the exclusive upper bound of bucket i, in seconds.
+func bucketUpper(i int) float64 { return float64(bucketUpperUS(i)) * 1e-6 }
+
 // Quantiles returns several quantiles from one bucket snapshot: each is
 // the upper bound of the bucket that holds its rank.
 func (h *Histogram) Quantiles(qs ...float64) []float64 {

@@ -25,8 +25,7 @@ func TestCrossValidateFluidLatencyModel(t *testing.T) {
 
 		res, err := Run(Config{
 			Seed: int64(100 * rho), Duration: 600, Rate: offered,
-			Servers:  []float64{sat},
-			MaxQueue: 1 << 20,
+			Servers: []float64{sat},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -55,8 +54,7 @@ func TestCrossValidateOverloadThroughput(t *testing.T) {
 	sat := sloCap / (1 - model.BaseServiceTime/model.SLOTarget)
 	res, err := Run(Config{
 		Seed: 9, Duration: 300, Rate: offered,
-		Servers:  []float64{sat},
-		MaxQueue: 256,
+		Servers: []float64{sat},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -123,15 +123,12 @@ type Config struct {
 	// StartDelay is every server's boot time (seconds): replacements serve
 	// StartDelay after their warning.
 	StartDelay float64
-	// Revocations to inject, in time order.
+	// Revocations to inject, in time order (Run rejects any other).
 	Revocations []Revocation
 	// Warning is the revocation warning period (seconds).
 	Warning float64
 	// Vanilla disables transiency awareness.
 	Vanilla bool
-	// MaxQueue bounds concurrent jobs per server; beyond it requests are
-	// shed (503). Zero means 4× capacity.
-	MaxQueue int
 }
 
 // Sample is one completed or dropped request.
@@ -188,6 +185,11 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Duration <= 0 || cfg.Rate <= 0 || len(cfg.Servers) == 0 {
 		return nil, fmt.Errorf("microsim: invalid config")
 	}
+	for i := 1; i < len(cfg.Revocations); i++ {
+		if prev, at := cfg.Revocations[i-1].At, cfg.Revocations[i].At; at < prev {
+			return nil, fmt.Errorf("microsim: revocation %d at %gs precedes revocation %d at %gs: revocations must be in time order", i, at, i-1, prev)
+		}
+	}
 	if cfg.Warning <= 0 {
 		cfg.Warning = 120
 	}
@@ -209,10 +211,8 @@ func Run(cfg Config) (*Result, error) {
 	advance := func(now float64) {
 		_, reaped, launched := front.Advance(now)
 		for _, node := range launched {
-			limit := cfg.MaxQueue
-			if limit <= 0 {
-				limit = max(int(4*node.Capacity), 8)
-			}
+			// A server sheds (503) beyond 4× its capacity in concurrent jobs.
+			limit := max(int(4*node.Capacity), 8)
 			servers = append(servers, &psServer{node: node, limit: limit, lastUpdate: now})
 		}
 		for _, id := range reaped {

@@ -3,6 +3,7 @@ package microsim
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/lb"
@@ -54,8 +55,7 @@ func TestOverloadShedsLoad(t *testing.T) {
 	// Offered 150 on capacity 100: ≈1/3 must be shed.
 	res, err := Run(Config{
 		Seed: 3, Duration: 120, Rate: 150,
-		Servers:  []float64{100},
-		MaxQueue: 64,
+		Servers: []float64{100},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,6 +160,21 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Duration: 10, Rate: 10}); err == nil {
 		t.Fatal("expected no-servers error")
+	}
+}
+
+// TestRevocationsOutOfOrder: a revocation listed after a later one would be
+// applied behind the fleet's clock (server 1 reaped at once, at 10 s, for a
+// warning due at 2 s), so Run rejects the script and names both times.
+func TestRevocationsOutOfOrder(t *testing.T) {
+	_, err := Run(Config{
+		Seed: 1, Duration: 20, Rate: 30,
+		Servers:     []float64{50, 50, 50},
+		Revocations: []Revocation{{At: 10, Servers: []int{0}}, {At: 2, Servers: []int{1}}},
+		Warning:     1,
+	})
+	if err == nil || !strings.Contains(err.Error(), "at 2s") || !strings.Contains(err.Error(), "at 10s") {
+		t.Fatalf("err = %v, want one naming both revocation times", err)
 	}
 }
 

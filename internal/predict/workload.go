@@ -18,12 +18,6 @@ type Predictor interface {
 type SplineConfig struct {
 	// StepHrs is the sampling interval of the observed series, in hours.
 	StepHrs float64
-	// WindowHrs is the moving training window (paper: two weeks = 336 h).
-	WindowHrs float64
-	// Knots is the number of spline knots over the 24 h day (default 9).
-	Knots int
-	// Ridge is the L2 regularization strength (default 1e-3).
-	Ridge float64
 	// ARLag1 enables the AR(1) residual correction the paper uses for small
 	// spikes (lag structure one).
 	ARLag1 bool
@@ -31,26 +25,23 @@ type SplineConfig struct {
 	// the upper bound of the two-sided CIProb confidence interval (paper:
 	// 0.99). Zero disables padding (the paper-[1] baseline behaviour).
 	CIProb float64
-	// RefitEvery re-estimates the regression every k observations
-	// (default 24) to amortize the fit.
-	RefitEvery int
 }
+
+const (
+	// splineWindowHrs is the moving training window (paper: two weeks).
+	splineWindowHrs = 14 * 24
+	// splineKnots is the number of spline knots over the 24 h day.
+	splineKnots = 9
+	// splineRidge is the L2 regularization strength.
+	splineRidge = 1e-3
+	// splineRefitEvery re-estimates the regression every this many
+	// observations, to amortize the fit.
+	splineRefitEvery = 24
+)
 
 func (c SplineConfig) withDefaults() SplineConfig {
 	if c.StepHrs <= 0 {
 		c.StepHrs = 1
-	}
-	if c.WindowHrs <= 0 {
-		c.WindowHrs = 14 * 24
-	}
-	if c.Knots < 3 {
-		c.Knots = 9
-	}
-	if c.Ridge <= 0 {
-		c.Ridge = 1e-3
-	}
-	if c.RefitEvery <= 0 {
-		c.RefitEvery = 24
 	}
 	return c
 }
@@ -85,7 +76,7 @@ func NewSplinePredictor(cfg SplineConfig, maxHorizon int) *SplinePredictor {
 	}
 	return &SplinePredictor{
 		cfg:         c,
-		basis:       NewNaturalSplineBasis(0, 24, c.Knots),
+		basis:       NewNaturalSplineBasis(0, 24, splineKnots),
 		maxH:        maxHorizon,
 		pending:     make([][]float64, maxHorizon),
 		residuals:   make([][]float64, maxHorizon),
@@ -133,7 +124,7 @@ func (p *SplinePredictor) Observe(v float64) {
 	}
 	p.history = append(p.history, v)
 	p.sinceFit++
-	if p.w == nil || p.sinceFit >= p.cfg.RefitEvery {
+	if p.w == nil || p.sinceFit >= splineRefitEvery {
 		p.fit()
 		p.sinceFit = 0
 	}
@@ -143,7 +134,7 @@ func (p *SplinePredictor) Observe(v float64) {
 // the AR(1) coefficient from in-window residuals.
 func (p *SplinePredictor) fit() {
 	n := len(p.history)
-	window := int(p.cfg.WindowHrs / p.cfg.StepHrs)
+	window := int(splineWindowHrs / p.cfg.StepHrs)
 	lo := n - window
 	if lo < 0 {
 		lo = 0
@@ -161,7 +152,7 @@ func (p *SplinePredictor) fit() {
 		p.features(lo+i, x.Row(i))
 		y[i] = p.history[lo+i]
 	}
-	w, err := RidgeRegression(x, y, p.cfg.Ridge)
+	w, err := RidgeRegression(x, y, splineRidge)
 	if err != nil {
 		return // keep previous weights
 	}

@@ -20,10 +20,6 @@ type ChangepointConfig struct {
 	// Forget is the fraction of effective estimator history retained after
 	// a trip (default 0.25).
 	Forget float64
-	// MinStd floors the standardization σ at this fraction of the running
-	// mean price (default 0.02), so a near-constant stream cannot make the
-	// detector hair-triggered on noise at the last decimal.
-	MinStd float64
 }
 
 // withDefaults replaces each unset, out-of-range or non-finite field by its
@@ -38,9 +34,6 @@ func (c ChangepointConfig) withDefaults() ChangepointConfig {
 	if !(c.Forget > 0 && c.Forget < 1) {
 		c.Forget = 0.25
 	}
-	if !positiveFinite(c.MinStd) {
-		c.MinStd = 0.02
-	}
 	return c
 }
 
@@ -48,6 +41,10 @@ const (
 	cusumEWAlpha = 0.08 // smoothing for the running mean/variance
 	cusumWarmup  = 8    // observations before the detector may trip
 	cusumZClamp  = 8.0  // per-step z-score cap
+	// cusumMinStd floors the standardization σ at this fraction of the
+	// running mean price, so a near-constant stream cannot make the detector
+	// hair-triggered on noise at the last decimal.
+	cusumMinStd = 0.02
 	// cusumMomentGate stops outlier samples (|z| above the gate) from
 	// updating the running moments once warm: a genuine level shift would
 	// otherwise balloon the EW variance within two or three samples and
@@ -74,7 +71,7 @@ func (c *cusum) observe(p float64, cfg ChangepointConfig) bool {
 		return false
 	}
 	std := math.Sqrt(c.vari)
-	if floor := cfg.MinStd * math.Max(math.Abs(c.mean), 1e-9); std < floor {
+	if floor := cusumMinStd * math.Max(math.Abs(c.mean), 1e-9); std < floor {
 		std = floor
 	}
 	z := (p - c.mean) / std

@@ -7,10 +7,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// Flags is the shared -risk/-risk-quantile/-risk-halflife flag trio.
-// spotwebd, spotweb-lb and spotweb-sim all expose the same three knobs; this
-// helper keeps them to one definition (and one help string) instead of a
-// copy per binary.
+// Flags is the -risk/-risk-quantile/-risk-halflife flag trio of spotweb-lb,
+// which has no run configuration; spotwebd and spotweb-sim bind the same
+// three flags through runcfg.
 type Flags struct {
 	On       bool
 	Quantile float64
@@ -22,7 +21,7 @@ type Flags struct {
 func BindFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.BoolVar(&f.On, "risk", false,
-		"estimate per-market revocation risk online from observed revocations and plan against the corrected probabilities")
+		"estimate per-market revocation risk online from observed revocations and publish corrected probabilities (at the default long-request share L = 0 they move no plan; the chaos runner's adaptive legs plan on them at L = 0.3)")
 	fs.Float64Var(&f.Quantile, "risk-quantile", 0,
 		"risk estimator upper-credible-bound quantile (0 = default 0.90)")
 	fs.Float64Var(&f.HalfLife, "risk-halflife", 0,

@@ -56,17 +56,10 @@ type Config struct {
 	// half-life without new evidence, half the effective sample is
 	// forgotten and the posterior drifts back toward the prior.
 	HalfLifeHrs float64
-	// PriorStrength is the prior's weight in pseudo-intervals of exposure
-	// (default 8): the declared probability counts as this many observed
-	// intervals, so roughly PriorStrength observed intervals of live
-	// evidence are needed before observation outweighs the catalog.
-	PriorStrength float64
 	// PoolWeight in [0,1] shrinks each market's counts toward its demand
 	// pool's totals: 1 = fully pooled. 0 selects the default 0.5; a negative
 	// finite value means 0, fully per-market, and one above 1 means 1.
 	PoolWeight float64
-	// MaxFailProb caps published probabilities (default 0.9).
-	MaxFailProb float64
 	// Changepoint tunes the CUSUM detector.
 	Changepoint ChangepointConfig
 	// Metrics, when set, receives the spotweb_risk_* series.
@@ -83,9 +76,6 @@ func (c Config) withDefaults() Config {
 	if !positiveFinite(c.HalfLifeHrs) {
 		c.HalfLifeHrs = 24
 	}
-	if !positiveFinite(c.PriorStrength) {
-		c.PriorStrength = 8
-	}
 	switch {
 	case c.PoolWeight == 0 || math.IsNaN(c.PoolWeight) || math.IsInf(c.PoolWeight, 0):
 		c.PoolWeight = 0.5
@@ -94,12 +84,19 @@ func (c Config) withDefaults() Config {
 	case c.PoolWeight > 1:
 		c.PoolWeight = 1
 	}
-	if !(c.MaxFailProb > 0 && c.MaxFailProb <= 1) {
-		c.MaxFailProb = 0.9
-	}
 	c.Changepoint = c.Changepoint.withDefaults()
 	return c
 }
+
+const (
+	// priorStrength is the prior's weight in pseudo-intervals of exposure:
+	// the declared probability counts as this many observed intervals, so
+	// roughly priorStrength observed intervals of live evidence are needed
+	// before observation outweighs the catalog.
+	priorStrength = 8
+	// maxFailProb caps published probabilities.
+	maxFailProb = 0.9
+)
 
 // positiveFinite reports whether v is in (0, +Inf); NaN is not.
 func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
@@ -125,7 +122,7 @@ type Estimator struct {
 	pool   []int
 	gk, gx []float64
 	// last holds each market's last posterior shape and its quantile, before
-	// the MaxFailProb cap (posteriorLocked).
+	// the maxFailProb cap (posteriorLocked).
 	last []lastQuantile
 	// quantiles, when set, shares posterior quantiles with other estimators.
 	quantiles *Quantiles
@@ -310,8 +307,8 @@ func (e *Estimator) posteriorLocked(i int, gk, gx float64) (mean, ucb float64) {
 		*last = lastQuantile{a, b, e.quantiles.BetaQuantile(e.cfg.Quantile, a, b, last.q)}
 	}
 	ucb = last.q
-	if ucb > e.cfg.MaxFailProb {
-		ucb = e.cfg.MaxFailProb
+	if ucb > maxFailProb {
+		ucb = maxFailProb
 	}
 	return mean, ucb
 }
@@ -334,9 +331,8 @@ func (e *Estimator) shapeLocked(i int, gk, gx float64) (a, b float64) {
 	} else if p0 > 0.5 {
 		p0 = 0.5
 	}
-	s := e.cfg.PriorStrength
-	a = s*p0 + keff
-	b = s*(1-p0) + (xeff - keff)
+	a = priorStrength*p0 + keff
+	b = priorStrength*(1-p0) + (xeff - keff)
 	if b < 1e-3 {
 		b = 1e-3
 	}

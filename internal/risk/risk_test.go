@@ -391,7 +391,7 @@ func TestBitIdenticalReusedQuantiles(t *testing.T) {
 					gk, gx := pooledLocked(e, i)
 					a, b := e.shapeLocked(i, gk, gx)
 					e.mu.Unlock()
-					want := math.Min(stats.BetaQuantile(e.cfg.Quantile, a, b, math.NaN()), e.cfg.MaxFailProb)
+					want := math.Min(stats.BetaQuantile(e.cfg.Quantile, a, b, math.NaN()), maxFailProb)
 					if math.Float64bits(got[i]) != math.Float64bits(want) {
 						t.Fatalf("seed %d interval %d market %d: Beta(%v, %v) bound %v, from [0, 1] %v", seed, t0, i, a, b, got[i], want)
 					}
@@ -426,15 +426,12 @@ func TestNonFiniteShapeIsNotNoRisk(t *testing.T) {
 // default estimator's overlay, every bit of every round.
 func TestNonFiniteConfigTakesDefaults(t *testing.T) {
 	fields := map[string]func(c *Config, v float64){
-		"Quantile":      func(c *Config, v float64) { c.Quantile = v },
-		"HalfLifeHrs":   func(c *Config, v float64) { c.HalfLifeHrs = v },
-		"PriorStrength": func(c *Config, v float64) { c.PriorStrength = v },
-		"PoolWeight":    func(c *Config, v float64) { c.PoolWeight = v },
-		"MaxFailProb":   func(c *Config, v float64) { c.MaxFailProb = v },
-		"Threshold":     func(c *Config, v float64) { c.Changepoint.Threshold = v },
-		"Drift":         func(c *Config, v float64) { c.Changepoint.Drift = v },
-		"Forget":        func(c *Config, v float64) { c.Changepoint.Forget = v },
-		"MinStd":        func(c *Config, v float64) { c.Changepoint.MinStd = v },
+		"Quantile":    func(c *Config, v float64) { c.Quantile = v },
+		"HalfLifeHrs": func(c *Config, v float64) { c.HalfLifeHrs = v },
+		"PoolWeight":  func(c *Config, v float64) { c.PoolWeight = v },
+		"Threshold":   func(c *Config, v float64) { c.Changepoint.Threshold = v },
+		"Drift":       func(c *Config, v float64) { c.Changepoint.Drift = v },
+		"Forget":      func(c *Config, v float64) { c.Changepoint.Forget = v },
 	}
 	trace := func(cfg Config) (overlays []*market.Overlay, changepoints int64) {
 		e := New(cfg, testCatalog(3, 0.02, []int{1, 1, 2}))

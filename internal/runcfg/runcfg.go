@@ -170,7 +170,7 @@ func bindCommon(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.warmStart, "warm-start", true, "warm-start receding-horizon solves from the previous round's shifted solver state")
 	fs.Float64Var(&f.rc.AnchorMin, "anchor-min", 0, "minimum per-period on-demand (non-revocable) allocation share (0 = off; inert on all-spot catalogs)")
 	fs.BoolVar(&f.rc.Sentinel, "sentinel", false, "enable the sentinel loop: stopped on-demand standbys warm-restart after revocations")
-	fs.BoolVar(&f.rc.Risk, "risk", false, "estimate per-market revocation risk online from observed revocations and plan against the corrected probabilities")
+	fs.BoolVar(&f.rc.Risk, "risk", false, "estimate per-market revocation risk online from observed revocations and publish corrected probabilities (at the default long-request share L = 0 they move no plan; the chaos runner's adaptive legs plan on them at L = 0.3)")
 	fs.Float64Var(&f.rc.RiskQuantile, "risk-quantile", 0, "risk estimator upper-credible-bound quantile (0 = default 0.90)")
 	fs.Float64Var(&f.rc.RiskHalfLife, "risk-halflife", 0, "risk estimator evidence half-life in catalog-hours (0 = default 24)")
 	return f

@@ -61,9 +61,10 @@ func TestChaosInjectionIsDeterministic(t *testing.T) {
 // TestChaosHighUtilThresholdWired verifies the promoted HighUtil config knob
 // reaches the revocation decision: the same storm that reprovisions at the
 // paper's 0.85 threshold redistributes when the threshold is raised out of
-// reach.
+// reach — unless it takes every server, when no threshold lets the
+// survivors absorb the load.
 func TestChaosHighUtilThresholdWired(t *testing.T) {
-	run := func(highUtil float64) *Result {
+	run := func(highUtil float64, counts []int) *Result {
 		s := &Simulator{
 			Cfg: Config{
 				Seed: 1, TransiencyAware: true, HighUtil: highUtil,
@@ -71,7 +72,7 @@ func TestChaosHighUtilThresholdWired(t *testing.T) {
 			},
 			Cat:      noFailCatalog(24),
 			Workload: flatWorkload(24, 300),
-			Policy:   &fixedPolicy{counts: []int{4, 0, 0}, name: "fixed"},
+			Policy:   &fixedPolicy{counts: counts, name: "fixed"},
 		}
 		res, err := s.Run()
 		if err != nil {
@@ -79,15 +80,21 @@ func TestChaosHighUtilThresholdWired(t *testing.T) {
 		}
 		return res
 	}
-	// Losing the only populated market pushes post-revocation utilization to
-	// 1.0: above the default threshold, below an absurdly raised one.
-	strict := run(0) // default 0.85
+	// Losing the most-populated market (four m4.xlarge) leaves one
+	// m4.2xlarge: post-revocation utilization 300/200 = 1.5, above the
+	// default threshold, below an absurdly raised one.
+	strict := run(0, []int{4, 1, 0}) // default 0.85
 	if strict.Actions["redistribute"] != 0 || strict.Actions["reprovision"] == 0 {
 		t.Fatalf("default threshold actions = %v, want reprovision only", strict.Actions)
 	}
-	lax := run(5)
+	lax := run(5, []int{4, 1, 0})
 	if lax.Actions["redistribute"] == 0 || lax.Actions["reprovision"] != 0 {
 		t.Fatalf("raised threshold actions = %v, want redistribute only", lax.Actions)
+	}
+	// Losing the only populated market leaves nothing to redistribute onto.
+	empty := run(1.5, []int{4, 0, 0})
+	if empty.Actions["redistribute"] != 0 || empty.Actions["reprovision"] == 0 {
+		t.Fatalf("empty-fleet actions at threshold 1.5 = %v, want reprovision only", empty.Actions)
 	}
 }
 

@@ -148,7 +148,7 @@ func TestHourlyBillingExactLedger(t *testing.T) {
 			}
 			s := &Simulator{
 				Cfg: Config{
-					Seed: 1, TransiencyAware: true, Sentinel: tc.sentinel, SentinelStandby: 1,
+					Seed: 1, TransiencyAware: true, Sentinel: tc.sentinel,
 					SubSteps: tc.subSteps, MaxLifetimeHrs: tc.lifetime,
 				},
 				Cat:      cat,

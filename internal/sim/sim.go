@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"repro/internal/chaos"
 	"repro/internal/cluster"
@@ -51,12 +50,9 @@ type Config struct {
 	StartDelaySec float64
 	// WarmupSec is the cache warm-up window (paper: 30–90 s).
 	WarmupSec float64
-	// DetectionDelaySec is how long a transiency-UNAWARE balancer keeps
-	// routing to dead servers before health checks notice.
-	DetectionDelaySec float64
-	// SLOLatencySec is the latency SLO threshold (paper: 99% < 1 s).
-	SLOLatencySec float64
 	// GroupCorrelation is the within-group revocation correlation in [0,1).
+	// No caller sets it, and its zero value is in range, so every run
+	// samples natural revocations independently (ROADMAP's ρ = 0 FOUND).
 	GroupCorrelation float64
 	// TransiencyAware selects SpotWeb's LB behaviour; false reproduces the
 	// vanilla-HAProxy baseline.
@@ -96,15 +92,6 @@ type Config struct {
 	// anchor capacity (boot delay only, warm caches) before cold-launching
 	// replacements — the Containarium restart-vs-recreate gap.
 	Sentinel bool
-	// SentinelStandby is the number of pre-provisioned stopped standby
-	// servers the sentinel keeps (default 2 when Sentinel is on).
-	SentinelStandby int
-	// SentinelShare is the fraction of current demand the stopped standby
-	// pool must be able to absorb as warm capacity (default 1 when Sentinel
-	// is on: a correlated storm that takes out the whole serving fleet can
-	// be re-covered with restarts alone). Stopped servers are deallocated
-	// compute — the pool costs nothing until restarted.
-	SentinelShare float64
 	// QueueDeadlineSec lets the admission controller *delay* rather than
 	// drop overload (§4.4: "dropping or delaying requests"): excess
 	// requests wait in a bounded FIFO and are served late (counted as SLO
@@ -113,9 +100,26 @@ type Config struct {
 	QueueDeadlineSec float64
 	// SubSteps is the within-interval simulation resolution (default 60).
 	SubSteps int
-	// Latency is the queueing model.
-	Latency cluster.LatencyModel
 }
+
+const (
+	// detectionDelaySec is how long a transiency-UNAWARE balancer keeps
+	// routing to dead servers before health checks notice.
+	detectionDelaySec = 10
+	// sloLatencySec is the latency SLO threshold (paper: 99% < 1 s), the
+	// SLOTarget of cluster.DefaultLatencyModel, the queueing model every
+	// run uses.
+	sloLatencySec = 1.0
+	// sentinelStandby is the number of pre-provisioned stopped standby
+	// servers the sentinel keeps.
+	sentinelStandby = 2
+	// sentinelShare is the fraction of current demand the stopped standby
+	// pool must be able to absorb as warm capacity: a correlated storm that
+	// takes out the whole serving fleet can be re-covered with restarts
+	// alone. Stopped servers are deallocated compute — the pool costs
+	// nothing until restarted.
+	sentinelShare = 1
+)
 
 // WithDefaults fills unset fields with the paper's testbed values.
 func (c Config) WithDefaults() Config {
@@ -128,12 +132,6 @@ func (c Config) WithDefaults() Config {
 	if c.WarmupSec <= 0 {
 		c.WarmupSec = 60
 	}
-	if c.DetectionDelaySec <= 0 {
-		c.DetectionDelaySec = 10
-	}
-	if c.SLOLatencySec <= 0 {
-		c.SLOLatencySec = 1.0
-	}
 	if c.GroupCorrelation < 0 || c.GroupCorrelation >= 1 {
 		c.GroupCorrelation = 0.7
 	}
@@ -142,18 +140,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.HighUtil <= 0 {
 		c.HighUtil = 0.85
-	}
-	if c.Sentinel && c.SentinelStandby <= 0 {
-		c.SentinelStandby = 2
-	}
-	if c.Sentinel && c.SentinelShare <= 0 {
-		c.SentinelShare = 1
-	}
-	if c.Latency.BaseServiceTime <= 0 {
-		c.Latency = cluster.DefaultLatencyModel()
-	}
-	if c.Latency.SLOTarget <= 0 {
-		c.Latency.SLOTarget = c.SLOLatencySec
 	}
 	return c
 }
@@ -251,7 +237,7 @@ type Scratch struct {
 	revoked    []bool
 	revs       []revocation
 	victims    []int
-	pops       []popCount
+	live       []int // per-market live servers a storm picks from
 	mktBuf     []*cluster.Server
 	stoppedBuf []*cluster.Server
 	dead       []deadRouting
@@ -285,19 +271,16 @@ func (sc *Scratch) reset(markets, groups int) {
 	sc.prices = growTo(sc.prices, markets)
 	sc.blacked = growTo(sc.blacked, markets)
 	sc.revoked = growTo(sc.revoked, markets)
+	sc.live = growTo(sc.live, markets)
 	sc.groupShock = growTo(sc.groupShock, groups)
 	sc.groupSet = growTo(sc.groupSet, groups)
 	sc.revs = sc.revs[:0]
 	sc.victims = sc.victims[:0]
-	sc.pops = sc.pops[:0]
 	sc.mktBuf = sc.mktBuf[:0]
 	sc.stoppedBuf = sc.stoppedBuf[:0]
 	sc.dead = sc.dead[:0]
 	sc.billed = sc.billed[:0]
 }
-
-// popCount is a (market, live-server-count) pair used by storm targeting.
-type popCount struct{ mkt, n int }
 
 // revocation is an in-flight within-interval event.
 type revocation struct {
@@ -410,6 +393,7 @@ func (s *Simulator) Run() (*Result, error) {
 	// server joined the billable set or re-based its LaunchedAt, so every
 	// billable server was in that scan and is paid past now.
 	billMut, billNext := cl.Mutations(), math.Inf(-1)
+	latency := cluster.DefaultLatencyModel()
 	var latMemo latencyMemo
 	for t := 1; t < n; t++ {
 		tStart := float64(t) * stepHrs
@@ -439,9 +423,9 @@ func (s *Simulator) Run() (*Result, error) {
 			// Maintain the sentinel standby pool: hydrated, stopped (and
 			// unbilled) servers in the cheapest on-demand market, ready for a
 			// warm restart when a storm hits. The pool is topped back up every
-			// planning round — restarts consume it — to SentinelShare of the
+			// planning round — restarts consume it — to sentinelShare of the
 			// current demand (so a correlated storm can be absorbed with warm
-			// capacity alone), with SentinelStandby as a count floor.
+			// capacity alone), with sentinelStandby as a count floor.
 			od, odCost := -1, 0.0
 			for i, m := range s.Cat.Markets {
 				if m.Transient {
@@ -459,11 +443,11 @@ func (s *Simulator) Run() (*Result, error) {
 					pool += sb.Capacity
 					stoppedN++
 				}
-				target := cfg.SentinelShare * lambda
+				target := sentinelShare * lambda
 				// Every LaunchStopped adds exactly one stopped server, so the
 				// pool size is tracked incrementally instead of re-materializing
 				// the stopped list per iteration.
-				for k := 0; (pool < target || stoppedN < cfg.SentinelStandby) && k < 256; k++ {
+				for k := 0; (pool < target || stoppedN < sentinelStandby) && k < 256; k++ {
 					sb := cl.LaunchStopped(od, caps[od], scaleAt)
 					pool += sb.Capacity
 					stoppedN++
@@ -541,7 +525,14 @@ func (s *Simulator) Run() (*Result, error) {
 		// Injected revocation storms scheduled for this interval.
 		for _, cr := range cfg.Chaos.Revocations(progress(tStart), progress(tEnd)) {
 			when := runStart + cr.T*runLen
-			for _, mkt := range s.stormVictims(cl, cr, scr) {
+			for i, m := range s.Cat.Markets {
+				scr.live[i] = 0
+				if m.Transient {
+					scr.live[i] = cl.CountInMarket(i)
+				}
+			}
+			scr.victims = cr.Victims(scr.victims[:0], scr.live)
+			for _, mkt := range scr.victims {
 				if scr.blacked[mkt] {
 					// The blackout branch above already force-revoked this
 					// market; the outage-start storm must not double-fire.
@@ -640,7 +631,7 @@ func (s *Simulator) Run() (*Result, error) {
 					// start-delay jitter stretches the boot time it must beat.
 					remaining := cl.TotalCapacity(now) * cfg.Chaos.CapacityFactor(x) // draining still serves
 					post := remaining - lost
-					util := 1.0
+					util := math.Inf(1) // no survivor absorbs anything
 					if post > 0 {
 						util = lambda / post
 					}
@@ -711,7 +702,7 @@ func (s *Simulator) Run() (*Result, error) {
 						frac = lost / total
 					}
 					dead = append(dead, deadRouting{
-						until:    rv.warnAt + effWarnHrs + cfg.DetectionDelaySec/secPerHr,
+						until:    rv.warnAt + effWarnHrs + detectionDelaySec/secPerHr,
 						fraction: frac,
 					})
 				}
@@ -764,7 +755,7 @@ func (s *Simulator) Run() (*Result, error) {
 			dead = pruneDead(dead, now)
 			deadFrac := 0.0
 			for _, d := range dead {
-				if now >= d.until-cfg.DetectionDelaySec/secPerHr && now < d.until {
+				if now >= d.until-detectionDelaySec/secPerHr && now < d.until {
 					deadFrac += d.fraction
 				}
 			}
@@ -774,7 +765,7 @@ func (s *Simulator) Run() (*Result, error) {
 			deadDrop := offered * deadFrac
 			offered -= deadDrop
 
-			served, dropped, lat := latMemo.interval(cfg.Latency, offered, capNow)
+			served, dropped, lat := latMemo.interval(latency, offered, capNow)
 			dt := sub * secPerHr // seconds in this sub-step
 
 			// Track the admission-control regime: time spent with offered
@@ -812,10 +803,10 @@ func (s *Simulator) Run() (*Result, error) {
 			dropped += deadDrop
 			im.Served += served*dt + servedLate
 			im.Dropped += dropped * dt
-			latWeighted += lat*served*dt + cfg.SLOLatencySec*2*servedLate
-			imLatWeighted += lat*served*dt + cfg.SLOLatencySec*2*servedLate
+			latWeighted += lat*served*dt + sloLatencySec*2*servedLate
+			imLatWeighted += lat*served*dt + sloLatencySec*2*servedLate
 			viol := dropped*dt + servedLate // delayed requests violate the SLO
-			if lat > cfg.SLOLatencySec {
+			if lat > sloLatencySec {
 				viol += served * dt
 			}
 			im.Violations += viol
@@ -887,55 +878,6 @@ func (s *Simulator) Run() (*Result, error) {
 		res.ViolationPct = 100 * violTotal / offeredTotal
 	}
 	return res, nil
-}
-
-// stormVictims resolves an injected revocation to concrete market indices:
-// an explicit market list is filtered to live transient markets; otherwise
-// the Count most-populated live transient markets are hit (ties broken by
-// ascending index, for determinism) — correlated storms take out the markets
-// the portfolio leans on hardest. The returned slice is scratch memory,
-// valid until the next call.
-func (s *Simulator) stormVictims(cl *cluster.Cluster, rv chaos.Revocation, scr *Scratch) []int {
-	out := scr.victims[:0]
-	if len(rv.Markets) > 0 {
-		for _, mkt := range rv.Markets {
-			if mkt < 0 || mkt >= s.Cat.Len() || !s.Cat.Markets[mkt].Transient {
-				continue
-			}
-			if cl.CountInMarket(mkt) > 0 {
-				out = append(out, mkt)
-			}
-		}
-		scr.victims = out
-		return out
-	}
-	pops := scr.pops[:0]
-	for i, m := range s.Cat.Markets {
-		if !m.Transient {
-			continue
-		}
-		if n := cl.CountInMarket(i); n > 0 {
-			pops = append(pops, popCount{i, n})
-		}
-	}
-	scr.pops = pops
-	// The comparator is a total order (count, then index), so any correct
-	// sort yields the identical sequence.
-	slices.SortFunc(pops, func(a, b popCount) int {
-		if a.n != b.n {
-			return b.n - a.n
-		}
-		return a.mkt - b.mkt
-	})
-	k := rv.Count
-	if k > len(pops) {
-		k = len(pops)
-	}
-	for i := 0; i < k; i++ {
-		out = append(out, pops[i].mkt)
-	}
-	scr.victims = out
-	return out
 }
 
 // cheapestAlive returns the cheapest transient market not currently being

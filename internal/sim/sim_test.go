@@ -132,8 +132,7 @@ func TestTransiencyAwareBeatsVanilla(t *testing.T) {
 		}
 		pol := &fixedPolicy{counts: []int{2, 2, 2}, name: "testbed"}
 		s := &Simulator{
-			Cfg: Config{Seed: 7, TransiencyAware: aware,
-				DetectionDelaySec: 30, WarningSec: 120},
+			Cfg:      Config{Seed: 7, TransiencyAware: aware, WarningSec: 120},
 			Cat:      cat,
 			Workload: flatWorkload(24*7, 600), // ~65% utilization of 920 cap
 			Policy:   pol,
@@ -257,10 +256,7 @@ func TestNormCDF(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.WarningSec != 120 || c.SubSteps != 60 || c.SLOLatencySec != 1.0 {
+	if c.WarningSec != 120 || c.SubSteps != 60 {
 		t.Fatalf("defaults = %+v", c)
-	}
-	if c.Latency.BaseServiceTime <= 0 {
-		t.Fatal("latency model not defaulted")
 	}
 }

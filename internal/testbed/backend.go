@@ -34,10 +34,11 @@ type BackendConfig struct {
 	// inflated (Memcached warm-up): capacity ramps from internal/cluster's
 	// cold factor, 0.4, to 1, and service times are divided by it.
 	WarmupDur time.Duration
-	// QueueLimit bounds concurrent requests; beyond it the server sheds
-	// load with 503 (the overload guard).
-	QueueLimit int
 }
+
+// queueLimit bounds a backend's concurrent requests; beyond it the server
+// sheds load with 503 (the overload guard).
+const queueLimit = 256
 
 func (c BackendConfig) withDefaults() BackendConfig {
 	if c.Capacity <= 0 {
@@ -45,9 +46,6 @@ func (c BackendConfig) withDefaults() BackendConfig {
 	}
 	if c.BaseServiceTime <= 0 {
 		c.BaseServiceTime = 5 * time.Millisecond
-	}
-	if c.QueueLimit <= 0 {
-		c.QueueLimit = 256
 	}
 	return c
 }
@@ -120,7 +118,7 @@ func (b *Backend) handle(w http.ResponseWriter, r *http.Request) {
 	}
 	n := b.inflight.Add(1)
 	defer b.inflight.Add(-1)
-	if int(n) > b.cfg.QueueLimit {
+	if int(n) > queueLimit {
 		b.shed.Add(1)
 		http.Error(w, "overloaded", http.StatusServiceUnavailable)
 		return

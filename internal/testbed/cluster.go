@@ -50,11 +50,13 @@ type ClusterConfig struct {
 	// (default 500 ms; the paper holds p99 at sub-second scale).
 	SLOTarget time.Duration
 	// AdmitRPS > 0 installs token-bucket admission control on the routing
-	// hot path at that request rate; AdmitBurst is the bucket depth
-	// (default 64). 0 disables admission control.
-	AdmitRPS   float64
-	AdmitBurst int
+	// hot path at that request rate, with a bucket admitBurst deep. 0
+	// disables admission control.
+	AdmitRPS float64
 }
+
+// admitBurst is the depth of the admission-control token bucket.
+const admitBurst = 64
 
 // clusterMetrics bundles the front-end instrument handles. All fields are
 // nil (and all operations no-ops) when metrics are disabled.
@@ -125,11 +127,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	}
 	c.balancer.ActionOverride = cfg.ActionOverride
 	if cfg.AdmitRPS > 0 {
-		burst := cfg.AdmitBurst
-		if burst <= 0 {
-			burst = 64
-		}
-		c.balancer.SetAdmission(lb.NewTokenBucket(cfg.AdmitRPS, burst))
+		c.balancer.SetAdmission(lb.NewTokenBucket(cfg.AdmitRPS, admitBurst))
 	}
 	c.balancer.SetMetrics(cfg.Metrics)
 	c.front = cluster.NewFront(c.fleet, c.balancer, cfg.Journal)

@@ -27,7 +27,6 @@ func TestConcurrentServeRevokeScale(t *testing.T) {
 	cl := NewCluster(ClusterConfig{
 		Backend: BackendConfig{
 			BaseServiceTime: 200 * time.Microsecond,
-			QueueLimit:      1024,
 		},
 		Warning: 100 * time.Millisecond,
 		Metrics: reg,
@@ -133,12 +132,10 @@ func TestStressClusterAdmissionControl(t *testing.T) {
 	cl := NewCluster(ClusterConfig{
 		Backend: BackendConfig{
 			BaseServiceTime: 50 * time.Microsecond,
-			QueueLimit:      1024,
 		},
-		Warning:    time.Second,
-		Metrics:    reg,
-		AdmitRPS:   200,
-		AdmitBurst: 10,
+		Warning:  time.Second,
+		Metrics:  reg,
+		AdmitRPS: 200,
 	})
 	defer cl.Close()
 	cl.AddBackend(1000)
@@ -170,7 +167,7 @@ func TestStressClusterAdmissionControl(t *testing.T) {
 	}
 	// The bucket bounds admits to burst + rate·elapsed regardless of the
 	// offered load (slack for timer jitter).
-	if bound := 10 + 200*elapsed*1.5 + 5; float64(ok) > bound {
+	if bound := admitBurst + 200*elapsed*1.5 + 5; float64(ok) > bound {
 		t.Fatalf("admission control admitted %d of %d requests in %.3fs (bound %.0f)", ok, offered, elapsed, bound)
 	}
 }

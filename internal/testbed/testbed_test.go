@@ -16,7 +16,6 @@ func fastBackendCfg() BackendConfig {
 		BaseServiceTime: 2 * time.Millisecond,
 		StartDelay:      0,
 		WarmupDur:       0,
-		QueueLimit:      512,
 	}
 }
 
