@@ -64,9 +64,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	scenarios, err := selectScenarios(*scenarioPath, *suite)
 	if err == nil {
-		err = checkTestbedFlags(*testbedRun, *out, *check, *testbedDur)
+		err = checkTestbedFlags(*testbedRun, *out, *check, *testbedDur, set)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -170,11 +172,19 @@ func selectScenarios(path, suite string) ([]*chaos.Scenario, error) {
 	}
 }
 
+// testbedIgnored names the run options a testbed replay never reads: of the
+// shared set it takes -seed alone.
+var testbedIgnored = map[string]bool{
+	"quick": true, "warning": true, "high-util": true, "anchor-min": true, "sentinel": true,
+	"warm-start": true, "risk": true, "risk-quantile": true, "risk-halflife": true,
+}
+
 // checkTestbedFlags rejects the flag combinations a testbed replay would
 // otherwise ignore: its summary is wall-clock and goes to stdout only, so
-// -check would compare nothing (and exit 0) and -out would write nothing; and a
-// negative -testbed-duration would silently run the default.
-func checkTestbedFlags(testbed bool, out, check string, dur time.Duration) error {
+// -check would compare nothing (and exit 0) and -out would write nothing; a
+// negative -testbed-duration would silently run the default; and a run
+// option in set (the flags given) other than -seed would change nothing.
+func checkTestbedFlags(testbed bool, out, check string, dur time.Duration, set []string) error {
 	switch {
 	case dur < 0:
 		return fmt.Errorf("-testbed-duration %v is negative", dur)
@@ -182,6 +192,11 @@ func checkTestbedFlags(testbed bool, out, check string, dur time.Duration) error
 		return fmt.Errorf("-testbed replays are not deterministic: -check %s would compare nothing", check)
 	case testbed && out != "":
 		return fmt.Errorf("-testbed prints its summary to stdout: -out %s would write nothing", out)
+	}
+	for _, name := range set {
+		if testbed && testbedIgnored[name] {
+			return fmt.Errorf("-testbed replays take -seed alone of the run options: -%s would change nothing", name)
+		}
 	}
 	return nil
 }

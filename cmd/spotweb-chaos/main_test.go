@@ -82,24 +82,29 @@ func TestSelectScenarios(t *testing.T) {
 }
 
 // TestCheckTestbedFlags: a testbed replay used to skip -check and -out and
-// exit 0, and a negative -testbed-duration ran the default.
+// exit 0, and a negative -testbed-duration ran the default; it still takes
+// -seed, and a simulator run takes every run option.
 func TestCheckTestbedFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		testbed    bool
 		out, check string
 		dur        time.Duration
+		set        []string
 		wantErr    string
 	}{
 		{name: "simulator with -out and -check", out: "d", check: "g", dur: 3 * time.Second},
 		{name: "testbed alone", testbed: true, dur: time.Second},
+		{name: "testbed -seed", testbed: true, set: []string{"seed", "suite", "testbed"}},
+		{name: "simulator run options", set: []string{"quick", "risk", "sentinel"}},
+		{name: "testbed -risk", testbed: true, set: []string{"risk", "seed", "testbed"}, wantErr: "-risk would change nothing"},
 		{name: "testbed zero duration keeps the default", testbed: true},
 		{name: "testbed -check", testbed: true, check: "g", dur: time.Second, wantErr: "-check g"},
 		{name: "testbed -out", testbed: true, out: "d", dur: time.Second, wantErr: "-out d"},
 		{name: "negative duration", testbed: true, dur: -time.Second, wantErr: "-testbed-duration -1s"},
 		{name: "negative duration without -testbed", dur: -time.Second, wantErr: "-testbed-duration -1s"},
 	} {
-		err := checkTestbedFlags(tc.testbed, tc.out, tc.check, tc.dur)
+		err := checkTestbedFlags(tc.testbed, tc.out, tc.check, tc.dur, tc.set)
 		if tc.wantErr == "" && err != nil {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		}
@@ -126,6 +131,8 @@ func TestParallelismFlagGone(t *testing.T) {
 // flag's name before any scenario runs. -high-util NaN used to score the
 // storm 98.65 (the default scores 82.41) and exit 0, -warning NaN scored
 // 92.66, and -warning -100 and -risk-quantile 1.5 silently ran the defaults.
+// A -testbed replay reads -seed alone of the run options; it used to run
+// with any other set and ignore it.
 func TestRunRejectsBadRunOptions(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -139,6 +146,15 @@ func TestRunRejectsBadRunOptions(t *testing.T) {
 		{name: "negative warning", args: []string{"-suite", "storm", "-quick", "-warning", "-100"}, want: 2, wantStderr: "-warning -100"},
 		{name: "risk-quantile 1.5", args: []string{"-suite", "storm", "-quick", "-risk", "-risk-quantile", "1.5"}, want: 2, wantStderr: "-risk-quantile 1.5"},
 		{name: "no scenario", args: []string{"-quick"}, want: 2, wantStderr: "one of -scenario, -suite or -list"},
+		{name: "testbed -quick", args: []string{"-suite", "storm", "-testbed", "-quick"}, want: 2, wantStderr: "-quick would change nothing"},
+		{name: "testbed -warning", args: []string{"-suite", "storm", "-testbed", "-warning", "30"}, want: 2, wantStderr: "-warning would change nothing"},
+		{name: "testbed -high-util", args: []string{"-suite", "storm", "-testbed", "-high-util", "0.7"}, want: 2, wantStderr: "-high-util would change nothing"},
+		{name: "testbed -anchor-min", args: []string{"-suite", "storm", "-testbed", "-anchor-min", "0.3"}, want: 2, wantStderr: "-anchor-min would change nothing"},
+		{name: "testbed -sentinel", args: []string{"-suite", "storm", "-testbed", "-sentinel"}, want: 2, wantStderr: "-sentinel would change nothing"},
+		{name: "testbed -warm-start", args: []string{"-suite", "storm", "-testbed", "-warm-start=false"}, want: 2, wantStderr: "-warm-start would change nothing"},
+		{name: "testbed -risk", args: []string{"-suite", "storm", "-testbed", "-risk"}, want: 2, wantStderr: "-risk would change nothing"},
+		{name: "testbed -risk-quantile", args: []string{"-suite", "storm", "-testbed", "-risk-quantile", "0.8"}, want: 2, wantStderr: "-risk-quantile would change nothing"},
+		{name: "testbed -risk-halflife", args: []string{"-suite", "storm", "-testbed", "-risk-halflife", "12"}, want: 2, wantStderr: "-risk-halflife would change nothing"},
 		{name: "unknown flag", args: []string{"-parallelism", "4"}, want: 2, wantStderr: "-parallelism"},
 		{name: "list", args: []string{"-list"}, want: 0, wantStdout: "storm"},
 	} {

@@ -124,15 +124,19 @@ func parseFlags(fs *flag.FlagSet, args []string) (*lbFlags, error) {
 // kept its default), a capacity that is not a positive finite rate (a
 // negative one panicked in the join timer), -chaos-markets below 1 (a
 // division by zero), a revoke id outside the launched backends (logged as
-// revoked, and nothing happened) and a -risk-quantile or -risk-halflife the
+// revoked, and nothing happened), a -risk-quantile or -risk-halflife the
 // run options reject (a NaN quantile passed the estimator's defaults and
-// published NaN for every market).
+// published NaN for every market) and -risk with -metrics "" (an estimator
+// that publishes nowhere).
 func (f *lbFlags) check() error {
 	if len(f.positional) > 0 {
 		return fmt.Errorf("unexpected argument %q: spotweb-lb takes flags only", f.positional[0])
 	}
 	if err := (runcfg.RunConfig{RiskQuantile: f.risk.Quantile, RiskHalfLife: f.risk.HalfLife}).Validate(); err != nil {
 		return err
+	}
+	if f.risk.Enabled() && f.metricsAddr == "" {
+		return errors.New(`-risk with -metrics "": the estimator publishes only on /metrics; give -metrics an address`)
 	}
 	caps, err := parseFloats(f.backends)
 	if err != nil {
@@ -222,7 +226,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reg.SetJournal(journal)
 	}
 
-	cl := testbed.NewCluster(testbed.ClusterConfig{
+	// Online risk estimation: the LB testbed has no market catalog, so the
+	// estimator starts from a flat declared prior per backend market and
+	// learns purely from the warnings the control plane delivers. Its
+	// corrected, confidence-widened estimates surface as spotweb_risk_* on
+	// /metrics.
+	est := f.risk.Estimator(flatCatalog(f.chaosMarkets), reg)
+	tbCfg := testbed.ClusterConfig{
 		Backend: testbed.BackendConfig{
 			BaseServiceTime: f.service,
 			StartDelay:      f.startDelay,
@@ -239,7 +249,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		HighUtil:       f.highUtil,
 		AdmitRPS:       f.admitRPS,
 		ActionOverride: override,
-	})
+	}
+	if est != nil {
+		tbCfg.Risk = est
+	}
+	cl := testbed.NewCluster(tbCfg)
 	for i, c := range f.caps {
 		var b *testbed.Backend
 		if faults != nil {
@@ -248,31 +262,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			b = cl.AddBackend(c)
 		}
 		logger.Printf("backend %d: capacity %.0f req/s at %s (market %d)", b.ID, c, b.URL(), b.Market)
-	}
-
-	// Online risk estimation: the LB testbed has no market catalog, so the
-	// estimator starts from a flat declared prior per backend market and
-	// learns purely from the journal's revocation warnings. Its corrected,
-	// confidence-widened estimates surface as spotweb_risk_* on /metrics.
-	var feed *risk.Feed
-	if f.risk.Enabled() {
-		est := f.risk.Estimator(flatCatalog(f.chaosMarkets), reg)
-		feed = risk.NewFeed(est, risk.FeedConfig{
-			Journal:  journal,
-			Interval: time.Second,
-			Snapshot: func() ([]bool, []float64) {
-				counts := cl.MarketCounts(f.chaosMarkets)
-				exposed := make([]bool, len(counts))
-				for i, c := range counts {
-					exposed[i] = c > 0
-				}
-				return exposed, nil
-			},
-		})
-		if feed == nil {
-			logger.Printf("risk: estimator needs the journal; run without -metrics='' to enable")
-		}
-		feed.Start()
 	}
 
 	if f.revokeAfter > 0 && len(f.victims) > 0 {
@@ -307,12 +296,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	logger.Printf("spotweb-lb listening on %s (vanilla=%v, %d backends)", lbLn.Addr(), f.vanilla, len(f.caps))
 	go func() { serveErr <- lbSrv.Serve(lbLn) }()
 
+	// The estimator's clock: one interval a second, exposed where backends
+	// are live.
+	var tick <-chan time.Time
+	if est != nil {
+		ticker := time.NewTicker(time.Second)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
 	code := 0
-	select {
-	case <-ctx.Done():
-	case err := <-serveErr:
-		logger.Print(err)
-		code = 1
+wait:
+	for t := 0; ; t++ {
+		select {
+		case <-ctx.Done():
+			break wait
+		case err := <-serveErr:
+			logger.Print(err)
+			code = 1
+			break wait
+		case <-tick:
+			counts := cl.MarketCounts(f.chaosMarkets)
+			exposed := make([]bool, len(counts))
+			for i, c := range counts {
+				exposed[i] = c > 0
+			}
+			est.ObserveInterval(t, exposed, nil)
+		}
 	}
 	stop() // a second signal kills hard
 	logger.Printf("shutdown: draining HTTP servers and backends")
@@ -326,7 +335,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			logger.Printf("shutdown: metrics server: %v", err)
 		}
 	}
-	feed.Close()
 	cl.Close()
 	if reg != nil {
 		fmt.Fprintln(stderr, "# final metrics snapshot")

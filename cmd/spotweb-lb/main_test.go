@@ -14,8 +14,8 @@ import (
 // negative capacity panicked in the backend's join timer, -revoke 99 with six
 // backends logged a revocation that never happened, a positional argument
 // silently ended flag parsing, a flap period too short for its window hung
-// the scenario compiler, and -risk-quantile NaN published NaN for every
-// market.
+// the scenario compiler, -risk-quantile NaN published NaN for every market,
+// and -risk with -metrics "" ran an estimator that published nowhere.
 func TestRunRejectsBadFlags(t *testing.T) {
 	tinyFlap := filepath.Join(t.TempDir(), "tiny-flap.json")
 	err := os.WriteFile(tinyFlap, []byte(`{"name":"tiny-flap","faults":[{"kind":"flap","start":0.5,"duration":0.1,"period":1e-20,"severity":0.5}]}`), 0o644)
@@ -51,6 +51,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{name: "NaN risk half-life", args: []string{"-risk", "-risk-halflife", "NaN"}, want: 2, wantStderr: "-risk-halflife NaN: want 0 (as published)"},
 		{name: "infinite risk half-life", args: []string{"-risk-halflife", "Inf"}, want: 2, wantStderr: "-risk-halflife +Inf: want 0 (as published)"},
 		{name: "negative risk half-life", args: []string{"-risk-halflife", "-2"}, want: 2, wantStderr: "-risk-halflife -2: want 0 (as published)"},
+		{name: "risk without metrics", args: []string{"-risk"}, want: 2, wantStderr: `-risk with -metrics "": the estimator publishes only on /metrics`},
 		{name: "unknown flag", args: []string{"-no-such-flag"}, want: 2, wantStderr: "-no-such-flag"},
 		{name: "help", args: []string{"-h"}, want: 0, wantStderr: "-chaos-markets"},
 		{name: "unusable listen address", args: nil, want: 1, wantStderr: "256.0.0.1"},

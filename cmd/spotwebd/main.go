@@ -39,7 +39,6 @@ import (
 	"os"
 	"os/signal"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -82,10 +81,10 @@ func parseFlags(fs *flag.FlagSet, args []string) (*daemonFlags, error) {
 	fs.DurationVar(&f.slo, "slo", 500*time.Millisecond, "latency SLO threshold for the attainment tracker")
 	fs.StringVar(&f.chaosScenario, "chaos-scenario", "", "chaos scenario to replay: a JSON file or a built-in name (empty = none)")
 	fs.DurationVar(&f.chaosDur, "chaos-duration", 10*time.Minute, "wall-clock window the chaos scenario timeline is mapped onto")
-	// The shared RunConfig set: -seed, -high-util, -warm-start, -anchor-min,
-	// -sentinel and the -risk trio. The daemon keeps its own wall-clock
-	// -warning duration, so the simulator's -warning seconds override is
-	// deliberately absent here.
+	// The shared RunConfig set: -seed, -high-util, -warm-start, -anchor-min
+	// and the -risk trio. The daemon keeps its own wall-clock -warning
+	// duration, so the simulator's -warning seconds override is deliberately
+	// absent here, as is the simulator-only -sentinel.
 	f.rc = runcfg.BindDaemonFlags(fs)
 	f.fed = federation.BindFlags(fs)
 	err := fs.Parse(args)
@@ -171,9 +170,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			IncludeOnDemand: rc.AnchorMin > 0,
 		})
 	}
-	if rc.Sentinel {
-		logger.Printf("sentinel: warm-restart standbys are a simulator-path feature; the wall-clock testbed ignores -sentinel")
-	}
 	if fed != nil && rc.AnchorMin > 0 {
 		// The sharded federation planner does not carry the anchor bound.
 		logger.Printf("anchor: -anchor-min is not supported with -federation; ignoring")
@@ -231,7 +227,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	collector := monitor.NewCollector(time.Minute)
 	rates := monitor.NewRateSeries(f.interval)
-	cluster := testbed.NewCluster(testbed.ClusterConfig{
+	tbCfg := testbed.ClusterConfig{
 		Backend: testbed.BackendConfig{
 			BaseServiceTime: 3 * time.Millisecond,
 			StartDelay:      2 * time.Second,
@@ -248,41 +244,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		HighUtil:       rc.HighUtil,
 		AdmitRPS:       f.admitRPS,
 		ActionOverride: override,
-	})
+	}
+	if est != nil {
+		// The control plane tells the estimator of every warning it
+		// delivers; the control loop below closes its intervals.
+		tbCfg.Risk = est
+	}
+	cluster := testbed.NewCluster(tbCfg)
 
 	caps := make([]float64, cat.Len())
 	for i, m := range cat.Markets {
 		caps[i] = m.Type.Capacity * f.capScale
-	}
-
-	// Journal-fed risk estimation: warnings stream into the estimator as
-	// they are recorded, and each planning interval closes out one estimator
-	// interval with the live exposure snapshot and catalog prices.
-	var planTick atomic.Int64
-	var feed *risk.Feed
-	if est != nil {
-		feed = risk.NewFeed(est, risk.FeedConfig{
-			Journal:  journal,
-			Interval: f.interval,
-			Snapshot: func() ([]bool, []float64) {
-				t := int(planTick.Load())
-				if t >= cat.Intervals {
-					t = cat.Intervals - 1
-				}
-				counts := cluster.MarketCounts(cat.Len())
-				exposed := make([]bool, cat.Len())
-				prices := make([]float64, cat.Len())
-				for i, m := range cat.Markets {
-					exposed[i] = m.Transient && counts[i] > 0
-					prices[i] = m.PriceAt(t)
-				}
-				return exposed, prices
-			},
-		})
-		if feed == nil {
-			logger.Printf("risk: estimator on but no journal (-metrics=false); planning from priors only")
-		}
-		feed.Start()
 	}
 
 	var mu sync.Mutex
@@ -364,8 +336,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 					}
 				}
 			}
+			// Close the estimator's interval t after its revocations and
+			// before the next round plans, as the fluid simulator does.
+			if est != nil {
+				exposed := make([]bool, cat.Len())
+				prices := make([]float64, cat.Len())
+				for i, m := range cat.Markets {
+					exposed[i] = m.Transient && counts[i] > 0
+					prices[i] = m.PriceAt(t)
+				}
+				est.ObserveInterval(t, exposed, prices)
+			}
 			t++
-			planTick.Store(int64(t))
 		}
 	}()
 
@@ -395,7 +377,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logger.Printf("shutdown: monitor server: %v", err)
 	}
 	<-loopDone
-	feed.Close()
 	cluster.Close()
 	flushFinalSnapshot(stderr, reg, journal, collector)
 	logger.Printf("shutdown complete")

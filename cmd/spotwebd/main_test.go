@@ -16,8 +16,9 @@ import (
 // then panic, plan something else or do nothing. Now it exits 2 with a
 // message before any listener starts: -interval 0 and -interval -1s panicked
 // in the control loop's ticker, -markets 0 planned an 18-market catalog, a
-// positional argument was ignored, and the rest ran a daemon that could not
-// mean what it was asked.
+// positional argument was ignored, -sentinel was bound and then ignored (the
+// warm-restart standbys are a simulator feature), and the rest ran a daemon
+// that could not mean what it was asked.
 func TestRunRejectsBadFlags(t *testing.T) {
 	// Ports nothing can listen on (no name lookup involved): a rejected run
 	// must not get as far as trying them.
@@ -47,6 +48,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{name: "positional after flags", args: []string{"-markets", "4", "bogus", "-interval", "0"}, want: 2, wantStderr: `unexpected argument "bogus"`},
 		{name: "unknown scenario", args: []string{"-chaos-scenario", "no-such-scenario"}, want: 2, wantStderr: "-chaos-scenario:"},
 		{name: "unknown flag", args: []string{"-no-such-flag"}, want: 2, wantStderr: "-no-such-flag"},
+		{name: "sentinel", args: []string{"-sentinel"}, want: 2, wantStderr: "flag provided but not defined: -sentinel"},
 		{name: "help", args: []string{"-h"}, want: 0, wantStderr: "-cap-scale"},
 		{name: "unusable listen address", args: nil, want: 1, wantStderr: "99999"},
 		// The federation sizes itself; -markets does not apply to it.

@@ -28,19 +28,20 @@ import (
 // names. An entry that is no longer a finding fails the gate: the list only
 // shrinks.
 var deadcodeAllowlist = map[string]string{
-	"metrics.SLOTracker.SetClock":  "(a) test seam: fixes the clock the SLO windows read",
-	"metrics.Journal.SetClock":     "(a) test seam: fixes the journal's timestamps",
-	"monitor.Collector.SetClock":   "(a) test seam: fixes the sliding windows' clock",
-	"monitor.RateSeries.SetClock":  "(a) test seam: fixes the rate series' clock",
-	"metrics.Subscription.Dropped": "(a) test oracle: risk/feed_test.go's conservation check, observed + dropped = recorded",
-	"solver.EstimateLipschitz":     "(a) test oracle: portfolio/oracle_test.go checks the planner's step against it",
-	"trace.ReadCSV":                "(a) test oracle: round-trips WriteCSV, cmd/tracegen's format; FuzzReadCSV's target",
-	"portfolio.Config.Breakdown":   "(c) ROADMAP item 5: the per-round trace record carries the cost terms",
-	"microsim.Result.Journal":      "(a) test oracle: the lifecycle counts microsim_test.go and testbed's TestDifferentialJournalLaw compare",
-	"sweep.Options.StopAfter":      "(a) test seam: halts a sweep after n cells, the interruption the checkpoint-resume tests resume from",
-	"risk.FeedConfig.Buffer":       "(a) test seam: feed_test.go's stress test subscribes 64 deep so the drop-oldest path runs (≈ 1,000 of 2,000 dropped; none at the default 1,024)",
-	"solver.Result.DuaRes":         "(b) ADMM's final dual residual, part of the cold ADMM probe bench/ names (ROADMAP item 18(a))",
-	"sim.Config.GroupCorrelation":  "(c) ROADMAP FOUND on ρ = 0: every fluid run samples revocations uncorrelated; the fix moves sim numbers and waits for item 3",
+	"metrics.SLOTracker.SetClock": "(a) test seam: fixes the clock the SLO windows read",
+	"metrics.Journal.SetClock":    "(a) test seam: fixes the journal's timestamps",
+	"monitor.Collector.SetClock":  "(a) test seam: fixes the sliding windows' clock",
+	"monitor.RateSeries.SetClock": "(a) test seam: fixes the rate series' clock",
+	"solver.EstimateLipschitz":    "(a) test oracle: portfolio/oracle_test.go checks the planner's step against it",
+	"trace.ReadCSV":               "(a) test oracle: round-trips WriteCSV, cmd/tracegen's format; FuzzReadCSV's target",
+	"portfolio.Config.Breakdown":  "(c) ROADMAP item 5: the per-round trace record carries the cost terms",
+	"microsim.Result.Journal":     "(a) test oracle: the lifecycle counts microsim_test.go and testbed's TestDifferentialJournalLaw compare",
+	"sweep.Options.StopAfter":     "(a) test seam: halts a sweep after n cells, the interruption the checkpoint-resume tests resume from",
+	"solver.Result.DuaRes":        "(b) ADMM's final dual residual, part of the cold ADMM probe bench/ names (ROADMAP item 18(a))",
+	"solver.ADMMSettings.Rho":     "(b) ADMM's penalty parameter, part of the cold ADMM probe bench/ names (ROADMAP item 18(a))",
+	"solver.ADMMSettings.Sigma":   "(b) ADMM's primal regularization, part of the cold ADMM probe bench/ names (ROADMAP item 18(a))",
+	"solver.ADMMSettings.Alpha":   "(b) ADMM's over-relaxation, part of the cold ADMM probe bench/ names (ROADMAP item 18(a))",
+	"sim.Config.GroupCorrelation": "(c) ROADMAP FOUND on ρ = 0: every fluid run samples revocations uncorrelated; the fix moves sim numbers and waits for item 3",
 }
 
 // TestNoDeadExports fails for every package-level function, type, variable or
@@ -59,8 +60,8 @@ var deadcodeAllowlist = map[string]string{
 // Field rules, over the struct fields of internal/'s package-level types
 // (fieldScan says what reads and sets a field):
 //   - dead field: no non-test code reads it;
-//   - knob with one value: an exported field of a …Config or …Options type
-//     that no non-test code sets but its type's defaults.
+//   - knob with one value: an exported field that no non-test code sets but
+//     its type's defaults (unexported fields are state, not knobs).
 //
 // Exported fields of the types the root package's API holds by value
 // (apiTypes) are exempt from both: callers outside the module set and read
@@ -527,8 +528,8 @@ func structOf(t types.Type) *types.Struct {
 }
 
 // findings returns the struct fields of internal/'s package-level types that
-// no non-test code reads, and the exported fields of its …Config and
-// …Options types that nothing but their defaults sets, keyed as
+// no non-test code reads, and their exported fields that nothing but their
+// type's defaults sets (a nested struct's fields are no knobs), keyed as
 // "pkg.Type.Field". Exported fields of the types the module's public API
 // holds by value are exempt from both.
 func (fs *fieldScan) findings(checked map[string]*types.Package, fset *token.FileSet) map[string]string {
@@ -566,8 +567,7 @@ func (fs *fieldScan) findings(checked map[string]*types.Package, fset *token.Fil
 				continue
 			}
 			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
-				knobs := strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")
-				visit(strings.TrimPrefix(path, internal)+"."+name, st, api[tn.Type()], knobs)
+				visit(strings.TrimPrefix(path, internal)+"."+name, st, api[tn.Type()], true)
 			}
 		}
 	}

@@ -7,6 +7,17 @@ import (
 	"repro/internal/metrics"
 )
 
+// RiskObserver receives the ground-truth signal stream an online risk
+// estimator consumes: revocation warnings as they fire, and one
+// end-of-interval snapshot of exposure (which markets held live servers)
+// and prices. Implemented by *risk.Estimator. The fluid simulator and Front
+// call it synchronously, on the goroutine that decides, so every substrate
+// feeds it one way and adaptive simulator runs stay byte-deterministic.
+type RiskObserver interface {
+	ObserveRevocation(market int, injected bool)
+	ObserveInterval(t int, exposed []bool, prices []float64)
+}
+
 // Front is the clock-free control plane of a front-end tier: a fleet, its
 // balancer and a journal, with §6.1's revocation procedure between them.
 // Every method takes the time now in the fleet's unit. The caller serializes
@@ -16,15 +27,18 @@ type Front struct {
 	fleet     *Cluster
 	bal       *lb.Balancer
 	journal   *metrics.Journal
-	nodes     []*Server // the live servers, by ID
-	launched  []*Server // launches since the last Advance
-	admission bool      // admission control is in force
+	risk      RiskObserver // sees each warning the journal records; may be nil
+	nodes     []*Server    // the live servers, by ID
+	launched  []*Server    // launches since the last Advance
+	admission bool         // admission control is in force
 }
 
 // NewFront returns the control plane over a fleet and its balancer; the
-// balancer journals through its own Journal field.
-func NewFront(fleet *Cluster, bal *lb.Balancer, journal *metrics.Journal) *Front {
-	return &Front{fleet: fleet, bal: bal, journal: journal}
+// balancer journals through its own Journal field. A non-nil risk observer
+// is told of every revocation warning Revoke delivers; closing its intervals
+// is the caller's.
+func NewFront(fleet *Cluster, bal *lb.Balancer, journal *metrics.Journal, risk RiskObserver) *Front {
+	return &Front{fleet: fleet, bal: bal, journal: journal, risk: risk}
 }
 
 // Launch requests a server in a market; it joins rotation once it boots.
@@ -74,6 +88,9 @@ func (f *Front) Revoke(ids []int, offered, now, warning float64) []lb.Revocation
 		}
 		s.reason = "revoked"
 		f.journal.Record(metrics.EvWarning, id, s.Market, "")
+		if f.risk != nil {
+			f.risk.ObserveRevocation(s.Market, false)
+		}
 		f.fleet.RevokeWarning(id, now, warning)
 		victims = append(victims, s)
 	}

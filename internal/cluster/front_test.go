@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/lb"
@@ -14,7 +16,7 @@ func newFront(vanilla bool) (*Front, *lb.Balancer, *metrics.Journal) {
 	bal := lb.NewBalancer()
 	bal.Vanilla = vanilla
 	bal.Journal = j
-	return NewFront(New(10, 0), bal, j), bal, j
+	return NewFront(New(10, 0), bal, j, nil), bal, j
 }
 
 // drainStarts returns the actions journaled with drain_start, in order.
@@ -153,5 +155,68 @@ func TestFrontVanillaIgnoresWarning(t *testing.T) {
 	}
 	if !seen[0] {
 		t.Fatal("vanilla balancer dropped the revoked server from rotation")
+	}
+}
+
+// recordingRisk records the markets of the warnings it is told of.
+type recordingRisk struct{ markets []int }
+
+func (r *recordingRisk) ObserveRevocation(mkt int, _ bool) { r.markets = append(r.markets, mkt) }
+
+func (r *recordingRisk) ObserveInterval(int, []bool, []float64) {}
+
+// TestFrontRiskFeedLaw: on random revocation scripts the risk observer is
+// told of exactly the warnings the journal records, call for call and in
+// order. A victim already draining, revoked or retired, reaches neither; a
+// server still booting reaches both; an unknown ID reaches neither.
+func TestFrontRiskFeedLaw(t *testing.T) {
+	var draining, booting int // victims of each kind the scripts warned
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		j := metrics.NewJournal(1 << 14)
+		bal := lb.NewBalancer()
+		bal.Vanilla = rng.Intn(4) == 0
+		bal.Journal = j
+		obs := &recordingRisk{}
+		f := NewFront(New(10, 5), bal, j, obs)
+		now := 0.0
+		for step := 0; step < 40; step++ {
+			now += rng.Float64() * 8
+			f.Advance(now)
+			switch op := rng.Intn(10); {
+			case op < 4:
+				f.Launch(rng.Intn(4), 50+50*rng.Float64(), now)
+			case op < 5:
+				for _, s := range f.nodes {
+					if s != nil && s.state != StateDraining {
+						f.Retire(s.ID, now, 20*rng.Float64())
+						break
+					}
+				}
+			default:
+				ids := make([]int, 1+rng.Intn(4)) // may repeat an ID
+				for i := range ids {
+					ids[i] = rng.Intn(len(f.nodes) + 2)
+					if s := f.node(ids[i]); s != nil && s.state == StateDraining {
+						draining++
+					} else if s != nil && s.state == StateStarting {
+						booting++
+					}
+				}
+				f.Revoke(ids, 300*rng.Float64(), now, 5+30*rng.Float64())
+			}
+		}
+		var journaled []int
+		for _, ev := range j.Events() {
+			if ev.Type == metrics.EvWarning {
+				journaled = append(journaled, ev.Market)
+			}
+		}
+		if len(journaled) == 0 || !slices.Equal(obs.markets, journaled) {
+			t.Fatalf("seed %d: observer saw markets %v, journal warned %v", seed, obs.markets, journaled)
+		}
+	}
+	if draining == 0 || booting == 0 {
+		t.Fatalf("scripts revoked %d draining and %d booting victims: both must occur", draining, booting)
 	}
 }

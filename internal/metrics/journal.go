@@ -49,7 +49,6 @@ type Journal struct {
 	seq      int64
 	counts   map[string]int64
 	now      func() time.Time
-	subs     []*Subscription
 }
 
 // NewJournal returns a journal retaining the newest `capacity` events
@@ -66,10 +65,9 @@ func NewJournal(capacity int) *Journal {
 }
 
 // NewCountingJournal returns a journal that keeps the lifetime per-type
-// counts and nothing else: Record neither reads the clock nor retains,
-// numbers or delivers its event, so Events and Len report nothing and a
-// subscriber receives nothing. It is for a caller that reads back Counts
-// alone.
+// counts and nothing else: Record neither reads the clock nor retains nor
+// numbers its event, so Events and Len report nothing. It is for a caller
+// that reads back Counts alone.
 func NewCountingJournal() *Journal {
 	return &Journal{counts: make(map[string]int64)}
 }
@@ -110,116 +108,7 @@ func (j *Journal) Record(typ string, backend, market int, detail string) {
 		j.buf[j.head] = ev
 		j.head = (j.head + 1) % len(j.buf)
 	}
-	for _, s := range j.subs {
-		s.push(ev)
-	}
 	j.mu.Unlock()
-}
-
-// Subscription is a bounded, non-blocking live feed of journal events.
-// Consumers receive from C; when a consumer falls behind and the buffer
-// fills, the OLDEST buffered event is dropped to make room for the newest
-// (Dropped counts the evictions), so Record never blocks on a slow
-// subscriber. Baseline carries the lifetime per-type counts at attach time:
-// the ring only retains the newest `capacity` events, so a late subscriber
-// that rebuilt state from Events() alone would undercount everything the
-// ring already evicted — consuming Baseline on attach closes that gap.
-type Subscription struct {
-	C        <-chan Event
-	ch       chan Event
-	j        *Journal
-	dropped  int64 // guarded by j.mu
-	baseline map[string]int64
-}
-
-// Subscribe attaches a live event feed with the given channel buffer
-// (default 256 when ≤ 0). Returns nil on a nil journal. Detach with
-// Unsubscribe; an abandoned subscription keeps evicting its own oldest
-// events, so it never stalls the journal, but Unsubscribe releases it.
-func (j *Journal) Subscribe(buffer int) *Subscription {
-	if j == nil {
-		return nil
-	}
-	if buffer <= 0 {
-		buffer = 256
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	s := &Subscription{
-		ch:       make(chan Event, buffer),
-		j:        j,
-		baseline: make(map[string]int64, len(j.counts)),
-	}
-	s.C = s.ch
-	for k, v := range j.counts {
-		s.baseline[k] = v
-	}
-	j.subs = append(j.subs, s)
-	return s
-}
-
-// Unsubscribe detaches s and closes its channel. Safe to call on a
-// subscription already detached (or nil).
-func (j *Journal) Unsubscribe(s *Subscription) {
-	if j == nil || s == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for i, cur := range j.subs {
-		if cur == s {
-			j.subs = append(j.subs[:i], j.subs[i+1:]...)
-			close(s.ch)
-			return
-		}
-	}
-}
-
-// push delivers ev without blocking; called with j.mu held, which
-// serializes all senders, so after evicting one element the retry send
-// cannot fail (the consumer only ever removes elements).
-func (s *Subscription) push(ev Event) {
-	select {
-	case s.ch <- ev:
-		return
-	default:
-	}
-	select {
-	case <-s.ch:
-		s.dropped++
-	default:
-	}
-	select {
-	case s.ch <- ev:
-	default:
-		s.dropped++ // buffer of size 0 can't happen; defensive
-	}
-}
-
-// Dropped returns how many buffered events were evicted because the
-// subscriber fell behind.
-func (s *Subscription) Dropped() int64 {
-	if s == nil {
-		return 0
-	}
-	s.j.mu.Lock()
-	defer s.j.mu.Unlock()
-	return s.dropped
-}
-
-// Baseline returns the lifetime per-type event counts at the moment the
-// subscription attached. Events delivered on C are strictly after this
-// baseline, so baseline[typ] + received(typ) equals the journal's lifetime
-// count with no double counting and no ring-eviction undercount.
-func (s *Subscription) Baseline() map[string]int64 {
-	if s == nil {
-		return nil
-	}
-	out := make(map[string]int64, len(s.baseline))
-	for k, v := range s.baseline {
-		out[k] = v
-	}
-	return out
 }
 
 // Events returns the retained events, oldest first.

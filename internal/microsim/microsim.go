@@ -199,7 +199,7 @@ func Run(cfg Config) (*Result, error) {
 	bal.Vanilla = cfg.Vanilla
 	bal.Journal = journal
 	fleet := cluster.New(math.Max(cfg.StartDelay, 0), 0)
-	front := cluster.NewFront(fleet, bal, journal)
+	front := cluster.NewFront(fleet, bal, journal, nil)
 
 	var servers []*psServer // by the fleet's ID
 	var h eventHeap

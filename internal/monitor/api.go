@@ -79,7 +79,7 @@ func (m *MarketMonitor) Warnings() []Warning {
 // polled by the predictors; this is the equivalent.
 //
 //	GET /stats            → Stats (sliding-window application metrics)
-//	GET /markets?t=<int>  → []MarketSnapshot
+//	GET /markets?t=<int>  → []MarketSnapshot at interval t (default 0)
 //	GET /warnings         → []Warning
 //	GET /portfolio        → map market-index → weight (if a source is set)
 //	GET /healthz          → 200 ok
@@ -92,19 +92,10 @@ type API struct {
 	Markets   *MarketMonitor
 	// Portfolio optionally reports the currently executed portfolio.
 	Portfolio func() map[int]float64
-	// Interval maps wall time to the market-series interval index; when nil
-	// the t query parameter is required for /markets.
-	Interval func() int
 	// Metrics optionally serves the Prometheus registry at /metrics.
 	Metrics *metrics.Registry
 	// Journal optionally serves the structured event journal at /events.
 	Journal *metrics.Journal
-	// Sweep optionally serves a sweep artifact at /sweep (raw JSON bytes,
-	// e.g. a file written by cmd/spotweb-sweep) with a minimal HTML surface
-	// browser at /sweep/ui. The callback returns the current artifact
-	// encoding, or nil when none is loaded. Raw bytes rather than a typed
-	// artifact keep the monitor decoupled from the sweep schema.
-	Sweep func() []byte
 	// EnablePProf registers the net/http/pprof handlers under
 	// /debug/pprof/.
 	EnablePProf bool
@@ -137,8 +128,6 @@ func (a *API) Handler() http.Handler {
 				return
 			}
 			t = v
-		} else if a.Interval != nil {
-			t = a.Interval()
 		}
 		writeJSON(w, a.Markets.Snapshot(t))
 	})
@@ -160,22 +149,6 @@ func (a *API) Handler() http.Handler {
 			out[strconv.Itoa(k)] = v
 		}
 		writeJSON(w, out)
-	})
-	mux.HandleFunc("/sweep", func(w http.ResponseWriter, _ *http.Request) {
-		var data []byte
-		if a.Sweep != nil {
-			data = a.Sweep()
-		}
-		if len(data) == 0 {
-			http.Error(w, "no sweep artifact loaded", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(data)
-	})
-	mux.HandleFunc("/sweep/ui", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_, _ = w.Write([]byte(sweepUI))
 	})
 	mux.Handle("/metrics", metrics.Handler(a.Metrics))
 	mux.Handle("/events", metrics.JournalHandler(a.Journal))

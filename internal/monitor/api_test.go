@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -53,7 +52,6 @@ func newInstrumentedAPI(t *testing.T) *API {
 		Collector: col,
 		Markets:   mm,
 		Portfolio: func() map[int]float64 { return map[int]float64{0: 0.7, 2: 0.3} },
-		Interval:  func() int { return 5 },
 		Metrics:   reg,
 		Journal:   journal,
 	}
@@ -265,52 +263,5 @@ func TestAPIPProf(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof index = %d", resp.StatusCode)
-	}
-}
-
-func TestAPISweepEndpoints(t *testing.T) {
-	artifact := []byte(`{"schema":"spotweb-sweep/v1","grid":{"name":"t"},"cells":[],"surfaces":[]}`)
-	api := &API{Sweep: func() []byte { return artifact }}
-	srv := httptest.NewServer(api.Handler())
-	defer srv.Close()
-
-	res, err := http.Get(srv.URL + "/sweep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(res.Body)
-	res.Body.Close()
-	if res.StatusCode != http.StatusOK || res.Header.Get("Content-Type") != "application/json" {
-		t.Fatalf("/sweep: status %d, content-type %q", res.StatusCode, res.Header.Get("Content-Type"))
-	}
-	if !bytes.Equal(body, artifact) {
-		t.Fatalf("/sweep returned %q", body)
-	}
-
-	res, err = http.Get(srv.URL + "/sweep/ui")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ui, _ := io.ReadAll(res.Body)
-	res.Body.Close()
-	if res.StatusCode != http.StatusOK || !strings.Contains(res.Header.Get("Content-Type"), "text/html") {
-		t.Fatalf("/sweep/ui: status %d, content-type %q", res.StatusCode, res.Header.Get("Content-Type"))
-	}
-	if !strings.Contains(string(ui), "scenario lab") || !strings.Contains(string(ui), "fetch('/sweep')") {
-		t.Fatal("/sweep/ui does not look like the surface browser")
-	}
-
-	// Without a source (or with an empty artifact) the endpoint 404s.
-	for _, api := range []*API{{}, {Sweep: func() []byte { return nil }}} {
-		srv2 := httptest.NewServer(api.Handler())
-		res, err := http.Get(srv2.URL + "/sweep")
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Body.Close()
-		srv2.Close()
-		if res.StatusCode != http.StatusNotFound {
-			t.Fatalf("empty /sweep: status %d, want 404", res.StatusCode)
-		}
 	}
 }

@@ -165,7 +165,6 @@ func TestAPIEndpoints(t *testing.T) {
 		Collector: col,
 		Markets:   mm,
 		Portfolio: func() map[int]float64 { return map[int]float64{0: 0.7, 2: 0.3} },
-		Interval:  func() int { return 5 },
 	}
 	srv := httptest.NewServer(api.Handler())
 	defer srv.Close()

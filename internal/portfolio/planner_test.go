@@ -85,7 +85,7 @@ func perSampleMeanRevert(s MeanRevertSource, t, h int) [][]float64 {
 	now := s.Cat.PerRequestCosts(t)
 	out := make([][]float64, h)
 	for k := range out {
-		decay := math.Exp(-s.theta() * float64(k+1))
+		decay := math.Exp(-meanRevertTheta * float64(k+1))
 		out[k] = make([]float64, n)
 		for i := range out[k] {
 			out[k][i] = means[i] + (now[i]-means[i])*decay
@@ -97,11 +97,13 @@ func perSampleMeanRevert(s MeanRevertSource, t, h int) [][]float64 {
 // TestMeanRevertPerReqCostsBits holds the trailing price mean to the
 // per-sample loop bit for bit: windows inside the series, windows that start
 // at 0, windows that run past the final interval by one sample or wholly,
-// t = 0, and a window of one sample.
+// t = 0, and a window of one sample (a catalog of weekly steps).
 func TestMeanRevertPerReqCostsBits(t *testing.T) {
 	cat := market.CatalogConfig{Seed: 35, NumTypes: 9, IncludeOnDemand: true, Hours: 24 * 9}.Generate()
 	T := cat.Intervals
-	for _, src := range []MeanRevertSource{{Cat: cat}, {Cat: cat, Window: 1}, {Cat: cat, Window: 31, Theta: 0.2}} {
+	weekly, eightHourly := *cat, *cat
+	weekly.StepHrs, eightHourly.StepHrs = 7*24, 8 // windows of 1 and 21 intervals
+	for _, src := range []MeanRevertSource{{Cat: cat}, {Cat: &weekly}, {Cat: &eightHourly}} {
 		for _, tt := range []int{0, 1, 5, 24 * 7, T - 2, T - 1, T, T + 3, T + 24*8} {
 			got, want := src.PerReqCosts(tt, 4), perSampleMeanRevert(src, tt, 4)
 			for k := range want {

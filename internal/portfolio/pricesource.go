@@ -19,24 +19,14 @@ import (
 // revocation probabilities show little dynamics.
 type MeanRevertSource struct {
 	Cat *market.Catalog
-	// Window is the trailing-mean window in intervals (default 7 days).
-	Window int
-	// Theta is the per-interval reversion rate (default 0.15).
-	Theta float64
 }
 
+// meanRevertTheta is θ, the per-interval reversion rate.
+const meanRevertTheta = 0.4
+
+// window is the trailing-mean window in intervals: 7 days.
 func (s MeanRevertSource) window() int {
-	if s.Window > 0 {
-		return s.Window
-	}
 	return int(7 * 24 / s.Cat.StepHrs)
-}
-
-func (s MeanRevertSource) theta() float64 {
-	if s.Theta > 0 {
-		return s.Theta
-	}
-	return 0.4
 }
 
 // PerReqCosts implements ForecastSource.
@@ -69,11 +59,10 @@ func (s MeanRevertSource) PerReqCosts(t, h int) [][]float64 {
 		means[i] = sum / float64(t-lo+1)
 	}
 	now := s.Cat.PerRequestCosts(t)
-	th := s.theta()
 	out := make([][]float64, h)
 	for k := 0; k < h; k++ {
 		row := make([]float64, n)
-		decay := math.Exp(-th * float64(k+1))
+		decay := math.Exp(-meanRevertTheta * float64(k+1))
 		for i := 0; i < n; i++ {
 			row[i] = means[i] + (now[i]-means[i])*decay
 		}

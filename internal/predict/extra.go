@@ -88,9 +88,6 @@ func (m *MovingAverage) Predict(h int) []float64 {
 // HoltWinters is additive triple exponential smoothing: level + trend +
 // seasonal components, the classic workload forecaster.
 type HoltWinters struct {
-	// Alpha, Beta, Gamma are the level/trend/season smoothing factors in
-	// (0,1); zero values default to 0.3/0.05/0.25.
-	Alpha, Beta, Gamma float64
 	// Period is the season length in intervals.
 	Period int
 
@@ -101,19 +98,8 @@ type HoltWinters struct {
 	t            int
 }
 
-func (hw *HoltWinters) params() (a, b, g float64) {
-	a, b, g = hw.Alpha, hw.Beta, hw.Gamma
-	if a <= 0 || a >= 1 {
-		a = 0.3
-	}
-	if b <= 0 || b >= 1 {
-		b = 0.05
-	}
-	if g <= 0 || g >= 1 {
-		g = 0.25
-	}
-	return
-}
+// The level, trend and season smoothing factors of HoltWinters.
+const hwAlpha, hwBeta, hwGamma = 0.3, 0.05, 0.25
 
 // Observe implements Predictor.
 func (hw *HoltWinters) Observe(v float64) {
@@ -146,7 +132,7 @@ func (hw *HoltWinters) Observe(v float64) {
 		hw.t = 2 * p
 		return
 	}
-	a, b, g := hw.params()
+	a, b, g := hwAlpha, hwBeta, hwGamma
 	si := hw.t % p
 	prevLevel := hw.level
 	hw.level = a*(v-hw.season[si]) + (1-a)*(hw.level+hw.trend)

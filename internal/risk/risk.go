@@ -195,7 +195,7 @@ func New(cfg Config, declared *market.Catalog) *Estimator {
 				"Decayed effective exposure sample size (market-intervals).", lbl)
 		}
 		e.cEvents = reg.Counter("spotweb_risk_events_total",
-			"Revocation events consumed by the risk estimator (incl. pre-attach baseline).")
+			"Revocation events consumed by the risk estimator.")
 		e.cChangepoints = reg.Counter("spotweb_risk_changepoints_total",
 			"Price-process regime shifts detected; each resets that market's estimator window.")
 	}
@@ -421,18 +421,6 @@ func (e *Estimator) Changepoints() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.changepoints
-}
-
-// SeedLifetime folds in revocation events that happened before the
-// estimator attached (the journal ring only retains the newest 1024 events,
-// so a late subscriber would otherwise undercount lifetime totals). The
-// events carry no per-market attribution, so they only advance the lifetime
-// counters — rate estimates stay driven by attributed observations.
-func (e *Estimator) SeedLifetime(events int64) {
-	if e == nil || events <= 0 {
-		return
-	}
-	e.cEvents.Add(events)
 }
 
 // MeanAbsDivergence returns the mean |published − declared| probability

@@ -163,30 +163,12 @@ func TestRevocationDedupWithinInterval(t *testing.T) {
 	}
 }
 
-// TestSeedLifetimeCountsBaseline covers the ring-eviction undercount fix:
-// pre-attach events seeded from a subscription baseline must appear in
-// lifetime totals without perturbing rate estimates.
-func TestSeedLifetimeCountsBaseline(t *testing.T) {
-	cat := testCatalog(1, 0.02, nil)
-	e := New(Config{Metrics: metrics.NewRegistry()}, cat)
-	_, before, _ := estimate(e, 0)
-	e.SeedLifetime(2000)
-	if events(e) != 2000 {
-		t.Fatalf("lifetime events = %d, want 2000", events(e))
-	}
-	_, after, _ := estimate(e, 0)
-	if after != before {
-		t.Fatalf("unattributed baseline moved the estimate: %.4f -> %.4f", before, after)
-	}
-}
-
 // TestNilEstimatorNoOps: every exported method must be a zero-cost no-op on
 // a nil receiver (the disabled-path contract).
 func TestNilEstimatorNoOps(t *testing.T) {
 	var e *Estimator
 	e.ObserveRevocation(0, true)
 	e.ObserveInterval(0, nil, nil)
-	e.SeedLifetime(10)
 	if e.Overlay() != nil {
 		t.Fatal("nil estimator published an overlay")
 	}

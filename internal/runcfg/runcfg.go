@@ -153,12 +153,14 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	f := bindCommon(fs)
 	fs.BoolVar(&f.rc.Quick, "quick", false, "shrink durations for a fast run")
 	fs.Float64Var(&f.rc.WarningSec, "warning", 120, "revocation warning period in seconds")
+	fs.BoolVar(&f.rc.Sentinel, "sentinel", false, "enable the sentinel loop: stopped on-demand standbys warm-restart after revocations")
 	return f
 }
 
 // BindDaemonFlags registers the RunConfig subset meaningful to long-running
-// daemons: no -quick (daemons have no run length) and no -warning override
-// (daemons take a wall-clock -warning duration of their own).
+// daemons: no -quick (daemons have no run length), no -warning override
+// (daemons take a wall-clock -warning duration of their own) and no
+// -sentinel (the warm-restart standbys exist on the simulator path only).
 func BindDaemonFlags(fs *flag.FlagSet) *Flags {
 	return bindCommon(fs)
 }
@@ -169,7 +171,6 @@ func bindCommon(fs *flag.FlagSet) *Flags {
 	fs.Float64Var(&f.rc.HighUtil, "high-util", 0.85, "utilization threshold of the §6.1 revocation decision")
 	fs.BoolVar(&f.warmStart, "warm-start", true, "warm-start receding-horizon solves from the previous round's shifted solver state")
 	fs.Float64Var(&f.rc.AnchorMin, "anchor-min", 0, "minimum per-period on-demand (non-revocable) allocation share (0 = off; inert on all-spot catalogs)")
-	fs.BoolVar(&f.rc.Sentinel, "sentinel", false, "enable the sentinel loop: stopped on-demand standbys warm-restart after revocations")
 	fs.BoolVar(&f.rc.Risk, "risk", false, "estimate per-market revocation risk online from observed revocations and publish corrected probabilities (at the default long-request share L = 0 they move no plan; the chaos runner's adaptive legs plan on them at L = 0.3)")
 	fs.Float64Var(&f.rc.RiskQuantile, "risk-quantile", 0, "risk estimator upper-credible-bound quantile (0 = default 0.90)")
 	fs.Float64Var(&f.rc.RiskHalfLife, "risk-halflife", 0, "risk estimator evidence half-life in catalog-hours (0 = default 24)")

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/market"
 	"repro/internal/portfolio"
 	"repro/internal/sim"
@@ -56,12 +57,12 @@ func TestDaemonFlagsOmitRunShapeKnobs(t *testing.T) {
 	// -parallelism sizes the federation shard pool and is bound there, beside
 	// the other federation flags; spotwebd binds both sets on one FlagSet, so
 	// a second registration here would panic.
-	for _, name := range []string{"quick", "warning", "kkt", "parallelism"} {
+	for _, name := range []string{"quick", "warning", "sentinel", "kkt", "parallelism"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("daemon flag set must not define -%s", name)
 		}
 	}
-	for _, name := range []string{"seed", "high-util", "sentinel", "risk"} {
+	for _, name := range []string{"seed", "high-util", "risk"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("daemon flag set missing -%s", name)
 		}
@@ -119,7 +120,7 @@ func TestLegWiring(t *testing.T) {
 		t.Fatal("Risk set but no estimator")
 	}
 	sc := o.Sim(leg, est)
-	if sc.HighUtil != 0.7 || sc.WarningSec != 30 || !sc.Sentinel || sc.Risk != sim.RiskObserver(est) || sc.Seed != 9 {
+	if sc.HighUtil != 0.7 || sc.WarningSec != 30 || !sc.Sentinel || sc.Risk != cluster.RiskObserver(est) || sc.Seed != 9 {
 		t.Fatalf("sim config = %+v", sc)
 	}
 }

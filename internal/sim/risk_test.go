@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/market"
 )
 
@@ -41,7 +42,7 @@ func TestSimFeedsRiskObserver(t *testing.T) {
 			}
 		}
 	}
-	run := func(obs RiskObserver) *Result {
+	run := func(obs cluster.RiskObserver) *Result {
 		s := &Simulator{
 			Cfg:      Config{Seed: 3, TransiencyAware: true, Risk: obs},
 			Cat:      cat,

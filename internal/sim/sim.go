@@ -30,16 +30,6 @@ type Policy interface {
 	Decide(t int, observedLambda float64) ([]int, error)
 }
 
-// RiskObserver receives the ground-truth signal stream an online risk
-// estimator consumes: revocation warnings as they fire, and one
-// end-of-interval snapshot of exposure (which markets held live servers)
-// and prices. Implemented by *risk.Estimator; the simulator calls it
-// synchronously so adaptive runs stay byte-deterministic.
-type RiskObserver interface {
-	ObserveRevocation(market int, injected bool)
-	ObserveInterval(t int, exposed []bool, prices []float64)
-}
-
 // Config parameterizes a simulation run.
 type Config struct {
 	// Seed drives revocation sampling.
@@ -83,7 +73,7 @@ type Config struct {
 	// online risk estimator consumes (one ObserveInterval per simulated
 	// interval, after its revocations fired and before the next planning
 	// round). Nil costs one branch per interval.
-	Risk RiskObserver
+	Risk cluster.RiskObserver
 	// Sentinel enables the sentinel HA recovery loop: on-demand (anchor)
 	// markets get stop/restart semantics — planner scale-downs park surplus
 	// anchor servers in StateStopped instead of terminating them, a small

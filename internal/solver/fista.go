@@ -26,9 +26,6 @@ type QuadOperator interface {
 type FISTASettings struct {
 	MaxIter int     // default 2000
 	Tol     float64 // projected-gradient inf-norm tolerance (default 1e-8)
-	// LipschitzBound overrides the power-iteration estimate of λmax(P) when
-	// positive.
-	LipschitzBound float64
 	// Warm, when non-nil, seeds the solve from a previous Result.Warm: the
 	// iterate/momentum pair starts from the stored (optionally
 	// horizon-shifted) values and the Lipschitz estimate restarts power
@@ -149,19 +146,17 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 	sp.setup(p, n)
 	defer sp.stop() // also on a panic: no helper outlives the solve
 	warmStarted := false
-	l := s.LipschitzBound
+	var l float64
 	var lipVec linalg.Vector
 	lipW := fit(st.lipW, n)
-	if l <= 0 {
-		if warm != nil && warm.lip > 0 && len(warm.lipVec) == n {
-			// Warm refresh: the dominant eigenvector of the slowly-drifting
-			// Hessian is an excellent power-iteration start, so a few matvecs
-			// recover (and track) the estimate the cold path needs 30 for.
-			l, lipVec = sp.estimateLipschitz(warm.lipVec, 6, warm.lipVec, lipW)
-			warmStarted = true
-		} else {
-			l, lipVec = sp.estimateLipschitz(nil, 30, fit(st.lipVec, n), lipW)
-		}
+	if warm != nil && warm.lip > 0 && len(warm.lipVec) == n {
+		// Warm refresh: the dominant eigenvector of the slowly-drifting
+		// Hessian is an excellent power-iteration start, so a few matvecs
+		// recover (and track) the estimate the cold path needs 30 for.
+		l, lipVec = sp.estimateLipschitz(warm.lipVec, 6, warm.lipVec, lipW)
+		warmStarted = true
+	} else {
+		l, lipVec = sp.estimateLipschitz(nil, 30, fit(st.lipVec, n), lipW)
 	}
 	if l < 1e-12 {
 		l = 1e-12
@@ -252,9 +247,6 @@ func SolveFISTA(p *ProjectedProblem, settings FISTASettings) Result {
 	res.WarmStarted = warmStarted
 	if counted {
 		res.Projection = counter.Stats().since(statsBefore)
-	}
-	if lipVec == nil && warm != nil {
-		lipVec = warm.lipVec // LipschitzBound override: keep any cached vector
 	}
 	st.x, st.xPrev, st.tk = x, xPrev, tk
 	st.lip, st.lipVec = l, lipVec

@@ -138,7 +138,7 @@ func TestFISTALinearObjectiveOnSimplex(t *testing.T) {
 		Q: q,
 		C: NewBoxBand(linalg.NewVector(3), linalg.Vector{1, 1, 1}, 1, 1),
 	}
-	res := SolveFISTA(pp, FISTASettings{MaxIter: 20000, LipschitzBound: 1})
+	res := SolveFISTA(pp, FISTASettings{MaxIter: 20000})
 	if math.Abs(res.X[1]-1) > 1e-4 || res.X[0] > 1e-4 || res.X[2] > 1e-4 {
 		t.Fatalf("x = %v, want e₂", res.X)
 	}
@@ -180,10 +180,10 @@ func (c *countingOp) Apply(x, dst linalg.Vector) {
 }
 
 // A FISTA solve applies P once per gradient step, once per residual check
-// (every fifth iteration and the last) and, without a LipschitzBound, 30
-// times to estimate λmax — and not once more for the objective: every exit
-// from the loop follows a residual check, whose P·x the objective reuses. The
-// objective's bits are ½xᵀPx + qᵀx with P·x recomputed.
+// (every fifth iteration and the last) and 30 times to estimate λmax — and
+// not once more for the objective: every exit from the loop follows a
+// residual check, whose P·x the objective reuses. The objective's bits are
+// ½xᵀPx + qᵀx with P·x recomputed.
 func TestFISTAObjectiveReusesResidualMatVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for _, tc := range []struct {
@@ -192,7 +192,6 @@ func TestFISTAObjectiveReusesResidualMatVec(t *testing.T) {
 		power int
 	}{
 		{"cold", FISTASettings{}, 30},
-		{"lipschitz-given", FISTASettings{LipschitzBound: 10}, 0},
 		{"max-iter", FISTASettings{MaxIter: 7}, 30},
 	} {
 		_, proj := portfolioLikeQP(rng, 8)

@@ -46,6 +46,10 @@ type ClusterConfig struct {
 	// received, drain, migration, replacement, admission control on/off,
 	// termination).
 	Journal *metrics.Journal
+	// Risk, when set, is told of every revocation warning the control plane
+	// delivers (cluster.Front.Revoke), under the cluster's lock, beside the
+	// journal's record; closing its intervals is the caller's.
+	Risk cluster.RiskObserver
 	// SLOTarget is the latency SLO threshold fed to the attainment tracker
 	// (default 500 ms; the paper holds p99 at sub-second scale).
 	SLOTarget time.Duration
@@ -130,7 +134,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		c.balancer.SetAdmission(lb.NewTokenBucket(cfg.AdmitRPS, admitBurst))
 	}
 	c.balancer.SetMetrics(cfg.Metrics)
-	c.front = cluster.NewFront(c.fleet, c.balancer, cfg.Journal)
+	c.front = cluster.NewFront(c.fleet, c.balancer, cfg.Journal, cfg.Risk)
 	c.instrumented = cfg.OnRequest != nil || cfg.Metrics != nil
 	if r := cfg.Metrics; r != nil {
 		c.met = clusterMetrics{

@@ -4,6 +4,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/market"
+	"repro/internal/risk"
 )
 
 func TestAddBackendForMarketAndCounts(t *testing.T) {
@@ -162,5 +165,28 @@ func TestScaleToDrainsYoungestFirst(t *testing.T) {
 		if _, ok := snap[2]; ok || len(snap) != 2 {
 			t.Fatalf("repetition %d: snapshot %v after 3 → 2, want backend 2 drained", rep, snap)
 		}
+	}
+}
+
+// TestClusterFeedsRiskWithoutJournal: the control plane tells the risk
+// estimator of each warning it delivers whether or not a journal records it.
+// This is the cluster `spotwebd -risk -metrics=false` builds (no journal, no
+// registry), whose estimator once fed on the journal and planned from priors
+// only. A revoked market's published probability rises above that of an
+// estimator that saw the same exposure and no warning.
+func TestClusterFeedsRiskWithoutJournal(t *testing.T) {
+	cat := market.TestbedCatalog(1, 24)
+	est, control := risk.New(risk.Config{}, cat), risk.New(risk.Config{}, cat)
+	c := NewCluster(ClusterConfig{Backend: fastBackendCfg(), Warning: 100 * time.Millisecond, Risk: est})
+	defer c.Close()
+	victim := c.AddBackendForMarket(0, 100)
+	c.AddBackendForMarket(1, 100)
+	c.Revoke([]int{victim.ID}, 10)
+	exposed := []bool{true, true, false}
+	est.ObserveInterval(0, exposed, nil)
+	control.ObserveInterval(0, exposed, nil)
+	declared := cat.Markets[0].FailProbAt(0)
+	if got, want := est.Overlay().FailProbAt(0, declared), control.Overlay().FailProbAt(0, declared); !(got > want) {
+		t.Fatalf("revoked market's estimate %v, want above %v: the warning never reached the estimator", got, want)
 	}
 }
