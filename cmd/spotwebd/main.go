@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"sync"
 	"syscall"
 	"time"
@@ -325,14 +326,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 					continue
 				}
 				if rng.Float64() < m.FailProbAt(t) {
-					victims := victimsInMarket(cluster, i)
-					if len(victims) > 0 {
+					if victims := revokeMarket(cluster, mkMon, i, f.warning, observed); len(victims) > 0 {
 						logger.Printf("revocation warning: market %s, backends %v", m.ID(), victims)
-						mkMon.RelayWarning(monitor.Warning{
-							ServerID: victims[0], Market: i,
-							Deadline: time.Now().Add(f.warning),
-						})
-						cluster.Revoke(victims, observed)
 					}
 				}
 			}
@@ -406,13 +401,23 @@ func flushFinalSnapshot(w io.Writer, reg *metrics.Registry, journal *metrics.Jou
 	}
 }
 
-// victimsInMarket lists the live backend ids bought in a market.
-func victimsInMarket(c *testbed.Cluster, mkt int) []int {
-	var out []int
+// revokeMarket revokes every live backend bought in market mkt, relaying one
+// /warnings entry per victim as the journal records one revocation warning
+// per victim, and returns the victims.
+func revokeMarket(c *testbed.Cluster, mon *monitor.MarketMonitor, mkt int, warning time.Duration, offered float64) []int {
+	var victims []int
 	for id, b := range c.Snapshot() {
 		if b == mkt {
-			out = append(out, id)
+			victims = append(victims, id)
 		}
 	}
-	return out
+	slices.Sort(victims)
+	deadline := time.Now().Add(warning)
+	for _, id := range victims {
+		mon.RelayWarning(monitor.Warning{ServerID: id, Market: mkt, Deadline: deadline})
+	}
+	if len(victims) > 0 {
+		c.Revoke(victims, offered)
+	}
+	return victims
 }

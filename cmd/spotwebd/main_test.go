@@ -5,11 +5,17 @@ import (
 	"net/http"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/market"
+	"repro/internal/metrics"
+	"repro/internal/monitor"
+	"repro/internal/testbed"
 )
 
 // TestRunRejectsBadFlags: each input below used to start both servers and
@@ -163,5 +169,42 @@ func TestRunServesOnBoundPorts(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Fatalf("stdout %q, want nothing", stdout.String())
+	}
+}
+
+// TestRevokeMarketRelaysEveryVictim: a natural revocation of a market holding
+// two backends puts two entries on /warnings, one per victim, matching the
+// journal's revocation_warning events (it used to relay only the first).
+func TestRevokeMarketRelaysEveryVictim(t *testing.T) {
+	journal := metrics.NewJournal(64)
+	c := testbed.NewCluster(testbed.ClusterConfig{
+		Backend: testbed.BackendConfig{BaseServiceTime: time.Millisecond},
+		Warning: time.Second, Journal: journal,
+	})
+	defer c.Close()
+	c.AddBackendForMarket(0, 100)
+	c.AddBackendForMarket(1, 100)
+	c.AddBackendForMarket(1, 100)
+	mon := monitor.NewMarketMonitor(market.TestbedCatalog(1, 24))
+
+	victims := revokeMarket(c, mon, 1, time.Second, 10)
+	var relayed, journaled []int
+	for _, w := range mon.Warnings() {
+		if w.Market != 1 {
+			t.Fatalf("relayed %+v, want market 1", w)
+		}
+		relayed = append(relayed, w.ServerID)
+	}
+	for _, e := range journal.Events() {
+		if e.Type == metrics.EvWarning {
+			journaled = append(journaled, e.Backend)
+		}
+	}
+	slices.Sort(journaled)
+	if len(victims) != 2 || !slices.Equal(relayed, victims) || !slices.Equal(journaled, victims) {
+		t.Fatalf("victims %v: /warnings relayed %v, journal recorded %v", victims, relayed, journaled)
+	}
+	if got := revokeMarket(c, mon, 2, time.Second, 10); got != nil || len(mon.Warnings()) != 2 {
+		t.Fatalf("revoking an empty market returned %v and left %d warnings", got, len(mon.Warnings()))
 	}
 }

@@ -184,12 +184,9 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 	// The input side is one fan-out: covariances are shard-local, depend only
 	// on (t, CovWindow) and are cached for the whole coordination loop, so the
 	// shared input build runs beside them instead of ahead of them.
-	var (
-		in    *portfolio.Inputs
-		epoch uint64
-	)
+	var in *portfolio.Inputs
 	risks := p.shardCovariances(t, func() {
-		in, epoch = p.builder.Build(t, h, actualLambda)
+		in, _ = p.builder.Build(t, h, actualLambda)
 	})
 	covSecs := time.Since(start).Seconds()
 
@@ -227,7 +224,7 @@ func (p *Planner) Step(t int, actualLambda float64) (*portfolio.Decision, error)
 		solves[s] = func() {
 			t0 := time.Now()
 			cfg := p.shardConfig(shares[s])
-			plan, err := p.solvers[s].Solve(cfg, shards[s].Cat, shardIns[s], epoch)
+			plan, err := p.solvers[s].Solve(cfg, shards[s].Cat, shardIns[s], 0)
 			mc := math.Inf(1)
 			if err == nil {
 				mc = p.marginalCost(s, cfg, shardIns[s], plan)

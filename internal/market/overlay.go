@@ -14,11 +14,10 @@ type Overlay struct {
 	// to skip re-applying an overlay they have already seen.
 	Version uint64
 	// Epoch increments only on structural resets (price-process
-	// changepoints that discard estimator history). Warm-started solvers
-	// key their fingerprint on Epoch, not Version: smooth per-round value
-	// drift only perturbs the linear cost term and keeps cached
-	// factorizations valid, while an epoch bump signals a regime shift
-	// worth a cold re-solve.
+	// changepoints that discard estimator history). No planner reads it:
+	// an epoch bump, like per-round drift, moves only the linear cost term,
+	// so warm state survives it. It remains for bench/plan.go until ROADMAP
+	// item 18(a), unless item 25(b) needs a per-market epoch (25(e)).
 	Epoch uint64
 }
 

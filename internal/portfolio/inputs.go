@@ -39,7 +39,8 @@ type InputBuilder struct {
 // Build observes the actual workload of interval t and assembles the Inputs
 // for planning interval t+1 over horizon h. Risk and PrevAlloc are left nil
 // for the caller. The returned epoch is the overlay epoch in force (0 when
-// no overlay applied), used by warm-start invalidation.
+// no overlay applied); nothing in the planner reads it, and it remains only
+// for bench/plan.go (ROADMAP items 18(a) and 25(e)).
 func (b *InputBuilder) Build(t, h int, actualLambda float64) (*Inputs, uint64) {
 	// Score last forecast and maintain MAE for the Eq. 4 shortfall charge.
 	if b.lastPred > 0 {

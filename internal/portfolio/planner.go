@@ -221,7 +221,7 @@ func (p *Planner) Step(t int, actualLambda float64) (*Decision, error) {
 	if window <= 0 {
 		window = p.Cat.TwoWeekWindow()
 	}
-	in, epoch := p.builder.Build(t, p.Cfg.Horizon, actualLambda)
+	in, _ := p.builder.Build(t, p.Cfg.Horizon, actualLambda)
 	in.Risk = p.riskOperator(t, window)
 	in.PrevAlloc = p.prevAlloc
 	if p.Cfg.AMinOnDemand > 0 {
@@ -232,7 +232,7 @@ func (p *Planner) Step(t int, actualLambda float64) (*Decision, error) {
 		in.OnDemand = od
 	}
 
-	plan, err := p.ws.Solve(p.Cfg, p.Cat, in, epoch)
+	plan, err := p.ws.Solve(p.Cfg, p.Cat, in, 0)
 	if err == nil {
 		err = CheckFinite(plan.First())
 	}

@@ -14,9 +14,9 @@ import (
 //     (unless cfg.DisableWarmStart).
 //   - The state is invalidated whenever the market set, the horizon or the
 //     anchor floor changed since it was captured: stale iterates of the
-//     wrong shape must never leak into a solve. Likewise when the
-//     risk-overlay epoch bumped — a regime shift re-anchored the estimator,
-//     so the cached trajectory tracked the wrong cost surface.
+//     wrong shape must never leak into a solve. The risk overlay, drift
+//     and changepoint epochs alike, never invalidates it: it moves only
+//     the linear term, on which neither P nor the Lipschitz cache depends.
 //   - A solve that does not converge within the iteration budget is not
 //     trusted when it was warm-started: the stale state is discarded, a
 //     spotweb_planner_fallback_total counter ticks, and the round is
@@ -39,15 +39,17 @@ type WarmSolver struct {
 	warmN      int
 	warmH      int
 	warmCat    *market.Catalog
-	warmEpoch  uint64
 	warmAnchor float64
 	shifted    bool
 }
 
 // Solve runs one solve against in, warm-started from the previously captured
-// state when it is still valid for (cat, cfg, epoch). epoch is the risk
-// overlay epoch the inputs were built under (0 when no overlay).
-func (w *WarmSolver) Solve(cfg Config, cat *market.Catalog, in *Inputs, epoch uint64) (*Plan, error) {
+// state when it is still valid for (cat, cfg). The last parameter is ignored:
+// it is the overlay epoch InputBuilder.Build returns, kept only because
+// bench/plan.go's composed round passes it. It goes with ROADMAP item 18(a),
+// together with market.Overlay.Epoch unless item 25(b) needs a per-market
+// epoch (25(e)).
+func (w *WarmSolver) Solve(cfg Config, cat *market.Catalog, in *Inputs, _ uint64) (*Plan, error) {
 	n, h := cat.Len(), cfg.WithDefaults().Horizon
 	if cfg.DisableWarmStart {
 		w.warm = nil
@@ -58,14 +60,6 @@ func (w *WarmSolver) Solve(cfg Config, cat *market.Catalog, in *Inputs, epoch ui
 		w.warm = nil
 		w.Metrics.Counter("spotweb_planner_warm_invalidations_total",
 			"Warm-start states dropped because the market set, horizon or anchor bound changed.").Inc()
-	}
-	if w.warm != nil && w.warmEpoch != epoch {
-		// Overlay epoch bump = the risk estimator detected a price-process
-		// regime shift and re-anchored. The cached trajectory tracked the
-		// old regime's cost surface; start the new one cold.
-		w.warm = nil
-		w.Metrics.Counter("spotweb_planner_overlay_invalidations_total",
-			"Warm-start states dropped because the risk overlay epoch changed (regime shift).").Inc()
 	}
 	warmUsed := w.warm != nil
 	plan, err := optimize(cfg, in, w.warm, &w.ws)
@@ -85,7 +79,6 @@ func (w *WarmSolver) Solve(cfg Config, cat *market.Catalog, in *Inputs, epoch ui
 	if plan.Status == solver.StatusSolved && plan.warm != nil {
 		w.warm = plan.warm
 		w.warmN, w.warmH, w.warmCat = n, h, cat
-		w.warmEpoch = epoch
 		w.warmAnchor = cfg.AMinOnDemand
 		w.shifted = false
 	}

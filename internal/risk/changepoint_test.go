@@ -2,7 +2,11 @@ package risk
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // noisy returns a deterministic pseudo-noise sample in [-1, 1] — no
@@ -120,4 +124,81 @@ func TestChangepointResetsEstimatorWindow(t *testing.T) {
 	if postUCB <= preUCB {
 		t.Fatalf("uncertainty did not widen after reset: %.4f -> %.4f", preUCB, postUCB)
 	}
+}
+
+// generatedStretch draws one market's price process the way
+// market.CatalogConfig.Generate does (discount depth, volatility and
+// reversion from the same ranges, hourly samples) with its demand jumps
+// switched off: no regime shift, so every trip is a false alarm.
+func generatedStretch(seed int64, rng *rand.Rand, hours int) []float64 {
+	return trace.PriceConfig{
+		Seed: seed, OnDemandPrice: 1, MeanDiscount: 0.25 * (0.6 + 0.8*rng.Float64()),
+		Volatility: 0.18 + 0.2*rng.Float64(), Reversion: 0.3 + 0.4*rng.Float64(),
+		Hours: hours, SamplesPerHour: 1,
+	}.Generate().Values
+}
+
+// TestLawChangepointFalseAlarmRate states the default detector's operating
+// point (Page 1954) on generated prices, as measured, with a margin:
+//
+//   - ARL₀, the average run length to a false alarm on jump-free stretches,
+//     reads 664.5 intervals (400 stretches × 2,000 h); the law holds it at
+//     ≥ 500.
+//   - On a ×1.4 level shift (the generator's smallest JumpMagnitude, 0.4)
+//     injected after 100 quiet hours into 2,000 stretches, 167 trips come
+//     within 7 intervals (the longest generated jump) and 460 within 48, at a
+//     median delay of 10; the law holds them at ≥ 125, ≥ 345 and ≤ 13.
+//
+// Each bound is the measured value with a 25 % margin. A hair-triggered
+// detector fails the first clause, a deafened one the second. The bounds
+// record the tuning; they are not a target for it.
+func TestLawChangepointFalseAlarmRate(t *testing.T) {
+	cfg := ChangepointConfig{}.withDefaults()
+
+	rng := rand.New(rand.NewSource(1))
+	alarms, obs := 0, 0
+	for m := 0; m < 400; m++ {
+		var c cusum
+		for _, p := range generatedStretch(int64(m)*7919, rng, 2000) {
+			if c.observe(p, cfg) {
+				alarms++
+			}
+			obs++
+		}
+	}
+	arl0 := float64(obs) / float64(max(alarms, 1))
+	if arl0 < 500 {
+		t.Errorf("ARL₀ %.1f intervals (%d false alarms in %d), want ≥ 500", arl0, alarms, obs)
+	}
+
+	rng = rand.New(rand.NewSource(2))
+	var delays []int
+	within7 := 0
+	for m := 0; m < 2000; m++ {
+		var c cusum
+		for i, p := range generatedStretch(int64(m)*104729+5, rng, 148) {
+			if i >= 100 {
+				p *= 1.4
+			}
+			if c.observe(p, cfg) && i >= 100 {
+				d := i - 99
+				delays = append(delays, d)
+				if d <= 7 {
+					within7++
+				}
+				break
+			}
+		}
+	}
+	slices.Sort(delays)
+	median := 0
+	if len(delays) > 0 {
+		median = delays[len(delays)/2]
+	}
+	if within7 < 125 || len(delays) < 345 || median > 13 {
+		t.Errorf("×1.4 shift: %d detected within 7 intervals (want ≥ 125), %d within 48 (want ≥ 345), median delay %d (want ≤ 13)",
+			within7, len(delays), median)
+	}
+	t.Logf("ARL₀ %.1f (%d alarms in %d); ×1.4 shift: %d within 7, %d within 48 of 2000, median delay %d",
+		arl0, alarms, obs, within7, len(delays), median)
 }

@@ -247,8 +247,8 @@ func (e *Estimator) ObserveInterval(t int, exposed []bool, prices []float64) {
 			if e.cp[i].observe(prices[i], e.cfg.Changepoint) {
 				// Regime shift: the accumulated evidence described the old
 				// regime. Forget most of it so the posterior widens back
-				// toward the prior, and bump the epoch so warm solvers
-				// re-solve cold.
+				// toward the prior, and bump the epoch (no planner reads it:
+				// warm state survives an epoch, ROADMAP item 25(e)).
 				e.k[i] *= e.cfg.Changepoint.Forget
 				e.x[i] *= e.cfg.Changepoint.Forget
 				e.changepoints++
